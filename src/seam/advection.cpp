@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <ranges>
 
 #include "util/require.hpp"
 
@@ -99,9 +100,7 @@ advection_model::advection_model(const mesh::cubed_sphere& mesh, int np,
       assembly_(mesh, np),
       geometry_(make_rotation_geometry(mesh, rule_, omega, axis)),
       field_(static_cast<std::size_t>(assembly_.field_size()), 0.0),
-      stage1_(field_.size()),
-      stage2_(field_.size()),
-      rhs_(field_.size()) {}
+      stages_(field_.size()) {}
 
 void advection_model::set_field(const std::function<double(mesh::vec3)>& f) {
   for (std::size_t n = 0; n < field_.size(); ++n)
@@ -147,21 +146,13 @@ void advection_model::tendency(std::span<const double> q,
 
 void advection_model::step(double dt) {
   SFP_REQUIRE(dt > 0, "timestep must be positive");
-  const std::size_t n = field_.size();
-  // SSP-RK3 (Shu–Osher), DSS after every stage.
-  tendency(field_, rhs_);
-  for (std::size_t k = 0; k < n; ++k) stage1_[k] = field_[k] + dt * rhs_[k];
-  assembly_.dss_average(stage1_);
-
-  tendency(stage1_, rhs_);
-  for (std::size_t k = 0; k < n; ++k)
-    stage2_[k] = 0.75 * field_[k] + 0.25 * (stage1_[k] + dt * rhs_[k]);
-  assembly_.dss_average(stage2_);
-
-  tendency(stage2_, rhs_);
-  for (std::size_t k = 0; k < n; ++k)
-    field_[k] = field_[k] / 3.0 + (2.0 / 3.0) * (stage2_[k] + dt * rhs_[k]);
-  assembly_.dss_average(field_);
+  ssp_rk3_step(
+      rk3_fields<1>{field_}, stages_,
+      std::views::iota(std::size_t{0}, field_.size()), dt,
+      [&](const rk3_fields<1>& src, const rk3_fields<1>& dst) {
+        tendency(src[0], dst[0]);
+      },
+      [&](const rk3_fields<1>& f) { assembly_.dss_average(f[0]); });
 }
 
 double advection_model::cfl_dt(double cfl) const {

@@ -13,6 +13,7 @@
 #include "mesh/cubed_sphere.hpp"
 #include "seam/assembly.hpp"
 #include "seam/gll.hpp"
+#include "seam/rk3.hpp"
 
 namespace sfp::seam {
 
@@ -79,7 +80,7 @@ class advection_model {
   assembly assembly_;
   node_geometry geometry_;
   std::vector<double> field_;
-  std::vector<double> stage1_, stage2_, rhs_;  // RK scratch
+  rk3_stages<1> stages_;
 };
 
 }  // namespace sfp::seam

@@ -4,12 +4,16 @@
 #include <exception>
 #include <mutex>
 #include <optional>
+#include <span>
+#include <utility>
+#include <vector>
 
 #include "core/escalation.hpp"
 #include "obs/trace.hpp"
 #include "runtime/reliable.hpp"  // lint: layering-ok — seam hosts the timeout-aware wrappers over the virtual-rank world (see blocking rule)
 #include "runtime/world.hpp"  // lint: layering-ok — seam hosts the timeout-aware wrappers over the virtual-rank world (see blocking rule)
 #include "seam/exchange.hpp"
+#include "seam/rk3.hpp"
 #include "util/require.hpp"
 #include "util/stopwatch.hpp"
 
@@ -34,15 +38,136 @@ struct stats_collector {
   }
 };
 
-/// The one place the plain (non-resilient) runners construct the in-process
-/// fabric: builds the world, runs `rank_main` on every rank, then hands the
-/// world to `after` so callers can harvest per-rank counters.
-template <typename RankMain, typename After>
-void run_on_world(int nranks, const runtime::world::options& wopts,
-                  RankMain&& rank_main, After&& after) {
-  runtime::world w(nranks, wopts);  // lint: transport-discipline-ok — run_on_world is the plain runners' single fabric construction site
-  w.run(rank_main);
-  after(w);
+void require_run_args(double dt, int nsteps) {
+  SFP_REQUIRE(nsteps >= 0, "step count must be non-negative");
+  SFP_REQUIRE(dt > 0, "timestep must be positive");
+}
+
+/// Rank-local copies of a run's prognostic fields, in the global field
+/// layout; only a rank's owned slice is meaningful.
+using field_list = std::vector<std::vector<double>>;
+
+/// One rank's two passes per RK stage — the element kernel over its owned
+/// elements, then the DSS exchange with its peers — driven by the shared
+/// ssp_rk3_step, with the timing, trace spans and traffic counts that feed
+/// dist_stats.
+class rank_stepper {
+ public:
+  rank_stepper(const rank_exchange_plan& rp, halo_exchanger& halo)
+      : rp_(rp), halo_(halo) {}
+
+  const std::vector<std::size_t>& owned_nodes() const {
+    return rp_.owned_nodes;
+  }
+
+  /// One SSP-RK3 step of size `h` over the owned nodes of `q`.
+  /// `kernel(src, dst, elem)` evaluates one owned element's tendency;
+  /// `project(fields)` runs on the owned nodes before each DSS.
+  template <std::size_t N, typename Kernel, typename Project>
+  void step(const rk3_fields<N>& q, rk3_stages<N>& stages, double h,
+            Kernel&& kernel, Project&& project) {
+    ssp_rk3_step(
+        q, stages, rp_.owned_nodes, h,
+        [&](const rk3_fields<N>& src, const rk3_fields<N>& dst) {
+          SFP_TRACE_SCOPE_CAT("seam.compute", "seam");
+          clock_.reset();
+          for (const int e : rp_.owned) kernel(src, dst, e);
+          compute_s_ += clock_.seconds();
+        },
+        [&](const rk3_fields<N>& fields) {
+          SFP_TRACE_SCOPE_CAT("seam.exchange", "seam");
+          clock_.reset();
+          project(fields);
+          for (const std::span<double> f : fields) {
+            const auto [msgs, sent] = halo_.dss_average(f, tag_++);
+            messages_ += msgs;
+            doubles_sent_ += sent;
+          }
+          exchange_s_ += clock_.seconds();
+        });
+  }
+
+  void report_to(stats_collector& collector) const {
+    collector.add(compute_s_, exchange_s_, messages_, doubles_sent_);
+  }
+
+ private:
+  const rank_exchange_plan& rp_;
+  halo_exchanger& halo_;
+  sfp::stopwatch clock_;
+  double compute_s_ = 0, exchange_s_ = 0;
+  std::int64_t messages_ = 0, doubles_sent_ = 0;
+  int tag_ = 0;  ///< one fresh tag per DSS, in the same order on every rank
+};
+
+constexpr auto no_projection = [](const auto&) {};
+
+/// The per-rank program of every distributed runner. Copies `init` into
+/// rank-local fields, runs steps [first, last) — each `step(stepper, q,
+/// stages)` under a seam.step span, then `after_step(step, q)` — writes the
+/// owned slices into `out`, and adds the rank's totals to `collector`.
+/// `step` is taken by value, so each rank owns what it captured by value
+/// (such as kernel scratch).
+template <std::size_t N, typename Step, typename AfterStep>
+void rank_body(const rank_exchange_plan& rp, halo_exchanger& halo,
+               const std::vector<std::span<const double>>& init, int first,
+               int last, Step step, AfterStep&& after_step, field_list& out,
+               stats_collector& collector) {
+  rank_stepper stepper(rp, halo);
+  field_list q;
+  for (const std::span<const double> f : init)
+    q.emplace_back(f.begin(), f.end());
+  rk3_stages<N> stages(q.front().size());
+  for (int s = first; s < last; ++s) {
+    SFP_TRACE_SCOPE_CAT("seam.step", "seam");
+    step(stepper, q, stages);
+    after_step(s, q);
+  }
+  for (std::size_t f = 0; f < q.size(); ++f)
+    for (const std::size_t n : rp.owned_nodes) out[f][n] = q[f][n];
+  stepper.report_to(collector);
+}
+
+/// The plain (fault-free, in-process) runners: one exchange plan, one world,
+/// rank_body for `nsteps` steps on every rank. Returns the final fields and
+/// fills `stats`, per-rank counters included, if non-null.
+template <std::size_t N, typename Step>
+field_list run_plain(const assembly& dofs, const partition::partition& part,
+                     const std::vector<std::span<const double>>& init,
+                     int nsteps, dist_stats* stats,
+                     const runtime::world::options& wopts, const Step& step) {
+  const exchange_plan plan = exchange_plan::build(dofs, part);
+  field_list out(init.size(), std::vector<double>(init.front().size(), 0.0));
+  stats_collector collector;
+  runtime::world w(part.num_parts, wopts);  // lint: transport-discipline-ok — run_plain is the plain runners' single fabric construction site
+  w.run([&](runtime::communicator& comm) {
+    const rank_exchange_plan& rp =
+        plan.ranks[static_cast<std::size_t>(comm.rank())];
+    halo_exchanger halo(rp, comm);
+    rank_body<N>(rp, halo, init, 0, nsteps, step, [](int, field_list&) {},
+                 out, collector);
+  });
+  if (stats) {
+    *stats = collector.total;
+    stats->per_rank.reserve(static_cast<std::size_t>(part.num_parts));
+    for (int p = 0; p < part.num_parts; ++p)
+      stats->per_rank.push_back(w.counters(p));
+  }
+  return out;
+}
+
+/// The advection model's per-rank step, shared by run_distributed and the
+/// resilient runner.
+auto advection_step(const advection_model& model, double dt) {
+  return [&model, dt](rank_stepper& stepper, field_list& q,
+                      rk3_stages<1>& stages) {
+    stepper.step(
+        rk3_fields<1>{q[0]}, stages, dt,
+        [&](const rk3_fields<1>& src, const rk3_fields<1>& dst, int e) {
+          model.tendency_element(src[0], dst[0], e);
+        },
+        no_projection);
+  };
 }
 
 }  // namespace
@@ -51,70 +176,10 @@ std::vector<double> run_distributed(const advection_model& model,
                                     const partition::partition& part,
                                     double dt, int nsteps, dist_stats* stats,
                                     const runtime::world::options& wopts) {
-  SFP_REQUIRE(nsteps >= 0, "step count must be non-negative");
-  SFP_REQUIRE(dt > 0, "timestep must be positive");
-  const exchange_plan plan = exchange_plan::build(model.dofs(), part);
-  const std::size_t nfield = model.field().size();
-
-  std::vector<double> result(nfield, 0.0);
-  stats_collector collector;
-
-  const auto rank_main = [&](runtime::communicator& comm) {
-    const rank_exchange_plan& rp =
-        plan.ranks[static_cast<std::size_t>(comm.rank())];
-    halo_exchanger halo(rp, comm);
-    sfp::stopwatch clock;
-    double compute_s = 0, exchange_s = 0;
-    std::int64_t messages = 0, doubles_sent = 0;
-
-    std::vector<double> q(model.field().begin(), model.field().end());
-    std::vector<double> rhs(nfield, 0.0), s1(nfield, 0.0), s2(nfield, 0.0);
-
-    int tag_counter = 0;
-    const auto dss = [&](std::vector<double>& f) {
-      SFP_TRACE_SCOPE_CAT("seam.exchange", "seam");
-      clock.reset();
-      const auto [msgs, sent] = halo.dss_average(f, tag_counter++);
-      messages += msgs;
-      doubles_sent += sent;
-      exchange_s += clock.seconds();
-    };
-    const auto local_tendency = [&](const std::vector<double>& src,
-                                    std::vector<double>& dst) {
-      SFP_TRACE_SCOPE_CAT("seam.compute", "seam");
-      clock.reset();
-      for (const int e : rp.owned) model.tendency_element(src, dst, e);
-      compute_s += clock.seconds();
-    };
-
-    for (int step = 0; step < nsteps; ++step) {
-      SFP_TRACE_SCOPE_CAT("seam.step", "seam");
-      local_tendency(q, rhs);
-      for (const std::size_t n : rp.owned_nodes) s1[n] = q[n] + dt * rhs[n];
-      dss(s1);
-
-      local_tendency(s1, rhs);
-      for (const std::size_t n : rp.owned_nodes)
-        s2[n] = 0.75 * q[n] + 0.25 * (s1[n] + dt * rhs[n]);
-      dss(s2);
-
-      local_tendency(s2, rhs);
-      for (const std::size_t n : rp.owned_nodes)
-        q[n] = q[n] / 3.0 + (2.0 / 3.0) * (s2[n] + dt * rhs[n]);
-      dss(q);
-    }
-
-    for (const std::size_t n : rp.owned_nodes) result[n] = q[n];
-    collector.add(compute_s, exchange_s, messages, doubles_sent);
-  };
-  run_on_world(part.num_parts, wopts, rank_main, [&](runtime::world& w) {
-    if (!stats) return;
-    *stats = collector.total;
-    stats->per_rank.reserve(static_cast<std::size_t>(part.num_parts));
-    for (int p = 0; p < part.num_parts; ++p)
-      stats->per_rank.push_back(w.counters(p));
-  });
-  return result;
+  require_run_args(dt, nsteps);
+  return std::move(run_plain<1>(model.dofs(), part, {model.field()}, nsteps,
+                                stats, wopts, advection_step(model, dt))
+                       .front());
 }
 
 std::vector<double> run_distributed_resilient(
@@ -122,18 +187,17 @@ std::vector<double> run_distributed_resilient(
     const partition::partition& part, double dt, int nsteps,
     const resilience_options& ropts, recovery_report* report,
     dist_stats* stats) {
-  SFP_REQUIRE(nsteps >= 0, "step count must be non-negative");
-  SFP_REQUIRE(dt > 0, "timestep must be positive");
+  require_run_args(dt, nsteps);
   SFP_REQUIRE(part.part_of.size() == curve.order.size(),
               "partition must cover the curve's mesh");
   SFP_REQUIRE(ropts.max_recoveries >= 0, "max_recoveries must be >= 0");
-  const std::size_t nfield = model.field().size();
 
   recovery_report rep;
   stats_collector collector;
 
   // Committed global state: the tracer field after `done` completed steps.
-  std::vector<double> state(model.field().begin(), model.field().end());
+  field_list state(
+      1, std::vector<double>(model.field().begin(), model.field().end()));
   partition::partition cur = part;
   int done = 0;
 
@@ -146,7 +210,7 @@ std::vector<double> run_distributed_resilient(
     // by the end-of-step barrier and can only be overwritten at step s+2,
     // which requires the step s+1 barrier — so the newest fully-barriered
     // buffer is never torn, even with ranks one step apart mid-abort.
-    std::vector<std::vector<double>> snap(2, state);
+    field_list snap(2, state.front());
     std::mutex progress_mutex;
     std::vector<int> progress(static_cast<std::size_t>(nranks), 0);
 
@@ -162,78 +226,35 @@ std::vector<double> run_distributed_resilient(
     // mode passes the raw communicator (channel optional); socket mode
     // passes only the reliable channel — there is no raw communicator, so
     // every collective point goes through the channel's pumping fence.
+    const std::vector<std::span<const double>> init{state.front()};
     const auto attempt_body = [&](int rank, runtime::communicator* comm,
                                   runtime::reliable_channel* channel) {
       const rank_exchange_plan& rp =
           plan.ranks[static_cast<std::size_t>(rank)];
-      std::optional<halo_exchanger> halo_slot;
-      if (comm)
-        halo_slot.emplace(rp, *comm, channel);
-      else
-        halo_slot.emplace(rp, rank, *channel);
-      halo_exchanger& halo = *halo_slot;
-        sfp::stopwatch clock;
-        double compute_s = 0, exchange_s = 0;
-        std::int64_t messages = 0, doubles_sent = 0;
-
-        std::vector<double> q(state.begin(), state.end());
-        std::vector<double> rhs(nfield, 0.0), s1(nfield, 0.0), s2(nfield, 0.0);
-
-        int tag_counter = 0;
-        const auto dss = [&](std::vector<double>& f) {
-          clock.reset();
-          const auto [msgs, sent] = halo.dss_average(f, tag_counter++);
-          messages += msgs;
-          doubles_sent += sent;
-          exchange_s += clock.seconds();
-        };
-        const auto local_tendency = [&](const std::vector<double>& src,
-                                        std::vector<double>& dst) {
-          clock.reset();
-          for (const int e : rp.owned) model.tendency_element(src, dst, e);
-          compute_s += clock.seconds();
-        };
-
-        for (int step = done; step < nsteps; ++step) {
-          SFP_TRACE_SCOPE_CAT("seam.step", "seam");
-          local_tendency(q, rhs);
-          for (const std::size_t n : rp.owned_nodes) s1[n] = q[n] + dt * rhs[n];
-          dss(s1);
-
-          local_tendency(s1, rhs);
-          for (const std::size_t n : rp.owned_nodes)
-            s2[n] = 0.75 * q[n] + 0.25 * (s1[n] + dt * rhs[n]);
-          dss(s2);
-
-          local_tendency(s2, rhs);
-          for (const std::size_t n : rp.owned_nodes)
-            q[n] = q[n] / 3.0 + (2.0 / 3.0) * (s2[n] + dt * rhs[n]);
-          dss(q);
-
-          auto& checkpoint = snap[static_cast<std::size_t>((step - done) & 1)];
-          for (const std::size_t n : rp.owned_nodes) checkpoint[n] = q[n];
-          // Seal the checkpoint. With the reliable channel this MUST be the
-          // pumping fence, not the raw barrier: a rank parked in a
-          // non-pumping collective can never retransmit or re-ack, so a
-          // peer still healing a lost message would starve until its
-          // recv_timeout and fake a peer_unreachable escalation.
-          if (channel)
-            channel->fence();
-          else
-            comm->barrier();  // lint: blocking-ok — per-step sync; world::options::timeout turns a lost rank into comm_timeout_error
-          {
-            std::lock_guard<std::mutex> lock(progress_mutex);
-            progress[static_cast<std::size_t>(rank)] = step - done + 1;
-          }
-        }
-
-        for (const std::size_t n : rp.owned_nodes) state[n] = q[n];
-        collector.add(compute_s, exchange_s, messages, doubles_sent);
-        if (channel) {
-          std::lock_guard<std::mutex> lock(reliable_mutex);
-          rep.reliable += channel->stats();
-        }
+      halo_exchanger halo = channel ? halo_exchanger(rp, rank, *channel)
+                                    : halo_exchanger(rp, *comm);
+      const auto checkpoint_step = [&](int step, const field_list& q) {
+        auto& checkpoint = snap[static_cast<std::size_t>((step - done) & 1)];
+        for (const std::size_t n : rp.owned_nodes) checkpoint[n] = q[0][n];
+        // Seal the checkpoint. With the reliable channel this MUST be the
+        // pumping fence, not the raw barrier: a rank parked in a
+        // non-pumping collective can never retransmit or re-ack, so a
+        // peer still healing a lost message would starve until its
+        // recv_timeout and fake a peer_unreachable escalation.
+        if (channel)
+          channel->fence();
+        else
+          comm->barrier();  // lint: blocking-ok — per-step sync; world::options::timeout turns a lost rank into comm_timeout_error
+        std::lock_guard<std::mutex> lock(progress_mutex);
+        progress[static_cast<std::size_t>(rank)] = step - done + 1;
       };
+      rank_body<1>(rp, halo, init, done, nsteps, advection_step(model, dt),
+                   checkpoint_step, state, collector);
+      if (channel) {
+        std::lock_guard<std::mutex> lock(reliable_mutex);
+        rep.reliable += channel->stats();
+      }
+    };
 
     // Identical fabric-failure handling on every backend: exactly these
     // three exception types feed the escalation ladder. Anything else
@@ -306,7 +327,7 @@ std::vector<double> run_distributed_resilient(
       int completed = 0;
       for (const int p : progress) completed = std::max(completed, p);
       if (completed > 0)
-        state = snap[static_cast<std::size_t>((completed - 1) & 1)];
+        state.front() = snap[static_cast<std::size_t>((completed - 1) & 1)];
       done += completed;
       core::recovery_plan rplan =
           core::plan_recovery(curve, cur, decision.victim);
@@ -325,185 +346,59 @@ std::vector<double> run_distributed_resilient(
   rep.final_partition = std::move(cur);
   if (report) *report = std::move(rep);
   if (stats) *stats = collector.total;
-  return state;
+  return std::move(state.front());
 }
 
 swe_state run_distributed_swe(const shallow_water_model& model,
                               const partition::partition& part, double dt,
                               int nsteps, dist_stats* stats) {
-  SFP_REQUIRE(nsteps >= 0, "step count must be non-negative");
-  SFP_REQUIRE(dt > 0, "timestep must be positive");
-  const exchange_plan plan = exchange_plan::build(model.dofs(), part);
-  const std::size_t nfield = model.depth().size();
-
-  swe_state result;
-  result.h.assign(nfield, 0.0);
-  result.ux.assign(nfield, 0.0);
-  result.uy.assign(nfield, 0.0);
-  result.uz.assign(nfield, 0.0);
-  stats_collector collector;
-
-  const auto rank_main = [&](runtime::communicator& comm) {
-    const rank_exchange_plan& rp =
-        plan.ranks[static_cast<std::size_t>(comm.rank())];
-    halo_exchanger halo(rp, comm);
-    sfp::stopwatch clock;
-    double compute_s = 0, exchange_s = 0;
-    std::int64_t messages = 0, doubles_sent = 0;
-
-    // Four prognostic fields, full layout, owned slices meaningful.
-    std::vector<double> h(model.depth().begin(), model.depth().end());
-    std::vector<double> ux(model.velocity_x().begin(), model.velocity_x().end());
-    std::vector<double> uy(model.velocity_y().begin(), model.velocity_y().end());
-    std::vector<double> uz(model.velocity_z().begin(), model.velocity_z().end());
-    std::vector<double> rh(nfield), rx(nfield), ry(nfield), rz(nfield);
-    std::vector<double> t1h(nfield), t1x(nfield), t1y(nfield), t1z(nfield);
-    std::vector<double> t2h(nfield), t2x(nfield), t2y(nfield), t2z(nfield);
-    auto scratch = model.make_scratch();
-
-    int tag_counter = 0;
-    const auto project_dss = [&](std::vector<double>& fh,
-                                 std::vector<double>& fx,
-                                 std::vector<double>& fy,
-                                 std::vector<double>& fz) {
-      SFP_TRACE_SCOPE_CAT("seam.exchange", "seam");
-      clock.reset();
-      for (const std::size_t n : rp.owned_nodes)
-        model.project_node(n, fx, fy, fz);
-      for (auto* field : {&fh, &fx, &fy, &fz}) {
-        const auto [msgs, sent] = halo.dss_average(*field, tag_counter++);
-        messages += msgs;
-        doubles_sent += sent;
-      }
-      exchange_s += clock.seconds();
-    };
-    const auto local_rhs = [&](const std::vector<double>& sh,
-                               const std::vector<double>& sx,
-                               const std::vector<double>& sy,
-                               const std::vector<double>& sz) {
-      SFP_TRACE_SCOPE_CAT("seam.compute", "seam");
-      clock.reset();
-      for (const int e : rp.owned)
-        model.rhs_element(sh, sx, sy, sz, rh, rx, ry, rz, e, scratch);
-      compute_s += clock.seconds();
-    };
-
-    for (int step = 0; step < nsteps; ++step) {
-      local_rhs(h, ux, uy, uz);
-      for (const std::size_t n : rp.owned_nodes) {
-        t1h[n] = h[n] + dt * rh[n];
-        t1x[n] = ux[n] + dt * rx[n];
-        t1y[n] = uy[n] + dt * ry[n];
-        t1z[n] = uz[n] + dt * rz[n];
-      }
-      project_dss(t1h, t1x, t1y, t1z);
-
-      local_rhs(t1h, t1x, t1y, t1z);
-      for (const std::size_t n : rp.owned_nodes) {
-        t2h[n] = 0.75 * h[n] + 0.25 * (t1h[n] + dt * rh[n]);
-        t2x[n] = 0.75 * ux[n] + 0.25 * (t1x[n] + dt * rx[n]);
-        t2y[n] = 0.75 * uy[n] + 0.25 * (t1y[n] + dt * ry[n]);
-        t2z[n] = 0.75 * uz[n] + 0.25 * (t1z[n] + dt * rz[n]);
-      }
-      project_dss(t2h, t2x, t2y, t2z);
-
-      local_rhs(t2h, t2x, t2y, t2z);
-      for (const std::size_t n : rp.owned_nodes) {
-        h[n] = h[n] / 3.0 + (2.0 / 3.0) * (t2h[n] + dt * rh[n]);
-        ux[n] = ux[n] / 3.0 + (2.0 / 3.0) * (t2x[n] + dt * rx[n]);
-        uy[n] = uy[n] / 3.0 + (2.0 / 3.0) * (t2y[n] + dt * ry[n]);
-        uz[n] = uz[n] / 3.0 + (2.0 / 3.0) * (t2z[n] + dt * rz[n]);
-      }
-      project_dss(h, ux, uy, uz);
-    }
-
-    for (const std::size_t n : rp.owned_nodes) {
-      result.h[n] = h[n];
-      result.ux[n] = ux[n];
-      result.uy[n] = uy[n];
-      result.uz[n] = uz[n];
-    }
-    collector.add(compute_s, exchange_s, messages, doubles_sent);
+  require_run_args(dt, nsteps);
+  const auto swe_step = [&model, dt, scratch = model.make_scratch()](
+                            rank_stepper& stepper, field_list& q,
+                            rk3_stages<4>& stages) mutable {
+    stepper.step(
+        rk3_fields<4>{q[0], q[1], q[2], q[3]}, stages, dt,
+        [&](const rk3_fields<4>& s, const rk3_fields<4>& r, int e) {
+          model.rhs_element(s[0], s[1], s[2], s[3], r[0], r[1], r[2], r[3], e,
+                            scratch);
+        },
+        [&](const rk3_fields<4>& f) {
+          for (const std::size_t n : stepper.owned_nodes())
+            model.project_node(n, f[1], f[2], f[3]);
+        });
   };
-  run_on_world(part.num_parts, {}, rank_main, [](runtime::world&) {});
-
-  if (stats) *stats = collector.total;
-  return result;
+  field_list out = run_plain<4>(
+      model.dofs(), part,
+      {model.depth(), model.velocity_x(), model.velocity_y(),
+       model.velocity_z()},
+      nsteps, stats, {}, swe_step);
+  return {std::move(out[0]), std::move(out[1]), std::move(out[2]),
+          std::move(out[3])};
 }
 
 std::vector<std::vector<double>> run_distributed_layered(
     const layered_advection& model, const partition::partition& part,
     double dt, int nsteps, dist_stats* stats) {
-  SFP_REQUIRE(nsteps >= 0, "step count must be non-negative");
-  SFP_REQUIRE(dt > 0, "timestep must be positive");
+  require_run_args(dt, nsteps);
   const advection_model& base = model.base();
-  const exchange_plan plan = exchange_plan::build(base.dofs(), part);
-  const std::size_t nfield = base.field().size();
-  const int nlev = model.nlev();
-
-  std::vector<std::vector<double>> result(
-      static_cast<std::size_t>(nlev), std::vector<double>(nfield, 0.0));
-  stats_collector collector;
-
-  const auto rank_main = [&](runtime::communicator& comm) {
-    const rank_exchange_plan& rp =
-        plan.ranks[static_cast<std::size_t>(comm.rank())];
-    halo_exchanger halo(rp, comm);
-    sfp::stopwatch clock;
-    double compute_s = 0, exchange_s = 0;
-    std::int64_t messages = 0, doubles_sent = 0;
-
-    std::vector<std::vector<double>> q(static_cast<std::size_t>(nlev));
-    for (int l = 0; l < nlev; ++l)
-      q[static_cast<std::size_t>(l)].assign(model.layer(l).begin(),
-                                            model.layer(l).end());
-    std::vector<double> rhs(nfield, 0.0), s1(nfield, 0.0), s2(nfield, 0.0);
-
-    int tag_counter = 0;
-    const auto dss = [&](std::vector<double>& f) {
-      SFP_TRACE_SCOPE_CAT("seam.exchange", "seam");
-      clock.reset();
-      const auto [msgs, sent] = halo.dss_average(f, tag_counter++);
-      messages += msgs;
-      doubles_sent += sent;
-      exchange_s += clock.seconds();
-    };
-    const auto local_tendency = [&](const std::vector<double>& src) {
-      SFP_TRACE_SCOPE_CAT("seam.compute", "seam");
-      clock.reset();
-      for (const int e : rp.owned) base.tendency_element(src, rhs, e);
-      compute_s += clock.seconds();
-    };
-
-    for (int step = 0; step < nsteps; ++step) {
-      for (int l = 0; l < nlev; ++l) {
-        auto& ql = q[static_cast<std::size_t>(l)];
-        const double wscale = model.omega_at(l);
-        local_tendency(ql);
-        for (const std::size_t n : rp.owned_nodes)
-          s1[n] = ql[n] + dt * wscale * rhs[n];
-        dss(s1);
-        local_tendency(s1);
-        for (const std::size_t n : rp.owned_nodes)
-          s2[n] = 0.75 * ql[n] + 0.25 * (s1[n] + dt * wscale * rhs[n]);
-        dss(s2);
-        local_tendency(s2);
-        for (const std::size_t n : rp.owned_nodes)
-          ql[n] = ql[n] / 3.0 + (2.0 / 3.0) * (s2[n] + dt * wscale * rhs[n]);
-        dss(ql);
-      }
-    }
-
-    for (int l = 0; l < nlev; ++l)
-      for (const std::size_t n : rp.owned_nodes)
-        result[static_cast<std::size_t>(l)][n] =
-            q[static_cast<std::size_t>(l)][n];
-    collector.add(compute_s, exchange_s, messages, doubles_sent);
+  // Every layer is its own one-field system; omega_at scales the base
+  // (omega = 1) velocity, so it scales the step.
+  const auto layered_step = [&model, &base, dt](rank_stepper& stepper,
+                                                field_list& q,
+                                                rk3_stages<1>& stages) {
+    for (int l = 0; l < model.nlev(); ++l)
+      stepper.step(
+          rk3_fields<1>{q[static_cast<std::size_t>(l)]}, stages,
+          dt * model.omega_at(l),
+          [&](const rk3_fields<1>& src, const rk3_fields<1>& dst, int e) {
+            base.tendency_element(src[0], dst[0], e);
+          },
+          no_projection);
   };
-  run_on_world(part.num_parts, {}, rank_main, [](runtime::world&) {});
-
-  if (stats) *stats = collector.total;
-  return result;
+  std::vector<std::span<const double>> init;
+  for (int l = 0; l < model.nlev(); ++l) init.push_back(model.layer(l));
+  return run_plain<1>(base.dofs(), part, init, nsteps, stats, {},
+                      layered_step);
 }
 
 }  // namespace sfp::seam

@@ -30,7 +30,9 @@ struct dist_stats {
   std::int64_t doubles_sent = 0;  ///< total payload volume
   double max_rank_seconds = 0;  ///< slowest rank's total time
   /// Per-rank runtime counters from the world (indexed by rank). Filled by
-  /// run_distributed; the trace tooling joins these with the span timeline.
+  /// the plain runners (run_distributed, run_distributed_swe,
+  /// run_distributed_layered), not by run_distributed_resilient; the trace
+  /// tooling joins these with the span timeline.
   std::vector<runtime::rank_counters> per_rank;
 };
 

@@ -101,13 +101,6 @@ int exchange_plan::max_peers() const {
 }
 
 halo_exchanger::halo_exchanger(const rank_exchange_plan& plan,
-                               runtime::communicator& comm,
-                               runtime::reliable_channel* channel)
-    : halo_exchanger(plan, comm) {
-  reliable_ = channel;
-}
-
-halo_exchanger::halo_exchanger(const rank_exchange_plan& plan,
                                runtime::communicator& comm)
     : halo_exchanger(plan, comm.rank()) {
   comm_ = &comm;

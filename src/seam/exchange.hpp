@@ -59,21 +59,15 @@ class halo_exchanger {
  public:
   halo_exchanger(const rank_exchange_plan& plan, runtime::communicator& comm);
 
-  /// Reliable-transport mode: halo traffic travels through `channel`
-  /// (checksummed, acked, retransmitted — see runtime/reliable.hpp) instead
-  /// of raw sends, healing injected drop/corrupt/duplicate/reorder faults
-  /// in place. Each dss_average then ends with channel->flush() and
-  /// channel->fence(): no rank leaves the exchange until every rank's halo
-  /// traffic is delivered and acknowledged, which is what makes it safe to
-  /// enter raw (non-pumping) collectives afterwards. `channel` must outlive
-  /// the exchanger and belong to the same rank as `comm`.
-  halo_exchanger(const rank_exchange_plan& plan, runtime::communicator& comm,
-                 runtime::reliable_channel* channel);
-
-  /// Backend-agnostic reliable-only mode: all traffic goes through
-  /// `channel`, whatever transport it sits on (in-process or socket); no
-  /// raw communicator is needed or available. `rank` is this rank's id,
-  /// used only for the per-peer obs counter names.
+  /// Reliable-transport mode, on any backend (in-process or socket): halo
+  /// traffic travels through `channel` (checksummed, acked, retransmitted —
+  /// see runtime/reliable.hpp) instead of raw sends, healing injected
+  /// drop/corrupt/duplicate/reorder faults in place. Each dss_average then
+  /// ends with channel.flush() and channel.fence(): no rank leaves the
+  /// exchange until every rank's halo traffic is delivered and
+  /// acknowledged, which is what makes it safe to enter raw (non-pumping)
+  /// collectives afterwards. `channel` must outlive the exchanger; `rank` is
+  /// this rank's id, used only for the per-peer obs counter names.
   halo_exchanger(const rank_exchange_plan& plan, int rank,
                  runtime::reliable_channel& channel);
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <ranges>
 
 #include "util/require.hpp"
 
@@ -9,14 +10,15 @@ namespace sfp::seam {
 
 layered_advection::layered_advection(const mesh::cubed_sphere& mesh, int np,
                                      int nlev, double omega0, double shear)
-    : nlev_(nlev), omega0_(omega0), shear_(shear), base_(mesh, np, 1.0) {
+    : nlev_(nlev),
+      omega0_(omega0),
+      shear_(shear),
+      base_(mesh, np, 1.0),
+      stages_(base_.field().size()) {
   SFP_REQUIRE(nlev >= 1, "need at least one layer");
   SFP_REQUIRE(omega0 != 0.0, "rotation rate must be non-zero");
   layers_.assign(static_cast<std::size_t>(nlev),
                  std::vector<double>(base_.field().size(), 0.0));
-  s1_.resize(base_.field().size());
-  s2_.resize(base_.field().size());
-  rhs_.resize(base_.field().size());
 }
 
 double layered_advection::omega_at(int level) const {
@@ -43,24 +45,16 @@ std::span<const double> layered_advection::layer(int level) const {
 
 void layered_advection::step(double dt) {
   SFP_REQUIRE(dt > 0, "timestep must be positive");
-  const std::size_t n = s1_.size();
+  const auto nodes = std::views::iota(std::size_t{0}, base_.field().size());
   for (int l = 0; l < nlev_; ++l) {
-    auto& q = layers_[static_cast<std::size_t>(l)];
-    const double w = omega_at(l);  // scales the base (omega=1) velocity
-    // SSP-RK3 with the scaled tendency; DSS after every stage.
-    base_.tendency(q, rhs_);
-    for (std::size_t k = 0; k < n; ++k) s1_[k] = q[k] + dt * w * rhs_[k];
-    base_.dofs().dss_average(s1_);
-
-    base_.tendency(s1_, rhs_);
-    for (std::size_t k = 0; k < n; ++k)
-      s2_[k] = 0.75 * q[k] + 0.25 * (s1_[k] + dt * w * rhs_[k]);
-    base_.dofs().dss_average(s2_);
-
-    base_.tendency(s2_, rhs_);
-    for (std::size_t k = 0; k < n; ++k)
-      q[k] = q[k] / 3.0 + (2.0 / 3.0) * (s2_[k] + dt * w * rhs_[k]);
-    base_.dofs().dss_average(q);
+    // omega_at scales the base (omega = 1) velocity, so it scales the step.
+    ssp_rk3_step(
+        rk3_fields<1>{layers_[static_cast<std::size_t>(l)]}, stages_, nodes,
+        dt * omega_at(l),
+        [&](const rk3_fields<1>& src, const rk3_fields<1>& dst) {
+          base_.tendency(src[0], dst[0]);
+        },
+        [&](const rk3_fields<1>& f) { base_.dofs().dss_average(f[0]); });
   }
 }
 

@@ -13,6 +13,7 @@
 
 #include "mesh/cubed_sphere.hpp"
 #include "seam/advection.hpp"
+#include "seam/rk3.hpp"
 
 namespace sfp::seam {
 
@@ -47,7 +48,7 @@ class layered_advection {
   double omega0_, shear_;
   advection_model base_;  ///< omega = 1 geometry; layers scale its velocity
   std::vector<std::vector<double>> layers_;
-  std::vector<double> s1_, s2_, rhs_;
+  rk3_stages<1> stages_;
 };
 
 }  // namespace sfp::seam

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <ranges>
 
 #include "util/require.hpp"
 
@@ -38,13 +39,12 @@ shallow_water_model::shallow_water_model(const mesh::cubed_sphere& mesh,
     : np_(np),
       params_(params),
       rule_(make_gll(np)),
-      assembly_(mesh, np) {
+      assembly_(mesh, np),
+      stages_(static_cast<std::size_t>(assembly_.field_size())) {
   SFP_REQUIRE(params_.gravity > 0, "gravity must be positive");
   const auto n = static_cast<std::size_t>(assembly_.field_size());
   nodes_.resize(n);
-  for (auto* field : {&h_, &ux_, &uy_, &uz_, &rh_, &rx_, &ry_, &rz_, &s1h_,
-                      &s1x_, &s1y_, &s1z_, &s2h_, &s2x_, &s2y_, &s2z_})
-    field->assign(n, 0.0);
+  for (auto* field : {&h_, &ux_, &uy_, &uz_}) field->assign(n, 0.0);
 
   // Precompute per-node geometry (same construction as the advection core,
   // but keeping the tangent basis and inverse metric for the full operator
@@ -106,7 +106,7 @@ void shallow_water_model::set_state(
     uy_[k] = u.y;
     uz_[k] = u.z;
   }
-  project_and_dss(h_, ux_, uy_, uz_);
+  project_and_dss({h_, ux_, uy_, uz_});
 }
 
 void shallow_water_model::set_williamson2(double u0, double h0) {
@@ -188,9 +188,9 @@ void shallow_water_model::rhs_element(
   }
 }
 
-void shallow_water_model::project_node(std::size_t k, std::vector<double>& ux,
-                                       std::vector<double>& uy,
-                                       std::vector<double>& uz) const {
+void shallow_water_model::project_node(std::size_t k, std::span<double> ux,
+                                       std::span<double> uy,
+                                       std::span<double> uz) const {
   const mesh::vec3 p = nodes_[k].pos;
   const double un = ux[k] * p.x + uy[k] * p.y + uz[k] * p.z;
   ux[k] -= un * p.x;
@@ -198,65 +198,24 @@ void shallow_water_model::project_node(std::size_t k, std::vector<double>& ux,
   uz[k] -= un * p.z;
 }
 
-void shallow_water_model::compute_rhs(std::span<const double> h,
-                                      std::span<const double> ux,
-                                      std::span<const double> uy,
-                                      std::span<const double> uz) {
-  const std::size_t per_elem =
-      static_cast<std::size_t>(np_) * static_cast<std::size_t>(np_);
-  const int nelem = static_cast<int>(h_.size() / per_elem);
-  element_scratch scratch = make_scratch();
-  for (int e = 0; e < nelem; ++e)
-    rhs_element(h, ux, uy, uz, rh_, rx_, ry_, rz_, e, scratch);
-}
-
-void shallow_water_model::project_and_dss(std::vector<double>& h,
-                                          std::vector<double>& ux,
-                                          std::vector<double>& uy,
-                                          std::vector<double>& uz) {
-  for (std::size_t k = 0; k < nodes_.size(); ++k) {
-    const mesh::vec3 p = nodes_[k].pos;
-    const double un = ux[k] * p.x + uy[k] * p.y + uz[k] * p.z;
-    ux[k] -= un * p.x;
-    uy[k] -= un * p.y;
-    uz[k] -= un * p.z;
-  }
-  assembly_.dss_average(h);
-  assembly_.dss_average(ux);
-  assembly_.dss_average(uy);
-  assembly_.dss_average(uz);
+void shallow_water_model::project_and_dss(const rk3_fields<4>& f) const {
+  for (std::size_t k = 0; k < nodes_.size(); ++k)
+    project_node(k, f[1], f[2], f[3]);
+  for (const std::span<double> field : f) assembly_.dss_average(field);
 }
 
 void shallow_water_model::step(double dt) {
   SFP_REQUIRE(dt > 0, "timestep must be positive");
-  const std::size_t n = h_.size();
-
-  compute_rhs(h_, ux_, uy_, uz_);
-  for (std::size_t k = 0; k < n; ++k) {
-    s1h_[k] = h_[k] + dt * rh_[k];
-    s1x_[k] = ux_[k] + dt * rx_[k];
-    s1y_[k] = uy_[k] + dt * ry_[k];
-    s1z_[k] = uz_[k] + dt * rz_[k];
-  }
-  project_and_dss(s1h_, s1x_, s1y_, s1z_);
-
-  compute_rhs(s1h_, s1x_, s1y_, s1z_);
-  for (std::size_t k = 0; k < n; ++k) {
-    s2h_[k] = 0.75 * h_[k] + 0.25 * (s1h_[k] + dt * rh_[k]);
-    s2x_[k] = 0.75 * ux_[k] + 0.25 * (s1x_[k] + dt * rx_[k]);
-    s2y_[k] = 0.75 * uy_[k] + 0.25 * (s1y_[k] + dt * ry_[k]);
-    s2z_[k] = 0.75 * uz_[k] + 0.25 * (s1z_[k] + dt * rz_[k]);
-  }
-  project_and_dss(s2h_, s2x_, s2y_, s2z_);
-
-  compute_rhs(s2h_, s2x_, s2y_, s2z_);
-  for (std::size_t k = 0; k < n; ++k) {
-    h_[k] = h_[k] / 3.0 + (2.0 / 3.0) * (s2h_[k] + dt * rh_[k]);
-    ux_[k] = ux_[k] / 3.0 + (2.0 / 3.0) * (s2x_[k] + dt * rx_[k]);
-    uy_[k] = uy_[k] / 3.0 + (2.0 / 3.0) * (s2y_[k] + dt * ry_[k]);
-    uz_[k] = uz_[k] / 3.0 + (2.0 / 3.0) * (s2z_[k] + dt * rz_[k]);
-  }
-  project_and_dss(h_, ux_, uy_, uz_);
+  element_scratch scratch = make_scratch();
+  ssp_rk3_step(
+      rk3_fields<4>{h_, ux_, uy_, uz_}, stages_,
+      std::views::iota(std::size_t{0}, h_.size()), dt,
+      [&](const rk3_fields<4>& s, const rk3_fields<4>& r) {
+        for (int e = 0; e < assembly_.num_elements(); ++e)
+          rhs_element(s[0], s[1], s[2], s[3], r[0], r[1], r[2], r[3], e,
+                      scratch);
+      },
+      [&](const rk3_fields<4>& f) { project_and_dss(f); });
 }
 
 double shallow_water_model::cfl_dt(double cfl) const {

@@ -23,6 +23,7 @@
 #include "mesh/cubed_sphere.hpp"
 #include "seam/assembly.hpp"
 #include "seam/gll.hpp"
+#include "seam/rk3.hpp"
 
 namespace sfp::seam {
 
@@ -82,8 +83,8 @@ class shallow_water_model {
                    element_scratch& scratch) const;
 
   /// Tangent-project the velocity at one node (by flat node index).
-  void project_node(std::size_t k, std::vector<double>& ux,
-                    std::vector<double>& uy, std::vector<double>& uz) const;
+  void project_node(std::size_t k, std::span<double> ux,
+                    std::span<double> uy, std::span<double> uz) const;
 
   // ---- diagnostics -------------------------------------------------------
   double mass() const;          ///< ∫ h dA (exactly conserved by flux form up
@@ -106,10 +107,8 @@ class shallow_water_model {
     double coriolis;          // 2 Ω p_z
   };
 
-  void compute_rhs(std::span<const double> h, std::span<const double> ux,
-                   std::span<const double> uy, std::span<const double> uz);
-  void project_and_dss(std::vector<double>& h, std::vector<double>& ux,
-                       std::vector<double>& uy, std::vector<double>& uz);
+  /// Tangent-project the velocity at every node, then DSS all four fields.
+  void project_and_dss(const rk3_fields<4>& fields) const;
 
   int np_;
   swe_params params_;
@@ -118,10 +117,7 @@ class shallow_water_model {
   std::vector<node_data> nodes_;
 
   std::vector<double> h_, ux_, uy_, uz_;
-  // RK scratch: stage states and tendencies.
-  std::vector<double> rh_, rx_, ry_, rz_;
-  std::vector<double> s1h_, s1x_, s1y_, s1z_;
-  std::vector<double> s2h_, s2x_, s2y_, s2z_;
+  rk3_stages<4> stages_;
 };
 
 }  // namespace sfp::seam

@@ -11,6 +11,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -42,6 +43,17 @@ source_tree make_tree(
   for (auto& [path, text] : files)
     t.files.push_back(make_source_file(path, text));
   return t;
+}
+
+/// A fresh, empty directory under the system temp dir. ctest runs every
+/// test as its own process, concurrently under -j, so fixed names would be
+/// removed from under a sibling test.
+std::filesystem::path make_temp_dir(const std::string& stem) {
+  std::string tmpl =
+      (std::filesystem::temp_directory_path() / (stem + ".XXXXXX")).string();
+  if (::mkdtemp(tmpl.data()) == nullptr)
+    throw std::runtime_error("mkdtemp failed for " + tmpl);
+  return tmpl;
 }
 
 layering_manifest fixture_manifest() {
@@ -730,9 +742,7 @@ TEST(Report, JsonRoundTripsAndCountsMatch) {
 
 TEST(LoadTree, ScansSubtreesSortedAndSkipsMissingOnes) {
   namespace fs = std::filesystem;
-  const fs::path root =
-      fs::temp_directory_path() / "sfplint_fixture_tree";
-  fs::remove_all(root);
+  const fs::path root = make_temp_dir("sfplint_fixture_tree");
   fs::create_directories(root / "src" / "util");
   fs::create_directories(root / "tools");
   {
@@ -2016,8 +2026,7 @@ TEST(Baseline, FlowRuleFindingsAreBaselineable) {
 
 TEST(Fix, RepairsPragmaOnceAndSeparatorsIdempotently) {
   namespace fs = std::filesystem;
-  const fs::path root = fs::temp_directory_path() / "sfplint_fix_test";
-  fs::remove_all(root);
+  const fs::path root = make_temp_dir("sfplint_fix_test");
   fs::create_directories(root / "src" / "core");
   {
     std::ofstream h(root / "src" / "core" / "bare.hpp", std::ios::binary);
@@ -2145,8 +2154,7 @@ TEST(ChangedLines, ParsesUnifiedDiffHunksIncludingDeletions) {
 
 TEST(ChangedLines, CollectsFromARealGitRevision) {
   namespace fs = std::filesystem;
-  const fs::path root = fs::temp_directory_path() / "sfplint_diff_test";
-  fs::remove_all(root);
+  const fs::path root = make_temp_dir("sfplint_diff_test");
   fs::create_directories(root / "src" / "core");
   const auto sh = [&root](const std::string& cmd) {
     const std::string full = "cd '" + root.string() + "' && " + cmd +

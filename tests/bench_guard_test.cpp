@@ -21,10 +21,14 @@ namespace fs = std::filesystem;
 
 class BenchGuard : public ::testing::Test {
  protected:
+  // A fresh directory per test: ctest runs every test as its own process,
+  // concurrently under -j, so a shared fixed path would be removed from
+  // under a sibling test.
   void SetUp() override {
-    dir = fs::temp_directory_path() / "bench_guard_test";
-    fs::remove_all(dir);
-    fs::create_directories(dir);
+    std::string tmpl = (fs::temp_directory_path() / "bench_guard_test.XXXXXX")
+                           .string();
+    ASSERT_NE(::mkdtemp(tmpl.data()), nullptr) << tmpl;
+    dir = tmpl;
   }
   void TearDown() override { fs::remove_all(dir); }
 

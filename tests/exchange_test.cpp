@@ -14,6 +14,7 @@
 #include "seam/assembly.hpp"
 #include "seam/distributed.hpp"
 #include "seam/exchange.hpp"
+#include "seam/layered.hpp"
 #include "seam/shallow_water.hpp"
 #include "util/require.hpp"
 
@@ -155,9 +156,10 @@ TEST(DistributedSwe, KwayPartitionAlsoWorks) {
 
 TEST(Distributed, MeasuredVolumeMatchesPlanExactly) {
   // The wire traffic of a real distributed run is fully determined by the
-  // exchange plan: one DSS per RK stage for advection (3 per step), four
-  // fields times three stages for shallow water (12 per step), each DSS
-  // moving exactly total_exchange_volume() doubles.
+  // exchange plan: one DSS per field per RK stage — 3 per step for
+  // advection, 4 fields × 3 stages for shallow water, nlev × 3 for the
+  // layered model — each DSS moving exactly total_exchange_volume()
+  // doubles. Every plain runner also reports one counter set per rank.
   const mesh::cubed_sphere m(2);
   const int nranks = 5, nsteps = 3;
   const auto part = core::sfc_partition(m, nranks);
@@ -169,6 +171,7 @@ TEST(Distributed, MeasuredVolumeMatchesPlanExactly) {
     dist_stats stats;
     run_distributed(model, part, model.cfl_dt(0.3), nsteps, &stats);
     EXPECT_EQ(stats.doubles_sent, 3 * nsteps * plan.total_exchange_volume());
+    EXPECT_EQ(stats.per_rank.size(), static_cast<std::size_t>(nranks));
   }
   {
     shallow_water_model model(m, 4);
@@ -176,7 +179,20 @@ TEST(Distributed, MeasuredVolumeMatchesPlanExactly) {
     const auto plan = exchange_plan::build(model.dofs(), part);
     dist_stats stats;
     run_distributed_swe(model, part, model.cfl_dt(0.25), nsteps, &stats);
-    EXPECT_EQ(stats.doubles_sent, 12 * nsteps * plan.total_exchange_volume());
+    EXPECT_EQ(stats.doubles_sent,
+              4 * 3 * nsteps * plan.total_exchange_volume());
+    EXPECT_EQ(stats.per_rank.size(), static_cast<std::size_t>(nranks));
+  }
+  {
+    const int nlev = 3;
+    layered_advection model(m, 4, nlev);
+    model.set_field([](mesh::vec3 p, int l) { return p.x + 0.1 * l; });
+    const auto plan = exchange_plan::build(model.base().dofs(), part);
+    dist_stats stats;
+    run_distributed_layered(model, part, model.cfl_dt(), nsteps, &stats);
+    EXPECT_EQ(stats.doubles_sent,
+              nlev * 3 * nsteps * plan.total_exchange_volume());
+    EXPECT_EQ(stats.per_rank.size(), static_cast<std::size_t>(nranks));
   }
 }
 

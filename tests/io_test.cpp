@@ -5,10 +5,14 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <limits>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
+#include <string>
+#include <system_error>
 
 #include "core/sfc_partition.hpp"
 #include "io/csv.hpp"
@@ -23,8 +27,27 @@ namespace {
 using namespace sfp;
 using namespace sfp::io;
 
+/// `name` inside a directory private to this test process, removed at
+/// exit: ctest runs every test as its own process, concurrently under -j,
+/// so files under fixed names in the shared temp dir would collide.
 std::string temp_path(const std::string& name) {
-  return (std::filesystem::temp_directory_path() / name).string();
+  struct private_dir {
+    std::filesystem::path path;
+    private_dir() {
+      std::string tmpl =
+          (std::filesystem::temp_directory_path() / "sfcpart_io_test.XXXXXX")
+              .string();
+      if (::mkdtemp(tmpl.data()) == nullptr)
+        throw std::runtime_error("mkdtemp failed for " + tmpl);
+      path = tmpl;
+    }
+    ~private_dir() {
+      std::error_code ec;
+      std::filesystem::remove_all(path, ec);
+    }
+  };
+  static const private_dir dir;
+  return (dir.path / name).string();
 }
 
 TEST(Csv, WriteAndReadBack) {

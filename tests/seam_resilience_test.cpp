@@ -8,6 +8,8 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <ostream>
+#include <string>
 
 #include "core/cube_curve.hpp"
 #include "core/sfc_partition.hpp"
@@ -29,25 +31,6 @@ advection_model make_model(const mesh::cubed_sphere& m) {
     return std::exp(-6.0 * ((p.x - 1) * (p.x - 1) + p.y * p.y + p.z * p.z));
   });
   return model;
-}
-
-TEST(Resilience, CleanRunMatchesPlainDistributedBitwise) {
-  // With no faults the resilient runner does the same arithmetic as
-  // run_distributed (checkpoints and barriers change no math).
-  const mesh::cubed_sphere m(2);
-  const auto model = make_model(m);
-  const auto curve = core::build_cube_curve(m);
-  const auto part = core::sfc_partition(curve, 4);
-  const double dt = model.cfl_dt(0.3);
-
-  const auto plain = run_distributed(model, part, dt, 6);
-  recovery_report report;
-  const auto resilient = run_distributed_resilient(model, curve, part, dt, 6,
-                                                   {}, &report);
-  EXPECT_EQ(plain, resilient);
-  EXPECT_EQ(report.attempts, 1);
-  EXPECT_EQ(report.failed_rank, -1);
-  EXPECT_EQ(report.final_partition.num_parts, 4);
 }
 
 TEST(Resilience, RecoversFromRankLossMidSimulation) {
@@ -163,6 +146,53 @@ resilience_options reliable_ropts(std::uint64_t seed) {
   ropts.reliable.recv_timeout = std::chrono::milliseconds(8000);
   return ropts;
 }
+
+// ---- clean runs: the resilient runner's arithmetic on every fabric ---------
+
+struct clean_fabric {
+  const char* name;
+  bool reliable;
+  runtime::transport_backend backend;
+};
+
+void PrintTo(const clean_fabric& f, std::ostream* os) { *os << f.name; }
+
+class ResilienceCleanRun : public ::testing::TestWithParam<clean_fabric> {};
+
+TEST_P(ResilienceCleanRun, MatchesPlainDistributedBitwise) {
+  // With no faults the resilient runner does the same arithmetic as
+  // run_distributed on every fabric: checkpoints, barriers, fences and the
+  // reliable channel change no math.
+  const clean_fabric& fabric = GetParam();
+  const mesh::cubed_sphere m(2);
+  const auto model = make_model(m);
+  const auto curve = core::build_cube_curve(m);
+  const auto part = core::sfc_partition(curve, 4);
+  const double dt = model.cfl_dt(0.3);
+
+  resilience_options ropts;
+  if (fabric.reliable) ropts = reliable_ropts(0);
+  ropts.backend = fabric.backend;
+
+  const auto plain = run_distributed(model, part, dt, 6);
+  recovery_report report;
+  const auto resilient = run_distributed_resilient(model, curve, part, dt, 6,
+                                                   ropts, &report);
+  EXPECT_EQ(plain, resilient);
+  EXPECT_EQ(report.attempts, 1);
+  EXPECT_EQ(report.failed_rank, -1);
+  EXPECT_EQ(report.final_partition.num_parts, 4);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Fabrics, ResilienceCleanRun,
+    ::testing::Values(
+        clean_fabric{"inproc_raw", false, runtime::transport_backend::inproc},
+        clean_fabric{"inproc_reliable", true,
+                     runtime::transport_backend::inproc},
+        clean_fabric{"socket_reliable", true,
+                     runtime::transport_backend::socket}),
+    [](const auto& param_info) { return std::string(param_info.param.name); });
 
 TEST(ReliableResilience, TransientChaosHealsInPlaceWithZeroRecoveries) {
   // The tentpole acceptance scenario: a seeded schedule of drop + corrupt +

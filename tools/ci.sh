@@ -41,11 +41,15 @@
 #          --reference=tools/bench_reference.json --update
 #      (--update keeps the ignored wall-clock columns from the old
 #      reference, so regenerations do not churn machine-dependent noise)
+#   9. benchmark self-test: python3 perfbench/selftest.py runs every
+#      perfbench workload at tiny sizes and fails if a metric name or unit
+#      drifts from BENCHMARK.json or a per-op result check stops catching
+#      a perturbed output
 set -eu
 
 cd "$(dirname "$0")/.."
 
-echo "==> [1/8] sfplint (bootstrap configure) + repo lints"
+echo "==> [1/9] sfplint (bootstrap configure) + repo lints"
 cmake -B build-lint -S . -DSFCPART_LINT_TOOL_ONLY=ON
 cmake --build build-lint -j "$(nproc 2>/dev/null || echo 4)" --target sfplint_cli
 mkdir -p build
@@ -58,18 +62,18 @@ if command -v clang-tidy > /dev/null 2>&1; then
   sh tools/lint.sh
 fi
 
-echo "==> [2/8] tier-1: configure + build (strict warnings as errors, header checks) + ctest (preset ci)"
+echo "==> [2/9] tier-1: configure + build (strict warnings as errors, header checks) + ctest (preset ci)"
 cmake --preset default -DSFCPART_STRICT_WARNINGS=ON -DSFCPART_WERROR=ON \
   -DSFCPART_CHECK_HEADERS=ON
 cmake --build --preset default -j "$(nproc 2>/dev/null || echo 4)"
 ctest --preset ci
 
-echo "==> [3/8] tsan: runtime-labelled tests under ThreadSanitizer"
+echo "==> [3/9] tsan: runtime-labelled tests under ThreadSanitizer"
 cmake --preset tsan
 cmake --build --preset tsan -j "$(nproc 2>/dev/null || echo 4)"
 ctest --preset tsan
 
-echo "==> [4/8] asan-ubsan + audit: full suite under ASan/UBSan with deep validators"
+echo "==> [4/9] asan-ubsan + audit: full suite under ASan/UBSan with deep validators"
 cmake --preset asan-ubsan
 cmake --build --preset asan-ubsan -j "$(nproc 2>/dev/null || echo 4)"
 ctest --preset asan-ubsan
@@ -79,7 +83,7 @@ ctest --preset asan-ubsan
 ctest --test-dir build-asan -R 'ParallelPartition|SplitterSearch' \
   --output-on-failure
 
-echo "==> [5/8] trace artifacts: sfcpart trace smoke"
+echo "==> [5/9] trace artifacts: sfcpart trace smoke"
 out="$(mktemp -d)/ci_trace"
 build/tools/sfcpart trace --ne=4 --nproc=6 --steps=2 --out="$out"
 for f in "$out.trace.json" "$out.metrics.json"; do
@@ -92,7 +96,7 @@ grep -q '"traceEvents"' "$out.trace.json"
 grep -q '"counters"' "$out.metrics.json"
 rm -rf "$(dirname "$out")"
 
-echo "==> [6/8] chaos soak: seeded randomized fault schedules must heal in place"
+echo "==> [6/9] chaos soak: seeded randomized fault schedules must heal in place"
 # Wall-clock is bounded twice over: ctest kills any chaos-labelled test
 # that exceeds the per-test timeout, and the CLI soak is a fixed, small
 # trial count on a tiny problem (~seconds). The seed is pinned so a CI
@@ -119,7 +123,7 @@ build/tools/sfcpart chaos --partition --trials=20 --kills=1 \
   --out="$chaos_dir/chaos_kill_socket"
 rm -rf "$chaos_dir"
 
-echo "==> [7/8] distributed-partition bench smoke (tiny K)"
+echo "==> [7/9] distributed-partition bench smoke (tiny K)"
 bench_dir="$(mktemp -d)"
 # Tiny problem, one repeat: proves the fabric pipeline end to end (the
 # bench exits non-zero if any rank count diverges from the serial plan)
@@ -131,7 +135,7 @@ test -s "$bench_dir/BENCH_partition_scaling.json" || {
 grep -q '"elements_per_sec"' "$bench_dir/BENCH_partition_scaling.json"
 rm -rf "$bench_dir"
 
-echo "==> [8/8] perf guard: fresh BENCH_baselines.json vs committed reference"
+echo "==> [8/9] perf guard: fresh BENCH_baselines.json vs committed reference"
 # The quality metrics (load balance, edge cut) are deterministic, so the
 # generous tolerance only has to absorb intended algorithm changes — which
 # should arrive together with a regenerated tools/bench_reference.json
@@ -152,5 +156,8 @@ build/tools/bench_guard --fresh="$guard_dir/BENCH_partition_recovery.json" \
   --reference=tools/bench_partition_recovery_reference.json \
   --tolerance=0.25 --ignore=time_usec,recoveries
 rm -rf "$guard_dir"
+
+echo "==> [9/9] benchmark self-test: perfbench metric names, units and per-op checks"
+python3 perfbench/selftest.py
 
 echo "==> CI gate passed"
