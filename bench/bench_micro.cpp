@@ -1,7 +1,7 @@
 // Microbenchmarks (google-benchmark): raw speed of the library's hot paths —
-// curve generation, cube stitching, dual-graph construction, partitioners,
-// metrics, and the spectral-element kernel. These are host-performance
-// numbers, not paper reproductions.
+// curve generation, cube stitching, dual-graph construction, dof assembly,
+// partitioners, metrics, and the spectral-element kernel. These are
+// host-performance numbers, not paper reproductions.
 //
 // Besides the console report, every run is teed into BENCH_micro.json
 // (name / iterations / adjusted real and cpu time / user counters) so the
@@ -23,6 +23,7 @@
 #include "obs/obs.hpp"
 #include "partition/metrics.hpp"
 #include "seam/advection.hpp"
+#include "seam/assembly.hpp"
 #include "sfc/curve.hpp"
 
 namespace {
@@ -55,22 +56,26 @@ void BM_CubeStitch(benchmark::State& state) {
 }
 BENCHMARK(BM_CubeStitch)->Arg(8)->Arg(16)->Arg(24);
 
-void BM_MeshBuild(benchmark::State& state) {
-  const int ne = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    const mesh::cubed_sphere m(ne);
-    benchmark::DoNotOptimize(m.num_elements());
-  }
-}
-BENCHMARK(BM_MeshBuild)->Arg(8)->Arg(16)->Arg(32);
-
+// The mesh itself holds only (Ne, projection); its topology costs show up
+// in the layers built on it. Sizes span the perfbench workloads' Ne.
 void BM_DualGraph(benchmark::State& state) {
   const mesh::cubed_sphere m(static_cast<int>(state.range(0)));
   for (auto _ : state) {
     benchmark::DoNotOptimize(m.dual_graph());
   }
+  state.SetItemsProcessed(state.iterations() * m.num_elements());
 }
-BENCHMARK(BM_DualGraph)->Arg(8)->Arg(16);
+BENCHMARK(BM_DualGraph)->Arg(32)->Arg(96)->Arg(256);
+
+void BM_AssemblyBuild(benchmark::State& state) {
+  const mesh::cubed_sphere m(static_cast<int>(state.range(0)));
+  for (auto _ : state) {
+    const seam::assembly dofs(m, 4);
+    benchmark::DoNotOptimize(dofs.num_dofs());
+  }
+  state.SetItemsProcessed(state.iterations() * m.num_elements());
+}
+BENCHMARK(BM_AssemblyBuild)->Arg(32)->Arg(96)->Arg(256);
 
 void BM_SfcPartition(benchmark::State& state) {
   const mesh::cubed_sphere m(16);

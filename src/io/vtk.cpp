@@ -2,7 +2,6 @@
 
 #include <fstream>
 #include <ostream>
-#include <unordered_map>
 
 #include "util/require.hpp"
 
@@ -18,25 +17,25 @@ void write_vtk(std::ostream& os, const mesh::cubed_sphere& mesh,
                 "vtk field names must be non-empty and space-free");
   }
 
-  // Deduplicate corner points (shared across elements) by lattice key.
-  std::unordered_map<std::uint64_t, int> point_id;
+  // One point per lattice corner, numbered at its lowest-id incident
+  // element (always visited first); later elements reuse that number.
   std::vector<mesh::vec3> points;
   std::vector<std::array<int, 4>> cells(static_cast<std::size_t>(nelem));
   for (int e = 0; e < nelem; ++e) {
     const auto pts = mesh.corner_points(e);
     for (int c = 0; c < 4; ++c) {
-      const std::uint64_t key = mesh::pack(pts[static_cast<std::size_t>(c)]);
-      auto [it, inserted] =
-          point_id.try_emplace(key, static_cast<int>(points.size()));
-      if (inserted) {
-        const mesh::vec3 raw{
-            static_cast<double>(pts[static_cast<std::size_t>(c)].x),
-            static_cast<double>(pts[static_cast<std::size_t>(c)].y),
-            static_cast<double>(pts[static_cast<std::size_t>(c)].z)};
-        points.push_back(mesh::normalized(raw));
+      const mesh::corner_incidences around = mesh.corner_links(e, c);
+      int& point = cells[static_cast<std::size_t>(e)][static_cast<std::size_t>(c)];
+      if (around[0].first < e) {
+        point = cells[static_cast<std::size_t>(around[0].first)]
+                     [static_cast<std::size_t>(around[0].second)];
+        continue;
       }
-      cells[static_cast<std::size_t>(e)][static_cast<std::size_t>(c)] =
-          it->second;
+      point = static_cast<int>(points.size());
+      const mesh::ivec3 p = pts[static_cast<std::size_t>(c)];
+      points.push_back(mesh::normalized({static_cast<double>(p.x),
+                                         static_cast<double>(p.y),
+                                         static_cast<double>(p.z)}));
     }
   }
 

@@ -1,7 +1,9 @@
 #include "mesh/cubed_sphere.hpp"
 
 #include <algorithm>
+#include <cstdlib>
 #include <utility>
+#include <vector>
 
 #include "mesh/validate.hpp"
 #include "util/contract.hpp"
@@ -24,84 +26,68 @@ constexpr iframe kFrames[6] = {
     {{0, 0, -1}, {0, 1, 0}, {1, 0, 0}},   // -z (south)
 };
 
-struct pair_hash {
-  std::size_t operator()(const std::pair<std::uint64_t, std::uint64_t>& p) const {
-    // 64-bit mix of the two packed corner keys.
-    std::uint64_t h = p.first * 0x9e3779b97f4a7c15ull;
-    h ^= p.second + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
-    return static_cast<std::size_t>(h);
+constexpr int dot(ivec3 a, ivec3 b) { return a.x * b.x + a.y * b.y + a.z * b.z; }
+
+/// sc·c + su·u + sv·v in frame `f`. Every frame vector is a unit axis, so
+/// each coordinate is a single signed term bounded by the largest |s|.
+constexpr ivec3 lattice(const iframe& f, int sc, int su, int sv) {
+  return {sc * f.c.x + su * f.u.x + sv * f.v.x,
+          sc * f.c.y + su * f.u.y + sv * f.v.y,
+          sc * f.c.z + su * f.u.z + sv * f.v.z};
+}
+
+/// The face whose outward normal points along coordinate axis `axis`
+/// (0=x, 1=y, 2=z), on the side of `coord`'s sign.
+constexpr int face_toward(int axis, int coord) {
+  constexpr int kFace[3][2] = {{2, 0}, {3, 1}, {5, 4}};
+  return kFace[axis][coord > 0 ? 1 : 0];
+}
+
+/// Insertion sort of the first `n` entries, for the few (<= 12) entries of
+/// a topology query; std::sort on a short std::array trips GCC's
+/// -Warray-bounds.
+template <typename T, std::size_t N>
+void sort_prefix(std::array<T, N>& a, std::size_t n) {
+  for (std::size_t i = 1; i < n; ++i)
+    for (std::size_t j = i; j > 0 && a[j] < a[j - 1]; --j)
+      std::swap(a[j], a[j - 1]);
+}
+
+/// (di, dj) of a step across local edge 0=S, 1=E, 2=N, 3=W.
+constexpr int kStep[4][2] = {{0, -1}, {1, 0}, {0, 1}, {-1, 0}};
+/// (ci - i, cj - j) of local corner 0=SW, 1=SE, 2=NE, 3=NW.
+constexpr int kCorner[4][2] = {{0, 0}, {1, 0}, {1, 1}, {0, 1}};
+
+/// Calls f(element, local corner) for every element with lattice corner
+/// `p`. Each face the point lies on (1 inside a face, 2 on a cube edge, 3 at
+/// a cube vertex) contributes the elements around it on that face, in
+/// ascending id order.
+template <typename F>
+void for_each_incidence(int ne, ivec3 p, F&& f) {
+  const int coord[3] = {p.x, p.y, p.z};
+  for (int axis = 0; axis < 3; ++axis) {
+    if (std::abs(coord[axis]) != ne) continue;
+    const int face = face_toward(axis, coord[axis]);
+    const iframe& fr = kFrames[face];
+    const int ci = (dot(p, fr.u) + ne) / 2;
+    const int cj = (dot(p, fr.v) + ne) / 2;
+    for (const int c : {2, 3, 1, 0}) {
+      const int i = ci - kCorner[c][0];
+      const int j = cj - kCorner[c][1];
+      if (i >= 0 && i < ne && j >= 0 && j < ne) f((face * ne + j) * ne + i, c);
+    }
   }
-};
+}
 
 }  // namespace
 
 cubed_sphere::cubed_sphere(int ne, projection proj) : ne_(ne), proj_(proj) {
   SFP_REQUIRE(ne >= 1, "Ne must be at least 1");
-  SFP_REQUIRE(ne <= 4096, "Ne too large for the integer lattice packing");
-  const int nelem = num_elements();
-  edge_nbr_.assign(static_cast<std::size_t>(nelem), {-1, -1, -1, -1});
-  edge_links_.assign(static_cast<std::size_t>(nelem), {});
-  corner_nbr_.assign(static_cast<std::size_t>(nelem), {});
-
-  // Pass 1: corner incidences.
-  for (int id = 0; id < nelem; ++id) {
-    const auto pts = corner_points(id);
-    for (int c = 0; c < 4; ++c) corners_[pack(pts[static_cast<std::size_t>(c)])].push_back({id, c});
-  }
-
-  // Pass 2: edge incidences -> edge neighbours + links. Local corner order is
-  // SW,SE,NE,NW; local edge e joins corners e and (e+1)%4, giving S,E,N,W.
-  std::unordered_map<std::pair<std::uint64_t, std::uint64_t>,
-                     std::vector<std::pair<int, int>>, pair_hash>
-      edge_map;
-  for (int id = 0; id < nelem; ++id) {
-    const auto pts = corner_points(id);
-    for (int e = 0; e < 4; ++e) {
-      std::uint64_t a = pack(pts[static_cast<std::size_t>(e)]);
-      std::uint64_t b = pack(pts[static_cast<std::size_t>((e + 1) % 4)]);
-      if (a > b) std::swap(a, b);
-      edge_map[{a, b}].push_back({id, e});
-    }
-  }
-  for (const auto& [key, incidences] : edge_map) {
-    SFP_REQUIRE(incidences.size() == 2,
-                "every element edge must be shared by exactly two elements "
-                "(the cubed-sphere surface is closed)");
-    const auto [ea, eb] = std::pair(incidences[0], incidences[1]);
-    const auto pts_a = corner_points(ea.first);
-    const auto pts_b = corner_points(eb.first);
-    const bool reversed =
-        !(pts_a[static_cast<std::size_t>(ea.second)] ==
-          pts_b[static_cast<std::size_t>(eb.second)]);
-    edge_nbr_[static_cast<std::size_t>(ea.first)][static_cast<std::size_t>(ea.second)] = eb.first;
-    edge_nbr_[static_cast<std::size_t>(eb.first)][static_cast<std::size_t>(eb.second)] = ea.first;
-    edge_links_[static_cast<std::size_t>(ea.first)][static_cast<std::size_t>(ea.second)] =
-        {eb.first, eb.second, reversed};
-    edge_links_[static_cast<std::size_t>(eb.first)][static_cast<std::size_t>(eb.second)] =
-        {ea.first, ea.second, reversed};
-  }
-
-  // Pass 3: corner-only (diagonal) neighbours = co-incident at a corner
-  // point but not an edge neighbour.
-  for (int id = 0; id < nelem; ++id) {
-    const auto& enbrs = edge_nbr_[static_cast<std::size_t>(id)];
-    auto& cnbrs = corner_nbr_[static_cast<std::size_t>(id)];
-    const auto pts = corner_points(id);
-    for (int c = 0; c < 4; ++c) {
-      for (const auto& [other, other_corner] :
-           corners_.at(pack(pts[static_cast<std::size_t>(c)]))) {
-        (void)other_corner;
-        if (other == id) continue;
-        if (std::find(enbrs.begin(), enbrs.end(), other) != enbrs.end())
-          continue;
-        cnbrs.push_back(other);
-      }
-    }
-    std::sort(cnbrs.begin(), cnbrs.end());
-    cnbrs.erase(std::unique(cnbrs.begin(), cnbrs.end()), cnbrs.end());
-  }
-  // Audit tier: full topology audit of the freshly built mesh (4-neighbour
-  // symmetry across faces, corner consistency, 8 cube vertices × 3 faces).
+  SFP_REQUIRE(ne <= max_ne,
+              "Ne too large: element ids are int, so 6*Ne^2 must stay "
+              "below 2^31 (Ne <= 18918)");
+  // Audit tier: full topology audit (4-neighbour symmetry across faces,
+  // corner consistency, 8 cube vertices × 3 faces).
   SFP_AUDIT_DIAG(validate_topology(*this));
 }
 
@@ -121,53 +107,114 @@ element_ref cubed_sphere::element_of(int id) const {
 }
 
 ivec3 cubed_sphere::corner_point(int face, int ci, int cj) const {
-  const iframe& f = kFrames[face];
-  const std::int32_t su = static_cast<std::int32_t>(2 * ci - ne_);
-  const std::int32_t sv = static_cast<std::int32_t>(2 * cj - ne_);
-  return {ne_ * f.c.x + su * f.u.x + sv * f.v.x,
-          ne_ * f.c.y + su * f.u.y + sv * f.v.y,
-          ne_ * f.c.z + su * f.u.z + sv * f.v.z};
+  return lattice(kFrames[face], ne_, 2 * ci - ne_, 2 * cj - ne_);
+}
+
+ivec3 cubed_sphere::corner_point(element_ref r, int corner) const {
+  return corner_point(r.face, r.i + kCorner[corner][0],
+                      r.j + kCorner[corner][1]);
 }
 
 std::array<ivec3, 4> cubed_sphere::corner_points(int id) const {
   const element_ref r = element_of(id);
-  return {corner_point(r.face, r.i, r.j), corner_point(r.face, r.i + 1, r.j),
-          corner_point(r.face, r.i + 1, r.j + 1),
-          corner_point(r.face, r.i, r.j + 1)};
+  return {corner_point(r, 0), corner_point(r, 1), corner_point(r, 2),
+          corner_point(r, 3)};
+}
+
+element_ref cubed_sphere::element_at(ivec3 center) const {
+  // Exactly one coordinate of an element centre sits on the cube surface
+  // (|x| = Ne); its axis and sign name the face.
+  const int coord[3] = {center.x, center.y, center.z};
+  int axis = 0;
+  while (std::abs(coord[axis]) != ne_) ++axis;
+  const int face = face_toward(axis, coord[axis]);
+  const iframe& f = kFrames[face];
+  return {face, (dot(center, f.u) + ne_ - 1) / 2,
+          (dot(center, f.v) + ne_ - 1) / 2};
+}
+
+element_ref cubed_sphere::step(element_ref r, int edge) const {
+  const int di = kStep[edge][0];
+  const int dj = kStep[edge][1];
+  const int i = r.i + di;
+  const int j = r.j + dj;
+  if (i >= 0 && i < ne_ && j >= 0 && j < ne_) return {r.face, i, j};
+  // Off the face: to the midpoint of the crossed edge, then half an element
+  // inward along the old normal, which lands on the neighbour's centre.
+  return element_at(lattice(kFrames[r.face], ne_ - 1, 2 * r.i + 1 - ne_ + di,
+                            2 * r.j + 1 - ne_ + dj));
 }
 
 int cubed_sphere::edge_neighbor(int id, int edge) const {
-  SFP_REQUIRE(id >= 0 && id < num_elements(), "element id out of range");
   SFP_REQUIRE(edge >= 0 && edge < 4, "edge index out of range");
-  return edge_nbr_[static_cast<std::size_t>(id)][static_cast<std::size_t>(edge)];
+  return element_id(step(element_of(id), edge));
 }
 
 edge_link cubed_sphere::edge_link_of(int id, int edge) const {
-  SFP_REQUIRE(id >= 0 && id < num_elements(), "element id out of range");
   SFP_REQUIRE(edge >= 0 && edge < 4, "edge index out of range");
-  return edge_links_[static_cast<std::size_t>(id)][static_cast<std::size_t>(edge)];
-}
-
-const std::vector<int>& cubed_sphere::corner_neighbors(int id) const {
-  SFP_REQUIRE(id >= 0 && id < num_elements(), "element id out of range");
-  return corner_nbr_[static_cast<std::size_t>(id)];
-}
-
-std::vector<std::pair<int, int>> cubed_sphere::corner_links(int id,
-                                                            int corner) const {
-  SFP_REQUIRE(corner >= 0 && corner < 4, "corner index out of range");
-  const auto pts = corner_points(id);
-  std::vector<std::pair<int, int>> out;
-  for (const auto& link : corners_.at(pack(pts[static_cast<std::size_t>(corner)]))) {
-    if (link.first != id) out.push_back(link);
+  const element_ref a = element_of(id);
+  const element_ref b = step(a, edge);
+  int neighbor_edge = (edge + 2) % 4;
+  if (b.face != a.face) {
+    // The shared edge lies from b's centre along a's normal.
+    const iframe& fa = kFrames[a.face];
+    const iframe& fb = kFrames[b.face];
+    const int du = dot(fa.c, fb.u);
+    const int dv = dot(fa.c, fb.v);
+    neighbor_edge = du > 0 ? 1 : du < 0 ? 3 : dv > 0 ? 2 : 0;
   }
+  // Local edge e runs from corner e to corner e+1 on both sides.
+  const bool reversed =
+      !(corner_point(a, edge) == corner_point(b, neighbor_edge));
+  return {element_id(b), neighbor_edge, reversed};
+}
+
+corner_incidences cubed_sphere::corner_links(int id, int corner) const {
+  SFP_REQUIRE(corner >= 0 && corner < 4, "corner index out of range");
+  std::array<std::pair<int, int>, 4> found{};  // 3 at most, self excluded
+  std::size_t n = 0;
+  for_each_incidence(ne_, corner_point(element_of(id), corner),
+                     [&](int other, int c) {
+                       if (other != id) found[n++] = {other, c};
+                     });
+  // Sorting only reorders when the point lies on more than one face.
+  sort_prefix(found, n);
+  corner_incidences out;
+  for (std::size_t k = 0; k < n; ++k) out.push_back(found[k]);
   return out;
 }
 
 bool cubed_sphere::corner_is_cube_vertex(int id, int corner) const {
   SFP_REQUIRE(corner >= 0 && corner < 4, "corner index out of range");
-  const auto pts = corner_points(id);
-  return corners_.at(pack(pts[static_cast<std::size_t>(corner)])).size() == 3;
+  const ivec3 p = corner_point(element_of(id), corner);
+  return std::abs(p.x) == ne_ && std::abs(p.y) == ne_ && std::abs(p.z) == ne_;
+}
+
+corner_set cubed_sphere::corner_neighbors_of(element_ref r) const {
+  const int id = element_id(r);
+  std::array<int, 4> edge_nbrs{};
+  for (int e = 0; e < 4; ++e)
+    edge_nbrs[static_cast<std::size_t>(e)] = element_id(step(r, e));
+  // Everything around the four corners, less self and the edge neighbours.
+  std::array<int, 12> around{};
+  std::size_t n = 0;
+  for (int c = 0; c < 4; ++c)
+    for_each_incidence(ne_, corner_point(r, c), [&](int other, int) {
+      if (other != id &&
+          std::find(edge_nbrs.begin(), edge_nbrs.end(), other) == edge_nbrs.end())
+        around[n++] = other;
+    });
+  sort_prefix(around, n);
+  const auto last = around.begin() + static_cast<std::ptrdiff_t>(n);
+  corner_set out;
+  for (auto it = around.begin(), uend = std::unique(around.begin(), last);
+       it != uend; ++it)
+    out.push_back(*it);
+  return out;
+}
+
+corner_set cubed_sphere::corner_neighbors(int id) const {
+  return corner_neighbors_of(element_of(id));
 }
 
 double cubed_sphere::map_face_coord(double a) const {
@@ -230,19 +277,48 @@ graph::csr cubed_sphere::dual_graph(graph::weight edge_weight,
                                     bool include_corners) const {
   SFP_REQUIRE(edge_weight > 0, "edge weight must be positive");
   SFP_REQUIRE(corner_weight > 0, "corner weight must be positive");
-  graph::builder b(num_elements());
-  for (int id = 0; id < num_elements(); ++id) {
-    for (int e = 0; e < 4; ++e) {
-      const int nbr = edge_neighbor(id, e);
-      if (id < nbr) b.add_edge(id, nbr, edge_weight);
-    }
-    if (include_corners) {
-      for (const int nbr : corner_neighbors(id)) {
-        if (id < nbr) b.add_edge(id, nbr, corner_weight);
+  const auto k = static_cast<std::size_t>(num_elements());
+  // At most 8 neighbours per element; trimmed to the rows' total at the end.
+  std::vector<graph::eid> xadj(k + 1, 0);
+  std::vector<graph::vid> adjncy(8 * k);
+  std::vector<graph::weight> adjwgt(8 * k);
+  std::size_t used = 0;
+  const auto add = [&](int nbr, graph::weight w) {
+    adjncy[used] = nbr;
+    adjwgt[used++] = w;
+  };
+  std::array<std::pair<int, graph::weight>, 8> row{};
+  int id = 0;
+  for (int face = 0; face < 6; ++face)
+    for (int j = 0; j < ne_; ++j)
+      for (int i = 0; i < ne_; ++i, ++id) {
+        if (i > 0 && i + 1 < ne_ && j > 0 && j + 1 < ne_) {
+          // Face interior: the 3×3 stencil on this face, already ascending.
+          if (include_corners) add(id - ne_ - 1, corner_weight);
+          add(id - ne_, edge_weight);
+          if (include_corners) add(id - ne_ + 1, corner_weight);
+          add(id - 1, edge_weight);
+          add(id + 1, edge_weight);
+          if (include_corners) add(id + ne_ - 1, corner_weight);
+          add(id + ne_, edge_weight);
+          if (include_corners) add(id + ne_ + 1, corner_weight);
+        } else {
+          const element_ref r{face, i, j};
+          std::size_t n = 0;
+          for (int e = 0; e < 4; ++e)
+            row[n++] = {element_id(step(r, e)), edge_weight};
+          if (include_corners)
+            for (const int nbr : corner_neighbors_of(r))
+              row[n++] = {nbr, corner_weight};
+          sort_prefix(row, n);
+          for (std::size_t m = 0; m < n; ++m) add(row[m].first, row[m].second);
+        }
+        xadj[static_cast<std::size_t>(id) + 1] = static_cast<graph::eid>(used);
       }
-    }
-  }
-  return b.build();
+  adjncy.resize(used);
+  adjwgt.resize(used);
+  return graph::csr(std::move(xadj), std::move(adjncy),
+                    std::vector<graph::weight>(k, 1), std::move(adjwgt));
 }
 
 cubed_sphere::face_frame cubed_sphere::frame_of_face(int face) {

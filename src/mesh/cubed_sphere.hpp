@@ -8,18 +8,24 @@
 // (including across cube edges and at cube vertices, where only three faces
 // meet).
 //
-// All cross-face topology is derived from exact integer lattice geometry:
-// each element corner maps to an integer point on the cube surface, points
-// shared between faces coincide exactly, and adjacency falls out of corner
-// identity — there are no hand-written face-gluing tables to get wrong.
+// Topology is closed-form: the mesh stores only (Ne, projection) and answers
+// every neighbour query with integer arithmetic on the face frames, in O(1)
+// time and with no stored incidences. Each element corner is an integer
+// point on the cube surface (the cube spans [-Ne, Ne]³), so points shared
+// between faces coincide exactly. A step off a face goes to the crossed
+// edge, then half an element inward along the old face normal; the face and
+// (i, j) of the neighbour are read off that lattice point. There are no
+// hand-written face-gluing tables to get wrong.
 
+#include <algorithm>
 #include <array>
+#include <cstddef>
 #include <cstdint>
-#include <unordered_map>
-#include <vector>
+#include <utility>
 
 #include "graph/csr.hpp"
 #include "mesh/geometry.hpp"
+#include "util/contract.hpp"
 
 namespace sfp::mesh {
 
@@ -40,6 +46,35 @@ struct edge_link {
   bool reversed = false;
 };
 
+/// At most N values held inline: the answer to a topology query whose size
+/// is small and bounded, returned by value with no heap allocation.
+template <typename T, std::size_t N>
+class inline_list {
+ public:
+  std::size_t size() const { return size_; }
+  const T* begin() const { return items_.data(); }
+  const T* end() const { return items_.data() + size_; }
+  const T& operator[](std::size_t k) const { return items_[k]; }
+  void push_back(const T& v) {
+    SFP_ASSERT(size_ < N, "inline_list capacity exceeded");
+    items_[size_++] = v;
+  }
+
+  friend bool operator==(const inline_list& a, const inline_list& b) {
+    return std::equal(a.begin(), a.end(), b.begin(), b.end());
+  }
+
+ private:
+  std::array<T, N> items_{};
+  std::size_t size_ = 0;
+};
+
+/// Corner-only neighbours of an element, ascending (3 or 4 when Ne >= 2).
+using corner_set = inline_list<int, 4>;
+/// (element, that element's local corner) pairs around one corner point,
+/// ascending by element (3 around regular points, 2 around cube vertices).
+using corner_incidences = inline_list<std::pair<int, int>, 3>;
+
 /// How face coordinates map onto the cube before projecting to the sphere.
 /// `equidistant` subdivides the cube face uniformly (the construction the
 /// paper describes); `equiangular` subdivides uniformly in projected angle
@@ -49,7 +84,11 @@ enum class projection : std::uint8_t { equidistant, equiangular };
 
 class cubed_sphere {
  public:
-  /// Build the mesh for Ne elements per cube-face side (K = 6·Ne²).
+  /// Largest Ne whose element ids fit an int: 6·Ne² < 2³¹.
+  static constexpr int max_ne = 18918;
+
+  /// The mesh for Ne elements per cube-face side (K = 6·Ne²),
+  /// 1 <= Ne <= max_ne. O(1): nothing is built.
   explicit cubed_sphere(int ne, projection proj = projection::equidistant);
 
   int ne() const { return ne_; }
@@ -76,14 +115,15 @@ class cubed_sphere {
   /// Full link for local edge `edge` (neighbour + its edge + orientation).
   edge_link edge_link_of(int id, int edge) const;
 
-  /// Elements sharing *only* a corner point with `id` (diagonal neighbours).
-  /// Size 4 in face interiors; 3 for elements touching a cube vertex.
-  const std::vector<int>& corner_neighbors(int id) const;
+  /// Elements sharing *only* a corner point with `id` (diagonal neighbours),
+  /// ascending. Size 4 in face interiors; 3 for elements touching a cube
+  /// vertex (none at Ne = 1).
+  corner_set corner_neighbors(int id) const;
 
   /// All elements sharing local corner `c` (0=SW,1=SE,2=NE,3=NW) with `id`,
-  /// as (element, that element's corner index) pairs, self excluded.
-  /// Size 3 around regular points, 2 around cube vertices.
-  std::vector<std::pair<int, int>> corner_links(int id, int corner) const;
+  /// as (element, that element's corner index) pairs ascending by element,
+  /// self excluded. Size 3 around regular points, 2 around cube vertices.
+  corner_incidences corner_links(int id, int corner) const;
 
   /// True if local corner `c` of `id` lies on a cube vertex (3 faces meet).
   bool corner_is_cube_vertex(int id, int corner) const;
@@ -108,6 +148,8 @@ class cubed_sphere {
   /// weight `edge_weight`, corner-only pairs `corner_weight` (proportional
   /// to the data exchanged: a whole edge of GLL points vs a single point).
   /// With include_corners=false only edge-sharing pairs appear (ablation).
+  /// Each CSR row is written directly as the sorted union of the element's
+  /// edge and corner neighbours.
   graph::csr dual_graph(graph::weight edge_weight = 8,
                         graph::weight corner_weight = 1,
                         bool include_corners = true) const;
@@ -122,14 +164,13 @@ class cubed_sphere {
   ivec3 corner_point(int face, int ci, int cj) const;  // lattice corner (ci,cj)
   vec3 corner_point_geometric(int face, int ci, int cj) const;  // projected
 
+  ivec3 corner_point(element_ref r, int corner) const;
+  element_ref step(element_ref r, int edge) const;  // across local edge
+  element_ref element_at(ivec3 center) const;  // element centred on a point
+  corner_set corner_neighbors_of(element_ref r) const;
+
   int ne_;
   projection proj_ = projection::equidistant;
-  // Per element: 4 edge neighbours, 4 edge links, corner-only neighbours.
-  std::vector<std::array<int, 4>> edge_nbr_;
-  std::vector<std::array<edge_link, 4>> edge_links_;
-  std::vector<std::vector<int>> corner_nbr_;
-  // corner point key -> list of (element, local corner) incidences.
-  std::unordered_map<std::uint64_t, std::vector<std::pair<int, int>>> corners_;
 };
 
 }  // namespace sfp::mesh

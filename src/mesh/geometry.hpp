@@ -36,15 +36,6 @@ struct ivec3 {
   friend auto operator<=>(const ivec3&, const ivec3&) = default;
 };
 
-/// Pack into a single key (coordinates must fit in 21 bits after biasing —
-/// ample for any realistic Ne).
-inline std::uint64_t pack(ivec3 p) {
-  constexpr std::int64_t bias = 1 << 20;
-  return (static_cast<std::uint64_t>(p.x + bias) << 42) |
-         (static_cast<std::uint64_t>(p.y + bias) << 21) |
-         static_cast<std::uint64_t>(p.z + bias);
-}
-
 /// Solid angle subtended at the origin by the planar triangle (a, b, c)
 /// (Van Oosterom & Strackee 1983). Signed; callers take |value|.
 double triangle_solid_angle(vec3 a, vec3 b, vec3 c);

@@ -130,7 +130,10 @@ topology_view view_of(const cubed_sphere& m) {
   v.element_id = [&m](element_ref r) { return m.element_id(r); };
   v.edge_neighbor = [&m](int id, int e) { return m.edge_neighbor(id, e); };
   v.edge_link_of = [&m](int id, int e) { return m.edge_link_of(id, e); };
-  v.corner_neighbors = [&m](int id) { return m.corner_neighbors(id); };
+  v.corner_neighbors = [&m](int id) {
+    const corner_set c = m.corner_neighbors(id);
+    return std::vector<int>(c.begin(), c.end());
+  };
   v.corner_is_cube_vertex = [&m](int id, int c) {
     return m.corner_is_cube_vertex(id, c);
   };

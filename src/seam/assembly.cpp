@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <unordered_map>
 #include <utility>
 
 #include "util/require.hpp"
@@ -23,14 +22,6 @@ std::pair<int, int> edge_node(int e, int k, int np) {
   }
 }
 
-struct pair_hash {
-  std::size_t operator()(const std::pair<std::uint64_t, std::uint64_t>& p) const {
-    std::uint64_t h = p.first * 0x9e3779b97f4a7c15ull;
-    h ^= p.second + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
-    return static_cast<std::size_t>(h);
-  }
-};
-
 }  // namespace
 
 assembly::assembly(const mesh::cubed_sphere& mesh, int np)
@@ -45,41 +36,49 @@ assembly::assembly(const mesh::cubed_sphere& mesh, int np)
     for (int j = 1; j + 1 < np_; ++j)
       for (int i = 1; i + 1 < np_; ++i) dof_[flat(e, i, j)] = next++;
 
-  // Corner nodes: one dof per geometric cube-surface point.
-  std::unordered_map<std::uint64_t, std::int64_t> corner_dof;
-  for (int e = 0; e < num_elements_; ++e) {
-    const auto pts = mesh.corner_points(e);
-    constexpr int corner_ij[4][2] = {{0, 0}, {1, 0}, {1, 1}, {0, 1}};
-    for (int c = 0; c < 4; ++c) {
-      const auto [it, inserted] =
-          corner_dof.try_emplace(mesh::pack(pts[static_cast<std::size_t>(c)]), next);
-      if (inserted) ++next;
-      const int ci = corner_ij[c][0] * (np_ - 1);
-      const int cj = corner_ij[c][1] * (np_ - 1);
-      dof_[flat(e, ci, cj)] = it->second;
-    }
-  }
+  // A shared corner or edge takes its dofs at its lowest-id incident
+  // element, which the ascending element loops always number first; every
+  // other incident element copies them.
 
-  // Edge-interior nodes: shared by the two elements on the geometric edge,
-  // in canonical orientation (from the smaller packed corner key to the
-  // larger) so reversed gluings across cube edges match up automatically.
-  std::unordered_map<std::pair<std::uint64_t, std::uint64_t>, std::int64_t,
-                     pair_hash>
-      edge_base;
+  // Corner nodes: one dof per geometric cube-surface point.
+  constexpr int corner_ij[4][2] = {{0, 0}, {1, 0}, {1, 1}, {0, 1}};
+  const auto corner_node = [&](int e, int c) {
+    return flat(e, corner_ij[c][0] * (np_ - 1), corner_ij[c][1] * (np_ - 1));
+  };
+  for (int e = 0; e < num_elements_; ++e)
+    for (int c = 0; c < 4; ++c) {
+      const mesh::corner_incidences around = mesh.corner_links(e, c);
+      dof_[corner_node(e, c)] =
+          around[0].first < e
+              ? dof_[corner_node(around[0].first, around[0].second)]
+              : next++;
+    }
+
+  // Edge-interior nodes: numbered in canonical orientation, from the
+  // lexicographically smaller lattice corner to the larger, so reversed
+  // gluings across cube edges match up. The second element copies them,
+  // mirrored when the link is reversed.
   for (int e = 0; e < num_elements_; ++e) {
     const auto pts = mesh.corner_points(e);
     for (int le = 0; le < 4; ++le) {
-      const std::uint64_t a = mesh::pack(pts[static_cast<std::size_t>(le)]);
-      const std::uint64_t b =
-          mesh::pack(pts[static_cast<std::size_t>((le + 1) % 4)]);
-      const auto key = std::minmax(a, b);
-      auto [it, inserted] = edge_base.try_emplace(key, next);
-      if (inserted) next += np_ - 2;
-      for (int k = 1; k + 1 < np_; ++k) {
-        const int canon = (a < b) ? k : np_ - 1 - k;
-        const auto [i, j] = edge_node(le, k, np_);
-        dof_[flat(e, i, j)] = it->second + (canon - 1);
+      const mesh::edge_link link = mesh.edge_link_of(e, le);
+      if (link.neighbor < e) {
+        for (int k = 1; k + 1 < np_; ++k) {
+          const auto [i, j] = edge_node(le, k, np_);
+          const auto [ni, nj] = edge_node(
+              link.neighbor_edge, link.reversed ? np_ - 1 - k : k, np_);
+          dof_[flat(e, i, j)] = dof_[flat(link.neighbor, ni, nj)];
+        }
+        continue;
       }
+      const bool forward = pts[static_cast<std::size_t>(le)] <
+                           pts[static_cast<std::size_t>((le + 1) % 4)];
+      for (int k = 1; k + 1 < np_; ++k) {
+        const int canon = forward ? k : np_ - 1 - k;
+        const auto [i, j] = edge_node(le, k, np_);
+        dof_[flat(e, i, j)] = next + (canon - 1);
+      }
+      next += np_ - 2;
     }
   }
 

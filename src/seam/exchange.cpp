@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <map>
+#include <span>
 #include <string>
-#include <unordered_map>
 
 #include "obs/trace.hpp"
 #include "util/require.hpp"
@@ -28,34 +28,49 @@ exchange_plan exchange_plan::build(const assembly& dofs,
   for (const auto& rp : plan.ranks)
     SFP_REQUIRE(!rp.owned.empty(), "every rank must own an element");
 
-  // Which ranks touch each dof.
-  std::unordered_map<std::int64_t, std::vector<int>> dof_ranks;
-  dof_ranks.reserve(static_cast<std::size_t>(dofs.num_dofs()));
+  // Which ranks touch each dof, in first-touch order: a CSR whose row for
+  // dof d has room for its multiplicity (an upper bound on distinct ranks)
+  // and `rank_count[d]` entries in use.
+  const auto ndofs = static_cast<std::size_t>(dofs.num_dofs());
+  std::vector<std::int64_t> rank_start(ndofs + 1, 0);
+  for (std::size_t d = 0; d < ndofs; ++d)
+    rank_start[d + 1] =
+        rank_start[d] + dofs.multiplicity(static_cast<std::int64_t>(d));
+  std::vector<int> dof_ranks(static_cast<std::size_t>(rank_start[ndofs]));
+  std::vector<std::uint8_t> rank_count(ndofs, 0);
+  const auto ranks_of = [&](std::int64_t dof) {
+    const auto d = static_cast<std::size_t>(dof);
+    return std::span<const int>(dof_ranks.data() + rank_start[d],
+                                rank_count[d]);
+  };
   for (int e = 0; e < nelem; ++e) {
     const int p = part.part_of[static_cast<std::size_t>(e)];
     for (int j = 0; j < np; ++j)
       for (int i = 0; i < np; ++i) {
-        auto& ranks = dof_ranks[dofs.dof_of(e, i, j)];
-        if (std::find(ranks.begin(), ranks.end(), p) == ranks.end())
-          ranks.push_back(p);
+        const auto d = static_cast<std::size_t>(dofs.dof_of(e, i, j));
+        int* const row = dof_ranks.data() + rank_start[d];
+        int* const used = row + rank_count[d];
+        if (std::find(row, used, p) == used) {
+          *used = p;
+          ++rank_count[d];
+        }
       }
   }
 
+  // Touched dofs per rank, ascending: one sweep over the dofs in order.
+  for (std::size_t d = 0; d < ndofs; ++d)
+    for (const int q : ranks_of(static_cast<std::int64_t>(d)))
+      plan.ranks[static_cast<std::size_t>(q)].touched_dofs.push_back(
+          static_cast<std::int64_t>(d));
+
+  // Global -> local dof index of the rank being planned; each rank writes
+  // every entry it reads, so the array is reused without clearing.
+  std::vector<std::int32_t> local_of(ndofs, -1);
   for (std::size_t self = 0; self < plan.ranks.size(); ++self) {
     rank_exchange_plan& rp = plan.ranks[self];
-    for (const int e : rp.owned)
-      for (int j = 0; j < np; ++j)
-        for (int i = 0; i < np; ++i)
-          rp.touched_dofs.push_back(dofs.dof_of(e, i, j));
-    std::sort(rp.touched_dofs.begin(), rp.touched_dofs.end());
-    rp.touched_dofs.erase(
-        std::unique(rp.touched_dofs.begin(), rp.touched_dofs.end()),
-        rp.touched_dofs.end());
-
-    std::unordered_map<std::int64_t, std::int32_t> local_of;
-    local_of.reserve(rp.touched_dofs.size());
     for (std::size_t k = 0; k < rp.touched_dofs.size(); ++k)
-      local_of[rp.touched_dofs[k]] = static_cast<std::int32_t>(k);
+      local_of[static_cast<std::size_t>(rp.touched_dofs[k])] =
+          static_cast<std::int32_t>(k);
 
     rp.inv_multiplicity.resize(rp.touched_dofs.size());
     for (std::size_t k = 0; k < rp.touched_dofs.size(); ++k)
@@ -68,7 +83,8 @@ exchange_plan exchange_plan::build(const assembly& dofs,
               (static_cast<std::size_t>(e) * np + static_cast<std::size_t>(j)) *
                   np +
               static_cast<std::size_t>(i));
-          rp.node_dof_local.push_back(local_of.at(dofs.dof_of(e, i, j)));
+          rp.node_dof_local.push_back(
+              local_of[static_cast<std::size_t>(dofs.dof_of(e, i, j))]);
         }
     }
 
@@ -76,7 +92,7 @@ exchange_plan exchange_plan::build(const assembly& dofs,
     // order, so packed vectors line up).
     std::map<int, std::vector<std::int32_t>> by_peer;
     for (std::size_t k = 0; k < rp.touched_dofs.size(); ++k) {
-      for (const int q : dof_ranks.at(rp.touched_dofs[k])) {
+      for (const int q : ranks_of(rp.touched_dofs[k])) {
         if (q != static_cast<int>(self))
           by_peer[q].push_back(static_cast<std::int32_t>(k));
       }

@@ -303,7 +303,8 @@ TEST(MeshValidator, RejectsWrongCornerCount) {
   const sfp::mesh::cubed_sphere m(2);
   sfp::mesh::topology_view v = sfp::mesh::view_of(m);
   v.corner_neighbors = [&m](int id) {
-    std::vector<int> c = m.corner_neighbors(id);
+    const sfp::mesh::corner_set cn = m.corner_neighbors(id);
+    std::vector<int> c(cn.begin(), cn.end());
     if (id == 0 && !c.empty()) c.pop_back();
     return c;
   };
@@ -316,7 +317,8 @@ TEST(MeshValidator, RejectsCornerListingAnEdgeNeighbor) {
   const sfp::mesh::cubed_sphere m(2);
   sfp::mesh::topology_view v = sfp::mesh::view_of(m);
   v.corner_neighbors = [&m](int id) {
-    std::vector<int> c = m.corner_neighbors(id);
+    const sfp::mesh::corner_set cn = m.corner_neighbors(id);
+    std::vector<int> c(cn.begin(), cn.end());
     if (id == 0 && !c.empty()) c.back() = m.edge_neighbor(0, 0);
     return c;
   };
@@ -330,7 +332,8 @@ TEST(MeshValidator, RejectsAsymmetricCornerNeighbor) {
   // lists 0 back: range and disjointness pass, mutuality fails.
   const int far = m.num_elements() - 1;
   v.corner_neighbors = [&m, far](int id) {
-    std::vector<int> c = m.corner_neighbors(id);
+    const sfp::mesh::corner_set cn = m.corner_neighbors(id);
+    std::vector<int> c(cn.begin(), cn.end());
     if (id == 0 && !c.empty()) c.back() = far;
     return c;
   };

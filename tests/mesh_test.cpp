@@ -142,7 +142,8 @@ TEST_P(MeshTopology, SameFaceInteriorNeighborsMatchGridStencil) {
   EXPECT_EQ(std::set<int>(cn.begin(), cn.end()), expect_corner);
 }
 
-INSTANTIATE_TEST_SUITE_P(Sizes, MeshTopology, ::testing::Values(1, 2, 3, 4, 8),
+INSTANTIATE_TEST_SUITE_P(Sizes, MeshTopology,
+                         ::testing::Values(1, 2, 3, 4, 5, 7, 8),
                          ::testing::PrintToStringParamName());
 
 TEST(MeshGeometry, CentersLieOnUnitSphere) {
