@@ -62,7 +62,7 @@ double moved_fraction_reslice(const core::cube_curve& curve,
 // ---- transient-fault mode: healed in place vs re-slice ---------------------
 
 /// One timed resilient run; `report` and the wall-clock come back to the
-/// caller so the rows below can compare transports and fault loads.
+/// caller so the rows below can compare fault loads.
 double timed_resilient_ms(const seam::advection_model& model,
                           const core::cube_curve& curve,
                           const partition::partition& part, double dt,
@@ -94,7 +94,6 @@ void transient_fault_section() {
 
   const auto base = [&] {
     seam::resilience_options r;
-    r.timeout = std::chrono::milliseconds(20000);
     r.reliable.recv_timeout = std::chrono::milliseconds(15000);
     // 24 rank threads share whatever cores the machine has; a retransmit
     // timeout below the scheduling jitter would count descheduled peers as
@@ -104,23 +103,15 @@ void transient_fault_section() {
     return r;
   };
 
-  // (1) raw transport, no faults — the floor.
-  seam::resilience_options raw = base();
-  seam::recovery_report raw_rep;
-  const double raw_ms =
-      timed_resilient_ms(model, curve, part, dt, nsteps, raw, &raw_rep);
-
-  // (2) reliable transport, no faults — envelope + ack overhead.
+  // (1) no faults — the floor: envelope + ack + checkpoint-fence cost.
   seam::resilience_options clean = base();
-  clean.reliable_transport = true;
   seam::recovery_report clean_rep;
   const double clean_ms =
       timed_resilient_ms(model, curve, part, dt, nsteps, clean, &clean_rep);
 
-  // (3) reliable transport under message chaos — retransmit overhead, the
-  // faults heal in place (attempts stays 1, nothing migrates).
+  // (2) message chaos — retransmit overhead, the faults heal in place
+  // (attempts stays 1, nothing migrates).
   seam::resilience_options chaos = base();
-  chaos.reliable_transport = true;
   chaos.faults.seed = 384;
   auto& mf = chaos.faults.message_faults.emplace_back();
   mf.drop_probability = 0.02;
@@ -131,7 +122,7 @@ void transient_fault_section() {
   const double chaos_ms =
       timed_resilient_ms(model, curve, part, dt, nsteps, chaos, &chaos_rep);
 
-  // (4) rank kill — transient healing cannot help; the run re-slices.
+  // (3) rank kill — transient healing cannot help; the run re-slices.
   seam::resilience_options kill = base();
   kill.faults.kills.push_back({nproc / 2, 40});
   seam::recovery_report kill_rep;
@@ -148,10 +139,9 @@ void transient_fault_section() {
         .add(rep.reliable.retransmits)
         .add(100.0 * rep.migration.moved_fraction, 2);
   };
-  row("raw, fault-free", raw_ms, raw_rep);
-  row("reliable, fault-free", clean_ms, clean_rep);
-  row("reliable, message chaos", chaos_ms, chaos_rep);
-  row("raw, rank kill -> re-slice", kill_ms, kill_rep);
+  row("fault-free", clean_ms, clean_rep);
+  row("message chaos", chaos_ms, chaos_rep);
+  row("rank kill -> re-slice", kill_ms, kill_rep);
   std::printf("%s\n", t.str().c_str());
   std::printf("Message chaos heals in place: attempts stays 1 and nothing\n"
               "migrates; the cost is retransmits on the already-degraded\n"
@@ -177,7 +167,6 @@ void transient_fault_section() {
         io::json_number(rep.migration.moved_fraction);
     return s;
   };
-  doc.object["raw_fault_free"] = scenario(raw_ms, raw_rep);
   doc.object["reliable_fault_free"] = scenario(clean_ms, clean_rep);
   doc.object["reliable_message_chaos"] = scenario(chaos_ms, chaos_rep);
   doc.object["rank_kill_reslice"] = scenario(kill_ms, kill_rep);

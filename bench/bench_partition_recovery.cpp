@@ -42,7 +42,6 @@ runtime::parallel_partition_run_options recovery_run_options() {
   opts.reliable.max_backoff = std::chrono::microseconds(20000);
   opts.reliable.max_retransmits = 12;
   opts.reliable.recv_timeout = std::chrono::milliseconds(100);
-  opts.timeout = std::chrono::milliseconds(20000);
   return opts;
 }
 

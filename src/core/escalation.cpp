@@ -8,7 +8,6 @@ escalation_decision decide_escalation(failure_kind kind, int thrower,
   escalation_decision d;
   switch (kind) {
     case failure_kind::rank_killed:
-    case failure_kind::comm_timeout:
       d.victim = thrower;
       break;
     case failure_kind::peer_unreachable:

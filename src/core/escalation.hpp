@@ -12,9 +12,6 @@
 //   peer_unreachable  -> the *peer* is presumed dead (the thrower is the
 //                        healthy side that exhausted its retransmit
 //                        budget); recover around the peer.
-//   comm_timeout      -> a raw blocking call starved; the thrower is the
-//                        rank we know least about, treat it as failed (the
-//                        pre-reliable behaviour, kept for raw transports).
 //   unknown           -> a logic error, not a fabric fault: never recover.
 //
 // Kept in core (below the runtime in the layering) so the policy is a pure
@@ -25,7 +22,6 @@ namespace sfp::core {
 /// How an attempt of a distributed run died, transport-agnostically.
 enum class failure_kind {
   rank_killed,       ///< simulated process death inside the thrower
-  comm_timeout,      ///< raw blocking call exceeded its deadline
   peer_unreachable,  ///< reliable transport exhausted retransmits to a peer
   unknown,           ///< anything else (model assertion, logic error, ...)
 };

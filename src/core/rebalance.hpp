@@ -14,7 +14,7 @@
 
 #include "core/cube_curve.hpp"
 #include "core/sfc_partition.hpp"
-#include "partition/partition.hpp"  // lint: layering-ok — partition::partition is the shared result type core produces; type-only edge, no mgp machinery
+#include "partition/partition.hpp"
 
 namespace sfp::core {
 

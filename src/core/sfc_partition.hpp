@@ -7,7 +7,7 @@
 
 #include "core/cube_curve.hpp"
 #include "mesh/cubed_sphere.hpp"
-#include "partition/partition.hpp"  // lint: layering-ok — partition::partition is the shared result type core produces; type-only edge, no mgp machinery
+#include "partition/partition.hpp"
 
 namespace sfp::core {
 

@@ -18,7 +18,7 @@
 #include <span>
 
 #include "core/cube_curve.hpp"
-#include "partition/partition.hpp"  // lint: layering-ok — partition::partition is the shared result type core produces; type-only edge, no mgp machinery
+#include "partition/partition.hpp"
 #include "util/contract.hpp"
 
 namespace sfp::core {

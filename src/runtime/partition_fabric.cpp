@@ -228,39 +228,23 @@ parallel_partition_report run_parallel_partition(
 
   std::vector<rank_outcome> outcomes(static_cast<std::size_t>(num_ranks));
 
-  if (opts.backend == transport_backend::inproc) {
-    world::options wopts;
-    wopts.timeout = opts.timeout;
-    wopts.faults = opts.faults;
-    world w(num_ranks, wopts);
-    w.run([&](communicator& comm) {
-      reliable_channel channel(comm, opts.reliable);
-      partition_rank_main(channel, comm.rank(), num_ranks, mesh, spec,
-                          nparts, weights, opts,
-                          &report.rank_stats[static_cast<std::size_t>(
-                              comm.rank())],
-                          &outcomes[static_cast<std::size_t>(comm.rank())]);
-    });
-    report.counters = w.total_counters();
-  } else {
-    socket_fabric_options sopts;
-    sopts.faults = opts.faults;
-    sopts.stream_faults = opts.stream_faults;
-    // Pin stream faults to reliable *data* frames, as the seam runner does:
-    // acks are smaller than one envelope payload.
-    sopts.stream_fault_min_payload = wire::header_doubles + 1;
-    socket_fabric fab(num_ranks, sopts);
-    fab.run([&](transport& t) {
-      reliable_channel channel(t, opts.reliable);
-      partition_rank_main(channel, t.rank(), num_ranks, mesh, spec, nparts,
-                          weights, opts,
-                          &report.rank_stats[static_cast<std::size_t>(
-                              t.rank())],
-                          &outcomes[static_cast<std::size_t>(t.rank())]);
-    });
-    report.counters = fab.total_counters();
-    report.socket = fab.total_stats();
-  }
+  fabric_options fopts;
+  fopts.backend = opts.backend;
+  fopts.faults = opts.faults;
+  fopts.stream_faults = opts.stream_faults;
+  fabric_report frep;
+  run_fabric(
+      num_ranks, fopts,
+      [&](transport& t) {
+        const auto r = static_cast<std::size_t>(t.rank());
+        reliable_channel channel(t, opts.reliable);
+        partition_rank_main(channel, t.rank(), num_ranks, mesh, spec, nparts,
+                            weights, opts, &report.rank_stats[r],
+                            &outcomes[r]);
+      },
+      &frep);
+  report.counters = frep.counters;
+  report.socket = frep.socket;
   for (const rank_outcome& o : outcomes) {
     report.reliable += o.reliable;
     report.regroup.stale_dropped += o.regroup.stale_dropped;

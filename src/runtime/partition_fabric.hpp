@@ -18,9 +18,8 @@
 
 #include "core/parallel_partition.hpp"
 #include "partition/partition.hpp"
+#include "runtime/fabric.hpp"
 #include "runtime/reliable.hpp"
-#include "runtime/socket_transport.hpp"
-#include "runtime/world.hpp"
 
 namespace sfp::runtime {
 
@@ -60,8 +59,6 @@ struct parallel_partition_run_options {
   stream_fault_plan stream_faults;
   /// Reliable-layer tuning (retransmit budget, timeouts, epoch).
   reliable_options reliable;
-  /// Per blocking-call deadline for the in-process world; zero = forever.
-  std::chrono::milliseconds timeout{2000};
   /// Splitter-search tuning, passed through to the core algorithm.
   core::parallel_partition_options partition;
   /// Survivor-regroup tuning: quorum and the silence patience budget.

@@ -17,15 +17,37 @@ namespace {
 /// Magic in the high half of envelope word 0; the kind sits in the low byte.
 constexpr std::uint64_t wire_magic = 0x53465052ull << 32;  // "SFPR"
 
-std::array<std::uint32_t, 256> make_crc32c_table() {
-  std::array<std::uint32_t, 256> table{};
+/// Slicing-by-8 tables: t[0] is the bytewise table; t[s][b] is the CRC of
+/// byte b followed by s zero bytes, so eight table lookups fold one 8-byte
+/// word into the CRC at once.
+using crc32c_tables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+crc32c_tables make_crc32c_tables() {
+  crc32c_tables t{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int k = 0; k < 8; ++k)
       c = (c & 1) ? 0x82f63b78u ^ (c >> 1) : c >> 1;
-    table[i] = c;
+    t[0][i] = c;
   }
-  return table;
+  for (std::size_t s = 1; s < t.size(); ++s)
+    for (std::size_t i = 0; i < 256; ++i)
+      t[s][i] = (t[s - 1][i] >> 8) ^ t[0][t[s - 1][i] & 0xffu];
+  return t;
+}
+
+/// Little-endian load of four bytes, whatever the host byte order.
+std::uint32_t load_le32(const unsigned char* p) {
+  return static_cast<std::uint32_t>(p[0]) |
+         static_cast<std::uint32_t>(p[1]) << 8 |
+         static_cast<std::uint32_t>(p[2]) << 16 |
+         static_cast<std::uint32_t>(p[3]) << 24;
+}
+
+obs::histogram& recv_wait_hist() {
+  static obs::histogram& h =
+      obs::registry::global().get_histogram("runtime.recv.queue_wait.us");
+  return h;
 }
 
 double bits_to_double(std::uint64_t bits) {
@@ -73,11 +95,17 @@ std::uint64_t jitter_seed(const reliable_options& opts, int rank) {
 }  // namespace
 
 std::uint32_t crc32c(const void* data, std::size_t bytes, std::uint32_t crc) {
-  static const std::array<std::uint32_t, 256> table = make_crc32c_table();
+  static const crc32c_tables t = make_crc32c_tables();
   const auto* p = static_cast<const unsigned char*>(data);
   crc = ~crc;
-  for (std::size_t i = 0; i < bytes; ++i)
-    crc = table[(crc ^ p[i]) & 0xffu] ^ (crc >> 8);
+  for (; bytes >= 8; p += 8, bytes -= 8) {
+    const std::uint32_t lo = crc ^ load_le32(p);
+    const std::uint32_t hi = load_le32(p + 4);
+    crc = t[7][lo & 0xffu] ^ t[6][(lo >> 8) & 0xffu] ^
+          t[5][(lo >> 16) & 0xffu] ^ t[4][lo >> 24] ^ t[3][hi & 0xffu] ^
+          t[2][(hi >> 8) & 0xffu] ^ t[1][(hi >> 16) & 0xffu] ^ t[0][hi >> 24];
+  }
+  for (; bytes > 0; ++p, --bytes) crc = t[0][(crc ^ *p) & 0xffu] ^ (crc >> 8);
   return ~crc;
 }
 
@@ -168,16 +196,6 @@ std::chrono::microseconds compute_backoff(const reliable_options& opts,
 
 reliable_channel::reliable_channel(transport& fabric, reliable_options opts)
     : fabric_(&fabric), opts_(opts), jitter_rng_(jitter_seed(opts, fabric.rank())) {
-  SFP_REQUIRE(opts_.max_retransmits >= 1, "need at least one retransmit");
-  SFP_REQUIRE(opts_.retransmit_timeout.count() > 0,
-              "retransmit timeout must be positive");
-}
-
-reliable_channel::reliable_channel(communicator& comm, reliable_options opts)
-    : owned_inproc_(std::in_place, comm),
-      fabric_(&*owned_inproc_),
-      opts_(opts),
-      jitter_rng_(jitter_seed(opts, fabric_->rank())) {
   SFP_REQUIRE(opts_.max_retransmits >= 1, "need at least one retransmit");
   SFP_REQUIRE(opts_.retransmit_timeout.count() > 0,
               "retransmit timeout must be positive");
@@ -366,12 +384,17 @@ std::vector<double> reliable_channel::recv(int src, int tag) {
   SFP_TRACE_SCOPE_CAT("reliable.recv", "runtime");
   const stream_key key{src, tag};
   const bool bounded = opts_.recv_timeout.count() > 0;
-  const clock::time_point give_up = clock::now() + opts_.recv_timeout;
+  const clock::time_point start = clock::now();
+  const clock::time_point give_up = start + opts_.recv_timeout;
   for (;;) {
     auto it = ready_.find(key);
     if (it != ready_.end() && !it->second.empty()) {
       std::vector<double> out = std::move(it->second.front());
       it->second.pop_front();
+      recv_wait_hist().observe(
+          std::chrono::duration_cast<std::chrono::microseconds>(clock::now() -
+                                                                start)
+              .count());
       return out;
     }
     if (bounded && clock::now() >= give_up)

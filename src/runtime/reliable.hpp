@@ -1,13 +1,13 @@
 #pragma once
 // Reliable-delivery layer over any runtime::transport backend.
 //
-// The raw fabric gives asynchronous, unreliable datagram sends: under fault
+// A transport gives asynchronous, unreliable datagram sends: under fault
 // injection (or over a real byte stream) a message can be dropped,
-// duplicated, bit-flipped, truncated, or reordered — and the only defence
-// raw users have is the per-call timeout, which escalates a lost packet all
-// the way to a plan_recovery re-slice. reliable_channel heals those
-// transient faults in place, identically over the in-process world adapter
-// and the socket backend (runtime/socket_transport.hpp):
+// duplicated, bit-flipped, truncated, or reordered. reliable_channel heals
+// those transient faults in place, identically over the in-process world
+// (runtime/world.hpp) and the socket backend (runtime/socket_transport.hpp).
+// Every rank program in the library — the SEAM runners and the distributed
+// partitioner — talks through one:
 //
 //   * every payload travels in an envelope carrying a magic/type word, an
 //     epoch id, the logical tag, a per-(sender,receiver,tag) sequence
@@ -29,10 +29,10 @@
 //
 // Deadlock-freedom: every blocking reliable op (recv, flush, fence) runs the
 // progress pump, so a rank waiting on its own traffic keeps servicing its
-// peers' retransmissions. Exchanges must end with flush() (all own sends
-// acked) followed by fence() — a pumping dissemination barrier — before any
-// raw, non-pumping collective: while any rank is still flushing, every other
-// rank is provably inside a pumping call, so the missing re-ack always
+// peers' retransmissions. An exchange that must be settled before ranks
+// move on ends with flush() (all own sends acked) followed by fence() — a
+// pumping dissemination barrier: while any rank is still flushing, every
+// other rank is provably inside a pumping call, so the missing re-ack always
 // arrives. The destructor absorbs the final unacknowledgeable acks (the
 // two-generals tail) by pumping for a bounded linger, then discarding.
 //
@@ -44,7 +44,6 @@
 #include <cstdint>
 #include <deque>
 #include <map>
-#include <optional>
 #include <span>
 #include <stdexcept>
 #include <tuple>
@@ -52,13 +51,12 @@
 #include <vector>
 
 #include "runtime/transport.hpp"
-#include "runtime/world.hpp"
 #include "util/rng.hpp"
 
 namespace sfp::runtime {
 
 /// CRC32C (Castagnoli, reflected polynomial 0x82f63b78) over raw bytes.
-/// Software table implementation — the checksum the envelope carries.
+/// Software slicing-by-8 implementation — the checksum the envelope carries.
 std::uint32_t crc32c(const void* data, std::size_t bytes,
                      std::uint32_t crc = 0);
 
@@ -182,9 +180,6 @@ class reliable_channel {
   /// Over any backend: the caller keeps ownership of the transport, which
   /// must outlive the channel.
   explicit reliable_channel(transport& fabric, reliable_options opts = {});
-  /// Convenience for the in-process fabric: wraps `comm` in an owned
-  /// inproc_transport adapter.
-  explicit reliable_channel(communicator& comm, reliable_options opts = {});
   ~reliable_channel();
   reliable_channel(const reliable_channel&) = delete;
   reliable_channel& operator=(const reliable_channel&) = delete;
@@ -193,7 +188,8 @@ class reliable_channel {
   void send(int dst, int tag, std::span<const double> data);
 
   /// Blocking: pump until the next in-order message on (src, tag) is
-  /// available. Throws peer_unreachable_error after recv_timeout.
+  /// available. Throws peer_unreachable_error after recv_timeout. The time
+  /// spent waiting feeds the runtime.recv.queue_wait.us histogram.
   std::vector<double> recv(int src, int tag);
 
   /// Pump until every send has been acknowledged (retransmitting as
@@ -201,8 +197,7 @@ class reliable_channel {
   void flush();
 
   /// Pumping dissemination barrier over the channel itself: returns when
-  /// every rank has entered (and therefore passed its flush()). Required
-  /// between flush() and any raw, non-pumping collective.
+  /// every rank has entered (and therefore passed its flush()).
   void fence();
 
   /// Drop every piece of per-peer delivery state: unacknowledged sends
@@ -250,7 +245,6 @@ class reliable_channel {
   std::uint64_t& seq_slot(std::map<stream_key, std::uint64_t>& m,
                           const stream_key& key);
 
-  std::optional<inproc_transport> owned_inproc_;  ///< communicator-ctor only
   transport* fabric_;
   reliable_options opts_;
   reliable_stats stats_;

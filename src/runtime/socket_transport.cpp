@@ -22,7 +22,6 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "runtime/reliable.hpp"
-#include "runtime/world.hpp"
 #include "util/require.hpp"
 
 namespace sfp::runtime {
@@ -314,7 +313,7 @@ struct socket_fabric_impl {
     bump(&socket_stats::frames_received);
   }
 
-  /// Bounded-wait dequeue mirroring world::take_any: lowest source rank
+  /// Bounded-wait dequeue, as in world::take_any: lowest source rank
   /// first, drain-then-abort on a fabric abort.
   bool take_any(int dst, int tag, std::chrono::microseconds wait,
                 any_message* out) {
@@ -773,21 +772,8 @@ void socket_fabric::run(const std::function<void(transport&)>& rank_main) {
 }
 
 void socket_fabric::publish_metrics_totals() const {
+  publish_counters(total_counters());
   obs::registry& reg = obs::registry::global();
-  const rank_counters t = total_counters();
-  reg.get_counter("runtime.messages_sent").add(t.messages_sent);
-  reg.get_counter("runtime.messages_received").add(t.messages_received);
-  reg.get_counter("runtime.doubles_sent").add(t.doubles_sent);
-  reg.get_counter("runtime.doubles_received").add(t.doubles_received);
-  reg.get_counter("runtime.timeouts").add(t.timeouts);
-  reg.get_counter("runtime.aborts_observed").add(t.aborts_observed);
-  reg.get_counter("runtime.injected.kills").add(t.injected_kills);
-  reg.get_counter("runtime.injected.drops").add(t.injected_drops);
-  reg.get_counter("runtime.injected.delays").add(t.injected_delays);
-  reg.get_counter("runtime.injected.duplicates").add(t.injected_duplicates);
-  reg.get_counter("runtime.injected.corruptions").add(t.injected_corruptions);
-  reg.get_counter("runtime.injected.truncations").add(t.injected_truncations);
-  reg.get_counter("runtime.injected.reorders").add(t.injected_reorders);
   const socket_stats s = total_stats();
   reg.get_counter("socket.connects").add(s.connects);
   reg.get_counter("socket.reconnects").add(s.reconnects);

@@ -131,8 +131,7 @@ class socket_fabric {
   int failed_rank() const;
   bool aborted() const { return failed_rank() >= 0; }
 
-  /// Robustness counters from the last run (message-level, same meaning as
-  /// world's: only sends/receives and injected_* are populated here).
+  /// Robustness counters from the last run (same meaning as world's).
   const rank_counters& counters(int rank) const;
   rank_counters total_counters() const;
 

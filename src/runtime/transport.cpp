@@ -4,7 +4,7 @@
 #include <sstream>
 #include <thread>
 
-#include "runtime/world.hpp"
+#include "obs/metrics.hpp"
 #include "util/require.hpp"
 
 namespace sfp::runtime {
@@ -18,32 +18,17 @@ std::string aborted_message(int self, int failed_rank) {
   return os.str();
 }
 
-std::string timeout_message(int self, const char* op,
-                            std::chrono::milliseconds t) {
-  std::ostringstream os;
-  os << "communication timeout: rank " << self << " waited " << t.count()
-     << " ms in " << op;
-  return os.str();
-}
-
 }  // namespace
 
 world_aborted::world_aborted(int self, int failed_rank)
     : std::runtime_error(aborted_message(self, failed_rank)),
       failed_rank_(failed_rank) {}
 
-comm_timeout_error::comm_timeout_error(int self, const char* op,
-                                       std::chrono::milliseconds t)
-    : std::runtime_error(timeout_message(self, op, t)), rank_(self) {}
-
 rank_counters& rank_counters::operator+=(const rank_counters& o) {
   messages_sent += o.messages_sent;
   messages_received += o.messages_received;
   doubles_sent += o.doubles_sent;
   doubles_received += o.doubles_received;
-  barriers += o.barriers;
-  reductions += o.reductions;
-  timeouts += o.timeouts;
   aborts_observed += o.aborts_observed;
   injected_kills += o.injected_kills;
   injected_drops += o.injected_drops;
@@ -55,6 +40,22 @@ rank_counters& rank_counters::operator+=(const rank_counters& o) {
   return *this;
 }
 
+void publish_counters(const rank_counters& t) {
+  obs::registry& reg = obs::registry::global();
+  reg.get_counter("runtime.messages_sent").add(t.messages_sent);
+  reg.get_counter("runtime.messages_received").add(t.messages_received);
+  reg.get_counter("runtime.doubles_sent").add(t.doubles_sent);
+  reg.get_counter("runtime.doubles_received").add(t.doubles_received);
+  reg.get_counter("runtime.aborts_observed").add(t.aborts_observed);
+  reg.get_counter("runtime.injected.kills").add(t.injected_kills);
+  reg.get_counter("runtime.injected.drops").add(t.injected_drops);
+  reg.get_counter("runtime.injected.delays").add(t.injected_delays);
+  reg.get_counter("runtime.injected.duplicates").add(t.injected_duplicates);
+  reg.get_counter("runtime.injected.corruptions").add(t.injected_corruptions);
+  reg.get_counter("runtime.injected.truncations").add(t.injected_truncations);
+  reg.get_counter("runtime.injected.reorders").add(t.injected_reorders);
+}
+
 const char* to_string(transport_backend backend) {
   switch (backend) {
     case transport_backend::inproc: return "inproc";
@@ -64,19 +65,6 @@ const char* to_string(transport_backend backend) {
 }
 
 transport::~transport() = default;
-
-int inproc_transport::rank() const { return comm_->rank(); }
-
-int inproc_transport::size() const { return comm_->size(); }
-
-void inproc_transport::send(int dst, int tag, std::span<const double> data) {
-  comm_->send(dst, tag, data);
-}
-
-bool inproc_transport::try_recv_any(int tag, std::chrono::microseconds wait,
-                                    any_message* out) {
-  return comm_->try_recv_any(tag, wait, out);
-}
 
 injection_pipeline::injection_pipeline(const fault_plan& plan, int rank,
                                        rank_counters* counters)

@@ -1,8 +1,8 @@
 #pragma once
-// Backend-agnostic transport carve: the narrow fabric surface the reliable
-// delivery layer (runtime/reliable.hpp) actually consumes, lifted out of the
-// in-process world so the same seq/ack/retransmit machinery, escalation
-// ladder, and chaos harness run unchanged over real byte streams.
+// Backend-agnostic transport: the narrow fabric surface the reliable
+// delivery layer (runtime/reliable.hpp) consumes, so the same
+// seq/ack/retransmit machinery, escalation ladder, and chaos harness run
+// unchanged over in-process mailboxes and over real byte streams.
 //
 // A transport is an unreliable datagram fabric: send() is asynchronous,
 // fire-and-forget, and may drop / duplicate / mangle payloads (by fault
@@ -12,14 +12,13 @@
 // what makes the backends interchangeable under one chaos contract.
 //
 // Backends:
-//   - inproc_transport (this header): a thin adapter over a world
-//     communicator — today's thread-backed mailbox fabric, verbatim.
+//   - world.hpp: thread-backed in-process mailboxes.
 //   - socket_transport.hpp: loopback TCP with framing, heartbeats, and a
 //     reconnect-with-epoch handshake.
+// fabric.hpp picks one by transport_backend and runs a rank program on it.
 //
-// The shared fabric vocabulary (rank_counters, any_message, the abort and
-// timeout exceptions) lives here because every backend speaks it; world.hpp
-// re-exports it by inclusion, so existing includes keep compiling.
+// The shared fabric vocabulary (rank_counters, any_message, world_aborted)
+// lives here because every backend speaks it.
 
 #include <chrono>
 #include <cstdint>
@@ -44,26 +43,12 @@ class world_aborted : public std::runtime_error {
   int failed_rank_;
 };
 
-/// Thrown when a blocking call exceeds the fabric's configured timeout — the
-/// deadlock-free alternative to waiting forever on a lost peer.
-class comm_timeout_error : public std::runtime_error {
- public:
-  comm_timeout_error(int self, const char* op, std::chrono::milliseconds t);
-  int rank() const { return rank_; }
-
- private:
-  int rank_;
-};
-
 /// Per-rank robustness accounting, exposed after a fabric run returns.
 struct rank_counters {
   std::int64_t messages_sent = 0;      ///< deliveries (duplicates included)
   std::int64_t messages_received = 0;
   std::int64_t doubles_sent = 0;
   std::int64_t doubles_received = 0;
-  std::int64_t barriers = 0;
-  std::int64_t reductions = 0;
-  std::int64_t timeouts = 0;           ///< comm_timeout_error thrown here
   std::int64_t aborts_observed = 0;    ///< world_aborted thrown here
   std::int64_t injected_kills = 0;
   std::int64_t injected_drops = 0;
@@ -75,6 +60,10 @@ struct rank_counters {
 
   rank_counters& operator+=(const rank_counters& o);
 };
+
+/// Add one run's totals to the global obs registry as the runtime.*
+/// counters every backend publishes.
+void publish_counters(const rank_counters& totals);
 
 /// One message pulled off the wire by try_recv_any: its provenance plus the
 /// payload exactly as delivered (possibly corrupted/truncated in transit).
@@ -120,27 +109,8 @@ class transport {
   transport() = default;
 };
 
-class communicator;  // runtime/world.hpp
-
-/// The in-process backend: a thin, behavior-preserving adapter over a world
-/// communicator. Holds no state of its own — counters, faults, and delivery
-/// all stay exactly where they were before the transport carve.
-class inproc_transport final : public transport {
- public:
-  explicit inproc_transport(communicator& comm) : comm_(&comm) {}
-
-  int rank() const override;
-  int size() const override;
-  void send(int dst, int tag, std::span<const double> data) override;
-  bool try_recv_any(int tag, std::chrono::microseconds wait,
-                    any_message* out) override;
-
- private:
-  communicator* comm_;
-};
-
-/// One rank's message-level fault machinery, extracted from the in-process
-/// fabric so every backend mangles outgoing messages identically: the same
+/// One rank's message-level fault machinery, shared by both backends so
+/// every backend mangles outgoing messages identically: the same
 /// plan, the same rng streams, the same counter accounting — which is what
 /// keeps one chaos schedule bit-for-bit reproducible across backends.
 ///
@@ -150,8 +120,8 @@ class injection_pipeline {
   injection_pipeline(const fault_plan& plan, int rank,
                      rank_counters* counters);
 
-  /// Count one communication op; throws rank_killed (and accounts it) when
-  /// a planned kill is due.
+  /// Count one communication op (every backend calls this once per send);
+  /// throws rank_killed (and accounts it) when a planned kill is due.
   void count_op();
 
   /// What one logical send turns into after injection.

@@ -1,26 +1,29 @@
 #pragma once
-// Virtual-rank runtime: a thread-backed, in-process message-passing fabric
-// with the MPI subset the SEAM mini-app needs (point-to-point send/recv,
-// barrier, allreduce). It lets the distributed model run and be validated
-// "distributed-style" on one node — the stand-in for MPI on the paper's
-// cluster.
+// Virtual-rank runtime: a thread-backed, in-process transport backend. Each
+// rank runs on its own thread with its own transport endpoint; send() copies
+// the payload into the destination's mailbox and try_recv_any() dequeues
+// from the rank's own. It is the stand-in for MPI point-to-point on the
+// paper's cluster, and it carries exactly what the loopback-TCP backend
+// (runtime/socket_transport.hpp) carries: unreliable datagrams, with the
+// reliable channel (runtime/reliable.hpp) on top for ordering, dedup and
+// delivery.
 //
-// Semantics: send() is asynchronous and copies its payload; recv() blocks
-// until a matching (source, tag) message arrives; messages between a fixed
-// (source, destination, tag) triple are delivered in send order.
+// Semantics: send() is asynchronous and copies its payload; messages between
+// a fixed (source, destination, tag) triple are delivered in send order
+// unless fault injection says otherwise.
 //
 // Fault tolerance: when any rank throws, a shared abort flag wakes every
-// rank blocked in recv/barrier/allreduce with world_aborted instead of
-// hanging the join loop. Per-call deadlines (world::options::timeout) turn
-// lost messages into comm_timeout_error. A seeded fault_plan injects
-// deterministic kills and message drop/delay/duplication for chaos tests,
-// and per-rank robustness counters account for everything that happened.
+// rank parked in try_recv_any with world_aborted instead of hanging the join
+// loop. A seeded fault_plan injects deterministic kills and message
+// drop/delay/duplication/corruption/truncation/reorder; an op is counted on
+// every send, exactly as on the socket backend, so one chaos schedule
+// replays bit for bit on both. Per-rank robustness counters account for
+// everything that happened.
 //
-// Observability: every blocking call is a trace span when an obs session is
-// active (rank threads are named "rank N" in the dump), blocking waits feed
-// wait-time histograms, and run() publishes the per-run counters — plus
-// per-tag payload bytes — into the global obs::registry. See
-// docs/observability.md.
+// Observability: every send is a trace span when an obs session is active
+// (rank threads are named "rank N" in the dump), and run() publishes the
+// per-run counters — plus per-tag payload bytes — into the global
+// obs::registry. See docs/observability.md.
 
 #include <atomic>
 #include <chrono>
@@ -38,53 +41,15 @@
 
 namespace sfp::runtime {
 
-class world;
-
-/// Per-rank communication handle, valid only inside world::run.
-class communicator {
- public:
-  int rank() const { return rank_; }
-  int size() const;
-
-  /// Asynchronously deliver `data` to `dst`'s mailbox under `tag`.
-  void send(int dst, int tag, std::span<const double> data);
-
-  /// Block until a message from (src, tag) arrives; returns its payload.
-  std::vector<double> recv(int src, int tag);
-
-  /// Progress-engine primitive for the reliable transport: wait up to
-  /// `wait` for a message with tag `tag` from *any* source and dequeue it.
-  /// Returns false when nothing arrived in time. Unlike recv this is not a
-  /// communication op (no fault-injection op count, no timeout counter) —
-  /// deadline policy belongs to the caller pumping it. Aborts still wake it
-  /// with world_aborted.
-  bool try_recv_any(int tag, std::chrono::microseconds wait, any_message* out);
-
-  /// Collective: all ranks must call; returns when everyone arrived.
-  void barrier();
-
-  /// Collective reductions over one double per rank.
-  double allreduce_sum(double value);
-  double allreduce_max(double value);
-
- private:
-  friend class world;
-  communicator(world& w, int rank) : world_(&w), rank_(rank) {}
-  world* world_;
-  int rank_;
-};
-
 /// A fixed-size group of virtual ranks. run() executes the given function
-/// once per rank, each on its own thread, and returns when all complete.
-/// Exceptions thrown by any rank abort the peers (they throw world_aborted
-/// out of any blocked communication call) and the root-cause exception is
-/// rethrown from run(). A world may be reused: run() resets all fabric and
-/// failure state.
+/// once per rank, each on its own thread with its own transport endpoint,
+/// and returns when all complete. Exceptions thrown by any rank abort the
+/// peers (they throw world_aborted out of try_recv_any) and the root-cause
+/// exception is rethrown from run(). A world may be reused: run() resets all
+/// fabric and failure state.
 class world {
  public:
   struct options {
-    /// Per blocking call (recv/barrier/allreduce). zero = wait forever.
-    std::chrono::milliseconds timeout{0};
     /// Deterministic chaos schedule; default-constructed = no faults.
     fault_plan faults;
   };
@@ -94,7 +59,7 @@ class world {
 
   int size() const { return num_ranks_; }
 
-  void run(const std::function<void(communicator&)>& rank_main);
+  void run(const std::function<void(transport&)>& rank_main);
 
   /// Rank whose exception triggered the abort of the last run, or -1 if the
   /// last run completed cleanly.
@@ -105,13 +70,8 @@ class world {
   const rank_counters& counters(int rank) const;
   rank_counters total_counters() const;
 
-  /// Doubles delivered per message tag over the last run, summed across
-  /// sending ranks (duplicates included) — the wire-volume breakdown the
-  /// trace tooling turns into per-tag byte counters.
-  std::map<int, std::int64_t> total_doubles_by_tag() const;
-
  private:
-  friend class communicator;
+  class endpoint;  ///< one rank's transport (world.cpp)
 
   struct mailbox {
     std::mutex mutex;
@@ -119,15 +79,11 @@ class world {
     std::map<std::pair<int, int>, std::deque<std::vector<double>>> queues;
   };
 
+  void send(int src, int dst, int tag, std::span<const double> data);
   void deliver(int dst, int src, int tag, std::vector<double> data);
-  /// Blocking dequeue; adds the time spent parked on the condition variable
-  /// (queue wait, as opposed to transfer/copy time) to *wait_ns.
-  std::vector<double> take(int dst, int src, int tag, std::int64_t* wait_ns);
   /// Bounded-wait dequeue of any (src=*, tag) message; false on timeout.
   bool take_any(int dst, int tag, std::chrono::microseconds wait,
                 any_message* out);
-  void barrier_wait(int rank);
-  double reduce(int rank, double value, bool take_max);
   void trigger_abort(int rank);
   bool abort_requested() const {
     return abort_flag_.load(std::memory_order_acquire);
@@ -149,21 +105,6 @@ class world {
   std::vector<rank_counters> counters_;
   std::vector<std::map<int, std::int64_t>> tag_doubles_;
   std::vector<injection_pipeline> pipelines_;
-
-  // Barrier (reusable, generation-counted).
-  std::mutex barrier_mutex_;
-  std::condition_variable barrier_cv_;
-  int barrier_arrived_ = 0;
-  std::uint64_t barrier_generation_ = 0;
-
-  // Reduction scratch (guarded by the barrier protocol around it).
-  std::mutex reduce_mutex_;
-  std::condition_variable reduce_cv_;
-  std::vector<double> reduce_slots_;
-  int reduce_arrived_ = 0;
-  int reduce_departed_ = 0;
-  std::uint64_t reduce_generation_ = 0;
-  double reduce_result_ = 0;
 };
 
 }  // namespace sfp::runtime

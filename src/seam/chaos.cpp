@@ -343,9 +343,7 @@ chaos_trial chaos_harness::run(const chaos_schedule& schedule) const {
   chaos_trial t;
   resilience_options ropts;
   ropts.faults = to_fault_plan(schedule, opts_.backend);
-  ropts.timeout = opts_.timeout;
   ropts.max_recoveries = 1;
-  ropts.reliable_transport = true;
   ropts.reliable = opts_.reliable;
   ropts.backend = opts_.backend;
   if (opts_.backend == runtime::transport_backend::socket)
@@ -499,7 +497,6 @@ partition_chaos_trial partition_chaos_harness::run(
   if (opts_.backend == runtime::transport_backend::socket)
     opts.stream_faults = to_stream_plan(schedule);
   opts.reliable = opts_.reliable;
-  opts.timeout = opts_.timeout;
   opts.regroup = opts_.regroup;
   opts.max_recoveries = opts_.max_recoveries;
 

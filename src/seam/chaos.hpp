@@ -15,7 +15,6 @@
 // the run heals every injected fault in place: one attempt, no re-slices,
 // and a final tracer field within `tolerance` of the fault-free baseline.
 
-#include <chrono>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -25,10 +24,10 @@
 #include "io/json.hpp"
 #include "mesh/cubed_sphere.hpp"
 #include "partition/partition.hpp"
-#include "runtime/fault.hpp"  // lint: layering-ok — seam hosts the timeout-aware wrappers over the virtual-rank world (see blocking rule)
-#include "runtime/partition_fabric.hpp"  // lint: layering-ok — seam hosts the timeout-aware wrappers over the virtual-rank world (see blocking rule)
-#include "runtime/reliable.hpp"  // lint: layering-ok — seam hosts the timeout-aware wrappers over the virtual-rank world (see blocking rule)
-#include "runtime/socket_transport.hpp"  // lint: layering-ok — seam hosts the timeout-aware wrappers over the virtual-rank world (see blocking rule)
+#include "runtime/fault.hpp"
+#include "runtime/partition_fabric.hpp"
+#include "runtime/reliable.hpp"
+#include "runtime/socket_transport.hpp"
 #include "seam/advection.hpp"
 #include "seam/distributed.hpp"
 
@@ -131,7 +130,6 @@ struct chaos_options {
   int nsteps = 3;   ///< RK3 steps per trial
   double cfl = 0.3; ///< dt = model.cfl_dt(cfl)
   double tolerance = 1e-12;  ///< max |chaos - baseline| to pass
-  std::chrono::milliseconds timeout{10000};  ///< per blocking world call
   /// Channel tuning, incl. the verify_checksums test hook.
   runtime::reliable_options reliable = chaos_reliable_defaults();
   /// Fabric under test. Both backends run the identical schedule through
@@ -228,7 +226,6 @@ struct partition_chaos_options {
   int nranks = 4;   ///< virtual ranks
   runtime::transport_backend backend = runtime::transport_backend::inproc;
   runtime::reliable_options reliable = partition_chaos_reliable_defaults();
-  std::chrono::milliseconds timeout{10000};  ///< per blocking world call
   core::regroup_options regroup;             ///< quorum + patience budget
   int max_recoveries = 3;
 };

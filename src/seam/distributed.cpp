@@ -2,16 +2,16 @@
 
 #include <algorithm>
 #include <exception>
+#include <limits>
 #include <mutex>
-#include <optional>
 #include <span>
 #include <utility>
 #include <vector>
 
 #include "core/escalation.hpp"
 #include "obs/trace.hpp"
-#include "runtime/reliable.hpp"  // lint: layering-ok — seam hosts the timeout-aware wrappers over the virtual-rank world (see blocking rule)
-#include "runtime/world.hpp"  // lint: layering-ok — seam hosts the timeout-aware wrappers over the virtual-rank world (see blocking rule)
+#include "runtime/fabric.hpp"
+#include "runtime/reliable.hpp"
 #include "seam/exchange.hpp"
 #include "seam/rk3.hpp"
 #include "util/require.hpp"
@@ -128,7 +128,18 @@ void rank_body(const rank_exchange_plan& rp, halo_exchanger& halo,
   stepper.report_to(collector);
 }
 
-/// The plain (fault-free, in-process) runners: one exchange plan, one world,
+/// The plain runners' channel: no receive deadline and no retransmit
+/// budget. A plain run has no recovery path, so giving up on a live but
+/// descheduled peer would only turn a slow fault-free run into a failed
+/// one; a rank failure still ends every wait by aborting the fabric.
+runtime::reliable_options patient_channel() {
+  runtime::reliable_options opts;
+  opts.recv_timeout = std::chrono::milliseconds(0);
+  opts.max_retransmits = std::numeric_limits<int>::max();
+  return opts;
+}
+
+/// The plain (in-process) runners: one exchange plan, one fabric,
 /// rank_body for `nsteps` steps on every rank. Returns the final fields and
 /// fills `stats`, per-rank counters included, if non-null.
 template <std::size_t N, typename Step>
@@ -139,19 +150,23 @@ field_list run_plain(const assembly& dofs, const partition::partition& part,
   const exchange_plan plan = exchange_plan::build(dofs, part);
   field_list out(init.size(), std::vector<double>(init.front().size(), 0.0));
   stats_collector collector;
-  runtime::world w(part.num_parts, wopts);  // lint: transport-discipline-ok — run_plain is the plain runners' single fabric construction site
-  w.run([&](runtime::communicator& comm) {
-    const rank_exchange_plan& rp =
-        plan.ranks[static_cast<std::size_t>(comm.rank())];
-    halo_exchanger halo(rp, comm);
-    rank_body<N>(rp, halo, init, 0, nsteps, step, [](int, field_list&) {},
-                 out, collector);
-  });
+  runtime::fabric_options fopts;
+  fopts.faults = wopts.faults;
+  runtime::fabric_report frep;
+  runtime::run_fabric(
+      part.num_parts, fopts,
+      [&](runtime::transport& t) {
+        const rank_exchange_plan& rp =
+            plan.ranks[static_cast<std::size_t>(t.rank())];
+        runtime::reliable_channel channel(t, patient_channel());
+        halo_exchanger halo(rp, t.rank(), channel);
+        rank_body<N>(rp, halo, init, 0, nsteps, step,
+                     [](int, field_list&) {}, out, collector);
+      },
+      &frep);
   if (stats) {
     *stats = collector.total;
-    stats->per_rank.reserve(static_cast<std::size_t>(part.num_parts));
-    for (int p = 0; p < part.num_parts; ++p)
-      stats->per_rank.push_back(w.counters(p));
+    stats->per_rank = std::move(frep.per_rank);
   }
   return out;
 }
@@ -207,114 +222,72 @@ std::vector<double> run_distributed_resilient(
     rep.attempts = attempt + 1;
 
     // Per-step checkpoints, double-buffered. A buffer for step s is sealed
-    // by the end-of-step barrier and can only be overwritten at step s+2,
-    // which requires the step s+1 barrier — so the newest fully-barriered
+    // by the end-of-step fence and can only be overwritten at step s+2,
+    // which requires the step s+1 fence — so the newest fully-fenced
     // buffer is never torn, even with ranks one step apart mid-abort.
     field_list snap(2, state.front());
     std::mutex progress_mutex;
     std::vector<int> progress(static_cast<std::size_t>(nranks), 0);
 
-    // How this attempt died, for the escalation policy. Set under
-    // reliable_mutex-free single-writer discipline: only the root-cause
-    // exception reaches the catch blocks below.
+    // How this attempt died, for the escalation policy. Only the
+    // root-cause exception reaches the catch blocks below.
     core::failure_kind kind = core::failure_kind::unknown;
     int thrower = -1, unreachable_peer = -1;
     std::exception_ptr failure;
     std::mutex reliable_mutex;
 
-    // One rank's attempt, independent of the fabric underneath. In-process
-    // mode passes the raw communicator (channel optional); socket mode
-    // passes only the reliable channel — there is no raw communicator, so
-    // every collective point goes through the channel's pumping fence.
-    const std::vector<std::span<const double>> init{state.front()};
-    const auto attempt_body = [&](int rank, runtime::communicator* comm,
-                                  runtime::reliable_channel* channel) {
-      const rank_exchange_plan& rp =
-          plan.ranks[static_cast<std::size_t>(rank)];
-      halo_exchanger halo = channel ? halo_exchanger(rp, rank, *channel)
-                                    : halo_exchanger(rp, *comm);
-      const auto checkpoint_step = [&](int step, const field_list& q) {
-        auto& checkpoint = snap[static_cast<std::size_t>((step - done) & 1)];
-        for (const std::size_t n : rp.owned_nodes) checkpoint[n] = q[0][n];
-        // Seal the checkpoint. With the reliable channel this MUST be the
-        // pumping fence, not the raw barrier: a rank parked in a
-        // non-pumping collective can never retransmit or re-ack, so a
-        // peer still healing a lost message would starve until its
-        // recv_timeout and fake a peer_unreachable escalation.
-        if (channel)
-          channel->fence();
-        else
-          comm->barrier();  // lint: blocking-ok — per-step sync; world::options::timeout turns a lost rank into comm_timeout_error
-        std::lock_guard<std::mutex> lock(progress_mutex);
-        progress[static_cast<std::size_t>(rank)] = step - done + 1;
-      };
-      rank_body<1>(rp, halo, init, done, nsteps, advection_step(model, dt),
-                   checkpoint_step, state, collector);
-      if (channel) {
-        std::lock_guard<std::mutex> lock(reliable_mutex);
-        rep.reliable += channel->stats();
-      }
-    };
-
-    // Identical fabric-failure handling on every backend: exactly these
-    // three exception types feed the escalation ladder. Anything else
-    // (model assertions, contract violations) propagates.
-    const auto run_attempt = [&](auto& fabric, const auto& main_fn) {
-      try {
-        fabric.run(main_fn);
-      } catch (const runtime::rank_killed&) {
-        kind = core::failure_kind::rank_killed;
-        thrower = fabric.failed_rank();
-        failure = std::current_exception();
-      } catch (const runtime::peer_unreachable_error& e) {
-        kind = core::failure_kind::peer_unreachable;
-        thrower = e.rank();
-        unreachable_peer = e.peer();
-        failure = std::current_exception();
-      } catch (const runtime::comm_timeout_error& e) {
-        kind = core::failure_kind::comm_timeout;
-        thrower = e.rank();
-        failure = std::current_exception();
-      }
-    };
-
-    if (ropts.backend == runtime::transport_backend::inproc) {
-      runtime::world::options wopts;
-      wopts.timeout = ropts.timeout;
-      if (attempt == 0) wopts.faults = ropts.faults;
-      runtime::world w(nranks, wopts);  // lint: transport-discipline-ok — the resilient runner's in-process fabric branch
-      run_attempt(w, [&](runtime::communicator& comm) {
-        std::optional<runtime::reliable_channel> channel;
-        if (ropts.reliable_transport) {
-          runtime::reliable_options reliable_opts = ropts.reliable;
-          reliable_opts.epoch = static_cast<std::uint64_t>(attempt);
-          channel.emplace(comm, reliable_opts);
-        }
-        attempt_body(comm.rank(), &comm, channel ? &*channel : nullptr);
-      });
-      rep.counters += w.total_counters();
-    } else {
-      SFP_REQUIRE(ropts.reliable_transport,
-                  "socket backend requires reliable_transport");
-      runtime::socket_fabric_options sopts;
-      if (attempt == 0) {
-        sopts.faults = ropts.faults;
-        sopts.stream_faults = ropts.stream_faults;
-      }
-      // Pin stream faults to reliable *data* frames: acks are smaller than
-      // one envelope payload, so their interleaving can't shift a fault's
-      // nth index between runs.
-      sopts.stream_fault_min_payload = runtime::wire::header_doubles + 1;
-      runtime::socket_fabric fab(nranks, sopts);  // lint: transport-discipline-ok — the resilient runner's socket fabric branch
-      run_attempt(fab, [&](runtime::transport& t) {
-        runtime::reliable_options reliable_opts = ropts.reliable;
-        reliable_opts.epoch = static_cast<std::uint64_t>(attempt);
-        runtime::reliable_channel channel(t, reliable_opts);
-        attempt_body(t.rank(), nullptr, &channel);
-      });
-      rep.counters += fab.total_counters();
-      rep.socket += fab.total_stats();
+    runtime::fabric_options fopts;
+    fopts.backend = ropts.backend;
+    if (attempt == 0) {
+      fopts.faults = ropts.faults;
+      fopts.stream_faults = ropts.stream_faults;
     }
+    runtime::reliable_options reliable_opts = ropts.reliable;
+    reliable_opts.epoch = static_cast<std::uint64_t>(attempt);
+    const std::vector<std::span<const double>> init{state.front()};
+    runtime::fabric_report frep;
+    // Identical fabric-failure handling on every backend: exactly these
+    // two exception types feed the escalation ladder. Anything else
+    // (model assertions, contract violations) propagates.
+    try {
+      runtime::run_fabric(
+          nranks, fopts,
+          [&](runtime::transport& t) {
+            const int rank = t.rank();
+            const rank_exchange_plan& rp =
+                plan.ranks[static_cast<std::size_t>(rank)];
+            runtime::reliable_channel channel(t, reliable_opts);
+            halo_exchanger halo(rp, rank, channel);
+            const auto checkpoint_step = [&](int step, const field_list& q) {
+              auto& checkpoint =
+                  snap[static_cast<std::size_t>((step - done) & 1)];
+              for (const std::size_t n : rp.owned_nodes)
+                checkpoint[n] = q[0][n];
+              // Seal the checkpoint: once the fence returns, every rank has
+              // written its slice of this step.
+              channel.fence();
+              std::lock_guard<std::mutex> lock(progress_mutex);
+              progress[static_cast<std::size_t>(rank)] = step - done + 1;
+            };
+            rank_body<1>(rp, halo, init, done, nsteps,
+                         advection_step(model, dt), checkpoint_step, state,
+                         collector);
+            std::lock_guard<std::mutex> lock(reliable_mutex);
+            rep.reliable += channel.stats();
+          },
+          &frep);
+    } catch (const runtime::rank_killed& e) {
+      kind = core::failure_kind::rank_killed;
+      thrower = e.rank();
+      failure = std::current_exception();
+    } catch (const runtime::peer_unreachable_error& e) {
+      kind = core::failure_kind::peer_unreachable;
+      thrower = e.rank();
+      unreachable_peer = e.peer();
+      failure = std::current_exception();
+    }
+    rep.counters += frep.counters;
+    rep.socket += frep.socket;
 
     if (failure) {
       const core::escalation_decision decision = core::decide_escalation(

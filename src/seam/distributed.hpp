@@ -3,9 +3,9 @@
 // runtime: each rank computes its partition's elements and exchanges element
 // boundary contributions with neighbouring ranks at every RK stage — the
 // same halo-exchange pattern that determines SEAM's parallel performance on
-// the paper's cluster.
+// the paper's cluster. Every runner's rank program speaks a
+// runtime::reliable_channel over the transport runtime::run_fabric hands it.
 
-#include <chrono>
 #include <cstdint>
 #include <vector>
 
@@ -13,9 +13,9 @@
 #include "core/rebalance.hpp"
 #include "mesh/cubed_sphere.hpp"
 #include "partition/partition.hpp"
-#include "runtime/reliable.hpp"  // lint: layering-ok — seam hosts the timeout-aware wrappers over the virtual-rank world (see blocking rule)
-#include "runtime/socket_transport.hpp"  // lint: layering-ok — seam hosts the timeout-aware wrappers over the virtual-rank world (see blocking rule)
-#include "runtime/world.hpp"  // lint: layering-ok — seam hosts the timeout-aware wrappers over the virtual-rank world (see blocking rule)
+#include "runtime/reliable.hpp"
+#include "runtime/socket_transport.hpp"
+#include "runtime/world.hpp"
 #include "seam/advection.hpp"
 #include "seam/layered.hpp"
 #include "seam/shallow_water.hpp"
@@ -29,8 +29,8 @@ struct dist_stats {
   std::int64_t messages = 0;    ///< point-to-point messages sent
   std::int64_t doubles_sent = 0;  ///< total payload volume
   double max_rank_seconds = 0;  ///< slowest rank's total time
-  /// Per-rank runtime counters from the world (indexed by rank). Filled by
-  /// the plain runners (run_distributed, run_distributed_swe,
+  /// Per-rank fabric counters (indexed by rank). Filled by the plain
+  /// runners (run_distributed, run_distributed_swe,
   /// run_distributed_layered), not by run_distributed_resilient; the trace
   /// tooling joins these with the span timeline.
   std::vector<runtime::rank_counters> per_rank;
@@ -42,8 +42,10 @@ struct dist_stats {
 /// layout (the model itself is left untouched). Fills `stats` if non-null.
 ///
 /// Requires part.num_parts >= 1 and one label per mesh element; every part
-/// must own at least one element. `wopts` configures the virtual-rank
-/// runtime (timeouts, fault injection) — the default is fault-free.
+/// must own at least one element. `wopts` configures the in-process fabric
+/// (fault injection) — the default is fault-free. The rank channels never
+/// give up on a live peer: no receive deadline and no retransmit budget, so
+/// only a rank failure (which aborts the run) ends a wait.
 std::vector<double> run_distributed(const advection_model& model,
                                     const partition::partition& part,
                                     double dt, int nsteps,
@@ -54,21 +56,16 @@ std::vector<double> run_distributed(const advection_model& model,
 struct resilience_options {
   /// Injected into the first attempt only; recovery attempts run clean.
   runtime::fault_plan faults;
-  /// Per blocking runtime call; zero = wait forever (aborts still wake).
-  std::chrono::milliseconds timeout{0};
   /// Rank failures survived before giving up and rethrowing.
   int max_recoveries = 1;
-  /// Route halo traffic through the reliable channel (checksum + ack +
-  /// retransmit): transient drop/corrupt/duplicate/reorder faults heal in
-  /// place with zero aborts, and only genuine rank death (or retransmit
-  /// exhaustion) climbs to the plan_recovery re-slice.
-  bool reliable_transport = false;
-  /// Tuning for the channel when reliable_transport is on. The epoch field
-  /// is overwritten with the attempt number.
+  /// Tuning for the reliable channel that carries the halo traffic:
+  /// transient drop/corrupt/duplicate/reorder faults heal in place with
+  /// zero aborts, and only genuine rank death (or retransmit exhaustion /
+  /// a receive deadline) climbs to the plan_recovery re-slice. The epoch
+  /// field is overwritten with the attempt number.
   runtime::reliable_options reliable;
-  /// Which fabric carries the halo traffic. The socket backend runs the
-  /// identical rank program over loopback TCP and requires
-  /// reliable_transport (raw framed streams give no delivery guarantee).
+  /// Which fabric carries the halo traffic; both run the identical rank
+  /// program.
   runtime::transport_backend backend = runtime::transport_backend::inproc;
   /// Byte-stream chaos for the socket backend, injected underneath the
   /// message-level `faults` on the first attempt only. Ignored by the
@@ -85,8 +82,7 @@ struct recovery_report {
   std::vector<graph::vid> survivor_of;  ///< new rank -> pre-failure rank
   partition::partition final_partition;
   runtime::rank_counters counters;  ///< totals over all attempts
-  /// Reliable-transport totals over all ranks and attempts (all zero when
-  /// resilience_options::reliable_transport was off).
+  /// Reliable-channel totals over all ranks and attempts.
   runtime::reliable_stats reliable;
   /// Socket-layer totals over all attempts (all zero on the in-process
   /// backend).
@@ -94,8 +90,8 @@ struct recovery_report {
 };
 
 /// Fault-tolerant variant of run_distributed. Every completed step is
-/// checkpointed (owned slices into a shared double buffer, sealed by a
-/// barrier). If a rank fails, survivors re-slice the same cube curve over
+/// checkpointed (owned slices into a shared double buffer, sealed by the
+/// channel's fence). If a rank fails, survivors re-slice the same cube curve over
 /// nparts-1 segments with plan_recovery — only the failed segment's
 /// elements migrate — and the run resumes from the last complete
 /// checkpoint, reproducing the fault-free tracer field. Requires `part` to

@@ -116,20 +116,9 @@ int exchange_plan::max_peers() const {
   return static_cast<int>(most);
 }
 
-halo_exchanger::halo_exchanger(const rank_exchange_plan& plan,
-                               runtime::communicator& comm)
-    : halo_exchanger(plan, comm.rank()) {
-  comm_ = &comm;
-}
-
 halo_exchanger::halo_exchanger(const rank_exchange_plan& plan, int rank,
                                runtime::reliable_channel& channel)
-    : halo_exchanger(plan, rank) {
-  reliable_ = &channel;
-}
-
-halo_exchanger::halo_exchanger(const rank_exchange_plan& plan, int rank)
-    : plan_(&plan) {
+    : plan_(&plan), channel_(&channel) {
   acc_.resize(plan.touched_dofs.size());
   fresh_.resize(plan.touched_dofs.size());
   // Per-neighbour wire-volume counters, only while a session is observing:
@@ -162,10 +151,7 @@ std::pair<std::int64_t, std::int64_t> halo_exchanger::dss_average(
       packed_.resize(peer.dof_local.size());
       for (std::size_t k = 0; k < peer.dof_local.size(); ++k)
         packed_[k] = acc_[static_cast<std::size_t>(peer.dof_local[k])];
-      if (reliable_)
-        reliable_->send(peer.rank, tag, packed_);
-      else
-        comm_->send(peer.rank, tag, packed_);
+      channel_->send(peer.rank, tag, packed_);
       ++messages;
       doubles_sent += static_cast<std::int64_t>(packed_.size());
       if (!peer_doubles_.empty())
@@ -176,22 +162,20 @@ std::pair<std::int64_t, std::int64_t> halo_exchanger::dss_average(
     SFP_TRACE_SCOPE_CAT("halo.recv", "seam");
     fresh_ = acc_;
     for (const auto& peer : plan.peers) {
-      const std::vector<double> incoming = reliable_
-                                               ? reliable_->recv(peer.rank, tag)
-                                               : comm_->recv(peer.rank, tag);
+      const std::vector<double> incoming = channel_->recv(peer.rank, tag);
       SFP_REQUIRE(incoming.size() == peer.dof_local.size(),
                   "halo exchange size mismatch");
       for (std::size_t k = 0; k < incoming.size(); ++k)
         fresh_[static_cast<std::size_t>(peer.dof_local[k])] += incoming[k];
     }
   }
-  if (reliable_) {
-    // Settle the fabric before anyone can reach a raw, non-pumping
-    // collective: every send acked, then a pumping barrier proving every
-    // rank got that far (see reliable_channel::fence).
+  {
+    // Settle the fabric before anyone moves on: every send acked, then a
+    // pumping barrier proving every rank got that far (see
+    // reliable_channel::fence).
     SFP_TRACE_SCOPE_CAT("halo.settle", "seam");
-    reliable_->flush();
-    reliable_->fence();
+    channel_->flush();
+    channel_->fence();
   }
   {
     SFP_TRACE_SCOPE_CAT("halo.unpack", "seam");

@@ -16,8 +16,7 @@
 
 #include "obs/metrics.hpp"
 #include "partition/partition.hpp"
-#include "runtime/reliable.hpp"  // lint: layering-ok — seam hosts the timeout-aware wrappers over the virtual-rank world (see blocking rule)
-#include "runtime/world.hpp"  // lint: layering-ok — seam hosts the timeout-aware wrappers over the virtual-rank world (see blocking rule)
+#include "runtime/reliable.hpp"
 #include "seam/assembly.hpp"
 
 namespace sfp::seam {
@@ -55,19 +54,16 @@ struct exchange_plan {
 /// sums, exchanges boundary partials with every peer, and writes averaged
 /// values back into the owned slice of `field`. Each call must use a fresh
 /// `tag` agreed across ranks (e.g. a shared counter).
+///
+/// Halo traffic travels through `channel` (checksummed, acked,
+/// retransmitted — see runtime/reliable.hpp) on whatever backend carries
+/// it, healing injected drop/corrupt/duplicate/reorder faults in place.
+/// Each dss_average ends with channel.flush() and channel.fence(): no rank
+/// leaves the exchange until every rank's halo traffic is delivered and
+/// acknowledged. `channel` must outlive the exchanger; `rank` is this
+/// rank's id, used only for the per-peer obs counter names.
 class halo_exchanger {
  public:
-  halo_exchanger(const rank_exchange_plan& plan, runtime::communicator& comm);
-
-  /// Reliable-transport mode, on any backend (in-process or socket): halo
-  /// traffic travels through `channel` (checksummed, acked, retransmitted —
-  /// see runtime/reliable.hpp) instead of raw sends, healing injected
-  /// drop/corrupt/duplicate/reorder faults in place. Each dss_average then
-  /// ends with channel.flush() and channel.fence(): no rank leaves the
-  /// exchange until every rank's halo traffic is delivered and
-  /// acknowledged, which is what makes it safe to enter raw (non-pumping)
-  /// collectives afterwards. `channel` must outlive the exchanger; `rank` is
-  /// this rank's id, used only for the per-peer obs counter names.
   halo_exchanger(const rank_exchange_plan& plan, int rank,
                  runtime::reliable_channel& channel);
 
@@ -77,13 +73,8 @@ class halo_exchanger {
                                                     int tag);
 
  private:
-  /// Shared core: obs counters + scratch sizing; `rank` only names the
-  /// counters. Delegated to by every public constructor.
-  halo_exchanger(const rank_exchange_plan& plan, int rank);
-
   const rank_exchange_plan* plan_;
-  runtime::communicator* comm_ = nullptr;  ///< null in reliable-only mode
-  runtime::reliable_channel* reliable_ = nullptr;
+  runtime::reliable_channel* channel_;
   std::vector<double> acc_;     // per touched dof
   std::vector<double> fresh_;   // accumulated incl. remote partials
   std::vector<double> packed_;  // send scratch

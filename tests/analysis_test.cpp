@@ -295,6 +295,36 @@ TEST(LayeringPass, ReportsUnknownModuleOnce) {
   EXPECT_NE(unknown[0].message.find("tools/layering.json"), std::string::npos);
 }
 
+#ifdef SFCPART_SOURCE_DIR
+TEST(LayeringPass, CommittedManifestStillFlagsUpwardIncludes) {
+  // The committed manifest puts partition below core and runtime below
+  // seam, matching the real include graph. Those downward edges are legal;
+  // their reverses must still be flagged.
+  const layering_manifest m =
+      load_manifest(std::string(SFCPART_SOURCE_DIR) + "/tools/layering.json");
+  const source_tree t = make_tree({
+      {"src/runtime/up.cpp", "#include \"seam/distributed.hpp\"\n"},
+      {"src/partition/up.cpp", "#include \"core/sfc_partition.hpp\"\n"},
+      {"src/seam/down.cpp", "#include \"runtime/reliable.hpp\"\n"},
+      {"src/core/down.cpp", "#include \"partition/partition.hpp\"\n"},
+      {"src/seam/distributed.hpp", "#pragma once\n"},
+      {"src/core/sfc_partition.hpp", "#pragma once\n"},
+      {"src/runtime/reliable.hpp", "#pragma once\n"},
+      {"src/partition/partition.hpp", "#pragma once\n"},
+  });
+  auto flagged = with_rule(check_layering(build_module_graph(t), m),
+                           "layering");
+  std::sort(flagged.begin(), flagged.end());
+  ASSERT_EQ(flagged.size(), 2u);
+  EXPECT_EQ(flagged[0].file, "src/partition/up.cpp");
+  EXPECT_NE(flagged[0].message.find("'partition' may not depend on 'core'"),
+            std::string::npos);
+  EXPECT_EQ(flagged[1].file, "src/runtime/up.cpp");
+  EXPECT_NE(flagged[1].message.find("'runtime' may not depend on 'seam'"),
+            std::string::npos);
+}
+#endif
+
 // ---------------------------------------------------------------------------
 // Pass: determinism
 // ---------------------------------------------------------------------------

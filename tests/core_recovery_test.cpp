@@ -210,13 +210,6 @@ TEST(Escalation, UnreachablePeerIsTheVictimNotTheThrower) {
   EXPECT_EQ(d.victim, 3);
 }
 
-TEST(Escalation, TimeoutFallsBackToTheThrower) {
-  const auto d = core::decide_escalation(core::failure_kind::comm_timeout,
-                                         /*thrower=*/1, /*peer=*/-1, 0, 1, 4);
-  EXPECT_TRUE(d.recover);
-  EXPECT_EQ(d.victim, 1);
-}
-
 TEST(Escalation, NeverRecoversPastTheBudgetOrBelowTwoRanks) {
   EXPECT_FALSE(core::decide_escalation(core::failure_kind::rank_killed, 0, -1,
                                        /*attempt=*/1, /*max_recoveries=*/1, 4)

@@ -18,6 +18,7 @@
 #include "core/parallel_partition.hpp"
 #include "core/sfc_partition.hpp"
 #include "runtime/partition_fabric.hpp"
+#include "runtime/world.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -49,9 +50,9 @@ TEST(SoloComm, CollectivesAreIdentities) {
 template <typename Body>
 void run_peer_group(int nranks, Body&& body) {
   runtime::world w(nranks);
-  w.run([&](runtime::communicator& comm) {
-    runtime::reliable_channel channel(comm);
-    runtime::reliable_peer_comm peers(channel, comm.rank(), comm.size());
+  w.run([&](runtime::transport& t) {
+    runtime::reliable_channel channel(t);
+    runtime::reliable_peer_comm peers(channel, t.rank(), t.size());
     body(peers);
     channel.flush();
     channel.fence();
@@ -277,7 +278,7 @@ TEST(SplitterSearch, DistributedMatchesSoloAcrossUnevenAndEmptyBlocks) {
 // Survivor regroup over injected rank kills: the regroup_comm wrapper must
 // shrink the group around the corpses and let the survivors re-execute the
 // collective deterministically — or, below quorum, abort cleanly instead of
-// hanging. Every test here doubles as a hang check: the world's blocking
+// hanging. Every test here doubles as a hang check: the channel's receive
 // timeout bounds any stuck rank, so mere completion is part of the contract.
 
 /// Per-rank outcome of one faulted regroup run.
@@ -311,15 +312,12 @@ std::vector<regroup_run> run_regroup_group(int nranks,
                                            core::regroup_options ropts,
                                            Body&& body) {
   std::vector<regroup_run> out(static_cast<std::size_t>(nranks));
-  runtime::world::options wopts;
-  wopts.timeout = std::chrono::milliseconds(20000);
-  wopts.faults = std::move(faults);
-  runtime::world w(nranks, wopts);
-  w.run([&](runtime::communicator& comm) {
-    regroup_run& r = out[static_cast<std::size_t>(comm.rank())];
-    runtime::reliable_channel channel(comm, kill_test_reliable());
+  runtime::world w(nranks, {.faults = std::move(faults)});
+  w.run([&](runtime::transport& t) {
+    regroup_run& r = out[static_cast<std::size_t>(t.rank())];
+    runtime::reliable_channel channel(t, kill_test_reliable());
     try {
-      runtime::reliable_peer_comm peers(channel, comm.rank(), comm.size());
+      runtime::reliable_peer_comm peers(channel, t.rank(), t.size());
       core::regroup_comm group(peers, ropts);
       for (int attempt = 0; attempt < nranks; ++attempt) {
         try {

@@ -28,6 +28,7 @@
 #include "mesh/cubed_sphere.hpp"
 #include "mgp/partitioner.hpp"
 #include "obs/obs.hpp"
+#include "runtime/reliable.hpp"
 #include "runtime/world.hpp"
 #include "seam/advection.hpp"
 #include "seam/distributed.hpp"
@@ -328,9 +329,11 @@ TEST(TraceExport, MetricsJsonParsesAndHistogramsAreConsistent) {
   EXPECT_TRUE(has_prefix(histograms.object, "mgp.refine"));
   EXPECT_TRUE(has_prefix(histograms.object, "runtime.recv.queue_wait"));
   EXPECT_GT(counters.at("runtime.messages_sent").number, 0.0);
-  // Conservation: the world's aggregate equals what it delivered.
-  EXPECT_DOUBLE_EQ(counters.at("runtime.doubles_sent").number,
-                   counters.at("runtime.doubles_received").number);
+  // Conservation: on a fault-free run every message the rank channels sent
+  // was delivered exactly once.
+  EXPECT_GT(counters.at("reliable.data_sent").number, 0.0);
+  EXPECT_DOUBLE_EQ(counters.at("reliable.data_sent").number,
+                   counters.at("reliable.data_received").number);
 }
 
 TEST(TraceExport, CounterEventsCarryPerKindInjectedFaultMetrics) {
@@ -347,8 +350,6 @@ TEST(TraceExport, CounterEventsCarryPerKindInjectedFaultMetrics) {
   model.set_field([](mesh::vec3 p) { return p.x * p.x + p.y; });
   seam::resilience_options ropts;
   ropts.faults.seed = 11;
-  ropts.timeout = std::chrono::milliseconds(10000);
-  ropts.reliable_transport = true;
   ropts.reliable.recv_timeout = std::chrono::milliseconds(8000);
   auto& mf = ropts.faults.message_faults.emplace_back();
   mf.drop_probability = 0.2;
@@ -412,14 +413,16 @@ TEST(TraceRuntime, ConcurrentRankRecordingIsClean) {
   // test the tsan preset exercises hardest.
   obs::session s;
   runtime::world w(8);
-  w.run([](runtime::communicator& c) {
+  w.run([](runtime::transport& t) {
+    runtime::reliable_channel channel(t);
     for (int i = 0; i < 50; ++i) {
       SFP_TRACE_SCOPE_CAT("work", "test");
       obs::registry::global()
-          .get_counter("obs_test.rank." + std::to_string(c.rank()))
+          .get_counter("obs_test.rank." + std::to_string(t.rank()))
           .inc();
-      c.barrier();
+      channel.fence();
     }
+    channel.flush();
   });
   const auto dump = s.finish();
   std::int64_t recorded = 0, dropped = 0;

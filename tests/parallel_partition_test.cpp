@@ -201,8 +201,8 @@ INSTANTIATE_TEST_SUITE_P(Backends, ParallelPartitionOverBackend,
 // ---------------------------------------------------------------------------
 // Rank kills: fail-stop deaths mid-run. A quorum-surviving run must regroup
 // and still produce the serial plan bit-identically; a sub-quorum run must
-// abort cleanly instead of hanging (the run-options timeout bounds any
-// stuck rank, so completion of these tests is itself the hang check).
+// abort cleanly instead of hanging (the channel's receive timeout bounds
+// any stuck rank, so completion of these tests is itself the hang check).
 
 parallel_partition_run_options kill_run_options(transport_backend backend) {
   parallel_partition_run_options opts;
@@ -214,7 +214,6 @@ parallel_partition_run_options kill_run_options(transport_backend backend) {
   opts.reliable.max_backoff = std::chrono::microseconds(20000);
   opts.reliable.max_retransmits = 12;
   opts.reliable.recv_timeout = std::chrono::milliseconds(100);
-  opts.timeout = std::chrono::milliseconds(20000);
   return opts;
 }
 

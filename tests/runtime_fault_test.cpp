@@ -1,5 +1,5 @@
 // Tests for the fault-tolerant runtime layer: deadlock-free abort when a
-// rank fails, per-call timeouts, deterministic fault injection, and the
+// rank fails, receive deadlines, deterministic fault injection, and the
 // per-rank robustness counters.
 
 #include <gtest/gtest.h>
@@ -13,24 +13,36 @@
 #include "io/json.hpp"
 #include "runtime/fault.hpp"
 #include "runtime/fault_json.hpp"
+#include "runtime/reliable.hpp"
 #include "runtime/world.hpp"
 #include "util/require.hpp"
 
 namespace {
 
 using namespace sfp::runtime;
+using namespace std::chrono_literals;
+
+/// Blocking receive of the next message under `tag`, from any source; a
+/// fabric abort wakes it with world_aborted.
+any_message recv_any(transport& t, int tag) {
+  any_message m;
+  while (!t.try_recv_any(tag, 1ms, &m)) {
+  }
+  return m;
+}
 
 // ---- deadlock-free abort ----------------------------------------------------
 
 TEST(WorldAbort, RankThrowMidBarrierWakesPeers) {
   // The regression this layer exists for: rank 2 dies while everyone else is
-  // blocked in a barrier. Before the abort protocol, world::run's join loop
-  // hung forever; now the peers throw world_aborted and the root cause is
-  // rethrown.
+  // parked in a barrier (the channel's pumping fence). Before the abort
+  // protocol, world::run's join loop hung forever; now the peers throw
+  // world_aborted and the root cause is rethrown.
   world w(4);
-  EXPECT_THROW(w.run([](communicator& c) {
-                 if (c.rank() == 2) throw std::runtime_error("rank 2 died");
-                 c.barrier();  // must not hang
+  EXPECT_THROW(w.run([](transport& t) {
+                 if (t.rank() == 2) throw std::runtime_error("rank 2 died");
+                 reliable_channel channel(t, {.recv_timeout = 0ms});
+                 channel.fence();  // must not hang
                }),
                std::runtime_error);
   EXPECT_TRUE(w.aborted());
@@ -41,32 +53,22 @@ TEST(WorldAbort, RankThrowMidBarrierWakesPeers) {
 
 TEST(WorldAbort, RankThrowWakesPeersBlockedInRecv) {
   world w(3);
-  EXPECT_THROW(w.run([](communicator& c) {
-                 if (c.rank() == 0) throw std::runtime_error("rank 0 died");
-                 c.recv(0, 7);  // rank 0 never sends — must not hang
+  EXPECT_THROW(w.run([](transport& t) {
+                 if (t.rank() == 0) throw std::runtime_error("rank 0 died");
+                 recv_any(t, 7);  // rank 0 never sends — must not hang
                }),
                std::runtime_error);
   EXPECT_EQ(w.failed_rank(), 0);
 }
 
-TEST(WorldAbort, RankThrowWakesPeersBlockedInAllreduce) {
-  world w(4);
-  EXPECT_THROW(w.run([](communicator& c) {
-                 if (c.rank() == 1) throw std::runtime_error("rank 1 died");
-                 c.allreduce_sum(1.0);
-               }),
-               std::runtime_error);
-  EXPECT_EQ(w.failed_rank(), 1);
-}
-
 TEST(WorldAbort, SurvivorsSeeFailedRankInException) {
   world w(2);
   try {
-    w.run([](communicator& c) {
-      if (c.rank() == 1) throw std::logic_error("boom");
+    w.run([](transport& t) {
+      if (t.rank() == 1) throw std::logic_error("boom");
       try {
-        c.barrier();
-        FAIL() << "barrier should have aborted";
+        recv_any(t, 0);
+        FAIL() << "recv should have aborted";
       } catch (const world_aborted& e) {
         EXPECT_EQ(e.failed_rank(), 1);
         throw;
@@ -80,18 +82,19 @@ TEST(WorldAbort, SurvivorsSeeFailedRankInException) {
 
 TEST(WorldAbort, WorldIsReusableAfterAbort) {
   world w(3);
-  EXPECT_THROW(w.run([](communicator& c) {
-                 if (c.rank() == 0) throw std::runtime_error("once");
-                 c.barrier();
+  EXPECT_THROW(w.run([](transport& t) {
+                 if (t.rank() == 0) throw std::runtime_error("once");
+                 recv_any(t, 0);
                }),
                std::runtime_error);
   // Same world, clean run: fabric and failure state were reset.
-  w.run([](communicator& c) {
-    c.barrier();
-    EXPECT_DOUBLE_EQ(c.allreduce_sum(1.0), 3.0);
+  w.run([](transport& t) {
+    t.send((t.rank() + 1) % 3, 0, std::vector<double>{1.0});
+    EXPECT_EQ(recv_any(t, 0).src, (t.rank() + 2) % 3);
   });
   EXPECT_FALSE(w.aborted());
   EXPECT_EQ(w.failed_rank(), -1);
+  EXPECT_EQ(w.total_counters().aborts_observed, 0);
 }
 
 // ---- constructor validation -------------------------------------------------
@@ -104,40 +107,47 @@ TEST(WorldOptions, ConstructorValidatesBeforeBuildingMembers) {
 }
 
 // ---- timeouts ---------------------------------------------------------------
+//
+// The world itself never times out; deadlines belong to the reliable channel
+// pumping it, which turns a silent peer into peer_unreachable_error.
 
 TEST(WorldTimeout, RecvTimesOutInsteadOfHanging) {
-  world::options opts;
-  opts.timeout = std::chrono::milliseconds(50);
-  world w(2, opts);
-  EXPECT_THROW(w.run([](communicator& c) {
-                 if (c.rank() == 1) c.recv(0, 3);  // never sent
-               }),
-               comm_timeout_error);
+  world w(2);
+  try {
+    w.run([](transport& t) {
+      reliable_channel channel(t, {.recv_timeout = 50ms});
+      if (t.rank() == 1) channel.recv(0, 3);  // never sent
+    });
+    FAIL() << "run should rethrow the timeout";
+  } catch (const peer_unreachable_error& e) {
+    EXPECT_EQ(e.rank(), 1);
+    EXPECT_EQ(e.peer(), 0);
+    EXPECT_EQ(e.attempts(), 0);  // a bare receive deadline, not exhaustion
+  }
   EXPECT_EQ(w.failed_rank(), 1);
-  EXPECT_EQ(w.counters(1).timeouts, 1);
 }
 
 TEST(WorldTimeout, BarrierTimesOutWhenRankStaysAway) {
-  world::options opts;
-  opts.timeout = std::chrono::milliseconds(50);
-  world w(3, opts);
-  EXPECT_THROW(w.run([](communicator& c) {
-                 if (c.rank() != 0) c.barrier();  // rank 0 never arrives
+  world w(3);
+  EXPECT_THROW(w.run([](transport& t) {
+                 reliable_channel channel(t, {.recv_timeout = 50ms});
+                 if (t.rank() != 0) channel.fence();  // rank 0 never arrives
                }),
-               comm_timeout_error);
-  EXPECT_GE(w.total_counters().timeouts, 1);
+               peer_unreachable_error);
+  EXPECT_TRUE(w.aborted());
 }
 
 TEST(WorldTimeout, GenerousTimeoutDoesNotPerturbCleanRuns) {
-  world::options opts;
-  opts.timeout = std::chrono::seconds(30);
-  world w(4, opts);
-  w.run([](communicator& c) {
-    c.send((c.rank() + 1) % 4, 0, std::vector<double>{1.0});
-    EXPECT_EQ(c.recv((c.rank() + 3) % 4, 0).size(), 1u);
-    c.barrier();
-    EXPECT_DOUBLE_EQ(c.allreduce_max(static_cast<double>(c.rank())), 3.0);
+  world w(4);
+  w.run([](transport& t) {
+    reliable_channel channel(t, {.recv_timeout = 30000ms});
+    channel.send((t.rank() + 1) % 4, 0, std::vector<double>{1.0});
+    EXPECT_EQ(channel.recv((t.rank() + 3) % 4, 0).size(), 1u);
+    channel.flush();
+    channel.fence();
   });
+  EXPECT_FALSE(w.aborted());
+  EXPECT_EQ(w.total_counters().aborts_observed, 0);
 }
 
 // ---- fault injection --------------------------------------------------------
@@ -147,16 +157,16 @@ TEST(FaultInjection, KillFiresAtExactOp) {
   opts.faults.kills.push_back({/*rank=*/1, /*at_op=*/3});
   world w(2, opts);
   try {
-    w.run([](communicator& c) {
-      if (c.rank() == 1) {
-        c.send(0, 0, std::vector<double>{1.0});  // op 1
-        c.send(0, 1, std::vector<double>{2.0});  // op 2
-        c.send(0, 2, std::vector<double>{3.0});  // op 3 — killed here
+    w.run([](transport& t) {
+      if (t.rank() == 1) {
+        t.send(0, 0, std::vector<double>{1.0});  // op 1
+        t.send(0, 1, std::vector<double>{2.0});  // op 2
+        t.send(0, 2, std::vector<double>{3.0});  // op 3 — killed here
         FAIL() << "rank 1 should be dead";
       } else {
-        c.recv(1, 0);
-        c.recv(1, 1);
-        c.recv(1, 2);  // never arrives: killed before delivery
+        recv_any(t, 0);
+        recv_any(t, 1);
+        recv_any(t, 2);  // never arrives: killed before delivery
       }
     });
     FAIL() << "run should rethrow the kill";
@@ -173,25 +183,44 @@ TEST(FaultInjection, KillFiresAtExactOp) {
   EXPECT_LE(w.counters(0).messages_received, 2);
 }
 
+TEST(FaultInjection, ReceivesAreNotOps) {
+  // Only sends advance the op counter the kills fire on, on every backend:
+  // a rank that polls its mailbox any number of times is never killed by
+  // polling.
+  world::options opts;
+  opts.faults.kills.push_back({/*rank=*/0, /*at_op=*/2});
+  world w(2, opts);
+  w.run([](transport& t) {
+    if (t.rank() == 0) {
+      any_message m;
+      for (int i = 0; i < 10; ++i) t.try_recv_any(0, 0us, &m);
+      t.send(1, 0, std::vector<double>{1.0});  // op 1
+    } else {
+      recv_any(t, 0);
+    }
+  });
+  EXPECT_EQ(w.counters(0).injected_kills, 0);
+}
+
 TEST(FaultInjection, DropPlusTimeoutAbortsCleanly) {
   world::options opts;
-  opts.timeout = std::chrono::milliseconds(50);
   auto& mf = opts.faults.message_faults.emplace_back();
   mf.src = 0;
   mf.dst = 1;
   mf.drop_probability = 1.0;  // every 0->1 message vanishes
   world w(2, opts);
-  EXPECT_THROW(w.run([](communicator& c) {
-                 if (c.rank() == 0) {
-                   c.send(1, 0, std::vector<double>{42.0});
+  EXPECT_THROW(w.run([](transport& t) {
+                 reliable_channel channel(t, {.recv_timeout = 50ms});
+                 if (t.rank() == 0) {
+                   channel.send(1, 0, std::vector<double>{42.0});
                  } else {
-                   c.recv(0, 0);  // dropped — times out instead of hanging
+                   channel.recv(0, 0);  // dropped — times out, no hang
                  }
                }),
-               comm_timeout_error);
-  EXPECT_EQ(w.counters(0).injected_drops, 1);
+               peer_unreachable_error);
+  EXPECT_GE(w.counters(0).injected_drops, 1);
   EXPECT_EQ(w.counters(0).messages_sent, 0);
-  EXPECT_EQ(w.counters(1).timeouts, 1);
+  EXPECT_EQ(w.counters(1).messages_received, 0);
 }
 
 TEST(FaultInjection, DuplicatesPreserveOrderedDelivery) {
@@ -199,16 +228,16 @@ TEST(FaultInjection, DuplicatesPreserveOrderedDelivery) {
   auto& mf = opts.faults.message_faults.emplace_back();
   mf.duplicate_probability = 1.0;
   world w(2, opts);
-  w.run([](communicator& c) {
+  w.run([](transport& t) {
     constexpr int kCount = 20;
-    if (c.rank() == 0) {
+    if (t.rank() == 0) {
       for (int i = 0; i < kCount; ++i)
-        c.send(1, 0, std::vector<double>{static_cast<double>(i)});
+        t.send(1, 0, std::vector<double>{static_cast<double>(i)});
     } else {
       // Every message arrives twice, in order.
       for (int i = 0; i < kCount; ++i) {
-        EXPECT_DOUBLE_EQ(c.recv(0, 0)[0], static_cast<double>(i));
-        EXPECT_DOUBLE_EQ(c.recv(0, 0)[0], static_cast<double>(i));
+        EXPECT_DOUBLE_EQ(recv_any(t, 0).payload[0], static_cast<double>(i));
+        EXPECT_DOUBLE_EQ(recv_any(t, 0).payload[0], static_cast<double>(i));
       }
     }
   });
@@ -223,12 +252,14 @@ TEST(FaultInjection, DelayedMessagesStillArrive) {
   mf.delay = std::chrono::microseconds(300);
   opts.faults.seed = 7;
   world w(3, opts);
-  w.run([](communicator& c) {
-    const int next = (c.rank() + 1) % 3;
-    const int prev = (c.rank() + 2) % 3;
+  w.run([](transport& t) {
+    const int next = (t.rank() + 1) % 3;
+    const int prev = (t.rank() + 2) % 3;
     for (int i = 0; i < 30; ++i) {
-      c.send(next, i, std::vector<double>{static_cast<double>(i)});
-      EXPECT_DOUBLE_EQ(c.recv(prev, i)[0], static_cast<double>(i));
+      t.send(next, i, std::vector<double>{static_cast<double>(i)});
+      const any_message m = recv_any(t, i);
+      EXPECT_EQ(m.src, prev);
+      EXPECT_DOUBLE_EQ(m.payload[0], static_cast<double>(i));
     }
   });
   EXPECT_GT(w.total_counters().injected_delays, 0);
@@ -247,17 +278,12 @@ TEST(FaultInjection, ChaosScheduleIsDeterministicAcrossRuns) {
     mf.duplicate_probability = 0.4;
     mf.delay = std::chrono::microseconds(100);
     world w(4, opts);
-    w.run([](communicator& c) {
+    w.run([](transport& t) {
       for (int round = 0; round < 10; ++round) {
         for (int dst = 0; dst < 4; ++dst) {
-          if (dst == c.rank()) continue;
-          c.send(dst, round, std::vector<double>{1.0});
+          if (dst == t.rank()) continue;
+          t.send(dst, round, std::vector<double>{1.0});
         }
-        for (int src = 0; src < 4; ++src) {
-          if (src == c.rank()) continue;
-          c.recv(src, round);
-        }
-        c.barrier();
       }
     });
     std::vector<std::int64_t> signature;
@@ -289,12 +315,12 @@ TEST(FaultInjection, ScheduleIsInvariantUnderThreadInterleaving) {
     mf.duplicate_probability = 0.25;
     mf.delay = std::chrono::microseconds(50);
     world w(kRanks, opts);
-    w.run([reverse_stagger](communicator& c) {
-      const int slot = reverse_stagger ? kRanks - 1 - c.rank() : c.rank();
+    w.run([reverse_stagger](transport& t) {
+      const int slot = reverse_stagger ? kRanks - 1 - t.rank() : t.rank();
       std::this_thread::sleep_for(std::chrono::microseconds(200 * slot));
       for (int round = 0; round < 8; ++round) {
-        c.send((c.rank() + 1) % kRanks, round, std::vector<double>{1.0});
-        c.recv((c.rank() + kRanks - 1) % kRanks, round);
+        t.send((t.rank() + 1) % kRanks, round, std::vector<double>{1.0});
+        EXPECT_EQ(recv_any(t, round).src, (t.rank() + kRanks - 1) % kRanks);
       }
     });
     std::vector<std::int64_t> signature;
@@ -315,23 +341,19 @@ TEST(FaultInjection, ScheduleIsInvariantUnderThreadInterleaving) {
 
 TEST(Counters, AccountForCleanTraffic) {
   world w(2);
-  w.run([](communicator& c) {
-    if (c.rank() == 0) {
-      c.send(1, 0, std::vector<double>(5, 1.0));
+  w.run([](transport& t) {
+    if (t.rank() == 0) {
+      t.send(1, 0, std::vector<double>(5, 1.0));
     } else {
-      EXPECT_EQ(c.recv(0, 0).size(), 5u);
+      EXPECT_EQ(recv_any(t, 0).payload.size(), 5u);
     }
-    c.barrier();
-    c.allreduce_sum(1.0);
   });
   EXPECT_EQ(w.counters(0).messages_sent, 1);
   EXPECT_EQ(w.counters(0).doubles_sent, 5);
   EXPECT_EQ(w.counters(1).messages_received, 1);
   EXPECT_EQ(w.counters(1).doubles_received, 5);
   const auto total = w.total_counters();
-  EXPECT_EQ(total.barriers, 2);
-  EXPECT_EQ(total.reductions, 2);
-  EXPECT_EQ(total.timeouts, 0);
+  EXPECT_EQ(total.messages_sent, 1);
   EXPECT_EQ(total.aborts_observed, 0);
   EXPECT_THROW(w.counters(2), sfp::contract_error);
 }

@@ -1,12 +1,15 @@
-// Tests for the virtual-rank runtime: point-to-point ordering, barrier,
-// reductions, and stress under concurrency.
+// Tests for the virtual-rank runtime: the in-process world as a transport —
+// point-to-point ordering, tag filtering, the fence barrier a reliable
+// channel builds on it, and stress under concurrency.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <vector>
 
+#include "runtime/reliable.hpp"
 #include "runtime/world.hpp"
 #include "util/require.hpp"
 
@@ -14,12 +17,20 @@ namespace {
 
 using namespace sfp::runtime;
 
+/// Blocking receive of the next message under `tag`, from any source.
+any_message recv_any(transport& t, int tag) {
+  any_message m;
+  while (!t.try_recv_any(tag, std::chrono::milliseconds(1), &m)) {
+  }
+  return m;
+}
+
 TEST(World, SingleRankRuns) {
   world w(1);
   bool ran = false;
-  w.run([&](communicator& c) {
-    EXPECT_EQ(c.rank(), 0);
-    EXPECT_EQ(c.size(), 1);
+  w.run([&](transport& t) {
+    EXPECT_EQ(t.rank(), 0);
+    EXPECT_EQ(t.size(), 1);
     ran = true;
   });
   EXPECT_TRUE(ran);
@@ -29,35 +40,38 @@ TEST(World, RejectsZeroRanks) { EXPECT_THROW(world(0), sfp::contract_error); }
 
 TEST(World, PingPong) {
   world w(2);
-  w.run([](communicator& c) {
-    if (c.rank() == 0) {
+  w.run([](transport& t) {
+    if (t.rank() == 0) {
       const std::vector<double> payload{1.0, 2.0, 3.0};
-      c.send(1, 7, payload);
-      const auto back = c.recv(1, 8);
-      ASSERT_EQ(back.size(), 3u);
-      EXPECT_DOUBLE_EQ(back[0], 2.0);
+      t.send(1, 7, payload);
+      const any_message back = recv_any(t, 8);
+      EXPECT_EQ(back.src, 1);
+      ASSERT_EQ(back.payload.size(), 3u);
+      EXPECT_DOUBLE_EQ(back.payload[0], 2.0);
     } else {
-      auto msg = c.recv(0, 7);
-      for (auto& v : msg) v *= 2.0;
-      c.send(0, 8, msg);
+      any_message msg = recv_any(t, 7);
+      EXPECT_EQ(msg.src, 0);
+      EXPECT_EQ(msg.tag, 7);
+      for (auto& v : msg.payload) v *= 2.0;
+      t.send(0, 8, msg.payload);
     }
   });
 }
 
 TEST(World, MessagesBetweenSamePairAreOrdered) {
   world w(2);
-  w.run([](communicator& c) {
+  w.run([](transport& t) {
     constexpr int kCount = 200;
-    if (c.rank() == 0) {
+    if (t.rank() == 0) {
       for (int i = 0; i < kCount; ++i) {
         const std::vector<double> v{static_cast<double>(i)};
-        c.send(1, 0, v);
+        t.send(1, 0, v);
       }
     } else {
       for (int i = 0; i < kCount; ++i) {
-        const auto v = c.recv(0, 0);
-        ASSERT_EQ(v.size(), 1u);
-        EXPECT_DOUBLE_EQ(v[0], static_cast<double>(i));
+        const any_message m = recv_any(t, 0);
+        ASSERT_EQ(m.payload.size(), 1u);
+        EXPECT_DOUBLE_EQ(m.payload[0], static_cast<double>(i));
       }
     }
   });
@@ -65,123 +79,102 @@ TEST(World, MessagesBetweenSamePairAreOrdered) {
 
 TEST(World, TagsAreIndependentChannels) {
   world w(2);
-  w.run([](communicator& c) {
-    if (c.rank() == 0) {
-      c.send(1, /*tag=*/2, std::vector<double>{22.0});
-      c.send(1, /*tag=*/1, std::vector<double>{11.0});
+  w.run([](transport& t) {
+    if (t.rank() == 0) {
+      t.send(1, /*tag=*/2, std::vector<double>{22.0});
+      t.send(1, /*tag=*/1, std::vector<double>{11.0});
     } else {
       // Receive in the opposite order of sending; tags must match content.
-      EXPECT_DOUBLE_EQ(c.recv(0, 1)[0], 11.0);
-      EXPECT_DOUBLE_EQ(c.recv(0, 2)[0], 22.0);
+      EXPECT_DOUBLE_EQ(recv_any(t, 1).payload[0], 11.0);
+      EXPECT_DOUBLE_EQ(recv_any(t, 2).payload[0], 22.0);
     }
   });
 }
 
 TEST(World, BarrierSynchronizes) {
+  // The barrier every rank program uses is the reliable channel's pumping
+  // fence over the world transport.
   constexpr int kRanks = 8;
   world w(kRanks);
   std::atomic<int> phase_counter{0};
-  w.run([&](communicator& c) {
+  w.run([&](transport& t) {
+    reliable_channel channel(t);
     for (int round = 0; round < 20; ++round) {
       ++phase_counter;
-      c.barrier();
-      // After the barrier every rank must observe all increments of this
+      channel.fence();
+      // After the fence every rank must observe all increments of this
       // round (counter is a multiple of kRanks at the phase boundary).
       EXPECT_EQ(phase_counter.load() % kRanks, 0)
-          << "rank " << c.rank() << " round " << round;
-      c.barrier();
+          << "rank " << t.rank() << " round " << round;
+      channel.fence();
     }
-  });
-}
-
-TEST(World, AllreduceSumAndMax) {
-  constexpr int kRanks = 7;
-  world w(kRanks);
-  w.run([](communicator& c) {
-    const double mine = static_cast<double>(c.rank() + 1);
-    EXPECT_DOUBLE_EQ(c.allreduce_sum(mine), 28.0);  // 1+..+7
-    EXPECT_DOUBLE_EQ(c.allreduce_max(mine), 7.0);
-    // Back-to-back reductions must not interfere.
-    EXPECT_DOUBLE_EQ(c.allreduce_sum(1.0), 7.0);
-    EXPECT_DOUBLE_EQ(c.allreduce_max(-mine), -1.0);
-  });
-}
-
-TEST(World, RepeatedReductionsStress) {
-  constexpr int kRanks = 5;
-  world w(kRanks);
-  w.run([](communicator& c) {
-    for (int i = 0; i < 200; ++i) {
-      const double expect = static_cast<double>(i) * kRanks;
-      EXPECT_DOUBLE_EQ(c.allreduce_sum(static_cast<double>(i)), expect);
-    }
+    channel.flush();
   });
 }
 
 TEST(World, ManyToOneTraffic) {
   constexpr int kRanks = 6;
   world w(kRanks);
-  w.run([](communicator& c) {
-    if (c.rank() == 0) {
+  w.run([](transport& t) {
+    if (t.rank() == 0) {
       double total = 0;
-      for (int src = 1; src < kRanks; ++src) {
-        const auto v = c.recv(src, 3);
-        total = std::accumulate(v.begin(), v.end(), total);
+      for (int i = 1; i < kRanks; ++i) {
+        const any_message m = recv_any(t, 3);
+        total = std::accumulate(m.payload.begin(), m.payload.end(), total);
       }
       EXPECT_DOUBLE_EQ(total, 5.0 * 100.0);
     } else {
       const std::vector<double> v(100, 1.0);
-      c.send(0, 3, v);
+      t.send(0, 3, v);
     }
   });
 }
 
 TEST(World, ExceptionInRankPropagates) {
   world w(2);
-  EXPECT_THROW(w.run([](communicator& c) {
-    if (c.rank() == 1) throw std::runtime_error("rank 1 died");
-    // rank 0 exits normally; nothing blocks on rank 1
-  }),
+  EXPECT_THROW(w.run([](transport& t) {
+                 if (t.rank() == 1) throw std::runtime_error("rank 1 died");
+                 // rank 0 exits normally; nothing blocks on rank 1
+               }),
                std::runtime_error);
 }
 
 TEST(World, ManyRanksAllToAllStress) {
-  // 24 virtual ranks, several rounds of full all-to-all traffic plus
-  // reductions — a deadlock/lost-message stress of the mailbox fabric.
+  // 24 virtual ranks, several rounds of full all-to-all traffic — a
+  // deadlock/lost-message stress of the mailbox fabric. Each round has its
+  // own tag, so a fast rank's next round never mixes into this one.
   constexpr int kRanks = 24;
   world w(kRanks);
-  w.run([](communicator& c) {
+  w.run([](transport& t) {
     for (int round = 0; round < 5; ++round) {
       for (int dst = 0; dst < kRanks; ++dst) {
-        if (dst == c.rank()) continue;
+        if (dst == t.rank()) continue;
         const std::vector<double> payload{
-            static_cast<double>(c.rank() * 1000 + round)};
-        c.send(dst, round, payload);
+            static_cast<double>(t.rank() * 1000 + round)};
+        t.send(dst, round, payload);
       }
-      double sum = 0;
-      for (int src = 0; src < kRanks; ++src) {
-        if (src == c.rank()) continue;
-        const auto msg = c.recv(src, round);
-        ASSERT_EQ(msg.size(), 1u);
-        ASSERT_DOUBLE_EQ(msg[0], static_cast<double>(src * 1000 + round));
-        sum += msg[0];
+      std::vector<int> seen(kRanks, 0);
+      for (int i = 1; i < kRanks; ++i) {
+        const any_message m = recv_any(t, round);
+        ASSERT_EQ(m.payload.size(), 1u);
+        ASSERT_DOUBLE_EQ(m.payload[0],
+                         static_cast<double>(m.src * 1000 + round));
+        ++seen[static_cast<std::size_t>(m.src)];
       }
-      // Cross-check with a collective.
-      const double expect_total =
-          c.allreduce_sum(static_cast<double>(c.rank() * 1000 + round));
-      ASSERT_DOUBLE_EQ(sum + c.rank() * 1000 + round, expect_total);
-      c.barrier();
+      for (int src = 0; src < kRanks; ++src)
+        EXPECT_EQ(seen[static_cast<std::size_t>(src)], src == t.rank() ? 0 : 1);
     }
   });
+  EXPECT_EQ(w.total_counters().messages_received, kRanks * (kRanks - 1) * 5);
 }
 
 TEST(World, EmptyMessageAllowed) {
   world w(2);
-  w.run([](communicator& c) {
-    if (c.rank() == 0) {
-      c.send(1, 0, std::vector<double>{});
+  w.run([](transport& t) {
+    if (t.rank() == 0) {
+      t.send(1, 0, std::vector<double>{});
     } else {
-      EXPECT_TRUE(c.recv(0, 0).empty());
+      EXPECT_TRUE(recv_any(t, 0).payload.empty());
     }
   });
 }

@@ -1,4 +1,4 @@
-// Tests for the transport carve (runtime/transport.hpp) and the socket
+// Tests for the transport surface (runtime/transport.hpp) and the socket
 // backend (runtime/socket_transport.hpp): the raw datagram surface, the
 // loopback-TCP fabric with framing / heartbeats / reconnect, byte-stream
 // fault injection, and the reliable-delivery edge cases that must behave
@@ -20,6 +20,7 @@
 #include <thread>
 #include <vector>
 
+#include "runtime/fabric.hpp"
 #include "runtime/reliable.hpp"
 #include "runtime/socket_transport.hpp"
 #include "runtime/transport.hpp"
@@ -57,15 +58,13 @@ TEST(TransportVocabulary, StreamFaultKindNames) {
   EXPECT_STREQ(to_string(stream_fault::kind::stall), "stall");
 }
 
-// ---- in-process adapter -----------------------------------------------------
+// ---- in-process backend -----------------------------------------------------
 
-TEST(InprocAdapter, DelegatesToTheCommunicator) {
+TEST(WorldTransport, RawDatagramSurfaceFeedsTheWorldCounters) {
   world w(2);
-  w.run([](communicator& c) {
-    inproc_transport t(c);
-    ASSERT_EQ(t.rank(), c.rank());
+  w.run([](transport& t) {
     ASSERT_EQ(t.size(), 2);
-    if (c.rank() == 0) {
+    if (t.rank() == 0) {
       t.send(1, 9, std::vector<double>{1.5, 2.5});
     } else {
       any_message m;
@@ -75,10 +74,9 @@ TEST(InprocAdapter, DelegatesToTheCommunicator) {
       EXPECT_EQ(m.payload, (std::vector<double>{1.5, 2.5}));
     }
   });
-  // The adapter is behavior-preserving: traffic lands in the world's own
-  // counters, not some parallel set.
   EXPECT_EQ(w.total_counters().messages_sent, 1);
   EXPECT_EQ(w.total_counters().messages_received, 1);
+  EXPECT_EQ(w.counters(1).doubles_received, 2);
 }
 
 // ---- socket fabric: basics --------------------------------------------------
@@ -326,21 +324,10 @@ class ReliableOverBackend
   // backend, with the same message-level fault plan either way.
   void run_pair(const fault_plan& faults,
                 const std::function<void(transport&, int)>& body) {
-    if (GetParam() == transport_backend::inproc) {
-      world w(2, {.timeout = 10000ms, .faults = faults});
-      w.run([&](communicator& c) {
-        inproc_transport t(c);
-        body(t, c.rank());
-      });
-      ASSERT_FALSE(w.aborted());
-    } else {
-      socket_fabric_options opts;
-      opts.faults = faults;
-      opts.stream_fault_min_payload = wire::header_doubles + 1;
-      socket_fabric fab(2, opts);
-      fab.run([&](transport& t) { body(t, t.rank()); });
-      ASSERT_FALSE(fab.aborted());
-    }
+    fabric_options opts;
+    opts.backend = GetParam();
+    opts.faults = faults;
+    run_fabric(2, opts, [&](transport& t) { body(t, t.rank()); });
   }
 };
 

@@ -27,7 +27,6 @@ chaos_options small_problem(runtime::transport_backend backend) {
   opts.ne = 2;
   opts.nranks = 4;
   opts.nsteps = 3;
-  opts.timeout = std::chrono::milliseconds(10000);
   opts.reliable.recv_timeout = std::chrono::milliseconds(8000);
   opts.backend = backend;
   return opts;

@@ -22,7 +22,6 @@ chaos_options small_problem() {
   opts.ne = 2;
   opts.nranks = 4;
   opts.nsteps = 3;
-  opts.timeout = std::chrono::milliseconds(10000);
   opts.reliable.recv_timeout = std::chrono::milliseconds(8000);
   return opts;
 }

@@ -11,7 +11,11 @@
 #      A second pass gates on --fix-dry-run: if sfplint could mechanically
 #      repair anything (missing #pragma once, malformed suppression
 #      separators), the run fails — apply `sfplint --root=. --fix` and
-#      commit. Then clang-tidy via tools/lint.sh when installed.
+#      commit. A grep then fails the stage if a `lint: layering-ok` or
+#      `lint: transport-discipline-ok` suppression reappears under src/:
+#      the manifest matches the real include graph and run_fabric is the
+#      one fabric construction site, so neither needs an excuse. Then
+#      clang-tidy via tools/lint.sh when installed.
 #   2. configure + build the default preset with the escalated warnings
 #      wall as errors (SFCPART_STRICT_WARNINGS + SFCPART_WERROR) and the
 #      compile-each-header-standalone check (SFCPART_CHECK_HEADERS), then
@@ -58,6 +62,10 @@ build-lint/tools/sfplint --root=. --json=build/lint-report.json \
 # The autofix gate: exit 1 iff the mechanical-repair plan is non-empty, so
 # a fixable deviation never lingers — run `sfplint --root=. --fix` locally.
 build-lint/tools/sfplint --root=. --fix-dry-run
+if grep -rnE "lint: (layering|transport-discipline)-ok" src; then
+  echo "ci: layering-ok / transport-discipline-ok suppressions are not allowed under src/" >&2
+  exit 1
+fi
 if command -v clang-tidy > /dev/null 2>&1; then
   sh tools/lint.sh
 fi

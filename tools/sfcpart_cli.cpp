@@ -71,14 +71,12 @@ int usage() {
                "partition)\n"
                "  faults    --ne=N --nproc=P [--kill-rank=R|R@ROUND] "
                "[--kill-op=K] [--steps=S] [--seed=X]\n"
-               "            [--plan=FILE] [--reliable[=0|1]] "
-               "[--transport=inproc|socket]\n"
+               "            [--plan=FILE] [--transport=inproc|socket]\n"
                "            (kill a rank mid-run, recover by curve "
                "re-slicing, report counters;\n"
                "            --plan replays a saved fault-plan JSON instead "
                "of the synthetic kill;\n"
-               "            --transport=socket runs over loopback TCP and "
-               "forces the reliable channel)\n"
+               "            --transport=socket runs over loopback TCP)\n"
                "  chaos     [--trials=T] [--seed=X] [--faults=F] "
                "[--stream=S] [--ne=N] [--nproc=P] [--steps=S]\n"
                "            [--out=BASE] [--no-shrink] "
@@ -405,17 +403,8 @@ int cmd_faults(const cli_args& args) {
     ropts.faults.seed = static_cast<std::uint64_t>(args.get_int_or("seed", 0));
     ropts.faults.kills.push_back({kill_rank, kill_op});
   }
-  // Message faults only heal in place over the reliable channel; plans that
-  // carry them get it by default (a bare kill keeps the raw transport).
-  ropts.reliable_transport =
-      args.get_bool_or("reliable", !ropts.faults.message_faults.empty());
   if (!parse_transport(args, &ropts.backend)) return 2;
-  // The socket fabric offers no raw delivery guarantee at all, so it always
-  // runs under the reliable channel.
-  if (ropts.backend == runtime::transport_backend::socket)
-    ropts.reliable_transport = true;
-  if (ropts.reliable_transport)
-    ropts.reliable = seam::chaos_reliable_defaults();
+  ropts.reliable = seam::chaos_reliable_defaults();
 
   const auto curve = core::build_cube_curve(mesh);
   const auto part = core::sfc_partition(curve, nproc);
@@ -426,10 +415,9 @@ int cmd_faults(const cli_args& args) {
   const double dt = model.cfl_dt(0.3);
 
   std::printf("running %d steps of advection on %d ranks under %zu kill(s) "
-              "and %zu message fault(s)%s over the %s backend...\n",
+              "and %zu message fault(s) over the %s backend...\n",
               nsteps, nproc, ropts.faults.kills.size(),
               ropts.faults.message_faults.size(),
-              ropts.reliable_transport ? " (reliable transport)" : "",
               runtime::to_string(ropts.backend));
   const auto reference = seam::run_distributed(model, part, dt, nsteps);
 
@@ -457,8 +445,6 @@ int cmd_faults(const cli_args& args) {
   table rt({"counter", "value"});
   rt.new_row().add("messages sent").add(c.messages_sent);
   rt.new_row().add("doubles sent").add(c.doubles_sent);
-  rt.new_row().add("barriers").add(c.barriers);
-  rt.new_row().add("timeouts").add(c.timeouts);
   rt.new_row().add("aborts observed").add(c.aborts_observed);
   rt.new_row().add("injected kills").add(c.injected_kills);
   rt.new_row().add("injected drops").add(c.injected_drops);
@@ -470,17 +456,15 @@ int cmd_faults(const cli_args& args) {
   std::printf("\nrobustness counters (all ranks, all attempts):\n%s",
               rt.str().c_str());
 
-  if (ropts.reliable_transport) {
-    const auto& rel = report.reliable;
-    table lt({"reliable-channel counter", "value"});
-    lt.new_row().add("data sent").add(rel.data_sent);
-    lt.new_row().add("data received").add(rel.data_received);
-    lt.new_row().add("retransmits").add(rel.retransmits);
-    lt.new_row().add("corruption detected").add(rel.corruption_detected);
-    lt.new_row().add("duplicates dropped").add(rel.dedup_dropped);
-    lt.new_row().add("out of order").add(rel.out_of_order);
-    std::printf("\n%s", lt.str().c_str());
-  }
+  const auto& rel = report.reliable;
+  table lt({"reliable-channel counter", "value"});
+  lt.new_row().add("data sent").add(rel.data_sent);
+  lt.new_row().add("data received").add(rel.data_received);
+  lt.new_row().add("retransmits").add(rel.retransmits);
+  lt.new_row().add("corruption detected").add(rel.corruption_detected);
+  lt.new_row().add("duplicates dropped").add(rel.dedup_dropped);
+  lt.new_row().add("out of order").add(rel.out_of_order);
+  std::printf("\n%s", lt.str().c_str());
   if (ropts.backend == runtime::transport_backend::socket) {
     const auto& s = report.socket;
     table st({"socket counter", "value"});
@@ -762,10 +746,12 @@ int cmd_trace(const cli_args& args) {
   io::write_metrics_json_file(out + ".metrics.json", snap);
 
   // Per-rank timeline: sum span durations by name for each "rank N" thread
-  // and join with the world's per-rank counters.
+  // and join with the fabric's per-rank counters. The halo spans split each
+  // DSS into packing + sending, waiting on peers' partials, and settling
+  // (flush + fence).
   struct rank_row {
     double step_ms = 0, compute_ms = 0, exchange_ms = 0;
-    double send_ms = 0, recv_ms = 0, barrier_ms = 0;
+    double pack_ms = 0, recv_ms = 0, settle_ms = 0;
   };
   std::map<int, rank_row> rows;
   for (const auto& th : dump.threads) {
@@ -778,22 +764,22 @@ int cmd_trace(const cli_args& args) {
       if (n == "seam.step") row.step_ms += ms;
       else if (n == "seam.compute") row.compute_ms += ms;
       else if (n == "seam.exchange") row.exchange_ms += ms;
-      else if (n == "world.send") row.send_ms += ms;
-      else if (n == "world.recv") row.recv_ms += ms;
-      else if (n == "world.barrier") row.barrier_ms += ms;
+      else if (n == "halo.pack") row.pack_ms += ms;
+      else if (n == "halo.recv") row.recv_ms += ms;
+      else if (n == "halo.settle") row.settle_ms += ms;
     }
   }
-  table t({"rank", "step ms", "compute ms", "exchange ms", "send ms",
-           "recv ms", "barrier ms", "msgs", "doubles"});
+  table t({"rank", "step ms", "compute ms", "exchange ms", "pack ms",
+           "recv ms", "settle ms", "msgs", "doubles"});
   for (const auto& [r, row] : rows) {
     auto& tr = t.new_row();
     tr.add(r)
         .add(row.step_ms, 2)
         .add(row.compute_ms, 2)
         .add(row.exchange_ms, 2)
-        .add(row.send_ms, 2)
+        .add(row.pack_ms, 2)
         .add(row.recv_ms, 2)
-        .add(row.barrier_ms, 2);
+        .add(row.settle_ms, 2);
     if (r < static_cast<int>(stats.per_rank.size())) {
       const auto& c = stats.per_rank[static_cast<std::size_t>(r)];
       tr.add(c.messages_sent).add(c.doubles_sent);
