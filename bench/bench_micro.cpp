@@ -47,6 +47,21 @@ void BM_PeanoCurve(benchmark::State& state) {
 }
 BENCHMARK(BM_PeanoCurve)->Arg(2)->Arg(3)->Arg(4);
 
+// The SFC key of one element from the shared spec (the distributed
+// partitioner's phase 1), element by element over the whole cube; the
+// sizes span the dist-plan workload's Ne.
+void BM_CurvePositionOf(benchmark::State& state) {
+  const mesh::cubed_sphere m(static_cast<int>(state.range(0)));
+  const core::cube_curve_spec spec = core::build_cube_curve_spec(m);
+  int e = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(core::curve_position_of(spec, m, e));
+    if (++e == m.num_elements()) e = 0;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_CurvePositionOf)->Arg(96)->Arg(256);
+
 void BM_CubeStitch(benchmark::State& state) {
   const int ne = static_cast<int>(state.range(0));
   const mesh::cubed_sphere m(ne);

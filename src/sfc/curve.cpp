@@ -44,37 +44,6 @@ void recurse(const std::vector<int>& factors, std::size_t depth,
   }
 }
 
-/// One descent step of the point query: find the child frame of `f` whose
-/// covered square contains `c`. `sub` is the child side (parent side / fac).
-/// Returns the child's index in generator order and replaces `f` with the
-/// child frame. The children tile the parent square, so the scan always
-/// finds exactly one match.
-int descend_into_child(int fac, int sub, frame& f, cell c) {
-  const std::vector<child_frame>& spec = generator_for(fac);
-  const int sax = f.ax / fac, say = f.ay / fac;
-  const int sbx = f.bx / fac, sby = f.by / fac;
-  for (std::size_t k = 0; k < spec.size(); ++k) {
-    const child_frame& cs = spec[k];
-    frame child;
-    child.ox = f.ox + cs.oa * sax + cs.ob * sbx;
-    child.oy = f.oy + cs.oa * say + cs.ob * sby;
-    child.ax = cs.aa * sax + cs.ab * sbx;
-    child.ay = cs.aa * say + cs.ab * sby;
-    child.bx = cs.ba * sax + cs.bb * sbx;
-    child.by = cs.ba * say + cs.bb * sby;
-    // Covered square: lower-left corner is the componentwise min of the
-    // frame's two opposite corners, side length |A| = sub.
-    const int minx = std::min(child.ox, child.ox + child.ax + child.bx);
-    const int miny = std::min(child.oy, child.oy + child.ay + child.by);
-    if (c.x >= minx && c.x < minx + sub && c.y >= miny && c.y < miny + sub) {
-      f = child;
-      return static_cast<int>(k);
-    }
-  }
-  SFP_REQUIRE(false, "generator children do not tile the block");
-  return -1;
-}
-
 /// Factor `side` over the given prime set (largest first), or empty if it
 /// does not decompose.
 std::vector<int> prime_factors_over(int side, const std::vector<int>& primes) {
@@ -205,33 +174,6 @@ std::vector<cell> hilbert_peano_curve(int side, nesting_order order) {
   const auto s = schedule_for(side, order);
   SFP_REQUIRE(s.has_value(), "side must be of the form 2^n * 3^m, side >= 2");
   return generate(*s);
-}
-
-std::int64_t curve_position_factors(const std::vector<int>& factors, cell c) {
-  int side = 1;
-  for (const int f : factors) {
-    SFP_REQUIRE(f >= 2, "refinement factors must be at least 2");
-    SFP_REQUIRE(side <= (1 << 20) / f, "curve side too large");
-    side *= f;
-  }
-  SFP_REQUIRE(c.x >= 0 && c.x < side && c.y >= 0 && c.y < side,
-              "cell out of range for this factor list");
-  frame f{0, 0, side, 0, 0, side};
-  std::int64_t pos = 0;
-  int sub = side;
-  for (const int fac : factors) {
-    sub /= fac;
-    const int child = descend_into_child(fac, sub, f, c);
-    pos = pos * (static_cast<std::int64_t>(fac) * fac) + child;
-  }
-  return pos;
-}
-
-std::int64_t curve_position(const schedule& s, cell c) {
-  std::vector<int> factors;
-  factors.reserve(s.size());
-  for (const refinement r : s) factors.push_back(factor_of(r));
-  return curve_position_factors(factors, c);
 }
 
 std::vector<std::int64_t> curve_index(const std::vector<cell>& curve, int side) {

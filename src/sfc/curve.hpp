@@ -98,8 +98,9 @@ std::vector<cell> hilbert_peano_curve(int side,
 std::vector<std::int64_t> curve_index(const std::vector<cell>& curve, int side);
 
 /// Point query: the position of one cell along the curve a factor list
-/// generates, by descending the generator frames digit-by-digit — O(Σf²)
-/// time, O(1) memory, no curve materialized. Agrees with generate():
+/// generates, by one transition-table lookup per refinement level —
+/// O(depth) time, no allocation, no curve materialized (sfc/point_query.hpp
+/// has the tables and the oriented form). Agrees with generate():
 ///   curve_position_factors(f, generate_factors(f)[i]) == i  for every i.
 /// This is what lets a distributed partitioner rank compute SFC keys for
 /// just its own elements instead of holding the full P×P traversal.

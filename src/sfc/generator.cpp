@@ -1,7 +1,7 @@
 #include "sfc/generator.hpp"
 
+#include <array>
 #include <cstdlib>
-#include <map>
 #include <mutex>
 #include <queue>
 
@@ -185,7 +185,7 @@ const std::vector<child_frame> kPeano = {
 
 std::vector<child_frame> derive_generator(int factor) {
   SFP_REQUIRE(factor >= 2, "refinement factor must be at least 2");
-  SFP_REQUIRE(factor <= 16, "generator search capped at factor 16");
+  SFP_REQUIRE(factor <= max_factor, "generator search capped at factor 16");
   searcher s(factor);
   std::vector<pt> cells, entries;
   if (!s.run(cells, entries)) return {};
@@ -195,18 +195,23 @@ std::vector<child_frame> derive_generator(int factor) {
 const std::vector<child_frame>& generator_for(int factor) {
   if (factor == 2) return kHilbert;
   if (factor == 3) return kPeano;
-  static std::mutex mutex;
-  static std::map<int, std::vector<child_frame>> cache;
-  std::lock_guard<std::mutex> lock(mutex);
-  auto [it, inserted] = cache.try_emplace(factor);
-  if (inserted) it->second = derive_generator(factor);
-  SFP_REQUIRE(!it->second.empty(),
+  SFP_REQUIRE(factor >= 2, "refinement factor must be at least 2");
+  SFP_REQUIRE(factor <= max_factor, "generator search capped at factor 16");
+  // One slot per factor; the hit path is call_once's acquire load.
+  struct slot {
+    std::once_flag once;
+    std::vector<child_frame> table;
+  };
+  static std::array<slot, max_factor + 1> cache;
+  slot& s = cache[static_cast<std::size_t>(factor)];
+  std::call_once(s.once, [&] { s.table = derive_generator(factor); });
+  SFP_REQUIRE(!s.table.empty(),
               "no space-filling-curve generator exists for this factor");
-  return it->second;
+  return s.table;
 }
 
 bool has_generator(int factor) {
-  if (factor < 2 || factor > 16) return false;
+  if (factor < 2 || factor > max_factor) return false;
   if (factor == 2 || factor == 3) return true;
   try {
     return !generator_for(factor).empty();

@@ -25,6 +25,9 @@
 
 namespace sfp::sfc {
 
+/// Largest factor the generator search (and every per-factor cache) covers.
+inline constexpr int max_factor = 16;
+
 /// One child frame in units of the parent's sub-vectors a = A/f, b = B/f:
 /// origin = O + oa·a + ob·b,  A' = aa·a + ab·b,  B' = ba·a + bb·b.
 struct child_frame {
@@ -40,8 +43,8 @@ struct child_frame {
 std::vector<child_frame> derive_generator(int factor);
 
 /// The cached generator for `factor`: hand-derived tables for 2 (Hilbert)
-/// and 3 (m-Peano), synthesized and memoized for anything else. Throws
-/// sfp::contract_error if none exists.
+/// and 3 (m-Peano), synthesized once per factor for anything else; a
+/// cached lookup takes no lock. Throws sfp::contract_error if none exists.
 const std::vector<child_frame>& generator_for(int factor);
 
 /// True if `factor` admits a generator (memoized).

@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <set>
+#include <thread>
 
 #include "sfc/curve.hpp"
 #include "sfc/generator.hpp"
@@ -109,9 +111,23 @@ TEST(Generator, CachedLookupMatchesDerivation) {
   EXPECT_EQ(cached, derived);
 }
 
+TEST(Generator, ConcurrentFirstLookupsShareOneTable) {
+  // Factor 7's table is synthesized by whichever thread gets there first;
+  // every thread must see that one table.
+  std::array<const std::vector<child_frame>*, 4> seen{};
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < seen.size(); ++t)
+    threads.emplace_back([&seen, t] { seen[t] = &generator_for(7); });
+  for (std::thread& t : threads) t.join();
+  for (const auto* table : seen) EXPECT_EQ(table, seen[0]);
+  EXPECT_EQ(*seen[0], derive_generator(7));
+}
+
 TEST(Generator, Preconditions) {
   EXPECT_THROW(derive_generator(1), sfp::contract_error);
   EXPECT_THROW(derive_generator(17), sfp::contract_error);
+  EXPECT_THROW((void)generator_for(1), sfp::contract_error);
+  EXPECT_THROW((void)generator_for(17), sfp::contract_error);
   EXPECT_FALSE(has_generator(1));
   EXPECT_TRUE(has_generator(5));
   EXPECT_TRUE(has_generator(2));

@@ -87,8 +87,9 @@ cmake --build --preset asan-ubsan -j "$(nproc 2>/dev/null || echo 4)"
 ctest --preset asan-ubsan
 # The serial-parity wall, re-asserted by name under the audit validators:
 # the distributed slicer must stay bit-identical to the serial one while
-# every validate_plan audit fires at the module boundaries.
-ctest --test-dir build-asan -R 'ParallelPartition|SplitterSearch' \
+# every validate_plan audit fires at the module boundaries, and the point
+# query's transition tables agree with the generated curves.
+ctest --test-dir build-asan -R 'ParallelPartition|SplitterSearch|CurvePosition' \
   --output-on-failure
 
 echo "==> [5/9] trace artifacts: sfcpart trace smoke"
