@@ -97,15 +97,6 @@ int cubed_sphere::element_id(int face, int i, int j) const {
   return (face * ne_ + j) * ne_ + i;
 }
 
-element_ref cubed_sphere::element_of(int id) const {
-  SFP_REQUIRE(id >= 0 && id < num_elements(), "element id out of range");
-  element_ref r;
-  r.i = id % ne_;
-  r.j = (id / ne_) % ne_;
-  r.face = id / (ne_ * ne_);
-  return r;
-}
-
 ivec3 cubed_sphere::corner_point(int face, int ci, int cj) const {
   return lattice(kFrames[face], ne_, 2 * ci - ne_, 2 * cj - ne_);
 }

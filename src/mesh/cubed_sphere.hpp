@@ -104,7 +104,12 @@ class cubed_sphere {
   // ---- id mapping -------------------------------------------------------
   int element_id(int face, int i, int j) const;
   int element_id(element_ref r) const { return element_id(r.face, r.i, r.j); }
-  element_ref element_of(int id) const;
+  /// Inline: the distributed partitioner decodes one id per SFC key.
+  element_ref element_of(int id) const {
+    SFP_REQUIRE(id >= 0 && id < num_elements(), "element id out of range");
+    const int row = id / ne_;  // face·Ne + j
+    return {row / ne_, id - row * ne_, row % ne_};
+  }
 
   // ---- topology ---------------------------------------------------------
   /// Neighbour across local edge 0=S (j-1), 1=E (i+1), 2=N (j+1), 3=W (i-1);
