@@ -11,12 +11,15 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <numeric>
 #include <utility>
 #include <vector>
 
 #include "io/json.hpp"
 
 #include "core/cube_curve.hpp"
+#include "core/dist_scan.hpp"
+#include "core/parallel_partition.hpp"
 #include "core/sfc_partition.hpp"
 #include "mesh/cubed_sphere.hpp"
 #include "mgp/partitioner.hpp"
@@ -25,6 +28,7 @@
 #include "seam/advection.hpp"
 #include "seam/assembly.hpp"
 #include "sfc/curve.hpp"
+#include "util/rng.hpp"
 
 namespace {
 
@@ -101,6 +105,32 @@ void BM_SfcPartition(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SfcPartition)->Arg(96)->Arg(768);
+
+// The distributed partitioner's splitter search alone, on one rank: the
+// dist-plan workload's K = 393,216 (Ne = 256) identity keys with its
+// heavy-tail weights (1-9, times 100 with probability 1/16), at 8,192 and
+// at 256 elements per part (dist-plan runs the second).
+void BM_FindRawSplitters(benchmark::State& state) {
+  constexpr std::int64_t k = 6LL * 256 * 256;
+  std::vector<std::int64_t> keys(static_cast<std::size_t>(k));
+  std::iota(keys.begin(), keys.end(), std::int64_t{0});
+  std::vector<graph::weight> weights(keys.size());
+  sfp::rng gen(1);
+  for (auto& w : weights) {
+    w = 1 + static_cast<graph::weight>(gen.below(9));
+    if (gen.below(16) == 0) w *= 100;
+  }
+  const graph::weight total =
+      std::accumulate(weights.begin(), weights.end(), graph::weight{0});
+  const int nparts = static_cast<int>(state.range(0));
+  core::solo_comm solo;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        core::find_raw_splitters(solo, keys, weights, k, total, nparts));
+  }
+  state.SetItemsProcessed(state.iterations() * k);
+}
+BENCHMARK(BM_FindRawSplitters)->Arg(48)->Arg(1536);
 
 void BM_MgpKway(benchmark::State& state) {
   const mesh::cubed_sphere m(8);

@@ -1,6 +1,8 @@
 #include "core/parallel_partition.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <limits>
 #include <utility>
 
@@ -15,10 +17,12 @@ namespace {
 /// Local exclusive-prefix view of this rank's (key, weight) pairs, sorted
 /// by key: weight_below(x) answers "how much of my weight sits at keys
 /// < x" in O(log) — the quantity the histogram probes sum across ranks.
+/// Keys and weights are views of the caller's arrays; only the prefix is
+/// owned.
 struct sorted_block {
-  std::vector<std::int64_t> keys;         ///< ascending
-  std::vector<graph::weight> weights;     ///< matching keys
-  std::vector<graph::weight> prefix;      ///< size keys.size()+1, prefix[i] = Σ weights[0..i)
+  std::span<const std::int64_t> keys;       ///< ascending
+  std::span<const graph::weight> weights;   ///< matching keys
+  std::vector<graph::weight> prefix;        ///< size keys.size()+1, prefix[i] = Σ weights[0..i)
 
   graph::weight weight_below(std::int64_t x) const {
     const auto it = std::lower_bound(keys.begin(), keys.end(), x);
@@ -50,6 +54,39 @@ struct bracket {
 bool cut_is_at_or_before(graph::weight s_at_probe, int nparts,
                          std::int64_t p, graph::weight total) {
   return checked_mul(s_at_probe, nparts) >= checked_mul(p, total);
+}
+
+/// Bits per LSD radix digit: 2^11 counters stay in L1, and keys of up to
+/// 11 bits (K < 2048) sort in one pass, of up to 22 bits in two.
+constexpr int kRadixBits = 11;
+
+/// The local index packed in the low half of a phase-1 word.
+std::size_t local_index(std::uint64_t word) {
+  return static_cast<std::size_t>(word & 0xffffffffu);
+}
+
+/// Sort words `(key << 32) | local index` by key with an LSD radix sort
+/// over the `key_bits` low bits of the key: O(n) per pass, and keys are
+/// distinct, so the order is total.
+void radix_sort_by_key(std::vector<std::uint64_t>& words, int key_bits) {
+  constexpr std::size_t digits = std::size_t{1} << kRadixBits;
+  std::vector<std::uint64_t> scratch(words.size());
+  std::vector<std::size_t> start(digits);
+  for (int shift = 32; shift < 32 + key_bits; shift += kRadixBits) {
+    const auto digit = [shift](std::uint64_t w) {
+      return static_cast<std::size_t>(w >> shift) & (digits - 1);
+    };
+    std::fill(start.begin(), start.end(), 0);
+    for (const std::uint64_t w : words) ++start[digit(w)];
+    std::size_t below = 0;
+    for (std::size_t& s : start) {
+      const std::size_t count = s;
+      s = below;
+      below += count;
+    }
+    for (const std::uint64_t w : words) scratch[start[digit(w)]++] = w;
+    words.swap(scratch);
+  }
 }
 
 }  // namespace
@@ -101,9 +138,7 @@ std::vector<std::int64_t> find_raw_splitters(
   std::vector<std::int64_t> result(static_cast<std::size_t>(nparts) - 1, n);
   if (nparts == 1) return result;
 
-  sorted_block block;
-  block.keys.assign(sorted_keys.begin(), sorted_keys.end());
-  block.weights.assign(sorted_weights.begin(), sorted_weights.end());
+  sorted_block block{sorted_keys, sorted_weights, {}};
   block.prefix.resize(block.keys.size() + 1);
   block.prefix[0] = 0;
   for (std::size_t i = 0; i < block.keys.size(); ++i) {
@@ -125,9 +160,16 @@ std::vector<std::int64_t> find_raw_splitters(
 
   for (;;) {
     // Collect this round's probe positions over all still-wide brackets.
+    // Probes depend only on (lo, hi), and neighbouring splitters often
+    // share a bracket (in the first rounds hundreds do), so a bracket equal
+    // to the last one probed adds nothing.
     std::vector<std::int64_t> probes;
+    const bracket* last_probed = nullptr;
     for (const bracket& br : brackets) {
       if (width_of(br) <= window) continue;
+      if (last_probed && last_probed->lo == br.lo && last_probed->hi == br.hi)
+        continue;
+      last_probed = &br;
       const std::int64_t width = width_of(br);
       for (int j = 1; j < opts.histogram_fanout; ++j) {
         const std::int64_t x =
@@ -147,19 +189,26 @@ std::vector<std::int64_t> find_raw_splitters(
     ++rounds;
     probes_total += static_cast<std::int64_t>(probes.size());
 
+    // Each bracket walks only the probes strictly inside it, in ascending
+    // order: a probe below the threshold raises lo (so the next probe is
+    // still inside), and the first one at or above it sets hi, past which
+    // every later probe lies. Two brackets are always identical or have
+    // disjoint interiors, so the probes inside one are its own fanout − 1:
+    // O(brackets · (fanout + log probes)) per round.
     for (std::size_t pi = 0; pi < brackets.size(); ++pi) {
       bracket& br = brackets[pi];
       if (width_of(br) <= window) continue;
       const std::int64_t p = static_cast<std::int64_t>(pi) + 1;
-      for (std::size_t i = 0; i < probes.size(); ++i) {
-        const std::int64_t x = probes[i];
-        if (x <= br.lo || x >= br.hi) continue;
+      for (auto i = static_cast<std::size_t>(
+               std::upper_bound(probes.begin(), probes.end(), br.lo) -
+               probes.begin());
+           i < probes.size() && probes[i] < br.hi; ++i) {
         if (cut_is_at_or_before(sums[i], nparts, p, total_weight)) {
-          br.hi = x;
-        } else {
-          br.lo = x;
-          br.s_at_lo = sums[i];
+          br.hi = probes[i];
+          break;
         }
+        br.lo = probes[i];
+        br.s_at_lo = sums[i];
       }
     }
     SFP_ASSERT(rounds <= 64, "histogram refinement failed to converge");
@@ -265,29 +314,31 @@ local_partition parallel_partition_rank(
               "weights must be empty or one per owned element");
 
   // Phase 1: local SFC keys, straight from the shared spec — no global
-  // traversal is ever materialized.
-  std::vector<std::int64_t> keys(m);
+  // traversal is ever materialized. Each key (< K < 2^31) is packed above
+  // its local index, so sorting the words by key also carries the
+  // permutation back to element order.
+  std::vector<std::uint64_t> by_key(m);
   {
     SFP_TRACE_SCOPE_CAT("core.parallel_partition.keys", "core");
-    for (std::size_t i = 0; i < m; ++i)
-      keys[i] = curve_position_of(spec, mesh,
-                                  static_cast<int>(out.begin) +
-                                      static_cast<int>(i));
+    for (std::size_t i = 0; i < m; ++i) {
+      const std::int64_t key = curve_position_of(
+          spec, mesh, static_cast<int>(out.begin) + static_cast<int>(i));
+      SFP_ASSERT(key >= 0 && key < k, "SFC key must be a curve position");
+      by_key[i] = (static_cast<std::uint64_t>(key) << 32) | i;
+    }
   }
 
   // Phase 2: sort the block by key and reduce the weight totals.
-  std::vector<std::size_t> by_key(m);
-  for (std::size_t i = 0; i < m; ++i) by_key[i] = i;
-  std::sort(by_key.begin(), by_key.end(),
-            [&](std::size_t a, std::size_t b) { return keys[a] < keys[b]; });
+  radix_sort_by_key(
+      by_key, static_cast<int>(std::bit_width(static_cast<std::uint64_t>(k))));
   std::vector<std::int64_t> sorted_keys(m);
   std::vector<graph::weight> sorted_weights(m);
   graph::weight local_total = 0;
   for (std::size_t i = 0; i < m; ++i) {
     const graph::weight w =
-        local_weights.empty() ? 1 : local_weights[by_key[i]];
+        local_weights.empty() ? 1 : local_weights[local_index(by_key[i])];
     SFP_REQUIRE(w > 0, "vertex weights must be positive");
-    sorted_keys[i] = keys[by_key[i]];
+    sorted_keys[i] = static_cast<std::int64_t>(by_key[i] >> 32);
     sorted_weights[i] = w;
     local_total += w;
   }
@@ -300,15 +351,18 @@ local_partition parallel_partition_rank(
                          opts, stats);
   out.boundaries = repair_boundaries(raw, k, nparts);
 
-  // Phase 4: label the owned block against the shared boundaries.
+  // Phase 4: label the owned block against the shared boundaries — one
+  // merge walk of the sorted keys, scattered back through the permutation.
+  // An element's label is the number of boundaries at or below its key.
   {
     SFP_TRACE_SCOPE_CAT("core.parallel_partition.label", "core");
     out.labels.resize(m);
+    std::size_t part = 0;
     for (std::size_t i = 0; i < m; ++i) {
-      const auto it = std::upper_bound(out.boundaries.begin(),
-                                       out.boundaries.end(), keys[i]);
-      out.labels[i] =
-          static_cast<graph::vid>(it - out.boundaries.begin());
+      while (part < out.boundaries.size() &&
+             out.boundaries[part] <= sorted_keys[i])
+        ++part;
+      out.labels[local_index(by_key[i])] = static_cast<graph::vid>(part);
     }
   }
   if (stats) stats->local_elements += static_cast<std::int64_t>(m);

@@ -103,7 +103,9 @@ struct local_partition {
 /// to sfc_partition(curve, nparts, weights) for the curve `spec` describes.
 /// `local_weights` is indexed by element id − begin over the owned block
 /// (empty = unit weights); weights must be positive, as in the serial
-/// slicer. O(K/P · log) time and O(K/P) memory per rank.
+/// slicer. Per rank: O(K/P) memory, O(K/P + Nproc) time for the keys, the
+/// radix sort and the labels, and O((probes + Nproc) · log K) per
+/// refinement round at a fixed fanout.
 local_partition parallel_partition_rank(
     const mesh::cubed_sphere& mesh, const cube_curve_spec& spec, int nparts,
     std::span<const graph::weight> local_weights, peer_comm& comm,

@@ -12,6 +12,8 @@
 #include <chrono>
 #include <cstdint>
 #include <numeric>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "core/dist_scan.hpp"
@@ -271,6 +273,137 @@ TEST(SplitterSearch, DistributedMatchesSoloAcrossUnevenAndEmptyBlocks) {
           find_raw_splitters(comm, keys, mine, k, total, nparts, opts);
     });
     for (const auto& raw : got) EXPECT_EQ(raw, want) << "K=" << k;
+  }
+}
+
+/// Weights 1-9, times 100 with probability 1/16 (the dist-plan
+/// benchmark's heavy tail).
+std::vector<graph::weight> heavy_tail_weights(std::int64_t n,
+                                              std::uint64_t seed) {
+  sfp::rng r(seed);
+  std::vector<graph::weight> w(static_cast<std::size_t>(n));
+  for (auto& x : w) {
+    x = 1 + static_cast<graph::weight>(r.below(9));
+    if (r.below(16) == 0) x *= 100;
+  }
+  return w;
+}
+
+TEST(SplitterSearch, ManyPartsDefaultOptionsMatchDirectMidpointRule) {
+  // The paper's regime: a few elements per part, so hundreds of splitters
+  // share one bracket in the first rounds and every round's probe list is
+  // walked by many brackets at once. Default options, heavy-tail weights,
+  // solo and over 3 ranks.
+  constexpr std::int64_t n = 4000;
+  const std::vector<graph::weight> w = heavy_tail_weights(n, 20261017);
+  const graph::weight total = std::accumulate(w.begin(), w.end(),
+                                              graph::weight{0});
+  std::vector<std::int64_t> keys(w.size());
+  std::iota(keys.begin(), keys.end(), 0);
+  for (const int nparts : {static_cast<int>(n / 8), static_cast<int>(n / 3)}) {
+    const auto want = direct_raw_cuts(w, nparts);
+
+    solo_comm solo;
+    EXPECT_EQ(find_raw_splitters(solo, keys, w, n, total, nparts), want)
+        << "solo nparts " << nparts;
+
+    constexpr int kRanks = 3;
+    std::vector<std::vector<std::int64_t>> got(kRanks);
+    run_peer_group(kRanks, [&](core::peer_comm& comm) {
+      const std::int64_t begin = element_block_begin(n, kRanks, comm.rank());
+      const std::int64_t end = element_block_begin(n, kRanks, comm.rank() + 1);
+      const auto b = static_cast<std::size_t>(begin);
+      const auto e = static_cast<std::size_t>(end);
+      got[static_cast<std::size_t>(comm.rank())] = find_raw_splitters(
+          comm, std::span(keys).subspan(b, e - b),
+          std::span(w).subspan(b, e - b), n, total, nparts);
+    });
+    for (const auto& raw : got) EXPECT_EQ(raw, want) << "nparts " << nparts;
+  }
+}
+
+/// The refinement by its plain definition, over exact prefix sums: every
+/// still-wide bracket probes, and every probe is tested against every
+/// bracket. Returns the search's cost record (rounds, probes, records in
+/// the merged exact-pass windows).
+core::parallel_partition_stats naive_refinement_stats(
+    const std::vector<graph::weight>& w_by_pos, int nparts,
+    const core::parallel_partition_options& opts) {
+  const auto n = static_cast<std::int64_t>(w_by_pos.size());
+  std::vector<graph::weight> s(w_by_pos.size() + 1, 0);
+  for (std::size_t i = 0; i < w_by_pos.size(); ++i)
+    s[i + 1] = s[i] + w_by_pos[i];
+  const graph::weight total = s.back();
+  std::vector<std::pair<std::int64_t, std::int64_t>> br(
+      static_cast<std::size_t>(nparts) - 1, {0, n});
+  const auto wide = [&](std::int64_t lo, std::int64_t hi) {
+    return hi - lo > opts.window_elements;
+  };
+  core::parallel_partition_stats stats;
+  for (;;) {
+    std::vector<std::int64_t> probes;
+    for (const auto& [lo, hi] : br) {
+      if (!wide(lo, hi)) continue;
+      for (int j = 1; j < opts.histogram_fanout; ++j) {
+        const std::int64_t x = lo + (hi - lo) * j / opts.histogram_fanout;
+        if (x > lo && x < hi) probes.push_back(x);
+      }
+    }
+    std::sort(probes.begin(), probes.end());
+    probes.erase(std::unique(probes.begin(), probes.end()), probes.end());
+    if (probes.empty()) break;
+    ++stats.rounds;
+    stats.probes_evaluated += static_cast<std::int64_t>(probes.size());
+    for (std::size_t pi = 0; pi < br.size(); ++pi) {
+      auto& [lo, hi] = br[pi];
+      if (!wide(lo, hi)) continue;
+      for (const std::int64_t x : probes) {
+        if (x <= lo || x >= hi) continue;
+        if (s[static_cast<std::size_t>(x)] * nparts >=
+            static_cast<std::int64_t>(pi + 1) * total)
+          hi = x;
+        else
+          lo = x;
+      }
+    }
+  }
+  std::vector<bool> in_window(static_cast<std::size_t>(n), false);
+  for (const auto& [lo, hi] : br)
+    for (std::int64_t x = lo; x <= std::min(hi, n - 1); ++x)
+      in_window[static_cast<std::size_t>(x)] = true;
+  stats.window_records =
+      std::count(in_window.begin(), in_window.end(), true);
+  return stats;
+}
+
+TEST(SplitterSearch, ManyPartsSearchTrajectoryMatchesNaiveRefinement) {
+  // The search's cost record — rounds, probes evaluated, exact-pass window
+  // records — must be the plain definition's, so skipping repeated
+  // brackets and walking only a bracket's own probes save time without
+  // changing a single probe.
+  constexpr std::int64_t n = 4000;
+  const std::vector<graph::weight> w = heavy_tail_weights(n, 20261017);
+  const graph::weight total = std::accumulate(w.begin(), w.end(),
+                                              graph::weight{0});
+  std::vector<std::int64_t> keys(w.size());
+  std::iota(keys.begin(), keys.end(), 0);
+  core::parallel_partition_options small;
+  small.histogram_fanout = 4;
+  small.window_elements = 8;
+  for (const auto& opts : {core::parallel_partition_options{}, small}) {
+    for (const int nparts : {7, static_cast<int>(n / 8),
+                             static_cast<int>(n / 3)}) {
+      const auto want = naive_refinement_stats(w, nparts, opts);
+      solo_comm solo;
+      core::parallel_partition_stats got;
+      (void)find_raw_splitters(solo, keys, w, n, total, nparts, opts, &got);
+      const std::string what = "fanout " +
+                               std::to_string(opts.histogram_fanout) +
+                               " nparts " + std::to_string(nparts);
+      EXPECT_EQ(got.rounds, want.rounds) << what;
+      EXPECT_EQ(got.probes_evaluated, want.probes_evaluated) << what;
+      EXPECT_EQ(got.window_records, want.window_records) << what;
+    }
   }
 }
 

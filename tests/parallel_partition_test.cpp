@@ -108,6 +108,39 @@ TEST(ParallelPartitionParity, SweepMatchesSerialElementForElement) {
   }
 }
 
+TEST(ParallelPartitionParity, PaperRegimeManyPartsDefaultOptions) {
+  // The paper's regime: ~8 elements per part, so up to 1,727 splitters
+  // share each round's probe list, with the default search options. The
+  // two sizes cover both shapes of phase 2's 11-bit-digit radix sort:
+  // K = 864 (Ne = 12) has 10 key bits and sorts in a single pass,
+  // K = 13,824 (Ne = 48) has 14 and takes two.
+  for (const int ne : {12, 48}) {
+    const mesh::cubed_sphere mesh(ne);
+    const core::cube_curve curve = core::build_cube_curve(mesh);
+    const core::cube_curve_spec spec = core::spec_of(curve);
+    const int k = mesh.num_elements();
+    const int nparts = k / 8;  // 108 and 1,728
+
+    std::vector<std::vector<graph::weight>> weight_cases;
+    weight_cases.emplace_back();  // empty = uniform
+    weight_cases.push_back(
+        heavy_tail_weights(k, 2000 + static_cast<std::uint64_t>(ne)));
+    for (const auto& weights : weight_cases) {
+      const partition::partition serial =
+          core::sfc_partition(curve, nparts, weights);
+      for (const int nranks : {1, 2, 3}) {
+        const parallel_partition_report report =
+            run_parallel_partition(mesh, spec, nparts, weights, nranks);
+        expect_matches_serial(
+            report, serial, curve, weights,
+            "Ne=" + std::to_string(ne) + " nparts=" + std::to_string(nparts) +
+                " ranks=" + std::to_string(nranks) +
+                (weights.empty() ? " uniform" : " heavy-tail"));
+      }
+    }
+  }
+}
+
 TEST(ParallelPartitionParity, MoreRanksThanElements) {
   // Ne = 1: K = 6 elements over 7 ranks — empty blocks participate in
   // every collective and the plan still matches the serial slicer.

@@ -34,9 +34,9 @@
 #      matrix — in-process, and loopback-TCP with byte-stream faults —
 #      and must heal every one in place
 #   7. distributed-partition bench smoke: bench_partition_scaling at a tiny
-#      K must run all rank counts, match the serial slicer (the bench
-#      aborts on divergence), and emit a well-formed
-#      BENCH_partition_scaling.json
+#      K, and again at ~8 elements per part (Ne = 12, 108 parts), must run
+#      all rank counts, match the serial slicer (the bench aborts on
+#      divergence), and emit a well-formed BENCH_partition_scaling.json
 #   8. perf guard: bench_baselines reruns in a scratch dir and its fresh
 #      BENCH_baselines.json must stay within a generous tolerance of the
 #      committed tools/bench_reference.json (wall-clock columns ignored);
@@ -142,6 +142,10 @@ build/bench/bench_partition_scaling --ne=2 --nparts=4 --repeat=1 \
 test -s "$bench_dir/BENCH_partition_scaling.json" || {
   echo "missing or empty artifact: BENCH_partition_scaling.json" >&2; exit 1; }
 grep -q '"elements_per_sec"' "$bench_dir/BENCH_partition_scaling.json"
+# The paper's many-parts regime: 107 splitters share each round's probe
+# list, parity-checked on every rank count the same way.
+build/bench/bench_partition_scaling --ne=12 --nparts=108 --repeat=1 \
+  --out="$bench_dir/BENCH_partition_scaling.json"
 rm -rf "$bench_dir"
 
 echo "==> [8/9] perf guard: fresh BENCH_baselines.json vs committed reference"
