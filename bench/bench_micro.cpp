@@ -156,15 +156,30 @@ void BM_MgpRecursiveBisection(benchmark::State& state) {
 }
 BENCHMARK(BM_MgpRecursiveBisection)->Arg(16)->Arg(96)->Arg(192);
 
+// Args: (Ne, nparts). Ne = 96 at 6,912 parts is the perfbench serial-plan
+// shape (8 elements per part).
 void BM_Metrics(benchmark::State& state) {
-  const mesh::cubed_sphere m(16);
+  const mesh::cubed_sphere m(static_cast<int>(state.range(0)));
   const auto dual = m.dual_graph();
-  const auto p = core::sfc_partition(m, 768);
+  const auto p = core::sfc_partition(m, static_cast<int>(state.range(1)));
   for (auto _ : state) {
     benchmark::DoNotOptimize(partition::compute_metrics(dual, p));
   }
+  state.SetItemsProcessed(state.iterations() * m.num_elements());
 }
-BENCHMARK(BM_Metrics);
+BENCHMARK(BM_Metrics)->Args({16, 768})->Args({96, 6912});
+
+// The per-peer volumes the machine model reads (perf::simulate_step).
+void BM_CommPattern(benchmark::State& state) {
+  const mesh::cubed_sphere m(static_cast<int>(state.range(0)));
+  const auto dual = m.dual_graph();
+  const auto p = core::sfc_partition(m, static_cast<int>(state.range(1)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(partition::comm_pattern(dual, p));
+  }
+  state.SetItemsProcessed(state.iterations() * m.num_elements());
+}
+BENCHMARK(BM_CommPattern)->Args({16, 768})->Args({96, 6912});
 
 // Observability overhead: the disabled-scope cost is what every
 // instrumented hot path pays when no `sfcpart trace` session is active

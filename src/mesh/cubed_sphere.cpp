@@ -5,6 +5,7 @@
 #include <utility>
 #include <vector>
 
+#include "graph/validate.hpp"
 #include "mesh/validate.hpp"
 #include "util/contract.hpp"
 
@@ -274,42 +275,116 @@ graph::csr cubed_sphere::dual_graph(graph::weight edge_weight,
   std::vector<graph::vid> adjncy(8 * k);
   std::vector<graph::weight> adjwgt(8 * k);
   std::size_t used = 0;
-  const auto add = [&](int nbr, graph::weight w) {
-    adjncy[used] = nbr;
-    adjwgt[used++] = w;
-  };
-  std::array<std::pair<int, graph::weight>, 8> row{};
-  int id = 0;
-  for (int face = 0; face < 6; ++face)
-    for (int j = 0; j < ne_; ++j)
-      for (int i = 0; i < ne_; ++i, ++id) {
-        if (i > 0 && i + 1 < ne_ && j > 0 && j + 1 < ne_) {
-          // Face interior: the 3×3 stencil on this face, already ascending.
-          if (include_corners) add(id - ne_ - 1, corner_weight);
-          add(id - ne_, edge_weight);
-          if (include_corners) add(id - ne_ + 1, corner_weight);
-          add(id - 1, edge_weight);
-          add(id + 1, edge_weight);
-          if (include_corners) add(id + ne_ - 1, corner_weight);
-          add(id + ne_, edge_weight);
-          if (include_corners) add(id + ne_ + 1, corner_weight);
-        } else {
-          const element_ref r{face, i, j};
-          std::size_t n = 0;
-          for (int e = 0; e < 4; ++e)
-            row[n++] = {element_id(step(r, e)), edge_weight};
-          if (include_corners)
-            for (const int nbr : corner_neighbors_of(r))
-              row[n++] = {nbr, corner_weight};
-          sort_prefix(row, n);
-          for (std::size_t m = 0; m < n; ++m) add(row[m].first, row[m].second);
-        }
-        xadj[static_cast<std::size_t>(id) + 1] = static_cast<graph::eid>(used);
+  // Face interior: the 3×3 stencil on this face, already ascending. The
+  // cursors and weights are locals so the stores cannot alias them.
+  const auto interior_rows = [&](int first, int last) {
+    const int n = ne_;
+    const graph::weight ew = edge_weight;
+    const graph::weight cw = corner_weight;
+    graph::vid* a = adjncy.data() + used;
+    graph::weight* w = adjwgt.data() + used;
+    graph::eid at = static_cast<graph::eid>(used);
+    graph::eid* x = xadj.data() + first + 1;
+    if (include_corners) {
+      for (int id = first; id < last; ++id, a += 8, w += 8) {
+        a[0] = id - n - 1;
+        a[1] = id - n;
+        a[2] = id - n + 1;
+        a[3] = id - 1;
+        a[4] = id + 1;
+        a[5] = id + n - 1;
+        a[6] = id + n;
+        a[7] = id + n + 1;
+        w[0] = w[2] = w[5] = w[7] = cw;
+        w[1] = w[3] = w[4] = w[6] = ew;
+        at += 8;
+        *x++ = at;
       }
+    } else {
+      for (int id = first; id < last; ++id, a += 4, w += 4) {
+        a[0] = id - n;
+        a[1] = id - 1;
+        a[2] = id + 1;
+        a[3] = id + n;
+        w[0] = w[1] = w[2] = w[3] = ew;
+        at += 4;
+        *x++ = at;
+      }
+    }
+    used = static_cast<std::size_t>(at);
+  };
+  // Along local edge e of the current face, the element across from the
+  // t-th edge element is affine in t: across[e][0] + across[e][1]·t.
+  std::array<std::array<int, 2>, 4> across{};
+  std::array<std::pair<int, graph::weight>, 8> row{};
+  const auto boundary_row = [&](int face, int i, int j, int id) {
+    const bool i_inside = i > 0 && i + 1 < ne_;
+    const bool j_inside = j > 0 && j + 1 < ne_;
+    std::size_t n = 0;
+    if (i_inside || j_inside) {
+      // Face edge strip: the stencil cells off the face lie along the
+      // crossed edge, at strip positions t - 1, t, t + 1.
+      const int e = j == 0 ? 0 : i + 1 == ne_ ? 1 : j + 1 == ne_ ? 2 : 3;
+      const auto [base, stride] = across[static_cast<std::size_t>(e)];
+      const int t = j_inside ? j : i;
+      for (int dj = -1; dj <= 1; ++dj)
+        for (int di = -1; di <= 1; ++di) {
+          const bool shares_edge = di == 0 || dj == 0;
+          if ((di == 0 && dj == 0) || (!shares_edge && !include_corners))
+            continue;
+          const int ni = i + di;
+          const int nj = j + dj;
+          const int nbr = ni >= 0 && ni < ne_ && nj >= 0 && nj < ne_
+                              ? id + dj * ne_ + di
+                              : base + stride * (t + (j_inside ? dj : di));
+          row[n++] = {nbr, shares_edge ? edge_weight : corner_weight};
+        }
+    } else {
+      // Face corner (every element when Ne <= 2): the general path.
+      const element_ref r{face, i, j};
+      for (int e = 0; e < 4; ++e)
+        row[n++] = {element_id(step(r, e)), edge_weight};
+      if (include_corners)
+        for (const int nbr : corner_neighbors_of(r))
+          row[n++] = {nbr, corner_weight};
+    }
+    sort_prefix(row, n);
+    for (std::size_t m = 0; m < n; ++m, ++used) {
+      adjncy[used] = row[m].first;
+      adjwgt[used] = row[m].second;
+    }
+    xadj[static_cast<std::size_t>(id) + 1] = static_cast<graph::eid>(used);
+  };
+  for (int face = 0; face < 6; ++face) {
+    if (ne_ >= 3)
+      for (int e = 0; e < 4; ++e) {
+        const auto across_from = [&](int t) {
+          const element_ref r = e % 2 == 0
+                                    ? element_ref{face, t, e == 0 ? 0 : ne_ - 1}
+                                    : element_ref{face, e == 1 ? ne_ - 1 : 0, t};
+          return element_id(step(r, e));
+        };
+        const int a0 = across_from(0);
+        across[static_cast<std::size_t>(e)] = {a0, across_from(1) - a0};
+      }
+    for (int j = 0; j < ne_; ++j) {
+      const int row_start = (face * ne_ + j) * ne_;
+      if (j == 0 || j + 1 == ne_) {
+        for (int i = 0; i < ne_; ++i) boundary_row(face, i, j, row_start + i);
+        continue;
+      }
+      boundary_row(face, 0, j, row_start);
+      interior_rows(row_start + 1, row_start + ne_ - 1);
+      boundary_row(face, ne_ - 1, j, row_start + ne_ - 1);
+    }
+  }
   adjncy.resize(used);
   adjwgt.resize(used);
-  return graph::csr(std::move(xadj), std::move(adjncy),
-                    std::vector<graph::weight>(k, 1), std::move(adjwgt));
+  graph::csr g(std::move(xadj), std::move(adjncy),
+               std::vector<graph::weight>(k, 1), std::move(adjwgt));
+  // Audit tier: rows sorted, weights positive, every edge mirrored.
+  SFP_AUDIT_DIAG(graph::validate_csr(g));
+  return g;
 }
 
 cubed_sphere::face_frame cubed_sphere::frame_of_face(int face) {

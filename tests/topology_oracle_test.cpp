@@ -113,7 +113,7 @@ TEST_P(TopologyOracle, AssemblyNumberingMatchesTheHashMapNumbering) {
 
 INSTANTIATE_TEST_SUITE_P(
     Sizes, TopologyOracle,
-    ::testing::Combine(::testing::Values(1, 2, 3, 4, 5, 7, 8, 12, 32),
+    ::testing::Combine(::testing::Values(1, 2, 3, 4, 5, 6, 7, 8, 12, 32, 48),
                        ::testing::Values(projection::equidistant,
                                          projection::equiangular)),
     [](const ::testing::TestParamInfo<TopologyOracle::ParamType>& p) {

@@ -87,9 +87,12 @@ cmake --build --preset asan-ubsan -j "$(nproc 2>/dev/null || echo 4)"
 ctest --preset asan-ubsan
 # The serial-parity wall, re-asserted by name under the audit validators:
 # the distributed slicer must stay bit-identical to the serial one while
-# every validate_plan audit fires at the module boundaries, and the point
-# query's transition tables agree with the generated curves.
-ctest --test-dir build-asan -R 'ParallelPartition|SplitterSearch|CurvePosition' \
+# every validate_plan audit fires at the module boundaries, the point
+# query's transition tables agree with the generated curves, and the
+# grouped metrics walk and the affine dual-graph strips match their
+# sort/map and hash-map oracles while the cut-volume and CSR audits fire.
+ctest --test-dir build-asan \
+  -R 'ParallelPartition|SplitterSearch|CurvePosition|MetricsOracle|TopologyOracle' \
   --output-on-failure
 
 echo "==> [5/9] trace artifacts: sfcpart trace smoke"
