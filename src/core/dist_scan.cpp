@@ -129,6 +129,14 @@ group_reconfigured::group_reconfigured(group_view view, int victim,
       victim_(victim),
       old_size_(old_size) {}
 
+regroup_stats& regroup_stats::operator+=(const regroup_stats& o) {
+  stale_dropped += o.stale_dropped;
+  aborted_data_dropped += o.aborted_data_dropped;
+  reports_sent += o.reports_sent;
+  agreement_rounds += o.agreement_rounds;
+  return *this;
+}
+
 regroup_comm::regroup_comm(peer_comm& base, regroup_options opts)
     : base_(&base), opts_(opts), self_world_(base.rank()) {
   SFP_REQUIRE(opts_.min_members >= 1, "regroup quorum must be at least 1");

@@ -176,6 +176,7 @@ struct regroup_stats {
   std::int64_t aborted_data_dropped = 0;  ///< same-epoch frames of a phase a regroup interrupted
   std::int64_t reports_sent = 0;     ///< follower suspicion reports
   std::int64_t agreement_rounds = 0; ///< coordinator-candidate walks entered
+  regroup_stats& operator+=(const regroup_stats& o);
 };
 
 /// Group-reconfiguration layer over a base peer_comm. Presents *dense*

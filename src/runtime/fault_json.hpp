@@ -1,8 +1,8 @@
 #pragma once
-// JSON persistence for fault_plan: the bridge between the chaos tooling and
-// version control. A shrunken reproducer (seam/chaos.hpp) is serialized
-// here, committed next to the test that covers it, and replayed with
-// `sfcpart faults --plan=<file>` or by any test that loads it back.
+// JSON persistence for fault_plan: a hand-written or saved plan replayed
+// with `sfcpart faults --plan=<file>` or by any test that loads it back.
+// Chaos reproducers are not fault plans: they are chaos_schedule JSON
+// (seam/chaos.hpp), replayed with `sfcpart chaos --replay=<file>`.
 //
 // Format (all keys optional except as noted):
 //   {

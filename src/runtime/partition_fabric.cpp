@@ -247,10 +247,7 @@ parallel_partition_report run_parallel_partition(
   report.socket = frep.socket;
   for (const rank_outcome& o : outcomes) {
     report.reliable += o.reliable;
-    report.regroup.stale_dropped += o.regroup.stale_dropped;
-    report.regroup.aborted_data_dropped += o.regroup.aborted_data_dropped;
-    report.regroup.reports_sent += o.regroup.reports_sent;
-    report.regroup.agreement_rounds += o.regroup.agreement_rounds;
+    report.regroup += o.regroup;
   }
 
   // Assemble from the newest group epoch whose deposits exactly tile

@@ -380,82 +380,6 @@ chaos_trial chaos_harness::run(const chaos_schedule& schedule) const {
   return t;
 }
 
-chaos_schedule shrink_failure(const chaos_harness& harness,
-                              const chaos_schedule& failing) {
-  const auto fails = [&](const std::vector<chaos_fault>& subset) {
-    chaos_schedule candidate;
-    candidate.seed = failing.seed;
-    candidate.faults = subset;
-    return !harness.run(candidate).passed;
-  };
-  if (!fails(failing.faults)) return failing;  // not reproducible: keep all
-
-  // Classic ddmin over the fault list: try dropping ever-finer chunks,
-  // keeping any reduction that still fails. Terminates at a 1-minimal
-  // subset: removing any single remaining fault makes the trial pass.
-  std::vector<chaos_fault> faults = failing.faults;
-  std::size_t n = 2;
-  while (faults.size() >= 2) {
-    const std::size_t chunk = (faults.size() + n - 1) / n;
-    bool reduced = false;
-    for (std::size_t start = 0; start < faults.size(); start += chunk) {
-      std::vector<chaos_fault> candidate;
-      candidate.reserve(faults.size());
-      for (std::size_t i = 0; i < faults.size(); ++i)
-        if (i < start || i >= start + chunk) candidate.push_back(faults[i]);
-      if (candidate.size() < faults.size() && fails(candidate)) {
-        faults = std::move(candidate);
-        n = std::max<std::size_t>(2, n - 1);
-        reduced = true;
-        break;
-      }
-    }
-    if (!reduced) {
-      if (n >= faults.size()) break;  // singles tried: 1-minimal
-      n = std::min(n * 2, faults.size());
-    }
-  }
-  chaos_schedule shrunk;
-  shrunk.seed = failing.seed;
-  shrunk.faults = std::move(faults);
-  return shrunk;
-}
-
-io::json_value soak_failure_to_json(const soak_failure& f) {
-  io::json_value doc = io::json_object();
-  doc.object["failure"] = io::json_string(f.trial.failure);
-  doc.object["attempts"] = io::json_number(f.trial.attempts);
-  doc.object["max_abs_diff"] = io::json_number(f.trial.max_abs_diff);
-  doc.object["schedule"] = chaos_schedule_to_json(f.schedule);
-  doc.object["shrunk"] = chaos_schedule_to_json(f.shrunk);
-  return doc;
-}
-
-soak_report run_chaos_soak(const chaos_harness& harness,
-                           std::uint64_t base_seed, int trials, int nfaults,
-                           bool shrink, int nstream) {
-  SFP_REQUIRE(trials >= 1, "soak needs at least one trial");
-  soak_report report;
-  report.trials = trials;
-  for (int i = 0; i < trials; ++i) {
-    chaos_schedule schedule = make_chaos_schedule(
-        base_seed + static_cast<std::uint64_t>(i),
-        harness.options().nranks, nfaults);
-    if (nstream > 0)
-      add_stream_faults(schedule, harness.options().nranks, nstream);
-    const chaos_trial trial = harness.run(schedule);
-    report.reliable += trial.reliable;
-    report.socket += trial.socket;
-    if (trial.passed) continue;
-    soak_failure f;
-    f.schedule = schedule;
-    f.shrunk = shrink ? shrink_failure(harness, schedule) : schedule;
-    f.trial = trial;
-    report.failures.push_back(std::move(f));
-  }
-  return report;
-}
-
 // ---------------------------------------------------------------------------
 // Partition chaos.
 
@@ -488,9 +412,9 @@ partition_chaos_harness::partition_chaos_harness(
               "partition chaos harness: more ranks than elements");
 }
 
-partition_chaos_trial partition_chaos_harness::run(
+chaos_trial partition_chaos_harness::run(
     const chaos_schedule& schedule) const {
-  partition_chaos_trial t;
+  chaos_trial t;
   runtime::parallel_partition_run_options opts;
   opts.backend = opts_.backend;
   opts.faults = to_fault_plan(schedule, opts_.backend);
@@ -514,6 +438,7 @@ partition_chaos_trial partition_chaos_harness::run(
   t.lost_ranks = report.lost_ranks;
   t.counters = report.counters;
   t.reliable = report.reliable;
+  t.socket = report.socket;
   t.regroup = report.regroup;
 
   // The most ranks this schedule could take down: kills of out-of-range
@@ -587,8 +512,12 @@ partition_chaos_trial partition_chaos_harness::run(
   return t;
 }
 
-chaos_schedule shrink_partition_failure(const partition_chaos_harness& harness,
-                                        const chaos_schedule& failing) {
+// ---------------------------------------------------------------------------
+// Shrinking and soaking, shared by both harnesses.
+
+chaos_schedule shrink_failure(
+    const chaos_schedule& failing,
+    const std::function<bool(const chaos_schedule&)>& fails) {
   // ddmin over the *combined* fault + kill + stream-fault list: entries of
   // all three kinds compete for removal, so the reproducer is 1-minimal
   // across the whole schedule (a kill that only fails in concert with a
@@ -610,14 +539,14 @@ chaos_schedule shrink_partition_failure(const partition_chaos_harness& harness,
     }
     return s;
   };
-  const auto fails = [&](const std::vector<std::size_t>& keep) {
-    return !harness.run(rebuild(keep)).passed;
-  };
+  if (!fails(failing)) return failing;  // not reproducible: keep all
 
   std::vector<std::size_t> items(nf + nk + ns);
   std::iota(items.begin(), items.end(), std::size_t{0});
-  if (!fails(items)) return failing;  // not reproducible: keep all
 
+  // Classic ddmin: try dropping ever-finer chunks, keeping any reduction
+  // that still fails. Terminates at a 1-minimal subset: removing any
+  // single remaining entry makes the predicate pass.
   std::size_t n = 2;
   while (items.size() >= 2) {
     const std::size_t chunk = (items.size() + n - 1) / n;
@@ -627,7 +556,7 @@ chaos_schedule shrink_partition_failure(const partition_chaos_harness& harness,
       candidate.reserve(items.size());
       for (std::size_t i = 0; i < items.size(); ++i)
         if (i < start || i >= start + chunk) candidate.push_back(items[i]);
-      if (candidate.size() < items.size() && fails(candidate)) {
+      if (candidate.size() < items.size() && fails(rebuild(candidate))) {
         items = std::move(candidate);
         n = std::max<std::size_t>(2, n - 1);
         reduced = true;
@@ -642,9 +571,11 @@ chaos_schedule shrink_partition_failure(const partition_chaos_harness& harness,
   return rebuild(items);
 }
 
-io::json_value partition_soak_failure_to_json(const partition_soak_failure& f) {
+io::json_value soak_failure_to_json(const soak_failure& f) {
   io::json_value doc = io::json_object();
   doc.object["failure"] = io::json_string(f.trial.failure);
+  doc.object["attempts"] = io::json_number(f.trial.attempts);
+  doc.object["max_abs_diff"] = io::json_number(f.trial.max_abs_diff);
   doc.object["aborted"] = io::json_bool(f.trial.aborted);
   doc.object["recoveries"] = io::json_number(f.trial.recoveries);
   doc.object["group_epoch"] =
@@ -658,29 +589,30 @@ io::json_value partition_soak_failure_to_json(const partition_soak_failure& f) {
   return doc;
 }
 
-partition_soak_report run_partition_chaos_soak(
-    const partition_chaos_harness& harness, std::uint64_t base_seed,
-    int trials, int nkills, int nfaults, bool shrink) {
+soak_report run_chaos_soak(const chaos_target& harness,
+                           std::uint64_t base_seed, int trials, int nfaults,
+                           int nstream, int nkills, bool shrink) {
   SFP_REQUIRE(trials >= 1, "soak needs at least one trial");
-  partition_soak_report report;
+  const auto fails = [&](const chaos_schedule& s) {
+    return !harness.run(s).passed;
+  };
+  soak_report report;
   report.trials = trials;
   for (int i = 0; i < trials; ++i) {
     chaos_schedule schedule = make_chaos_schedule(
-        base_seed + static_cast<std::uint64_t>(i),
-        harness.options().nranks, nfaults);
-    add_kills(schedule, harness.options().nranks, nkills);
-    const partition_chaos_trial trial = harness.run(schedule);
+        base_seed + static_cast<std::uint64_t>(i), harness.nranks(), nfaults);
+    add_stream_faults(schedule, harness.nranks(), nstream);
+    add_kills(schedule, harness.nranks(), nkills);
+    const chaos_trial trial = harness.run(schedule);
     report.reliable += trial.reliable;
-    report.regroup.stale_dropped += trial.regroup.stale_dropped;
-    report.regroup.aborted_data_dropped += trial.regroup.aborted_data_dropped;
-    report.regroup.reports_sent += trial.regroup.reports_sent;
-    report.regroup.agreement_rounds += trial.regroup.agreement_rounds;
+    report.socket += trial.socket;
+    report.regroup += trial.regroup;
     if (trial.recoveries > 0) ++report.recovered_trials;
     if (trial.aborted) ++report.aborted_trials;
     if (trial.passed) continue;
-    partition_soak_failure f;
+    soak_failure f;
     f.schedule = schedule;
-    f.shrunk = shrink ? shrink_partition_failure(harness, schedule) : schedule;
+    f.shrunk = shrink ? shrink_failure(schedule, fails) : schedule;
     f.trial = trial;
     report.failures.push_back(std::move(f));
   }

@@ -1,21 +1,23 @@
 #pragma once
-// Chaos-soak harness for the reliable distributed runner.
+// One chaos harness for the reliable distributed runners.
 //
 // A chaos_schedule is a *discrete* fault list — "the nth message from rank
 // 1 to rank 3 is corrupted" — rather than per-message probabilities. Each
 // fault lowers to a probability-1 runtime::fault_plan entry with a one-shot
 // fire window, so a schedule is reproducible from its seed and, crucially,
-// shrinkable: when a soak finds a schedule that breaks the 1e-12 agreement
-// with the fault-free run, ddmin-style delta debugging (shrink_failure)
-// removes faults while the failure persists, leaving a minimal reproducer
-// that can be serialized as JSON and replayed.
+// shrinkable: when a soak finds a failing schedule, ddmin-style delta
+// debugging (shrink_failure) removes faults, kills and stream faults while
+// the failure persists, leaving a minimal reproducer that can be
+// serialized as JSON and replayed.
 //
-// The harness runs seam::run_distributed_resilient with the reliable
-// transport on a small cubed-sphere advection problem. A trial passes when
-// the run heals every injected fault in place: one attempt, no re-slices,
-// and a final tracer field within `tolerance` of the fault-free baseline.
+// Two harnesses run schedules under one contract (chaos_target): the
+// advection harness checks that SEAM advection heals every fault in place
+// to 1e-12, and the partition harness checks serial parity of the
+// distributed SFC partitioner through message faults and rank kills.
+// run_chaos_soak and shrink_failure serve both alike.
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -122,7 +124,44 @@ runtime::reliable_options chaos_reliable_defaults();
 io::json_value chaos_schedule_to_json(const chaos_schedule& schedule);
 chaos_schedule chaos_schedule_from_json(const io::json_value& doc);
 
-/// Problem + transport configuration for the harness.
+/// Outcome of one schedule on either harness. Each harness fills the
+/// fields its system reports and leaves the others at their zero value.
+struct chaos_trial {
+  bool passed = false;
+  std::string failure;       ///< empty when passed; mismatch or exception
+  int attempts = 0;          ///< resilient-runner attempts (1 = healed)
+  double max_abs_diff = 0;   ///< vs the fault-free advection baseline
+  bool aborted = false;      ///< partition run gave up (sub-quorum or budget)
+  int recoveries = 0;        ///< group reconfigurations absorbed
+  std::uint64_t group_epoch = 0;
+  std::vector<int> lost_ranks;
+  /// Fabric totals for the trial: the cross-backend soak asserts the
+  /// schedule-determined subset (injected_* counters) matches per schedule
+  /// on every backend.
+  runtime::rank_counters counters;
+  runtime::reliable_stats reliable;
+  runtime::socket_stats socket;  ///< all zero on the in-process backend
+  core::regroup_stats regroup;
+};
+
+/// The contract the shrinker, the soak and `sfcpart chaos` rely on: a
+/// harness owns its problem and baseline, and every trial is const and
+/// independently repeatable.
+class chaos_target {
+ public:
+  chaos_target() = default;
+  virtual ~chaos_target() = default;
+  chaos_target(const chaos_target&) = delete;
+  chaos_target& operator=(const chaos_target&) = delete;
+  chaos_target(chaos_target&&) = delete;
+  chaos_target& operator=(chaos_target&&) = delete;
+
+  virtual chaos_trial run(const chaos_schedule& schedule) const = 0;
+  /// Ranks the schedules' faults and kills are drawn over.
+  virtual int nranks() const = 0;
+};
+
+/// Problem + transport configuration for the advection harness.
 struct chaos_options {
   int ne = 2;       ///< cubed-sphere elements per edge
   int np = 4;       ///< GLL points per element edge
@@ -138,27 +177,15 @@ struct chaos_options {
   runtime::transport_backend backend = runtime::transport_backend::inproc;
 };
 
-/// Outcome of one schedule.
-struct chaos_trial {
-  bool passed = false;
-  int attempts = 0;          ///< resilient-runner attempts (1 = healed)
-  double max_abs_diff = 0;   ///< vs the fault-free baseline
-  std::string failure;       ///< empty when passed; mismatch or exception
-  runtime::reliable_stats reliable;
-  /// Fabric totals for the trial: the cross-backend soak asserts the
-  /// schedule-determined subset (injected_* counters) matches per schedule
-  /// on every backend.
-  runtime::rank_counters counters;
-  runtime::socket_stats socket;  ///< all zero on the in-process backend
-};
-
-/// Owns the mesh/model/partition and the fault-free baseline; trials are
-/// const and independently repeatable.
-class chaos_harness {
+/// Advection harness: runs seam::run_distributed_resilient and passes a
+/// trial when every fault healed in place — one attempt, no re-slices, and
+/// a final tracer field within `tolerance` of the fault-free baseline.
+class chaos_harness final : public chaos_target {
  public:
   explicit chaos_harness(const chaos_options& opts = {});
 
-  chaos_trial run(const chaos_schedule& schedule) const;
+  chaos_trial run(const chaos_schedule& schedule) const override;
+  int nranks() const override { return opts_.nranks; }
   const chaos_options& options() const { return opts_; }
 
  private:
@@ -170,48 +197,6 @@ class chaos_harness {
   double dt_ = 0;
   std::vector<double> baseline_;
 };
-
-/// Delta-debug a failing schedule down to a locally minimal fault subset:
-/// every single remaining fault is necessary (removing it makes the trial
-/// pass). Requires harness.run(failing) to fail; returns `failing`
-/// unchanged if it unexpectedly passes on re-run.
-chaos_schedule shrink_failure(const chaos_harness& harness,
-                              const chaos_schedule& failing);
-
-/// One soak failure: the full schedule, its shrunk reproducer, and the
-/// failing trial's diagnosis.
-struct soak_failure {
-  chaos_schedule schedule;
-  chaos_schedule shrunk;
-  chaos_trial trial;
-};
-
-io::json_value soak_failure_to_json(const soak_failure& f);
-
-struct soak_report {
-  int trials = 0;
-  std::vector<soak_failure> failures;
-  runtime::reliable_stats reliable;  ///< totals over every trial
-  runtime::socket_stats socket;  ///< totals; zero on the in-process backend
-};
-
-/// Run `trials` schedules seeded base_seed, base_seed+1, ...; shrink each
-/// failure when `shrink` is set (soaks that expect failures may skip it to
-/// bound wall-clock). When `nstream` > 0 each schedule also carries that
-/// many seeded byte-stream faults (native on the socket backend, lowered to
-/// message-level equivalents on the in-process one).
-soak_report run_chaos_soak(const chaos_harness& harness,
-                           std::uint64_t base_seed, int trials, int nfaults,
-                           bool shrink = true, int nstream = 0);
-
-// ---------------------------------------------------------------------------
-// Partition chaos: the same discrete-schedule machinery pointed at the
-// distributed SFC partitioner (runtime::run_parallel_partition). Message
-// faults must heal in place exactly as in the advection harness; rank
-// kills additionally exercise the survivor-regroup ladder, and the wall is
-// the serial-parity contract — a quorum-surviving group must assemble a
-// plan element-for-element identical to core::sfc_partition, and a
-// sub-quorum schedule must abort cleanly instead of hanging.
 
 /// Reliable-channel tuning for partition kill trials: like
 /// chaos_reliable_defaults() but with the peer-death detection budget
@@ -230,21 +215,9 @@ struct partition_chaos_options {
   int max_recoveries = 3;
 };
 
-/// Outcome of one partition schedule.
-struct partition_chaos_trial {
-  bool passed = false;
-  bool aborted = false;      ///< run gave up (sub-quorum or budget)
-  int recoveries = 0;        ///< group reconfigurations absorbed
-  std::uint64_t group_epoch = 0;
-  std::vector<int> lost_ranks;
-  std::string failure;       ///< empty when passed
-  runtime::rank_counters counters;
-  runtime::reliable_stats reliable;
-  core::regroup_stats regroup;
-};
-
-/// Owns the mesh/curve and the serial baseline plan; trials are const and
-/// independently repeatable. Pass/fail logic:
+/// Partition harness: the same schedules pointed at the distributed SFC
+/// partitioner (runtime::run_parallel_partition). Message faults must heal
+/// in place; rank kills exercise the survivor-regroup ladder. Pass/fail:
 ///   completed -> plan and boundaries must match the serial slicer
 ///                element for element; if kills fired, the run must either
 ///                record a recovery or have lost nobody (a corpse that
@@ -252,11 +225,12 @@ struct partition_chaos_trial {
 ///   aborted   -> acceptable only when the schedule could actually have
 ///                starved the group: enough distinct killable ranks to
 ///                break quorum or to exhaust max_recoveries.
-class partition_chaos_harness {
+class partition_chaos_harness final : public chaos_target {
  public:
   explicit partition_chaos_harness(const partition_chaos_options& opts = {});
 
-  partition_chaos_trial run(const chaos_schedule& schedule) const;
+  chaos_trial run(const chaos_schedule& schedule) const override;
+  int nranks() const override { return opts_.nranks; }
   const partition_chaos_options& options() const { return opts_; }
 
  private:
@@ -267,36 +241,44 @@ class partition_chaos_harness {
   partition::partition serial_;  ///< the baseline plan every trial must hit
 };
 
-/// Delta-debug a failing partition schedule down to a locally minimal
-/// subset of its message faults *and* kills (ddmin over the combined
-/// list): every remaining entry is necessary. Returns `failing` unchanged
-/// if it unexpectedly passes on re-run.
-chaos_schedule shrink_partition_failure(const partition_chaos_harness& harness,
-                                        const chaos_schedule& failing);
+/// Delta-debug a failing schedule (ddmin over its combined fault + kill +
+/// stream-fault list) down to a 1-minimal reproducer: `fails` still holds
+/// for the result, and removing any single remaining entry makes it false.
+/// Pure function of its arguments; returns `failing` unchanged when
+/// `fails(failing)` does not hold (an unreproducible failure).
+chaos_schedule shrink_failure(
+    const chaos_schedule& failing,
+    const std::function<bool(const chaos_schedule&)>& fails);
 
-/// One partition soak failure: full schedule, shrunk reproducer, diagnosis.
-struct partition_soak_failure {
+/// One soak failure: the full schedule, its shrunk reproducer, and the
+/// failing trial's diagnosis.
+struct soak_failure {
   chaos_schedule schedule;
   chaos_schedule shrunk;
-  partition_chaos_trial trial;
+  chaos_trial trial;
 };
 
-io::json_value partition_soak_failure_to_json(const partition_soak_failure& f);
+io::json_value soak_failure_to_json(const soak_failure& f);
 
-struct partition_soak_report {
+struct soak_report {
   int trials = 0;
   int recovered_trials = 0;  ///< trials that absorbed >= 1 reconfiguration
   int aborted_trials = 0;    ///< trials that (acceptably) gave up
-  std::vector<partition_soak_failure> failures;
+  std::vector<soak_failure> failures;
   runtime::reliable_stats reliable;  ///< totals over every trial
+  runtime::socket_stats socket;  ///< totals; zero on the in-process backend
   core::regroup_stats regroup;       ///< totals over every trial
 };
 
 /// Run `trials` schedules seeded base_seed, base_seed+1, ..., each with
-/// `nkills` seeded rank kills on top of `nfaults` seeded message faults;
-/// shrink each failure when `shrink` is set.
-partition_soak_report run_partition_chaos_soak(
-    const partition_chaos_harness& harness, std::uint64_t base_seed,
-    int trials, int nkills, int nfaults = 0, bool shrink = true);
+/// `nfaults` message faults, `nstream` byte-stream faults (native on the
+/// socket backend, lowered to message-level equivalents on the in-process
+/// one) and `nkills` rank kills; shrink each failure against the harness
+/// when `shrink` is set (soaks that expect failures may skip it to bound
+/// wall-clock).
+soak_report run_chaos_soak(const chaos_target& harness,
+                           std::uint64_t base_seed, int trials, int nfaults,
+                           int nstream = 0, int nkills = 0,
+                           bool shrink = true);
 
 }  // namespace sfp::seam

@@ -1,7 +1,6 @@
 #pragma once
-// Deep curve validation returning structured diagnostics. The older
-// sfc/verify.hpp API (verify_result) is implemented on top of this; new
-// code — audit-tier checks, tests, fuzz harnesses — should use these.
+// Deep curve validation returning structured diagnostics, for audit-tier
+// checks, tests, fuzz harnesses and users validating custom schedules.
 //
 // Invariant slugs are stable:
 //

@@ -18,7 +18,7 @@
 #include "perf/machine.hpp"
 #include "perf/simulate.hpp"
 #include "sfc/curve.hpp"
-#include "sfc/verify.hpp"
+#include "sfc/validate.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -221,8 +221,8 @@ TEST(Fuzz, RandomSchedulesAlwaysVerify) {
     }
     if (factors.empty()) factors.push_back(2), side = 2;
     const auto curve = sfc::generate_factors(factors);
-    const auto res = sfc::verify_curve(curve, side);
-    ASSERT_TRUE(res.ok) << "trial " << trial << ": " << res.error;
+    const auto res = sfc::validate_curve(curve, side);
+    ASSERT_TRUE(res.ok) << "trial " << trial << ": " << res.detail;
   }
 }
 

@@ -165,7 +165,7 @@ TEST(ChaosSocketSoak, StreamFaultSchedulesHealOnBothBackends) {
       small_problem(runtime::transport_backend::socket));
   const soak_report socket_report =
       run_chaos_soak(socket, /*base_seed=*/3000, /*trials=*/10,
-                     /*nfaults=*/4, /*shrink=*/true, /*nstream=*/2);
+                     /*nfaults=*/4, /*nstream=*/2);
   for (const auto& f : socket_report.failures)
     ADD_FAILURE() << "socket seed " << f.schedule.seed << ": "
                   << f.trial.failure;
@@ -176,7 +176,7 @@ TEST(ChaosSocketSoak, StreamFaultSchedulesHealOnBothBackends) {
       small_problem(runtime::transport_backend::inproc));
   const soak_report inproc_report =
       run_chaos_soak(inproc, /*base_seed=*/3000, /*trials=*/10,
-                     /*nfaults=*/4, /*shrink=*/true, /*nstream=*/2);
+                     /*nfaults=*/4, /*nstream=*/2);
   for (const auto& f : inproc_report.failures)
     ADD_FAILURE() << "inproc seed " << f.schedule.seed << ": "
                   << f.trial.failure;

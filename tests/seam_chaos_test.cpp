@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
 #include <string>
 
 #include "io/json.hpp"
@@ -184,8 +185,9 @@ TEST(ChaosKills, PartitionSoakKeepsSerialParityThroughKills) {
   // schedule must recover into the exact serial plan, every sub-quorum
   // schedule must abort cleanly; any other outcome is a failure.
   const partition_chaos_harness harness;
-  const partition_soak_report report = run_partition_chaos_soak(
-      harness, /*base_seed=*/1000, /*trials=*/10, /*nkills=*/1);
+  const soak_report report =
+      run_chaos_soak(harness, /*base_seed=*/1000, /*trials=*/10,
+                     /*nfaults=*/0, /*nstream=*/0, /*nkills=*/1);
   EXPECT_EQ(report.trials, 10);
   for (const auto& f : report.failures)
     ADD_FAILURE() << "seed " << f.schedule.seed << ": " << f.trial.failure;
@@ -193,12 +195,143 @@ TEST(ChaosKills, PartitionSoakKeepsSerialParityThroughKills) {
 }
 
 TEST(ChaosShrink, UnreproducibleFailureIsReturnedUnchanged) {
-  // A schedule that passes cannot be shrunk; shrink_failure hands it back.
+  // A schedule that passes cannot be shrunk; shrink_failure hands it back
+  // whole — faults, kills and stream faults alike. The kill lies past the
+  // last op, so it never fires and the trial still heals in place.
   const chaos_harness harness(small_problem());
-  const chaos_schedule benign = make_chaos_schedule(1000, 4, 2);
+  chaos_schedule benign = make_chaos_schedule(1000, 4, 2);
+  add_stream_faults(benign, 4, 2);
+  benign.kills.push_back({1, 1'000'000});
   ASSERT_TRUE(harness.run(benign).passed);
-  const chaos_schedule kept = shrink_failure(harness, benign);
+  const chaos_schedule kept = shrink_failure(
+      benign, [&](const chaos_schedule& s) { return !harness.run(s).passed; });
   EXPECT_EQ(kept.faults.size(), benign.faults.size());
+  EXPECT_EQ(kept.kills.size(), benign.kills.size());
+  EXPECT_EQ(kept.stream_faults.size(), benign.stream_faults.size());
+}
+
+// A schedule whose entries are told apart by their indices: faults carry
+// nth 0..11, kills at_op 100..102, stream faults nth 200..203.
+chaos_schedule labelled_schedule() {
+  chaos_schedule s;
+  s.seed = 31;
+  for (int i = 0; i < 12; ++i)
+    s.faults.push_back({chaos_fault::kind::drop, 0, 1, i});
+  for (int i = 0; i < 3; ++i) s.kills.push_back({2, 100 + i});
+  for (int i = 0; i < 4; ++i)
+    s.stream_faults.push_back(
+        {.what = runtime::stream_fault::kind::reset, .src = 1, .dst = 0,
+         .nth = 200 + i});
+  return s;
+}
+
+bool has_fault(const chaos_schedule& s, std::int64_t nth) {
+  for (const auto& f : s.faults)
+    if (f.nth == nth) return true;
+  return false;
+}
+bool has_kill(const chaos_schedule& s, std::int64_t at_op) {
+  for (const auto& k : s.kills)
+    if (k.at_op == at_op) return true;
+  return false;
+}
+bool has_stream_fault(const chaos_schedule& s, std::int64_t nth) {
+  for (const auto& f : s.stream_faults)
+    if (f.nth == nth) return true;
+  return false;
+}
+
+// Removing any single entry of `s` makes `fails` pass.
+void expect_one_minimal(
+    const chaos_schedule& s,
+    const std::function<bool(const chaos_schedule&)>& fails) {
+  ASSERT_TRUE(fails(s));
+  for (std::size_t i = 0; i < s.faults.size(); ++i) {
+    chaos_schedule c = s;
+    c.faults.erase(c.faults.begin() + static_cast<std::ptrdiff_t>(i));
+    EXPECT_FALSE(fails(c)) << "fault " << i << " is not needed";
+  }
+  for (std::size_t i = 0; i < s.kills.size(); ++i) {
+    chaos_schedule c = s;
+    c.kills.erase(c.kills.begin() + static_cast<std::ptrdiff_t>(i));
+    EXPECT_FALSE(fails(c)) << "kill " << i << " is not needed";
+  }
+  for (std::size_t i = 0; i < s.stream_faults.size(); ++i) {
+    chaos_schedule c = s;
+    c.stream_faults.erase(c.stream_faults.begin() +
+                          static_cast<std::ptrdiff_t>(i));
+    EXPECT_FALSE(fails(c)) << "stream fault " << i << " is not needed";
+  }
+}
+
+TEST(ChaosShrink, DdminIsOneMinimalAcrossFaultsKillsAndStreamFaults) {
+  // 12 faults + 3 kills + 4 stream faults in; the synthetic failure needs
+  // exactly one fault and one kill, and ddmin keeps exactly those two.
+  const chaos_schedule failing = labelled_schedule();
+  const auto fails = [](const chaos_schedule& s) {
+    return has_fault(s, 7) && has_kill(s, 101);
+  };
+  const chaos_schedule shrunk = shrink_failure(failing, fails);
+  EXPECT_EQ(shrunk.seed, failing.seed);
+  ASSERT_EQ(shrunk.faults.size(), 1u);
+  EXPECT_EQ(shrunk.faults[0].nth, 7);
+  ASSERT_EQ(shrunk.kills.size(), 1u);
+  EXPECT_EQ(shrunk.kills[0].at_op, 101);
+  EXPECT_TRUE(shrunk.stream_faults.empty());
+  expect_one_minimal(shrunk, fails);
+}
+
+TEST(ChaosShrink, FailureThatNeedsAStreamFaultIsShrunk) {
+  // A failure that needs a stream fault shrinks like any other: ddmin
+  // candidates carry stream faults, so the pair survives and the 17 other
+  // entries go.
+  const chaos_schedule failing = labelled_schedule();
+  const auto fails = [](const chaos_schedule& s) {
+    return has_fault(s, 3) && has_stream_fault(s, 202);
+  };
+  const chaos_schedule shrunk = shrink_failure(failing, fails);
+  ASSERT_EQ(shrunk.faults.size(), 1u);
+  EXPECT_EQ(shrunk.faults[0].nth, 3);
+  EXPECT_TRUE(shrunk.kills.empty());
+  ASSERT_EQ(shrunk.stream_faults.size(), 1u);
+  EXPECT_EQ(shrunk.stream_faults[0].nth, 202);
+  expect_one_minimal(shrunk, fails);
+
+  // A stream fault alone is shrunk to itself.
+  const auto stream_only = [](const chaos_schedule& s) {
+    return has_stream_fault(s, 201);
+  };
+  const chaos_schedule single = shrink_failure(failing, stream_only);
+  EXPECT_TRUE(single.faults.empty());
+  EXPECT_TRUE(single.kills.empty());
+  ASSERT_EQ(single.stream_faults.size(), 1u);
+  EXPECT_EQ(single.stream_faults[0].nth, 201);
+}
+
+TEST(ChaosShrink, ChecksumDisabledPartitionFailureIsCaughtAndShrunk) {
+  // The partition harness's shrink path end to end: with checksum
+  // verification off an undetected bit flip reaches the plan, the soak
+  // catches it, ddmin shrinks the schedule, and the shrunk reproducer
+  // still fails after a JSON round trip.
+  partition_chaos_options opts;
+  opts.reliable.verify_checksums = false;
+  const partition_chaos_harness harness(opts);
+  const soak_report report =
+      run_chaos_soak(harness, /*base_seed=*/5000, /*trials=*/20,
+                     /*nfaults=*/6, /*nstream=*/0, /*nkills=*/0);
+  ASSERT_FALSE(report.failures.empty())
+      << "a checksum-less partition survived 20 corrupting schedules";
+  const soak_failure& f = report.failures.front();
+  EXPECT_FALSE(f.trial.passed);
+  EXPECT_FALSE(f.trial.failure.empty());
+  EXPECT_GE(f.shrunk.faults.size(), 1u);
+  EXPECT_LT(f.shrunk.faults.size(), f.schedule.faults.size());
+
+  const std::string text = io::write_json(soak_failure_to_json(f), 2);
+  const chaos_schedule replay =
+      chaos_schedule_from_json(io::parse_json(text).at("shrunk"));
+  EXPECT_EQ(replay.faults.size(), f.shrunk.faults.size());
+  EXPECT_FALSE(harness.run(replay).passed);
 }
 
 }  // namespace

@@ -12,7 +12,7 @@
 
 #include "sfc/curve.hpp"
 #include "sfc/render.hpp"
-#include "sfc/verify.hpp"
+#include "sfc/validate.hpp"
 #include "util/require.hpp"
 
 namespace {
@@ -90,19 +90,19 @@ TEST(Curve, Level1PeanoMeanders) {
   ASSERT_EQ(c.size(), 9u);
   EXPECT_EQ(c.front(), (cell{0, 0}));
   EXPECT_EQ(c.back(), (cell{2, 0}));
-  EXPECT_TRUE(verify_curve(c, 3).ok);
+  EXPECT_TRUE(validate_curve(c, 3).ok);
 }
 
 TEST(Curve, Level2HilbertVerifies) {
   const auto c = hilbert_curve(2);
-  const auto r = verify_curve(c, 4);
-  EXPECT_TRUE(r.ok) << r.error;
+  const auto r = validate_curve(c, 4);
+  EXPECT_TRUE(r.ok) << r.detail;
 }
 
 TEST(Curve, Level2PeanoVerifies) {
   const auto c = peano_curve(2);
-  const auto r = verify_curve(c, 9);
-  EXPECT_TRUE(r.ok) << r.error;
+  const auto r = validate_curve(c, 9);
+  EXPECT_TRUE(r.ok) << r.detail;
 }
 
 TEST(Curve, PaperFigure5Size36) {
@@ -110,8 +110,8 @@ TEST(Curve, PaperFigure5Size36) {
   // (6x6 grid: one m-Peano level then one Hilbert level).
   const auto c = hilbert_peano_curve(6);
   ASSERT_EQ(c.size(), 36u);
-  const auto r = verify_curve(c, 6);
-  EXPECT_TRUE(r.ok) << r.error;
+  const auto r = validate_curve(c, 6);
+  EXPECT_TRUE(r.ok) << r.detail;
 }
 
 // Exhaustive sweep: every SFC-compatible side up to 108, every nesting order.
@@ -123,8 +123,8 @@ TEST_P(CurveProperty, CoverageAdjacencyEndpoints) {
   const auto s = schedule_for(side, order);
   ASSERT_TRUE(s.has_value());
   const auto curve = generate(*s);
-  const auto r = verify_curve(curve, side);
-  EXPECT_TRUE(r.ok) << "side " << side << ": " << r.error;
+  const auto r = validate_curve(curve, side);
+  EXPECT_TRUE(r.ok) << "side " << side << ": " << r.detail;
 }
 
 TEST_P(CurveProperty, IndexIsInverse) {
@@ -192,16 +192,16 @@ TEST(CurveIndex, RejectsCorruptCurves) {
 
 TEST(Verify, DetectsDiagonalStep) {
   std::vector<cell> c{{0, 0}, {1, 1}, {1, 0}, {0, 1}};
-  const auto r = verify_coverage_and_adjacency(c, 2);
+  const auto r = validate_curve_path(c, 2);
   EXPECT_FALSE(r.ok);
-  EXPECT_NE(r.error.find("not 4-adjacent"), std::string::npos);
+  EXPECT_NE(r.detail.find("not 4-adjacent"), std::string::npos);
 }
 
 TEST(Verify, DetectsWrongEndpoints) {
   // A valid snake that exits at (1,1) instead of (1,0).
   std::vector<cell> c{{0, 0}, {1, 0}, {1, 1}, {0, 1}};
-  EXPECT_TRUE(verify_coverage_and_adjacency(c, 2).ok);
-  EXPECT_FALSE(verify_curve(c, 2).ok);
+  EXPECT_TRUE(validate_curve_path(c, 2).ok);
+  EXPECT_FALSE(validate_curve(c, 2).ok);
 }
 
 TEST(Names, ScheduleNames) {

@@ -12,7 +12,7 @@
 
 #include "sfc/curve.hpp"
 #include "sfc/generator.hpp"
-#include "sfc/verify.hpp"
+#include "sfc/validate.hpp"
 #include "util/require.hpp"
 
 namespace {
@@ -68,16 +68,16 @@ TEST_P(DerivedGenerator, SynthesisSucceedsAndIsValid) {
 TEST_P(DerivedGenerator, SingleLevelCurveVerifies) {
   const int f = GetParam();
   const auto curve = generate_factors({f});
-  const auto r = verify_curve(curve, f);
-  EXPECT_TRUE(r.ok) << "factor " << f << ": " << r.error;
+  const auto r = validate_curve(curve, f);
+  EXPECT_TRUE(r.ok) << "factor " << f << ": " << r.detail;
 }
 
 TEST_P(DerivedGenerator, TwoLevelSelfNestingVerifies) {
   const int f = GetParam();
   if (f > 7) return;  // keep test runtime bounded (f^4 cells)
   const auto curve = generate_factors({f, f});
-  const auto r = verify_curve(curve, f * f);
-  EXPECT_TRUE(r.ok) << "factor " << f << ": " << r.error;
+  const auto r = validate_curve(curve, f * f);
+  EXPECT_TRUE(r.ok) << "factor " << f << ": " << r.detail;
 }
 
 INSTANTIATE_TEST_SUITE_P(Factors, DerivedGenerator,
@@ -100,8 +100,8 @@ TEST(Generator, MixedFactorNestingsVerify) {
     int side = 1;
     for (const int f : factors) side *= f;
     const auto curve = generate_factors(factors);
-    const auto r = verify_curve(curve, side);
-    EXPECT_TRUE(r.ok) << "side " << side << ": " << r.error;
+    const auto r = validate_curve(curve, side);
+    EXPECT_TRUE(r.ok) << "side " << side << ": " << r.detail;
   }
 }
 
@@ -141,8 +141,8 @@ TEST(ExtendedSchedule, CoversFactorFive) {
     ASSERT_TRUE(s.has_value()) << side;
     EXPECT_EQ(side_of(*s), side);
     const auto curve = generate(*s);
-    const auto r = verify_curve(curve, side);
-    EXPECT_TRUE(r.ok) << "side " << side << ": " << r.error;
+    const auto r = validate_curve(curve, side);
+    EXPECT_TRUE(r.ok) << "side " << side << ": " << r.detail;
   }
   EXPECT_TRUE(is_sfc_compatible_extended(10));
   EXPECT_FALSE(is_sfc_compatible(10));

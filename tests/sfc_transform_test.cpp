@@ -6,7 +6,7 @@
 
 #include "sfc/curve.hpp"
 #include "sfc/transform.hpp"
-#include "sfc/verify.hpp"
+#include "sfc/validate.hpp"
 #include "util/require.hpp"
 
 namespace {
@@ -86,8 +86,8 @@ TEST(Dihedral, TransformedCurveKeepsAdjacency) {
   const auto base = hilbert_curve(3);
   for (const dihedral t : all_dihedrals) {
     const auto moved = apply(t, base, 8);
-    const auto r = verify_coverage_and_adjacency(moved, 8);
-    EXPECT_TRUE(r.ok) << dihedral_name(t) << ": " << r.error;
+    const auto r = validate_curve_path(moved, 8);
+    EXPECT_TRUE(r.ok) << dihedral_name(t) << ": " << r.detail;
   }
 }
 

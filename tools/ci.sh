@@ -32,7 +32,9 @@
 #      a bounded batch of randomized schedules (seed fixed by
 #      SFCPART_CHAOS_SEED, default 1000) across the transport backend
 #      matrix — in-process, and loopback-TCP with byte-stream faults —
-#      and must heal every one in place
+#      and must heal every one in place; rank-kill soaks on both backends
+#      must keep serial parity; and a bare schedule file replays through
+#      `sfcpart chaos --replay` once per harness
 #   7. distributed-partition bench smoke: bench_partition_scaling at a tiny
 #      K, and again at ~8 elements per part (Ne = 12, 108 parts), must run
 #      all rank counts, match the serial slicer (the bench aborts on
@@ -133,6 +135,18 @@ build/tools/sfcpart chaos --partition --trials=20 --kills=1 \
 build/tools/sfcpart chaos --partition --trials=20 --kills=1 \
   --transport=socket --seed="${SFCPART_CHAOS_SEED:-1000}" \
   --out="$chaos_dir/chaos_kill_socket"
+# Replay legs: a bare schedule file through --replay, once per harness —
+# two message faults that heal in place, then one kill on 4 ranks, which
+# leaves a quorum and must recover into the serial plan.
+printf '%s\n' '{"seed": "7", "faults": [
+  {"kind": "drop", "src": 0, "dst": 1, "nth": 1},
+  {"kind": "corrupt", "src": 2, "dst": 3, "nth": 0}]}' \
+  > "$chaos_dir/replay_faults.json"
+build/tools/sfcpart chaos --replay="$chaos_dir/replay_faults.json"
+printf '%s\n' '{"seed": "7", "faults": [], "kills": [{"rank": 1, "at_op": 3}]}' \
+  > "$chaos_dir/replay_kill.json"
+build/tools/sfcpart chaos --partition --nproc=4 \
+  --replay="$chaos_dir/replay_kill.json"
 rm -rf "$chaos_dir"
 
 echo "==> [7/9] distributed-partition bench smoke (tiny K)"

@@ -20,6 +20,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <map>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -482,152 +483,67 @@ int cmd_faults(const cli_args& args) {
   return max_diff < 1e-12 ? 0 : 1;
 }
 
-// Partition-mode chaos (`sfcpart chaos --partition` / `--kills` /
-// `--kill-rank`): the randomized schedules — now carrying rank kills — are
-// pointed at the distributed SFC partitioner, whose wall is serial parity
-// through survivor regroup rather than in-place healing.
-static int chaos_partition(const cli_args& args,
-                           runtime::transport_backend backend) {
-  seam::partition_chaos_options popts;
-  popts.ne = static_cast<int>(args.get_int_or("ne", popts.ne));
-  popts.nranks = static_cast<int>(args.get_int_or("nproc", popts.nranks));
-  popts.nparts = static_cast<int>(args.get_int_or("nparts", popts.nparts));
-  popts.backend = backend;
-  const mesh::cubed_sphere mesh(popts.ne);
-  if (popts.nranks < 2 || popts.nranks > mesh.num_elements()) {
-    std::fprintf(stderr, "nproc must be in [2, %d]\n", mesh.num_elements());
-    return 2;
-  }
-  const seam::partition_chaos_harness harness(popts);
-
-  const auto print_trial = [](const seam::partition_chaos_trial& trial) {
-    table t({"metric", "value"});
-    t.new_row().add("passed").add(trial.passed ? 1 : 0);
-    t.new_row().add("aborted").add(trial.aborted ? 1 : 0);
-    t.new_row().add("recoveries").add(trial.recoveries);
-    t.new_row().add("group epoch").add(
-        static_cast<std::int64_t>(trial.group_epoch));
-    t.new_row().add("lost ranks").add(
-        static_cast<std::int64_t>(trial.lost_ranks.size()));
-    t.new_row().add("injected kills").add(trial.counters.injected_kills);
-    t.new_row().add("retransmits").add(trial.reliable.retransmits);
-    t.new_row().add("suspicion reports").add(trial.regroup.reports_sent);
-    t.new_row().add("agreement rounds").add(trial.regroup.agreement_rounds);
-    std::printf("%s", t.str().c_str());
-    if (!trial.passed) std::printf("FAIL: %s\n", trial.failure.c_str());
-  };
-
-  if (const auto replay = args.get("replay")) {
-    std::ifstream is(*replay, std::ios::binary);
-    if (!is.good()) {
-      std::fprintf(stderr, "cannot open %s\n", replay->c_str());
-      return 2;
-    }
-    std::ostringstream text;
-    text << is.rdbuf();
-    const io::json_value doc = io::parse_json(text.str());
-    const seam::chaos_schedule schedule = seam::chaos_schedule_from_json(
-        doc.is_object() && doc.has("shrunk") ? doc.at("shrunk") : doc);
-    const seam::partition_chaos_trial trial = harness.run(schedule);
-    std::printf("replayed %zu fault(s) + %zu kill(s), seed %llu:\n",
-                schedule.faults.size(), schedule.kills.size(),
-                static_cast<unsigned long long>(schedule.seed));
-    print_trial(trial);
-    return trial.passed ? 0 : 1;
-  }
-
-  if (const auto text = args.get("kill-rank")) {
-    // Directed single trial: one pinned kill (plus any --faults message
-    // chaos) instead of a randomized soak.
-    seam::chaos_kill kill;
-    if (!parse_kill_at(*text, &kill.rank, &kill.at_op)) {
-      std::fprintf(stderr, "--kill-rank=%s: want R@ROUND with ROUND >= 1\n",
-                   text->c_str());
-      return 2;
-    }
-    if (kill.rank < 0 || kill.rank >= popts.nranks) {
-      std::fprintf(stderr, "kill-rank must be in [0, %d)\n", popts.nranks);
-      return 2;
-    }
-    seam::chaos_schedule schedule = seam::make_chaos_schedule(
-        static_cast<std::uint64_t>(args.get_int_or("seed", 1000)),
-        popts.nranks, static_cast<int>(args.get_int_or("faults", 0)));
-    schedule.kills.push_back(kill);
-    std::printf("partitioning Ne=%d into %d parts on %d ranks (%s backend), "
-                "killing rank %d at op %lld...\n",
-                popts.ne, popts.nparts, popts.nranks,
-                runtime::to_string(popts.backend), kill.rank,
-                static_cast<long long>(kill.at_op));
-    const seam::partition_chaos_trial trial = harness.run(schedule);
-    print_trial(trial);
-    return trial.passed ? 0 : 1;
-  }
-
-  const int trials = static_cast<int>(args.get_int_or("trials", 50));
-  const int nkills = static_cast<int>(args.get_int_or("kills", 1));
-  const int nfaults = static_cast<int>(args.get_int_or("faults", 0));
-  const auto seed = static_cast<std::uint64_t>(args.get_int_or("seed", 1000));
-  const bool shrink = !args.has("no-shrink");
-  const std::string out = args.get_or("out", "chaos_partition");
-
-  std::printf("soaking %d partition schedules of %d kill(s) + %d message "
-              "fault(s) (seed %llu) over Ne=%d, %d parts, %d ranks on the "
-              "%s backend...\n",
-              trials, nkills, nfaults,
-              static_cast<unsigned long long>(seed), popts.ne, popts.nparts,
-              popts.nranks, runtime::to_string(popts.backend));
-  const seam::partition_soak_report report = seam::run_partition_chaos_soak(
-      harness, seed, trials, nkills, nfaults, shrink);
-
+static void print_trial(const seam::chaos_trial& trial) {
   table t({"metric", "value"});
-  t.new_row().add("trials").add(report.trials);
-  t.new_row().add("failures").add(
-      static_cast<std::int64_t>(report.failures.size()));
-  t.new_row().add("recovered trials").add(report.recovered_trials);
-  t.new_row().add("aborted trials").add(report.aborted_trials);
-  t.new_row().add("retransmits").add(report.reliable.retransmits);
-  t.new_row().add("suspicion reports").add(report.regroup.reports_sent);
-  t.new_row().add("agreement rounds").add(report.regroup.agreement_rounds);
-  t.new_row().add("stale frames dropped").add(report.regroup.stale_dropped);
+  t.new_row().add("passed").add(trial.passed ? 1 : 0);
+  t.new_row().add("attempts").add(trial.attempts);
+  t.new_row().add("max |chaos - baseline|").add(trial.max_abs_diff, 16);
+  t.new_row().add("aborted").add(trial.aborted ? 1 : 0);
+  t.new_row().add("recoveries").add(trial.recoveries);
+  t.new_row().add("group epoch").add(
+      static_cast<std::int64_t>(trial.group_epoch));
+  t.new_row().add("lost ranks").add(
+      static_cast<std::int64_t>(trial.lost_ranks.size()));
+  t.new_row().add("injected kills").add(trial.counters.injected_kills);
+  t.new_row().add("retransmits").add(trial.reliable.retransmits);
+  t.new_row().add("suspicion reports").add(trial.regroup.reports_sent);
+  t.new_row().add("agreement rounds").add(trial.regroup.agreement_rounds);
   std::printf("%s", t.str().c_str());
-
-  for (std::size_t i = 0; i < report.failures.size(); ++i) {
-    const seam::partition_soak_failure& f = report.failures[i];
-    const std::string path = out + ".fail" + std::to_string(i) + ".json";
-    io::write_json_file(seam::partition_soak_failure_to_json(f), path);
-    std::printf("FAIL: %s\n  %zu fault(s) + %zu kill(s), shrunk to %zu + %zu "
-                "— reproducer written to %s\n",
-                f.trial.failure.c_str(), f.schedule.faults.size(),
-                f.schedule.kills.size(), f.shrunk.faults.size(),
-                f.shrunk.kills.size(), path.c_str());
-  }
-  if (report.failures.empty())
-    std::printf("all %d schedules kept the serial-parity contract\n",
-                report.trials);
-  return report.failures.empty() ? 0 : 1;
+  if (!trial.passed) std::printf("FAIL: %s\n", trial.failure.c_str());
 }
 
-// Chaos soak from the command line: N randomized seeded schedules through
-// the reliable transport, each checked for in-place healing against the
-// fault-free baseline; failures are ddmin-shrunk and written as JSON
-// reproducers a later `sfcpart chaos --replay=FILE` run can rerun.
+// Chaos from the command line. The advection harness checks that every
+// fault heals in place against the fault-free run; `--partition`,
+// `--kills` or `--kill-rank` select the partition harness instead, since a
+// rank kill cannot heal in place and is checked against its contract
+// (survivor parity or clean abort). Either harness then runs one of three
+// paths: --replay reruns a schedule or reproducer, --kill-rank runs one
+// directed kill, and otherwise a seeded soak runs and writes each failure's
+// ddmin-shrunk reproducer for a later `sfcpart chaos --replay=FILE`.
 int cmd_chaos(const cli_args& args) {
-  seam::chaos_options opts;
-  opts.ne = static_cast<int>(args.get_int_or("ne", opts.ne));
-  opts.nranks = static_cast<int>(args.get_int_or("nproc", opts.nranks));
-  opts.nsteps = static_cast<int>(args.get_int_or("steps", opts.nsteps));
-  if (!parse_transport(args, &opts.backend)) return 2;
-  // Rank kills cannot heal in place, so any kill-carrying invocation routes
-  // to the partition harness, whose contract (survivor parity or clean
-  // abort) is what a kill is checked against.
-  if (args.has("partition") || args.has("kills") || args.has("kill-rank"))
-    return chaos_partition(args, opts.backend);
-  const mesh::cubed_sphere mesh(opts.ne);
-  if (opts.nranks < 2 || opts.nranks > mesh.num_elements()) {
+  const bool partition =
+      args.has("partition") || args.has("kills") || args.has("kill-rank");
+  seam::chaos_options aopts;
+  seam::partition_chaos_options popts;
+  runtime::transport_backend backend = runtime::transport_backend::inproc;
+  if (!parse_transport(args, &backend)) return 2;
+  const int ne =
+      static_cast<int>(args.get_int_or("ne", partition ? popts.ne : aopts.ne));
+  const int nranks = static_cast<int>(
+      args.get_int_or("nproc", partition ? popts.nranks : aopts.nranks));
+  const mesh::cubed_sphere mesh(ne);
+  if (nranks < 2 || nranks > mesh.num_elements()) {
     std::fprintf(stderr, "nproc must be in [2, %d]\n", mesh.num_elements());
     return 2;
   }
-  const seam::chaos_harness harness(opts);
+  std::unique_ptr<seam::chaos_target> harness;
+  if (partition) {
+    popts.ne = ne;
+    popts.nranks = nranks;
+    popts.nparts = static_cast<int>(args.get_int_or("nparts", popts.nparts));
+    popts.backend = backend;
+    harness = std::make_unique<seam::partition_chaos_harness>(popts);
+  } else {
+    aopts.ne = ne;
+    aopts.nranks = nranks;
+    aopts.nsteps = static_cast<int>(args.get_int_or("steps", aopts.nsteps));
+    aopts.backend = backend;
+    harness = std::make_unique<seam::chaos_harness>(aopts);
+  }
+  const auto seed = static_cast<std::uint64_t>(args.get_int_or("seed", 1000));
+  const int nfaults =
+      static_cast<int>(args.get_int_or("faults", partition ? 0 : 6));
+  const int nstream = static_cast<int>(args.get_int_or("stream", 0));
 
   if (const auto replay = args.get("replay")) {
     std::ifstream is(*replay, std::ios::binary);
@@ -642,42 +558,73 @@ int cmd_chaos(const cli_args& args) {
     // schedule when present).
     const seam::chaos_schedule schedule = seam::chaos_schedule_from_json(
         doc.is_object() && doc.has("shrunk") ? doc.at("shrunk") : doc);
-    const seam::chaos_trial trial = harness.run(schedule);
-    std::printf("replayed %zu fault(s), seed %llu: %s\n",
-                schedule.faults.size(),
-                static_cast<unsigned long long>(schedule.seed),
-                trial.passed ? "healed in place" : trial.failure.c_str());
+    std::printf("replaying %zu fault(s) + %zu kill(s) + %zu stream fault(s), "
+                "seed %llu:\n",
+                schedule.faults.size(), schedule.kills.size(),
+                schedule.stream_faults.size(),
+                static_cast<unsigned long long>(schedule.seed));
+    const seam::chaos_trial trial = harness->run(schedule);
+    print_trial(trial);
+    return trial.passed ? 0 : 1;
+  }
+
+  if (const auto text = args.get("kill-rank")) {
+    // Directed single trial: one pinned kill (plus any --faults message
+    // chaos) instead of a randomized soak.
+    seam::chaos_kill kill;
+    if (!parse_kill_at(*text, &kill.rank, &kill.at_op)) {
+      std::fprintf(stderr, "--kill-rank=%s: want R@ROUND with ROUND >= 1\n",
+                   text->c_str());
+      return 2;
+    }
+    if (kill.rank < 0 || kill.rank >= nranks) {
+      std::fprintf(stderr, "kill-rank must be in [0, %d)\n", nranks);
+      return 2;
+    }
+    seam::chaos_schedule schedule =
+        seam::make_chaos_schedule(seed, nranks, nfaults);
+    schedule.kills.push_back(kill);
+    std::printf("partitioning Ne=%d into %d parts on %d ranks (%s backend), "
+                "killing rank %d at op %lld...\n",
+                ne, popts.nparts, nranks, runtime::to_string(backend),
+                kill.rank, static_cast<long long>(kill.at_op));
+    const seam::chaos_trial trial = harness->run(schedule);
+    print_trial(trial);
     return trial.passed ? 0 : 1;
   }
 
   const int trials = static_cast<int>(args.get_int_or("trials", 50));
-  const int nfaults = static_cast<int>(args.get_int_or("faults", 6));
-  const int nstream = static_cast<int>(args.get_int_or("stream", 0));
-  const auto seed =
-      static_cast<std::uint64_t>(args.get_int_or("seed", 1000));
+  const int nkills =
+      static_cast<int>(args.get_int_or("kills", partition ? 1 : 0));
   const bool shrink = !args.has("no-shrink");
-  const std::string out = args.get_or("out", "chaos");
+  const std::string out =
+      args.get_or("out", partition ? "chaos_partition" : "chaos");
 
-  std::printf("soaking %d schedules of %d faults + %d stream faults "
-              "(seed %llu) over Ne=%d, %d ranks, %d steps on the %s "
+  std::printf("soaking %d %s schedules of %d fault(s) + %d kill(s) + %d "
+              "stream fault(s) (seed %llu) over Ne=%d, %d ranks on the %s "
               "backend...\n",
-              trials, nfaults, nstream,
-              static_cast<unsigned long long>(seed), opts.ne, opts.nranks,
-              opts.nsteps, runtime::to_string(opts.backend));
-  const seam::soak_report report =
-      seam::run_chaos_soak(harness, seed, trials, nfaults, shrink, nstream);
+              trials, partition ? "partition" : "advection", nfaults, nkills,
+              nstream, static_cast<unsigned long long>(seed), ne, nranks,
+              runtime::to_string(backend));
+  const seam::soak_report report = seam::run_chaos_soak(
+      *harness, seed, trials, nfaults, nstream, nkills, shrink);
 
   table t({"metric", "value"});
   t.new_row().add("trials").add(report.trials);
-  t.new_row().add("failures").add(static_cast<std::int64_t>(
-      report.failures.size()));
+  t.new_row().add("failures").add(
+      static_cast<std::int64_t>(report.failures.size()));
+  t.new_row().add("recovered trials").add(report.recovered_trials);
+  t.new_row().add("aborted trials").add(report.aborted_trials);
   t.new_row().add("data sent").add(report.reliable.data_sent);
   t.new_row().add("retransmits").add(report.reliable.retransmits);
   t.new_row().add("corruption detected").add(
       report.reliable.corruption_detected);
   t.new_row().add("duplicates dropped").add(report.reliable.dedup_dropped);
   t.new_row().add("out of order").add(report.reliable.out_of_order);
-  if (opts.backend == runtime::transport_backend::socket) {
+  t.new_row().add("suspicion reports").add(report.regroup.reports_sent);
+  t.new_row().add("agreement rounds").add(report.regroup.agreement_rounds);
+  t.new_row().add("stale frames dropped").add(report.regroup.stale_dropped);
+  if (backend == runtime::transport_backend::socket) {
     t.new_row().add("socket reconnects").add(report.socket.reconnects);
     t.new_row().add("frames rejected").add(report.socket.frames_rejected);
     t.new_row().add("stream faults injected").add(
@@ -686,17 +633,20 @@ int cmd_chaos(const cli_args& args) {
   }
   std::printf("%s", t.str().c_str());
 
+  const auto entries = [](const seam::chaos_schedule& s) {
+    return s.faults.size() + s.kills.size() + s.stream_faults.size();
+  };
   for (std::size_t i = 0; i < report.failures.size(); ++i) {
     const seam::soak_failure& f = report.failures[i];
     const std::string path = out + ".fail" + std::to_string(i) + ".json";
     io::write_json_file(seam::soak_failure_to_json(f), path);
-    std::printf("FAIL: %s\n  %zu fault(s), shrunk to %zu — reproducer "
-                "written to %s\n",
-                f.trial.failure.c_str(), f.schedule.faults.size(),
-                f.shrunk.faults.size(), path.c_str());
+    std::printf("FAIL: %s\n  %zu schedule entries, shrunk to %zu — "
+                "reproducer written to %s\n",
+                f.trial.failure.c_str(), entries(f.schedule),
+                entries(f.shrunk), path.c_str());
   }
   if (report.failures.empty())
-    std::printf("all %d schedules healed in place\n", report.trials);
+    std::printf("all %d schedules passed\n", report.trials);
   return report.failures.empty() ? 0 : 1;
 }
 
