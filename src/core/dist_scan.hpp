@@ -5,7 +5,7 @@
 // Layering: core sits below runtime, so the distributed algorithms cannot
 // see runtime::transport. Instead core defines this minimal peer interface
 // (dependency inversion) and runtime provides the adapter that carries it
-// over a reliable channel on any transport backend — in-process mailboxes
+// over a reliable channel on either wire of the one fabric — in process
 // or loopback TCP — without the algorithm changing a line
 // (runtime/partition_fabric.hpp).
 //

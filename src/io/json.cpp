@@ -10,6 +10,17 @@
 
 namespace sfp::io {
 
+namespace detail {
+
+void throw_bad_integer(std::string_view key, const std::string& lo,
+                       const std::string& hi) {
+  ::sfp::detail::contract_fail(
+      "precondition", "json_integer", __FILE__, __LINE__,
+      std::string(key) + " must be an integer in [" + lo + ", " + hi + "]");
+}
+
+}  // namespace detail
+
 const json_value& json_value::at(const std::string& key) const {
   SFP_REQUIRE(type == kind::object, "json: at() on a non-object");
   const auto it = object.find(key);

@@ -9,7 +9,10 @@
 // \uXXXX escapes accepted but not converted beyond Latin-1. That covers
 // everything this library emits.
 
+#include <cmath>
+#include <concepts>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -40,6 +43,32 @@ struct json_value {
   const json_value& at(const std::string& key) const;
   bool has(const std::string& key) const;
 };
+
+namespace detail {
+[[noreturn]] void throw_bad_integer(std::string_view key,
+                                    const std::string& lo,
+                                    const std::string& hi);
+}  // namespace detail
+
+/// Checked integer read: the value of `v` as an `Int` in [lo, hi]. Throws
+/// sfp::contract_error naming `key` unless `v` is a number with no
+/// fractional part inside that range, so reading 1e20 or 0.7 into an int is
+/// an error, not an out-of-range or truncating cast.
+template <std::integral Int>
+Int json_integer(const json_value& v, std::string_view key,
+                 Int lo = std::numeric_limits<Int>::min(),
+                 Int hi = std::numeric_limits<Int>::max()) {
+  // max + 1.0 rounds to exactly 2^digits, so [min, top) is exactly the set
+  // of doubles a static_cast<Int> can hold.
+  constexpr double top =
+      static_cast<double>(std::numeric_limits<Int>::max()) + 1.0;
+  const double x = v.number;
+  if (!v.is_number() || x != std::trunc(x) ||
+      x < static_cast<double>(std::numeric_limits<Int>::min()) || x >= top ||
+      static_cast<Int>(x) < lo || static_cast<Int>(x) > hi)
+    detail::throw_bad_integer(key, std::to_string(lo), std::to_string(hi));
+  return static_cast<Int>(x);
+}
 
 /// Parse a complete JSON document; throws sfp::contract_error with a byte
 /// offset on malformed input or trailing garbage.

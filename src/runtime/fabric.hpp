@@ -1,10 +1,12 @@
 #pragma once
-// The one place that builds fabrics: run a rank program over the in-process
-// world or the loopback-TCP socket backend, picked by transport_backend.
-// Every rank program in the library (the SEAM runners, the distributed
-// partitioner) comes through here and speaks a reliable_channel over the
-// transport it is handed, so backend choice is a value, not a code path.
+// The one place that builds fabrics: run a rank program on a
+// runtime::world whose wire is picked by fabric_options::backend (a direct
+// in-process push or loopback TCP). Every rank program in the library (the
+// SEAM runners, the distributed partitioner) comes through here and speaks
+// a reliable_channel over the transport it is handed, so the wire is a
+// value, not a code path.
 
+#include <chrono>
 #include <functional>
 #include <vector>
 
@@ -14,27 +16,39 @@
 
 namespace sfp::runtime {
 
-/// Which fabric to build and what chaos to inject into it.
+/// Everything a fabric run can be configured with: the wire, the chaos to
+/// inject, and the socket wire's link timing.
 struct fabric_options {
   transport_backend backend = transport_backend::inproc;
-  /// Message-level chaos, identical semantics on both backends.
+  /// Message-level chaos, applied by the fabric above either wire, so one
+  /// plan has identical semantics on both.
   fault_plan faults;
-  /// Byte-stream chaos (socket backend only), pinned to reliable *data*
-  /// frames: acks and fence tokens are too short to match.
+  /// Byte-stream chaos (socket wire only), pinned to reliable *data*
+  /// frames: acks and fence tokens are too short to match (see
+  /// stream_fault).
   stream_fault_plan stream_faults;
+  /// Socket wire: idle links carry a heartbeat this often.
+  std::chrono::milliseconds heartbeat_interval{20};
+  /// Socket wire: a link silent for this long is declared dead by its
+  /// receiver.
+  std::chrono::milliseconds heartbeat_timeout{2000};
+  /// Socket wire: bound on dial + HELLO/HELLO_ACK handshake.
+  std::chrono::milliseconds connect_timeout{2000};
+  /// Socket wire: how long a stall fault sits on its frame.
+  std::chrono::microseconds stall_duration{2000};
 };
 
 /// What a fabric run left behind. Filled in whether or not the run threw.
 struct fabric_report {
   std::vector<rank_counters> per_rank;  ///< indexed by rank
   rank_counters counters;               ///< summed over ranks
-  socket_stats socket;                  ///< socket backend only
+  socket_stats socket;                  ///< socket wire only
 };
 
-/// Run `rank_main` once per rank on `num_ranks` virtual ranks over the
-/// chosen backend, with the world::run / socket_fabric::run failure
-/// semantics: the first escaping exception aborts the peers and is
-/// rethrown here, after `report` (when non-null) has been filled.
+/// Run `rank_main` once per rank on `num_ranks` virtual ranks with the
+/// world::run failure semantics: the first escaping exception aborts the
+/// peers and is rethrown here, after `report` (when non-null) has been
+/// filled.
 void run_fabric(int num_ranks, const fabric_options& opts,
                 const std::function<void(transport&)>& rank_main,
                 fabric_report* report = nullptr);

@@ -39,14 +39,13 @@ void fault_injector::on_op() {
       throw rank_killed(rank_, ops_);
 }
 
-fault_injector::send_action fault_injector::on_send(int dst, int tag,
+fault_injector::send_action fault_injector::on_send(int dst,
                                                     std::size_t payload_size) {
   send_action action;
   for (std::size_t i = 0; i < plan_->message_faults.size(); ++i) {
     const auto& mf = plan_->message_faults[i];
     if (mf.src != -1 && mf.src != rank_) continue;
     if (mf.dst != -1 && mf.dst != dst) continue;
-    if (mf.tag != -1 && mf.tag != tag) continue;
     if (payload_size < mf.min_payload) continue;
     // The fire window gates the *application*, never the draws: the stream
     // advances identically whether or not this match is live, so shrinking

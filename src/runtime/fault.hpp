@@ -3,7 +3,7 @@
 //
 // A fault_plan is a declarative chaos schedule: kill rank r at its n-th
 // communication op, and/or drop/delay/duplicate messages on selected
-// (src, dst, tag) triples with given probabilities. All randomness comes
+// (src, dst) streams with given probabilities. All randomness comes
 // from a per-rank splitmix-derived rng, and every decision is a function of
 // (seed, rank, that rank's deterministic op sequence) only — never of thread
 // scheduling — so a chaos test reproduces bit-for-bit across runs.
@@ -31,20 +31,20 @@ class rank_killed : public std::runtime_error {
   std::int64_t op_;
 };
 
-/// Declarative, seeded fault schedule threaded through world::options.
+/// Declarative, seeded fault schedule threaded through fabric_options.
 struct fault_plan {
   std::uint64_t seed = 0;  ///< base seed for all probabilistic decisions
 
   /// Simulated process death: rank `rank` throws rank_killed when its
-  /// per-rank communication-op counter (send/recv/barrier/allreduce calls,
-  /// counted from 1) reaches `at_op`.
+  /// per-rank communication-op counter (its sends, counted from 1; receives
+  /// never count) reaches `at_op`.
   struct kill_spec {
     int rank = -1;
     std::int64_t at_op = 0;
   };
   std::vector<kill_spec> kills;
 
-  /// Message-level chaos on sends matching (src, dst, tag); -1 = wildcard.
+  /// Message-level chaos on sends matching (src, dst); -1 = wildcard.
   /// Probabilities are evaluated independently per matching send, on the
   /// sender's deterministic rng stream. A dropped message is never
   /// delivered; a delayed one is delivered after `delay`; a duplicated one
@@ -54,11 +54,11 @@ struct fault_plan {
   /// corrupted message is delivered with one random bit flipped, a
   /// truncated one with a random number of trailing doubles removed, and a
   /// reordered one swaps delivery order with the *next* matching send on
-  /// the same (src, dst, tag) stream. Raw world::recv users see the mangled
+  /// the same (src, dst) stream. Raw try_recv_any users see the mangled
   /// payloads verbatim; the reliable transport (runtime/reliable.hpp) is
   /// what detects and heals them.
   struct message_fault {
-    int src = -1, dst = -1, tag = -1;
+    int src = -1, dst = -1;
     double drop_probability = 0;
     double delay_probability = 0;
     double duplicate_probability = 0;
@@ -110,7 +110,7 @@ class fault_injector {
     std::size_t truncate_to = 0;      ///< new payload length (< size)
     std::chrono::microseconds delay{0};  ///< zero = deliver immediately
   };
-  send_action on_send(int dst, int tag, std::size_t payload_size);
+  send_action on_send(int dst, std::size_t payload_size);
 
   std::int64_t ops() const { return ops_; }
 
@@ -119,7 +119,7 @@ class fault_injector {
   int rank_;
   std::int64_t ops_ = 0;
   rng rng_;
-  /// Per-entry count of sends that matched (src, dst, tag), for the
+  /// Per-entry count of sends that matched (src, dst), for the
   /// fire_from/fire_count window.
   std::vector<std::int64_t> matches_;
 };

@@ -18,15 +18,6 @@ double checked_probability(const io::json_value& v, const char* key) {
   return v.number;
 }
 
-int checked_rank_or_wildcard(const io::json_value& v, const char* key) {
-  SFP_REQUIRE(v.is_number(), std::string("fault plan: ") + key +
-                                 " must be a number");
-  const int r = static_cast<int>(v.number);
-  SFP_REQUIRE(r >= -1, std::string("fault plan: ") + key +
-                           " must be >= -1 (-1 = wildcard)");
-  return r;
-}
-
 }  // namespace
 
 io::json_value fault_plan_to_json(const fault_plan& plan) {
@@ -46,7 +37,6 @@ io::json_value fault_plan_to_json(const fault_plan& plan) {
     io::json_value entry = io::json_object();
     entry.object["src"] = io::json_number(mf.src);
     entry.object["dst"] = io::json_number(mf.dst);
-    entry.object["tag"] = io::json_number(mf.tag);
     entry.object["drop"] = io::json_number(mf.drop_probability);
     entry.object["delay"] = io::json_number(mf.delay_probability);
     entry.object["duplicate"] = io::json_number(mf.duplicate_probability);
@@ -79,9 +69,7 @@ fault_plan fault_plan_from_json(const io::json_value& doc) {
                   "fault plan: seed string must be a decimal uint64");
       plan.seed = std::stoull(seed.string);
     } else {
-      SFP_REQUIRE(seed.is_number() && seed.number >= 0,
-                  "fault plan: seed must be a string or non-negative number");
-      plan.seed = static_cast<std::uint64_t>(seed.number);
+      plan.seed = io::json_integer<std::uint64_t>(seed, "fault plan: seed");
     }
   }
   if (doc.has("kills")) {
@@ -90,11 +78,10 @@ fault_plan fault_plan_from_json(const io::json_value& doc) {
     for (const io::json_value& entry : kills.array) {
       SFP_REQUIRE(entry.is_object(), "fault plan: kill must be an object");
       fault_plan::kill_spec k;
-      k.rank = checked_rank_or_wildcard(entry.at("rank"), "kill rank");
-      SFP_REQUIRE(k.rank >= 0, "fault plan: kill rank must be >= 0");
-      SFP_REQUIRE(entry.at("at_op").is_number() && entry.at("at_op").number >= 1,
-                  "fault plan: kill at_op must be >= 1");
-      k.at_op = static_cast<std::int64_t>(entry.at("at_op").number);
+      k.rank = io::json_integer<int>(entry.at("rank"), "fault plan: kill rank",
+                                     0);
+      k.at_op = io::json_integer<std::int64_t>(entry.at("at_op"),
+                                               "fault plan: kill at_op", 1);
       plan.kills.push_back(k);
     }
   }
@@ -106,13 +93,17 @@ fault_plan fault_plan_from_json(const io::json_value& doc) {
       SFP_REQUIRE(entry.is_object(),
                   "fault plan: message fault must be an object");
       fault_plan::message_fault mf;
-      if (entry.has("src")) mf.src = checked_rank_or_wildcard(entry.at("src"), "src");
-      if (entry.has("dst")) mf.dst = checked_rank_or_wildcard(entry.at("dst"), "dst");
-      if (entry.has("tag")) {
-        SFP_REQUIRE(entry.at("tag").is_number(),
-                    "fault plan: tag must be a number");
-        mf.tag = static_cast<int>(entry.at("tag").number);
-      }
+      // -1 is the wildcard rank.
+      if (entry.has("src"))
+        mf.src = io::json_integer<int>(entry.at("src"), "fault plan: src", -1);
+      if (entry.has("dst"))
+        mf.dst = io::json_integer<int>(entry.at("dst"), "fault plan: dst", -1);
+      // Datagrams are untagged; plans written while they were tagged carry
+      // the wildcard, the only tag any writer emitted.
+      if (entry.has("tag"))
+        SFP_REQUIRE(entry.at("tag").is_number() &&
+                        entry.at("tag").number == -1,
+                    "fault plan: tag must be -1 (datagrams are untagged)");
       if (entry.has("drop"))
         mf.drop_probability = checked_probability(entry.at("drop"), "drop");
       if (entry.has("delay"))
@@ -129,34 +120,19 @@ fault_plan fault_plan_from_json(const io::json_value& doc) {
       if (entry.has("reorder"))
         mf.reorder_probability =
             checked_probability(entry.at("reorder"), "reorder");
-      if (entry.has("delay_us")) {
-        SFP_REQUIRE(entry.at("delay_us").is_number() &&
-                        entry.at("delay_us").number >= 0,
-                    "fault plan: delay_us must be >= 0");
-        mf.delay = std::chrono::microseconds(
-            static_cast<std::int64_t>(entry.at("delay_us").number));
-      }
-      if (entry.has("fire_from")) {
-        SFP_REQUIRE(entry.at("fire_from").is_number() &&
-                        entry.at("fire_from").number >= 0,
-                    "fault plan: fire_from must be >= 0");
-        mf.fire_from =
-            static_cast<std::int64_t>(entry.at("fire_from").number);
-      }
-      if (entry.has("fire_count")) {
-        SFP_REQUIRE(entry.at("fire_count").is_number() &&
-                        entry.at("fire_count").number >= -1,
-                    "fault plan: fire_count must be >= -1 (-1 = unlimited)");
-        mf.fire_count =
-            static_cast<std::int64_t>(entry.at("fire_count").number);
-      }
-      if (entry.has("min_payload")) {
-        SFP_REQUIRE(entry.at("min_payload").is_number() &&
-                        entry.at("min_payload").number >= 0,
-                    "fault plan: min_payload must be >= 0");
-        mf.min_payload =
-            static_cast<std::size_t>(entry.at("min_payload").number);
-      }
+      if (entry.has("delay_us"))
+        mf.delay = std::chrono::microseconds(io::json_integer<std::int64_t>(
+            entry.at("delay_us"), "fault plan: delay_us", 0));
+      if (entry.has("fire_from"))
+        mf.fire_from = io::json_integer<std::int64_t>(
+            entry.at("fire_from"), "fault plan: fire_from", 0);
+      // fire_count -1 = unlimited.
+      if (entry.has("fire_count"))
+        mf.fire_count = io::json_integer<std::int64_t>(
+            entry.at("fire_count"), "fault plan: fire_count", -1);
+      if (entry.has("min_payload"))
+        mf.min_payload = io::json_integer<std::size_t>(
+            entry.at("min_payload"), "fault plan: min_payload");
       plan.message_faults.push_back(mf);
     }
   }

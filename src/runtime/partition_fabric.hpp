@@ -24,7 +24,7 @@
 namespace sfp::runtime {
 
 /// Logical tag for all partitioner traffic inside the reliable envelope
-/// (the wire itself multiplexes on reliable_wire_tag).
+/// (the transport underneath carries untagged datagrams).
 inline constexpr int partition_tag = 17;
 
 /// core::peer_comm over a reliable_channel: ordered, exactly-once int64

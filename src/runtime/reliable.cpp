@@ -269,7 +269,7 @@ void reliable_channel::send_data(int dst, int tag,
   entry.dst = dst;
   entry.image = wire::encode(h, payload);
   entry.deadline = clock::now() + opts_.retransmit_timeout;
-  fabric_->send(dst, reliable_wire_tag, entry.image);
+  fabric_->send(dst, entry.image);
   unacked_[{dst, tag, h.seq}] = std::move(entry);
   ++stats_.data_sent;
 }
@@ -287,7 +287,7 @@ void reliable_channel::send_ack(int src, int tag, std::uint64_t seq) {
   h.seq = seq;
   // Fire-and-forget: a lost ack is healed by the sender's retransmit and
   // our dedup re-ack, so acks are never tracked as unacked themselves.
-  fabric_->send(src, reliable_wire_tag, wire::encode(h, {}));
+  fabric_->send(src, wire::encode(h, {}));
   ++stats_.acks_sent;
 }
 
@@ -368,13 +368,13 @@ void reliable_channel::service_retransmits() {
     // Capped exponential backoff with deterministic jitter (see
     // compute_backoff): timeout * 2^attempts, clamped, stretched.
     entry.deadline = now + compute_backoff(opts_, entry.attempts, jitter_rng_);
-    fabric_->send(entry.dst, reliable_wire_tag, entry.image);
+    fabric_->send(entry.dst, entry.image);
   }
 }
 
 bool reliable_channel::pump(std::chrono::microseconds wait) {
   any_message msg;
-  const bool got = fabric_->try_recv_any(reliable_wire_tag, wait, &msg);
+  const bool got = fabric_->try_recv_any(wait, &msg);
   if (got) handle_wire(std::move(msg));
   service_retransmits();
   return got;

@@ -5,7 +5,7 @@
 // injection (or over a real byte stream) a message can be dropped,
 // duplicated, bit-flipped, truncated, or reordered. reliable_channel heals
 // those transient faults in place, identically over the in-process world
-// (runtime/world.hpp) and the socket backend (runtime/socket_transport.hpp).
+// (runtime/world.hpp) and the socket wire (runtime/socket_transport.hpp).
 // Every rank program in the library — the SEAM runners and the distributed
 // partitioner — talks through one:
 //
@@ -22,9 +22,9 @@
 //     escalates to the existing plan_recovery path (the rung between
 //     "retransmit" and "re-slice" on the escalation ladder).
 //
-// All traffic — data and acks — multiplexes over one reserved wire tag so a
-// single try_recv_any pump drains it; the logical tag lives inside the
-// envelope. Acks are themselves subject to fault injection: a lost ack is
+// All traffic — data and acks — rides the transport's untagged (src, dst)
+// datagrams, so a single try_recv_any pump drains it; the logical tag lives
+// inside the envelope. Acks are themselves subject to fault injection: a lost ack is
 // healed by the retransmit + dedup-re-ack cycle.
 //
 // Deadlock-freedom: every blocking reliable op (recv, flush, fence) runs the
@@ -79,10 +79,6 @@ class peer_unreachable_error : public std::runtime_error {
   int peer_;
   int attempts_;
 };
-
-/// All reliable traffic shares this one wire tag (outside the seam's logical
-/// tag range); the envelope carries the logical tag.
-inline constexpr int reliable_wire_tag = 1 << 20;
 
 /// Envelope header prepended to every wire message, one uint64 bit-image per
 /// double. Exposed (with encode/decode) so tests and the chaos shrinker can

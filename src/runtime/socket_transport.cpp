@@ -9,18 +9,15 @@
 #include <algorithm>
 #include <atomic>
 #include <cerrno>
-#include <condition_variable>
+#include <chrono>
 #include <cstring>
-#include <deque>
-#include <exception>
 #include <map>
 #include <mutex>
-#include <string>
 #include <thread>
 #include <utility>
 
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
+#include "runtime/fabric.hpp"
 #include "runtime/reliable.hpp"
 #include "util/require.hpp"
 
@@ -35,7 +32,7 @@ using clock_t_ = std::chrono::steady_clock;
 constexpr std::uint32_t frame_magic = 0x53465054u;
 
 enum class frame_kind : std::uint32_t {
-  data = 0,       ///< one transport message (tag + payload doubles)
+  data = 0,       ///< one transport message (payload doubles)
   hello = 1,      ///< dialer's opening: src rank + connection epoch
   hello_ack = 2,  ///< acceptor's reply, echoing the epoch
   heartbeat = 3,  ///< keepalive, carries nothing
@@ -47,14 +44,13 @@ struct frame_header {
   std::uint32_t magic = frame_magic;
   std::uint32_t kind = 0;
   std::int32_t src = -1;
-  std::int32_t tag = 0;
   std::uint64_t epoch = 0;
   std::uint64_t payload_doubles = 0;
   std::uint32_t crc = 0;
   std::uint32_t reserved = 0;
 };
 
-constexpr std::size_t header_bytes = 40;
+constexpr std::size_t header_bytes = 36;
 /// Garbage length-word backstop: no legitimate frame carries this much.
 constexpr std::uint64_t max_frame_doubles = 1ull << 26;
 
@@ -67,7 +63,6 @@ void pack_header(const frame_header& h, unsigned char* out) {
   put(&h.magic, 4);
   put(&h.kind, 4);
   put(&h.src, 4);
-  put(&h.tag, 4);
   put(&h.epoch, 8);
   put(&h.payload_doubles, 8);
   put(&h.crc, 4);
@@ -84,7 +79,6 @@ frame_header unpack_header(const unsigned char* in) {
   get(&h.magic, 4);
   get(&h.kind, 4);
   get(&h.src, 4);
-  get(&h.tag, 4);
   get(&h.epoch, 8);
   get(&h.payload_doubles, 8);
   get(&h.crc, 4);
@@ -104,13 +98,12 @@ std::uint32_t frame_crc(const frame_header& h, const double* payload,
 }
 
 /// Serialize one whole frame (header + payload) into a byte buffer.
-std::vector<unsigned char> encode_frame(frame_kind kind, int src, int tag,
+std::vector<unsigned char> encode_frame(frame_kind kind, int src,
                                         std::uint64_t epoch,
                                         std::span<const double> payload) {
   frame_header h;
   h.kind = static_cast<std::uint32_t>(kind);
   h.src = src;
-  h.tag = tag;
   h.epoch = epoch;
   h.payload_doubles = payload.size();
   h.crc = frame_crc(h, payload.data(), payload.size());
@@ -124,6 +117,10 @@ std::vector<unsigned char> encode_frame(frame_kind kind, int src, int tag,
 }
 
 int close_fd(int fd) { return fd >= 0 ? ::close(fd) : 0; }
+
+/// Header-only frames (acks, fence tokens) carry at most this many payload
+/// doubles; stream faults count and match only longer, data-carrying ones.
+constexpr std::size_t stream_fault_min_payload = wire::header_doubles + 1;
 
 }  // namespace
 
@@ -150,21 +147,26 @@ socket_stats& socket_stats::operator+=(const socket_stats& o) {
   return *this;
 }
 
-struct socket_fabric_impl {
+void publish_counters(const socket_stats& s) {
+  obs::registry& reg = obs::registry::global();
+  reg.get_counter("socket.connects").add(s.connects);
+  reg.get_counter("socket.reconnects").add(s.reconnects);
+  reg.get_counter("socket.frames_sent").add(s.frames_sent);
+  reg.get_counter("socket.frames_received").add(s.frames_received);
+  reg.get_counter("socket.heartbeats_sent").add(s.heartbeats_sent);
+  reg.get_counter("socket.frames_rejected").add(s.frames_rejected);
+  reg.get_counter("socket.stale_epoch_dropped").add(s.stale_epoch_dropped);
+  reg.get_counter("socket.injected_stream_faults")
+      .add(s.injected_stream_faults);
+  reg.get_counter("socket.send_failures").add(s.send_failures);
+}
+
+struct socket_wire_impl {
   int nranks;
-  socket_fabric_options opts;
+  fabric_options opts;
+  socket_wire::deliver_fn deliver;
 
-  std::atomic<bool> abort_flag{false};
-  std::atomic<int> failed{-1};
   std::atomic<bool> shutting_down{false};
-
-  /// Per-rank receive side: reader threads push, the rank thread pops.
-  struct inbox {
-    std::mutex mutex;
-    std::condition_variable ready;
-    std::map<std::pair<int, int>, std::deque<std::vector<double>>> queues;
-  };
-  std::vector<inbox> inboxes;
 
   /// Per-rank epoch filter: the highest HELLO epoch seen per source rank.
   /// Data frames arriving on a connection with a lower epoch are stale
@@ -175,51 +177,55 @@ struct socket_fabric_impl {
   };
   std::vector<epoch_table> epochs;
 
-  std::vector<rank_counters> counters;
   std::mutex stats_mutex;
-  socket_stats stats;
+  socket_stats* stats;
 
   std::vector<int> listen_fds;
   std::vector<std::uint16_t> ports;
 
+  /// Sender side of one (src, dst) link, dialed lazily and redialed (with a
+  /// bumped epoch) after any failure. Indexed src * nranks + dst.
+  struct out_conn {
+    std::mutex mutex;
+    int fd = -1;
+    std::uint64_t next_epoch = 0;   ///< epoch the next dial announces
+    std::int64_t data_frames = 0;   ///< stream-fault index (survives redials)
+    clock_t_::time_point last_write{};
+  };
+  std::vector<out_conn> conns;
+
+  std::vector<std::thread> acceptors;
+  std::vector<std::thread> heartbeats;
   std::mutex readers_mutex;
   std::vector<std::thread> readers;
 
-  explicit socket_fabric_impl(int n, socket_fabric_options o)
+  socket_wire_impl(int n, const fabric_options& o, socket_wire::deliver_fn d,
+                   socket_stats* totals)
       : nranks(n),
-        opts(std::move(o)),
-        inboxes(static_cast<std::size_t>(n)),
+        opts(o),
+        deliver(std::move(d)),
         epochs(static_cast<std::size_t>(n)),
-        counters(static_cast<std::size_t>(n)) {}
+        stats(totals),
+        conns(static_cast<std::size_t>(n) * static_cast<std::size_t>(n)) {}
 
   void bump(std::int64_t socket_stats::* field, std::int64_t by = 1) {
     std::lock_guard<std::mutex> lock(stats_mutex);
-    stats.*field += by;
-  }
-
-  void trigger_abort(int rank) {
-    int expected = -1;
-    failed.compare_exchange_strong(expected, rank, std::memory_order_acq_rel);
-    abort_flag.store(true, std::memory_order_release);
-    // Lock-then-notify closes the race against a rank that checked the flag
-    // but has not yet parked on its inbox.
-    for (auto& box : inboxes) {
-      std::lock_guard<std::mutex> lock(box.mutex);
-      box.ready.notify_all();
-    }
-  }
-
-  bool abort_requested() const {
-    return abort_flag.load(std::memory_order_acquire);
+    stats->*field += by;
   }
 
   bool stopping() const {
     return shutting_down.load(std::memory_order_acquire);
   }
 
+  out_conn& conn(int src, int dst) {
+    return conns[static_cast<std::size_t>(src) *
+                     static_cast<std::size_t>(nranks) +
+                 static_cast<std::size_t>(dst)];
+  }
+
   /// Bounded-deadline full read with a poll loop: handles partial reads,
-  /// EINTR, and wakes up promptly on fabric shutdown. Returns false on
-  /// EOF, error, shutdown, or `deadline` passing with bytes still owed.
+  /// EINTR, and wakes up promptly on wire shutdown. Returns false on EOF,
+  /// error, shutdown, or `deadline` passing with bytes still owed.
   bool read_fully(int fd, unsigned char* out, std::size_t n,
                   clock_t_::time_point deadline) {
     std::size_t off = 0;
@@ -303,46 +309,6 @@ struct socket_fabric_impl {
     return true;
   }
 
-  void deliver(int dst, int src, int tag, std::vector<double> payload) {
-    inbox& box = inboxes[static_cast<std::size_t>(dst)];
-    {
-      std::lock_guard<std::mutex> lock(box.mutex);
-      box.queues[{src, tag}].push_back(std::move(payload));
-    }
-    box.ready.notify_all();
-    bump(&socket_stats::frames_received);
-  }
-
-  /// Bounded-wait dequeue, as in world::take_any: lowest source rank
-  /// first, drain-then-abort on a fabric abort.
-  bool take_any(int dst, int tag, std::chrono::microseconds wait,
-                any_message* out) {
-    inbox& box = inboxes[static_cast<std::size_t>(dst)];
-    std::unique_lock<std::mutex> lock(box.mutex);
-    const auto find_match = [&]() {
-      for (auto it = box.queues.begin(); it != box.queues.end(); ++it)
-        if (it->first.second == tag && !it->second.empty()) return it;
-      return box.queues.end();
-    };
-    const auto ready = [&] {
-      return abort_requested() || find_match() != box.queues.end();
-    };
-    if (!box.ready.wait_for(lock, wait, ready)) return false;
-    const auto it = find_match();
-    if (it == box.queues.end()) {
-      ++counters[static_cast<std::size_t>(dst)].aborts_observed;
-      throw world_aborted(dst, failed.load(std::memory_order_acquire));
-    }
-    out->src = it->first.first;
-    out->tag = it->first.second;
-    out->payload = std::move(it->second.front());
-    it->second.pop_front();
-    ++counters[static_cast<std::size_t>(dst)].messages_received;
-    counters[static_cast<std::size_t>(dst)].doubles_received +=
-        static_cast<std::int64_t>(out->payload.size());
-    return true;
-  }
-
   /// Per accepted connection: parse frames until the stream dies. The first
   /// frame must be a HELLO naming the source rank and the connection epoch;
   /// the reply HELLO_ACK is the only thing ever written on this side.
@@ -370,7 +336,7 @@ struct socket_fabric_impl {
           latest = std::max(latest, conn_epoch);
         }
         const std::vector<unsigned char> ack =
-            encode_frame(frame_kind::hello_ack, dst, 0, conn_epoch, {});
+            encode_frame(frame_kind::hello_ack, dst, conn_epoch, {});
         if (!write_fully(fd, ack.data(), ack.size())) break;
         continue;
       }
@@ -391,7 +357,8 @@ struct socket_fabric_impl {
         bump(&socket_stats::stale_epoch_dropped);
         continue;
       }
-      deliver(dst, src, h.tag, std::move(payload));
+      deliver(dst, src, std::move(payload));
+      bump(&socket_stats::frames_received);
     }
     close_fd(fd);
   }
@@ -418,58 +385,6 @@ struct socket_fabric_impl {
       readers.emplace_back([this, rank, fd] { reader_loop(rank, fd); });
     }
   }
-};
-
-/// Sender-side endpoint: the transport a rank thread drives. Outgoing links
-/// are dialed lazily and redialed (with a bumped epoch) after any failure;
-/// a heartbeat thread keeps established links warm.
-namespace {
-
-class socket_endpoint final : public transport {
- public:
-  socket_endpoint(socket_fabric_impl* fab, int rank)
-      : fab_(fab),
-        rank_(rank),
-        pipeline_(fab->opts.faults, rank,
-                  &fab->counters[static_cast<std::size_t>(rank)]),
-        conns_(static_cast<std::size_t>(fab->nranks)) {
-    heartbeat_ = std::thread([this] { heartbeat_loop(); });
-  }
-
-  ~socket_endpoint() override {
-    stop_.store(true, std::memory_order_release);
-    heartbeat_.join();
-    for (auto& c : conns_) {
-      std::lock_guard<std::mutex> lock(c.mutex);
-      kill_locked(c);
-    }
-  }
-
-  int rank() const override { return rank_; }
-  int size() const override { return fab_->nranks; }
-
-  void send(int dst, int tag, std::span<const double> data) override {
-    SFP_REQUIRE(dst >= 0 && dst < fab_->nranks, "destination out of range");
-    SFP_TRACE_SCOPE_CAT("socket.send", "runtime");
-    pipeline_.count_op();
-    injection_pipeline::outcome out = pipeline_.on_send(dst, tag, data);
-    for (auto& image : out.wire) write_data(dst, tag, image);
-  }
-
-  bool try_recv_any(int tag, std::chrono::microseconds wait,
-                    any_message* out) override {
-    SFP_REQUIRE(out != nullptr, "try_recv_any needs an output slot");
-    return fab_->take_any(rank_, tag, wait, out);
-  }
-
- private:
-  struct out_conn {
-    std::mutex mutex;
-    int fd = -1;
-    std::uint64_t next_epoch = 0;   ///< epoch the next dial announces
-    std::int64_t data_frames = 0;   ///< stream-fault index (survives redials)
-    clock_t_::time_point last_write{};
-  };
 
   static void kill_locked(out_conn& c) {
     close_fd(c.fd);
@@ -479,15 +394,14 @@ class socket_endpoint final : public transport {
   /// Dial + HELLO/HELLO_ACK handshake under the conn lock. The epoch
   /// counter bumps on every dial, so the acceptor can order this link's
   /// incarnations and discard stragglers from the superseded one.
-  bool dial_locked(out_conn& c, int dst) {
+  bool dial_locked(out_conn& c, int src, int dst) {
     const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
     if (fd < 0) return false;
     const int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     sockaddr_in addr{};
     addr.sin_family = AF_INET;
-    addr.sin_port =
-        htons(fab_->ports[static_cast<std::size_t>(dst)]);
+    addr.sin_port = htons(ports[static_cast<std::size_t>(dst)]);
     addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
     if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
                   sizeof(addr)) != 0) {
@@ -496,18 +410,15 @@ class socket_endpoint final : public transport {
     }
     const std::uint64_t epoch = c.next_epoch;
     const std::vector<unsigned char> hello =
-        encode_frame(frame_kind::hello, rank_, 0, epoch, {});
-    if (!fab_->write_fully(fd, hello.data(), hello.size())) {
+        encode_frame(frame_kind::hello, src, epoch, {});
+    if (!write_fully(fd, hello.data(), hello.size())) {
       close_fd(fd);
       return false;
     }
+    // The handshake read uses the connect deadline: a silent acceptor must
+    // not park us for heartbeat_timeout.
     frame_header h;
-    std::vector<double> payload;
-    bool rejected = false;
-    const auto deadline = clock_t_::now() + fab_->opts.connect_timeout;
-    // The handshake read reuses the frame parser but with the connect
-    // deadline: a silent acceptor must not park us for heartbeat_timeout.
-    if (!read_ack(fd, &h, &payload, &rejected, deadline) ||
+    if (!read_ack(fd, &h, clock_t_::now() + opts.connect_timeout) ||
         static_cast<frame_kind>(h.kind) != frame_kind::hello_ack ||
         h.epoch != epoch) {
       close_fd(fd);
@@ -516,64 +427,59 @@ class socket_endpoint final : public transport {
     c.fd = fd;
     c.next_epoch = epoch + 1;
     c.last_write = clock_t_::now();
-    fab_->bump(&socket_stats::connects);
-    if (epoch > 0) fab_->bump(&socket_stats::reconnects);
+    bump(&socket_stats::connects);
+    if (epoch > 0) bump(&socket_stats::reconnects);
     return true;
   }
 
-  bool read_ack(int fd, frame_header* h, std::vector<double>* payload,
-                bool* rejected, clock_t_::time_point deadline) {
-    *rejected = false;
+  bool read_ack(int fd, frame_header* h, clock_t_::time_point deadline) {
     unsigned char hdr[header_bytes];
-    if (!fab_->read_fully(fd, hdr, header_bytes, deadline)) return false;
+    if (!read_fully(fd, hdr, header_bytes, deadline)) return false;
     *h = unpack_header(hdr);
-    if (h->magic != frame_magic || h->payload_doubles != 0) {
-      *rejected = true;
-      return false;
-    }
-    payload->clear();
+    if (h->magic != frame_magic || h->payload_doubles != 0) return false;
     return frame_crc(*h, nullptr, 0) == h->crc;
   }
 
-  const stream_fault* match_stream_fault(out_conn& c, int dst,
+  const stream_fault* match_stream_fault(out_conn& c, int src, int dst,
                                          std::size_t payload_doubles) {
-    if (payload_doubles < fab_->opts.stream_fault_min_payload) return nullptr;
+    if (payload_doubles < stream_fault_min_payload) return nullptr;
     const std::int64_t idx = c.data_frames++;
-    for (const stream_fault& f : fab_->opts.stream_faults.faults)
-      if (f.src == rank_ && f.dst == dst && f.nth == idx) return &f;
+    for (const stream_fault& f : opts.stream_faults.faults)
+      if (f.src == src && f.dst == dst && f.nth == idx) return &f;
     return nullptr;
   }
 
-  /// Frame one message-layer payload and push it down the byte stream,
-  /// applying any due stream fault. A write failure only kills the link and
-  /// loses this frame — the reliable layer above heals the loss and the
-  /// next send redials.
-  void write_data(int dst, int tag, std::span<const double> payload) {
-    out_conn& c = conns_[static_cast<std::size_t>(dst)];
+  /// Frame one injected image and push it down the byte stream, applying
+  /// any due stream fault. A write failure only kills the link and loses
+  /// this frame — the reliable layer above heals the loss and the next
+  /// write redials.
+  void write_data(int src, int dst, std::span<const double> payload) {
+    out_conn& c = conn(src, dst);
     std::lock_guard<std::mutex> lock(c.mutex);
-    if (c.fd < 0 && !dial_locked(c, dst)) {
-      fab_->bump(&socket_stats::send_failures);
+    if (c.fd < 0 && !dial_locked(c, src, dst)) {
+      bump(&socket_stats::send_failures);
       return;
     }
     const std::vector<unsigned char> bytes = encode_frame(
-        frame_kind::data, rank_, tag, /*epoch=*/c.next_epoch - 1, payload);
-    const stream_fault* fault = match_stream_fault(c, dst, payload.size());
+        frame_kind::data, src, /*epoch=*/c.next_epoch - 1, payload);
+    const stream_fault* fault =
+        match_stream_fault(c, src, dst, payload.size());
     if (fault != nullptr) {
-      fab_->bump(&socket_stats::injected_stream_faults);
+      bump(&socket_stats::injected_stream_faults);
       switch (fault->what) {
         case stream_fault::kind::reset:
           // Kill the link before the frame goes out: the frame is lost and
           // the receiver sees a dead stream.
           kill_locked(c);
-          fab_->bump(&socket_stats::send_failures);
+          bump(&socket_stats::send_failures);
           return;
         case stream_fault::kind::truncate: {
           // Half a frame, then death: the receiver reads a valid header,
           // starves waiting for the body, and poisons the link.
           const std::size_t cut = bytes.size() / 2;
-          fab_->write_fully(c.fd, bytes.data(), cut);
+          write_fully(c.fd, bytes.data(), cut);
           kill_locked(c);
-          fab_->bump(&socket_stats::send_failures);
+          bump(&socket_stats::send_failures);
           return;
         }
         case stream_fault::kind::split: {
@@ -584,123 +490,75 @@ class socket_endpoint final : public transport {
           bool ok = true;
           while (ok && off < bytes.size()) {
             const std::size_t n = std::min(step, bytes.size() - off);
-            ok = fab_->write_fully(c.fd, bytes.data() + off, n);
+            ok = write_fully(c.fd, bytes.data() + off, n);
             off += n;
             if (off < bytes.size())
               std::this_thread::sleep_for(std::chrono::microseconds(200));
           }
           if (!ok) {
             kill_locked(c);
-            fab_->bump(&socket_stats::send_failures);
+            bump(&socket_stats::send_failures);
             return;
           }
           c.last_write = clock_t_::now();
-          fab_->bump(&socket_stats::frames_sent);
+          bump(&socket_stats::frames_sent);
           return;
         }
         case stream_fault::kind::stall:
           // A stalled peer link: sit on the frame, then deliver normally.
-          std::this_thread::sleep_for(fab_->opts.stall_duration);
+          std::this_thread::sleep_for(opts.stall_duration);
           break;
       }
     }
-    if (!fab_->write_fully(c.fd, bytes.data(), bytes.size())) {
+    if (!write_fully(c.fd, bytes.data(), bytes.size())) {
       kill_locked(c);
-      fab_->bump(&socket_stats::send_failures);
+      bump(&socket_stats::send_failures);
       return;
     }
     c.last_write = clock_t_::now();
-    fab_->bump(&socket_stats::frames_sent);
+    bump(&socket_stats::frames_sent);
   }
 
-  /// Keep idle established links warm so receivers don't declare them dead
-  /// between exchange phases.
-  void heartbeat_loop() {
-    auto next = clock_t_::now() + fab_->opts.heartbeat_interval;
-    while (!stop_.load(std::memory_order_acquire)) {
+  /// Keep rank `src`'s idle established links warm so receivers don't
+  /// declare them dead between exchange phases.
+  void heartbeat_loop(int src) {
+    auto next = clock_t_::now() + opts.heartbeat_interval;
+    while (!stopping()) {
       // Short ticks rather than one long sleep, so teardown never waits a
       // whole (possibly test-lengthened) heartbeat interval.
       std::this_thread::sleep_for(std::chrono::milliseconds(2));
       if (clock_t_::now() < next) continue;
-      next = clock_t_::now() + fab_->opts.heartbeat_interval;
-      for (auto& c : conns_) {
+      next = clock_t_::now() + opts.heartbeat_interval;
+      for (int dst = 0; dst < nranks; ++dst) {
+        out_conn& c = conn(src, dst);
         std::lock_guard<std::mutex> lock(c.mutex);
         if (c.fd < 0) continue;
-        if (clock_t_::now() - c.last_write < fab_->opts.heartbeat_interval)
+        if (clock_t_::now() - c.last_write < opts.heartbeat_interval)
           continue;
         const std::vector<unsigned char> beat =
-            encode_frame(frame_kind::heartbeat, rank_, 0, 0, {});
-        if (fab_->write_fully(c.fd, beat.data(), beat.size())) {
+            encode_frame(frame_kind::heartbeat, src, 0, {});
+        if (write_fully(c.fd, beat.data(), beat.size())) {
           c.last_write = clock_t_::now();
-          fab_->bump(&socket_stats::heartbeats_sent);
+          bump(&socket_stats::heartbeats_sent);
         } else {
           kill_locked(c);
         }
       }
     }
   }
-
-  socket_fabric_impl* fab_;
-  int rank_;
-  injection_pipeline pipeline_;
-  std::vector<out_conn> conns_;
-  std::atomic<bool> stop_{false};
-  std::thread heartbeat_;
 };
 
-}  // namespace
-
-socket_fabric::socket_fabric(int num_ranks)
-    : socket_fabric(num_ranks, socket_fabric_options{}) {}
-
-socket_fabric::socket_fabric(int num_ranks, socket_fabric_options opts) {
-  SFP_REQUIRE(num_ranks >= 1, "socket fabric needs at least one rank");
-  impl_ = std::make_unique<socket_fabric_impl>(num_ranks, std::move(opts));
-}
-
-socket_fabric::~socket_fabric() = default;
-
-int socket_fabric::size() const { return impl_->nranks; }
-
-int socket_fabric::failed_rank() const {
-  return impl_->failed.load(std::memory_order_acquire);
-}
-
-const rank_counters& socket_fabric::counters(int rank) const {
-  SFP_REQUIRE(rank >= 0 && rank < impl_->nranks, "rank out of range");
-  return impl_->counters[static_cast<std::size_t>(rank)];
-}
-
-rank_counters socket_fabric::total_counters() const {
-  rank_counters total;
-  for (const auto& c : impl_->counters) total += c;
-  return total;
-}
-
-socket_stats socket_fabric::total_stats() const {
-  std::lock_guard<std::mutex> lock(impl_->stats_mutex);
-  return impl_->stats;
-}
-
-void socket_fabric::run(const std::function<void(transport&)>& rank_main) {
-  SFP_REQUIRE(static_cast<bool>(rank_main), "rank_main must be callable");
-  socket_fabric_impl& fab = *impl_;
-  const int n = fab.nranks;
-  // Reset last-run state.
-  fab.abort_flag.store(false, std::memory_order_release);
-  fab.failed.store(-1, std::memory_order_release);
-  fab.shutting_down.store(false, std::memory_order_release);
-  for (auto& box : fab.inboxes) box.queues.clear();
-  for (auto& table : fab.epochs) table.latest.clear();
-  fab.counters.assign(static_cast<std::size_t>(n), rank_counters{});
-  {
-    std::lock_guard<std::mutex> lock(fab.stats_mutex);
-    fab.stats = socket_stats{};
-  }
-
+socket_wire::socket_wire(int num_ranks, const fabric_options& opts,
+                         deliver_fn deliver, socket_stats* totals) {
+  SFP_REQUIRE(num_ranks >= 1, "socket wire needs at least one rank");
+  SFP_REQUIRE(totals != nullptr, "socket wire needs a stats sink");
+  impl_ = std::make_unique<socket_wire_impl>(num_ranks, opts,
+                                             std::move(deliver), totals);
+  socket_wire_impl& w = *impl_;
+  const int n = num_ranks;
   // Bind every rank's listener up front so dial order can't race readiness.
-  fab.listen_fds.assign(static_cast<std::size_t>(n), -1);
-  fab.ports.assign(static_cast<std::size_t>(n), 0);
+  w.listen_fds.assign(static_cast<std::size_t>(n), -1);
+  w.ports.assign(static_cast<std::size_t>(n), 0);
   for (int p = 0; p < n; ++p) {
     const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
     SFP_REQUIRE(fd >= 0, "socket() failed");
@@ -717,74 +575,35 @@ void socket_fabric::run(const std::function<void(transport&)>& rank_main) {
     SFP_REQUIRE(::getsockname(fd, reinterpret_cast<sockaddr*>(&bound),
                               &len) == 0,
                 "getsockname() failed");
-    fab.listen_fds[static_cast<std::size_t>(p)] = fd;
-    fab.ports[static_cast<std::size_t>(p)] = ntohs(bound.sin_port);
+    w.listen_fds[static_cast<std::size_t>(p)] = fd;
+    w.ports[static_cast<std::size_t>(p)] = ntohs(bound.sin_port);
   }
-
-  std::vector<std::thread> acceptors;
-  acceptors.reserve(static_cast<std::size_t>(n));
-  for (int p = 0; p < n; ++p)
-    acceptors.emplace_back([&fab, p] { fab.acceptor_loop(p); });
-
-  std::vector<std::unique_ptr<socket_endpoint>> endpoints;
-  endpoints.reserve(static_cast<std::size_t>(n));
-  for (int p = 0; p < n; ++p)
-    endpoints.push_back(std::make_unique<socket_endpoint>(&fab, p));
-
-  std::vector<std::thread> threads;
-  std::vector<std::exception_ptr> errors(static_cast<std::size_t>(n));
-  threads.reserve(static_cast<std::size_t>(n));
+  w.acceptors.reserve(static_cast<std::size_t>(n));
+  w.heartbeats.reserve(static_cast<std::size_t>(n));
   for (int p = 0; p < n; ++p) {
-    threads.emplace_back([&fab, p, &rank_main, &errors, &endpoints] {
-      if (obs::trace::enabled())
-        obs::trace::set_thread_name("rank " + std::to_string(p));
-      try {
-        rank_main(*endpoints[static_cast<std::size_t>(p)]);
-      } catch (...) {
-        errors[static_cast<std::size_t>(p)] = std::current_exception();
-        fab.trigger_abort(p);
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-
-  // Teardown in dependency order: stop accepting and reading, close the
-  // sender sides (readers then see EOF), and join everything.
-  fab.shutting_down.store(true, std::memory_order_release);
-  endpoints.clear();  // joins heartbeats, closes outgoing links
-  for (auto& t : acceptors) t.join();
-  for (const int fd : fab.listen_fds) close_fd(fd);
-  fab.listen_fds.clear();
-  {
-    std::lock_guard<std::mutex> lock(fab.readers_mutex);
-    for (auto& t : fab.readers) t.join();
-    fab.readers.clear();
-  }
-
-  publish_metrics_totals();
-
-  const int failed = failed_rank();
-  if (failed >= 0) {
-    // The first rank whose exception escaped is the root cause; peers hold
-    // cascading world_aborted.
-    std::rethrow_exception(errors[static_cast<std::size_t>(failed)]);
+    w.acceptors.emplace_back([&w, p] { w.acceptor_loop(p); });
+    w.heartbeats.emplace_back([&w, p] { w.heartbeat_loop(p); });
   }
 }
 
-void socket_fabric::publish_metrics_totals() const {
-  publish_counters(total_counters());
-  obs::registry& reg = obs::registry::global();
-  const socket_stats s = total_stats();
-  reg.get_counter("socket.connects").add(s.connects);
-  reg.get_counter("socket.reconnects").add(s.reconnects);
-  reg.get_counter("socket.frames_sent").add(s.frames_sent);
-  reg.get_counter("socket.frames_received").add(s.frames_received);
-  reg.get_counter("socket.heartbeats_sent").add(s.heartbeats_sent);
-  reg.get_counter("socket.frames_rejected").add(s.frames_rejected);
-  reg.get_counter("socket.stale_epoch_dropped").add(s.stale_epoch_dropped);
-  reg.get_counter("socket.injected_stream_faults")
-      .add(s.injected_stream_faults);
-  reg.get_counter("socket.send_failures").add(s.send_failures);
+socket_wire::~socket_wire() {
+  socket_wire_impl& w = *impl_;
+  // Teardown in dependency order: stop accepting and reading, close the
+  // sender sides (readers then see EOF), and join everything.
+  w.shutting_down.store(true, std::memory_order_release);
+  for (auto& t : w.heartbeats) t.join();
+  for (auto& c : w.conns) {
+    std::lock_guard<std::mutex> lock(c.mutex);
+    socket_wire_impl::kill_locked(c);
+  }
+  for (auto& t : w.acceptors) t.join();
+  for (const int fd : w.listen_fds) close_fd(fd);
+  std::lock_guard<std::mutex> lock(w.readers_mutex);
+  for (auto& t : w.readers) t.join();
+}
+
+void socket_wire::write(int src, int dst, std::span<const double> image) {
+  impl_->write_data(src, dst, image);
 }
 
 }  // namespace sfp::runtime

@@ -1,18 +1,21 @@
 #pragma once
-// Loopback-TCP transport backend: the same virtual-rank model as
-// runtime/world.hpp, but every rank talks to its peers over real sockets —
-// framed byte streams with partial reads and writes, connection loss, and
-// reconnection — so the reliable layer's guarantees are exercised against
-// the failure modes a multi-node deployment actually has.
+// Loopback-TCP wire for runtime::world: with transport_backend::socket the
+// fabric (rank threads, inboxes, abort, counters, message-level fault
+// injection) stays the world's, and every injected image travels to its
+// destination inbox over real sockets — framed byte streams with partial
+// reads and writes, connection loss, and reconnection — so the reliable
+// layer's guarantees are exercised against the failure modes a multi-node
+// deployment actually has.
 //
 // Connection model: each rank owns one listening socket (127.0.0.1, kernel-
-// assigned port, ports exchanged before the rank threads start) and dials
-// peers lazily on first send. Each established link carries framed messages
-// one way (dialer -> acceptor); a rank pair that talks both ways holds two
-// independent links. Frames are CRC32C-protected; a frame that fails the
-// check, or a stream that dies mid-frame, poisons the connection — the
-// receiver closes it, the sender notices on its next write, and the frame
-// in flight is simply lost (the reliable layer retransmits it).
+// assigned port, bound before the rank threads start) and dials peers lazily
+// on first send. Each established link carries framed messages one way
+// (dialer -> acceptor); a rank pair that talks both ways holds two
+// independent links, one per (src, dst) stream. Frames are CRC32C-protected;
+// a frame that fails the check, or a stream that dies mid-frame, poisons the
+// connection — the receiver closes it, the sender notices on its next
+// write, and the frame in flight is simply lost (the reliable layer
+// retransmits it).
 //
 // Reconnect + epoch handshake: every dial starts with a HELLO carrying the
 // link's connection epoch (a per-(src, dst) counter on the sender) and
@@ -27,28 +30,23 @@
 // warm; a receiver that sees no traffic (data or heartbeat) for
 // heartbeat_timeout declares the link dead and closes it.
 //
-// Fault injection: message-level chaos reuses the shared
-// injection_pipeline verbatim (same plan, same rng streams, same counters
-// as the in-process fabric), and a byte-stream injector underneath it
-// mangles the framed writes themselves — truncated frames, split writes,
-// resets, stalls — which is the layer the in-process fabric cannot model.
+// Fault injection: a byte-stream injector mangles the framed writes
+// themselves — truncated frames, split writes, resets, stalls — which is
+// the layer the in-process push cannot model.
 
-#include <chrono>
-#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <vector>
-
-#include "runtime/transport.hpp"
 
 namespace sfp::runtime {
 
 /// One discrete byte-stream fault, pinned to the `nth` data frame (0-based,
 /// in the sender's own write order, retransmits included) written on the
 /// (src, dst) link. Handshake and heartbeat frames are never counted, and
-/// frames with fewer than socket_fabric_options::stream_fault_min_payload
-/// payload doubles are skipped, so chaos schedules can pin faults to
+/// neither are header-only frames (acks, fence tokens: at most
+/// wire::header_doubles payload doubles), so chaos schedules pin faults to
 /// reliable *data* frames exactly like message_fault::min_payload does.
 struct stream_fault {
   enum class kind : int {
@@ -65,13 +63,14 @@ struct stream_fault {
 
 const char* to_string(stream_fault::kind k);
 
-/// Declarative byte-stream chaos schedule for a socket fabric run.
+/// Declarative byte-stream chaos schedule for a socket-wire run.
 struct stream_fault_plan {
   std::vector<stream_fault> faults;
   bool empty() const { return faults.empty(); }
 };
 
-/// Socket-layer robustness accounting, summed over ranks by total_stats().
+/// Socket-layer robustness accounting, summed over ranks
+/// (world::socket_totals()).
 struct socket_stats {
   std::int64_t connects = 0;       ///< successful dial + handshake rounds
   std::int64_t reconnects = 0;     ///< connects after the first, per link
@@ -86,65 +85,38 @@ struct socket_stats {
   socket_stats& operator+=(const socket_stats& o);
 };
 
-struct socket_fabric_options {
-  /// Message-level chaos, applied by the shared injection_pipeline above
-  /// the framing layer — identical semantics to world::options::faults.
-  fault_plan faults;
-  /// Byte-stream chaos, applied underneath at frame-write time.
-  stream_fault_plan stream_faults;
-  /// Frames with fewer payload doubles than this neither count toward nor
-  /// match a stream fault's `nth` index (see stream_fault).
-  std::size_t stream_fault_min_payload = 0;
-  /// Idle links carry a heartbeat this often.
-  std::chrono::milliseconds heartbeat_interval{20};
-  /// A link silent for this long is declared dead by its receiver.
-  std::chrono::milliseconds heartbeat_timeout{2000};
-  /// Bound on dial + HELLO/HELLO_ACK handshake.
-  std::chrono::milliseconds connect_timeout{2000};
-  /// How long a stall fault sits on its frame.
-  std::chrono::microseconds stall_duration{2000};
-};
+/// Add one run's socket totals to the global obs registry as socket.*
+/// counters.
+void publish_counters(const socket_stats& totals);
 
-struct socket_fabric_impl;  // internal machinery (socket_transport.cpp)
+struct fabric_options;
+struct socket_wire_impl;  // links, listeners and their threads (.cpp)
 
-/// A fixed-size group of virtual ranks connected over loopback TCP. run()
-/// executes the given function once per rank, each on its own thread with
-/// its own transport endpoint, and returns when all complete. Failure
-/// semantics mirror world::run: the first escaping exception aborts the
-/// peers (blocked try_recv_any calls wake with world_aborted) and is
-/// rethrown from run(). A fabric may be reused; run() resets all state and
-/// binds fresh listening sockets.
-class socket_fabric {
+/// The loopback-TCP links under one socket-backed world::run. Construction
+/// binds every rank's listener and starts the acceptor and heartbeat
+/// threads; destruction closes every link and joins every thread. Reader
+/// threads hand each verified data frame to `deliver`.
+class socket_wire {
  public:
-  explicit socket_fabric(int num_ranks);
-  socket_fabric(int num_ranks, socket_fabric_options opts);
-  ~socket_fabric();
+  using deliver_fn =
+      std::function<void(int dst, int src, std::vector<double> image)>;
 
-  socket_fabric(const socket_fabric&) = delete;
-  socket_fabric& operator=(const socket_fabric&) = delete;
+  /// `totals` receives the socket accounting; it is final once the wire
+  /// is destroyed.
+  socket_wire(int num_ranks, const fabric_options& opts, deliver_fn deliver,
+              socket_stats* totals);
+  ~socket_wire();
 
-  int size() const;
+  socket_wire(const socket_wire&) = delete;
+  socket_wire& operator=(const socket_wire&) = delete;
 
-  void run(const std::function<void(transport&)>& rank_main);
-
-  /// Rank whose exception triggered the abort of the last run, or -1.
-  int failed_rank() const;
-  bool aborted() const { return failed_rank() >= 0; }
-
-  /// Robustness counters from the last run (same meaning as world's).
-  const rank_counters& counters(int rank) const;
-  rank_counters total_counters() const;
-
-  /// Socket-layer accounting from the last run, summed over ranks.
-  socket_stats total_stats() const;
+  /// Frame `image` onto the src -> dst link, applying any due stream fault.
+  /// Called only from rank `src`'s thread. A dead link loses the frame and
+  /// is redialed on the next write.
+  void write(int src, int dst, std::span<const double> image);
 
  private:
-  /// Add the last run's totals to the global obs registry (the same
-  /// runtime.* counter names the in-process fabric publishes, plus the
-  /// socket.* stats).
-  void publish_metrics_totals() const;
-
-  std::unique_ptr<socket_fabric_impl> impl_;
+  std::unique_ptr<socket_wire_impl> impl_;
 };
 
 }  // namespace sfp::runtime

@@ -82,10 +82,10 @@ void injection_pipeline::count_op() {
 }
 
 injection_pipeline::outcome injection_pipeline::on_send(
-    int dst, int tag, std::span<const double> data) {
+    int dst, std::span<const double> data) {
   outcome out;
   const fault_injector::send_action action =
-      injector_.on_send(dst, tag, data.size());
+      injector_.on_send(dst, data.size());
   if (action.drop) {
     ++counters_->injected_drops;
     return out;
@@ -107,10 +107,9 @@ injection_pipeline::outcome injection_pipeline::on_send(
     bits ^= std::uint64_t{1} << action.corrupt_bit;
     std::memcpy(&wire[action.corrupt_element], &bits, sizeof(bits));
   }
-  const auto stash_key = std::pair(dst, tag);
   std::vector<double> held;
   bool flush_held = false;
-  if (const auto it = stash_.find(stash_key); it != stash_.end()) {
+  if (const auto it = stash_.find(dst); it != stash_.end()) {
     held = std::move(it->second);
     stash_.erase(it);
     flush_held = true;  // delivered after this message: the injected swap
@@ -128,7 +127,7 @@ injection_pipeline::outcome injection_pipeline::on_send(
   counters_->doubles_sent +=
       copies * static_cast<std::int64_t>(wire.size());
   if (stash_this) {
-    stash_[stash_key] = std::move(wire);
+    stash_[dst] = std::move(wire);
   } else {
     for (int c = 1; c < copies; ++c) out.wire.push_back(wire);
     out.wire.push_back(std::move(wire));

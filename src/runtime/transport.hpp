@@ -2,7 +2,7 @@
 // Backend-agnostic transport: the narrow fabric surface the reliable
 // delivery layer (runtime/reliable.hpp) consumes, so the same
 // seq/ack/retransmit machinery, escalation ladder, and chaos harness run
-// unchanged over in-process mailboxes and over real byte streams.
+// unchanged over an in-process wire and over real byte streams.
 //
 // A transport is an unreliable datagram fabric: send() is asynchronous,
 // fire-and-forget, and may drop / duplicate / mangle payloads (by fault
@@ -11,21 +11,24 @@
 // dedup, delivery guarantees — is the reliable layer's job, which is exactly
 // what makes the backends interchangeable under one chaos contract.
 //
-// Backends:
-//   - world.hpp: thread-backed in-process mailboxes.
-//   - socket_transport.hpp: loopback TCP with framing, heartbeats, and a
-//     reconnect-with-epoch handshake.
-// fabric.hpp picks one by transport_backend and runs a rank program on it.
+// The one fabric behind it is runtime::world (world.hpp): rank threads,
+// inboxes, abort and counters. transport_backend picks only the wire that
+// carries a sent image to the destination's inbox: a direct push in
+// process, or loopback TCP with framing, heartbeats, and a
+// reconnect-with-epoch handshake (socket_transport.hpp). fabric.hpp runs a
+// rank program on it.
+//
+// Datagrams are untagged: a fabric carries (src, dst) streams only, and all
+// multiplexing (logical tags, fences) lives in the reliable envelope.
 //
 // The shared fabric vocabulary (rank_counters, any_message, world_aborted)
-// lives here because every backend speaks it.
+// lives here because the fabric, both wires and the reliable layer speak it.
 
 #include <chrono>
 #include <cstdint>
 #include <map>
 #include <span>
 #include <stdexcept>
-#include <utility>
 #include <vector>
 
 #include "runtime/fault.hpp"
@@ -69,13 +72,12 @@ void publish_counters(const rank_counters& totals);
 /// payload exactly as delivered (possibly corrupted/truncated in transit).
 struct any_message {
   int src = -1;
-  int tag = 0;
   std::vector<double> payload;
 };
 
-/// Which fabric implementation carries a run's traffic.
+/// Which wire carries a run's traffic from sender to destination inbox.
 enum class transport_backend {
-  inproc,  ///< thread-backed in-process mailboxes (runtime/world.hpp)
+  inproc,  ///< direct push into the destination's inbox (runtime/world.hpp)
   socket,  ///< loopback TCP (runtime/socket_transport.hpp)
 };
 
@@ -93,24 +95,25 @@ class transport {
   virtual int rank() const = 0;
   virtual int size() const = 0;
 
-  /// Asynchronously hand `data` to the fabric for delivery to `dst` under
-  /// `tag`. Unreliable: the message may be dropped, duplicated, corrupted,
+  /// Asynchronously hand `data` to the fabric for delivery to `dst`.
+  /// Unreliable: the message may be dropped, duplicated, corrupted,
   /// truncated, or reordered before it reaches the peer.
-  virtual void send(int dst, int tag, std::span<const double> data) = 0;
+  virtual void send(int dst, std::span<const double> data) = 0;
 
-  /// Wait up to `wait` for a message with tag `tag` from *any* source and
-  /// dequeue it. Returns false when nothing arrived in time. Not a
-  /// communication op for fault accounting — deadline policy belongs to the
-  /// caller pumping it. A fabric abort wakes it with world_aborted.
-  virtual bool try_recv_any(int tag, std::chrono::microseconds wait,
+  /// Wait up to `wait` for a message from *any* source and dequeue it
+  /// (lowest source rank first). Returns false when nothing arrived in
+  /// time. Not a communication op for fault accounting — deadline policy
+  /// belongs to the caller pumping it. A fabric abort wakes it with
+  /// world_aborted once the inbox is drained.
+  virtual bool try_recv_any(std::chrono::microseconds wait,
                             any_message* out) = 0;
 
  protected:
   transport() = default;
 };
 
-/// One rank's message-level fault machinery, shared by both backends so
-/// every backend mangles outgoing messages identically: the same
+/// One rank's message-level fault machinery, run by the fabric above either
+/// wire so both mangle outgoing messages identically: the same
 /// plan, the same rng streams, the same counter accounting — which is what
 /// keeps one chaos schedule bit-for-bit reproducible across backends.
 ///
@@ -142,7 +145,7 @@ class injection_pipeline {
   /// applies drop/delay/duplicate/corrupt/truncate/reorder, sleeps injected
   /// delays in place, and updates the injected_* plus sent-side counters.
   /// The caller only delivers the returned wire images, in order.
-  outcome on_send(int dst, int tag, std::span<const double> data);
+  outcome on_send(int dst, std::span<const double> data);
 
   std::int64_t ops() const { return injector_.ops(); }
 
@@ -150,8 +153,8 @@ class injection_pipeline {
   fault_injector injector_;
   rank_counters* counters_;
   /// Reorder stash: a reordered message waits here and is delivered right
-  /// after the next send on the same (dst, tag) stream.
-  std::map<std::pair<int, int>, std::vector<double>> stash_;
+  /// after the next send to the same destination.
+  std::map<int, std::vector<double>> stash_;
 };
 
 }  // namespace sfp::runtime

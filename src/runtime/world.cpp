@@ -32,14 +32,14 @@ class world::endpoint final : public transport {
   int rank() const override { return rank_; }
   int size() const override { return world_->size(); }
 
-  void send(int dst, int tag, std::span<const double> data) override {
-    world_->send(rank_, dst, tag, data);
+  void send(int dst, std::span<const double> data) override {
+    world_->send(rank_, dst, data);
   }
 
-  bool try_recv_any(int tag, std::chrono::microseconds wait,
+  bool try_recv_any(std::chrono::microseconds wait,
                     any_message* out) override {
     SFP_REQUIRE(out != nullptr, "try_recv_any needs an output slot");
-    return world_->take_any(rank_, tag, wait, out);
+    return world_->take_any(rank_, wait, out);
   }
 
  private:
@@ -47,14 +47,13 @@ class world::endpoint final : public transport {
   int rank_;
 };
 
-world::world(int num_ranks) : world(num_ranks, options()) {}
-
-world::world(int num_ranks, options opts)
+world::world(int num_ranks, fabric_options opts)
     : num_ranks_(validated_rank_count(num_ranks)),
       opts_(std::move(opts)),
-      mailboxes_(static_cast<std::size_t>(num_ranks)),
-      counters_(static_cast<std::size_t>(num_ranks)),
-      tag_doubles_(static_cast<std::size_t>(num_ranks)) {}
+      inboxes_(static_cast<std::size_t>(num_ranks)),
+      counters_(static_cast<std::size_t>(num_ranks)) {}
+
+world::~world() = default;
 
 const rank_counters& world::counters(int rank) const {
   SFP_REQUIRE(rank >= 0 && rank < num_ranks_, "rank out of range");
@@ -67,75 +66,60 @@ rank_counters world::total_counters() const {
   return total;
 }
 
-void world::publish_metrics() const {
-  publish_counters(total_counters());
-  // Per-tag wire volume (doubles delivered per tag, summed over senders,
-  // duplicates included) only while a session is observing: tag counts
-  // grow with step count, so an unattended long run must not grow the
-  // registry.
-  if (!obs::trace::enabled()) return;
-  std::map<int, std::int64_t> by_tag;
-  for (const auto& per_rank : tag_doubles_)
-    for (const auto& [tag, doubles] : per_rank) by_tag[tag] += doubles;
-  obs::registry& reg = obs::registry::global();
-  for (const auto& [tag, doubles] : by_tag)
-    reg.get_counter("runtime.send.bytes.tag" + std::to_string(tag))
-        .add(doubles * static_cast<std::int64_t>(sizeof(double)));
-}
-
-void world::send(int src, int dst, int tag, std::span<const double> data) {
+void world::send(int src, int dst, std::span<const double> data) {
   SFP_REQUIRE(dst >= 0 && dst < num_ranks_, "destination out of range");
   SFP_TRACE_SCOPE_CAT("world.send", "runtime");
-  const auto self = static_cast<std::size_t>(src);
-  injection_pipeline& pipeline = pipelines_[self];
+  injection_pipeline& pipeline = pipelines_[static_cast<std::size_t>(src)];
   pipeline.count_op();
-  injection_pipeline::outcome out = pipeline.on_send(dst, tag, data);
-  for (int c = 0; c < out.accounted_copies; ++c) {
-    tag_doubles_[self][tag] += static_cast<std::int64_t>(out.copy_doubles);
+  injection_pipeline::outcome out = pipeline.on_send(dst, data);
+  for (int c = 0; c < out.accounted_copies; ++c)
     send_bytes_hist().observe(
         static_cast<std::int64_t>(out.copy_doubles * sizeof(double)));
+  for (auto& image : out.wire) {
+    if (socket_)
+      socket_->write(src, dst, image);
+    else
+      deliver(dst, src, std::move(image));
   }
-  for (auto& image : out.wire) deliver(dst, src, tag, std::move(image));
 }
 
-void world::deliver(int dst, int src, int tag, std::vector<double> data) {
-  mailbox& box = mailboxes_[static_cast<std::size_t>(dst)];
+void world::deliver(int dst, int src, std::vector<double> image) {
+  inbox& box = inboxes_[static_cast<std::size_t>(dst)];
   {
     std::lock_guard<std::mutex> lock(box.mutex);
-    box.queues[{src, tag}].push_back(std::move(data));
+    box.from[static_cast<std::size_t>(src)].push_back(std::move(image));
   }
   box.ready.notify_all();
 }
 
-bool world::take_any(int dst, int tag, std::chrono::microseconds wait,
+bool world::take_any(int dst, std::chrono::microseconds wait,
                      any_message* out) {
-  mailbox& box = mailboxes_[static_cast<std::size_t>(dst)];
+  inbox& box = inboxes_[static_cast<std::size_t>(dst)];
   std::unique_lock<std::mutex> lock(box.mutex);
   // Lowest source rank first: a deterministic drain order given identical
-  // mailbox contents (arrival interleaving still varies, but the reliable
+  // inbox contents (arrival interleaving still varies, but the reliable
   // layer is insensitive to it).
   const auto find_match = [&]() {
-    for (auto it = box.queues.begin(); it != box.queues.end(); ++it)
-      if (it->first.second == tag && !it->second.empty()) return it;
-    return box.queues.end();
+    for (auto it = box.from.begin(); it != box.from.end(); ++it)
+      if (!it->empty()) return it;
+    return box.from.end();
   };
   const auto ready = [&] {
-    return abort_requested() || find_match() != box.queues.end();
+    return abort_requested() || find_match() != box.from.end();
   };
   if (!box.ready.wait_for(lock, wait, ready)) return false;
   // Drain-then-abort: a message that already arrived is still delivered so
   // a rank about to make progress is not failed spuriously; the abort is
-  // observed once the mailbox is empty.
+  // observed once the inbox is empty.
   const auto it = find_match();
   rank_counters& counters = counters_[static_cast<std::size_t>(dst)];
-  if (it == box.queues.end()) {
+  if (it == box.from.end()) {
     ++counters.aborts_observed;
     throw world_aborted(dst, failed_rank());
   }
-  out->src = it->first.first;
-  out->tag = it->first.second;
-  out->payload = std::move(it->second.front());
-  it->second.pop_front();
+  out->src = static_cast<int>(it - box.from.begin());
+  out->payload = std::move(it->front());
+  it->pop_front();
   ++counters.messages_received;
   counters.doubles_received += static_cast<std::int64_t>(out->payload.size());
   return true;
@@ -148,7 +132,7 @@ void world::trigger_abort(int rank) {
   abort_flag_.store(true, std::memory_order_release);
   // Wake every potential waiter. Taking each lock before notifying closes
   // the race against a rank that checked the flag but has not yet parked.
-  for (auto& box : mailboxes_) {
+  for (auto& box : inboxes_) {
     std::lock_guard<std::mutex> lock(box.mutex);
     box.ready.notify_all();
   }
@@ -157,9 +141,10 @@ void world::trigger_abort(int rank) {
 void world::reset_run_state() {
   abort_flag_.store(false, std::memory_order_release);
   failed_rank_.store(-1, std::memory_order_release);
-  for (auto& box : mailboxes_) box.queues.clear();
+  for (auto& box : inboxes_)
+    box.from.assign(static_cast<std::size_t>(num_ranks_), {});
   counters_.assign(static_cast<std::size_t>(num_ranks_), rank_counters{});
-  tag_doubles_.assign(static_cast<std::size_t>(num_ranks_), {});
+  socket_totals_ = socket_stats{};
   // counters_ is at its final size here, so the pipelines' pointers into it
   // stay valid for the whole run.
   pipelines_.clear();
@@ -172,6 +157,13 @@ void world::reset_run_state() {
 void world::run(const std::function<void(transport&)>& rank_main) {
   SFP_REQUIRE(static_cast<bool>(rank_main), "rank_main must be callable");
   reset_run_state();
+  if (opts_.backend == transport_backend::socket)
+    socket_ = std::make_unique<socket_wire>(
+        num_ranks_, opts_,
+        [this](int dst, int src, std::vector<double> image) {
+          deliver(dst, src, std::move(image));
+        },
+        &socket_totals_);
   std::vector<std::thread> threads;
   std::vector<std::exception_ptr> errors(static_cast<std::size_t>(num_ranks_));
   threads.reserve(static_cast<std::size_t>(num_ranks_));
@@ -189,7 +181,12 @@ void world::run(const std::function<void(transport&)>& rank_main) {
     });
   }
   for (auto& t : threads) t.join();
-  publish_metrics();
+  // Closing the wire joins its reader, acceptor and heartbeat threads, so
+  // socket_totals_ is final from here on.
+  socket_.reset();
+  publish_counters(total_counters());
+  if (opts_.backend == transport_backend::socket)
+    publish_counters(socket_totals_);
   const int failed = failed_rank();
   if (failed >= 0) {
     // failed_rank_ is the first rank whose exception escaped — the root

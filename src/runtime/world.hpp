@@ -1,42 +1,47 @@
 #pragma once
-// Virtual-rank runtime: a thread-backed, in-process transport backend. Each
-// rank runs on its own thread with its own transport endpoint; send() copies
-// the payload into the destination's mailbox and try_recv_any() dequeues
-// from the rank's own. It is the stand-in for MPI point-to-point on the
-// paper's cluster, and it carries exactly what the loopback-TCP backend
-// (runtime/socket_transport.hpp) carries: unreliable datagrams, with the
-// reliable channel (runtime/reliable.hpp) on top for ordering, dedup and
-// delivery.
+// Virtual-rank runtime: the one rank fabric. Each rank runs on its own
+// thread with its own transport endpoint; send() runs the payload through
+// the rank's injection_pipeline and hands the resulting images to the wire,
+// which lands them in the destination's inbox; try_recv_any() dequeues from
+// the rank's own inbox. It is the stand-in for MPI point-to-point on the
+// paper's cluster: unreliable datagrams, with the reliable channel
+// (runtime/reliable.hpp) on top for ordering, dedup and delivery.
 //
-// Semantics: send() is asynchronous and copies its payload; messages between
-// a fixed (source, destination, tag) triple are delivered in send order
-// unless fault injection says otherwise.
+// Wires: fabric_options::backend picks only how an image travels from
+// sender to inbox — a direct push in process, or the loopback-TCP links of
+// runtime/socket_transport.hpp (framing, CRC, heartbeats, reconnects and
+// byte-stream faults). Rank threads, inboxes, abort, counters and fault
+// injection are this file's, the same on both.
+//
+// Semantics: send() is asynchronous and copies its payload; messages on a
+// fixed (source, destination) stream are delivered in send order unless
+// fault injection (or a dying socket link) says otherwise.
 //
 // Fault tolerance: when any rank throws, a shared abort flag wakes every
-// rank parked in try_recv_any with world_aborted instead of hanging the join
-// loop. A seeded fault_plan injects deterministic kills and message
-// drop/delay/duplication/corruption/truncation/reorder; an op is counted on
-// every send, exactly as on the socket backend, so one chaos schedule
-// replays bit for bit on both. Per-rank robustness counters account for
-// everything that happened.
+// rank parked in try_recv_any with world_aborted (after its inbox drains)
+// instead of hanging the join loop. A seeded fault_plan injects
+// deterministic kills and message drop/delay/duplication/corruption/
+// truncation/reorder; an op is counted on every send, so one chaos schedule
+// replays bit for bit on both wires. Per-rank robustness counters account
+// for everything that happened.
 //
 // Observability: every send is a trace span when an obs session is active
 // (rank threads are named "rank N" in the dump), and run() publishes the
-// per-run counters — plus per-tag payload bytes — into the global
-// obs::registry. See docs/observability.md.
+// per-run counters into the global obs::registry. See
+// docs/observability.md.
 
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
-#include <cstdint>
 #include <deque>
 #include <functional>
-#include <map>
+#include <memory>
 #include <mutex>
 #include <span>
 #include <vector>
 
-#include "runtime/fault.hpp"
+#include "runtime/fabric.hpp"
+#include "runtime/socket_transport.hpp"
 #include "runtime/transport.hpp"
 
 namespace sfp::runtime {
@@ -46,16 +51,14 @@ namespace sfp::runtime {
 /// and returns when all complete. Exceptions thrown by any rank abort the
 /// peers (they throw world_aborted out of try_recv_any) and the root-cause
 /// exception is rethrown from run(). A world may be reused: run() resets all
-/// fabric and failure state.
+/// fabric and failure state (and binds fresh sockets on the socket wire).
 class world {
  public:
-  struct options {
-    /// Deterministic chaos schedule; default-constructed = no faults.
-    fault_plan faults;
-  };
+  explicit world(int num_ranks, fabric_options opts = {});
+  ~world();
 
-  explicit world(int num_ranks);
-  world(int num_ranks, options opts);
+  world(const world&) = delete;
+  world& operator=(const world&) = delete;
 
   int size() const { return num_ranks_; }
 
@@ -70,30 +73,33 @@ class world {
   const rank_counters& counters(int rank) const;
   rank_counters total_counters() const;
 
+  /// Socket-layer accounting from the last run, summed over ranks; all zero
+  /// on the in-process wire.
+  const socket_stats& socket_totals() const { return socket_totals_; }
+
  private:
   class endpoint;  ///< one rank's transport (world.cpp)
 
-  struct mailbox {
+  /// Per-source FIFO queues of one rank's delivered images.
+  struct inbox {
     std::mutex mutex;
     std::condition_variable ready;
-    std::map<std::pair<int, int>, std::deque<std::vector<double>>> queues;
+    std::vector<std::deque<std::vector<double>>> from;
   };
 
-  void send(int src, int dst, int tag, std::span<const double> data);
-  void deliver(int dst, int src, int tag, std::vector<double> data);
-  /// Bounded-wait dequeue of any (src=*, tag) message; false on timeout.
-  bool take_any(int dst, int tag, std::chrono::microseconds wait,
-                any_message* out);
+  void send(int src, int dst, std::span<const double> data);
+  void deliver(int dst, int src, std::vector<double> image);
+  /// Bounded-wait dequeue from any source; false on timeout.
+  bool take_any(int dst, std::chrono::microseconds wait, any_message* out);
   void trigger_abort(int rank);
   bool abort_requested() const {
     return abort_flag_.load(std::memory_order_acquire);
   }
   void reset_run_state();
-  void publish_metrics() const;
 
   int num_ranks_;
-  options opts_;
-  std::vector<mailbox> mailboxes_;
+  fabric_options opts_;
+  std::vector<inbox> inboxes_;
 
   // Failure state (set once per run by the first failing rank).
   std::atomic<bool> abort_flag_{false};
@@ -103,8 +109,11 @@ class world {
   // own rank thread during run() and read after the join. The pipeline owns
   // the injector and the reorder stash (runtime/transport.hpp).
   std::vector<rank_counters> counters_;
-  std::vector<std::map<int, std::int64_t>> tag_doubles_;
   std::vector<injection_pipeline> pipelines_;
+
+  /// The loopback-TCP wire while a socket run is live; null otherwise.
+  std::unique_ptr<socket_wire> socket_;
+  socket_stats socket_totals_;
 };
 
 }  // namespace sfp::runtime

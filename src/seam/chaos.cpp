@@ -141,7 +141,6 @@ runtime::fault_plan to_fault_plan(const chaos_schedule& schedule,
     runtime::fault_plan::message_fault mf;
     mf.src = src;
     mf.dst = dst;
-    mf.tag = -1;  // reliable traffic shares one wire tag; match them all
     mf.fire_from = nth;
     mf.fire_count = 1;
     // Data frames only: a reliable wire message is a 6-double header plus
@@ -178,7 +177,6 @@ runtime::fault_plan to_fault_plan(const chaos_schedule& schedule,
           runtime::fault_plan::message_fault mf;
           mf.src = f.src;
           mf.dst = f.dst;
-          mf.tag = -1;
           mf.fire_from = f.nth;
           mf.fire_count = 1;
           mf.min_payload = runtime::wire::header_doubles + 1;
@@ -248,12 +246,20 @@ chaos_schedule chaos_schedule_from_json(const io::json_value& doc) {
                   "chaos schedule: seed string must be a decimal uint64");
       schedule.seed = std::stoull(seed.string);
     } else {
-      SFP_REQUIRE(seed.is_number() && seed.number >= 0,
-                  "chaos schedule: seed must be a string or non-negative "
-                  "number");
-      schedule.seed = static_cast<std::uint64_t>(seed.number);
+      schedule.seed =
+          io::json_integer<std::uint64_t>(seed, "chaos schedule: seed");
     }
   }
+  // One fault's (src, dst, nth) triple: two distinct ranks and a frame
+  // index.
+  const auto read_link = [](const io::json_value& entry, int* src, int* dst,
+                            std::int64_t* nth) {
+    *src = io::json_integer<int>(entry.at("src"), "chaos schedule: src", 0);
+    *dst = io::json_integer<int>(entry.at("dst"), "chaos schedule: dst", 0);
+    SFP_REQUIRE(*src != *dst, "chaos schedule: src and dst must differ");
+    *nth = io::json_integer<std::int64_t>(entry.at("nth"),
+                                          "chaos schedule: nth", 0);
+  };
   SFP_REQUIRE(doc.has("faults") && doc.at("faults").is_array(),
               "chaos schedule: faults must be an array");
   for (const io::json_value& entry : doc.at("faults").array) {
@@ -262,19 +268,7 @@ chaos_schedule chaos_schedule_from_json(const io::json_value& doc) {
     SFP_REQUIRE(entry.has("kind") && entry.at("kind").is_string(),
                 "chaos schedule: fault kind must be a string");
     f.what = kind_from_string(entry.at("kind").string);
-    SFP_REQUIRE(entry.has("src") && entry.at("src").is_number() &&
-                    entry.at("src").number >= 0,
-                "chaos schedule: src must be a rank");
-    SFP_REQUIRE(entry.has("dst") && entry.at("dst").is_number() &&
-                    entry.at("dst").number >= 0,
-                "chaos schedule: dst must be a rank");
-    f.src = static_cast<int>(entry.at("src").number);
-    f.dst = static_cast<int>(entry.at("dst").number);
-    SFP_REQUIRE(f.src != f.dst, "chaos schedule: src and dst must differ");
-    SFP_REQUIRE(entry.has("nth") && entry.at("nth").is_number() &&
-                    entry.at("nth").number >= 0,
-                "chaos schedule: nth must be >= 0");
-    f.nth = static_cast<std::int64_t>(entry.at("nth").number);
+    read_link(entry, &f.src, &f.dst, &f.nth);
     schedule.faults.push_back(f);
   }
   if (doc.has("kills")) {
@@ -283,14 +277,10 @@ chaos_schedule chaos_schedule_from_json(const io::json_value& doc) {
     for (const io::json_value& entry : doc.at("kills").array) {
       SFP_REQUIRE(entry.is_object(), "chaos schedule: kill must be an object");
       chaos_kill k;
-      SFP_REQUIRE(entry.has("rank") && entry.at("rank").is_number() &&
-                      entry.at("rank").number >= 0,
-                  "chaos schedule: kill rank must be a rank");
-      k.rank = static_cast<int>(entry.at("rank").number);
-      SFP_REQUIRE(entry.has("at_op") && entry.at("at_op").is_number() &&
-                      entry.at("at_op").number >= 1,
-                  "chaos schedule: kill at_op must be >= 1");
-      k.at_op = static_cast<std::int64_t>(entry.at("at_op").number);
+      k.rank = io::json_integer<int>(entry.at("rank"),
+                                     "chaos schedule: kill rank", 0);
+      k.at_op = io::json_integer<std::int64_t>(
+          entry.at("at_op"), "chaos schedule: kill at_op", 1);
       schedule.kills.push_back(k);
     }
   }
@@ -304,19 +294,7 @@ chaos_schedule chaos_schedule_from_json(const io::json_value& doc) {
       SFP_REQUIRE(entry.has("kind") && entry.at("kind").is_string(),
                   "chaos schedule: stream fault kind must be a string");
       f.what = stream_kind_from_string(entry.at("kind").string);
-      SFP_REQUIRE(entry.has("src") && entry.at("src").is_number() &&
-                      entry.at("src").number >= 0,
-                  "chaos schedule: src must be a rank");
-      SFP_REQUIRE(entry.has("dst") && entry.at("dst").is_number() &&
-                      entry.at("dst").number >= 0,
-                  "chaos schedule: dst must be a rank");
-      f.src = static_cast<int>(entry.at("src").number);
-      f.dst = static_cast<int>(entry.at("dst").number);
-      SFP_REQUIRE(f.src != f.dst, "chaos schedule: src and dst must differ");
-      SFP_REQUIRE(entry.has("nth") && entry.at("nth").is_number() &&
-                      entry.at("nth").number >= 0,
-                  "chaos schedule: nth must be >= 0");
-      f.nth = static_cast<std::int64_t>(entry.at("nth").number);
+      read_link(entry, &f.src, &f.dst, &f.nth);
       schedule.stream_faults.push_back(f);
     }
   }

@@ -139,19 +139,17 @@ runtime::reliable_options patient_channel() {
   return opts;
 }
 
-/// The plain (in-process) runners: one exchange plan, one fabric,
+/// The plain runners: one exchange plan, one fabric,
 /// rank_body for `nsteps` steps on every rank. Returns the final fields and
 /// fills `stats`, per-rank counters included, if non-null.
 template <std::size_t N, typename Step>
 field_list run_plain(const assembly& dofs, const partition::partition& part,
                      const std::vector<std::span<const double>>& init,
                      int nsteps, dist_stats* stats,
-                     const runtime::world::options& wopts, const Step& step) {
+                     const runtime::fabric_options& fopts, const Step& step) {
   const exchange_plan plan = exchange_plan::build(dofs, part);
   field_list out(init.size(), std::vector<double>(init.front().size(), 0.0));
   stats_collector collector;
-  runtime::fabric_options fopts;
-  fopts.faults = wopts.faults;
   runtime::fabric_report frep;
   runtime::run_fabric(
       part.num_parts, fopts,
@@ -190,10 +188,10 @@ auto advection_step(const advection_model& model, double dt) {
 std::vector<double> run_distributed(const advection_model& model,
                                     const partition::partition& part,
                                     double dt, int nsteps, dist_stats* stats,
-                                    const runtime::world::options& wopts) {
+                                    const runtime::fabric_options& fopts) {
   require_run_args(dt, nsteps);
   return std::move(run_plain<1>(model.dofs(), part, {model.field()}, nsteps,
-                                stats, wopts, advection_step(model, dt))
+                                stats, fopts, advection_step(model, dt))
                        .front());
 }
 

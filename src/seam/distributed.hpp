@@ -15,7 +15,7 @@
 #include "partition/partition.hpp"
 #include "runtime/reliable.hpp"
 #include "runtime/socket_transport.hpp"
-#include "runtime/world.hpp"
+#include "runtime/fabric.hpp"
 #include "seam/advection.hpp"
 #include "seam/layered.hpp"
 #include "seam/shallow_water.hpp"
@@ -42,15 +42,15 @@ struct dist_stats {
 /// layout (the model itself is left untouched). Fills `stats` if non-null.
 ///
 /// Requires part.num_parts >= 1 and one label per mesh element; every part
-/// must own at least one element. `wopts` configures the in-process fabric
-/// (fault injection) — the default is fault-free. The rank channels never
+/// must own at least one element. `fopts` configures the fabric (wire and
+/// fault injection) — the default is a fault-free in-process run. The rank channels never
 /// give up on a live peer: no receive deadline and no retransmit budget, so
 /// only a rank failure (which aborts the run) ends a wait.
 std::vector<double> run_distributed(const advection_model& model,
                                     const partition::partition& part,
                                     double dt, int nsteps,
                                     dist_stats* stats = nullptr,
-                                    const runtime::world::options& wopts = {});
+                                    const runtime::fabric_options& fopts = {});
 
 /// Knobs for the fault-tolerant runner.
 struct resilience_options {

@@ -445,7 +445,9 @@ std::vector<regroup_run> run_regroup_group(int nranks,
                                            core::regroup_options ropts,
                                            Body&& body) {
   std::vector<regroup_run> out(static_cast<std::size_t>(nranks));
-  runtime::world w(nranks, {.faults = std::move(faults)});
+  runtime::fabric_options fopts;
+  fopts.faults = std::move(faults);
+  runtime::world w(nranks, fopts);
   w.run([&](runtime::transport& t) {
     regroup_run& r = out[static_cast<std::size_t>(t.rank())];
     runtime::reliable_channel channel(t, kill_test_reliable());

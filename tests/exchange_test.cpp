@@ -209,7 +209,7 @@ TEST(Distributed, DssBitwiseIdenticalUnderInjectedDelays) {
 
   const std::vector<double> clean = run_distributed(model, part, dt, nsteps);
 
-  runtime::world::options chaos;
+  runtime::fabric_options chaos;
   chaos.faults.seed = 42;
   auto& mf = chaos.faults.message_faults.emplace_back();
   mf.delay_probability = 0.4;

@@ -240,6 +240,36 @@ TEST(Json, WriterRejectsNonFiniteNumbers) {
                contract_error);
 }
 
+TEST(Json, IntegerReaderRejectsFractionsAndOutOfRangeValues) {
+  const auto num = [](const char* text) { return parse_json(text); };
+  EXPECT_EQ(json_integer<int>(num("3"), "k"), 3);
+  EXPECT_EQ(json_integer<int>(num("-1"), "k", -1), -1);
+  EXPECT_EQ(json_integer<int>(num("2147483647"), "k"), 2147483647);
+  EXPECT_EQ(json_integer<std::int64_t>(num("1e15"), "k"), 1000000000000000);
+  // The largest double below 2^64 still fits a uint64; 2^64 does not.
+  EXPECT_EQ(json_integer<std::uint64_t>(num("18446744073709549568"), "k"),
+            18446744073709549568ull);
+  EXPECT_THROW(json_integer<std::uint64_t>(num("18446744073709551616"), "k"),
+               contract_error);
+  EXPECT_THROW(json_integer<std::uint64_t>(num("1e30"), "k"), contract_error);
+  EXPECT_THROW(json_integer<std::uint64_t>(num("-1"), "k"), contract_error);
+  EXPECT_THROW(json_integer<int>(num("2147483648"), "k"), contract_error);
+  EXPECT_THROW(json_integer<int>(num("1e20"), "k"), contract_error);
+  EXPECT_THROW(json_integer<int>(num("0.7"), "k"), contract_error);
+  EXPECT_THROW(json_integer<int>(num("-0.5"), "k"), contract_error);
+  EXPECT_THROW(json_integer<int>(num("\"3\""), "k"), contract_error);
+  EXPECT_THROW(json_integer<int>(num("-2"), "k", -1), contract_error);
+  EXPECT_THROW(json_integer<int>(num("5"), "k", 0, 4), contract_error);
+  try {
+    json_integer<int>(num("1.5"), "chaos schedule: nth", 0);
+    FAIL() << "1.5 is not an integer";
+  } catch (const contract_error& e) {
+    EXPECT_NE(std::string(e.what()).find("chaos schedule: nth"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(Json, WriteFileProducesParseableDocument) {
   const std::string path = temp_path("sfcpart_json_writer_test.json");
   json_value doc = json_object();

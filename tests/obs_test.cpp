@@ -313,8 +313,8 @@ TEST(TraceExport, MetricsJsonParsesAndHistogramsAreConsistent) {
     EXPECT_DOUBLE_EQ(total, h.at("count").number) << name;
   }
 
-  // The instrumented layers all reported: per-tag wire volume, per-peer
-  // halo volume, and mgp phase timings.
+  // The instrumented layers all reported: per-peer halo volume and mgp
+  // phase timings.
   const auto has_prefix = [](const std::map<std::string, io::json_value>& m,
                              const std::string& prefix) {
     for (const auto& [k, v] : m) {
@@ -323,7 +323,6 @@ TEST(TraceExport, MetricsJsonParsesAndHistogramsAreConsistent) {
     }
     return false;
   };
-  EXPECT_TRUE(has_prefix(counters.object, "runtime.send.bytes.tag"));
   EXPECT_TRUE(has_prefix(counters.object, "seam.halo.doubles.rank"));
   EXPECT_TRUE(has_prefix(histograms.object, "mgp.coarsen"));
   EXPECT_TRUE(has_prefix(histograms.object, "mgp.refine"));

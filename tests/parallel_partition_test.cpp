@@ -171,7 +171,7 @@ TEST(ParallelPartitionParity, StatsAccountForEveryElement) {
 }
 
 // ---------------------------------------------------------------------------
-// Backend-parameterized smoke: the identical run over in-process mailboxes
+// Backend-parameterized smoke: the identical run over the in-process wire
 // and loopback TCP, plus a chaos schedule that drops data frames and must
 // heal through retransmission without perturbing the plan.
 

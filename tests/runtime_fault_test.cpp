@@ -22,11 +22,11 @@ namespace {
 using namespace sfp::runtime;
 using namespace std::chrono_literals;
 
-/// Blocking receive of the next message under `tag`, from any source; a
+/// Blocking receive of the next message, from any source; a
 /// fabric abort wakes it with world_aborted.
-any_message recv_any(transport& t, int tag) {
+any_message recv_any(transport& t) {
   any_message m;
-  while (!t.try_recv_any(tag, 1ms, &m)) {
+  while (!t.try_recv_any(1ms, &m)) {
   }
   return m;
 }
@@ -55,7 +55,7 @@ TEST(WorldAbort, RankThrowWakesPeersBlockedInRecv) {
   world w(3);
   EXPECT_THROW(w.run([](transport& t) {
                  if (t.rank() == 0) throw std::runtime_error("rank 0 died");
-                 recv_any(t, 7);  // rank 0 never sends — must not hang
+                 recv_any(t);  // rank 0 never sends — must not hang
                }),
                std::runtime_error);
   EXPECT_EQ(w.failed_rank(), 0);
@@ -67,7 +67,7 @@ TEST(WorldAbort, SurvivorsSeeFailedRankInException) {
     w.run([](transport& t) {
       if (t.rank() == 1) throw std::logic_error("boom");
       try {
-        recv_any(t, 0);
+        recv_any(t);
         FAIL() << "recv should have aborted";
       } catch (const world_aborted& e) {
         EXPECT_EQ(e.failed_rank(), 1);
@@ -84,13 +84,13 @@ TEST(WorldAbort, WorldIsReusableAfterAbort) {
   world w(3);
   EXPECT_THROW(w.run([](transport& t) {
                  if (t.rank() == 0) throw std::runtime_error("once");
-                 recv_any(t, 0);
+                 recv_any(t);
                }),
                std::runtime_error);
   // Same world, clean run: fabric and failure state were reset.
   w.run([](transport& t) {
-    t.send((t.rank() + 1) % 3, 0, std::vector<double>{1.0});
-    EXPECT_EQ(recv_any(t, 0).src, (t.rank() + 2) % 3);
+    t.send((t.rank() + 1) % 3, std::vector<double>{1.0});
+    EXPECT_EQ(recv_any(t).src, (t.rank() + 2) % 3);
   });
   EXPECT_FALSE(w.aborted());
   EXPECT_EQ(w.failed_rank(), -1);
@@ -102,7 +102,7 @@ TEST(WorldAbort, WorldIsReusableAfterAbort) {
 TEST(WorldOptions, ConstructorValidatesBeforeBuildingMembers) {
   EXPECT_THROW(world(0), sfp::contract_error);
   EXPECT_THROW(world(-5), sfp::contract_error);
-  world::options opts;
+  fabric_options opts;
   EXPECT_THROW(world(-1, opts), sfp::contract_error);
 }
 
@@ -153,20 +153,20 @@ TEST(WorldTimeout, GenerousTimeoutDoesNotPerturbCleanRuns) {
 // ---- fault injection --------------------------------------------------------
 
 TEST(FaultInjection, KillFiresAtExactOp) {
-  world::options opts;
+  fabric_options opts;
   opts.faults.kills.push_back({/*rank=*/1, /*at_op=*/3});
   world w(2, opts);
   try {
     w.run([](transport& t) {
       if (t.rank() == 1) {
-        t.send(0, 0, std::vector<double>{1.0});  // op 1
-        t.send(0, 1, std::vector<double>{2.0});  // op 2
-        t.send(0, 2, std::vector<double>{3.0});  // op 3 — killed here
+        t.send(0, std::vector<double>{1.0});  // op 1
+        t.send(0, std::vector<double>{2.0});  // op 2
+        t.send(0, std::vector<double>{3.0});  // op 3 — killed here
         FAIL() << "rank 1 should be dead";
       } else {
-        recv_any(t, 0);
-        recv_any(t, 1);
-        recv_any(t, 2);  // never arrives: killed before delivery
+        recv_any(t);
+        recv_any(t);
+        recv_any(t);  // never arrives: killed before delivery
       }
     });
     FAIL() << "run should rethrow the kill";
@@ -185,25 +185,25 @@ TEST(FaultInjection, KillFiresAtExactOp) {
 
 TEST(FaultInjection, ReceivesAreNotOps) {
   // Only sends advance the op counter the kills fire on, on every backend:
-  // a rank that polls its mailbox any number of times is never killed by
+  // a rank that polls its inbox any number of times is never killed by
   // polling.
-  world::options opts;
+  fabric_options opts;
   opts.faults.kills.push_back({/*rank=*/0, /*at_op=*/2});
   world w(2, opts);
   w.run([](transport& t) {
     if (t.rank() == 0) {
       any_message m;
-      for (int i = 0; i < 10; ++i) t.try_recv_any(0, 0us, &m);
-      t.send(1, 0, std::vector<double>{1.0});  // op 1
+      for (int i = 0; i < 10; ++i) t.try_recv_any(0us, &m);
+      t.send(1, std::vector<double>{1.0});  // op 1
     } else {
-      recv_any(t, 0);
+      recv_any(t);
     }
   });
   EXPECT_EQ(w.counters(0).injected_kills, 0);
 }
 
 TEST(FaultInjection, DropPlusTimeoutAbortsCleanly) {
-  world::options opts;
+  fabric_options opts;
   auto& mf = opts.faults.message_faults.emplace_back();
   mf.src = 0;
   mf.dst = 1;
@@ -224,7 +224,7 @@ TEST(FaultInjection, DropPlusTimeoutAbortsCleanly) {
 }
 
 TEST(FaultInjection, DuplicatesPreserveOrderedDelivery) {
-  world::options opts;
+  fabric_options opts;
   auto& mf = opts.faults.message_faults.emplace_back();
   mf.duplicate_probability = 1.0;
   world w(2, opts);
@@ -232,12 +232,12 @@ TEST(FaultInjection, DuplicatesPreserveOrderedDelivery) {
     constexpr int kCount = 20;
     if (t.rank() == 0) {
       for (int i = 0; i < kCount; ++i)
-        t.send(1, 0, std::vector<double>{static_cast<double>(i)});
+        t.send(1, std::vector<double>{static_cast<double>(i)});
     } else {
       // Every message arrives twice, in order.
       for (int i = 0; i < kCount; ++i) {
-        EXPECT_DOUBLE_EQ(recv_any(t, 0).payload[0], static_cast<double>(i));
-        EXPECT_DOUBLE_EQ(recv_any(t, 0).payload[0], static_cast<double>(i));
+        EXPECT_DOUBLE_EQ(recv_any(t).payload[0], static_cast<double>(i));
+        EXPECT_DOUBLE_EQ(recv_any(t).payload[0], static_cast<double>(i));
       }
     }
   });
@@ -246,7 +246,7 @@ TEST(FaultInjection, DuplicatesPreserveOrderedDelivery) {
 }
 
 TEST(FaultInjection, DelayedMessagesStillArrive) {
-  world::options opts;
+  fabric_options opts;
   auto& mf = opts.faults.message_faults.emplace_back();
   mf.delay_probability = 0.5;
   mf.delay = std::chrono::microseconds(300);
@@ -256,8 +256,8 @@ TEST(FaultInjection, DelayedMessagesStillArrive) {
     const int next = (t.rank() + 1) % 3;
     const int prev = (t.rank() + 2) % 3;
     for (int i = 0; i < 30; ++i) {
-      t.send(next, i, std::vector<double>{static_cast<double>(i)});
-      const any_message m = recv_any(t, i);
+      t.send(next, std::vector<double>{static_cast<double>(i)});
+      const any_message m = recv_any(t);
       EXPECT_EQ(m.src, prev);
       EXPECT_DOUBLE_EQ(m.payload[0], static_cast<double>(i));
     }
@@ -270,7 +270,7 @@ TEST(FaultInjection, ChaosScheduleIsDeterministicAcrossRuns) {
   // Same seed, same program -> identical injected-fault counts and
   // identical per-rank traffic, independent of thread scheduling.
   const auto run_once = [](std::uint64_t seed) {
-    world::options opts;
+    fabric_options opts;
     opts.faults.seed = seed;
     auto& mf = opts.faults.message_faults.emplace_back();
     mf.drop_probability = 0.0;
@@ -282,7 +282,7 @@ TEST(FaultInjection, ChaosScheduleIsDeterministicAcrossRuns) {
       for (int round = 0; round < 10; ++round) {
         for (int dst = 0; dst < 4; ++dst) {
           if (dst == t.rank()) continue;
-          t.send(dst, round, std::vector<double>{1.0});
+          t.send(dst, std::vector<double>{1.0});
         }
       }
     });
@@ -308,7 +308,7 @@ TEST(FaultInjection, ScheduleIsInvariantUnderThreadInterleaving) {
   // per-rank fault decisions and traffic.
   constexpr int kRanks = 4;
   const auto run_once = [](bool reverse_stagger) {
-    world::options opts;
+    fabric_options opts;
     opts.faults.seed = 42;
     auto& mf = opts.faults.message_faults.emplace_back();
     mf.delay_probability = 0.25;
@@ -319,8 +319,8 @@ TEST(FaultInjection, ScheduleIsInvariantUnderThreadInterleaving) {
       const int slot = reverse_stagger ? kRanks - 1 - t.rank() : t.rank();
       std::this_thread::sleep_for(std::chrono::microseconds(200 * slot));
       for (int round = 0; round < 8; ++round) {
-        t.send((t.rank() + 1) % kRanks, round, std::vector<double>{1.0});
-        EXPECT_EQ(recv_any(t, round).src, (t.rank() + kRanks - 1) % kRanks);
+        t.send((t.rank() + 1) % kRanks, std::vector<double>{1.0});
+        EXPECT_EQ(recv_any(t).src, (t.rank() + kRanks - 1) % kRanks);
       }
     });
     std::vector<std::int64_t> signature;
@@ -343,9 +343,9 @@ TEST(Counters, AccountForCleanTraffic) {
   world w(2);
   w.run([](transport& t) {
     if (t.rank() == 0) {
-      t.send(1, 0, std::vector<double>(5, 1.0));
+      t.send(1, std::vector<double>(5, 1.0));
     } else {
-      EXPECT_EQ(recv_any(t, 0).payload.size(), 5u);
+      EXPECT_EQ(recv_any(t).payload.size(), 5u);
     }
   });
   EXPECT_EQ(w.counters(0).messages_sent, 1);
@@ -368,7 +368,6 @@ TEST(FaultPlanJson, RoundTripsEveryField) {
   fault_plan::message_fault mf;
   mf.src = 1;
   mf.dst = -1;
-  mf.tag = 7;
   mf.drop_probability = 0.125;
   mf.delay_probability = 0.25;
   mf.duplicate_probability = 0.5;
@@ -391,7 +390,6 @@ TEST(FaultPlanJson, RoundTripsEveryField) {
   const auto& b = back.message_faults[0];
   EXPECT_EQ(b.src, 1);
   EXPECT_EQ(b.dst, -1);
-  EXPECT_EQ(b.tag, 7);
   EXPECT_EQ(b.drop_probability, mf.drop_probability);
   EXPECT_EQ(b.delay_probability, mf.delay_probability);
   EXPECT_EQ(b.duplicate_probability, mf.duplicate_probability);
@@ -417,11 +415,11 @@ TEST(FaultInjection, MinPayloadSkipsHeaderOnlyFrames) {
   plan.message_faults.push_back(mf);
 
   fault_injector inj(plan, 0);
-  EXPECT_FALSE(inj.on_send(1, 0, 6).drop);   // header-only: no match
-  EXPECT_FALSE(inj.on_send(1, 0, 10).drop);  // data match #0: before window
-  EXPECT_FALSE(inj.on_send(1, 0, 6).drop);   // header-only again
-  EXPECT_TRUE(inj.on_send(1, 0, 10).drop);   // data match #1: fires
-  EXPECT_FALSE(inj.on_send(1, 0, 10).drop);  // data match #2: window closed
+  EXPECT_FALSE(inj.on_send(1, 6).drop);   // header-only: no match
+  EXPECT_FALSE(inj.on_send(1, 10).drop);  // data match #0: before window
+  EXPECT_FALSE(inj.on_send(1, 6).drop);   // header-only again
+  EXPECT_TRUE(inj.on_send(1, 10).drop);   // data match #1: fires
+  EXPECT_FALSE(inj.on_send(1, 10).drop);  // data match #2: window closed
 }
 
 TEST(FaultInjection, FireWindowPinsAFaultToSpecificMatches) {
@@ -440,7 +438,7 @@ TEST(FaultInjection, FireWindowPinsAFaultToSpecificMatches) {
   fault_injector inj(plan, /*rank=*/0);
   std::vector<bool> dropped;
   for (int i = 0; i < 6; ++i)
-    dropped.push_back(inj.on_send(1, 0, 8).drop);
+    dropped.push_back(inj.on_send(1, 8).drop);
   EXPECT_EQ(dropped, (std::vector<bool>{false, false, true, true, false,
                                         false}));
 
@@ -452,8 +450,8 @@ TEST(FaultInjection, FireWindowPinsAFaultToSpecificMatches) {
   windowless.message_faults[0].fire_count = -1;
   fault_injector a(probed, 0), b(windowless, 0);
   for (int i = 0; i < 6; ++i) {
-    const auto aa = a.on_send(1, 0, 8);
-    const auto bb = b.on_send(1, 0, 8);
+    const auto aa = a.on_send(1, 8);
+    const auto bb = b.on_send(1, 8);
     EXPECT_TRUE(bb.corrupt);
     if (aa.corrupt) {
       EXPECT_EQ(aa.corrupt_element, bb.corrupt_element);
@@ -485,6 +483,35 @@ TEST(FaultPlanJson, RejectsMalformedPlans) {
                sfp::contract_error);
 }
 
+TEST(FaultPlanJson, RejectsNonIntegralAndOutOfRangeIntegers) {
+  using sfp::io::parse_json;
+  const auto rejects = [](const char* text) {
+    EXPECT_THROW(fault_plan_from_json(parse_json(text)), sfp::contract_error)
+        << text;
+  };
+  rejects(R"({"message_faults": [{"src": 0, "dst": 1e20}]})");
+  rejects(R"({"message_faults": [{"src": 0.7, "dst": 1.9}]})");
+  rejects(R"({"message_faults": [{"src": -2}]})");
+  rejects(R"({"kills": [{"rank": 0.5, "at_op": 1}]})");
+  rejects(R"({"kills": [{"rank": 1, "at_op": 1e300}]})");
+  rejects(R"({"message_faults": [{"fire_from": 0.25}]})");
+  rejects(R"({"message_faults": [{"fire_count": -2}]})");
+  rejects(R"({"message_faults": [{"min_payload": 6.5}]})");
+  rejects(R"({"message_faults": [{"delay_us": 1e20}]})");
+  rejects(R"({"seed": 18446744073709551616})");
+  rejects(R"({"seed": 2.5})");
+  // Datagrams are untagged: only the wildcard every writer emitted loads.
+  rejects(R"({"message_faults": [{"tag": 7}]})");
+  const fault_plan plan = fault_plan_from_json(parse_json(
+      R"({"seed": 12, "message_faults": [{"src": -1, "dst": 2, "tag": -1,
+          "fire_count": -1, "delay_us": 1e3}]})"));
+  EXPECT_EQ(plan.seed, 12u);
+  ASSERT_EQ(plan.message_faults.size(), 1u);
+  EXPECT_EQ(plan.message_faults[0].dst, 2);
+  EXPECT_EQ(plan.message_faults[0].fire_count, -1);
+  EXPECT_EQ(plan.message_faults[0].delay, std::chrono::microseconds{1000});
+}
+
 TEST(FaultPlanJson, FileRoundTripAndReplayIsDeterministic) {
   fault_plan plan;
   plan.seed = 424242;
@@ -502,8 +529,8 @@ TEST(FaultPlanJson, FileRoundTripAndReplayIsDeterministic) {
   fault_injector a(plan, 1);
   fault_injector b(loaded, 1);
   for (int i = 0; i < 32; ++i) {
-    const auto x = a.on_send(0, 9, 12);
-    const auto y = b.on_send(0, 9, 12);
+    const auto x = a.on_send(0, 12);
+    const auto y = b.on_send(0, 12);
     EXPECT_EQ(x.drop, y.drop);
     EXPECT_EQ(x.corrupt, y.corrupt);
     EXPECT_EQ(x.corrupt_element, y.corrupt_element);

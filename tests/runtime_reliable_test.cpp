@@ -22,12 +22,19 @@ namespace {
 using namespace sfp::runtime;
 using namespace std::chrono_literals;
 
-/// Blocking raw receive of the next message under `tag`, from any source.
-any_message recv_any(transport& t, int tag) {
+/// Blocking raw receive of the next message, from any source.
+any_message recv_any(transport& t) {
   any_message m;
-  while (!t.try_recv_any(tag, 1ms, &m)) {
+  while (!t.try_recv_any(1ms, &m)) {
   }
   return m;
+}
+
+/// An in-process fabric options block injecting `plan`.
+fabric_options with_faults(fault_plan plan) {
+  fabric_options opts;
+  opts.faults = std::move(plan);
+  return opts;
 }
 
 // ---- crc32c -----------------------------------------------------------------
@@ -182,8 +189,8 @@ TEST(FaultInjection, CorruptionDrawsAreDeterministic) {
   fault_injector a(plan, 3);
   fault_injector b(plan, 3);
   for (int i = 0; i < 64; ++i) {
-    const auto x = a.on_send(0, 5, 16);
-    const auto y = b.on_send(0, 5, 16);
+    const auto x = a.on_send(0, 16);
+    const auto y = b.on_send(0, 16);
     EXPECT_EQ(x.corrupt, y.corrupt);
     EXPECT_EQ(x.corrupt_element, y.corrupt_element);
     EXPECT_EQ(x.corrupt_bit, y.corrupt_bit);
@@ -201,13 +208,13 @@ TEST(FaultInjection, RawRecvSeesCorruptedPayloadAndCountersTrack) {
   mf.corrupt_probability = 1.0;
   plan.message_faults.push_back(mf);
 
-  world w(2, {.faults = plan});
+  world w(2, with_faults(plan));
   w.run([](transport& c) {
     const std::vector<double> payload(8, 1.0);
     if (c.rank() == 0) {
-      c.send(1, 3, payload);
+      c.send(1, payload);
     } else {
-      const std::vector<double> got = recv_any(c, 3).payload;
+      const std::vector<double> got = recv_any(c).payload;
       ASSERT_EQ(got.size(), payload.size());
       EXPECT_NE(got, payload);  // exactly one bit differs somewhere
     }
@@ -222,12 +229,12 @@ TEST(FaultInjection, TruncationShortensRawPayload) {
   mf.truncate_probability = 1.0;
   plan.message_faults.push_back(mf);
 
-  world w(2, {.faults = plan});
+  world w(2, with_faults(plan));
   w.run([](transport& c) {
     if (c.rank() == 0) {
-      c.send(1, 3, std::vector<double>(10, 2.0));
+      c.send(1, std::vector<double>(10, 2.0));
     } else {
-      EXPECT_LT(recv_any(c, 3).payload.size(), 10u);
+      EXPECT_LT(recv_any(c).payload.size(), 10u);
     }
   });
   EXPECT_EQ(w.total_counters().injected_truncations, 1);
@@ -240,14 +247,14 @@ TEST(FaultInjection, ReorderSwapsAdjacentSends) {
   mf.reorder_probability = 1.0;  // every send swaps with its successor
   plan.message_faults.push_back(mf);
 
-  world w(2, {.faults = plan});
+  world w(2, with_faults(plan));
   w.run([](transport& c) {
     if (c.rank() == 0) {
-      c.send(1, 3, std::vector<double>{1.0});
-      c.send(1, 3, std::vector<double>{2.0});
+      c.send(1, std::vector<double>{1.0});
+      c.send(1, std::vector<double>{2.0});
     } else {
-      EXPECT_EQ(recv_any(c, 3).payload.at(0), 2.0);
-      EXPECT_EQ(recv_any(c, 3).payload.at(0), 1.0);
+      EXPECT_EQ(recv_any(c).payload.at(0), 2.0);
+      EXPECT_EQ(recv_any(c).payload.at(0), 1.0);
     }
   });
   EXPECT_EQ(w.total_counters().injected_reorders, 1);
@@ -300,7 +307,7 @@ TEST(ReliableChannel, MultiplexesLogicalTagsOverOneWireTag) {
 void exchange_under(const fault_plan& plan, reliable_stats* out_stats) {
   constexpr int kMessages = 20;
   constexpr int kDoubles = 6;
-  world w(4, {.faults = plan});
+  world w(4, with_faults(plan));
   std::atomic<long> healed_checks{0};
   reliable_stats stats_sum;
   std::mutex stats_mutex;
@@ -394,7 +401,7 @@ TEST(ReliableChannel, ChecksumHookLetsCorruptionThrough) {
   mf.corrupt_probability = 1.0;
   plan.message_faults.push_back(mf);
 
-  world w(2, {.faults = plan});
+  world w(2, with_faults(plan));
   w.run([](transport& c) {
     reliable_options opts;
     opts.verify_checksums = false;
@@ -424,7 +431,7 @@ TEST(ReliableChannel, TotalLossExhaustsRetransmitsAndNamesThePeer) {
   mf.drop_probability = 1.0;  // the 0→1 link is severed
   plan.message_faults.push_back(mf);
 
-  world w(2, {.faults = plan});
+  world w(2, with_faults(plan));
   std::atomic<int> unreachable_peer{-2};
   EXPECT_THROW(
       w.run([&](transport& c) {
@@ -453,7 +460,7 @@ TEST(ReliableChannel, TotalLossExhaustsRetransmitsAndNamesThePeer) {
 
 // Every inbound link of rank 0 severed at once. The raw transport has no
 // recourse: a receive can only be a poll bounded by the caller's own
-// deadline, and nothing ever lands in rank 0's mailbox.
+// deadline, and nothing ever lands in rank 0's inbox.
 TEST(MultiPeerDrops, RawRecvTimesOutWhenEveryInboundLinkIsSevered) {
   fault_plan plan;
   plan.seed = 5;
@@ -462,7 +469,7 @@ TEST(MultiPeerDrops, RawRecvTimesOutWhenEveryInboundLinkIsSevered) {
   mf.drop_probability = 1.0;
   plan.message_faults.push_back(mf);
 
-  world w(4, {.faults = plan});
+  world w(4, with_faults(plan));
   std::atomic<bool> timed_out{false};
   w.run([&](transport& c) {
     if (c.rank() == 0) {
@@ -470,10 +477,10 @@ TEST(MultiPeerDrops, RawRecvTimesOutWhenEveryInboundLinkIsSevered) {
       const auto give_up = std::chrono::steady_clock::now() + 300ms;
       bool got = false;
       while (!got && std::chrono::steady_clock::now() < give_up)
-        got = c.try_recv_any(7, 1ms, &m);
+        got = c.try_recv_any(1ms, &m);
       timed_out = !got;
     } else {
-      c.send(0, 7, std::vector<double>{1.0 * c.rank()});
+      c.send(0, std::vector<double>{1.0 * c.rank()});
     }
   });
   EXPECT_TRUE(timed_out.load());
@@ -498,7 +505,7 @@ TEST(MultiPeerDrops, ReliableChannelHealsSimultaneousFirstFrameLoss) {
     plan.message_faults.push_back(mf);
   }
 
-  world w(4, {.faults = plan});
+  world w(4, with_faults(plan));
   std::atomic<long> received{0};
   std::atomic<long> retransmits{0};
   w.run([&](transport& c) {
@@ -539,7 +546,7 @@ TEST(MultiPeerDrops, ReliableRecvTimeoutNamesTheSilentPeer) {
     plan.message_faults.push_back(mf);
   }
 
-  world w(3, {.faults = plan});
+  world w(3, with_faults(plan));
   std::atomic<int> named_peer{-2};
   EXPECT_THROW(
       w.run([&](transport& c) {
@@ -567,7 +574,7 @@ TEST(MultiPeerDrops, ReliableRecvTimeoutNamesTheSilentPeer) {
 }
 
 TEST(ReliableChannel, StaleEpochTrafficIsDropped) {
-  world w(2, {.faults = {}});
+  world w(2);
   w.run([](transport& c) {
     if (c.rank() == 0) {
       // Epoch-3 sender: its data must be invisible to an epoch-4 receiver.

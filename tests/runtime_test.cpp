@@ -1,6 +1,6 @@
 // Tests for the virtual-rank runtime: the in-process world as a transport —
-// point-to-point ordering, tag filtering, the fence barrier a reliable
-// channel builds on it, and stress under concurrency.
+// point-to-point ordering, the logical tags and fence barrier a reliable
+// channel builds on its untagged datagrams, and stress under concurrency.
 
 #include <gtest/gtest.h>
 
@@ -17,10 +17,10 @@ namespace {
 
 using namespace sfp::runtime;
 
-/// Blocking receive of the next message under `tag`, from any source.
-any_message recv_any(transport& t, int tag) {
+/// Blocking receive of the next message, from any source.
+any_message recv_any(transport& t) {
   any_message m;
-  while (!t.try_recv_any(tag, std::chrono::milliseconds(1), &m)) {
+  while (!t.try_recv_any(std::chrono::milliseconds(1), &m)) {
   }
   return m;
 }
@@ -43,17 +43,16 @@ TEST(World, PingPong) {
   w.run([](transport& t) {
     if (t.rank() == 0) {
       const std::vector<double> payload{1.0, 2.0, 3.0};
-      t.send(1, 7, payload);
-      const any_message back = recv_any(t, 8);
+      t.send(1, payload);
+      const any_message back = recv_any(t);
       EXPECT_EQ(back.src, 1);
       ASSERT_EQ(back.payload.size(), 3u);
       EXPECT_DOUBLE_EQ(back.payload[0], 2.0);
     } else {
-      any_message msg = recv_any(t, 7);
+      any_message msg = recv_any(t);
       EXPECT_EQ(msg.src, 0);
-      EXPECT_EQ(msg.tag, 7);
       for (auto& v : msg.payload) v *= 2.0;
-      t.send(0, 8, msg.payload);
+      t.send(0, msg.payload);
     }
   });
 }
@@ -65,11 +64,11 @@ TEST(World, MessagesBetweenSamePairAreOrdered) {
     if (t.rank() == 0) {
       for (int i = 0; i < kCount; ++i) {
         const std::vector<double> v{static_cast<double>(i)};
-        t.send(1, 0, v);
+        t.send(1, v);
       }
     } else {
       for (int i = 0; i < kCount; ++i) {
-        const any_message m = recv_any(t, 0);
+        const any_message m = recv_any(t);
         ASSERT_EQ(m.payload.size(), 1u);
         EXPECT_DOUBLE_EQ(m.payload[0], static_cast<double>(i));
       }
@@ -78,16 +77,21 @@ TEST(World, MessagesBetweenSamePairAreOrdered) {
 }
 
 TEST(World, TagsAreIndependentChannels) {
+  // The world carries untagged datagrams; logical tags live in the reliable
+  // envelope, and each (source, tag) is its own ordered channel over it.
   world w(2);
   w.run([](transport& t) {
+    reliable_channel channel(t);
     if (t.rank() == 0) {
-      t.send(1, /*tag=*/2, std::vector<double>{22.0});
-      t.send(1, /*tag=*/1, std::vector<double>{11.0});
+      channel.send(1, /*tag=*/2, std::vector<double>{22.0});
+      channel.send(1, /*tag=*/1, std::vector<double>{11.0});
     } else {
       // Receive in the opposite order of sending; tags must match content.
-      EXPECT_DOUBLE_EQ(recv_any(t, 1).payload[0], 11.0);
-      EXPECT_DOUBLE_EQ(recv_any(t, 2).payload[0], 22.0);
+      EXPECT_DOUBLE_EQ(channel.recv(0, 1).at(0), 11.0);
+      EXPECT_DOUBLE_EQ(channel.recv(0, 2).at(0), 22.0);
     }
+    channel.flush();
+    channel.fence();
   });
 }
 
@@ -119,13 +123,13 @@ TEST(World, ManyToOneTraffic) {
     if (t.rank() == 0) {
       double total = 0;
       for (int i = 1; i < kRanks; ++i) {
-        const any_message m = recv_any(t, 3);
+        const any_message m = recv_any(t);
         total = std::accumulate(m.payload.begin(), m.payload.end(), total);
       }
       EXPECT_DOUBLE_EQ(total, 5.0 * 100.0);
     } else {
       const std::vector<double> v(100, 1.0);
-      t.send(0, 3, v);
+      t.send(0, v);
     }
   });
 }
@@ -141,40 +145,45 @@ TEST(World, ExceptionInRankPropagates) {
 
 TEST(World, ManyRanksAllToAllStress) {
   // 24 virtual ranks, several rounds of full all-to-all traffic — a
-  // deadlock/lost-message stress of the mailbox fabric. Each round has its
-  // own tag, so a fast rank's next round never mixes into this one.
+  // deadlock/lost-message stress of the inbox fabric. A fast peer's next
+  // round may arrive early, so each round's receives accept any round but
+  // check that every source's rounds arrive in send order.
   constexpr int kRanks = 24;
+  constexpr int kRounds = 5;
   world w(kRanks);
   w.run([](transport& t) {
-    for (int round = 0; round < 5; ++round) {
+    std::vector<int> next_round(kRanks, 0);
+    for (int round = 0; round < kRounds; ++round) {
       for (int dst = 0; dst < kRanks; ++dst) {
         if (dst == t.rank()) continue;
         const std::vector<double> payload{
             static_cast<double>(t.rank() * 1000 + round)};
-        t.send(dst, round, payload);
+        t.send(dst, payload);
       }
-      std::vector<int> seen(kRanks, 0);
       for (int i = 1; i < kRanks; ++i) {
-        const any_message m = recv_any(t, round);
+        const any_message m = recv_any(t);
         ASSERT_EQ(m.payload.size(), 1u);
+        int& expected = next_round[static_cast<std::size_t>(m.src)];
         ASSERT_DOUBLE_EQ(m.payload[0],
-                         static_cast<double>(m.src * 1000 + round));
-        ++seen[static_cast<std::size_t>(m.src)];
+                         static_cast<double>(m.src * 1000 + expected));
+        ++expected;
       }
-      for (int src = 0; src < kRanks; ++src)
-        EXPECT_EQ(seen[static_cast<std::size_t>(src)], src == t.rank() ? 0 : 1);
     }
+    for (int src = 0; src < kRanks; ++src)
+      EXPECT_EQ(next_round[static_cast<std::size_t>(src)],
+                src == t.rank() ? 0 : kRounds);
   });
-  EXPECT_EQ(w.total_counters().messages_received, kRanks * (kRanks - 1) * 5);
+  EXPECT_EQ(w.total_counters().messages_received,
+            kRanks * (kRanks - 1) * kRounds);
 }
 
 TEST(World, EmptyMessageAllowed) {
   world w(2);
   w.run([](transport& t) {
     if (t.rank() == 0) {
-      t.send(1, 0, std::vector<double>{});
+      t.send(1, std::vector<double>{});
     } else {
-      EXPECT_TRUE(recv_any(t, 0).payload.empty());
+      EXPECT_TRUE(recv_any(t).payload.empty());
     }
   });
 }

@@ -1,6 +1,7 @@
-// Tests for the transport surface (runtime/transport.hpp) and the socket
-// backend (runtime/socket_transport.hpp): the raw datagram surface, the
-// loopback-TCP fabric with framing / heartbeats / reconnect, byte-stream
+// Tests for the transport surface (runtime/transport.hpp), the one fabric
+// (runtime/world.hpp) over both wires, and the socket wire
+// (runtime/socket_transport.hpp): the shared abort / drain / counter
+// contract, loopback TCP with framing / heartbeats / reconnect, byte-stream
 // fault injection, and the reliable-delivery edge cases that must behave
 // identically over every backend (sequence wraparound, stale-epoch
 // filtering, duplicate re-acks during reorder healing, retransmit jitter).
@@ -17,6 +18,7 @@
 #include <functional>
 #include <limits>
 #include <mutex>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -32,14 +34,14 @@ using namespace sfp::runtime;
 using namespace std::chrono_literals;
 using sfp::rng;
 
-// Pump try_recv_any until a message with `tag` arrives or `deadline` worth
+// Pump try_recv_any until a message arrives or `deadline` worth
 // of waiting elapses. The raw surface is a bounded poll by design; tests
 // wrap it with an explicit budget instead of trusting one long wait.
-bool recv_within(transport& t, int tag, std::chrono::milliseconds deadline,
+bool recv_within(transport& t, std::chrono::milliseconds deadline,
                  any_message* out) {
   const auto give_up = std::chrono::steady_clock::now() + deadline;
   while (std::chrono::steady_clock::now() < give_up) {
-    if (t.try_recv_any(tag, 2000us, out)) return true;
+    if (t.try_recv_any(2000us, out)) return true;
   }
   return false;
 }
@@ -58,51 +60,227 @@ TEST(TransportVocabulary, StreamFaultKindNames) {
   EXPECT_STREQ(to_string(stream_fault::kind::stall), "stall");
 }
 
-// ---- in-process backend -----------------------------------------------------
+// ---- the one fabric, over both wires ----------------------------------------
+//
+// Rank threads, inboxes, abort and counters are written once in world.cpp;
+// the backend picks only the wire. This suite pins that shared core's
+// contract on both wires.
 
-TEST(WorldTransport, RawDatagramSurfaceFeedsTheWorldCounters) {
-  world w(2);
-  w.run([](transport& t) {
-    ASSERT_EQ(t.size(), 2);
-    if (t.rank() == 0) {
-      t.send(1, 9, std::vector<double>{1.5, 2.5});
-    } else {
-      any_message m;
-      ASSERT_TRUE(recv_within(t, 9, 2000ms, &m));
-      EXPECT_EQ(m.src, 0);
-      EXPECT_EQ(m.tag, 9);
-      EXPECT_EQ(m.payload, (std::vector<double>{1.5, 2.5}));
-    }
-  });
-  EXPECT_EQ(w.total_counters().messages_sent, 1);
-  EXPECT_EQ(w.total_counters().messages_received, 1);
-  EXPECT_EQ(w.counters(1).doubles_received, 2);
+class FabricContract : public ::testing::TestWithParam<transport_backend> {
+ protected:
+  fabric_options options(fault_plan faults = {}) const {
+    fabric_options opts;
+    opts.backend = GetParam();
+    opts.faults = std::move(faults);
+    return opts;
+  }
+};
+
+// Every rank_counters field, for whole-struct comparison.
+std::vector<std::int64_t> fields(const rank_counters& c) {
+  return {c.messages_sent,        c.messages_received,
+          c.doubles_sent,         c.doubles_received,
+          c.aborts_observed,      c.injected_kills,
+          c.injected_drops,       c.injected_delays,
+          c.injected_duplicates,  c.injected_corruptions,
+          c.injected_truncations, c.injected_reorders};
 }
 
-// ---- socket fabric: basics --------------------------------------------------
+// How long a receiver waits before polling when a test needs messages
+// already sitting in its inbox: the socket wire delivers asynchronously.
+constexpr auto kSettle = 200ms;
+
+TEST_P(FabricContract, AbortWakesBlockedReceivers) {
+  fault_plan plan;
+  plan.kills.push_back({.rank = 0, .at_op = 1});
+  world w(2, options(plan));
+  std::atomic<int> aborts_seen{0};
+  EXPECT_THROW(
+      w.run([&](transport& t) {
+        if (t.rank() == 0) {
+          t.send(1, std::vector<double>{1.0});  // op 1: the kill fires
+        } else {
+          any_message m;
+          try {
+            // Blocked forever on a message that will never come; the
+            // fabric abort must wake this instead of letting it hang.
+            while (true) (void)t.try_recv_any(10000us, &m);
+          } catch (const world_aborted& e) {
+            EXPECT_EQ(e.failed_rank(), 0);
+            ++aborts_seen;
+            throw;
+          }
+        }
+      }),
+      rank_killed);  // the root cause, not the cascading world_aborted
+  EXPECT_TRUE(w.aborted());
+  EXPECT_EQ(w.failed_rank(), 0);
+  EXPECT_EQ(aborts_seen.load(), 1);
+  EXPECT_EQ(w.total_counters().injected_kills, 1);
+  EXPECT_EQ(w.total_counters().aborts_observed, 1);
+}
+
+TEST_P(FabricContract, QueuedMessageIsDeliveredBeforeTheAbort) {
+  world w(2, options());
+  std::atomic<bool> sent{false};
+  std::atomic<bool> drained{false};
+  EXPECT_THROW(
+      w.run([&](transport& t) {
+        if (t.rank() == 0) {
+          t.send(1, std::vector<double>{7.0});
+          sent = true;
+          throw std::runtime_error("rank 0 died after sending");
+        }
+        while (!sent.load()) std::this_thread::yield();
+        std::this_thread::sleep_for(kSettle);
+        // The abort is already raised, but the message that arrived first
+        // still comes out; only the empty inbox reports the abort.
+        any_message m;
+        ASSERT_TRUE(t.try_recv_any(5000ms, &m));
+        EXPECT_EQ(m.src, 0);
+        EXPECT_EQ(m.payload, (std::vector<double>{7.0}));
+        drained = true;
+        EXPECT_THROW((void)t.try_recv_any(5000ms, &m), world_aborted);
+      }),
+      std::runtime_error);
+  EXPECT_TRUE(drained.load());
+  EXPECT_EQ(w.failed_rank(), 0);
+  EXPECT_EQ(w.counters(1).messages_received, 1);
+  EXPECT_EQ(w.counters(1).aborts_observed, 1);
+}
+
+TEST_P(FabricContract, LowestSourceDrainsFirst) {
+  constexpr int kRanks = 4;
+  world w(kRanks, options());
+  std::atomic<int> senders_done{0};
+  w.run([&](transport& t) {
+    if (t.rank() != 0) {
+      // Highest rank sends first, so arrival order is not source order.
+      while (senders_done.load() != kRanks - 1 - t.rank())
+        std::this_thread::yield();
+      for (int i = 0; i < 2; ++i)
+        t.send(0, std::vector<double>{10.0 * t.rank() + i});
+      ++senders_done;
+      return;
+    }
+    while (senders_done.load() != kRanks - 1) std::this_thread::yield();
+    std::this_thread::sleep_for(kSettle);
+    // Per source FIFO, sources ascending.
+    for (int src = 1; src < kRanks; ++src) {
+      for (int i = 0; i < 2; ++i) {
+        any_message m;
+        ASSERT_TRUE(t.try_recv_any(5000ms, &m));
+        EXPECT_EQ(m.src, src);
+        EXPECT_EQ(m.payload, (std::vector<double>{10.0 * src + i}));
+      }
+    }
+  });
+  EXPECT_EQ(w.counters(0).messages_received, 2 * (kRanks - 1));
+}
+
+TEST_P(FabricContract, ReusableAcrossRuns) {
+  world w(2, options());
+  EXPECT_THROW(w.run([](transport& t) {
+                 if (t.rank() == 0) throw std::runtime_error("once");
+                 any_message m;
+                 while (true) (void)t.try_recv_any(10000us, &m);
+               }),
+               std::runtime_error);
+  EXPECT_EQ(w.failed_rank(), 0);
+  for (int round = 0; round < 2; ++round) {
+    w.run([](transport& t) {
+      if (t.rank() == 0) {
+        t.send(1, std::vector<double>{42.0});
+      } else {
+        any_message m;
+        ASSERT_TRUE(recv_within(t, 5000ms, &m));
+        EXPECT_EQ(m.payload.at(0), 42.0);
+      }
+    });
+    // run() resets failure state and counters: each round reports only its
+    // own traffic.
+    EXPECT_FALSE(w.aborted());
+    EXPECT_EQ(w.failed_rank(), -1);
+    EXPECT_EQ(w.total_counters().messages_sent, 1);
+    EXPECT_EQ(w.total_counters().aborts_observed, 0);
+  }
+}
+
+TEST_P(FabricContract, RawDatagramSurfaceFeedsTheCounters) {
+  // A fault-free raw program: every rank sends r + 1 two-double messages to
+  // every peer, then drains its inbox. Counters are a function of the
+  // program alone, so both wires must report identical ones.
+  static constexpr int kRanks = 3;
+  const auto program = [](transport& t) {
+    ASSERT_EQ(t.size(), kRanks);
+    for (int dst = 0; dst < kRanks; ++dst) {
+      if (dst == t.rank()) continue;
+      for (int i = 0; i <= t.rank(); ++i)
+        t.send(dst, std::vector<double>{1.5 * t.rank(), 2.5 + i});
+    }
+    std::vector<int> next(kRanks, 0);
+    int expected = 0;
+    for (int src = 0; src < kRanks; ++src)
+      if (src != t.rank()) expected += src + 1;
+    for (int k = 0; k < expected; ++k) {
+      any_message m;
+      ASSERT_TRUE(recv_within(t, 5000ms, &m));
+      int& i = next[static_cast<std::size_t>(m.src)];
+      EXPECT_EQ(m.payload, (std::vector<double>{1.5 * m.src, 2.5 + i}));
+      ++i;
+    }
+  };
+  world w(kRanks, options());
+  w.run(program);
+  world reference(kRanks);  // the in-process wire
+  reference.run(program);
+  for (int r = 0; r < kRanks; ++r) {
+    EXPECT_EQ(fields(w.counters(r)), fields(reference.counters(r)))
+        << "rank " << r;
+    EXPECT_EQ(w.counters(r).messages_sent, (kRanks - 1) * (r + 1));
+    EXPECT_EQ(w.counters(r).doubles_sent, 2 * (kRanks - 1) * (r + 1));
+  }
+  EXPECT_EQ(w.total_counters().messages_received,
+            w.total_counters().messages_sent);
+}
+
+INSTANTIATE_TEST_SUITE_P(Backends, FabricContract,
+                         ::testing::Values(transport_backend::inproc,
+                                           transport_backend::socket),
+                         [](const auto& param_info) {
+                           return std::string(to_string(param_info.param));
+                         });
+
+// ---- socket wire: basics ----------------------------------------------------
+
+fabric_options socket_options() {
+  fabric_options opts;
+  opts.backend = transport_backend::socket;
+  return opts;
+}
 
 TEST(SocketFabric, EchoAcrossTwoRanks) {
-  socket_fabric fab(2);
+  world fab(2, socket_options());
   ASSERT_EQ(fab.size(), 2);
   fab.run([](transport& t) {
     ASSERT_EQ(t.size(), 2);
     if (t.rank() == 0) {
-      t.send(1, 4, std::vector<double>{3.25, -1.5, 0.0});
+      t.send(1, std::vector<double>{3.25, -1.5, 0.0});
       any_message m;
-      ASSERT_TRUE(recv_within(t, 5, 5000ms, &m));
+      ASSERT_TRUE(recv_within(t, 5000ms, &m));
       EXPECT_EQ(m.src, 1);
       EXPECT_EQ(m.payload, (std::vector<double>{3.25, -1.5, 0.0}));
     } else {
       any_message m;
-      ASSERT_TRUE(recv_within(t, 4, 5000ms, &m));
+      ASSERT_TRUE(recv_within(t, 5000ms, &m));
       EXPECT_EQ(m.src, 0);
-      t.send(0, 5, m.payload);
+      t.send(0, m.payload);
     }
   });
   EXPECT_FALSE(fab.aborted());
   EXPECT_EQ(fab.total_counters().messages_sent, 2);
   EXPECT_EQ(fab.total_counters().messages_received, 2);
-  const socket_stats stats = fab.total_stats();
+  const socket_stats stats = fab.socket_totals();
   EXPECT_GE(stats.connects, 2);  // one link per direction
   EXPECT_EQ(stats.reconnects, 0);
   EXPECT_GE(stats.frames_sent, 2);
@@ -115,20 +293,20 @@ TEST(SocketFabric, LargePayloadSurvivesPartialReadsAndWrites) {
   // 512 KiB of payload does not fit a socket buffer: the framed writer and
   // reader must handle short writes and short reads without tearing.
   static constexpr std::size_t kDoubles = std::size_t{1} << 16;
-  socket_fabric fab(2);
+  world fab(2, socket_options());
   fab.run([](transport& t) {
     if (t.rank() == 0) {
       std::vector<double> payload(kDoubles);
       for (std::size_t i = 0; i < kDoubles; ++i)
         payload[i] = 0.5 * static_cast<double>(i) - 7.0;
-      t.send(1, 2, payload);
+      t.send(1, payload);
       // Wait for the ack-ish reply so the fabric is not torn down while the
       // big frame is still in flight.
       any_message m;
-      ASSERT_TRUE(recv_within(t, 3, 10000ms, &m));
+      ASSERT_TRUE(recv_within(t, 10000ms, &m));
     } else {
       any_message m;
-      ASSERT_TRUE(recv_within(t, 2, 10000ms, &m));
+      ASSERT_TRUE(recv_within(t, 10000ms, &m));
       ASSERT_EQ(m.payload.size(), kDoubles);
       bool intact = true;
       for (std::size_t i = 0; i < kDoubles; ++i) {
@@ -138,85 +316,36 @@ TEST(SocketFabric, LargePayloadSurvivesPartialReadsAndWrites) {
         }
       }
       EXPECT_TRUE(intact);
-      t.send(0, 3, std::vector<double>{1.0});
+      t.send(0, std::vector<double>{1.0});
     }
   });
   EXPECT_FALSE(fab.aborted());
-  EXPECT_EQ(fab.total_stats().frames_rejected, 0);
+  EXPECT_EQ(fab.socket_totals().frames_rejected, 0);
 }
 
-TEST(SocketFabric, ReusableAcrossRuns) {
-  socket_fabric fab(2);
-  for (int round = 0; round < 2; ++round) {
-    fab.run([](transport& t) {
-      if (t.rank() == 0) {
-        t.send(1, 1, std::vector<double>{42.0});
-      } else {
-        any_message m;
-        ASSERT_TRUE(recv_within(t, 1, 5000ms, &m));
-        EXPECT_EQ(m.payload.at(0), 42.0);
-      }
-    });
-    EXPECT_FALSE(fab.aborted());
-    // run() resets counters: each round reports only its own traffic.
-    EXPECT_EQ(fab.total_counters().messages_sent, 1);
-  }
-}
-
-TEST(SocketFabric, AbortWakesBlockedReceivers) {
-  fault_plan plan;
-  plan.kills.push_back({.rank = 0, .at_op = 1});
-  socket_fabric_options opts;
-  opts.faults = plan;
-  socket_fabric fab(2, opts);
-  std::atomic<int> aborts_seen{0};
-  EXPECT_THROW(
-      fab.run([&](transport& t) {
-        if (t.rank() == 0) {
-          t.send(1, 1, std::vector<double>{1.0});  // op 1: the kill fires
-        } else {
-          any_message m;
-          try {
-            // Blocked forever on a message that will never come; the
-            // fabric abort must wake this instead of letting it hang.
-            while (true) (void)t.try_recv_any(1, 10000us, &m);
-          } catch (const world_aborted& e) {
-            EXPECT_EQ(e.failed_rank(), 0);
-            ++aborts_seen;
-            throw;
-          }
-        }
-      }),
-      rank_killed);
-  EXPECT_TRUE(fab.aborted());
-  EXPECT_EQ(fab.failed_rank(), 0);
-  EXPECT_EQ(aborts_seen.load(), 1);
-  EXPECT_EQ(fab.total_counters().injected_kills, 1);
-}
-
-// ---- socket fabric: health checking -----------------------------------------
+// ---- socket wire: health checking -----------------------------------------
 
 TEST(SocketFabric, HeartbeatsKeepIdleLinksAlive) {
-  socket_fabric_options opts;
+  fabric_options opts = socket_options();
   opts.heartbeat_interval = 5ms;
   opts.heartbeat_timeout = 150ms;
-  socket_fabric fab(2, opts);
+  world fab(2, opts);
   fab.run([](transport& t) {
     if (t.rank() == 0) {
-      t.send(1, 1, std::vector<double>{1.0});
+      t.send(1, std::vector<double>{1.0});
       // Idle for twice the death deadline: only heartbeats keep the link up.
       std::this_thread::sleep_for(400ms);
-      t.send(1, 1, std::vector<double>{2.0});
+      t.send(1, std::vector<double>{2.0});
     } else {
       any_message m;
-      ASSERT_TRUE(recv_within(t, 1, 5000ms, &m));
+      ASSERT_TRUE(recv_within(t, 5000ms, &m));
       EXPECT_EQ(m.payload.at(0), 1.0);
-      ASSERT_TRUE(recv_within(t, 1, 5000ms, &m));
+      ASSERT_TRUE(recv_within(t, 5000ms, &m));
       EXPECT_EQ(m.payload.at(0), 2.0);
     }
   });
   EXPECT_FALSE(fab.aborted());
-  const socket_stats stats = fab.total_stats();
+  const socket_stats stats = fab.socket_totals();
   EXPECT_GT(stats.heartbeats_sent, 0);
   EXPECT_EQ(stats.reconnects, 0);
   EXPECT_EQ(stats.send_failures, 0);
@@ -227,10 +356,10 @@ TEST(SocketFabric, SilentLinkDiesAndReconnectsWithEpochHandshake) {
   // declares the link dead and closes it. The sender's next write fails,
   // the reliable layer retransmits, and the redial runs the epoch
   // handshake — the message still arrives exactly once.
-  socket_fabric_options opts;
+  fabric_options opts = socket_options();
   opts.heartbeat_interval = 10000ms;  // never fires inside this test
   opts.heartbeat_timeout = 100ms;
-  socket_fabric fab(2, opts);
+  world fab(2, opts);
   std::mutex stats_mutex;
   reliable_stats reliable_sum;
   fab.run([&](transport& t) {
@@ -256,21 +385,20 @@ TEST(SocketFabric, SilentLinkDiesAndReconnectsWithEpochHandshake) {
     reliable_sum += ch.stats();
   });
   EXPECT_FALSE(fab.aborted());
-  const socket_stats stats = fab.total_stats();
+  const socket_stats stats = fab.socket_totals();
   EXPECT_GE(stats.reconnects, 1);
   EXPECT_GE(stats.send_failures, 1);
   EXPECT_EQ(reliable_sum.data_received, 2 + /* fence rounds */ 2);
 }
 
-// ---- socket fabric: byte-stream fault injection -----------------------------
+// ---- socket wire: byte-stream fault injection -----------------------------
 
 TEST(SocketFabric, StreamFaultsHealUnderReliableDelivery) {
   // One fault of every kind, pinned to specific data frames on specific
   // links. Truncate and reset poison a connection; split and stall only
   // delay bytes. Under the reliable layer all of it heals in order.
   constexpr int kMessages = 12;
-  socket_fabric_options opts;
-  opts.stream_fault_min_payload = wire::header_doubles + 1;
+  fabric_options opts = socket_options();
   opts.stall_duration = 2000us;
   opts.stream_faults.faults = {
       {.what = stream_fault::kind::truncate, .src = 0, .dst = 1, .nth = 0},
@@ -278,7 +406,7 @@ TEST(SocketFabric, StreamFaultsHealUnderReliableDelivery) {
       {.what = stream_fault::kind::split, .src = 1, .dst = 0, .nth = 1},
       {.what = stream_fault::kind::stall, .src = 1, .dst = 0, .nth = 4},
   };
-  socket_fabric fab(2, opts);
+  world fab(2, opts);
   std::mutex stats_mutex;
   reliable_stats reliable_sum;
   fab.run([&](transport& t) {
@@ -306,7 +434,7 @@ TEST(SocketFabric, StreamFaultsHealUnderReliableDelivery) {
     reliable_sum += ch.stats();
   });
   EXPECT_FALSE(fab.aborted());
-  const socket_stats stats = fab.total_stats();
+  const socket_stats stats = fab.socket_totals();
   EXPECT_EQ(stats.injected_stream_faults, 4);
   EXPECT_GE(stats.frames_rejected, 1);  // the truncated frame
   EXPECT_GE(stats.reconnects, 1);       // poisoned links redialed
@@ -388,7 +516,7 @@ TEST_P(ReliableOverBackend, StaleEpochRetransmitIsRejected) {
       stale.seq = 0;  // same seq the real message will use
       const std::vector<double> image =
           wire::encode(stale, std::vector<double>{666.0});
-      t.send(1, reliable_wire_tag, image);
+      t.send(1, image);
 
       reliable_channel ch(t, ropts);
       ch.send(1, 7, std::vector<double>{42.0});

@@ -1,4 +1,4 @@
-// The chaos contract across transport backends: the socket fabric soaks
+// The chaos contract across transport backends: the socket wire soaks
 // under the same discrete schedules as the in-process one, the
 // schedule-determined counters agree per schedule on both backends, and
 // byte-stream faults (native frames on the socket backend, lowered
@@ -7,7 +7,7 @@
 // Registered under "chaos-transport": part of the chaos suite (`-L chaos`),
 // deliberately outside the tsan-preset `-L runtime` filter — the soak's
 // wall clock, not its thread discipline, is the binding constraint here
-// (runtime_transport_test carries the tsan coverage for the socket fabric).
+// (runtime_transport_test carries the tsan coverage for the socket wire).
 
 #include <gtest/gtest.h>
 
@@ -106,7 +106,7 @@ TEST(ChaosSchedule, StreamFaultsLowerForInprocAndStayNativeForSocket) {
 }
 
 TEST(ChaosSocketSoak, FiftySchedulesHealOverTheSocketBackend) {
-  // The acceptance soak, verbatim on the socket fabric: the same 50 seeds
+  // The acceptance soak, verbatim on the socket wire: the same 50 seeds
   // the in-process soak runs, healed to 1e-12 with one attempt each.
   const chaos_harness harness(
       small_problem(runtime::transport_backend::socket));

@@ -12,6 +12,7 @@
 
 #include "io/json.hpp"
 #include "seam/chaos.hpp"
+#include "util/require.hpp"
 
 namespace {
 
@@ -67,6 +68,40 @@ TEST(ChaosSchedule, JsonRoundTripPreservesEveryFault) {
                std::exception);
 }
 
+TEST(ChaosSchedule, JsonRejectsNonIntegralAndOutOfRangeNumbers) {
+  const auto parse = [](const char* text) {
+    return chaos_schedule_from_json(io::parse_json(text));
+  };
+  // A rank far outside int: once an undefined double -> int cast whose
+  // replay "passed".
+  EXPECT_THROW(parse(R"({"seed": "7", "faults": [{"kind": "drop", "src": 0,
+                         "dst": 1e20, "nth": 0}]})"),
+               contract_error);
+  // Fractions were once truncated and ran as src 0 -> dst 1, nth 0.
+  EXPECT_THROW(parse(R"({"seed": "7", "faults": [{"kind": "drop",
+                         "src": 0.7, "dst": 1.9, "nth": 0.5}]})"),
+               contract_error);
+  EXPECT_THROW(parse(R"({"faults": [], "kills": [{"rank": 1,
+                         "at_op": 2.5}]})"),
+               contract_error);
+  EXPECT_THROW(parse(R"({"faults": [], "stream": [{"kind": "reset",
+                         "src": 0, "dst": 1, "nth": 1e300}]})"),
+               contract_error);
+  // A numeric seed must fit a uint64: 2^64 does not.
+  EXPECT_THROW(parse(R"({"seed": 18446744073709551616, "faults": []})"),
+               contract_error);
+  EXPECT_THROW(parse(R"({"seed": 1e30, "faults": []})"), contract_error);
+  EXPECT_THROW(parse(R"({"seed": 7.5, "faults": []})"), contract_error);
+  // In-range integers written as numbers still parse.
+  const chaos_schedule ok = parse(
+      R"({"seed": 9007199254740992, "faults": [{"kind": "drop", "src": 2,
+          "dst": 0, "nth": 1e3}]})");
+  EXPECT_EQ(ok.seed, 9007199254740992ull);
+  ASSERT_EQ(ok.faults.size(), 1u);
+  EXPECT_EQ(ok.faults[0].src, 2);
+  EXPECT_EQ(ok.faults[0].nth, 1000);
+}
+
 TEST(ChaosSchedule, LowersToOneShotFaultPlanEntries) {
   chaos_schedule s;
   s.seed = 7;
@@ -76,7 +111,6 @@ TEST(ChaosSchedule, LowersToOneShotFaultPlanEntries) {
   ASSERT_EQ(plan.message_faults.size(), 1u);
   EXPECT_EQ(plan.message_faults[0].src, 1);
   EXPECT_EQ(plan.message_faults[0].dst, 3);
-  EXPECT_EQ(plan.message_faults[0].tag, -1);
   EXPECT_EQ(plan.message_faults[0].corrupt_probability, 1.0);
   EXPECT_EQ(plan.message_faults[0].fire_from, 5);
   EXPECT_EQ(plan.message_faults[0].fire_count, 1);

@@ -42,7 +42,7 @@
 #include "perf/machine.hpp"
 #include "perf/simulate.hpp"
 #include "runtime/fault_json.hpp"
-#include "runtime/world.hpp"
+#include "runtime/transport.hpp"
 #include "seam/advection.hpp"
 #include "seam/chaos.hpp"
 #include "seam/distributed.hpp"
@@ -740,19 +740,13 @@ int cmd_trace(const cli_args& args) {
   std::printf("per-rank timeline (%d steps, %d ranks):\n%s", nsteps, nproc,
               t.str().c_str());
 
-  // Message volume by tag, from the registry (bytes on the wire).
+  // Message volume, from the registry (wire deliveries, duplicates
+  // included).
   table vt({"counter", "value"});
-  int tag_rows = 0;
-  for (const auto& c : snap.counters) {
-    if (c.name.rfind("runtime.send.bytes.tag", 0) == 0 && tag_rows < 8) {
-      vt.new_row().add(c.name).add(c.value);
-      ++tag_rows;
-    }
+  for (const auto& c : snap.counters)
     if (c.name == "runtime.messages_sent" || c.name == "runtime.doubles_sent")
       vt.new_row().add(c.name).add(c.value);
-  }
-  std::printf("\nmessage volume (first %d tags):\n%s", tag_rows,
-              vt.str().c_str());
+  std::printf("\nmessage volume:\n%s", vt.str().c_str());
 
   std::int64_t dropped = 0;
   for (const auto& th : dump.threads) dropped += th.dropped;
