@@ -66,6 +66,21 @@ void BM_CurvePositionOf(benchmark::State& state) {
 }
 BENCHMARK(BM_CurvePositionOf)->Arg(96)->Arg(256);
 
+// Its inverse: the element at one curve position (how a rank of the
+// distributed partitioner enumerates its range), position by position
+// over the whole cube.
+void BM_ElementAt(benchmark::State& state) {
+  const mesh::cubed_sphere m(static_cast<int>(state.range(0)));
+  const core::cube_curve_spec spec = core::build_cube_curve_spec(m);
+  std::int64_t pos = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(core::element_at(spec, m, pos));
+    if (++pos == m.num_elements()) pos = 0;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ElementAt)->Arg(96)->Arg(256);
+
 void BM_CubeStitch(benchmark::State& state) {
   const int ne = static_cast<int>(state.range(0));
   const mesh::cubed_sphere m(ne);
@@ -106,10 +121,11 @@ void BM_SfcPartition(benchmark::State& state) {
 }
 BENCHMARK(BM_SfcPartition)->Arg(96)->Arg(768);
 
-// The distributed partitioner's splitter search alone, on one rank: the
-// dist-plan workload's K = 393,216 (Ne = 256) identity keys with its
-// heavy-tail weights (1-9, times 100 with probability 1/16), at 8,192 and
-// at 256 elements per part (dist-plan runs the second).
+// The distributed partitioner's splitter walk alone, on one rank that owns
+// the whole curve: the dist-plan workload's K = 393,216 (Ne = 256)
+// positions with its heavy-tail weights (1-9, times 100 with probability
+// 1/16), at 8,192 and at 256 elements per part (dist-plan runs the
+// second).
 void BM_FindRawSplitters(benchmark::State& state) {
   constexpr std::int64_t k = 6LL * 256 * 256;
   std::vector<std::int64_t> keys(static_cast<std::size_t>(k));

@@ -1,13 +1,13 @@
 // Strong-scaling microbenchmark for the distributed SFC partitioner:
-// elements/sec of the full parallel pipeline (local key generation +
-// distributed splitter search + labeling) as the virtual-rank count grows,
+// elements/sec of the full parallel pipeline (range enumeration + one
+// prefix walk for the cuts + labeling) as the virtual-rank count grows,
 // against the serial slicer as the one-rank reference. Emits
 // BENCH_partition_scaling.json for the trend tooling.
 //
 // Virtual ranks are threads on one node, so this measures the algorithm's
-// communication structure (rounds, probe volume, window traffic) and
+// communication structure (messages and words on the wire per run) and
 // per-rank compute shrinkage rather than real network latency; the wire
-// volume per phase is what transfers to a cluster.
+// volume is what transfers to a cluster.
 
 #include <cstdio>
 #include <string>
@@ -58,8 +58,8 @@ int main(int argc, char** argv) {
   doc.object["serial_ms"] = io::json_number(serial_ms);
   io::json_value points = io::json_array();
 
-  table t({"ranks", "ms (best)", "elements/sec", "rounds", "probes",
-           "window", "retransmits"});
+  table t({"ranks", "ms (best)", "elements/sec", "messages", "doubles",
+           "retransmits"});
   for (const int nranks : {1, 2, 4, 8}) {
     runtime::parallel_partition_report report;
     double best_ms = 1e300;
@@ -74,37 +74,34 @@ int main(int argc, char** argv) {
       return 1;
     }
     const double elems_per_sec = static_cast<double>(k) / (best_ms / 1e3);
-    std::int64_t probes = 0, window = 0;
-    for (const auto& st : report.rank_stats) {
-      probes += st.probes_evaluated;
-      window += st.window_records;
-    }
-    const int rounds = report.rank_stats.empty() ? 0 : report.rank_stats[0].rounds;
+    // The last run's wire totals, acks and retransmits included.
+    const auto messages = static_cast<double>(report.counters.messages_sent);
+    const auto doubles = static_cast<double>(report.counters.doubles_sent);
     t.new_row()
         .add(nranks)
         .add(best_ms, 3)
         .add(elems_per_sec, 0)
-        .add(rounds)
-        .add(probes)
-        .add(window)
+        .add(messages, 0)
+        .add(doubles, 0)
         .add(static_cast<double>(report.reliable.retransmits), 0);
 
     io::json_value pt = io::json_object();
     pt.object["ranks"] = io::json_number(nranks);
     pt.object["ms"] = io::json_number(best_ms);
     pt.object["elements_per_sec"] = io::json_number(elems_per_sec);
-    pt.object["rounds"] = io::json_number(rounds);
-    pt.object["probes"] = io::json_number(static_cast<double>(probes));
-    pt.object["window_records"] = io::json_number(static_cast<double>(window));
+    pt.object["messages_sent"] = io::json_number(messages);
+    pt.object["doubles_sent"] = io::json_number(doubles);
     pt.object["retransmits"] =
         io::json_number(static_cast<double>(report.reliable.retransmits));
     points.array.push_back(std::move(pt));
   }
   std::printf("%s\n", t.str().c_str());
   std::printf("Reading: rank counts here are threads, so elements/sec mostly\n"
-              "prices the splitter search's communication structure; the\n"
-              "per-rank key-generation and labeling work shrinks as 1/P\n"
-              "while rounds and probe volume stay flat.\n");
+              "prices the fabric; the per-rank enumeration, walk and\n"
+              "labeling work shrinks as 1/P. A run is two rank-0-rooted\n"
+              "allgathers and a barrier, so messages grow as O(P) and\n"
+              "doubles as O(P * (nparts + P)), independent of K (one rank:\n"
+              "none).\n");
 
   doc.object["points"] = std::move(points);
   io::write_json_file(doc, out_path);

@@ -183,6 +183,20 @@ std::int64_t curve_position_of(const cube_curve_spec& spec,
   return block * static_cast<std::int64_t>(ne) * ne + within;
 }
 
+int element_at(const cube_curve_spec& spec, const mesh::cubed_sphere& mesh,
+               std::int64_t pos) {
+  const int ne = mesh.ne();
+  SFP_REQUIRE(spec.face_curve.side() == ne,
+              "curve spec side must equal mesh Ne");
+  SFP_REQUIRE(pos >= 0 && pos < mesh.num_elements(),
+              "curve position out of range");
+  const std::int64_t area = static_cast<std::int64_t>(ne) * ne;
+  const int face = spec.face_order[static_cast<std::size_t>(pos / area)];
+  const cell c = spec.face_curve.cell_at(
+      pos % area, spec.orientation[static_cast<std::size_t>(face)]);
+  return mesh.element_id(face, c.x, c.y);
+}
+
 cube_curve build_cube_curve(const mesh::cubed_sphere& mesh,
                             const sfc::schedule& face_schedule) {
   const int ne = mesh.ne();

@@ -26,9 +26,10 @@ namespace sfp::core {
 
 /// The stitched curve's metadata without the materialized traversal: the
 /// per-face schedule, compiled once for point queries, plus the face cycle
-/// and orientations the stitch search chose. This determines any element's
-/// position along the global curve in O(1) memory — the shared "schedule"
-/// every rank of the distributed partitioner derives its SFC keys from.
+/// and orientations the stitch search chose. This maps any element to its
+/// position along the global curve and back in O(1) memory — the shared
+/// "schedule" every rank of the distributed partitioner enumerates its
+/// curve range from.
 struct cube_curve_spec {
   sfc::curve_locator face_curve;            ///< per-face schedule, compiled
   std::array<int, 6> face_order{};          ///< faces in visit order
@@ -66,6 +67,13 @@ cube_curve_spec build_cube_curve_spec(
 ///   curve_position_of(spec_of(c), mesh, c.order[i]) == i.
 std::int64_t curve_position_of(const cube_curve_spec& spec,
                                const mesh::cubed_sphere& mesh, int element);
+
+/// The element at position `pos` along the curve `spec` describes — the
+/// exact inverse of curve_position_of, by the inverse point query
+/// (sfc::curve_locator::cell_at). No allocation:
+///   element_at(spec, mesh, curve_position_of(spec, mesh, e)) == e.
+int element_at(const cube_curve_spec& spec, const mesh::cubed_sphere& mesh,
+               std::int64_t pos);
 
 /// Build the global curve for `mesh` using `face_schedule` (whose side must
 /// equal mesh.ne()). Throws sfp::contract_error if Ne is not SFC-compatible

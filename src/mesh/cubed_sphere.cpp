@@ -92,12 +92,6 @@ cubed_sphere::cubed_sphere(int ne, projection proj) : ne_(ne), proj_(proj) {
   SFP_AUDIT_DIAG(validate_topology(*this));
 }
 
-int cubed_sphere::element_id(int face, int i, int j) const {
-  SFP_REQUIRE(face >= 0 && face < 6, "face out of range");
-  SFP_REQUIRE(i >= 0 && i < ne_ && j >= 0 && j < ne_, "element index out of range");
-  return (face * ne_ + j) * ne_ + i;
-}
-
 ivec3 cubed_sphere::corner_point(int face, int ci, int cj) const {
   return lattice(kFrames[face], ne_, 2 * ci - ne_, 2 * cj - ne_);
 }

@@ -102,9 +102,15 @@ class cubed_sphere {
   double map_face_coord_deriv(double a) const;
 
   // ---- id mapping -------------------------------------------------------
-  int element_id(int face, int i, int j) const;
+  // Both directions are inline: the curve's point queries (SFC keys and
+  // their inverse) decode or encode one id per element.
+  int element_id(int face, int i, int j) const {
+    SFP_REQUIRE(face >= 0 && face < 6, "face out of range");
+    SFP_REQUIRE(i >= 0 && i < ne_ && j >= 0 && j < ne_,
+                "element index out of range");
+    return (face * ne_ + j) * ne_ + i;
+  }
   int element_id(element_ref r) const { return element_id(r.face, r.i, r.j); }
-  /// Inline: the distributed partitioner decodes one id per SFC key.
   element_ref element_of(int id) const {
     SFP_REQUIRE(id >= 0 && id < num_elements(), "element id out of range");
     const int row = id / ne_;  // face·Ne + j

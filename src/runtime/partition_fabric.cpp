@@ -39,18 +39,25 @@ std::vector<std::int64_t> from_wire(std::span<const double> payload) {
 /// never races a survivor's re-execution deposit (each lives in its
 /// writer's own slot, tagged with the group epoch it was computed under).
 struct rank_outcome {
-  bool deposited = false;  ///< labels/boundaries below are valid
+  bool deposited = false;  ///< `part` below is valid
   bool completed = false;  ///< passed the closing group barrier
   bool dead = false;       ///< rank_killed fired on this rank
   bool aborted = false;    ///< quorum lost, evicted, or recovery budget spent
-  std::uint64_t epoch = 0;            ///< group epoch of the deposit
-  std::int64_t begin = 0, end = 0;    ///< owned block under that epoch
-  int recoveries = 0;                 ///< reconfigurations adopted
-  std::vector<graph::vid> labels;     ///< size end - begin
-  std::vector<std::int64_t> boundaries;  ///< dense rank 0 of its group only
+  std::uint64_t epoch = 0;     ///< group epoch of the deposit
+  int recoveries = 0;          ///< reconfigurations adopted
+  core::local_partition part;  ///< the deposit: range, element ids, labels
   core::regroup_stats regroup;
   reliable_stats reliable;
 };
+
+/// Write one range's labels into the global plan at its element ids.
+void scatter_labels(const core::local_partition& part,
+                    partition::partition& plan) {
+  SFP_ASSERT(part.elements.size() == part.labels.size(),
+             "one element id per labelled position");
+  for (std::size_t i = 0; i < part.elements.size(); ++i)
+    plan.part_of[static_cast<std::size_t>(part.elements[i])] = part.labels[i];
+}
 
 /// Pump the channel until every send is acked, converting a delivery
 /// failure into a group event: a real member triggers the agreement round
@@ -68,9 +75,9 @@ void flush_or_regroup(reliable_channel& channel, core::regroup_comm& group) {
 }
 
 /// One deterministic re-execution attempt over the current surviving group:
-/// recompute the block distribution for the shrunken rank count, rerun the
-/// splitter search from scratch, deposit the result under the group epoch,
-/// and close with the group barrier. Every input is a pure function of
+/// recompute the range distribution for the shrunken rank count, rerun the
+/// partition from scratch, deposit the result under the group epoch, and
+/// close with the group barrier. Every input is a pure function of
 /// (curve spec, weights, nparts, survivor count), so the assembled plan
 /// stays bit-identical to the serial slicer whatever group finishes.
 void run_partition_attempt(core::regroup_comm& group,
@@ -78,30 +85,13 @@ void run_partition_attempt(core::regroup_comm& group,
                            const mesh::cubed_sphere& mesh,
                            const core::cube_curve_spec& spec, int nparts,
                            std::span<const graph::weight> weights,
-                           const core::parallel_partition_options& popts,
                            core::parallel_partition_stats* stats,
                            rank_outcome* out) {
   SFP_TRACE_SCOPE_CAT("partition.attempt", "runtime");
-  const int p = group.size();
-  const int r = group.rank();
-  const auto k = static_cast<std::int64_t>(mesh.num_elements());
-  const std::int64_t begin = core::element_block_begin(k, p, r);
-  const std::int64_t end = core::element_block_begin(k, p, r + 1);
-  const std::span<const graph::weight> local_w =
-      weights.empty() ? weights
-                      : weights.subspan(static_cast<std::size_t>(begin),
-                                        static_cast<std::size_t>(end - begin));
-  core::local_partition local = core::parallel_partition_rank(
-      mesh, spec, nparts, local_w, group, popts, stats);
-  SFP_ASSERT(local.begin == begin && local.end == end,
-             "block distribution must match the driver's slicing");
+  out->part =
+      core::parallel_partition_rank(mesh, spec, nparts, weights, group, stats);
   out->deposited = true;
   out->epoch = group.view().epoch;
-  out->begin = begin;
-  out->end = end;
-  out->labels = std::move(local.labels);
-  out->boundaries =
-      r == 0 ? std::move(local.boundaries) : std::vector<std::int64_t>{};
   // All data sends acked while every peer is provably still pumping, then
   // the group-wide barrier: once it returns, every member of this epoch
   // has deposited. A death inside either unwinds into a regroup.
@@ -136,7 +126,7 @@ void partition_rank_main(reliable_channel& channel, int world_rank,
     for (int attempt = 0;; ++attempt) {
       try {
         run_partition_attempt(group, channel, mesh, spec, nparts, weights,
-                              opts.partition, stats, out);
+                              stats, out);
         out->completed = true;
         break;
       } catch (const core::group_reconfigured& g) {
@@ -218,11 +208,10 @@ parallel_partition_report run_parallel_partition(
 
   if (num_ranks == 1) {
     core::solo_comm solo;
-    core::local_partition local = core::parallel_partition_rank(
-        mesh, spec, nparts, weights, solo, opts.partition,
-        &report.rank_stats[0]);
-    report.plan.part_of = std::move(local.labels);
-    report.boundaries = std::move(local.boundaries);
+    core::local_partition part = core::parallel_partition_rank(
+        mesh, spec, nparts, weights, solo, &report.rank_stats[0]);
+    scatter_labels(part, report.plan);
+    report.boundaries = std::move(part.boundaries);
     return report;
   }
 
@@ -270,16 +259,16 @@ parallel_partition_report run_parallel_partition(
         if (o.deposited && o.epoch == e) slots.push_back(&o);
       std::sort(slots.begin(), slots.end(),
                 [](const rank_outcome* a, const rank_outcome* b) {
-                  return a->begin < b->begin;
+                  return a->part.begin < b->part.begin;
                 });
       std::int64_t pos = 0;
       bool tiles = true;
       for (const rank_outcome* s : slots) {
-        if (s->begin != pos) {
+        if (s->part.begin != pos) {
           tiles = false;
           break;
         }
-        pos = s->end;
+        pos = s->part.end;
       }
       if (tiles && pos == k64) {
         chosen = std::move(slots);
@@ -296,13 +285,12 @@ parallel_partition_report run_parallel_partition(
   }
   report.group_epoch = chosen_epoch;
   for (const rank_outcome* s : chosen) {
-    SFP_ASSERT(s->labels.size() == static_cast<std::size_t>(s->end - s->begin),
-               "deposit length must match its block");
-    std::copy(s->labels.begin(), s->labels.end(),
-              report.plan.part_of.begin() +
-                  static_cast<std::ptrdiff_t>(s->begin));
+    SFP_ASSERT(s->part.labels.size() ==
+                   static_cast<std::size_t>(s->part.end - s->part.begin),
+               "deposit length must match its range");
+    scatter_labels(s->part, report.plan);
     report.recoveries = std::max(report.recoveries, s->recoveries);
-    if (s->begin == 0) report.boundaries = s->boundaries;
+    if (s->part.begin == 0) report.boundaries = s->part.boundaries;
   }
   {
     std::vector<bool> in_group(static_cast<std::size_t>(num_ranks), false);

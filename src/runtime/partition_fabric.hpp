@@ -59,12 +59,10 @@ struct parallel_partition_run_options {
   stream_fault_plan stream_faults;
   /// Reliable-layer tuning (retransmit budget, timeouts, epoch).
   reliable_options reliable;
-  /// Splitter-search tuning, passed through to the core algorithm.
-  core::parallel_partition_options partition;
   /// Survivor-regroup tuning: quorum and the silence patience budget.
   core::regroup_options regroup;
   /// Group reconfigurations a run absorbs before the escalation ladder
-  /// gives up (decide_regroup); each one restarts the splitter search from
+  /// gives up (decide_regroup); each one restarts the partition from
   /// scratch over the shrunken group.
   int max_recoveries = 3;
 };
@@ -76,8 +74,8 @@ struct parallel_partition_report {
   partition::partition plan;
   /// First curve position of every part p >= 1 (size nparts−1).
   std::vector<std::int64_t> boundaries;
-  /// Per-rank splitter-search accounting, indexed by rank. Under recovery
-  /// a rank's stats accumulate across its re-execution attempts.
+  /// Per-rank accounting, indexed by rank. Under recovery a rank's stats
+  /// accumulate across its re-execution attempts.
   std::vector<core::parallel_partition_stats> rank_stats;
   /// Fabric robustness totals (zero for the solo num_ranks == 1 path).
   rank_counters counters;
@@ -104,7 +102,8 @@ struct parallel_partition_report {
 /// Run the distributed partitioner on `num_ranks` virtual ranks over the
 /// configured backend and assemble the global plan. `weights` is the global
 /// per-element weight vector (empty = unit weights); each rank only ever
-/// touches its own block's slice, mirroring the O(K/P) memory claim.
+/// reads the weights of the elements in its own curve range, mirroring the
+/// O(K/P) memory claim.
 /// num_ranks == 1 short-circuits to core::solo_comm with no fabric at all.
 parallel_partition_report run_parallel_partition(
     const mesh::cubed_sphere& mesh, const core::cube_curve_spec& spec,

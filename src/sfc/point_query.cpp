@@ -49,13 +49,28 @@ dihedral state_of(vec a, vec b) {
   return dihedral::identity;
 }
 
+/// One level's transition table and its inverse (see point_query.hpp).
+struct level_tables {
+  std::vector<std::uint16_t> next;
+  std::vector<std::uint16_t> inverse;
+};
+
+/// An inverse-table entry: the digit cell (dx, dy), then the next state.
+std::uint16_t cell_entry(int dx, int dy, std::uint32_t state) {
+  return static_cast<std::uint16_t>(
+      static_cast<std::uint32_t>(dy << 4 | dx) << 3 | state);
+}
+
 /// One level of the frame descent, tabulated. For every frame state, lay
 /// the generator's children out in the f×f block and record, at each
-/// child's digit cell, its index in generator order and its own state.
-std::vector<std::uint16_t> build_table(int f) {
+/// child's digit cell, its index in generator order and its own state —
+/// and, at each child index, its digit cell and its own state.
+level_tables build_table(int f) {
   const std::vector<child_frame>& gen = generator_for(f);
   const auto cells = static_cast<std::uint32_t>(f * f);
-  std::vector<std::uint16_t> next(cells * kStates, kUnset);
+  level_tables out{std::vector<std::uint16_t>(cells * kStates, kUnset),
+                   std::vector<std::uint16_t>(cells * kStates)};
+  std::vector<std::uint16_t>& next = out.next;
   for (const dihedral t : all_dihedrals) {
     const basis u = basis_of(t);
     // The frame maps the block onto itself, so its origin sits at f on
@@ -78,23 +93,26 @@ std::vector<std::uint16_t> build_table(int f) {
                         static_cast<std::uint32_t>(t);
       SFP_REQUIRE(next[slot] == kUnset,
                   "generator children do not tile the block");
-      next[slot] = static_cast<std::uint16_t>(
-          k << 3 | static_cast<std::size_t>(state_of(a, b)));
+      const auto state = static_cast<std::uint32_t>(state_of(a, b));
+      next[slot] = static_cast<std::uint16_t>(k << 3 | state);
+      out.inverse[k * kStates + static_cast<std::uint32_t>(t)] =
+          cell_entry(dx, dy, state);
     }
   }
-  return next;
+  return out;
 }
 
-const std::uint16_t* table_for(int factor, int run);
+const level_tables& table_for(int factor, int run);
 
 /// `run` levels of factor f as one level of factor f^run: descend the
 /// single-level table through each cell's base-f digits.
-std::vector<std::uint16_t> compose_table(int f, int run) {
-  const std::uint16_t* one = table_for(f, 1);
+level_tables compose_table(int f, int run) {
+  const std::uint16_t* one = table_for(f, 1).next.data();
   int block = 1;
   for (int k = 0; k < run; ++k) block *= f;
   const auto cells = static_cast<std::uint32_t>(block * block);
-  std::vector<std::uint16_t> next(cells * kStates);
+  level_tables out{std::vector<std::uint16_t>(cells * kStates),
+                   std::vector<std::uint16_t>(cells * kStates)};
   for (std::uint32_t t = 0; t < kStates; ++t)
     for (int y = 0; y < block; ++y)
       for (int x = 0; x < block; ++x) {
@@ -106,26 +124,27 @@ std::vector<std::uint16_t> compose_table(int f, int run) {
           state = e & (kStates - 1);
           child = child * static_cast<std::uint32_t>(f * f) + (e >> 3);
         }
-        next[static_cast<std::uint32_t>(y * block + x) * kStates + t] =
+        out.next[static_cast<std::uint32_t>(y * block + x) * kStates + t] =
             static_cast<std::uint16_t>(child << 3 | state);
+        out.inverse[child * kStates + t] = cell_entry(x, y, state);
       }
-  return next;
+  return out;
 }
 
-/// The memoised table for `run` levels of `factor` (2 <= factor <=
+/// The memoised tables for `run` levels of `factor` (2 <= factor <=
 /// max_factor, factor^run <= kMaxMerged). The hit path is call_once's
 /// acquire load: no lock, no map.
-const std::uint16_t* table_for(int factor, int run) {
+const level_tables& table_for(int factor, int run) {
   struct slot {
     std::once_flag once;
-    std::vector<std::uint16_t> next;
+    level_tables tables;
   };
   static std::array<std::array<slot, 5>, max_factor + 1> cache;
   slot& s = cache[static_cast<std::size_t>(factor)][static_cast<std::size_t>(run)];
   std::call_once(s.once, [&] {
-    s.next = run == 1 ? build_table(factor) : compose_table(factor, run);
+    s.tables = run == 1 ? build_table(factor) : compose_table(factor, run);
   });
-  return s.next.data();
+  return s.tables;
 }
 
 }  // namespace
@@ -161,16 +180,20 @@ void curve_locator::compile(std::span<const int> factors) {
       block *= f;
       ++run;
     }
-    levels_[depth_++] = {table_for(f, run), 0,
+    const level_tables& tables = table_for(f, run);
+    levels_[depth_++] = {tables.next.data(), tables.inverse.data(), 0, 0,
                          static_cast<std::uint32_t>(block)};
     l += static_cast<std::size_t>(run);
   }
   // Level l's digit is (x / sub) mod f, sub the product of the factors
   // below it; precompute the reciprocal of every sub, innermost first.
-  std::uint64_t sub = 1;
+  std::uint64_t sub = 1, area = 1;  // area = sub²
   for (std::size_t l = depth_; l-- > 0;) {
     levels_[l].magic = (std::uint64_t{1} << kMagicShift) / sub + 1;
+    levels_[l].area_below = area;
     sub *= levels_[l].factor;
+    area *= levels_[l].factor;
+    area *= levels_[l].factor;
   }
 }
 
@@ -198,6 +221,27 @@ std::int64_t curve_locator::position(cell c, dihedral orientation) const {
     pos = pos * (lv.factor * lv.factor) + (e >> 3);
   }
   return pos;
+}
+
+cell curve_locator::cell_at(std::int64_t pos, dihedral orientation) const {
+  SFP_REQUIRE(pos >= 0 && pos < std::int64_t{side_} * side_,
+              "position out of range for this factor list");
+  auto state = static_cast<std::uint32_t>(orientation);
+  SFP_REQUIRE(state < kStates, "invalid dihedral");
+  // Each level's child index is the next base-f² digit of the position,
+  // most significant first.
+  auto rest = static_cast<std::uint64_t>(pos);
+  std::uint32_t x = 0, y = 0;
+  for (std::size_t l = 0; l < depth_; ++l) {
+    const level& lv = levels_[l];
+    const std::uint64_t child = rest / lv.area_below;
+    rest -= child * lv.area_below;
+    const std::uint32_t e = lv.inverse[child * kStates + state];
+    state = e & (kStates - 1);
+    x = x * lv.factor + (e >> 3 & 0xF);
+    y = y * lv.factor + (e >> 7);
+  }
+  return {static_cast<int>(x), static_cast<int>(y)};
 }
 
 std::int64_t curve_position(const schedule& s, cell c) {

@@ -21,6 +21,13 @@
 // compile time; a query is then one dependent table lookup per compiled
 // level, with no division, no branch on the factor and no allocation.
 //
+// The same descent fills the inverse table of every level,
+//
+//   (state, child index) -> (digit cell, next state),
+//
+// so cell_at walks a position's base-f² digits down the frame states and
+// reassembles the cell: the exact inverse of position().
+//
 // Because the recursion is equivariant under the square's symmetries, the
 // curve generated from frame state t is apply(t, generate(...)): starting
 // the descent in state t answers the query for the reoriented curve without
@@ -55,6 +62,12 @@ class curve_locator {
   std::int64_t position(cell c,
                         dihedral orientation = dihedral::identity) const;
 
+  /// The cell at `pos` along apply(orientation, generate_factors(factors)):
+  /// cell_at(position(c, t), t) == c. Throws sfp::contract_error if `pos`
+  /// is not in [0, side²).
+  cell cell_at(std::int64_t pos,
+               dihedral orientation = dihedral::identity) const;
+
  private:
   /// Deepest compiled schedule: every level has a factor of at least 2 and
   /// the side is at most 2^20.
@@ -64,8 +77,13 @@ class curve_locator {
     /// Transition table, indexed (dy·f + dx)·8 + state; each entry packs
     /// child index << 3 | next state.
     const std::uint16_t* next = nullptr;
+    /// Its inverse, indexed child index·8 + state; each entry packs
+    /// (dy << 4 | dx) << 3 | next state.
+    const std::uint16_t* inverse = nullptr;
     /// floor(2^40 / sub) + 1: x·magic >> 40 == x / sub for x < 2^20.
     std::uint64_t magic = 0;
+    /// sub²: the number of positions in one child block of this level.
+    std::uint64_t area_below = 0;
     std::uint32_t factor = 0;  ///< f (the product of the merged run)
   };
 

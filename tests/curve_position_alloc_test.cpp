@@ -1,6 +1,6 @@
-// The SFC point query allocates nothing: a compiled spec answers any
-// number of curve_position_of calls without touching the heap. This file
-// replaces the global operator new to count allocations.
+// The SFC point queries allocate nothing: a compiled spec answers any
+// number of curve_position_of and element_at calls without touching the
+// heap. This file replaces the global operator new to count allocations.
 
 #include <gtest/gtest.h>
 
@@ -43,6 +43,22 @@ TEST(CurvePositionAlloc, Ne1024KeysAllocateNothing) {
   const int stride = m.num_elements() / 100'000;
   for (int k = 0; k < 100'000; ++k)
     sum += core::curve_position_of(spec, m, k * stride);
+  EXPECT_EQ(g_allocations.load() - before, 0);
+  EXPECT_GT(sum, 0);
+}
+
+TEST(CurvePositionAlloc, Ne1024ElementAtAllocatesNothing) {
+  if (SFP_AUDIT_ENABLED)
+    GTEST_SKIP() << "audit builds validate all 6.3M elements in the mesh "
+                    "constructor";
+  const mesh::cubed_sphere m(1024);
+  const core::cube_curve_spec spec = core::build_cube_curve_spec(m);
+  std::int64_t sum = core::element_at(spec, m, 0);
+  const long before = g_allocations.load();
+  // 100,000 positions spread over all six faces.
+  const std::int64_t stride = m.num_elements() / 100'000;
+  for (std::int64_t k = 0; k < 100'000; ++k)
+    sum += core::element_at(spec, m, k * stride);
   EXPECT_EQ(g_allocations.load() - before, 0);
   EXPECT_GT(sum, 0);
 }

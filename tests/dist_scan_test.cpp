@@ -1,10 +1,11 @@
 // Unit tests for the distributed-scan primitive (core/dist_scan.hpp) and
 // the splitter machinery of the parallel partitioner
 // (core/parallel_partition.hpp): the integer-exact collectives, the block
-// distribution, the repair recurrence, and the histogram splitter search —
+// distribution, the repair recurrence, and the prefix-walk splitter search —
 // including its edge cases: all-zero weights, one giant element, fewer
-// elements than ranks (empty blocks), block sizes that don't divide, and
-// threshold ties that land several cuts on the same position.
+// elements than ranks (empty blocks), block sizes that don't divide,
+// threshold ties that land several cuts on the same position, cuts on a
+// range's first position, and ranges that own no cut.
 
 #include <gtest/gtest.h>
 
@@ -21,6 +22,7 @@
 #include "core/sfc_partition.hpp"
 #include "runtime/partition_fabric.hpp"
 #include "runtime/world.hpp"
+#include "util/require.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -171,8 +173,7 @@ std::vector<std::int64_t> direct_raw_cuts(
 }
 
 /// Solo-run find_raw_splitters over weights laid out by curve position
-/// (keys are the identity permutation), with a tiny window to force
-/// several refinement rounds.
+/// (the one rank's keys are the whole curve).
 std::vector<std::int64_t> solo_splitters(
     const std::vector<graph::weight>& w_by_pos, int nparts) {
   solo_comm solo;
@@ -180,12 +181,9 @@ std::vector<std::int64_t> solo_splitters(
   std::iota(keys.begin(), keys.end(), 0);
   graph::weight total = 0;
   for (const auto w : w_by_pos) total += w;
-  core::parallel_partition_options opts;
-  opts.histogram_fanout = 2;
-  opts.window_elements = 2;
   return find_raw_splitters(solo, keys, w_by_pos,
                             static_cast<std::int64_t>(w_by_pos.size()), total,
-                            nparts, opts);
+                            nparts);
 }
 
 TEST(SplitterSearch, MatchesDirectMidpointRuleOnRandomWeights) {
@@ -266,11 +264,8 @@ TEST(SplitterSearch, DistributedMatchesSoloAcrossUnevenAndEmptyBlocks) {
         keys.push_back(i);
         mine.push_back(w[static_cast<std::size_t>(i)]);
       }
-      core::parallel_partition_options opts;
-      opts.histogram_fanout = 2;
-      opts.window_elements = 2;
       got[static_cast<std::size_t>(comm.rank())] =
-          find_raw_splitters(comm, keys, mine, k, total, nparts, opts);
+          find_raw_splitters(comm, keys, mine, k, total, nparts);
     });
     for (const auto& raw : got) EXPECT_EQ(raw, want) << "K=" << k;
   }
@@ -290,10 +285,9 @@ std::vector<graph::weight> heavy_tail_weights(std::int64_t n,
 }
 
 TEST(SplitterSearch, ManyPartsDefaultOptionsMatchDirectMidpointRule) {
-  // The paper's regime: a few elements per part, so hundreds of splitters
-  // share one bracket in the first rounds and every round's probe list is
-  // walked by many brackets at once. Default options, heavy-tail weights,
-  // solo and over 3 ranks.
+  // The paper's regime: a few elements per part, so every rank's range
+  // holds hundreds of cuts and the walk crosses several thresholds at some
+  // positions. Heavy-tail weights, solo and over 3 ranks.
   constexpr std::int64_t n = 4000;
   const std::vector<graph::weight> w = heavy_tail_weights(n, 20261017);
   const graph::weight total = std::accumulate(w.begin(), w.end(),
@@ -322,89 +316,85 @@ TEST(SplitterSearch, ManyPartsDefaultOptionsMatchDirectMidpointRule) {
   }
 }
 
-/// The refinement by its plain definition, over exact prefix sums: every
-/// still-wide bracket probes, and every probe is tested against every
-/// bracket. Returns the search's cost record (rounds, probes, records in
-/// the merged exact-pass windows).
-core::parallel_partition_stats naive_refinement_stats(
+/// find_raw_splitters over ranks whose ranges start at `starts` (rank r
+/// owns [starts[r], starts[r+1]), the last one ends at the curve's end).
+/// Every rank must return the same cuts; returns rank 0's.
+std::vector<std::int64_t> ranged_splitters(
     const std::vector<graph::weight>& w_by_pos, int nparts,
-    const core::parallel_partition_options& opts) {
+    const std::vector<std::int64_t>& starts) {
   const auto n = static_cast<std::int64_t>(w_by_pos.size());
-  std::vector<graph::weight> s(w_by_pos.size() + 1, 0);
-  for (std::size_t i = 0; i < w_by_pos.size(); ++i)
-    s[i + 1] = s[i] + w_by_pos[i];
-  const graph::weight total = s.back();
-  std::vector<std::pair<std::int64_t, std::int64_t>> br(
-      static_cast<std::size_t>(nparts) - 1, {0, n});
-  const auto wide = [&](std::int64_t lo, std::int64_t hi) {
-    return hi - lo > opts.window_elements;
-  };
-  core::parallel_partition_stats stats;
-  for (;;) {
-    std::vector<std::int64_t> probes;
-    for (const auto& [lo, hi] : br) {
-      if (!wide(lo, hi)) continue;
-      for (int j = 1; j < opts.histogram_fanout; ++j) {
-        const std::int64_t x = lo + (hi - lo) * j / opts.histogram_fanout;
-        if (x > lo && x < hi) probes.push_back(x);
-      }
+  const graph::weight total = std::accumulate(
+      w_by_pos.begin(), w_by_pos.end(), graph::weight{0});
+  const auto nranks = static_cast<int>(starts.size());
+  std::vector<std::vector<std::int64_t>> got(starts.size());
+  run_peer_group(nranks, [&](core::peer_comm& comm) {
+    const auto r = static_cast<std::size_t>(comm.rank());
+    const std::int64_t begin = starts[r];
+    const std::int64_t end = r + 1 < starts.size() ? starts[r + 1] : n;
+    std::vector<std::int64_t> keys;
+    std::vector<graph::weight> mine;
+    for (std::int64_t i = begin; i < end; ++i) {
+      keys.push_back(i);
+      mine.push_back(w_by_pos[static_cast<std::size_t>(i)]);
     }
-    std::sort(probes.begin(), probes.end());
-    probes.erase(std::unique(probes.begin(), probes.end()), probes.end());
-    if (probes.empty()) break;
-    ++stats.rounds;
-    stats.probes_evaluated += static_cast<std::int64_t>(probes.size());
-    for (std::size_t pi = 0; pi < br.size(); ++pi) {
-      auto& [lo, hi] = br[pi];
-      if (!wide(lo, hi)) continue;
-      for (const std::int64_t x : probes) {
-        if (x <= lo || x >= hi) continue;
-        if (s[static_cast<std::size_t>(x)] * nparts >=
-            static_cast<std::int64_t>(pi + 1) * total)
-          hi = x;
-        else
-          lo = x;
-      }
-    }
-  }
-  std::vector<bool> in_window(static_cast<std::size_t>(n), false);
-  for (const auto& [lo, hi] : br)
-    for (std::int64_t x = lo; x <= std::min(hi, n - 1); ++x)
-      in_window[static_cast<std::size_t>(x)] = true;
-  stats.window_records =
-      std::count(in_window.begin(), in_window.end(), true);
-  return stats;
+    got[r] = find_raw_splitters(comm, keys, mine, n, total, nparts);
+  });
+  for (const auto& raw : got) EXPECT_EQ(raw, got[0]);
+  return got[0];
 }
 
-TEST(SplitterSearch, ManyPartsSearchTrajectoryMatchesNaiveRefinement) {
-  // The search's cost record — rounds, probes evaluated, exact-pass window
-  // records — must be the plain definition's, so skipping repeated
-  // brackets and walking only a bracket's own probes save time without
-  // changing a single probe.
-  constexpr std::int64_t n = 4000;
-  const std::vector<graph::weight> w = heavy_tail_weights(n, 20261017);
-  const graph::weight total = std::accumulate(w.begin(), w.end(),
-                                              graph::weight{0});
-  std::vector<std::int64_t> keys(w.size());
-  std::iota(keys.begin(), keys.end(), 0);
-  core::parallel_partition_options small;
-  small.histogram_fanout = 4;
-  small.window_elements = 8;
-  for (const auto& opts : {core::parallel_partition_options{}, small}) {
-    for (const int nparts : {7, static_cast<int>(n / 8),
-                             static_cast<int>(n / 3)}) {
-      const auto want = naive_refinement_stats(w, nparts, opts);
-      solo_comm solo;
-      core::parallel_partition_stats got;
-      (void)find_raw_splitters(solo, keys, w, n, total, nparts, opts, &got);
-      const std::string what = "fanout " +
-                               std::to_string(opts.histogram_fanout) +
-                               " nparts " + std::to_string(nparts);
-      EXPECT_EQ(got.rounds, want.rounds) << what;
-      EXPECT_EQ(got.probes_evaluated, want.probes_evaluated) << what;
-      EXPECT_EQ(got.window_records, want.window_records) << what;
-    }
-  }
+TEST(SplitterSearch, CutOnARangesFirstPositionIsFoundOnEitherSide) {
+  // Unit weights: S(4)·2 = 8 = 1·T, so the dichotomy puts the cut at or
+  // before position 4 — rank 0 owns it, finds no crossing in [0, 4) and
+  // reports its end, which is rank 1's first position.
+  const std::vector<graph::weight> unit(8, 1);
+  EXPECT_EQ(direct_raw_cuts(unit, 2), (std::vector<std::int64_t>{4}));
+  EXPECT_EQ(ranged_splitters(unit, 2, {0, 4}), direct_raw_cuts(unit, 2));
+  // A heavier first element: S(4)·2 = 8 < 9 = 1·T, so rank 1 owns the
+  // cut and its walk crosses the threshold at its very first position.
+  const std::vector<graph::weight> heavy{1, 1, 1, 1, 4, 1};
+  EXPECT_EQ(direct_raw_cuts(heavy, 2), (std::vector<std::int64_t>{4}));
+  EXPECT_EQ(ranged_splitters(heavy, 2, {0, 4}), direct_raw_cuts(heavy, 2));
+  EXPECT_EQ(ranged_splitters(heavy, 2, {0, 4, 5}), direct_raw_cuts(heavy, 2));
+}
+
+TEST(SplitterSearch, GiantWeightAtARangeBoundaryTiesItsCuts) {
+  // One element holds most of the weight: two thresholds fall below its
+  // midpoint and tie their cuts on it, and the other three tie on the
+  // element after it. Whichever range the giant closes, opens or fills,
+  // the rank that holds it owns all five cuts — and reports the last
+  // three as its end when the element after lies in the next range.
+  const std::vector<graph::weight> w{2, 1, 3, 1000, 1, 2, 1, 1, 3};
+  const std::vector<std::int64_t> want = direct_raw_cuts(w, 6);
+  EXPECT_EQ(want, (std::vector<std::int64_t>{3, 3, 4, 4, 4}));
+  EXPECT_EQ(ranged_splitters(w, 6, {0, 4, 6}), want);  // giant ends rank 0
+  EXPECT_EQ(ranged_splitters(w, 6, {0, 3, 6}), want);  // giant starts rank 1
+  EXPECT_EQ(ranged_splitters(w, 6, {0, 3, 4}), want);  // giant alone
+}
+
+TEST(SplitterSearch, RangesThatOwnNoCutStillTakePart) {
+  // Two parts over unit weights: the one cut lies in rank 1's range, so
+  // rank 0, rank 2 and the empty rank 3 contribute nothing to the
+  // allgather. Seven parts on a curve with one heavy element: the rank
+  // holding it alone owns all six cuts, and the light ranks around it,
+  // the empty one included, own none.
+  const std::vector<graph::weight> unit(12, 1);
+  EXPECT_EQ(ranged_splitters(unit, 2, {0, 4, 8, 12}), direct_raw_cuts(unit, 2));
+  std::vector<graph::weight> w(12, 1);
+  w[6] = 500;
+  EXPECT_EQ(ranged_splitters(w, 7, {0, 3, 6, 7, 7, 10}),
+            direct_raw_cuts(w, 7));
+}
+
+TEST(SplitterSearch, RejectsKeysThatAreNotOneContiguousRange) {
+  solo_comm solo;
+  const std::vector<graph::weight> w{1, 1, 1};
+  const std::vector<std::int64_t> gap{0, 2, 3};
+  EXPECT_THROW((void)find_raw_splitters(solo, gap, w, 4, 3, 2),
+               contract_error);
+  const std::vector<std::int64_t> past{2, 3, 4};
+  EXPECT_THROW((void)find_raw_splitters(solo, past, w, 4, 3, 2),
+               contract_error);
 }
 
 // ---------------------------------------------------------------------------

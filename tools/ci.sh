@@ -159,8 +159,8 @@ build/bench/bench_partition_scaling --ne=2 --nparts=4 --repeat=1 \
 test -s "$bench_dir/BENCH_partition_scaling.json" || {
   echo "missing or empty artifact: BENCH_partition_scaling.json" >&2; exit 1; }
 grep -q '"elements_per_sec"' "$bench_dir/BENCH_partition_scaling.json"
-# The paper's many-parts regime: 107 splitters share each round's probe
-# list, parity-checked on every rank count the same way.
+# The paper's many-parts regime: each rank's walk places its share of the
+# 107 cuts, parity-checked on every rank count the same way.
 build/bench/bench_partition_scaling --ne=12 --nparts=108 --repeat=1 \
   --out="$bench_dir/BENCH_partition_scaling.json"
 rm -rf "$bench_dir"
