@@ -132,7 +132,8 @@ struct pass_options {
   /// Trees the blocking rule scans.
   std::vector<std::string> blocking_trees = {"src/runtime", "src/seam"};
   /// Individual files outside those trees the blocking rule also scans.
-  /// dist_scan.cpp lives in core but hosts the regroup protocol's waits,
+  /// dist_scan.cpp lives in core but hosts the collectives' receives, whose
+  /// bound is a world abort on rank death or the channel's recv_timeout,
   /// so every blocking call there must carry a bounded-wait justification.
   std::vector<std::string> blocking_extra_files = {"src/core/dist_scan.cpp"};
   /// Designated failure-path implementations allowed to throw in runtime.

@@ -22,16 +22,4 @@ escalation_decision decide_escalation(failure_kind kind, int thrower,
   return d;
 }
 
-escalation_decision decide_regroup(int victim, int survivors, int quorum,
-                                   int world_size, int attempt,
-                                   int max_recoveries) {
-  escalation_decision d;
-  d.victim = victim;
-  d.recover = d.victim >= 0 && d.victim < world_size &&
-              survivors >= quorum && survivors >= 1 &&
-              attempt < max_recoveries;
-  if (!d.recover) d.victim = -1;
-  return d;
-}
-
 }  // namespace sfp::core

@@ -15,7 +15,9 @@
 //   unknown           -> a logic error, not a fabric fault: never recover.
 //
 // Kept in core (below the runtime in the layering) so the policy is a pure
-// function over plain data — the seam maps exception types to failure_kind.
+// function over plain data. runtime::run_fabric_attempt maps the fabric's
+// exception types to failure_kind, and both resilient runners — the SEAM
+// runner and the distributed partitioner — climb this one ladder.
 
 namespace sfp::core {
 
@@ -41,16 +43,5 @@ struct escalation_decision {
 escalation_decision decide_escalation(failure_kind kind, int thrower,
                                       int peer, int attempt,
                                       int max_recoveries, int nranks);
-
-/// The survivor-regroup rung of the ladder (retransmit → peer-dead →
-/// regroup → abort): after a group reconfiguration dropped `victim` (a
-/// rank id of the *original* `world_size` group), decide whether the
-/// `survivors` should deterministically re-execute. Recovery is allowed
-/// while the victim is a real world rank, the survivors still hold
-/// `quorum`, and `attempt` < `max_recoveries` reconfigurations have been
-/// absorbed. Pure, like decide_escalation.
-escalation_decision decide_regroup(int victim, int survivors, int quorum,
-                                   int world_size, int attempt,
-                                   int max_recoveries);
 
 }  // namespace sfp::core

@@ -5,11 +5,18 @@
 // SEAM runners, the distributed partitioner) comes through here and speaks
 // a reliable_channel over the transport it is handed, so the wire is a
 // value, not a code path.
+//
+// The resilient runners (seam::run_distributed_resilient and
+// run_parallel_partition) run each attempt through run_fabric_attempt,
+// which turns the two fabric failures — a rank death and an unreachable
+// peer — into the plain data core::decide_escalation climbs.
 
 #include <chrono>
+#include <exception>
 #include <functional>
 #include <vector>
 
+#include "core/escalation.hpp"
 #include "runtime/fault.hpp"
 #include "runtime/socket_transport.hpp"
 #include "runtime/transport.hpp"
@@ -52,5 +59,22 @@ struct fabric_report {
 void run_fabric(int num_ranks, const fabric_options& opts,
                 const std::function<void(transport&)>& rank_main,
                 fabric_report* report = nullptr);
+
+/// How a resilient attempt ended: the escalation ladder's inputs, plus the
+/// root-cause exception to rethrow when the ladder refuses. `error` is null
+/// when every rank completed.
+struct rank_failure {
+  core::failure_kind kind = core::failure_kind::unknown;
+  int thrower = -1;  ///< rank whose exception aborted the world
+  int peer = -1;     ///< the unreachable peer (peer_unreachable only)
+  std::exception_ptr error;
+};
+
+/// run_fabric for the resilient runners: a rank_killed or
+/// peer_unreachable_error that aborts the world is returned, mapped to its
+/// failure_kind, thrower and peer; any other exception propagates.
+rank_failure run_fabric_attempt(int num_ranks, const fabric_options& opts,
+                                const std::function<void(transport&)>& rank_main,
+                                fabric_report* report = nullptr);
 
 }  // namespace sfp::runtime

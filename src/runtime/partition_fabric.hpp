@@ -5,6 +5,12 @@
 // the in-process world or the loopback-TCP socket backend — and assemble
 // the global plan.
 //
+// Recovery is a restart. The plan is a pure function of the curve, the
+// weights and the part count — not of the rank count — so when a rank dies
+// the fabric aborts the attempt and the driver reruns the partition from
+// scratch on the surviving world ranks, renumbered densely, through the
+// same core::decide_escalation ladder as the SEAM resilient runner.
+//
 // This closes the dependency inversion described in core/dist_scan.hpp:
 // core owns the algorithm and the comm interface, runtime owns the wires.
 // The payloads are int64 words carried as doubles by bit image (the same
@@ -29,10 +35,8 @@ inline constexpr int partition_tag = 17;
 
 /// core::peer_comm over a reliable_channel: ordered, exactly-once int64
 /// record delivery between virtual ranks. One instance per rank thread,
-/// wrapping that rank's own channel. Delivery failures surface as
-/// core::peer_lost — attempts > 0 (retransmit exhaustion against a silent
-/// peer) maps to a definite loss, a bare recv timeout to a tentative one —
-/// so the survivor-regroup layer can sit directly on top.
+/// wrapping that rank's own channel. Delivery failures surface as the
+/// channel's peer_unreachable_error, which ends the attempt.
 class reliable_peer_comm final : public core::peer_comm {
  public:
   reliable_peer_comm(reliable_channel& channel, int rank, int size)
@@ -42,7 +46,6 @@ class reliable_peer_comm final : public core::peer_comm {
   int size() const override { return size_; }
   void send(int dst, std::span<const std::int64_t> words) override;
   std::vector<std::int64_t> recv(int src) override;
-  void forget_peer(int peer) override;
 
  private:
   reliable_channel* channel_;
@@ -57,13 +60,11 @@ struct parallel_partition_run_options {
   fault_plan faults;
   /// Byte-stream chaos (socket backend only).
   stream_fault_plan stream_faults;
-  /// Reliable-layer tuning (retransmit budget, timeouts, epoch).
+  /// Reliable-layer tuning (retransmit budget, timeouts).
   reliable_options reliable;
-  /// Survivor-regroup tuning: quorum and the silence patience budget.
-  core::regroup_options regroup;
-  /// Group reconfigurations a run absorbs before the escalation ladder
-  /// gives up (decide_regroup); each one restarts the partition from
-  /// scratch over the shrunken group.
+  /// Restarts a run absorbs before the escalation ladder gives up
+  /// (core::decide_escalation); each one reruns the partition from
+  /// scratch on the surviving ranks.
   int max_recoveries = 3;
 };
 
@@ -74,29 +75,27 @@ struct parallel_partition_report {
   partition::partition plan;
   /// First curve position of every part p >= 1 (size nparts−1).
   std::vector<std::int64_t> boundaries;
-  /// Per-rank accounting, indexed by rank. Under recovery a rank's stats
-  /// accumulate across its re-execution attempts.
+  /// Per-rank accounting, indexed by world rank. Under recovery a rank's
+  /// stats accumulate across its attempts.
   std::vector<core::parallel_partition_stats> rank_stats;
-  /// Fabric robustness totals (zero for the solo num_ranks == 1 path).
+  /// Fabric robustness totals over every attempt (zero on the solo path).
   rank_counters counters;
+  /// Fabric counters per world rank, summed over every attempt.
+  std::vector<rank_counters> per_rank_counters;
   /// Reliable-layer totals, summed over ranks.
   reliable_stats reliable;
   /// Socket-layer totals (socket backend only).
   socket_stats socket;
-  /// True when no surviving group could finish: the survivors fell below
-  /// regroup quorum, or recovery exceeded max_recoveries. The plan and
-  /// boundaries are not populated in that case.
+  /// True when the escalation ladder refused another restart (recovery
+  /// budget spent) or no rank survived. The plan and boundaries are not
+  /// populated in that case, and every world rank is listed as lost.
   bool aborted = false;
-  /// Group reconfigurations absorbed by the group that produced the plan
-  /// (0 = the fault-free fast path).
+  /// Restarts before the attempt that produced the plan (0 = fault-free).
   int recoveries = 0;
-  /// Group epoch of the plan actually assembled (0 = original full group).
-  std::uint64_t group_epoch = 0;
-  /// World ranks that are not part of the group that produced the plan —
-  /// killed, evicted, or quorum-aborted. Empty on the fault-free path.
+  /// World ranks outside the attempt that produced the plan, ascending:
+  /// every rank whose kill fired, and every escalation victim. Empty on
+  /// the fault-free path.
   std::vector<int> lost_ranks;
-  /// Survivor-regroup accounting, summed over ranks.
-  core::regroup_stats regroup;
 };
 
 /// Run the distributed partitioner on `num_ranks` virtual ranks over the
@@ -104,7 +103,12 @@ struct parallel_partition_report {
 /// per-element weight vector (empty = unit weights); each rank only ever
 /// reads the weights of the elements in its own curve range, mirroring the
 /// O(K/P) memory claim.
-/// num_ranks == 1 short-circuits to core::solo_comm with no fabric at all.
+/// num_ranks == 1 short-circuits to core::solo_comm with no fabric at all,
+/// and so does an attempt with one surviving rank.
+///
+/// Fault plan across attempts: message and stream faults apply to attempt
+/// 0 only. A kill that has not fired stays armed on its world rank, and its
+/// `at_op` counts that rank's ops within each attempt.
 parallel_partition_report run_parallel_partition(
     const mesh::cubed_sphere& mesh, const core::cube_curve_spec& spec,
     int nparts, std::span<const graph::weight> weights, int num_ranks,

@@ -403,34 +403,6 @@ std::vector<double> reliable_channel::recv(int src, int tag) {
   }
 }
 
-void reliable_channel::forget_peer(int peer) {
-  for (auto it = unacked_.begin(); it != unacked_.end();) {
-    if (std::get<0>(it->first) == peer) {
-      ++stats_.shutdown_discarded;
-      it = unacked_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  const auto purge_streams = [peer](auto& by_stream) {
-    for (auto it = by_stream.begin(); it != by_stream.end();) {
-      if (it->first.first == peer)
-        it = by_stream.erase(it);
-      else
-        ++it;
-    }
-  };
-  purge_streams(next_seq_);
-  purge_streams(expected_);
-  purge_streams(reorder_);
-  purge_streams(ready_);
-}
-
-void reliable_channel::abandon() {
-  stats_.shutdown_discarded += static_cast<std::int64_t>(unacked_.size());
-  unacked_.clear();
-}
-
 void reliable_channel::flush() {
   SFP_TRACE_SCOPE_CAT("reliable.flush", "runtime");
   // Pump until every send is acked; service_retransmits inside pump()

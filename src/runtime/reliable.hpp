@@ -18,9 +18,10 @@
 //     acknowledge every accepted or re-seen message;
 //   * senders keep unacknowledged wire images and retransmit them with
 //     capped exponential backoff; a message that exhausts max_retransmits
-//     raises peer_unreachable_error, which the seam's resilient runner
-//     escalates to the existing plan_recovery path (the rung between
-//     "retransmit" and "re-slice" on the escalation ladder).
+//     raises peer_unreachable_error, which both resilient runners (SEAM
+//     and the distributed partitioner) escalate through
+//     core::decide_escalation (the rung between "retransmit" and
+//     "re-slice" on the escalation ladder).
 //
 // All traffic — data and acks — rides the transport's untagged (src, dst)
 // datagrams, so a single try_recv_any pump drains it; the logical tag lives
@@ -68,10 +69,8 @@ class peer_unreachable_error : public std::runtime_error {
   peer_unreachable_error(int self, int peer, int attempts);
   int rank() const { return rank_; }
   int peer() const { return peer_; }
-  /// Retransmit attempts behind the failure: > 0 means delivery-level
-  /// proof (a full retransmit budget burned against silence), 0 means a
-  /// bare recv timeout — a much weaker death signal, which the regroup
-  /// layer weighs against a patience budget instead of trusting outright.
+  /// Retransmit attempts behind the failure: > 0 means a full retransmit
+  /// budget burned against silence, 0 a bare recv timeout.
   int attempts() const { return attempts_; }
 
  private:
@@ -195,19 +194,6 @@ class reliable_channel {
   /// Pumping dissemination barrier over the channel itself: returns when
   /// every rank has entered (and therefore passed its flush()).
   void fence();
-
-  /// Drop every piece of per-peer delivery state: unacknowledged sends
-  /// addressed to `peer` (counted as shutdown_discarded) plus its receive
-  /// cursors, reorder parkings and undelivered ready messages. Called by
-  /// the survivor-regroup layer once `peer` is presumed dead, so the
-  /// corpse's traffic stops tripping retransmit exhaustion mid-recovery.
-  void forget_peer(int peer);
-
-  /// Give up on every outstanding send (counted as shutdown_discarded) so
-  /// the destructor skips its linger pump entirely. Called by a rank that
-  /// has been killed by fault injection: a corpse must fall silent, not
-  /// keep acking and retransmitting through teardown.
-  void abandon();
 
   const reliable_stats& stats() const { return stats_; }
 

@@ -361,20 +361,6 @@ chaos_trial chaos_harness::run(const chaos_schedule& schedule) const {
 // ---------------------------------------------------------------------------
 // Partition chaos.
 
-runtime::reliable_options partition_chaos_reliable_defaults() {
-  runtime::reliable_options r = chaos_reliable_defaults();
-  // A kill is detected either definitely (retransmit exhaustion against a
-  // silent peer) or tentatively (recv timeouts counted against the regroup
-  // patience budget), and both paths wait out *real* silence — so the
-  // detection budgets are tightened here to keep a 50-schedule soak inside
-  // CI wall-clock. The retransmit timeout itself stays at the chaos
-  // default: shrinking it invites jitter-induced retransmits that would
-  // shift which message a pinned fault's `nth` lands on between runs.
-  r.max_retransmits = 12;  // definite loss after ~200ms of peer silence
-  r.recv_timeout = std::chrono::milliseconds(100);
-  return r;
-}
-
 partition_chaos_harness::partition_chaos_harness(
     const partition_chaos_options& opts)
     : opts_(opts),
@@ -399,7 +385,6 @@ chaos_trial partition_chaos_harness::run(
   if (opts_.backend == runtime::transport_backend::socket)
     opts.stream_faults = to_stream_plan(schedule);
   opts.reliable = opts_.reliable;
-  opts.regroup = opts_.regroup;
   opts.max_recoveries = opts_.max_recoveries;
 
   runtime::parallel_partition_report report;
@@ -412,12 +397,10 @@ chaos_trial partition_chaos_harness::run(
   }
   t.aborted = report.aborted;
   t.recoveries = report.recoveries;
-  t.group_epoch = report.group_epoch;
   t.lost_ranks = report.lost_ranks;
   t.counters = report.counters;
   t.reliable = report.reliable;
   t.socket = report.socket;
-  t.regroup = report.regroup;
 
   // The most ranks this schedule could take down: kills of out-of-range
   // ranks never fire, repeated kills of one rank never stack.
@@ -429,14 +412,13 @@ chaos_trial partition_chaos_harness::run(
                  killable.end());
   const int max_deaths = static_cast<int>(killable.size());
   const bool can_starve =
-      opts_.nranks - max_deaths < opts_.regroup.min_members ||
-      max_deaths > opts_.max_recoveries;
+      max_deaths > opts_.max_recoveries || max_deaths >= opts_.nranks;
 
   if (report.aborted) {
     if (can_starve) {
-      t.passed = true;  // clean give-up is the contract below quorum
+      t.passed = true;  // a clean give-up when the ladder can run dry
     } else {
-      t.failure = "aborted though the schedule leaves a quorum alive";
+      t.failure = "aborted though the schedule cannot exhaust the ladder";
     }
     return t;
   }
@@ -472,17 +454,23 @@ chaos_trial partition_chaos_harness::run(
       return t;
     }
   }
-  // If kills actually fired, the run must have gone through the regroup
-  // ladder — unless nobody was lost at all, which is the late-kill case: a
-  // corpse that died *after* depositing its block (e.g. during the final
-  // barrier) still contributed a valid deposit and no re-execution was
-  // needed.
-  if (t.counters.injected_kills > 0 && t.recoveries == 0 &&
-      !t.lost_ranks.empty()) {
+  // Every fired kill costs a restart, and exactly the ranks whose kill
+  // fired are lost.
+  std::vector<int> fired;
+  for (std::size_t r = 0; r < report.per_rank_counters.size(); ++r)
+    if (report.per_rank_counters[r].injected_kills > 0)
+      fired.push_back(static_cast<int>(r));
+  if (!fired.empty() && t.recoveries == 0) {
     std::ostringstream os;
-    os << "kills fired (" << t.counters.injected_kills << ") and "
-       << t.lost_ranks.size()
-       << " rank(s) were lost, yet the plan records no recovery";
+    os << "kills fired (" << t.counters.injected_kills
+       << ") yet the plan records no recovery";
+    t.failure = os.str();
+    return t;
+  }
+  if (t.lost_ranks != fired) {
+    std::ostringstream os;
+    os << "lost " << t.lost_ranks.size() << " rank(s) but "
+       << fired.size() << " kill(s) fired on distinct ranks";
     t.failure = os.str();
     return t;
   }
@@ -556,8 +544,6 @@ io::json_value soak_failure_to_json(const soak_failure& f) {
   doc.object["max_abs_diff"] = io::json_number(f.trial.max_abs_diff);
   doc.object["aborted"] = io::json_bool(f.trial.aborted);
   doc.object["recoveries"] = io::json_number(f.trial.recoveries);
-  doc.object["group_epoch"] =
-      io::json_number(static_cast<double>(f.trial.group_epoch));
   io::json_value lost = io::json_array();
   for (const int r : f.trial.lost_ranks)
     lost.array.push_back(io::json_number(r));
@@ -584,7 +570,6 @@ soak_report run_chaos_soak(const chaos_target& harness,
     const chaos_trial trial = harness.run(schedule);
     report.reliable += trial.reliable;
     report.socket += trial.socket;
-    report.regroup += trial.regroup;
     if (trial.recoveries > 0) ++report.recovered_trials;
     if (trial.aborted) ++report.aborted_trials;
     if (trial.passed) continue;

@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "core/cube_curve.hpp"
-#include "core/dist_scan.hpp"
 #include "io/json.hpp"
 #include "mesh/cubed_sphere.hpp"
 #include "partition/partition.hpp"
@@ -131,9 +130,8 @@ struct chaos_trial {
   std::string failure;       ///< empty when passed; mismatch or exception
   int attempts = 0;          ///< resilient-runner attempts (1 = healed)
   double max_abs_diff = 0;   ///< vs the fault-free advection baseline
-  bool aborted = false;      ///< partition run gave up (sub-quorum or budget)
-  int recoveries = 0;        ///< group reconfigurations absorbed
-  std::uint64_t group_epoch = 0;
+  bool aborted = false;      ///< partition run gave up (budget or no survivor)
+  int recoveries = 0;        ///< partition restarts on the survivors
   std::vector<int> lost_ranks;
   /// Fabric totals for the trial: the cross-backend soak asserts the
   /// schedule-determined subset (injected_* counters) matches per schedule
@@ -141,7 +139,6 @@ struct chaos_trial {
   runtime::rank_counters counters;
   runtime::reliable_stats reliable;
   runtime::socket_stats socket;  ///< all zero on the in-process backend
-  core::regroup_stats regroup;
 };
 
 /// The contract the shrinker, the soak and `sfcpart chaos` rely on: a
@@ -198,33 +195,26 @@ class chaos_harness final : public chaos_target {
   std::vector<double> baseline_;
 };
 
-/// Reliable-channel tuning for partition kill trials: like
-/// chaos_reliable_defaults() but with the peer-death detection budget
-/// (retransmit exhaustion + recv timeout) tightened so a 50-schedule soak
-/// that waits out real silence stays in CI wall-clock budget.
-runtime::reliable_options partition_chaos_reliable_defaults();
-
 /// Problem + transport configuration for the partition harness.
 struct partition_chaos_options {
   int ne = 3;       ///< cubed-sphere elements per edge (K = 6 ne^2)
   int nparts = 5;   ///< parts in the plan (decoupled from nranks on purpose)
   int nranks = 4;   ///< virtual ranks
   runtime::transport_backend backend = runtime::transport_backend::inproc;
-  runtime::reliable_options reliable = partition_chaos_reliable_defaults();
-  core::regroup_options regroup;             ///< quorum + patience budget
+  runtime::reliable_options reliable = chaos_reliable_defaults();
   int max_recoveries = 3;
 };
 
 /// Partition harness: the same schedules pointed at the distributed SFC
 /// partitioner (runtime::run_parallel_partition). Message faults must heal
-/// in place; rank kills exercise the survivor-regroup ladder. Pass/fail:
+/// in place; rank kills exercise the restart ladder. Pass/fail:
 ///   completed -> plan and boundaries must match the serial slicer
-///                element for element; if kills fired, the run must either
-///                record a recovery or have lost nobody (a corpse that
-///                died after depositing its block still counts as healed).
+///                element for element; a fired kill implies at least one
+///                recovery, and lost_ranks is exactly the set of ranks
+///                whose kill fired.
 ///   aborted   -> acceptable only when the schedule could actually have
-///                starved the group: enough distinct killable ranks to
-///                break quorum or to exhaust max_recoveries.
+///                starved the run: more distinct killable ranks than
+///                max_recoveries, or every rank killable.
 class partition_chaos_harness final : public chaos_target {
  public:
   explicit partition_chaos_harness(const partition_chaos_options& opts = {});
@@ -262,12 +252,11 @@ io::json_value soak_failure_to_json(const soak_failure& f);
 
 struct soak_report {
   int trials = 0;
-  int recovered_trials = 0;  ///< trials that absorbed >= 1 reconfiguration
+  int recovered_trials = 0;  ///< trials that absorbed >= 1 restart
   int aborted_trials = 0;    ///< trials that (acceptably) gave up
   std::vector<soak_failure> failures;
   runtime::reliable_stats reliable;  ///< totals over every trial
   runtime::socket_stats socket;  ///< totals; zero on the in-process backend
-  core::regroup_stats regroup;       ///< totals over every trial
 };
 
 /// Run `trials` schedules seeded base_seed, base_seed+1, ..., each with

@@ -226,12 +226,6 @@ std::vector<double> run_distributed_resilient(
     field_list snap(2, state.front());
     std::mutex progress_mutex;
     std::vector<int> progress(static_cast<std::size_t>(nranks), 0);
-
-    // How this attempt died, for the escalation policy. Only the
-    // root-cause exception reaches the catch blocks below.
-    core::failure_kind kind = core::failure_kind::unknown;
-    int thrower = -1, unreachable_peer = -1;
-    std::exception_ptr failure;
     std::mutex reliable_mutex;
 
     runtime::fabric_options fopts;
@@ -244,54 +238,43 @@ std::vector<double> run_distributed_resilient(
     reliable_opts.epoch = static_cast<std::uint64_t>(attempt);
     const std::vector<std::span<const double>> init{state.front()};
     runtime::fabric_report frep;
-    // Identical fabric-failure handling on every backend: exactly these
-    // two exception types feed the escalation ladder. Anything else
+    // Identical fabric-failure handling on every backend: a rank death or
+    // an unreachable peer feeds the escalation ladder. Anything else
     // (model assertions, contract violations) propagates.
-    try {
-      runtime::run_fabric(
-          nranks, fopts,
-          [&](runtime::transport& t) {
-            const int rank = t.rank();
-            const rank_exchange_plan& rp =
-                plan.ranks[static_cast<std::size_t>(rank)];
-            runtime::reliable_channel channel(t, reliable_opts);
-            halo_exchanger halo(rp, rank, channel);
-            const auto checkpoint_step = [&](int step, const field_list& q) {
-              auto& checkpoint =
-                  snap[static_cast<std::size_t>((step - done) & 1)];
-              for (const std::size_t n : rp.owned_nodes)
-                checkpoint[n] = q[0][n];
-              // Seal the checkpoint: once the fence returns, every rank has
-              // written its slice of this step.
-              channel.fence();
-              std::lock_guard<std::mutex> lock(progress_mutex);
-              progress[static_cast<std::size_t>(rank)] = step - done + 1;
-            };
-            rank_body<1>(rp, halo, init, done, nsteps,
-                         advection_step(model, dt), checkpoint_step, state,
-                         collector);
-            std::lock_guard<std::mutex> lock(reliable_mutex);
-            rep.reliable += channel.stats();
-          },
-          &frep);
-    } catch (const runtime::rank_killed& e) {
-      kind = core::failure_kind::rank_killed;
-      thrower = e.rank();
-      failure = std::current_exception();
-    } catch (const runtime::peer_unreachable_error& e) {
-      kind = core::failure_kind::peer_unreachable;
-      thrower = e.rank();
-      unreachable_peer = e.peer();
-      failure = std::current_exception();
-    }
+    const runtime::rank_failure failure = runtime::run_fabric_attempt(
+        nranks, fopts,
+        [&](runtime::transport& t) {
+          const int rank = t.rank();
+          const rank_exchange_plan& rp =
+              plan.ranks[static_cast<std::size_t>(rank)];
+          runtime::reliable_channel channel(t, reliable_opts);
+          halo_exchanger halo(rp, rank, channel);
+          const auto checkpoint_step = [&](int step, const field_list& q) {
+            auto& checkpoint =
+                snap[static_cast<std::size_t>((step - done) & 1)];
+            for (const std::size_t n : rp.owned_nodes)
+              checkpoint[n] = q[0][n];
+            // Seal the checkpoint: once the fence returns, every rank has
+            // written its slice of this step.
+            channel.fence();
+            std::lock_guard<std::mutex> lock(progress_mutex);
+            progress[static_cast<std::size_t>(rank)] = step - done + 1;
+          };
+          rank_body<1>(rp, halo, init, done, nsteps,
+                       advection_step(model, dt), checkpoint_step, state,
+                       collector);
+          std::lock_guard<std::mutex> lock(reliable_mutex);
+          rep.reliable += channel.stats();
+        },
+        &frep);
     rep.counters += frep.counters;
     rep.socket += frep.socket;
 
-    if (failure) {
+    if (failure.error) {
       const core::escalation_decision decision = core::decide_escalation(
-          kind, thrower, unreachable_peer, attempt, ropts.max_recoveries,
-          nranks);
-      if (!decision.recover) std::rethrow_exception(failure);
+          failure.kind, failure.thrower, failure.peer, attempt,
+          ropts.max_recoveries, nranks);
+      if (!decision.recover) std::rethrow_exception(failure.error);
 
       // Roll back to the newest checkpoint every rank sealed, then re-slice
       // the curve over the survivors and go again.

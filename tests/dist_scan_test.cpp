@@ -10,7 +10,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <chrono>
 #include <cstdint>
 #include <numeric>
 #include <span>
@@ -395,202 +394,6 @@ TEST(SplitterSearch, RejectsKeysThatAreNotOneContiguousRange) {
   const std::vector<std::int64_t> past{2, 3, 4};
   EXPECT_THROW((void)find_raw_splitters(solo, past, w, 4, 3, 2),
                contract_error);
-}
-
-// ---------------------------------------------------------------------------
-// Survivor regroup over injected rank kills: the regroup_comm wrapper must
-// shrink the group around the corpses and let the survivors re-execute the
-// collective deterministically — or, below quorum, abort cleanly instead of
-// hanging. Every test here doubles as a hang check: the channel's receive
-// timeout bounds any stuck rank, so mere completion is part of the contract.
-
-/// Per-rank outcome of one faulted regroup run.
-struct regroup_run {
-  bool completed = false;  ///< body finished under some surviving group
-  bool aborted = false;    ///< quorum_lost (evicted or below min_members)
-  bool dead = false;       ///< the injected kill fired on this rank
-  std::uint64_t epoch = 0;
-  std::vector<int> members;
-  std::vector<std::int64_t> value;  ///< whatever the body computed
-};
-
-/// Reliable tuning matched to kill tests: fast retransmit exhaustion makes
-/// corpse detection definite within ~a quarter second, and the short base
-/// recv timeout keeps the silence-patience budget in wall-clock bounds.
-runtime::reliable_options kill_test_reliable() {
-  runtime::reliable_options r;
-  r.retransmit_timeout = std::chrono::microseconds(5000);
-  r.max_backoff = std::chrono::microseconds(20000);
-  r.max_retransmits = 12;
-  r.recv_timeout = std::chrono::milliseconds(100);
-  return r;
-}
-
-/// Run `body(group)` per rank with kills injected, re-executing from
-/// scratch on every group reconfiguration — the same retry discipline the
-/// partition fabric uses, minus the escalation ladder.
-template <typename Body>
-std::vector<regroup_run> run_regroup_group(int nranks,
-                                           runtime::fault_plan faults,
-                                           core::regroup_options ropts,
-                                           Body&& body) {
-  std::vector<regroup_run> out(static_cast<std::size_t>(nranks));
-  runtime::fabric_options fopts;
-  fopts.faults = std::move(faults);
-  runtime::world w(nranks, fopts);
-  w.run([&](runtime::transport& t) {
-    regroup_run& r = out[static_cast<std::size_t>(t.rank())];
-    runtime::reliable_channel channel(t, kill_test_reliable());
-    try {
-      runtime::reliable_peer_comm peers(channel, t.rank(), t.size());
-      core::regroup_comm group(peers, ropts);
-      for (int attempt = 0; attempt < nranks; ++attempt) {
-        try {
-          r.value = body(group);
-          group.barrier();
-          r.completed = true;
-          break;
-        } catch (const core::group_reconfigured&) {
-          continue;  // re-execute over the shrunken group
-        }
-      }
-      r.epoch = group.view().epoch;
-      r.members = group.view().members;
-      // Tail flush: releases to ranks that already left may never be
-      // acked; scrub those instead of escalating — deposits made, we are
-      // only leaving.
-      for (;;) {
-        try {
-          channel.flush();
-          break;
-        } catch (const runtime::peer_unreachable_error& e) {
-          channel.forget_peer(e.peer());
-        }
-      }
-    } catch (const core::quorum_lost&) {
-      r.aborted = true;
-      channel.abandon();
-    } catch (const runtime::rank_killed&) {
-      r.dead = true;
-      channel.abandon();
-    }
-  });
-  return out;
-}
-
-core::regroup_options quorum(int min_members) {
-  core::regroup_options r;
-  r.min_members = min_members;
-  return r;
-}
-
-runtime::fault_plan kills(
-    std::initializer_list<runtime::fault_plan::kill_spec> specs) {
-  runtime::fault_plan plan;
-  plan.kills.assign(specs.begin(), specs.end());
-  return plan;
-}
-
-TEST(Regroup, RankZeroDeathElectsLowestSurvivorAsRoot) {
-  // Rank 0 dies on its first send — mid-collective, while every leaf is
-  // waiting on the root. Succession must hand the root role to rank 1
-  // (lowest survivor) and the re-executed allreduce must cover exactly the
-  // survivors' contributions.
-  const auto runs =
-      run_regroup_group(4, kills({{0, 1}}), quorum(2), [](core::regroup_comm& g) {
-        const int world = g.view().members[static_cast<std::size_t>(g.rank())];
-        return std::vector<std::int64_t>{
-            allreduce_sum(g, static_cast<std::int64_t>(world + 1))};
-      });
-  EXPECT_TRUE(runs[0].dead);
-  for (int r = 1; r < 4; ++r) {
-    ASSERT_TRUE(runs[r].completed) << "rank " << r;
-    EXPECT_EQ(runs[r].epoch, 1u) << "rank " << r;
-    EXPECT_EQ(runs[r].members, (std::vector<int>{1, 2, 3})) << "rank " << r;
-    // Sum over survivors {1,2,3}: 2 + 3 + 4.
-    EXPECT_EQ(runs[r].value, (std::vector<std::int64_t>{9})) << "rank " << r;
-  }
-}
-
-TEST(Regroup, TwoDeathsInOneRunStillReachQuorum) {
-  // Two corpses, one run: ranks 0 and 2 die at different ops. Whether the
-  // agreement settles in one round or two, the surviving pair {1, 3} is
-  // exactly at quorum and must finish with a consistent result.
-  const auto runs = run_regroup_group(
-      4, kills({{0, 1}, {2, 2}}), quorum(2), [](core::regroup_comm& g) {
-        const int world = g.view().members[static_cast<std::size_t>(g.rank())];
-        return std::vector<std::int64_t>{
-            allreduce_sum(g, static_cast<std::int64_t>(world + 1))};
-      });
-  EXPECT_TRUE(runs[0].dead);
-  EXPECT_TRUE(runs[2].dead);
-  for (const int r : {1, 3}) {
-    ASSERT_TRUE(runs[r].completed) << "rank " << r;
-    EXPECT_GE(runs[r].epoch, 1u) << "rank " << r;
-    EXPECT_EQ(runs[r].members, (std::vector<int>{1, 3})) << "rank " << r;
-    EXPECT_EQ(runs[r].value, (std::vector<std::int64_t>{6})) << "rank " << r;
-  }
-}
-
-TEST(Regroup, DeathBelowQuorumAbortsCleanlyWithoutHanging) {
-  // min_members = 3, two deaths leave {1, 3}: every survivor must unwind
-  // via quorum_lost — promptly, not by timing out the world — and no rank
-  // may complete under an undersized group.
-  const auto runs = run_regroup_group(
-      4, kills({{0, 1}, {2, 2}}), quorum(3), [](core::regroup_comm& g) {
-        const int world = g.view().members[static_cast<std::size_t>(g.rank())];
-        return std::vector<std::int64_t>{
-            allreduce_sum(g, static_cast<std::int64_t>(world + 1))};
-      });
-  EXPECT_TRUE(runs[0].dead);
-  EXPECT_TRUE(runs[2].dead);
-  for (const int r : {1, 3}) {
-    EXPECT_TRUE(runs[r].aborted) << "rank " << r;
-    EXPECT_FALSE(runs[r].completed) << "rank " << r;
-  }
-}
-
-TEST(Regroup, KillDuringExscanRecoversWithConsistentOffsets) {
-  // Rank 2 dies on its first send — its exscan contribution (or its ack),
-  // so the fan-in at the root is what detects the corpse. Survivors
-  // re-execute: offsets must be the exclusive prefix over dense order of
-  // the surviving members only.
-  const auto runs = run_regroup_group(
-      4, kills({{2, 1}}), quorum(2), [](core::regroup_comm& g) {
-        const int world = g.view().members[static_cast<std::size_t>(g.rank())];
-        return std::vector<std::int64_t>{
-            exscan_sum(g, static_cast<std::int64_t>(world + 1))};
-      });
-  EXPECT_TRUE(runs[2].dead);
-  // Survivors {0, 1, 3} contribute {1, 2, 4}; exclusive prefix: 0, 1, 3.
-  const std::int64_t want[4] = {0, 1, -1, 3};
-  for (const int r : {0, 1, 3}) {
-    ASSERT_TRUE(runs[r].completed) << "rank " << r;
-    EXPECT_EQ(runs[r].members, (std::vector<int>{0, 1, 3})) << "rank " << r;
-    EXPECT_EQ(runs[r].value, (std::vector<std::int64_t>{want[r]}))
-        << "rank " << r;
-  }
-}
-
-TEST(Regroup, KillDuringAllgatherRecoversWithSurvivorConcat) {
-  // The body runs a fault-free exscan first, then the allgather; rank 2's
-  // kill is pinned past its exscan traffic so death lands in the gather
-  // phase. The re-executed run must concatenate exactly the survivors'
-  // words in dense rank order.
-  const auto runs = run_regroup_group(
-      4, kills({{2, 4}}), quorum(2), [](core::regroup_comm& g) {
-        const int world = g.view().members[static_cast<std::size_t>(g.rank())];
-        (void)exscan_sum(g, static_cast<std::int64_t>(world + 1));
-        const std::int64_t mine[1] = {10 * (world + 1)};
-        return allgather_concat(g, mine);
-      });
-  EXPECT_TRUE(runs[2].dead);
-  for (const int r : {0, 1, 3}) {
-    ASSERT_TRUE(runs[r].completed) << "rank " << r;
-    EXPECT_EQ(runs[r].epoch, 1u) << "rank " << r;
-    EXPECT_EQ(runs[r].value, (std::vector<std::int64_t>{10, 20, 40}))
-        << "rank " << r;
-  }
 }
 
 }  // namespace

@@ -9,11 +9,11 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <chrono>
 #include <cstdint>
-#include <numeric>
+#include <initializer_list>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/cube_curve.hpp"
@@ -21,7 +21,9 @@
 #include "core/sfc_partition.hpp"
 #include "core/validate.hpp"
 #include "mesh/cubed_sphere.hpp"
+#include "obs/metrics.hpp"
 #include "runtime/partition_fabric.hpp"
+#include "seam/chaos.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -223,22 +225,29 @@ INSTANTIATE_TEST_SUITE_P(Backends, ParallelPartitionOverBackend,
                          });
 
 // ---------------------------------------------------------------------------
-// Rank kills: fail-stop deaths mid-run. A quorum-surviving run must regroup
-// and still produce the serial plan bit-identically; a sub-quorum run must
-// abort cleanly instead of hanging (the channel's receive timeout bounds
-// any stuck rank, so completion of these tests is itself the hang check).
+// Rank kills: fail-stop deaths mid-run. A death aborts the attempt, and the
+// partition restarts from scratch on the surviving world ranks, so every
+// completed run must still produce the serial plan bit-identically and
+// lose exactly the ranks whose kill fired. A run the escalation ladder
+// gives up on must abort cleanly instead of hanging (the fabric abort ends
+// every wait, so completion of these tests is itself the hang check).
 
-parallel_partition_run_options kill_run_options(transport_backend backend) {
+parallel_partition_run_options kill_run_options(transport_backend backend,
+                                                runtime::fault_plan faults) {
   parallel_partition_run_options opts;
   opts.backend = backend;
-  // Fast retransmit exhaustion makes corpse detection definite within a
-  // fraction of a second; the short base recv timeout keeps the regroup
-  // silence budgets (counted in recv rounds) in wall-clock bounds.
-  opts.reliable.retransmit_timeout = std::chrono::microseconds(5000);
-  opts.reliable.max_backoff = std::chrono::microseconds(20000);
-  opts.reliable.max_retransmits = 12;
-  opts.reliable.recv_timeout = std::chrono::milliseconds(100);
+  // A retransmit timeout well above scheduler noise keeps spurious
+  // retransmits — extra ops that shift where a kill lands — rare.
+  opts.reliable = seam::chaos_reliable_defaults();
+  opts.faults = std::move(faults);
   return opts;
+}
+
+runtime::fault_plan kills(
+    std::initializer_list<runtime::fault_plan::kill_spec> specs) {
+  runtime::fault_plan plan;
+  plan.kills.assign(specs.begin(), specs.end());
+  return plan;
 }
 
 TEST_P(ParallelPartitionOverBackend, SurvivesRankZeroKillAndMatchesSerial) {
@@ -248,61 +257,195 @@ TEST_P(ParallelPartitionOverBackend, SurvivesRankZeroKillAndMatchesSerial) {
   const std::vector<graph::weight> weights = heavy_tail_weights(54, 11);
   const partition::partition serial = core::sfc_partition(curve, 5, weights);
 
-  parallel_partition_run_options opts = kill_run_options(GetParam());
-  opts.faults.kills.push_back({0, 2});  // root dies mid-collective
-
-  const parallel_partition_report report =
-      run_parallel_partition(mesh, spec, 5, weights, 4, opts);
+  // The root dies mid-collective; rank 1 is the root of the restart.
+  const parallel_partition_report report = run_parallel_partition(
+      mesh, spec, 5, weights, 4, kill_run_options(GetParam(), kills({{0, 2}})));
   ASSERT_FALSE(report.aborted);
   EXPECT_EQ(report.counters.injected_kills, 1);
-  EXPECT_GE(report.recoveries, 1);
-  EXPECT_GE(report.group_epoch, 1u);
-  EXPECT_TRUE(std::find(report.lost_ranks.begin(), report.lost_ranks.end(),
-                        0) != report.lost_ranks.end());
+  EXPECT_EQ(report.recoveries, 1);
+  EXPECT_EQ(report.lost_ranks, (std::vector<int>{0}));
   expect_matches_serial(report, serial, curve, weights,
                         std::string(to_string(GetParam())) +
-                            " rank-0 kill succession");
-}
-
-TEST(ParallelPartitionKills, TwoDeathsAtExactQuorumStillMatchSerial) {
-  // Regression schedule: ranks 0 and 2 die at staggered ops, leaving
-  // {1, 3} — exactly min_members. The late-detecting survivor used to be
-  // falsely evicted when the coordinator's collect window expired before
-  // the survivor's (longer) root-silence budget; the plan must instead
-  // match the serial slicer over the two-rank group.
-  const mesh::cubed_sphere mesh(3);
-  const core::cube_curve curve = core::build_cube_curve(mesh);
-  const core::cube_curve_spec spec = core::spec_of(curve);
-  const partition::partition serial = core::sfc_partition(curve, 5);
-
-  parallel_partition_run_options opts =
-      kill_run_options(transport_backend::inproc);
-  opts.faults.kills.push_back({0, 6});
-  opts.faults.kills.push_back({2, 3});
-
-  const parallel_partition_report report =
-      run_parallel_partition(mesh, spec, 5, {}, 4, opts);
-  ASSERT_FALSE(report.aborted);
-  EXPECT_EQ(report.counters.injected_kills, 2);
-  EXPECT_GE(report.recoveries, 1);
-  EXPECT_EQ(report.lost_ranks.size(), 2u);
-  expect_matches_serial(report, serial, curve, {},
-                        "two kills at exact quorum");
+                            " rank-0 kill restart");
 }
 
 TEST_P(ParallelPartitionOverBackend, SubQuorumKillsAbortCleanlyWithoutHang) {
   const mesh::cubed_sphere mesh(3);
   const core::cube_curve_spec spec = core::build_cube_curve_spec(mesh);
 
-  parallel_partition_run_options opts = kill_run_options(GetParam());
-  opts.faults.kills.push_back({0, 1});
-  opts.faults.kills.push_back({1, 2});  // 1 survivor < min_members = 2
-
-  const parallel_partition_report report =
+  // No restart budget: the first death ends the run.
+  parallel_partition_run_options opts =
+      kill_run_options(GetParam(), kills({{1, 1}}));
+  opts.max_recoveries = 0;
+  parallel_partition_report report =
       run_parallel_partition(mesh, spec, 5, {}, 3, opts);
   EXPECT_TRUE(report.aborted);
+  EXPECT_EQ(report.recoveries, 0);
+  EXPECT_EQ(report.counters.injected_kills, 1);
+  EXPECT_EQ(report.lost_ranks, (std::vector<int>{0, 1, 2}));
+  EXPECT_TRUE(report.plan.part_of.empty());
+
+  // A budget of one restart, and a second death in the restart: the root
+  // dies on its first ack, before any broadcast, so rank 1 reaches its
+  // second op only as the root of attempt 1 — unless a retransmit of its
+  // first frame counts as that op, which a retransmit timeout far above
+  // any scheduler stall rules out (the wire drops nothing here).
+  opts = kill_run_options(GetParam(), kills({{0, 1}, {1, 2}}));
+  opts.reliable.retransmit_timeout = std::chrono::seconds(10);
+  opts.reliable.max_backoff = std::chrono::seconds(10);
+  opts.max_recoveries = 1;
+  report = run_parallel_partition(mesh, spec, 5, {}, 3, opts);
+  EXPECT_TRUE(report.aborted);
+  EXPECT_EQ(report.recoveries, 1);
   EXPECT_EQ(report.counters.injected_kills, 2);
-  EXPECT_EQ(report.lost_ranks.size(), 3u);  // two corpses + the aborter
+  EXPECT_EQ(report.lost_ranks, (std::vector<int>{0, 1, 2}));
+}
+
+TEST_P(ParallelPartitionOverBackend, TwoOfThreeRanksKilledRecoverAlone) {
+  // Two staggered deaths — the root at its first ack, then rank 1 as the
+  // root of the restart, or already in attempt 0 when a retransmit is its
+  // second op — leave rank 2, which finishes the partition alone on the
+  // solo path.
+  const mesh::cubed_sphere mesh(3);
+  const core::cube_curve curve = core::build_cube_curve(mesh);
+  const core::cube_curve_spec spec = core::spec_of(curve);
+  const partition::partition serial = core::sfc_partition(curve, 5);
+
+  const parallel_partition_report report =
+      run_parallel_partition(mesh, spec, 5, {}, 3,
+                             kill_run_options(GetParam(), kills({{0, 1}, {1, 2}})));
+  ASSERT_FALSE(report.aborted);
+  EXPECT_EQ(report.counters.injected_kills, 2);
+  EXPECT_GE(report.recoveries, 1);
+  EXPECT_EQ(report.lost_ranks, (std::vector<int>{0, 1}));
+  expect_matches_serial(report, serial, curve, {},
+                        std::string(to_string(GetParam())) +
+                            " two of three killed");
+}
+
+TEST_P(ParallelPartitionOverBackend, EveryRankKilledAtItsFirstOpLeavesTheRoot) {
+  // Every rank is armed to die on its first send. The leaves send first
+  // and die; the root only receives before their deaths end the attempt,
+  // so it survives, and a lone survivor sends nothing: its kill never
+  // fires, and it finishes the plan alone.
+  const mesh::cubed_sphere mesh(3);
+  const core::cube_curve curve = core::build_cube_curve(mesh);
+  const core::cube_curve_spec spec = core::spec_of(curve);
+  const partition::partition serial = core::sfc_partition(curve, 5);
+
+  const parallel_partition_report report = run_parallel_partition(
+      mesh, spec, 5, {}, 3,
+      kill_run_options(GetParam(), kills({{0, 1}, {1, 1}, {2, 1}})));
+  ASSERT_FALSE(report.aborted);
+  EXPECT_EQ(report.counters.injected_kills, 2);
+  EXPECT_EQ(report.recoveries, 1);
+  EXPECT_EQ(report.lost_ranks, (std::vector<int>{1, 2}));
+  expect_matches_serial(report, serial, curve, {},
+                        std::string(to_string(GetParam())) +
+                            " every rank killed at op 1");
+}
+
+TEST(ParallelPartitionKills, OneKillAtEachEarlyOpKeepsSerialParity) {
+  // One kill at ops 1..8 on the root and on a leaf of 4 ranks, on both
+  // backends. A leaf sends 8 frames per attempt and the root 16 (data and
+  // acks of the range-weight allgather, the cut allgather and the closing
+  // fence), so every kill fires, mid-collective on both sides of the star.
+  const mesh::cubed_sphere mesh(3);
+  const core::cube_curve curve = core::build_cube_curve(mesh);
+  const core::cube_curve_spec spec = core::spec_of(curve);
+  const std::vector<graph::weight> weights = heavy_tail_weights(54, 5);
+  const partition::partition serial = core::sfc_partition(curve, 5, weights);
+  for (const transport_backend backend :
+       {transport_backend::inproc, transport_backend::socket}) {
+    for (const int rank : {0, 2}) {
+      for (std::int64_t op = 1; op <= 8; ++op) {
+        const std::string what = std::string(to_string(backend)) + " rank " +
+                                 std::to_string(rank) + " killed at op " +
+                                 std::to_string(op);
+        const parallel_partition_report report = run_parallel_partition(
+            mesh, spec, 5, weights, 4,
+            kill_run_options(backend, kills({{rank, op}})));
+        ASSERT_FALSE(report.aborted) << what;
+        EXPECT_EQ(report.counters.injected_kills, 1) << what;
+        EXPECT_EQ(report.recoveries, 1) << what;
+        EXPECT_EQ(report.lost_ranks, (std::vector<int>{rank})) << what;
+        expect_matches_serial(report, serial, curve, weights, what);
+      }
+    }
+  }
+}
+
+TEST(ParallelPartitionKills, TwoDeathsAtExactQuorumStillMatchSerial) {
+  // Ranks 0 and 2 die at staggered ops, in one attempt or in two, and
+  // leave {1, 3}. The plan must match the serial slicer over the two-rank
+  // restart.
+  const mesh::cubed_sphere mesh(3);
+  const core::cube_curve curve = core::build_cube_curve(mesh);
+  const core::cube_curve_spec spec = core::spec_of(curve);
+  const partition::partition serial = core::sfc_partition(curve, 5);
+
+  const parallel_partition_report report = run_parallel_partition(
+      mesh, spec, 5, {}, 4,
+      kill_run_options(transport_backend::inproc, kills({{0, 6}, {2, 3}})));
+  ASSERT_FALSE(report.aborted);
+  EXPECT_EQ(report.counters.injected_kills, 2);
+  EXPECT_GE(report.recoveries, 1);
+  EXPECT_EQ(report.lost_ranks, (std::vector<int>{0, 2}));
+  expect_matches_serial(report, serial, curve, {},
+                        "two kills leaving two ranks");
+}
+
+TEST(ParallelPartitionKills, TwoKillsAtTheFirstOpLoseBothRanks) {
+  // Two leaves die on their first send, in the same attempt; the restart
+  // runs on ranks {0, 3}.
+  const mesh::cubed_sphere mesh(3);
+  const core::cube_curve curve = core::build_cube_curve(mesh);
+  const core::cube_curve_spec spec = core::spec_of(curve);
+  const partition::partition serial = core::sfc_partition(curve, 5);
+
+  const parallel_partition_report report = run_parallel_partition(
+      mesh, spec, 5, {}, 4,
+      kill_run_options(transport_backend::inproc, kills({{1, 1}, {2, 1}})));
+  ASSERT_FALSE(report.aborted);
+  EXPECT_EQ(report.counters.injected_kills, 2);
+  EXPECT_EQ(report.recoveries, 1);
+  EXPECT_EQ(report.lost_ranks, (std::vector<int>{1, 2}));
+  expect_matches_serial(report, serial, curve, {}, "two kills at op 1");
+}
+
+TEST(ParallelPartitionKills, RecoversUnderDefaultReliableOptions) {
+  // The restart needs no tuned silence detection: the fabric abort ends
+  // every wait the moment a rank dies.
+  const mesh::cubed_sphere mesh(3);
+  const core::cube_curve curve = core::build_cube_curve(mesh);
+  const core::cube_curve_spec spec = core::spec_of(curve);
+  const partition::partition serial = core::sfc_partition(curve, 5);
+
+  parallel_partition_run_options opts;
+  opts.faults = kills({{0, 2}});
+  const parallel_partition_report report =
+      run_parallel_partition(mesh, spec, 5, {}, 4, opts);
+  ASSERT_FALSE(report.aborted);
+  EXPECT_EQ(report.counters.injected_kills, 1);
+  EXPECT_EQ(report.lost_ranks, (std::vector<int>{0}));
+  expect_matches_serial(report, serial, curve, {},
+                        "kill under default reliable options");
+}
+
+TEST(ParallelPartitionKills, RecoveriesCounterCountsOncePerRestart) {
+  // Regression: every surviving rank used to bump partition.recoveries,
+  // so one death on 4 ranks added 3.
+  const mesh::cubed_sphere mesh(3);
+  const core::cube_curve_spec spec = core::build_cube_curve_spec(mesh);
+  obs::counter& counter =
+      obs::registry::global().get_counter("partition.recoveries");
+  const std::int64_t before = counter.value();
+  const parallel_partition_report report = run_parallel_partition(
+      mesh, spec, 5, {}, 4,
+      kill_run_options(transport_backend::inproc, kills({{2, 1}})));
+  ASSERT_FALSE(report.aborted);
+  EXPECT_EQ(report.recoveries, 1);
+  EXPECT_EQ(counter.value() - before, report.recoveries);
 }
 
 }  // namespace

@@ -94,7 +94,7 @@ int usage() {
                "partitioner with K rank\n"
                "            kills per schedule — survivors must match the "
                "serial plan exactly,\n"
-               "            sub-quorum schedules must abort cleanly; "
+               "            schedules that can exhaust the ladder may abort; "
                "--kill-rank runs one\n"
                "            directed trial killing rank R at its ROUND-th "
                "op)\n"
@@ -490,14 +490,10 @@ static void print_trial(const seam::chaos_trial& trial) {
   t.new_row().add("max |chaos - baseline|").add(trial.max_abs_diff, 16);
   t.new_row().add("aborted").add(trial.aborted ? 1 : 0);
   t.new_row().add("recoveries").add(trial.recoveries);
-  t.new_row().add("group epoch").add(
-      static_cast<std::int64_t>(trial.group_epoch));
   t.new_row().add("lost ranks").add(
       static_cast<std::int64_t>(trial.lost_ranks.size()));
   t.new_row().add("injected kills").add(trial.counters.injected_kills);
   t.new_row().add("retransmits").add(trial.reliable.retransmits);
-  t.new_row().add("suspicion reports").add(trial.regroup.reports_sent);
-  t.new_row().add("agreement rounds").add(trial.regroup.agreement_rounds);
   std::printf("%s", t.str().c_str());
   if (!trial.passed) std::printf("FAIL: %s\n", trial.failure.c_str());
 }
@@ -621,9 +617,6 @@ int cmd_chaos(const cli_args& args) {
       report.reliable.corruption_detected);
   t.new_row().add("duplicates dropped").add(report.reliable.dedup_dropped);
   t.new_row().add("out of order").add(report.reliable.out_of_order);
-  t.new_row().add("suspicion reports").add(report.regroup.reports_sent);
-  t.new_row().add("agreement rounds").add(report.regroup.agreement_rounds);
-  t.new_row().add("stale frames dropped").add(report.regroup.stale_dropped);
   if (backend == runtime::transport_backend::socket) {
     t.new_row().add("socket reconnects").add(report.socket.reconnects);
     t.new_row().add("frames rejected").add(report.socket.frames_rejected);
