@@ -47,6 +47,7 @@ fault_injector::send_action fault_injector::on_send(int dst,
     if (mf.src != -1 && mf.src != rank_) continue;
     if (mf.dst != -1 && mf.dst != dst) continue;
     if (payload_size < mf.min_payload) continue;
+    action.matched = true;
     // The fire window gates the *application*, never the draws: the stream
     // advances identically whether or not this match is live, so shrinking
     // a window cannot perturb the other entries' randomness.
@@ -73,16 +74,17 @@ fault_injector::send_action fault_injector::on_send(int dst,
     action.duplicate = action.duplicate || (dup && live);
     if (delay && live && mf.delay > action.delay) action.delay = mf.delay;
     // Payload faults only apply to non-empty payloads. Positional
-    // randomness (which bit, where to cut) comes from a stream derived
-    // from (seed, rank, entry, match index) alone — not from the shared
-    // per-rank stream — so deleting or narrowing one plan entry never
-    // moves another entry's bit flip. Delta-debugging a chaos schedule
-    // (seam/chaos.hpp) depends on this isolation.
+    // randomness (which bit, where to cut) comes from a stream derived from
+    // (seed, rank, the entry's dst, match index) alone — not from the shared
+    // per-rank stream or the entry's place in the plan — so deleting or
+    // narrowing one plan entry never moves another entry's bit flip.
+    // Delta-debugging a chaos schedule (seam/chaos.hpp) depends on this.
     if ((corrupt || truncate) && payload_size > 0 && live) {
+      const auto link = static_cast<std::uint64_t>(mf.dst + 1);  // -1 -> 0
       rng pos(mix(plan_->seed ^
                   (0x517cc1b727220a95ull *
                    static_cast<std::uint64_t>(rank_ + 1)) ^
-                  (0xd1b54a32d192ed03ull * (static_cast<std::uint64_t>(i) + 1)) ^
+                  (0xd1b54a32d192ed03ull * (link + 1)) ^
                   (0x2545f4914f6cdd1dull *
                    (static_cast<std::uint64_t>(idx) + 1))));
       const std::size_t element = pos.below(payload_size);

@@ -109,6 +109,7 @@ class fault_injector {
     int corrupt_bit = 0;              ///< bit position within that double
     std::size_t truncate_to = 0;      ///< new payload length (< size)
     std::chrono::microseconds delay{0};  ///< zero = deliver immediately
+    bool matched = false;  ///< passed some entry's src/dst/size filter
   };
   send_action on_send(int dst, std::size_t payload_size);
 

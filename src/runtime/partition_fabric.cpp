@@ -65,13 +65,13 @@ void reliable_peer_comm::send(int dst, std::span<const std::int64_t> words) {
   SFP_REQUIRE(dst >= 0 && dst < size_ && dst != rank_,
               "send destination must be another rank in the group");
   const std::vector<double> image = to_wire(words);
-  channel_->send(dst, partition_tag, image);
+  channel_->send(dst, image);
 }
 
 std::vector<std::int64_t> reliable_peer_comm::recv(int src) {
   SFP_REQUIRE(src >= 0 && src < size_ && src != rank_,
               "recv source must be another rank in the group");
-  return from_wire(channel_->recv(src, partition_tag));  // lint: blocking-ok — reliable recv pumps the progress engine and fails over to peer_unreachable after recv_timeout
+  return from_wire(channel_->recv(src));  // lint: blocking-ok — reliable recv pumps the progress engine and fails over to peer_unreachable after recv_timeout
 }
 
 parallel_partition_report run_parallel_partition(

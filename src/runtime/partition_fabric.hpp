@@ -29,10 +29,6 @@
 
 namespace sfp::runtime {
 
-/// Logical tag for all partitioner traffic inside the reliable envelope
-/// (the transport underneath carries untagged datagrams).
-inline constexpr int partition_tag = 17;
-
 /// core::peer_comm over a reliable_channel: ordered, exactly-once int64
 /// record delivery between virtual ranks. One instance per rank thread,
 /// wrapping that rank's own channel. Delivery failures surface as the

@@ -2,9 +2,10 @@
 
 #include <algorithm>
 #include <array>
-#include <cstring>
+#include <bit>
 #include <exception>
-#include <sstream>
+#include <string>
+#include <utility>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -16,6 +17,29 @@ namespace {
 
 /// Magic in the high half of envelope word 0; the kind sits in the low byte.
 constexpr std::uint64_t wire_magic = 0x53465052ull << 32;  // "SFPR"
+
+/// Every reliable_stats field, with the obs counter it publishes to.
+constexpr std::pair<const char*, std::int64_t reliable_stats::*>
+    stat_fields[] = {
+        {"reliable.data_sent", &reliable_stats::data_sent},
+        {"reliable.data_received", &reliable_stats::data_received},
+        {"reliable.retransmits", &reliable_stats::retransmits},
+        {"reliable.corruption_detected", &reliable_stats::corruption_detected},
+        {"reliable.dedup_dropped", &reliable_stats::dedup_dropped},
+        {"reliable.out_of_order", &reliable_stats::out_of_order},
+        {"reliable.acks_sent", &reliable_stats::acks_sent},
+        {"reliable.acks_received", &reliable_stats::acks_received},
+        {"reliable.stale_dropped", &reliable_stats::stale_dropped},
+        {"reliable.shutdown_discarded", &reliable_stats::shutdown_discarded},
+};
+
+/// Retransmit deadlines are stretched by up to this fraction (see
+/// compute_backoff).
+constexpr double jitter_stretch = 0.1;
+/// How long one pump iteration parks in try_recv_any.
+constexpr std::chrono::microseconds pump_slice{50};
+/// Destructor pump budget for the two-generals ack tail.
+constexpr std::chrono::milliseconds teardown_linger{50};
 
 /// Slicing-by-8 tables: t[0] is the bytewise table; t[s][b] is the CRC of
 /// byte b followed by s zero bytes, so eight table lookups fold one 8-byte
@@ -50,35 +74,22 @@ obs::histogram& recv_wait_hist() {
   return h;
 }
 
-double bits_to_double(std::uint64_t bits) {
-  double d;
-  std::memcpy(&d, &bits, sizeof(d));
-  return d;
+/// The header as wire words, in order: magic | kind, epoch, seq, payload
+/// length, crc. Each travels as the bit image of one double.
+std::array<std::uint64_t, wire::header_doubles> header_words(
+    const envelope& h) {
+  return {wire_magic | static_cast<std::uint64_t>(h.type), h.epoch, h.seq,
+          h.payload_doubles, h.crc};
 }
 
-std::uint64_t double_to_bits(double d) {
-  std::uint64_t bits;
-  std::memcpy(&bits, &d, sizeof(bits));
-  return bits;
-}
-
-/// CRC over the five semantic header words + the payload bytes. The crc
+/// CRC over the four semantic header words + the payload bytes. The crc
 /// word itself is excluded, so a flipped bit anywhere in the message —
 /// including the crc word — yields a mismatch.
 std::uint32_t envelope_crc(const envelope& h, std::span<const double> payload) {
-  const std::array<std::uint64_t, 5> words = {
-      wire_magic | static_cast<std::uint64_t>(h.type), h.epoch,
-      static_cast<std::uint64_t>(static_cast<std::int64_t>(h.tag)), h.seq,
-      h.payload_doubles};
-  std::uint32_t crc = crc32c(words.data(), sizeof(words));
+  const auto words = header_words(h);
+  const std::uint32_t crc =
+      crc32c(words.data(), (words.size() - 1) * sizeof(std::uint64_t));
   return crc32c(payload.data(), payload.size() * sizeof(double), crc);
-}
-
-std::string unreachable_message(int self, int peer, int attempts) {
-  std::ostringstream os;
-  os << "rank " << self << ": peer " << peer << " unreachable after "
-     << attempts << " delivery attempts";
-  return os.str();
 }
 
 /// Serial-number comparison (RFC 1982 style): a < b in the presence of
@@ -111,7 +122,9 @@ std::uint32_t crc32c(const void* data, std::size_t bytes, std::uint32_t crc) {
 
 peer_unreachable_error::peer_unreachable_error(int self, int peer,
                                                int attempts)
-    : std::runtime_error(unreachable_message(self, peer, attempts)),
+    : std::runtime_error("rank " + std::to_string(self) + ": peer " +
+                         std::to_string(peer) + " unreachable after " +
+                         std::to_string(attempts) + " delivery attempts"),
       rank_(self),
       peer_(peer),
       attempts_(attempts) {}
@@ -125,14 +138,8 @@ std::vector<double> encode(const envelope& header,
   h.crc = envelope_crc(h, payload);
   std::vector<double> message;
   message.reserve(header_doubles + payload.size());
-  message.push_back(
-      bits_to_double(wire_magic | static_cast<std::uint64_t>(h.type)));
-  message.push_back(bits_to_double(h.epoch));
-  message.push_back(bits_to_double(
-      static_cast<std::uint64_t>(static_cast<std::int64_t>(h.tag))));
-  message.push_back(bits_to_double(h.seq));
-  message.push_back(bits_to_double(h.payload_doubles));
-  message.push_back(bits_to_double(h.crc));
+  for (const std::uint64_t word : header_words(h))
+    message.push_back(std::bit_cast<double>(word));
   message.insert(message.end(), payload.begin(), payload.end());
   return message;
 }
@@ -140,19 +147,19 @@ std::vector<double> encode(const envelope& header,
 bool decode(std::span<const double> message, bool verify_checksum,
             envelope* header, std::vector<double>* payload) {
   if (message.size() < header_doubles) return false;
-  const std::uint64_t word0 = double_to_bits(message[0]);
-  if ((word0 & 0xffffffff00000000ull) != wire_magic) return false;
-  const std::uint64_t kind_bits = word0 & 0xffu;
-  if (kind_bits > static_cast<std::uint64_t>(envelope::kind::ack))
+  const auto word = [&](std::size_t i) {
+    return std::bit_cast<std::uint64_t>(message[i]);
+  };
+  if ((word(0) & 0xffffffff00000000ull) != wire_magic) return false;
+  const std::uint64_t kind_bits = word(0) & 0xffu;
+  if (kind_bits > static_cast<std::uint64_t>(envelope::kind::fence))
     return false;
   envelope h;
   h.type = static_cast<envelope::kind>(kind_bits);
-  h.epoch = double_to_bits(message[1]);
-  h.tag = static_cast<int>(
-      static_cast<std::int64_t>(double_to_bits(message[2])));
-  h.seq = double_to_bits(message[3]);
-  h.payload_doubles = double_to_bits(message[4]);
-  h.crc = static_cast<std::uint32_t>(double_to_bits(message[5]));
+  h.epoch = word(1);
+  h.seq = word(2);
+  h.payload_doubles = word(3);
+  h.crc = static_cast<std::uint32_t>(word(4));
   // Truncation (or a length-word flip) shows up as a size mismatch before
   // the checksum is even consulted.
   if (h.payload_doubles != message.size() - header_doubles) return false;
@@ -166,16 +173,7 @@ bool decode(std::span<const double> message, bool verify_checksum,
 }  // namespace wire
 
 reliable_stats& reliable_stats::operator+=(const reliable_stats& o) {
-  data_sent += o.data_sent;
-  data_received += o.data_received;
-  retransmits += o.retransmits;
-  corruption_detected += o.corruption_detected;
-  dedup_dropped += o.dedup_dropped;
-  out_of_order += o.out_of_order;
-  acks_sent += o.acks_sent;
-  acks_received += o.acks_received;
-  stale_dropped += o.stale_dropped;
-  shutdown_discarded += o.shutdown_discarded;
+  for (const auto& f : stat_fields) this->*f.second += o.*f.second;
   return *this;
 }
 
@@ -185,13 +183,9 @@ std::chrono::microseconds compute_backoff(const reliable_options& opts,
   auto backoff = opts.retransmit_timeout * (1ll << std::min(attempts, 20));
   if (backoff > opts.max_backoff) backoff = opts.max_backoff;
   // Jitter after the cap, so deadlines decorrelate even at max_backoff.
-  if (opts.retransmit_jitter > 0) {
-    const auto stretch = static_cast<std::int64_t>(
-        static_cast<double>(backoff.count()) * opts.retransmit_jitter *
-        r.uniform());
-    backoff += std::chrono::microseconds(stretch);
-  }
-  return backoff;
+  const auto stretch = static_cast<std::int64_t>(
+      static_cast<double>(backoff.count()) * jitter_stretch * r.uniform());
+  return backoff + std::chrono::microseconds(stretch);
 }
 
 reliable_channel::reliable_channel(transport& fabric, reliable_options opts)
@@ -208,16 +202,16 @@ reliable_channel::~reliable_channel() {
   // that still needed one of these messages would itself be parked in a
   // pumping call, consuming our retransmits. Skipped mid-unwind: after a
   // kill or abort the fabric is going down anyway.
-  if (std::uncaught_exceptions() == 0 && !unacked_.empty()) {
+  if (std::uncaught_exceptions() == 0 && !all_acked()) {
     try {
-      const clock::time_point give_up = clock::now() + opts_.shutdown_linger;
-      while (!unacked_.empty() && clock::now() < give_up)
-        pump(opts_.pump_quantum);
+      const clock::time_point give_up = clock::now() + teardown_linger;
+      while (!all_acked() && clock::now() < give_up) pump();
     } catch (...) {  // teardown is best-effort by design
       // world_aborted (or a late kill) during teardown: nothing to heal.
     }
   }
-  stats_.shutdown_discarded += static_cast<std::int64_t>(unacked_.size());
+  for (const auto& [rank, p] : peers_)
+    stats_.shutdown_discarded += static_cast<std::int64_t>(p.unacked.size());
   try {
     publish_metrics();
   } catch (...) {  // teardown is best-effort by design
@@ -226,64 +220,49 @@ reliable_channel::~reliable_channel() {
 }
 
 void reliable_channel::publish_metrics() {
-  reliable_stats delta = stats_;
-  delta.data_sent -= published_.data_sent;
-  delta.data_received -= published_.data_received;
-  delta.retransmits -= published_.retransmits;
-  delta.corruption_detected -= published_.corruption_detected;
-  delta.dedup_dropped -= published_.dedup_dropped;
-  delta.out_of_order -= published_.out_of_order;
-  delta.acks_sent -= published_.acks_sent;
-  delta.acks_received -= published_.acks_received;
-  delta.stale_dropped -= published_.stale_dropped;
-  delta.shutdown_discarded -= published_.shutdown_discarded;
-  published_ = stats_;
+  const reliable_stats before = std::exchange(published_, stats_);
   obs::registry& reg = obs::registry::global();
-  reg.get_counter("reliable.data_sent").add(delta.data_sent);
-  reg.get_counter("reliable.data_received").add(delta.data_received);
-  reg.get_counter("reliable.retransmits").add(delta.retransmits);
-  reg.get_counter("reliable.corruption_detected")
-      .add(delta.corruption_detected);
-  reg.get_counter("reliable.dedup_dropped").add(delta.dedup_dropped);
-  reg.get_counter("reliable.out_of_order").add(delta.out_of_order);
-  reg.get_counter("reliable.acks_sent").add(delta.acks_sent);
-  reg.get_counter("reliable.acks_received").add(delta.acks_received);
-  reg.get_counter("reliable.stale_dropped").add(delta.stale_dropped);
-  reg.get_counter("reliable.shutdown_discarded")
-      .add(delta.shutdown_discarded);
+  for (const auto& [name, field] : stat_fields)
+    reg.get_counter(name).add(stats_.*field - before.*field);
 }
 
-std::uint64_t& reliable_channel::seq_slot(
-    std::map<stream_key, std::uint64_t>& m, const stream_key& key) {
-  return m.try_emplace(key, opts_.first_seq).first->second;
+reliable_channel::peer_state& reliable_channel::peer(int rank) {
+  const auto [it, fresh] = peers_.try_emplace(rank);
+  if (fresh)
+    it->second.next_seq = it->second.expected = it->second.next_take =
+        opts_.first_seq;
+  return it->second;
 }
 
-void reliable_channel::send_data(int dst, int tag,
-                                 std::span<const double> payload) {
+bool reliable_channel::all_acked() const {
+  return std::all_of(peers_.begin(), peers_.end(),
+                     [](const auto& kv) { return kv.second.unacked.empty(); });
+}
+
+void reliable_channel::send_frame(int dst, envelope::kind type,
+                                  std::span<const double> payload) {
+  peer_state& p = peer(dst);
   envelope h;
-  h.type = envelope::kind::data;
+  h.type = type;
   h.epoch = opts_.epoch;
-  h.tag = tag;
-  h.seq = seq_slot(next_seq_, {dst, tag})++;
+  h.seq = p.next_seq++;
   unacked_entry entry;
-  entry.dst = dst;
   entry.image = wire::encode(h, payload);
   entry.deadline = clock::now() + opts_.retransmit_timeout;
   fabric_->send(dst, entry.image);
-  unacked_[{dst, tag, h.seq}] = std::move(entry);
+  p.unacked[h.seq] = std::move(entry);
   ++stats_.data_sent;
 }
 
-void reliable_channel::send(int dst, int tag, std::span<const double> data) {
+void reliable_channel::send(int dst, std::span<const double> data) {
   SFP_TRACE_SCOPE_CAT("reliable.send", "runtime");
-  send_data(dst, tag, data);
+  send_frame(dst, envelope::kind::data, data);
 }
 
-void reliable_channel::send_ack(int src, int tag, std::uint64_t seq) {
+void reliable_channel::send_ack(int src, std::uint64_t seq) {
   envelope h;
   h.type = envelope::kind::ack;
   h.epoch = opts_.epoch;
-  h.tag = tag;
   h.seq = seq;
   // Fire-and-forget: a lost ack is healed by the sender's retransmit and
   // our dedup re-ack, so acks are never tracked as unacked themselves.
@@ -291,29 +270,10 @@ void reliable_channel::send_ack(int src, int tag, std::uint64_t seq) {
   ++stats_.acks_sent;
 }
 
-void reliable_channel::drain_reorder(const stream_key& key) {
-  auto buffered = reorder_.find(key);
-  if (buffered == reorder_.end()) return;
-  std::uint64_t& expected = seq_slot(expected_, key);
-  auto& ready = ready_[key];
-  // Look the expected seq up each round instead of walking from begin():
-  // around the uint64 wrap the map's order (0 < ... < UINT64_MAX) no longer
-  // matches stream order, but find() keeps draining correctly.
-  for (;;) {
-    const auto it = buffered->second.find(expected);
-    if (it == buffered->second.end()) break;
-    ready.push_back(std::move(it->second));
-    buffered->second.erase(it);
-    ++expected;
-    ++stats_.data_received;
-  }
-  if (buffered->second.empty()) reorder_.erase(buffered);
-}
-
 void reliable_channel::handle_wire(any_message&& msg) {
   envelope h;
-  std::vector<double> payload;
-  if (!wire::decode(msg.payload, opts_.verify_checksums, &h, &payload)) {
+  delivery d;
+  if (!wire::decode(msg.payload, opts_.verify_checksums, &h, &d.payload)) {
     // Corrupt or truncated: drop silently; the sender's retransmit timer
     // re-delivers an intact copy. No ack — we cannot trust the header.
     ++stats_.corruption_detected;
@@ -323,74 +283,71 @@ void reliable_channel::handle_wire(any_message&& msg) {
     ++stats_.stale_dropped;
     return;
   }
+  peer_state& p = peer(msg.src);
   if (h.type == envelope::kind::ack) {
-    if (unacked_.erase({msg.src, h.tag, h.seq}) > 0) ++stats_.acks_received;
+    if (p.unacked.erase(h.seq) > 0) ++stats_.acks_received;
     return;
   }
-  const stream_key key{msg.src, h.tag};
-  std::uint64_t& expected = seq_slot(expected_, key);
-  // Serial comparison, not <: a stream that wraps past UINT64_MAX must not
-  // mistake the post-wrap seqs for ancient duplicates.
-  if (seq_before(h.seq, expected)) {
-    // Duplicate of something already delivered (injected duplicate, or a
-    // retransmit whose ack was lost). Re-ack so the sender stops.
+  d.type = h.type;
+  // A seq before `expected` (by serial comparison, so post-wrap seqs are not
+  // ancient) or already in the inbox is a duplicate — injected, or a
+  // retransmit whose ack was lost — and is re-acked so the sender stops.
+  if (seq_before(h.seq, p.expected) ||
+      !p.inbox.emplace(h.seq, std::move(d)).second) {
     ++stats_.dedup_dropped;
-    send_ack(msg.src, h.tag, h.seq);
-    return;
-  }
-  if (h.seq == expected) {
-    ready_[key].push_back(std::move(payload));
-    ++expected;
-    ++stats_.data_received;
-    drain_reorder(key);
   } else {
-    // Ahead of the stream: park it. emplace keeps the first copy if an
-    // injected duplicate lands here twice.
-    const bool inserted =
-        reorder_[key].emplace(h.seq, std::move(payload)).second;
-    if (inserted)
-      ++stats_.out_of_order;
-    else
-      ++stats_.dedup_dropped;
+    if (h.seq != p.expected) ++stats_.out_of_order;  // parked past a gap
+    // Look each seq up instead of walking from begin(): around the uint64
+    // wrap the map's order no longer matches stream order.
+    for (; p.inbox.contains(p.expected); ++p.expected) ++stats_.data_received;
   }
-  send_ack(msg.src, h.tag, h.seq);
+  send_ack(msg.src, h.seq);
 }
 
-void reliable_channel::service_retransmits() {
-  const clock::time_point now = clock::now();
-  for (auto& [key, entry] : unacked_) {
-    if (entry.deadline > now) continue;
-    if (entry.attempts >= opts_.max_retransmits)
-      throw peer_unreachable_error(fabric_->rank(), entry.dst,
-                                   entry.attempts + 1);
-    ++entry.attempts;
-    ++stats_.retransmits;
-    // Capped exponential backoff with deterministic jitter (see
-    // compute_backoff): timeout * 2^attempts, clamped, stretched.
-    entry.deadline = now + compute_backoff(opts_, entry.attempts, jitter_rng_);
-    fabric_->send(entry.dst, entry.image);
-  }
-}
-
-bool reliable_channel::pump(std::chrono::microseconds wait) {
+void reliable_channel::pump() {
   any_message msg;
-  const bool got = fabric_->try_recv_any(wait, &msg);
-  if (got) handle_wire(std::move(msg));
-  service_retransmits();
-  return got;
+  if (fabric_->try_recv_any(pump_slice, &msg)) handle_wire(std::move(msg));
+  // Retransmit every unacked frame whose deadline passed.
+  const clock::time_point now = clock::now();
+  for (auto& [rank, p] : peers_) {
+    for (auto& [seq, entry] : p.unacked) {
+      if (entry.deadline > now) continue;
+      if (entry.attempts >= opts_.max_retransmits)
+        throw peer_unreachable_error(fabric_->rank(), rank,
+                                     entry.attempts + 1);
+      ++entry.attempts;
+      ++stats_.retransmits;
+      // Capped exponential backoff with deterministic jitter (see
+      // compute_backoff): timeout * 2^attempts, clamped, stretched.
+      entry.deadline =
+          now + compute_backoff(opts_, entry.attempts, jitter_rng_);
+      fabric_->send(rank, entry.image);
+    }
+  }
 }
 
-std::vector<double> reliable_channel::recv(int src, int tag) {
+std::vector<double> reliable_channel::recv(int src) {
   SFP_TRACE_SCOPE_CAT("reliable.recv", "runtime");
-  const stream_key key{src, tag};
+  return take(src, envelope::kind::data);
+}
+
+std::vector<double> reliable_channel::take(int src, envelope::kind want) {
+  peer_state& p = peer(src);
   const bool bounded = opts_.recv_timeout.count() > 0;
   const clock::time_point start = clock::now();
   const clock::time_point give_up = start + opts_.recv_timeout;
   for (;;) {
-    auto it = ready_.find(key);
-    if (it != ready_.end() && !it->second.empty()) {
-      std::vector<double> out = std::move(it->second.front());
-      it->second.pop_front();
+    // An arrived next_take is in order: `expected` has moved past it.
+    if (const auto it = p.inbox.find(p.next_take); it != p.inbox.end()) {
+      SFP_REQUIRE(it->second.type == want,
+                  "stream " + std::to_string(src) + " -> " +
+                      std::to_string(fabric_->rank()) +
+                      (want == envelope::kind::data
+                           ? ": recv met a fence token"
+                           : ": fence met unreceived data"));
+      std::vector<double> out = std::move(it->second.payload);
+      p.inbox.erase(it);
+      ++p.next_take;
       recv_wait_hist().observe(
           std::chrono::duration_cast<std::chrono::microseconds>(clock::now() -
                                                                 start)
@@ -399,32 +356,30 @@ std::vector<double> reliable_channel::recv(int src, int tag) {
     }
     if (bounded && clock::now() >= give_up)
       throw peer_unreachable_error(fabric_->rank(), src, 0);
-    pump(opts_.pump_quantum);
+    pump();
   }
 }
 
 void reliable_channel::flush() {
   SFP_TRACE_SCOPE_CAT("reliable.flush", "runtime");
-  // Pump until every send is acked; service_retransmits inside pump()
-  // enforces the per-message retransmit budget, so this terminates either
-  // clean or with peer_unreachable_error.
-  while (!unacked_.empty()) pump(opts_.pump_quantum);
+  // Pump until every send is acked; pump() enforces the per-message
+  // retransmit budget, so this terminates either clean or with
+  // peer_unreachable_error.
+  while (!all_acked()) pump();
 }
 
 void reliable_channel::fence() {
   SFP_TRACE_SCOPE_CAT("reliable.fence", "runtime");
   const int n = fabric_->size();
   const int self = fabric_->rank();
-  // Dissemination barrier: round r talks to rank ±2^r. Completion of any
-  // rank transitively requires every rank to have entered, which is what
-  // makes it safe to stop pumping afterwards. Fence rounds use reserved
-  // negative logical tags so they never collide with application streams.
-  for (int round = 0, hop = 1; hop < n; ++round, hop *= 2) {
-    const int to = (self + hop) % n;
-    const int from = (self - hop % n + n) % n;
-    const int tag = -1000 - round;
-    send_data(to, tag, {});
-    recv(from, tag);
+  // Dissemination barrier: each round sends a token to rank self + hop and
+  // takes one from self - hop, hop = 1, 2, 4, ... Completion of any rank
+  // transitively requires every rank to have entered, which is what makes
+  // it safe to stop pumping afterwards. Every hop is below n, so no two
+  // rounds share a peer, and a stream carries at most one token per fence.
+  for (int hop = 1; hop < n; hop *= 2) {
+    send_frame((self + hop) % n, envelope::kind::fence, {});
+    take((self - hop + n) % n, envelope::kind::fence);
   }
 }
 

@@ -7,26 +7,17 @@
 // those transient faults in place, identically over the in-process world
 // (runtime/world.hpp) and the socket wire (runtime/socket_transport.hpp).
 // Every rank program in the library — the SEAM runners and the distributed
-// partitioner — talks through one:
+// partitioner — talks through one.
 //
-//   * every payload travels in an envelope carrying a magic/type word, an
-//     epoch id, the logical tag, a per-(sender,receiver,tag) sequence
-//     number, the payload length, and a CRC32C over header+payload;
-//   * receivers verify the envelope (corrupt/truncated messages are counted
-//     and dropped — the retransmit path re-delivers them), deduplicate by
-//     sequence number, park out-of-order arrivals in a reorder buffer, and
-//     acknowledge every accepted or re-seen message;
-//   * senders keep unacknowledged wire images and retransmit them with
-//     capped exponential backoff; a message that exhausts max_retransmits
-//     raises peer_unreachable_error, which both resilient runners (SEAM
-//     and the distributed partitioner) escalate through
-//     core::decide_escalation (the rung between "retransmit" and
-//     "re-slice" on the escalation ladder).
-//
-// All traffic — data and acks — rides the transport's untagged (src, dst)
-// datagrams, so a single try_recv_any pump drains it; the logical tag lives
-// inside the envelope. Acks are themselves subject to fault injection: a lost ack is
-// healed by the retransmit + dedup-re-ack cycle.
+// Each (sender, receiver) rank pair carries one ordered stream of data
+// frames and fence tokens. Every frame travels in a checksummed envelope
+// with the stream's sequence number; receivers drop corrupt frames,
+// deduplicate, park out-of-order arrivals and ack every accepted or
+// re-seen frame, and senders retransmit unacked frames with capped
+// exponential backoff. A frame that exhausts max_retransmits raises
+// peer_unreachable_error, which both resilient runners escalate through
+// core::decide_escalation. Acks ride the same untagged (src, dst)
+// datagrams, so one try_recv_any pump drains everything.
 //
 // Deadlock-freedom: every blocking reliable op (recv, flush, fence) runs the
 // progress pump, so a rank waiting on its own traffic keeps servicing its
@@ -43,12 +34,9 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <span>
 #include <stdexcept>
-#include <tuple>
-#include <utility>
 #include <vector>
 
 #include "runtime/transport.hpp"
@@ -83,20 +71,20 @@ class peer_unreachable_error : public std::runtime_error {
 /// double. Exposed (with encode/decode) so tests and the chaos shrinker can
 /// reason about the wire format directly.
 struct envelope {
-  enum class kind : std::uint8_t { data = 0, ack = 1 };
+  /// Data frames and fence tokens share one sequence stream per rank pair.
+  enum class kind : std::uint8_t { data = 0, ack = 1, fence = 2 };
   kind type = kind::data;
   std::uint64_t epoch = 0;
-  int tag = 0;            ///< logical tag, recovered from the envelope
-  std::uint64_t seq = 0;  ///< per-(sender,receiver,tag) sequence number
+  std::uint64_t seq = 0;  ///< per-(sender,receiver) sequence number
   std::uint64_t payload_doubles = 0;
-  std::uint32_t crc = 0;  ///< CRC32C over header words 0..4 + payload bytes
+  std::uint32_t crc = 0;  ///< CRC32C over header words 0..3 + payload bytes
 };
 
 namespace wire {
 
-inline constexpr std::size_t header_doubles = 6;
+inline constexpr std::size_t header_doubles = 5;
 
-/// Build the wire image: 6 header doubles followed by the payload.
+/// Build the wire image: 5 header doubles followed by the payload.
 std::vector<double> encode(const envelope& header,
                            std::span<const double> payload);
 
@@ -115,22 +103,10 @@ struct reliable_options {
   /// attempt doubles the wait up to max_backoff (capped exponential).
   std::chrono::microseconds retransmit_timeout{200};
   std::chrono::microseconds max_backoff{2000};
-  /// Deterministic jitter on every retransmit deadline: the capped backoff
-  /// is stretched by a factor drawn uniformly from [1, 1 + jitter), on a
-  /// per-channel rng seeded from (epoch, rank). Zero disables the draw
-  /// entirely. Jitter is applied *after* the cap so deadlines keep
-  /// decorrelating at max_backoff — without it, peers that lost the same
-  /// message retransmit in lockstep and a congested socket backend sees
-  /// synchronized storms.
-  double retransmit_jitter = 0.1;
   /// Retransmit attempts before declaring the peer unreachable.
   int max_retransmits = 40;
-  /// How long one pump iteration parks in try_recv_any.
-  std::chrono::microseconds pump_quantum{50};
   /// Per recv()/fence-round deadline; zero = wait forever.
   std::chrono::milliseconds recv_timeout{2000};
-  /// Destructor pump budget for the two-generals ack tail.
-  std::chrono::milliseconds shutdown_linger{50};
   /// Stale-epoch filter: messages from another epoch (a previous recovery
   /// attempt) are dropped on receipt.
   std::uint64_t epoch = 0;
@@ -146,19 +122,20 @@ struct reliable_options {
 
 /// The retransmit deadline for a message on its `attempts`-th resend:
 /// retransmit_timeout * 2^attempts, clamped to max_backoff, then stretched
-/// by the deterministic jitter draw from `r` (see
-/// reliable_options::retransmit_jitter). Exposed for the jitter unit tests.
+/// by a factor drawn uniformly from [1, 1.1) on `r`, so peers that lost
+/// the same message do not retransmit in lockstep even at max_backoff.
+/// Exposed for the jitter unit tests.
 std::chrono::microseconds compute_backoff(const reliable_options& opts,
                                           int attempts, rng& r);
 
 /// Per-channel robustness accounting (one channel per rank per attempt).
 struct reliable_stats {
-  std::int64_t data_sent = 0;
+  std::int64_t data_sent = 0;       ///< data frames and fence tokens
   std::int64_t data_received = 0;   ///< accepted, in-order deliveries
   std::int64_t retransmits = 0;
   std::int64_t corruption_detected = 0;  ///< envelope verify failures
   std::int64_t dedup_dropped = 0;        ///< duplicate seq, re-acked
-  std::int64_t out_of_order = 0;         ///< parked in the reorder buffer
+  std::int64_t out_of_order = 0;         ///< arrived past a gap, parked
   std::int64_t acks_sent = 0;
   std::int64_t acks_received = 0;
   std::int64_t stale_dropped = 0;        ///< wrong-epoch messages
@@ -167,9 +144,9 @@ struct reliable_stats {
   reliable_stats& operator+=(const reliable_stats& o);
 };
 
-/// Exactly-once, in-order, checksummed delivery for one rank. Owned and
-/// driven by a single rank thread; all cross-thread traffic goes through the
-/// transport backend underneath.
+/// Exactly-once, in-order, checksummed delivery for one rank: one ordered
+/// stream to and from each peer. Owned and driven by a single rank thread;
+/// all cross-thread traffic goes through the transport backend underneath.
 class reliable_channel {
  public:
   /// Over any backend: the caller keeps ownership of the transport, which
@@ -180,19 +157,23 @@ class reliable_channel {
   reliable_channel& operator=(const reliable_channel&) = delete;
 
   /// Non-blocking: envelope the payload, record it as unacked, deliver.
-  void send(int dst, int tag, std::span<const double> data);
+  void send(int dst, std::span<const double> data);
 
-  /// Blocking: pump until the next in-order message on (src, tag) is
+  /// Blocking: pump until the next in-order message from `src` is
   /// available. Throws peer_unreachable_error after recv_timeout. The time
-  /// spent waiting feeds the runtime.recv.queue_wait.us histogram.
-  std::vector<double> recv(int src, int tag);
+  /// spent waiting feeds the runtime.recv.queue_wait.us histogram. A fence
+  /// token at the head of the stream is a contract error.
+  std::vector<double> recv(int src);
 
   /// Pump until every send has been acknowledged (retransmitting as
   /// deadlines expire). Call before leaving an exchange phase.
   void flush();
 
   /// Pumping dissemination barrier over the channel itself: returns when
-  /// every rank has entered (and therefore passed its flush()).
+  /// every rank has entered (and therefore passed its flush()). Its tokens
+  /// ride the data streams, so everything sent to this rank before its
+  /// peers fenced must be received first: data ahead of a token is a
+  /// contract error.
   void fence();
 
   const reliable_stats& stats() const { return stats_; }
@@ -204,41 +185,51 @@ class reliable_channel {
 
  private:
   using clock = std::chrono::steady_clock;
-  using stream_key = std::pair<int, int>;  ///< (peer, logical tag)
 
   struct unacked_entry {
-    int dst = -1;
     std::vector<double> image;  ///< full wire image, replayed verbatim
     clock::time_point deadline;
     int attempts = 0;  ///< retransmissions so far
   };
 
-  /// One pump iteration: drain/park up to one wire message, then service
-  /// retransmit deadlines. Returns true when a message was processed.
-  bool pump(std::chrono::microseconds wait);
-  void service_retransmits();
+  /// An accepted data frame or fence token.
+  struct delivery {
+    envelope::kind type = envelope::kind::data;
+    std::vector<double> payload;
+  };
+
+  /// Both directions of the stream with one peer, created on first traffic
+  /// with it: no state for silent peers, none that grows with run length.
+  struct peer_state {
+    std::uint64_t next_seq = 0;   ///< sender side: seq of the next send
+    std::uint64_t expected = 0;   ///< receiver side: first seq not yet in
+    std::uint64_t next_take = 0;  ///< receiver side: seq recv/fence take next
+    std::map<std::uint64_t, unacked_entry> unacked;  ///< by seq
+    /// Arrived, not yet taken, by seq: those below `expected` are in order
+    /// and wait for recv/fence, the rest are parked past a gap.
+    std::map<std::uint64_t, delivery> inbox;
+  };
+
+  /// The peer's state; every cursor starts at opts_.first_seq.
+  peer_state& peer(int rank);
+  bool all_acked() const;
+  /// One pump iteration: wait briefly for one wire message and handle it,
+  /// then retransmit every unacked frame whose deadline passed.
+  void pump();
   void handle_wire(any_message&& msg);
-  void send_ack(int src, int tag, std::uint64_t seq);
-  void send_data(int dst, int tag, std::span<const double> payload);
-  /// Move now-contiguous reorder-buffer entries into the ready queue.
-  void drain_reorder(const stream_key& key);
-  /// Stream cursor accessor: creates the slot at opts_.first_seq on first
-  /// touch, so wraparound tests can start every stream near the top.
-  std::uint64_t& seq_slot(std::map<stream_key, std::uint64_t>& m,
-                          const stream_key& key);
+  void send_ack(int src, std::uint64_t seq);
+  void send_frame(int dst, envelope::kind type,
+                  std::span<const double> payload);
+  /// Pump until the next in-order delivery from `src` arrives, require it
+  /// to be of kind `want`, and return its payload.
+  std::vector<double> take(int src, envelope::kind want);
 
   transport* fabric_;
   reliable_options opts_;
   reliable_stats stats_;
   reliable_stats published_;
   rng jitter_rng_;  ///< retransmit-jitter draws, seeded from (epoch, rank)
-
-  std::map<stream_key, std::uint64_t> next_seq_;  ///< sender side, per (dst,tag)
-  std::map<std::tuple<int, int, std::uint64_t>, unacked_entry> unacked_;
-
-  std::map<stream_key, std::uint64_t> expected_;  ///< receiver side, per (src,tag)
-  std::map<stream_key, std::map<std::uint64_t, std::vector<double>>> reorder_;
-  std::map<stream_key, std::deque<std::vector<double>>> ready_;
+  std::map<int, peer_state> peers_;  ///< by peer rank
 };
 
 }  // namespace sfp::runtime

@@ -109,7 +109,8 @@ injection_pipeline::outcome injection_pipeline::on_send(
   }
   std::vector<double> held;
   bool flush_held = false;
-  if (const auto it = stash_.find(dst); it != stash_.end()) {
+  const auto it = action.matched ? stash_.find(dst) : stash_.end();
+  if (it != stash_.end()) {
     held = std::move(it->second);
     stash_.erase(it);
     flush_held = true;  // delivered after this message: the injected swap

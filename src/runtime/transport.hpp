@@ -18,8 +18,8 @@
 // reconnect-with-epoch handshake (socket_transport.hpp). fabric.hpp runs a
 // rank program on it.
 //
-// Datagrams are untagged: a fabric carries (src, dst) streams only, and all
-// multiplexing (logical tags, fences) lives in the reliable envelope.
+// Datagrams are untagged: a fabric carries (src, dst) streams only, and the
+// reliable envelope orders data and fence tokens on one stream per pair.
 //
 // The shared fabric vocabulary (rank_counters, any_message, world_aborted)
 // lives here because the fabric, both wires and the reliable layer speak it.
@@ -153,7 +153,7 @@ class injection_pipeline {
   fault_injector injector_;
   rank_counters* counters_;
   /// Reorder stash: a reordered message waits here and is delivered right
-  /// after the next send to the same destination.
+  /// after the next send to the same destination that the plan matches.
   std::map<int, std::vector<double>> stash_;
 };
 

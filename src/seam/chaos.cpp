@@ -143,8 +143,8 @@ runtime::fault_plan to_fault_plan(const chaos_schedule& schedule,
     mf.dst = dst;
     mf.fire_from = nth;
     mf.fire_count = 1;
-    // Data frames only: a reliable wire message is a 6-double header plus
-    // payload, so >= 7 doubles excludes the header-only ack/fence frames
+    // Data frames only: a reliable wire message is a 5-double header plus
+    // payload, so >= 6 doubles excludes the header-only ack/fence frames
     // whose send order depends on timing.
     mf.min_payload = runtime::wire::header_doubles + 1;
     switch (what) {
@@ -376,6 +376,20 @@ partition_chaos_harness::partition_chaos_harness(
               "partition chaos harness: more ranks than elements");
 }
 
+chaos_schedule partition_chaos_harness::make_schedule(std::uint64_t seed,
+                                                      int nfaults) const {
+  // A fault-free attempt sends data frames only between the root (rank 0)
+  // and each leaf, one each way per flat-star allgather, and
+  // core::parallel_partition_rank runs two. Draw kind, direction and frame
+  // index on a two-rank world, then a leaf for rank 1 from its own stream.
+  chaos_schedule schedule = make_chaos_schedule(seed, 2, nfaults, 2);
+  rng r(seed ^ 0x1eaf1eaf1eaf1eafull);
+  const auto leaves = static_cast<std::uint64_t>(opts_.nranks - 1);
+  for (chaos_fault& f : schedule.faults)
+    (f.src == 0 ? f.dst : f.src) = 1 + static_cast<int>(r.below(leaves));
+  return schedule;
+}
+
 chaos_trial partition_chaos_harness::run(
     const chaos_schedule& schedule) const {
   chaos_trial t;
@@ -563,8 +577,8 @@ soak_report run_chaos_soak(const chaos_target& harness,
   soak_report report;
   report.trials = trials;
   for (int i = 0; i < trials; ++i) {
-    chaos_schedule schedule = make_chaos_schedule(
-        base_seed + static_cast<std::uint64_t>(i), harness.nranks(), nfaults);
+    chaos_schedule schedule = harness.make_schedule(
+        base_seed + static_cast<std::uint64_t>(i), nfaults);
     add_stream_faults(schedule, harness.nranks(), nstream);
     add_kills(schedule, harness.nranks(), nkills);
     const chaos_trial trial = harness.run(schedule);

@@ -156,6 +156,10 @@ class chaos_target {
   virtual chaos_trial run(const chaos_schedule& schedule) const = 0;
   /// Ranks the schedules' faults and kills are drawn over.
   virtual int nranks() const = 0;
+  /// A soak schedule's message faults: `nfaults` faults drawn from `seed`
+  /// onto the links and frame indices the harness's runs send.
+  virtual chaos_schedule make_schedule(std::uint64_t seed,
+                                       int nfaults) const = 0;
 };
 
 /// Problem + transport configuration for the advection harness.
@@ -183,6 +187,11 @@ class chaos_harness final : public chaos_target {
 
   chaos_trial run(const chaos_schedule& schedule) const override;
   int nranks() const override { return opts_.nranks; }
+  /// make_chaos_schedule: any rank pair, frame indices below 9.
+  chaos_schedule make_schedule(std::uint64_t seed,
+                               int nfaults) const override {
+    return make_chaos_schedule(seed, opts_.nranks, nfaults);
+  }
   const chaos_options& options() const { return opts_; }
 
  private:
@@ -206,8 +215,9 @@ struct partition_chaos_options {
 };
 
 /// Partition harness: the same schedules pointed at the distributed SFC
-/// partitioner (runtime::run_parallel_partition). Message faults must heal
-/// in place; rank kills exercise the restart ladder. Pass/fail:
+/// partitioner (runtime::run_parallel_partition). Message faults, drawn
+/// onto the frames an attempt sends, must heal in place; rank kills
+/// exercise the restart ladder. Pass/fail:
 ///   completed -> plan and boundaries must match the serial slicer
 ///                element for element; a fired kill implies at least one
 ///                recovery, and lost_ranks is exactly the set of ranks
@@ -221,6 +231,8 @@ class partition_chaos_harness final : public chaos_target {
 
   chaos_trial run(const chaos_schedule& schedule) const override;
   int nranks() const override { return opts_.nranks; }
+  chaos_schedule make_schedule(std::uint64_t seed,
+                               int nfaults) const override;
   const partition_chaos_options& options() const { return opts_; }
 
  private:
@@ -260,11 +272,11 @@ struct soak_report {
 };
 
 /// Run `trials` schedules seeded base_seed, base_seed+1, ..., each with
-/// `nfaults` message faults, `nstream` byte-stream faults (native on the
-/// socket backend, lowered to message-level equivalents on the in-process
-/// one) and `nkills` rank kills; shrink each failure against the harness
-/// when `shrink` is set (soaks that expect failures may skip it to bound
-/// wall-clock).
+/// `nfaults` message faults drawn by the harness's make_schedule, `nstream`
+/// byte-stream faults (native on the socket backend, lowered to
+/// message-level equivalents on the in-process one) and `nkills` rank
+/// kills; shrink each failure against the harness when `shrink` is set
+/// (soaks that expect failures may skip it to bound wall-clock).
 soak_report run_chaos_soak(const chaos_target& harness,
                            std::uint64_t base_seed, int trials, int nfaults,
                            int nstream = 0, int nkills = 0,

@@ -79,7 +79,7 @@ class rank_stepper {
           clock_.reset();
           project(fields);
           for (const std::span<double> f : fields) {
-            const auto [msgs, sent] = halo_.dss_average(f, tag_++);
+            const auto [msgs, sent] = halo_.dss_average(f);
             messages_ += msgs;
             doubles_sent_ += sent;
           }
@@ -97,7 +97,6 @@ class rank_stepper {
   sfp::stopwatch clock_;
   double compute_s_ = 0, exchange_s_ = 0;
   std::int64_t messages_ = 0, doubles_sent_ = 0;
-  int tag_ = 0;  ///< one fresh tag per DSS, in the same order on every rank
 };
 
 constexpr auto no_projection = [](const auto&) {};

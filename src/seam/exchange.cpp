@@ -120,7 +120,6 @@ halo_exchanger::halo_exchanger(const rank_exchange_plan& plan, int rank,
                                runtime::reliable_channel& channel)
     : plan_(&plan), channel_(&channel) {
   acc_.resize(plan.touched_dofs.size());
-  fresh_.resize(plan.touched_dofs.size());
   // Per-neighbour wire-volume counters, only while a session is observing:
   // each (rank, peer) pair is one registry entry, so an unobserved run must
   // not create them.
@@ -136,7 +135,7 @@ halo_exchanger::halo_exchanger(const rank_exchange_plan& plan, int rank,
 }
 
 std::pair<std::int64_t, std::int64_t> halo_exchanger::dss_average(
-    std::span<double> field, int tag) {
+    std::span<double> field) {
   const rank_exchange_plan& plan = *plan_;
   std::int64_t messages = 0, doubles_sent = 0;
   {
@@ -151,7 +150,7 @@ std::pair<std::int64_t, std::int64_t> halo_exchanger::dss_average(
       packed_.resize(peer.dof_local.size());
       for (std::size_t k = 0; k < peer.dof_local.size(); ++k)
         packed_[k] = acc_[static_cast<std::size_t>(peer.dof_local[k])];
-      channel_->send(peer.rank, tag, packed_);
+      channel_->send(peer.rank, packed_);
       ++messages;
       doubles_sent += static_cast<std::int64_t>(packed_.size());
       if (!peer_doubles_.empty())
@@ -160,13 +159,14 @@ std::pair<std::int64_t, std::int64_t> halo_exchanger::dss_average(
   }
   {
     SFP_TRACE_SCOPE_CAT("halo.recv", "seam");
-    fresh_ = acc_;
+    // Every send is packed, so the remote partials add into acc_ itself,
+    // in ascending peer order.
     for (const auto& peer : plan.peers) {
-      const std::vector<double> incoming = channel_->recv(peer.rank, tag);
+      const std::vector<double> incoming = channel_->recv(peer.rank);
       SFP_REQUIRE(incoming.size() == peer.dof_local.size(),
                   "halo exchange size mismatch");
       for (std::size_t k = 0; k < incoming.size(); ++k)
-        fresh_[static_cast<std::size_t>(peer.dof_local[k])] += incoming[k];
+        acc_[static_cast<std::size_t>(peer.dof_local[k])] += incoming[k];
     }
   }
   {
@@ -181,7 +181,7 @@ std::pair<std::int64_t, std::int64_t> halo_exchanger::dss_average(
     SFP_TRACE_SCOPE_CAT("halo.unpack", "seam");
     for (std::size_t k = 0; k < plan.owned_nodes.size(); ++k) {
       const auto d = static_cast<std::size_t>(plan.node_dof_local[k]);
-      field[plan.owned_nodes[k]] = fresh_[d] * plan.inv_multiplicity[d];
+      field[plan.owned_nodes[k]] = acc_[d] * plan.inv_multiplicity[d];
     }
   }
   return {messages, doubles_sent};

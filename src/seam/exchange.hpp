@@ -52,8 +52,9 @@ struct exchange_plan {
 
 /// Per-rank distributed DSS executor: accumulates the rank's own partial
 /// sums, exchanges boundary partials with every peer, and writes averaged
-/// values back into the owned slice of `field`. Each call must use a fresh
-/// `tag` agreed across ranks (e.g. a shared counter).
+/// values back into the owned slice of `field`. Remote partials are added
+/// in ascending peer order whatever order they arrive in, so the result is
+/// bitwise reproducible under any delivery timing.
 ///
 /// Halo traffic travels through `channel` (checksummed, acked,
 /// retransmitted — see runtime/reliable.hpp) on whatever backend carries
@@ -69,14 +70,12 @@ class halo_exchanger {
 
   /// Distributed equivalent of assembly::dss_average restricted to owned
   /// elements. Returns (messages sent, doubles sent) for accounting.
-  std::pair<std::int64_t, std::int64_t> dss_average(std::span<double> field,
-                                                    int tag);
+  std::pair<std::int64_t, std::int64_t> dss_average(std::span<double> field);
 
  private:
   const rank_exchange_plan* plan_;
   runtime::reliable_channel* channel_;
-  std::vector<double> acc_;     // per touched dof
-  std::vector<double> fresh_;   // accumulated incl. remote partials
+  std::vector<double> acc_;     // per touched dof, then incl. remote partials
   std::vector<double> packed_;  // send scratch
   /// Per-peer halo-volume counters in the global obs registry
   /// ("seam.halo.doubles.rankR.peerQ"), parallel to plan.peers; empty when

@@ -197,8 +197,8 @@ TEST(Distributed, MeasuredVolumeMatchesPlanExactly) {
 }
 
 TEST(Distributed, DssBitwiseIdenticalUnderInjectedDelays) {
-  // Message delays and duplicates reorder *delivery*, but recv matches on
-  // (source, tag) and each DSS uses a fresh tag, so the accumulation order —
+  // Message delays and duplicates reorder *delivery*, but each rank adds
+  // its peers' partials in ascending peer order, so the accumulation order —
   // and therefore every bit of the result — must not change.
   const mesh::cubed_sphere m(2);
   advection_model model(m, 4);

@@ -116,7 +116,7 @@ TEST(WorldTimeout, RecvTimesOutInsteadOfHanging) {
   try {
     w.run([](transport& t) {
       reliable_channel channel(t, {.recv_timeout = 50ms});
-      if (t.rank() == 1) channel.recv(0, 3);  // never sent
+      if (t.rank() == 1) channel.recv(0);  // never sent
     });
     FAIL() << "run should rethrow the timeout";
   } catch (const peer_unreachable_error& e) {
@@ -141,8 +141,8 @@ TEST(WorldTimeout, GenerousTimeoutDoesNotPerturbCleanRuns) {
   world w(4);
   w.run([](transport& t) {
     reliable_channel channel(t, {.recv_timeout = 30000ms});
-    channel.send((t.rank() + 1) % 4, 0, std::vector<double>{1.0});
-    EXPECT_EQ(channel.recv((t.rank() + 3) % 4, 0).size(), 1u);
+    channel.send((t.rank() + 1) % 4, std::vector<double>{1.0});
+    EXPECT_EQ(channel.recv((t.rank() + 3) % 4).size(), 1u);
     channel.flush();
     channel.fence();
   });
@@ -212,9 +212,9 @@ TEST(FaultInjection, DropPlusTimeoutAbortsCleanly) {
   EXPECT_THROW(w.run([](transport& t) {
                  reliable_channel channel(t, {.recv_timeout = 50ms});
                  if (t.rank() == 0) {
-                   channel.send(1, 0, std::vector<double>{42.0});
+                   channel.send(1, std::vector<double>{42.0});
                  } else {
-                   channel.recv(0, 0);  // dropped — times out, no hang
+                   channel.recv(0);  // dropped — times out, no hang
                  }
                }),
                peer_unreachable_error);
@@ -457,6 +457,29 @@ TEST(FaultInjection, FireWindowPinsAFaultToSpecificMatches) {
       EXPECT_EQ(aa.corrupt_element, bb.corrupt_element);
       EXPECT_EQ(aa.corrupt_bit, bb.corrupt_bit);
     }
+  }
+}
+
+TEST(FaultInjection, CorruptPositionsDoNotDependOnOtherEntries) {
+  // Delta debugging removes schedule entries; an entry that survives must
+  // flip the same bit as before, wherever it sat in the plan.
+  fault_plan both;
+  both.seed = 5;
+  for (const int dst : {1, 2}) {
+    fault_plan::message_fault mf;
+    mf.dst = dst;
+    mf.corrupt_probability = 1.0;
+    both.message_faults.push_back(mf);
+  }
+  fault_plan second_only = both;
+  second_only.message_faults.erase(second_only.message_faults.begin());
+  fault_injector a(both, 0), b(second_only, 0);
+  for (int i = 0; i < 6; ++i) {
+    const auto aa = a.on_send(2, 8);
+    const auto bb = b.on_send(2, 8);
+    ASSERT_TRUE(aa.corrupt && bb.corrupt);
+    EXPECT_EQ(aa.corrupt_element, bb.corrupt_element);
+    EXPECT_EQ(aa.corrupt_bit, bb.corrupt_bit);
   }
 }
 

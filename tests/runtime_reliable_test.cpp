@@ -1,7 +1,8 @@
 // Tests for the reliable-delivery transport: CRC32C, the wire envelope,
 // exactly-once in-order delivery under drop/duplicate/corrupt/truncate/
-// reorder injection, retransmit exhaustion, and the fault-injection
-// extensions (payload corruption, truncation, reordering) it heals.
+// reorder injection, the fence precondition on the shared per-pair stream,
+// retransmit exhaustion, and the fault-injection extensions (payload
+// corruption, truncation, reordering) it heals.
 
 #include <gtest/gtest.h>
 
@@ -10,12 +11,14 @@
 #include <cstdint>
 #include <cstring>
 #include <mutex>
+#include <string>
 #include <vector>
 
 #include "obs/metrics.hpp"
 #include "runtime/fault.hpp"
 #include "runtime/reliable.hpp"
 #include "runtime/world.hpp"
+#include "util/contract.hpp"
 
 namespace {
 
@@ -102,7 +105,6 @@ TEST(WireEnvelope, RoundTripsHeaderAndPayload) {
   envelope h;
   h.type = envelope::kind::data;
   h.epoch = 7;
-  h.tag = 42;
   h.seq = 123456;
   const std::vector<double> payload = {3.14, -2.71, 0.0, 1e300};
   const std::vector<double> image = wire::encode(h, payload);
@@ -113,19 +115,21 @@ TEST(WireEnvelope, RoundTripsHeaderAndPayload) {
   ASSERT_TRUE(wire::decode(image, /*verify_checksum=*/true, &parsed, &body));
   EXPECT_EQ(parsed.type, envelope::kind::data);
   EXPECT_EQ(parsed.epoch, 7u);
-  EXPECT_EQ(parsed.tag, 42);
   EXPECT_EQ(parsed.seq, 123456u);
   EXPECT_EQ(body, payload);
 }
 
-TEST(WireEnvelope, NegativeTagSurvivesRoundTrip) {
+TEST(WireEnvelope, FenceTokenIsAHeaderOnlyFrame) {
   envelope h;
-  h.tag = -1003;  // fence rounds use reserved negative tags
+  h.type = envelope::kind::fence;
+  h.seq = 3;
   const std::vector<double> image = wire::encode(h, {});
+  ASSERT_EQ(image.size(), wire::header_doubles);
   envelope parsed;
   std::vector<double> body;
   ASSERT_TRUE(wire::decode(image, true, &parsed, &body));
-  EXPECT_EQ(parsed.tag, -1003);
+  EXPECT_EQ(parsed.type, envelope::kind::fence);
+  EXPECT_EQ(parsed.seq, 3u);
   EXPECT_TRUE(body.empty());
 }
 
@@ -149,9 +153,9 @@ TEST(WireEnvelope, DetectsHeaderBitFlip) {
   h.seq = 9;
   std::vector<double> image = wire::encode(h, {{5.0}});
   std::uint64_t bits;
-  std::memcpy(&bits, &image[3], sizeof(bits));  // the seq word
+  std::memcpy(&bits, &image[2], sizeof(bits));  // the seq word
   bits ^= 1ull << 0;
-  std::memcpy(&image[3], &bits, sizeof(bits));
+  std::memcpy(&image[2], &bits, sizeof(bits));
   envelope parsed;
   std::vector<double> body;
   EXPECT_FALSE(wire::decode(image, true, &parsed, &body));
@@ -172,7 +176,8 @@ TEST(WireEnvelope, RejectsGarbageAndWrongMagic) {
   envelope parsed;
   std::vector<double> body;
   EXPECT_FALSE(wire::decode(std::vector<double>{1.0, 2.0}, true, &parsed, &body));
-  EXPECT_FALSE(wire::decode(std::vector<double>(6, 0.25), true, &parsed, &body));
+  EXPECT_FALSE(wire::decode(std::vector<double>(wire::header_doubles, 0.25),
+                           true, &parsed, &body));
 }
 
 // ---- fault-injection extensions --------------------------------------------
@@ -260,6 +265,32 @@ TEST(FaultInjection, ReorderSwapsAdjacentSends) {
   EXPECT_EQ(w.total_counters().injected_reorders, 1);
 }
 
+TEST(FaultInjection, ReorderIsReleasedOnlyByAMatchingSend) {
+  // A send the entry's min_payload filters out (an ack-sized frame) passes
+  // the stashed message by; the next matching send is its swap partner.
+  fault_plan plan;
+  plan.seed = 2;
+  fault_plan::message_fault mf;
+  mf.reorder_probability = 1.0;
+  mf.fire_count = 1;
+  mf.min_payload = 2;
+  plan.message_faults.push_back(mf);
+
+  world w(2, with_faults(plan));
+  w.run([](transport& c) {
+    if (c.rank() == 0) {
+      c.send(1, std::vector<double>{1.0, 1.0});  // stashed
+      c.send(1, std::vector<double>{9.0});       // filtered out: no release
+      c.send(1, std::vector<double>{2.0, 2.0});  // swap partner
+    } else {
+      EXPECT_EQ(recv_any(c).payload.at(0), 9.0);
+      EXPECT_EQ(recv_any(c).payload.at(0), 2.0);
+      EXPECT_EQ(recv_any(c).payload.at(0), 1.0);
+    }
+  });
+  EXPECT_EQ(w.total_counters().injected_reorders, 1);
+}
+
 // ---- reliable channel: clean fabric ----------------------------------------
 
 TEST(ReliableChannel, DeliversInOrderOnCleanFabric) {
@@ -269,9 +300,9 @@ TEST(ReliableChannel, DeliversInOrderOnCleanFabric) {
     const int right = (c.rank() + 1) % c.size();
     const int left = (c.rank() + c.size() - 1) % c.size();
     for (int i = 0; i < 5; ++i)
-      ch.send(right, 7, std::vector<double>{static_cast<double>(i)});
+      ch.send(right, std::vector<double>{static_cast<double>(i)});
     for (int i = 0; i < 5; ++i) {
-      const std::vector<double> got = ch.recv(left, 7);
+      const std::vector<double> got = ch.recv(left);
       ASSERT_EQ(got.size(), 1u);
       EXPECT_EQ(got[0], static_cast<double>(i));
     }
@@ -281,25 +312,38 @@ TEST(ReliableChannel, DeliversInOrderOnCleanFabric) {
   EXPECT_FALSE(w.aborted());
 }
 
-TEST(ReliableChannel, MultiplexesLogicalTagsOverOneWireTag) {
+// Fence tokens share each pair's one ordered stream with the data, so a
+// fence is only well-defined once a rank has received everything sent to
+// it before its peers fenced. Either side of a broken precondition is a
+// contract error naming the stream, never a silent reorder.
+TEST(ReliableChannel, FenceMeetingUnreceivedDataIsAContractError) {
   world w(2);
-  w.run([](transport& c) {
-    reliable_channel ch(c);
-    if (c.rank() == 0) {
-      ch.send(1, 10, std::vector<double>{10.0});
-      ch.send(1, 20, std::vector<double>{20.0});
-      ch.flush();
-      ch.fence();
-    } else {
-      // Receive in the opposite order of the sends: the logical-tag demux
-      // must park tag-10 traffic while tag 20 is being waited on.
-      EXPECT_EQ(ch.recv(0, 20).at(0), 20.0);
-      EXPECT_EQ(ch.recv(0, 10).at(0), 10.0);
-      ch.flush();
-      ch.fence();
-    }
-  });
-  EXPECT_FALSE(w.aborted());
+  EXPECT_THROW(w.run([](transport& c) {
+                 reliable_channel ch(c);
+                 if (c.rank() == 0) ch.send(1, std::vector<double>{1.0});
+                 ch.fence();  // rank 1 never received the 1.0
+               }),
+               sfp::contract_error);
+  EXPECT_EQ(w.failed_rank(), 1);
+}
+
+TEST(ReliableChannel, RecvMeetingAFenceTokenIsAContractError) {
+  world w(2);
+  try {
+    w.run([](transport& c) {
+      reliable_channel ch(c);
+      if (c.rank() == 0) {
+        ch.fence();
+      } else {
+        (void)ch.recv(0);  // rank 0 sent nothing before its fence token
+      }
+    });
+    FAIL() << "recv must reject the fence token";
+  } catch (const sfp::contract_error& e) {
+    EXPECT_NE(std::string(e.what()).find("stream 0 -> 1"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(w.failed_rank(), 1);
 }
 
 // ---- reliable channel: healing injected faults ------------------------------
@@ -321,10 +365,10 @@ void exchange_under(const fault_plan& plan, reliable_stats* out_stats) {
       std::vector<double> payload(kDoubles);
       for (int j = 0; j < kDoubles; ++j)
         payload[static_cast<std::size_t>(j)] = 100.0 * c.rank() + i + 0.25 * j;
-      ch.send(right, 5, payload);
+      ch.send(right, payload);
     }
     for (int i = 0; i < kMessages; ++i) {
-      const std::vector<double> got = ch.recv(left, 5);
+      const std::vector<double> got = ch.recv(left);
       ASSERT_EQ(got.size(), static_cast<std::size_t>(kDoubles));
       for (int j = 0; j < kDoubles; ++j)
         ASSERT_EQ(got[static_cast<std::size_t>(j)],
@@ -393,12 +437,18 @@ TEST(ReliableChannel, HealsTheFullChaosMix) {
 TEST(ReliableChannel, ChecksumHookLetsCorruptionThrough) {
   // With verification disabled (the deliberately-broken transport the chaos
   // soak must catch), a corrupted payload is delivered mangled instead of
-  // being dropped and retransmitted.
+  // being dropped and retransmitted. Only rank 0's first data frame is hit:
+  // an unverified flip in the kind or seq word of a fence token or of a
+  // timing-dependent retransmit could make a data frame take the fence
+  // token's place on the stream, which the fence reports as a contract
+  // error.
   fault_plan plan;
   plan.seed = 8;
   fault_plan::message_fault mf;
   mf.src = 0;
   mf.corrupt_probability = 1.0;
+  mf.min_payload = wire::header_doubles + 1;
+  mf.fire_count = 1;
   plan.message_faults.push_back(mf);
 
   world w(2, with_faults(plan));
@@ -408,11 +458,11 @@ TEST(ReliableChannel, ChecksumHookLetsCorruptionThrough) {
     reliable_channel ch(c, opts);
     const std::vector<double> payload(8, 1.0);
     if (c.rank() == 0) {
-      ch.send(1, 3, payload);
+      ch.send(1, payload);
       ch.flush();
       ch.fence();
     } else {
-      const std::vector<double> got = ch.recv(0, 3);
+      const std::vector<double> got = ch.recv(0);
       ASSERT_EQ(got.size(), payload.size());
       EXPECT_NE(got, payload);
       ch.flush();
@@ -441,7 +491,7 @@ TEST(ReliableChannel, TotalLossExhaustsRetransmitsAndNamesThePeer) {
         opts.max_backoff = std::chrono::microseconds{400};
         reliable_channel ch(c, opts);
         if (c.rank() == 0) {
-          ch.send(1, 3, std::vector<double>{1.0});
+          ch.send(1, std::vector<double>{1.0});
           try {
             ch.flush();
           } catch (const peer_unreachable_error& e) {
@@ -449,7 +499,7 @@ TEST(ReliableChannel, TotalLossExhaustsRetransmitsAndNamesThePeer) {
             throw;
           }
         } else {
-          ch.recv(0, 3);
+          ch.recv(0);
         }
       }),
       peer_unreachable_error);
@@ -515,13 +565,13 @@ TEST(MultiPeerDrops, ReliableChannelHealsSimultaneousFirstFrameLoss) {
     reliable_channel ch(c, opts);
     if (c.rank() == 0) {
       for (int peer = 1; peer < c.size(); ++peer) {
-        const std::vector<double> got = ch.recv(peer, 7);
+        const std::vector<double> got = ch.recv(peer);
         ASSERT_EQ(got.size(), 2u);
         EXPECT_EQ(got.at(0), 10.0 * peer);
         ++received;
       }
     } else {
-      ch.send(0, 7, std::vector<double>{10.0 * c.rank(), 0.5});
+      ch.send(0, std::vector<double>{10.0 * c.rank(), 0.5});
       ch.flush();
       retransmits += ch.stats().retransmits;
     }
@@ -558,13 +608,13 @@ TEST(MultiPeerDrops, ReliableRecvTimeoutNamesTheSilentPeer) {
         reliable_channel ch(c, opts);
         if (c.rank() == 0) {
           try {
-            (void)ch.recv(1, 7);
+            (void)ch.recv(1);
           } catch (const peer_unreachable_error& e) {
             named_peer = e.peer();
             throw;
           }
         } else {
-          ch.send(0, 7, std::vector<double>{1.0});
+          ch.send(0, std::vector<double>{1.0});
           // No flush: retransmit exhaustion on the senders would race the
           // receiver's recv_timeout for which exception wins.
         }
@@ -581,18 +631,18 @@ TEST(ReliableChannel, StaleEpochTrafficIsDropped) {
       reliable_options old_epoch;
       old_epoch.epoch = 3;
       reliable_channel stale(c, old_epoch);
-      stale.send(1, 3, std::vector<double>{1.0});
+      stale.send(1, std::vector<double>{1.0});
       // No flush: the peer will never ack a stale-epoch message.
       reliable_options cur;
       cur.epoch = 4;
       reliable_channel ch(c, cur);
-      ch.send(1, 3, std::vector<double>{2.0});
+      ch.send(1, std::vector<double>{2.0});
       ch.flush();
     } else {
       reliable_options cur;
       cur.epoch = 4;
       reliable_channel ch(c, cur);
-      EXPECT_EQ(ch.recv(0, 3).at(0), 2.0);
+      EXPECT_EQ(ch.recv(0).at(0), 2.0);
       EXPECT_GE(ch.stats().stale_dropped, 1);
     }
   });

@@ -1,6 +1,7 @@
 // Tests for the virtual-rank runtime: the in-process world as a transport —
-// point-to-point ordering, the logical tags and fence barrier a reliable
-// channel builds on its untagged datagrams, and stress under concurrency.
+// point-to-point ordering, the per-source streams and fence barrier a
+// reliable channel builds on its untagged datagrams, and stress under
+// concurrency.
 
 #include <gtest/gtest.h>
 
@@ -76,19 +77,22 @@ TEST(World, MessagesBetweenSamePairAreOrdered) {
   });
 }
 
-TEST(World, TagsAreIndependentChannels) {
-  // The world carries untagged datagrams; logical tags live in the reliable
-  // envelope, and each (source, tag) is its own ordered channel over it.
-  world w(2);
+TEST(World, SourcesAreIndependentStreams) {
+  // The world carries untagged datagrams; the reliable channel keeps one
+  // ordered stream per source over them, so a receiver reads its sources
+  // in whatever order it likes and each stream stays in send order.
+  world w(3);
   w.run([](transport& t) {
     reliable_channel channel(t);
     if (t.rank() == 0) {
-      channel.send(1, /*tag=*/2, std::vector<double>{22.0});
-      channel.send(1, /*tag=*/1, std::vector<double>{11.0});
+      channel.send(2, std::vector<double>{1.0});
+      channel.send(2, std::vector<double>{2.0});
+    } else if (t.rank() == 1) {
+      channel.send(2, std::vector<double>{11.0});
     } else {
-      // Receive in the opposite order of sending; tags must match content.
-      EXPECT_DOUBLE_EQ(channel.recv(0, 1).at(0), 11.0);
-      EXPECT_DOUBLE_EQ(channel.recv(0, 2).at(0), 22.0);
+      EXPECT_DOUBLE_EQ(channel.recv(1).at(0), 11.0);
+      EXPECT_DOUBLE_EQ(channel.recv(0).at(0), 1.0);
+      EXPECT_DOUBLE_EQ(channel.recv(0).at(0), 2.0);
     }
     channel.flush();
     channel.fence();

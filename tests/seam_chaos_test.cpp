@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -115,6 +116,47 @@ TEST(ChaosSchedule, LowersToOneShotFaultPlanEntries) {
   EXPECT_EQ(plan.message_faults[0].fire_from, 5);
   EXPECT_EQ(plan.message_faults[0].fire_count, 1);
   EXPECT_EQ(plan.message_faults[0].drop_probability, 0.0);
+}
+
+TEST(ChaosSchedule, AdvectionHarnessDrawsOverEveryRankPair) {
+  // The advection harness's soak schedules are make_chaos_schedule's,
+  // fault for fault.
+  const chaos_harness harness(small_problem());
+  for (std::uint64_t seed = 1000; seed < 1010; ++seed) {
+    const chaos_schedule got = harness.make_schedule(seed, 6);
+    const chaos_schedule want = make_chaos_schedule(seed, harness.nranks(), 6);
+    ASSERT_EQ(got.faults.size(), want.faults.size());
+    for (std::size_t i = 0; i < got.faults.size(); ++i) {
+      EXPECT_EQ(got.faults[i].what, want.faults[i].what);
+      EXPECT_EQ(got.faults[i].src, want.faults[i].src);
+      EXPECT_EQ(got.faults[i].dst, want.faults[i].dst);
+      EXPECT_EQ(got.faults[i].nth, want.faults[i].nth);
+    }
+  }
+}
+
+TEST(ChaosSchedule, PartitionHarnessDrawsOntoRootLeafDataFrames) {
+  // A partition attempt sends data frames only between the root and each
+  // leaf, two per link and direction; the harness draws every fault onto
+  // one of them, and a drop on the last frame of every link fires.
+  const partition_chaos_harness harness;
+  const int n = harness.nranks();
+  for (std::uint64_t seed = 5000; seed < 5020; ++seed) {
+    for (const chaos_fault& f : harness.make_schedule(seed, 6).faults) {
+      EXPECT_TRUE((f.src == 0) != (f.dst == 0)) << "seed " << seed;
+      EXPECT_LT(std::max(f.src, f.dst), n);
+      EXPECT_GE(f.nth, 0);
+      EXPECT_LT(f.nth, 2);
+    }
+  }
+  chaos_schedule every_link;
+  for (int leaf = 1; leaf < n; ++leaf) {
+    every_link.faults.push_back({chaos_fault::kind::drop, 0, leaf, 1});
+    every_link.faults.push_back({chaos_fault::kind::drop, leaf, 0, 1});
+  }
+  const chaos_trial t = harness.run(every_link);
+  EXPECT_TRUE(t.passed) << t.failure;
+  EXPECT_EQ(t.counters.injected_drops, 2 * (n - 1));
 }
 
 TEST(ChaosSoak, FiftyRandomizedSchedulesHealInPlace) {
@@ -348,11 +390,10 @@ TEST(ChaosShrink, ChecksumDisabledPartitionFailureIsCaughtAndShrunk) {
   // The partition harness's shrink path end to end: with checksum
   // verification off an undetected bit flip reaches the plan, the soak
   // catches it, ddmin shrinks the schedule, and the shrunk reproducer
-  // still fails after a JSON round trip. A partition attempt sends two
-  // data frames per (leaf, root) link, so most of a schedule's faults
-  // (indexed up to 9 per link) never fire, and a flip must land on one of
-  // the few payload words to change the plan: 100 schedules give the
-  // soak a handful of such hits.
+  // still fails after a JSON round trip. The harness draws its faults onto
+  // the two data frames per (root, leaf) link and direction that an
+  // attempt sends, but a flip must land on one of the few payload words
+  // to change the plan, so the soak runs 100 schedules.
   partition_chaos_options opts;
   opts.reliable.verify_checksums = false;
   const partition_chaos_harness harness(opts);

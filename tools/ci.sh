@@ -33,8 +33,9 @@
 #      SFCPART_CHAOS_SEED, default 1000) across the transport backend
 #      matrix — in-process, and loopback-TCP with byte-stream faults —
 #      and must heal every one in place; rank-kill soaks on both backends
-#      must keep serial parity; and a bare schedule file replays through
-#      `sfcpart chaos --replay` once per harness
+#      must keep serial parity; and bare schedule files replay through
+#      `sfcpart chaos --replay`: message faults on each harness, and a
+#      rank kill on the partition harness
 #   7. distributed-partition bench smoke: bench_partition_scaling at a tiny
 #      K, and again at ~8 elements per part (Ne = 12, 108 parts), must run
 #      all rank counts, match the serial slicer (the bench aborts on
@@ -137,14 +138,22 @@ build/tools/sfcpart chaos --partition --trials=20 --kills=1 \
 build/tools/sfcpart chaos --partition --trials=20 --kills=1 \
   --transport=socket --seed="${SFCPART_CHAOS_SEED:-1000}" \
   --out="$chaos_dir/chaos_kill_socket"
-# Replay legs: a bare schedule file through --replay, once per harness —
-# two message faults that heal in place, then one kill on 4 ranks, which
-# must restart on the three survivors and recover into the serial plan.
+# Replay legs: bare schedule files through --replay — two message faults
+# that heal in place on each harness (on the partition harness a corrupt
+# and a drop on leaf -> root data frames, which must still yield the
+# serial plan), then one kill on 4 ranks, which must restart on the three
+# survivors and recover into the serial plan.
 printf '%s\n' '{"seed": "7", "faults": [
   {"kind": "drop", "src": 0, "dst": 1, "nth": 1},
   {"kind": "corrupt", "src": 2, "dst": 3, "nth": 0}]}' \
   > "$chaos_dir/replay_faults.json"
 build/tools/sfcpart chaos --replay="$chaos_dir/replay_faults.json"
+printf '%s\n' '{"seed": "7", "faults": [
+  {"kind": "corrupt", "src": 1, "dst": 0, "nth": 0},
+  {"kind": "drop", "src": 3, "dst": 0, "nth": 1}]}' \
+  > "$chaos_dir/replay_partition_faults.json"
+build/tools/sfcpart chaos --partition --nproc=4 \
+  --replay="$chaos_dir/replay_partition_faults.json"
 printf '%s\n' '{"seed": "7", "faults": [], "kills": [{"rank": 1, "at_op": 3}]}' \
   > "$chaos_dir/replay_kill.json"
 build/tools/sfcpart chaos --partition --nproc=4 \

@@ -577,8 +577,7 @@ int cmd_chaos(const cli_args& args) {
       std::fprintf(stderr, "kill-rank must be in [0, %d)\n", nranks);
       return 2;
     }
-    seam::chaos_schedule schedule =
-        seam::make_chaos_schedule(seed, nranks, nfaults);
+    seam::chaos_schedule schedule = harness->make_schedule(seed, nfaults);
     schedule.kills.push_back(kill);
     std::printf("partitioning Ne=%d into %d parts on %d ranks (%s backend), "
                 "killing rank %d at op %lld...\n",
