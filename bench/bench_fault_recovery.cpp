@@ -66,7 +66,7 @@ double moved_fraction_reslice(const core::cube_curve& curve,
 double timed_resilient_ms(const seam::advection_model& model,
                           const core::cube_curve& curve,
                           const partition::partition& part, double dt,
-                          int nsteps, const seam::resilience_options& ropts,
+                          int nsteps, const runtime::resilience_options& ropts,
                           seam::recovery_report* report) {
   const auto t0 = std::chrono::steady_clock::now();
   (void)seam::run_distributed_resilient(model, curve, part, dt, nsteps, ropts,
@@ -93,7 +93,8 @@ void transient_fault_section() {
               mesh.num_elements());
 
   const auto base = [&] {
-    seam::resilience_options r;
+    runtime::resilience_options r;
+    r.max_recoveries = 1;
     r.reliable.recv_timeout = std::chrono::milliseconds(15000);
     // 24 rank threads share whatever cores the machine has; a retransmit
     // timeout below the scheduling jitter would count descheduled peers as
@@ -104,14 +105,14 @@ void transient_fault_section() {
   };
 
   // (1) no faults — the floor: envelope + ack + checkpoint-fence cost.
-  seam::resilience_options clean = base();
+  runtime::resilience_options clean = base();
   seam::recovery_report clean_rep;
   const double clean_ms =
       timed_resilient_ms(model, curve, part, dt, nsteps, clean, &clean_rep);
 
   // (2) message chaos — retransmit overhead, the faults heal in place
-  // (attempts stays 1, nothing migrates).
-  seam::resilience_options chaos = base();
+  // (no recovery, nothing migrates).
+  runtime::resilience_options chaos = base();
   chaos.faults.seed = 384;
   auto& mf = chaos.faults.message_faults.emplace_back();
   mf.drop_probability = 0.02;
@@ -123,19 +124,19 @@ void transient_fault_section() {
       timed_resilient_ms(model, curve, part, dt, nsteps, chaos, &chaos_rep);
 
   // (3) rank kill — transient healing cannot help; the run re-slices.
-  seam::resilience_options kill = base();
+  runtime::resilience_options kill = base();
   kill.faults.kills.push_back({nproc / 2, 40});
   seam::recovery_report kill_rep;
   const double kill_ms =
       timed_resilient_ms(model, curve, part, dt, nsteps, kill, &kill_rep);
 
-  table t({"scenario", "ms", "attempts", "retransmits", "moved %"});
+  table t({"scenario", "ms", "recoveries", "retransmits", "moved %"});
   const auto row = [&](const char* name, double ms,
                        const seam::recovery_report& rep) {
     t.new_row()
         .add(name)
         .add(ms, 1)
-        .add(rep.attempts)
+        .add(rep.recoveries)
         .add(rep.reliable.retransmits)
         .add(100.0 * rep.migration.moved_fraction, 2);
   };
@@ -143,7 +144,7 @@ void transient_fault_section() {
   row("message chaos", chaos_ms, chaos_rep);
   row("rank kill -> re-slice", kill_ms, kill_rep);
   std::printf("%s\n", t.str().c_str());
-  std::printf("Message chaos heals in place: attempts stays 1 and nothing\n"
+  std::printf("Message chaos heals in place: no recovery, and nothing\n"
               "migrates; the cost is retransmits on the already-degraded\n"
               "links. A kill always pays a re-slice plus a rollback to the\n"
               "last checkpoint.\n\n");
@@ -156,7 +157,7 @@ void transient_fault_section() {
   const auto scenario = [](double ms, const seam::recovery_report& rep) {
     io::json_value s = io::json_object();
     s.object["ms"] = io::json_number(ms);
-    s.object["attempts"] = io::json_number(rep.attempts);
+    s.object["recoveries"] = io::json_number(rep.recoveries);
     s.object["retransmits"] =
         io::json_number(static_cast<double>(rep.reliable.retransmits));
     s.object["corruption_detected"] = io::json_number(

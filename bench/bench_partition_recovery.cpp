@@ -70,7 +70,7 @@ int main(int argc, char** argv) {
     runtime::parallel_partition_report report;
     double best_ms = 1e300;
     for (int r = 0; r < repeat; ++r) {
-      runtime::parallel_partition_run_options opts;
+      runtime::resilience_options opts;
       opts.faults.kills = sc.kills;
       stopwatch sw;
       report =

@@ -15,9 +15,10 @@
 //   unknown           -> a logic error, not a fabric fault: never recover.
 //
 // Kept in core (below the runtime in the layering) so the policy is a pure
-// function over plain data. runtime::run_fabric_attempt maps the fabric's
-// exception types to failure_kind, and both resilient runners — the SEAM
-// runner and the distributed partitioner — climb this one ladder.
+// function over plain data. runtime::run_resilient, the one attempt loop
+// of both resilient runners (the SEAM runner and the distributed
+// partitioner), maps the fabric's exception types to failure_kind and is
+// the one caller of this ladder.
 
 namespace sfp::core {
 

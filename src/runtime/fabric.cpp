@@ -1,11 +1,37 @@
 #include "runtime/fabric.hpp"
 
+#include <algorithm>
 #include <exception>
+#include <numeric>
+#include <set>
 
-#include "runtime/reliable.hpp"
+#include "core/escalation.hpp"
+#include "obs/trace.hpp"
 #include "runtime/world.hpp"
+#include "util/require.hpp"
 
 namespace sfp::runtime {
+
+namespace {
+
+/// The fault plan of one attempt over the world ranks `alive` (ascending;
+/// dense rank i is world rank alive[i]): every kill armed on a surviving
+/// rank, renumbered densely — a rank whose kill fired is never alive — and
+/// the message faults on attempt 0 only.
+fault_plan attempt_faults(const fault_plan& plan, const std::vector<int>& alive,
+                          int attempt) {
+  fault_plan out;
+  out.seed = plan.seed;
+  if (attempt == 0) out.message_faults = plan.message_faults;
+  for (const fault_plan::kill_spec& k : plan.kills) {
+    const auto it = std::lower_bound(alive.begin(), alive.end(), k.rank);
+    if (it != alive.end() && *it == k.rank)
+      out.kills.push_back({static_cast<int>(it - alive.begin()), k.at_op});
+  }
+  return out;
+}
+
+}  // namespace
 
 void run_fabric(int num_ranks, const fabric_options& opts,
                 const std::function<void(transport&)>& rank_main,
@@ -21,31 +47,107 @@ void run_fabric(int num_ranks, const fabric_options& opts,
     report->per_rank.clear();
     for (int r = 0; r < num_ranks; ++r)
       report->per_rank.push_back(w.counters(r));
-    report->counters = w.total_counters();
     report->socket = w.socket_totals();
   }
   if (failure) std::rethrow_exception(failure);
 }
 
-rank_failure run_fabric_attempt(
-    int num_ranks, const fabric_options& opts,
-    const std::function<void(transport&)>& rank_main, fabric_report* report) {
-  rank_failure failure;
-  // Only the root-cause exception reaches here; every other rank holds a
-  // cascading world_aborted.
-  try {
-    run_fabric(num_ranks, opts, rank_main, report);
-  } catch (const rank_killed& e) {
-    failure.kind = core::failure_kind::rank_killed;
-    failure.thrower = e.rank();
-    failure.error = std::current_exception();
-  } catch (const peer_unreachable_error& e) {
-    failure.kind = core::failure_kind::peer_unreachable;
-    failure.thrower = e.rank();
-    failure.peer = e.peer();
-    failure.error = std::current_exception();
+std::exception_ptr run_resilient(int num_ranks,
+                                 const resilience_options& opts,
+                                 const resilient_rank_fn& rank_main,
+                                 const restart_fn& on_restart,
+                                 resilience_report& report) {
+  SFP_REQUIRE(num_ranks >= 1, "need at least one rank");
+  SFP_REQUIRE(opts.max_recoveries >= 0, "max_recoveries must be >= 0");
+  report.per_rank_counters.assign(static_cast<std::size_t>(num_ranks), {});
+  // World ranks of the current attempt, ascending.
+  std::vector<int> alive(static_cast<std::size_t>(num_ranks));
+  std::iota(alive.begin(), alive.end(), 0);
+  for (int attempt = 0;; ++attempt) {
+    SFP_TRACE_SCOPE_CAT("runtime.attempt", "runtime");
+    const int n = static_cast<int>(alive.size());
+    fabric_options fopts;
+    fopts.backend = opts.backend;
+    fopts.faults = attempt_faults(opts.faults, alive, attempt);
+    if (attempt == 0) fopts.stream_faults = opts.stream_faults;
+    reliable_options ropts = opts.reliable;
+    ropts.epoch = static_cast<std::uint64_t>(attempt);
+    std::vector<reliable_stats> reliable(static_cast<std::size_t>(n));
+    fabric_report frep;
+    core::failure_kind kind = core::failure_kind::rank_killed;
+    int thrower = -1;
+    int peer = -1;
+    std::exception_ptr error;
+    // Only the root-cause exception reaches here; every other rank holds a
+    // cascading world_aborted.
+    try {
+      run_fabric(
+          n, fopts,
+          [&](transport& t) {
+            const auto r = static_cast<std::size_t>(t.rank());
+            reliable_channel channel(t, ropts);
+            std::exception_ptr failure;  // a failed attempt's traffic counts
+            try {
+              rank_main(channel, alive[r]);
+              channel.flush();
+              channel.fence();
+            } catch (...) {
+              failure = std::current_exception();
+            }
+            reliable[r] = channel.stats();
+            if (failure) std::rethrow_exception(failure);
+          },
+          &frep);
+    } catch (const rank_killed& e) {
+      thrower = e.rank();
+      error = std::current_exception();
+    } catch (const peer_unreachable_error& e) {
+      kind = core::failure_kind::peer_unreachable;
+      thrower = e.rank();
+      peer = e.peer();
+      error = std::current_exception();
+    }
+    report.socket += frep.socket;
+    for (const reliable_stats& s : reliable) report.reliable += s;
+
+    // Every rank whose kill fired is lost — also one that fired in its
+    // channel's teardown after the fence, which ends no rank body: a fired
+    // kill always costs a restart.
+    std::set<int> lost;
+    for (int r = 0; r < n; ++r) {
+      const rank_counters& c = frep.per_rank[static_cast<std::size_t>(r)];
+      report.counters += c;
+      report.per_rank_counters[static_cast<std::size_t>(
+          alive[static_cast<std::size_t>(r)])] += c;
+      if (c.injected_kills > 0) lost.insert(r);
+    }
+    if (!error && lost.empty()) {
+      for (int r = 0; r < num_ranks; ++r)
+        if (!std::binary_search(alive.begin(), alive.end(), r))
+          report.lost_ranks.push_back(r);
+      return nullptr;
+    }
+    if (!error) {
+      // Only teardown kills fired: the lowest such rank stands as thrower.
+      thrower = *lost.begin();
+      const auto k = std::find_if(
+          fopts.faults.kills.begin(), fopts.faults.kills.end(),
+          [&](const fault_plan::kill_spec& s) { return s.rank == thrower; });
+      error = std::make_exception_ptr(rank_killed(thrower, k->at_op));
+    }
+    const core::escalation_decision d = core::decide_escalation(
+        kind, thrower, peer, attempt, opts.max_recoveries, n);
+    if (d.recover) lost.insert(d.victim);
+    if (!d.recover || static_cast<int>(lost.size()) == n) {
+      report.lost_ranks.resize(static_cast<std::size_t>(num_ranks));
+      std::iota(report.lost_ranks.begin(), report.lost_ranks.end(), 0);
+      return error;
+    }
+    if (on_restart) on_restart(lost);
+    for (auto it = lost.rbegin(); it != lost.rend(); ++it)
+      alive.erase(alive.begin() + *it);
+    ++report.recoveries;
   }
-  return failure;
 }
 
 }  // namespace sfp::runtime

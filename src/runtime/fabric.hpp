@@ -6,18 +6,28 @@
 // a reliable_channel over the transport it is handed, so the wire is a
 // value, not a code path.
 //
-// The resilient runners (seam::run_distributed_resilient and
-// run_parallel_partition) run each attempt through run_fabric_attempt,
-// which turns the two fabric failures — a rank death and an unreachable
-// peer — into the plain data core::decide_escalation climbs.
+// run_resilient is the one attempt loop of both resilient runners
+// (seam::run_distributed_resilient and run_parallel_partition). It turns
+// the two fabric failures — a rank death and an unreachable peer — into
+// the plain data core::decide_escalation climbs, and restarts on the
+// surviving world ranks, renumbered densely, until an attempt completes or
+// the ladder refuses.
+//
+// Faults across attempts, for both runners: message and stream faults
+// apply to attempt 0 only. A kill that has not fired stays armed on its
+// world rank while that rank survives, and its `at_op` counts the rank's
+// ops within each attempt. Every rank whose kill fired is lost — also one
+// whose kill fired in its channel's teardown, after its body returned —
+// plus the escalation victim.
 
 #include <chrono>
 #include <exception>
 #include <functional>
+#include <set>
 #include <vector>
 
-#include "core/escalation.hpp"
 #include "runtime/fault.hpp"
+#include "runtime/reliable.hpp"
 #include "runtime/socket_transport.hpp"
 #include "runtime/transport.hpp"
 
@@ -48,7 +58,6 @@ struct fabric_options {
 /// What a fabric run left behind. Filled in whether or not the run threw.
 struct fabric_report {
   std::vector<rank_counters> per_rank;  ///< indexed by rank
-  rank_counters counters;               ///< summed over ranks
   socket_stats socket;                  ///< socket wire only
 };
 
@@ -60,21 +69,54 @@ void run_fabric(int num_ranks, const fabric_options& opts,
                 const std::function<void(transport&)>& rank_main,
                 fabric_report* report = nullptr);
 
-/// How a resilient attempt ended: the escalation ladder's inputs, plus the
-/// root-cause exception to rethrow when the ladder refuses. `error` is null
-/// when every rank completed.
-struct rank_failure {
-  core::failure_kind kind = core::failure_kind::unknown;
-  int thrower = -1;  ///< rank whose exception aborted the world
-  int peer = -1;     ///< the unreachable peer (peer_unreachable only)
-  std::exception_ptr error;
+/// Everything a resilient run can be configured with.
+struct resilience_options {
+  transport_backend backend = transport_backend::inproc;
+  /// Message faults and kills (see "faults across attempts" above).
+  fault_plan faults;
+  /// Byte-stream chaos (socket wire only), on attempt 0 only.
+  stream_fault_plan stream_faults;
+  /// Channel tuning (retransmit budget, timeouts). The epoch is
+  /// overwritten with the attempt number.
+  reliable_options reliable;
+  /// Restarts a run absorbs before core::decide_escalation gives up.
+  int max_recoveries = 3;
 };
 
-/// run_fabric for the resilient runners: a rank_killed or
-/// peer_unreachable_error that aborts the world is returned, mapped to its
-/// failure_kind, thrower and peer; any other exception propagates.
-rank_failure run_fabric_attempt(int num_ranks, const fabric_options& opts,
-                                const std::function<void(transport&)>& rank_main,
-                                fabric_report* report = nullptr);
+/// What a resilient run cost, summed over every attempt.
+struct resilience_report {
+  rank_counters counters;                        ///< fabric totals
+  std::vector<rank_counters> per_rank_counters;  ///< by world rank
+  reliable_stats reliable;  ///< reliable-channel totals over ranks
+  socket_stats socket;      ///< all zero on the in-process wire
+  /// Restarts before the attempt that completed (0 = fault-free).
+  int recoveries = 0;
+  /// World ranks outside the attempt that completed, ascending; every
+  /// world rank when the run gave up.
+  std::vector<int> lost_ranks;
+};
+
+/// One rank of one attempt: the rank's channel (dense rank and size) and
+/// the world rank it stands for.
+using resilient_rank_fn =
+    std::function<void(reliable_channel& channel, int world_rank)>;
+
+/// Called between a failed attempt and the next with the attempt's lost
+/// dense ranks; the survivors keep their order.
+using restart_fn = std::function<void(const std::set<int>& lost)>;
+
+/// Run `rank_main` on `num_ranks` world ranks, restarting on the survivors
+/// after every rank death or unreachable peer the escalation ladder
+/// absorbs. Each rank gets a fresh reliable_channel per attempt, which the
+/// loop settles with flush() and fence() after `rank_main` returns.
+/// `on_restart` (may be empty) runs before each restart. Accumulates into
+/// `report` and returns null when an attempt completed, else the root
+/// cause of the attempt the ladder refused. Any other exception (a
+/// contract violation, a model assertion) propagates.
+std::exception_ptr run_resilient(int num_ranks,
+                                 const resilience_options& opts,
+                                 const resilient_rank_fn& rank_main,
+                                 const restart_fn& on_restart,
+                                 resilience_report& report);
 
 }  // namespace sfp::runtime

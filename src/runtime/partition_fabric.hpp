@@ -7,9 +7,9 @@
 //
 // Recovery is a restart. The plan is a pure function of the curve, the
 // weights and the part count — not of the rank count — so when a rank dies
-// the fabric aborts the attempt and the driver reruns the partition from
-// scratch on the surviving world ranks, renumbered densely, through the
-// same core::decide_escalation ladder as the SEAM resilient runner.
+// the partition reruns from scratch on the surviving world ranks through
+// runtime::run_resilient, the attempt loop the SEAM resilient runner
+// shares (faults across attempts and the lost-rank rule: fabric.hpp).
 //
 // This closes the dependency inversion described in core/dist_scan.hpp:
 // core owns the algorithm and the comm interface, runtime owns the wires.
@@ -35,37 +35,24 @@ namespace sfp::runtime {
 /// channel's peer_unreachable_error, which ends the attempt.
 class reliable_peer_comm final : public core::peer_comm {
  public:
-  reliable_peer_comm(reliable_channel& channel, int rank, int size)
-      : channel_(&channel), rank_(rank), size_(size) {}
+  explicit reliable_peer_comm(reliable_channel& channel)
+      : channel_(&channel) {}
 
-  int rank() const override { return rank_; }
-  int size() const override { return size_; }
+  int rank() const override { return channel_->rank(); }
+  int size() const override { return channel_->size(); }
   void send(int dst, std::span<const std::int64_t> words) override;
   std::vector<std::int64_t> recv(int src) override;
 
  private:
   reliable_channel* channel_;
-  int rank_;
-  int size_;
 };
 
-/// Everything a distributed partition run can be configured with.
-struct parallel_partition_run_options {
-  transport_backend backend = transport_backend::inproc;
-  /// Message-level chaos, identical semantics on both backends.
-  fault_plan faults;
-  /// Byte-stream chaos (socket backend only).
-  stream_fault_plan stream_faults;
-  /// Reliable-layer tuning (retransmit budget, timeouts).
-  reliable_options reliable;
-  /// Restarts a run absorbs before the escalation ladder gives up
-  /// (core::decide_escalation); each one reruns the partition from
-  /// scratch on the surviving ranks.
-  int max_recoveries = 3;
-};
+/// The old name of the run options, kept only for perfbench, which names it.
+using parallel_partition_run_options = resilience_options;
 
-/// What a distributed partition run produced, plus what it cost.
-struct parallel_partition_report {
+/// What a distributed partition run produced, plus what its attempts cost
+/// (the resilience_report fields; zero on the solo path).
+struct parallel_partition_report : resilience_report {
   /// The assembled global plan — bit-identical to the serial slicer's.
   /// Meaningless when `aborted` is true.
   partition::partition plan;
@@ -74,24 +61,10 @@ struct parallel_partition_report {
   /// Per-rank accounting, indexed by world rank. Under recovery a rank's
   /// stats accumulate across its attempts.
   std::vector<core::parallel_partition_stats> rank_stats;
-  /// Fabric robustness totals over every attempt (zero on the solo path).
-  rank_counters counters;
-  /// Fabric counters per world rank, summed over every attempt.
-  std::vector<rank_counters> per_rank_counters;
-  /// Reliable-layer totals, summed over ranks.
-  reliable_stats reliable;
-  /// Socket-layer totals (socket backend only).
-  socket_stats socket;
   /// True when the escalation ladder refused another restart (recovery
   /// budget spent) or no rank survived. The plan and boundaries are not
   /// populated in that case, and every world rank is listed as lost.
   bool aborted = false;
-  /// Restarts before the attempt that produced the plan (0 = fault-free).
-  int recoveries = 0;
-  /// World ranks outside the attempt that produced the plan, ascending:
-  /// every rank whose kill fired, and every escalation victim. Empty on
-  /// the fault-free path.
-  std::vector<int> lost_ranks;
 };
 
 /// Run the distributed partitioner on `num_ranks` virtual ranks over the
@@ -99,15 +72,10 @@ struct parallel_partition_report {
 /// per-element weight vector (empty = unit weights); each rank only ever
 /// reads the weights of the elements in its own curve range, mirroring the
 /// O(K/P) memory claim.
-/// num_ranks == 1 short-circuits to core::solo_comm with no fabric at all,
-/// and so does an attempt with one surviving rank.
-///
-/// Fault plan across attempts: message and stream faults apply to attempt
-/// 0 only. A kill that has not fired stays armed on its world rank, and its
-/// `at_op` counts that rank's ops within each attempt.
+/// num_ranks == 1 short-circuits to core::solo_comm with no fabric at all.
 parallel_partition_report run_parallel_partition(
     const mesh::cubed_sphere& mesh, const core::cube_curve_spec& spec,
     int nparts, std::span<const graph::weight> weights, int num_ranks,
-    const parallel_partition_run_options& opts = {});
+    const resilience_options& opts = {});
 
 }  // namespace sfp::runtime

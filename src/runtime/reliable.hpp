@@ -176,6 +176,8 @@ class reliable_channel {
   /// contract error.
   void fence();
 
+  int rank() const { return fabric_->rank(); }
+  int size() const { return fabric_->size(); }
   const reliable_stats& stats() const { return stats_; }
 
   /// Add the delta since the previous publish to the global obs registry

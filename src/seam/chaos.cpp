@@ -7,6 +7,7 @@
 #include <sstream>
 #include <string>
 
+#include "core/parallel_partition.hpp"
 #include "core/sfc_partition.hpp"
 #include "util/require.hpp"
 #include "util/rng.hpp"
@@ -319,7 +320,7 @@ chaos_harness::chaos_harness(const chaos_options& opts)
 
 chaos_trial chaos_harness::run(const chaos_schedule& schedule) const {
   chaos_trial t;
-  resilience_options ropts;
+  runtime::resilience_options ropts;
   ropts.faults = to_fault_plan(schedule, opts_.backend);
   ropts.max_recoveries = 1;
   ropts.reliable = opts_.reliable;
@@ -335,17 +336,14 @@ chaos_trial chaos_harness::run(const chaos_schedule& schedule) const {
     t.failure = std::string("resilient run threw: ") + e.what();
     return t;
   }
-  t.attempts = rep.attempts;
-  t.reliable = rep.reliable;
-  t.counters = rep.counters;
-  t.socket = rep.socket;
+  static_cast<runtime::resilience_report&>(t) = rep;
   for (std::size_t i = 0; i < baseline_.size(); ++i)
     t.max_abs_diff =
         std::max(t.max_abs_diff, std::abs(result[i] - baseline_[i]));
-  if (rep.attempts != 1) {
+  if (rep.recoveries != 0) {
     std::ostringstream os;
-    os << "transient faults escalated to a re-slice: attempts="
-       << rep.attempts << " failed_rank=" << rep.failed_rank;
+    os << "transient faults escalated to a re-slice: recoveries="
+       << rep.recoveries << " lost ranks=" << rep.lost_ranks.size();
     t.failure = os.str();
   } else if (t.max_abs_diff > opts_.tolerance) {
     std::ostringstream os;
@@ -382,18 +380,36 @@ chaos_schedule partition_chaos_harness::make_schedule(std::uint64_t seed,
   // and each leaf, one each way per flat-star allgather, and
   // core::parallel_partition_rank runs two. Draw kind, direction and frame
   // index on a two-rank world, then a leaf for rank 1 from its own stream.
+  // A leaf's second frame carries its cuts, and a leaf that owns none sends
+  // it header-only, which no data-frame fault matches; so leaf -> root
+  // frame 1 goes to a leaf that owns a cut. With unit weights S(x) = x,
+  // and leaf r owns part p's cut iff begin_r·nparts < p·K <= end_r·nparts.
+  const std::int64_t k = mesh_.num_elements();
+  std::vector<int> leaves, cut_leaves;
+  for (int r = 1; r < opts_.nranks; ++r) {
+    leaves.push_back(r);
+    const std::int64_t begin = core::element_block_begin(k, opts_.nranks, r);
+    const std::int64_t end = core::element_block_begin(k, opts_.nranks, r + 1);
+    const std::int64_t p = begin * opts_.nparts / k + 1;  // first p·K past begin
+    if (p < opts_.nparts && p * k <= end * opts_.nparts)
+      cut_leaves.push_back(r);
+  }
   chaos_schedule schedule = make_chaos_schedule(seed, 2, nfaults, 2);
   rng r(seed ^ 0x1eaf1eaf1eaf1eafull);
-  const auto leaves = static_cast<std::uint64_t>(opts_.nranks - 1);
-  for (chaos_fault& f : schedule.faults)
-    (f.src == 0 ? f.dst : f.src) = 1 + static_cast<int>(r.below(leaves));
+  for (chaos_fault& f : schedule.faults) {
+    if (f.src != 0 && f.nth == 1 && cut_leaves.empty()) f.nth = 0;
+    const std::vector<int>& from =
+        f.src != 0 && f.nth == 1 ? cut_leaves : leaves;
+    (f.src == 0 ? f.dst : f.src) =
+        from[static_cast<std::size_t>(r.below(from.size()))];
+  }
   return schedule;
 }
 
 chaos_trial partition_chaos_harness::run(
     const chaos_schedule& schedule) const {
   chaos_trial t;
-  runtime::parallel_partition_run_options opts;
+  runtime::resilience_options opts;
   opts.backend = opts_.backend;
   opts.faults = to_fault_plan(schedule, opts_.backend);
   if (opts_.backend == runtime::transport_backend::socket)
@@ -409,12 +425,8 @@ chaos_trial partition_chaos_harness::run(
     t.failure = std::string("partition run threw: ") + e.what();
     return t;
   }
+  static_cast<runtime::resilience_report&>(t) = report;
   t.aborted = report.aborted;
-  t.recoveries = report.recoveries;
-  t.lost_ranks = report.lost_ranks;
-  t.counters = report.counters;
-  t.reliable = report.reliable;
-  t.socket = report.socket;
 
   // The most ranks this schedule could take down: kills of out-of-range
   // ranks never fire, repeated kills of one rank never stack.
@@ -554,7 +566,6 @@ chaos_schedule shrink_failure(
 io::json_value soak_failure_to_json(const soak_failure& f) {
   io::json_value doc = io::json_object();
   doc.object["failure"] = io::json_string(f.trial.failure);
-  doc.object["attempts"] = io::json_number(f.trial.attempts);
   doc.object["max_abs_diff"] = io::json_number(f.trial.max_abs_diff);
   doc.object["aborted"] = io::json_bool(f.trial.aborted);
   doc.object["recoveries"] = io::json_number(f.trial.recoveries);

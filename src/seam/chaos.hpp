@@ -123,22 +123,16 @@ runtime::reliable_options chaos_reliable_defaults();
 io::json_value chaos_schedule_to_json(const chaos_schedule& schedule);
 chaos_schedule chaos_schedule_from_json(const io::json_value& doc);
 
-/// Outcome of one schedule on either harness. Each harness fills the
-/// fields its system reports and leaves the others at their zero value.
-struct chaos_trial {
+/// Outcome of one schedule on either harness: the resilient run's
+/// accounting (the cross-backend soak asserts its schedule-determined
+/// subset, the injected_* counters, matches per schedule on every backend)
+/// plus the verdict. Each harness fills the fields its system reports and
+/// leaves the others at their zero value.
+struct chaos_trial : runtime::resilience_report {
   bool passed = false;
   std::string failure;       ///< empty when passed; mismatch or exception
-  int attempts = 0;          ///< resilient-runner attempts (1 = healed)
   double max_abs_diff = 0;   ///< vs the fault-free advection baseline
   bool aborted = false;      ///< partition run gave up (budget or no survivor)
-  int recoveries = 0;        ///< partition restarts on the survivors
-  std::vector<int> lost_ranks;
-  /// Fabric totals for the trial: the cross-backend soak asserts the
-  /// schedule-determined subset (injected_* counters) matches per schedule
-  /// on every backend.
-  runtime::rank_counters counters;
-  runtime::reliable_stats reliable;
-  runtime::socket_stats socket;  ///< all zero on the in-process backend
 };
 
 /// The contract the shrinker, the soak and `sfcpart chaos` rely on: a

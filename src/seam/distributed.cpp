@@ -4,11 +4,11 @@
 #include <exception>
 #include <limits>
 #include <mutex>
+#include <set>
 #include <span>
 #include <utility>
 #include <vector>
 
-#include "core/escalation.hpp"
 #include "obs/trace.hpp"
 #include "runtime/fabric.hpp"
 #include "runtime/reliable.hpp"
@@ -197,12 +197,11 @@ std::vector<double> run_distributed(const advection_model& model,
 std::vector<double> run_distributed_resilient(
     const advection_model& model, const core::cube_curve& curve,
     const partition::partition& part, double dt, int nsteps,
-    const resilience_options& ropts, recovery_report* report,
+    const runtime::resilience_options& ropts, recovery_report* report,
     dist_stats* stats) {
   require_run_args(dt, nsteps);
   SFP_REQUIRE(part.part_of.size() == curve.order.size(),
               "partition must cover the curve's mesh");
-  SFP_REQUIRE(ropts.max_recoveries >= 0, "max_recoveries must be >= 0");
 
   recovery_report rep;
   stats_collector collector;
@@ -213,88 +212,64 @@ std::vector<double> run_distributed_resilient(
   partition::partition cur = part;
   int done = 0;
 
-  for (int attempt = 0; done < nsteps; ++attempt) {
-    const exchange_plan plan = exchange_plan::build(model.dofs(), cur);
-    const int nranks = cur.num_parts;
-    rep.attempts = attempt + 1;
+  // One attempt's setup over `cur`, resuming from `state`. Per-step
+  // checkpoints are double-buffered: a buffer for step s is sealed by the
+  // end-of-step fence and can only be overwritten at step s+2, which
+  // requires the step s+1 fence — so the newest fully-fenced buffer is
+  // never torn, even with ranks one step apart mid-abort. `start` is the
+  // attempt's own copy of the initial field, since the ranks write their
+  // final slices into `state`.
+  // `sealed` counts the attempt's steps whose checkpoint every rank wrote.
+  exchange_plan plan;
+  field_list start, snap;
+  int sealed = 0;
+  std::mutex sealed_mutex;
+  const auto begin_attempt = [&] {
+    plan = exchange_plan::build(model.dofs(), cur);
+    start = state;
+    snap.assign(2, state.front());
+    sealed = 0;
+  };
+  begin_attempt();
 
-    // Per-step checkpoints, double-buffered. A buffer for step s is sealed
-    // by the end-of-step fence and can only be overwritten at step s+2,
-    // which requires the step s+1 fence — so the newest fully-fenced
-    // buffer is never torn, even with ranks one step apart mid-abort.
-    field_list snap(2, state.front());
-    std::mutex progress_mutex;
-    std::vector<int> progress(static_cast<std::size_t>(nranks), 0);
-    std::mutex reliable_mutex;
-
-    runtime::fabric_options fopts;
-    fopts.backend = ropts.backend;
-    if (attempt == 0) {
-      fopts.faults = ropts.faults;
-      fopts.stream_faults = ropts.stream_faults;
-    }
-    runtime::reliable_options reliable_opts = ropts.reliable;
-    reliable_opts.epoch = static_cast<std::uint64_t>(attempt);
-    const std::vector<std::span<const double>> init{state.front()};
-    runtime::fabric_report frep;
-    // Identical fabric-failure handling on every backend: a rank death or
-    // an unreachable peer feeds the escalation ladder. Anything else
-    // (model assertions, contract violations) propagates.
-    const runtime::rank_failure failure = runtime::run_fabric_attempt(
-        nranks, fopts,
-        [&](runtime::transport& t) {
-          const int rank = t.rank();
-          const rank_exchange_plan& rp =
-              plan.ranks[static_cast<std::size_t>(rank)];
-          runtime::reliable_channel channel(t, reliable_opts);
-          halo_exchanger halo(rp, rank, channel);
-          const auto checkpoint_step = [&](int step, const field_list& q) {
-            auto& checkpoint =
-                snap[static_cast<std::size_t>((step - done) & 1)];
-            for (const std::size_t n : rp.owned_nodes)
-              checkpoint[n] = q[0][n];
-            // Seal the checkpoint: once the fence returns, every rank has
-            // written its slice of this step.
-            channel.fence();
-            std::lock_guard<std::mutex> lock(progress_mutex);
-            progress[static_cast<std::size_t>(rank)] = step - done + 1;
-          };
-          rank_body<1>(rp, halo, init, done, nsteps,
-                       advection_step(model, dt), checkpoint_step, state,
-                       collector);
-          std::lock_guard<std::mutex> lock(reliable_mutex);
-          rep.reliable += channel.stats();
-        },
-        &frep);
-    rep.counters += frep.counters;
-    rep.socket += frep.socket;
-
-    if (failure.error) {
-      const core::escalation_decision decision = core::decide_escalation(
-          failure.kind, failure.thrower, failure.peer, attempt,
-          ropts.max_recoveries, nranks);
-      if (!decision.recover) std::rethrow_exception(failure.error);
-
-      // Roll back to the newest checkpoint every rank sealed, then re-slice
-      // the curve over the survivors and go again.
-      int completed = 0;
-      for (const int p : progress) completed = std::max(completed, p);
-      if (completed > 0)
-        state.front() = snap[static_cast<std::size_t>((completed - 1) & 1)];
-      done += completed;
-      core::recovery_plan rplan =
-          core::plan_recovery(curve, cur, decision.victim);
-      if (rep.failed_rank < 0) {
-        rep.failed_rank = decision.victim;
+  const std::exception_ptr error = runtime::run_resilient(
+      part.num_parts, ropts,
+      [&](runtime::reliable_channel& channel, int) {
+        const int rank = channel.rank();
+        const rank_exchange_plan& rp =
+            plan.ranks[static_cast<std::size_t>(rank)];
+        halo_exchanger halo(rp, rank, channel);
+        const auto checkpoint_step = [&](int step, const field_list& q) {
+          auto& checkpoint = snap[static_cast<std::size_t>((step - done) & 1)];
+          for (const std::size_t n : rp.owned_nodes) checkpoint[n] = q[0][n];
+          // Seal the checkpoint: once the fence returns, every rank has
+          // written its slice of this step.
+          channel.fence();
+          std::lock_guard<std::mutex> lock(sealed_mutex);
+          sealed = std::max(sealed, step - done + 1);
+        };
+        rank_body<1>(rp, halo, {start.front()}, done, nsteps,
+                     advection_step(model, dt), checkpoint_step, state,
+                     collector);
+      },
+      [&](const std::set<int>& lost) {
+        // Roll back to the newest checkpoint every rank sealed, then
+        // re-slice the curve around each lost rank, highest first so the
+        // lower dense ranks keep their labels.
+        if (sealed > 0)
+          state.front() = snap[static_cast<std::size_t>((sealed - 1) & 1)];
+        done += sealed;
         rep.restart_step = done;
-        rep.migration = rplan.migration;
-        rep.survivor_of = std::move(rplan.survivor_of);
-      }
-      cur = std::move(rplan.part);
-      continue;
-    }
-    done = nsteps;
-  }
+        for (auto it = lost.rbegin(); it != lost.rend(); ++it) {
+          core::recovery_plan rplan = core::plan_recovery(curve, cur, *it);
+          if (rep.recoveries == 0 && it == lost.rbegin())
+            rep.migration = rplan.migration;
+          cur = std::move(rplan.part);
+        }
+        begin_attempt();
+      },
+      rep);
+  if (error) std::rethrow_exception(error);
 
   rep.final_partition = std::move(cur);
   if (report) *report = std::move(rep);

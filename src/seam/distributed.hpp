@@ -4,7 +4,9 @@
 // boundary contributions with neighbouring ranks at every RK stage — the
 // same halo-exchange pattern that determines SEAM's parallel performance on
 // the paper's cluster. Every runner's rank program speaks a
-// runtime::reliable_channel over the transport runtime::run_fabric hands it.
+// runtime::reliable_channel over the transport runtime::run_fabric hands it;
+// the resilient runner's attempts come from runtime::run_resilient, the one
+// attempt loop it shares with the distributed partitioner.
 
 #include <cstdint>
 #include <vector>
@@ -13,8 +15,6 @@
 #include "core/rebalance.hpp"
 #include "mesh/cubed_sphere.hpp"
 #include "partition/partition.hpp"
-#include "runtime/reliable.hpp"
-#include "runtime/socket_transport.hpp"
 #include "runtime/fabric.hpp"
 #include "seam/advection.hpp"
 #include "seam/layered.hpp"
@@ -52,55 +52,30 @@ std::vector<double> run_distributed(const advection_model& model,
                                     dist_stats* stats = nullptr,
                                     const runtime::fabric_options& fopts = {});
 
-/// Knobs for the fault-tolerant runner.
-struct resilience_options {
-  /// Injected into the first attempt only; recovery attempts run clean.
-  runtime::fault_plan faults;
-  /// Rank failures survived before giving up and rethrowing.
-  int max_recoveries = 1;
-  /// Tuning for the reliable channel that carries the halo traffic:
-  /// transient drop/corrupt/duplicate/reorder faults heal in place with
-  /// zero aborts, and only genuine rank death (or retransmit exhaustion /
-  /// a receive deadline) climbs to the plan_recovery re-slice. The epoch
-  /// field is overwritten with the attempt number.
-  runtime::reliable_options reliable;
-  /// Which fabric carries the halo traffic; both run the identical rank
-  /// program.
-  runtime::transport_backend backend = runtime::transport_backend::inproc;
-  /// Byte-stream chaos for the socket backend, injected underneath the
-  /// message-level `faults` on the first attempt only. Ignored by the
-  /// in-process backend, which has no byte stream to mangle.
-  runtime::stream_fault_plan stream_faults;
-};
-
-/// What happened across attempts of a resilient run.
-struct recovery_report {
-  int attempts = 1;              ///< 1 = no fault occurred
-  int failed_rank = -1;          ///< first failed rank (pre-failure numbering)
-  int restart_step = 0;          ///< checkpoint step the recovery resumed from
-  core::migration_stats migration;  ///< cost of the first recovery re-slice
-  std::vector<graph::vid> survivor_of;  ///< new rank -> pre-failure rank
+/// What happened across the attempts of a resilient run: the shared
+/// accounting (recoveries, lost_ranks in pre-failure rank numbering, fabric
+/// and channel totals), plus what the rollbacks and re-slices did.
+struct recovery_report : runtime::resilience_report {
+  int restart_step = 0;  ///< checkpoint step the last restart resumed from
+  core::migration_stats migration;  ///< cost of the first re-slice
   partition::partition final_partition;
-  runtime::rank_counters counters;  ///< totals over all attempts
-  /// Reliable-channel totals over all ranks and attempts.
-  runtime::reliable_stats reliable;
-  /// Socket-layer totals over all attempts (all zero on the in-process
-  /// backend).
-  runtime::socket_stats socket;
 };
 
-/// Fault-tolerant variant of run_distributed. Every completed step is
-/// checkpointed (owned slices into a shared double buffer, sealed by the
-/// channel's fence). If a rank fails, survivors re-slice the same cube curve over
-/// nparts-1 segments with plan_recovery — only the failed segment's
-/// elements migrate — and the run resumes from the last complete
-/// checkpoint, reproducing the fault-free tracer field. Requires `part` to
-/// label the elements of `curve`'s mesh.
+/// Fault-tolerant variant of run_distributed, on the attempt loop it shares
+/// with the distributed partitioner (runtime::run_resilient; faults across
+/// attempts and the lost-rank rule are documented there). Every completed
+/// step is checkpointed (owned slices into a shared double buffer, sealed
+/// by the channel's fence). When ranks are lost, the survivors roll back to
+/// the newest sealed checkpoint and re-slice the same cube curve with
+/// plan_recovery once per lost rank — only the lost segments' elements
+/// migrate — reproducing the fault-free tracer field. When the ladder
+/// refuses, the root-cause exception is rethrown. Requires `part` to label
+/// the elements of `curve`'s mesh.
 std::vector<double> run_distributed_resilient(
     const advection_model& model, const core::cube_curve& curve,
     const partition::partition& part, double dt, int nsteps,
-    const resilience_options& ropts = {}, recovery_report* report = nullptr,
-    dist_stats* stats = nullptr);
+    const runtime::resilience_options& ropts = {},
+    recovery_report* report = nullptr, dist_stats* stats = nullptr);
 
 /// Final state of a distributed shallow-water run (global field layout).
 struct swe_state {

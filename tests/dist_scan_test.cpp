@@ -55,7 +55,7 @@ void run_peer_group(int nranks, Body&& body) {
   runtime::world w(nranks);
   w.run([&](runtime::transport& t) {
     runtime::reliable_channel channel(t);
-    runtime::reliable_peer_comm peers(channel, t.rank(), t.size());
+    runtime::reliable_peer_comm peers(channel);
     body(peers);
     channel.flush();
     channel.fence();

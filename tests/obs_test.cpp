@@ -347,7 +347,8 @@ TEST(TraceExport, CounterEventsCarryPerKindInjectedFaultMetrics) {
   const auto part = core::sfc_partition(curve, 4);
   seam::advection_model model(mesh, 4);
   model.set_field([](mesh::vec3 p) { return p.x * p.x + p.y; });
-  seam::resilience_options ropts;
+  runtime::resilience_options ropts;
+  ropts.max_recoveries = 1;
   ropts.faults.seed = 11;
   ropts.reliable.recv_timeout = std::chrono::milliseconds(8000);
   auto& mf = ropts.faults.message_faults.emplace_back();

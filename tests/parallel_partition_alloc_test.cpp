@@ -80,7 +80,7 @@ TEST(ParallelPartitionAlloc, Ne1024RankThreadsAllocateOrderKOverP) {
   // here — while the default budget (~80 ms of silence) could even declare
   // that peer dead. A one-second first retransmit and a 30 s silence
   // budget keep host load out of the measured run.
-  runtime::parallel_partition_run_options opts;
+  runtime::resilience_options opts;
   opts.reliable.retransmit_timeout = std::chrono::seconds(1);
   opts.reliable.max_backoff = std::chrono::seconds(1);
   opts.reliable.max_retransmits = 30;

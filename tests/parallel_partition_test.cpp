@@ -30,7 +30,7 @@ namespace {
 
 using namespace sfp;
 using runtime::parallel_partition_report;
-using runtime::parallel_partition_run_options;
+using runtime::resilience_options;
 using runtime::run_parallel_partition;
 using runtime::transport_backend;
 
@@ -179,7 +179,7 @@ TEST_P(ParallelPartitionOverBackend, SmallSweepMatchesSerial) {
   for (const int nparts : {2, 7}) {
     const partition::partition serial =
         core::sfc_partition(curve, nparts, weights);
-    parallel_partition_run_options opts;
+    resilience_options opts;
     opts.backend = GetParam();
     const parallel_partition_report report =
         run_parallel_partition(mesh, spec, nparts, weights, 3, opts);
@@ -198,7 +198,7 @@ TEST_P(ParallelPartitionOverBackend, HealsThroughMessageDropsAndMatchesSerial) {
   const partition::partition serial =
       core::sfc_partition(curve, 5, weights);
 
-  parallel_partition_run_options opts;
+  resilience_options opts;
   opts.backend = GetParam();
   opts.faults.seed = 99;
   runtime::fault_plan::message_fault drop;
@@ -232,9 +232,9 @@ INSTANTIATE_TEST_SUITE_P(Backends, ParallelPartitionOverBackend,
 // gives up on must abort cleanly instead of hanging (the fabric abort ends
 // every wait, so completion of these tests is itself the hang check).
 
-parallel_partition_run_options kill_run_options(transport_backend backend,
+resilience_options kill_run_options(transport_backend backend,
                                                 runtime::fault_plan faults) {
-  parallel_partition_run_options opts;
+  resilience_options opts;
   opts.backend = backend;
   // A retransmit timeout well above scheduler noise keeps spurious
   // retransmits — extra ops that shift where a kill lands — rare.
@@ -274,7 +274,7 @@ TEST_P(ParallelPartitionOverBackend, SubQuorumKillsAbortCleanlyWithoutHang) {
   const core::cube_curve_spec spec = core::build_cube_curve_spec(mesh);
 
   // No restart budget: the first death ends the run.
-  parallel_partition_run_options opts =
+  resilience_options opts =
       kill_run_options(GetParam(), kills({{1, 1}}));
   opts.max_recoveries = 0;
   parallel_partition_report report =
@@ -421,7 +421,7 @@ TEST(ParallelPartitionKills, RecoversUnderDefaultReliableOptions) {
   const core::cube_curve_spec spec = core::spec_of(curve);
   const partition::partition serial = core::sfc_partition(curve, 5);
 
-  parallel_partition_run_options opts;
+  resilience_options opts;
   opts.faults = kills({{0, 2}});
   const parallel_partition_report report =
       run_parallel_partition(mesh, spec, 5, {}, 4, opts);

@@ -141,7 +141,7 @@ TEST(ChaosSocketSoak, ScheduleDeterminedCountersMatchAcrossBackends) {
     const chaos_trial b = socket.run(schedule);
     ASSERT_TRUE(a.passed) << "seed " << seed << ": " << a.failure;
     ASSERT_TRUE(b.passed) << "seed " << seed << ": " << b.failure;
-    EXPECT_EQ(a.attempts, b.attempts) << "seed " << seed;
+    EXPECT_EQ(a.recoveries, b.recoveries) << "seed " << seed;
     EXPECT_EQ(a.counters.injected_drops, b.counters.injected_drops)
         << "seed " << seed;
     EXPECT_EQ(a.counters.injected_duplicates, b.counters.injected_duplicates)

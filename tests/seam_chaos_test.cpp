@@ -157,6 +157,26 @@ TEST(ChaosSchedule, PartitionHarnessDrawsOntoRootLeafDataFrames) {
   const chaos_trial t = harness.run(every_link);
   EXPECT_TRUE(t.passed) << t.failure;
   EXPECT_EQ(t.counters.injected_drops, 2 * (n - 1));
+
+  // Fewer parts than ranks: with 2 parts on 4 ranks only leaf 1 owns a
+  // cut, and leaves 2 and 3 send their second frame header-only. Every
+  // drawn fault must still land on a frame that exists, and fire.
+  partition_chaos_options few_parts;
+  few_parts.nparts = 2;
+  const partition_chaos_harness sparse(few_parts);
+  for (std::uint64_t seed = 5000; seed < 5020; ++seed) {
+    const chaos_schedule schedule = sparse.make_schedule(seed, 1);
+    const chaos_trial u = sparse.run(schedule);
+    const runtime::rank_counters& c = u.counters;
+    EXPECT_TRUE(u.passed) << "seed " << seed << ": " << u.failure;
+    EXPECT_EQ(c.injected_drops + c.injected_duplicates +
+                  c.injected_corruptions + c.injected_truncations +
+                  c.injected_reorders,
+              1)
+        << "seed " << seed << ": fault on " << schedule.faults[0].src
+        << " -> " << schedule.faults[0].dst << " frame "
+        << schedule.faults[0].nth << " never fired";
+  }
 }
 
 TEST(ChaosSoak, FiftyRandomizedSchedulesHealInPlace) {

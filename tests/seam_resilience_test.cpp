@@ -1,7 +1,8 @@
 // End-to-end fault-tolerance of the distributed SEAM advection mini-app:
 // a rank dies mid-simulation, the survivors re-slice the cube curve,
 // restart from the last sealed checkpoint, and must reproduce the
-// fault-free tracer solution.
+// fault-free tracer solution. The runner shares its attempt loop, and so
+// its rule for faults across restarts, with the distributed partitioner.
 
 #include <gtest/gtest.h>
 
@@ -10,11 +11,13 @@
 #include <cstdint>
 #include <ostream>
 #include <string>
+#include <vector>
 
 #include "core/cube_curve.hpp"
 #include "core/sfc_partition.hpp"
 #include "mesh/cubed_sphere.hpp"
 #include "runtime/fault.hpp"
+#include "runtime/partition_fabric.hpp"
 #include "runtime/reliable.hpp"
 #include "seam/advection.hpp"
 #include "seam/distributed.hpp"
@@ -48,7 +51,7 @@ TEST(Resilience, RecoversFromRankLossMidSimulation) {
 
   const auto reference = run_distributed(model, part, dt, nsteps);
 
-  resilience_options ropts;
+  runtime::resilience_options ropts;
   ropts.faults.kills.push_back({/*rank=*/2, /*at_op=*/40});
   ropts.max_recoveries = 1;
   recovery_report report;
@@ -57,8 +60,8 @@ TEST(Resilience, RecoversFromRankLossMidSimulation) {
       model, curve, part, dt, nsteps, ropts, &report, &stats);
 
   // A failure actually happened and was survived.
-  EXPECT_EQ(report.attempts, 2);
-  EXPECT_EQ(report.failed_rank, 2);
+  EXPECT_EQ(report.recoveries, 1);
+  EXPECT_EQ(report.lost_ranks, std::vector<int>{2});
   EXPECT_GT(report.counters.injected_kills, 0);
   EXPECT_GT(report.counters.aborts_observed, 0);
   EXPECT_EQ(report.final_partition.num_parts, nparts - 1);
@@ -69,10 +72,10 @@ TEST(Resilience, RecoversFromRankLossMidSimulation) {
   EXPECT_EQ(report.migration.moved_elements,
             static_cast<std::int64_t>(m.num_elements()) / nparts);
   EXPECT_LE(report.migration.moved_fraction, 1.5 / nparts);
-  ASSERT_EQ(report.survivor_of.size(), 3u);
-  EXPECT_EQ(report.survivor_of[0], 0);
-  EXPECT_EQ(report.survivor_of[1], 1);
-  EXPECT_EQ(report.survivor_of[2], 3);
+  // Per world rank: only rank 2's kill fired.
+  ASSERT_EQ(report.per_rank_counters.size(), 4u);
+  EXPECT_GT(report.per_rank_counters[2].injected_kills, 0);
+  EXPECT_EQ(report.per_rank_counters[3].injected_kills, 0);
 
   // The physics is intact.
   ASSERT_EQ(recovered.size(), reference.size());
@@ -89,16 +92,92 @@ TEST(Resilience, RecoveryIsDeterministicAcrossRuns) {
   const auto part = core::sfc_partition(curve, 4);
   const double dt = model.cfl_dt(0.3);
 
-  resilience_options ropts;
+  runtime::resilience_options ropts;
   ropts.faults.kills.push_back({/*rank=*/1, /*at_op=*/25});
+  ropts.max_recoveries = 1;
   recovery_report r1, r2;
   const auto a = run_distributed_resilient(model, curve, part, dt, 6, ropts, &r1);
   const auto b = run_distributed_resilient(model, curve, part, dt, 6, ropts, &r2);
   EXPECT_EQ(a, b);  // bitwise
-  EXPECT_EQ(r1.failed_rank, r2.failed_rank);
+  EXPECT_EQ(r1.lost_ranks, r2.lost_ranks);
   EXPECT_EQ(r1.restart_step, r2.restart_step);
   EXPECT_EQ(r1.migration.moved_elements, r2.migration.moved_elements);
   EXPECT_EQ(r1.counters.injected_kills, r2.counters.injected_kills);
+}
+
+TEST(Resilience, UnfiredKillStaysArmedAcrossTheRestart) {
+  // Faults across attempts: rank 2 dies at its 40th op, in the first step;
+  // rank 0's kill at op 120 lies past anything rank 0 sends before that
+  // abort, so it stays armed and fires in the restarted attempt. Both
+  // deaths cost a restart, both ranks are lost, and the field survives.
+  const mesh::cubed_sphere m(2);
+  const auto model = make_model(m);
+  const auto curve = core::build_cube_curve(m);
+  const auto part = core::sfc_partition(curve, 4);
+  const double dt = model.cfl_dt(0.3);
+  const int nsteps = 8;
+
+  const auto reference = run_distributed(model, part, dt, nsteps);
+
+  runtime::resilience_options ropts;
+  ropts.faults.kills.push_back({/*rank=*/2, /*at_op=*/40});
+  ropts.faults.kills.push_back({/*rank=*/0, /*at_op=*/120});
+  ropts.max_recoveries = 2;
+  // A retransmit timeout well above scheduler noise: a spurious retransmit
+  // is an op, and rank 0 must not reach its kill in the first attempt.
+  ropts.reliable.retransmit_timeout = std::chrono::microseconds(5000);
+  ropts.reliable.max_backoff = std::chrono::microseconds(20000);
+  ropts.reliable.recv_timeout = std::chrono::milliseconds(8000);
+  recovery_report report;
+  const auto recovered = run_distributed_resilient(model, curve, part, dt,
+                                                   nsteps, ropts, &report);
+  EXPECT_EQ(report.recoveries, 2);
+  EXPECT_EQ(report.lost_ranks, (std::vector<int>{0, 2}));
+  EXPECT_EQ(report.counters.injected_kills, 2);
+  EXPECT_EQ(report.final_partition.num_parts, 2);
+  EXPECT_GT(report.restart_step, 1);  // the second kill hit after step 1
+
+  ASSERT_EQ(recovered.size(), reference.size());
+  double max_diff = 0;
+  for (std::size_t i = 0; i < reference.size(); ++i)
+    max_diff = std::max(max_diff, std::abs(recovered[i] - reference[i]));
+  EXPECT_LT(max_diff, 1e-12);
+}
+
+TEST(Resilience, FaultPlanLosesTheSameRanksInBothRunners) {
+  // One attempt loop, one fault rule: the same plan on the same rank count
+  // loses the same world ranks whether it drives the SEAM runner or the
+  // distributed partitioner. Ranks 1 and 3 die (in one attempt or two,
+  // as timing has it); rank 2's kill lies past its last op and never fires.
+  const mesh::cubed_sphere m(2);
+  const auto model = make_model(m);
+  const auto curve = core::build_cube_curve(m);
+  const int nranks = 4;
+  const auto part = core::sfc_partition(curve, nranks);
+  const double dt = model.cfl_dt(0.3);
+
+  runtime::resilience_options ropts;
+  ropts.faults.kills.push_back({/*rank=*/1, /*at_op=*/1});
+  ropts.faults.kills.push_back({/*rank=*/3, /*at_op=*/2});
+  ropts.faults.kills.push_back({/*rank=*/2, /*at_op=*/1000000});
+  const std::vector<int> want{1, 3};
+
+  recovery_report seam_report;
+  const auto recovered = run_distributed_resilient(model, curve, part, dt, 4,
+                                                   ropts, &seam_report);
+  const runtime::parallel_partition_report partition_report =
+      runtime::run_parallel_partition(m, core::spec_of(curve), nranks, {},
+                                      nranks, ropts);
+  EXPECT_EQ(seam_report.lost_ranks, want);
+  EXPECT_FALSE(partition_report.aborted);
+  EXPECT_EQ(partition_report.lost_ranks, want);
+  EXPECT_EQ(partition_report.plan.part_of, part.part_of);
+
+  const auto reference = run_distributed(model, part, dt, 4);
+  double max_diff = 0;
+  for (std::size_t i = 0; i < reference.size(); ++i)
+    max_diff = std::max(max_diff, std::abs(recovered[i] - reference[i]));
+  EXPECT_LT(max_diff, 1e-12);
 }
 
 TEST(Resilience, SecondFailureExceedsBudgetAndRethrows) {
@@ -108,7 +187,7 @@ TEST(Resilience, SecondFailureExceedsBudgetAndRethrows) {
   const auto part = core::sfc_partition(curve, 4);
   const double dt = model.cfl_dt(0.3);
 
-  resilience_options ropts;
+  runtime::resilience_options ropts;
   ropts.faults.kills.push_back({/*rank=*/0, /*at_op=*/10});
   ropts.max_recoveries = 0;  // no budget: the kill must surface
   EXPECT_THROW(
@@ -126,7 +205,7 @@ TEST(Resilience, TimeoutOptionGuardsAgainstLostMessages) {
   const auto part = core::sfc_partition(curve, 4);
   const double dt = model.cfl_dt(0.3);
 
-  resilience_options ropts;
+  runtime::resilience_options ropts;
   auto& mf = ropts.faults.message_faults.emplace_back();
   mf.src = 0;
   mf.drop_probability = 1.0;
@@ -138,8 +217,9 @@ TEST(Resilience, TimeoutOptionGuardsAgainstLostMessages) {
 
 // ---- reliable transport: the self-healing rung of the ladder ---------------
 
-resilience_options reliable_ropts(std::uint64_t seed) {
-  resilience_options ropts;
+runtime::resilience_options reliable_ropts(std::uint64_t seed) {
+  runtime::resilience_options ropts;
+  ropts.max_recoveries = 1;
   ropts.faults.seed = seed;
   ropts.reliable.recv_timeout = std::chrono::milliseconds(8000);
   return ropts;
@@ -167,7 +247,7 @@ TEST_P(ResilienceCleanRun, MatchesPlainDistributedBitwise) {
   const auto part = core::sfc_partition(curve, 4);
   const double dt = model.cfl_dt(0.3);
 
-  resilience_options ropts = reliable_ropts(0);
+  runtime::resilience_options ropts = reliable_ropts(0);
   ropts.backend = fabric.backend;
 
   const auto plain = run_distributed(model, part, dt, 6);
@@ -175,8 +255,8 @@ TEST_P(ResilienceCleanRun, MatchesPlainDistributedBitwise) {
   const auto resilient = run_distributed_resilient(model, curve, part, dt, 6,
                                                    ropts, &report);
   EXPECT_EQ(plain, resilient);
-  EXPECT_EQ(report.attempts, 1);
-  EXPECT_EQ(report.failed_rank, -1);
+  EXPECT_EQ(report.recoveries, 0);
+  EXPECT_TRUE(report.lost_ranks.empty());
   EXPECT_EQ(report.final_partition.num_parts, 4);
 }
 
@@ -201,7 +281,7 @@ TEST(ReliableResilience, TransientChaosHealsInPlaceWithZeroRecoveries) {
 
   const auto reference = run_distributed(model, part, dt, nsteps);
 
-  resilience_options ropts = reliable_ropts(2024);
+  runtime::resilience_options ropts = reliable_ropts(2024);
   auto& mf = ropts.faults.message_faults.emplace_back();
   mf.drop_probability = 0.1;
   mf.corrupt_probability = 0.1;
@@ -213,8 +293,8 @@ TEST(ReliableResilience, TransientChaosHealsInPlaceWithZeroRecoveries) {
   const auto healed = run_distributed_resilient(model, curve, part, dt,
                                                 nsteps, ropts, &report);
 
-  EXPECT_EQ(report.attempts, 1);        // zero re-slices
-  EXPECT_EQ(report.failed_rank, -1);
+  EXPECT_EQ(report.recoveries, 0);  // zero re-slices
+  EXPECT_TRUE(report.lost_ranks.empty());
   EXPECT_EQ(report.counters.aborts_observed, 0);
   EXPECT_EQ(report.final_partition.num_parts, 4);
   // The chaos actually hit the wire and the transport actually worked.
@@ -245,7 +325,7 @@ TEST(ReliableResilience, KillStillEscalatesToPlanRecovery) {
 
   const auto reference = run_distributed(model, part, dt, nsteps);
 
-  resilience_options ropts = reliable_ropts(7);
+  runtime::resilience_options ropts = reliable_ropts(7);
   ropts.reliable.recv_timeout = std::chrono::milliseconds(2000);
   ropts.faults.kills.push_back({/*rank=*/1, /*at_op=*/33});
   auto& mf = ropts.faults.message_faults.emplace_back();
@@ -255,8 +335,8 @@ TEST(ReliableResilience, KillStillEscalatesToPlanRecovery) {
   recovery_report report;
   const auto recovered = run_distributed_resilient(model, curve, part, dt,
                                                    nsteps, ropts, &report);
-  EXPECT_EQ(report.attempts, 2);
-  EXPECT_EQ(report.failed_rank, 1);
+  EXPECT_EQ(report.recoveries, 1);
+  EXPECT_EQ(report.lost_ranks, std::vector<int>{1});
   EXPECT_EQ(report.final_partition.num_parts, nparts - 1);
   EXPECT_GT(report.counters.injected_kills, 0);
 
@@ -276,7 +356,7 @@ TEST(ReliableResilience, SeveredLinkEscalatesViaPeerUnreachable) {
   const auto part = core::sfc_partition(curve, 4);
   const double dt = model.cfl_dt(0.3);
 
-  resilience_options ropts = reliable_ropts(3);
+  runtime::resilience_options ropts = reliable_ropts(3);
   // The budget must exhaust fast on the severed link but stay generous
   // enough that a *healthy* link never exhausts it just because its
   // receiver thread was starved for a few milliseconds — this test runs
@@ -298,8 +378,8 @@ TEST(ReliableResilience, SeveredLinkEscalatesViaPeerUnreachable) {
   recovery_report report;
   const auto recovered = run_distributed_resilient(model, curve, part, dt, 4,
                                                    ropts, &report);
-  EXPECT_EQ(report.attempts, 2);
-  EXPECT_EQ(report.failed_rank, 2);  // the unreachable peer, by policy
+  EXPECT_EQ(report.recoveries, 1);
+  EXPECT_EQ(report.lost_ranks, std::vector<int>{2});  // the unreachable peer
   EXPECT_EQ(report.final_partition.num_parts, 3);
 
   const auto reference = run_distributed(model, part, dt, 4);
@@ -318,7 +398,7 @@ TEST(Resilience, Preconditions) {
                contract_error);
   EXPECT_THROW(run_distributed_resilient(model, curve, part, 0.01, -1),
                contract_error);
-  resilience_options bad;
+  runtime::resilience_options bad;
   bad.max_recoveries = -1;
   EXPECT_THROW(run_distributed_resilient(model, curve, part, 0.01, 2, bad),
                contract_error);

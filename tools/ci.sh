@@ -33,9 +33,11 @@
 #      SFCPART_CHAOS_SEED, default 1000) across the transport backend
 #      matrix — in-process, and loopback-TCP with byte-stream faults —
 #      and must heal every one in place; rank-kill soaks on both backends
-#      must keep serial parity; and bare schedule files replay through
+#      must keep serial parity; bare schedule files replay through
 #      `sfcpart chaos --replay`: message faults on each harness, and a
-#      rank kill on the partition harness
+#      rank kill on the partition harness; and a two-kill fault plan
+#      replays through `sfcpart faults --plan` on both wires, recovering
+#      the SEAM tracer field to 1e-12
 #   7. distributed-partition bench smoke: bench_partition_scaling at a tiny
 #      K, and again at ~8 elements per part (Ne = 12, 108 parts), must run
 #      all rank counts, match the serial slicer (the bench aborts on
@@ -158,6 +160,16 @@ printf '%s\n' '{"seed": "7", "faults": [], "kills": [{"rank": 1, "at_op": 3}]}' 
   > "$chaos_dir/replay_kill.json"
 build/tools/sfcpart chaos --partition --nproc=4 \
   --replay="$chaos_dir/replay_kill.json"
+# SEAM rank-kill leg: a two-kill fault plan through `sfcpart faults` on
+# each wire. Rank 2 dies in the first step; rank 0's kill lies past its
+# first attempt, stays armed and fires after the restart. Two restarts,
+# and the recovered tracer must match the fault-free run to 1e-12.
+printf '%s\n' '{"seed": "7", "kills": [{"rank": 2, "at_op": 40},
+  {"rank": 0, "at_op": 120}]}' > "$chaos_dir/seam_two_kills.json"
+for transport in inproc socket; do
+  build/tools/sfcpart faults --ne=2 --nproc=4 --steps=8 \
+    --plan="$chaos_dir/seam_two_kills.json" --transport="$transport"
+done
 rm -rf "$chaos_dir"
 
 echo "==> [7/9] distributed-partition bench smoke (tiny K)"

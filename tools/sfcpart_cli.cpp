@@ -359,6 +359,50 @@ bool parse_kill_at(const std::string& text, int* rank, std::int64_t* at_op) {
   return *at_op >= 1;
 }
 
+// The accounting every resilient run reports, summed over ranks and
+// attempts: restarts, lost ranks, and the fabric, reliable-channel and
+// (socket wire only) socket counters.
+void print_accounting(const runtime::resilience_report& r,
+                      runtime::transport_backend backend) {
+  std::string lost;
+  for (const int rank : r.lost_ranks)
+    lost += (lost.empty() ? "" : " ") + std::to_string(rank);
+  const auto& c = r.counters;
+  const auto& rel = r.reliable;
+  table t({"accounting (all ranks, all attempts)", "value"});
+  t.new_row().add("recoveries").add(r.recoveries);
+  t.new_row().add("messages sent").add(c.messages_sent);
+  t.new_row().add("doubles sent").add(c.doubles_sent);
+  t.new_row().add("aborts observed").add(c.aborts_observed);
+  t.new_row().add("injected kills").add(c.injected_kills);
+  t.new_row().add("injected drops").add(c.injected_drops);
+  t.new_row().add("injected delays").add(c.injected_delays);
+  t.new_row().add("injected duplicates").add(c.injected_duplicates);
+  t.new_row().add("injected corruptions").add(c.injected_corruptions);
+  t.new_row().add("injected truncations").add(c.injected_truncations);
+  t.new_row().add("injected reorders").add(c.injected_reorders);
+  t.new_row().add("data sent").add(rel.data_sent);
+  t.new_row().add("data received").add(rel.data_received);
+  t.new_row().add("retransmits").add(rel.retransmits);
+  t.new_row().add("corruption detected").add(rel.corruption_detected);
+  t.new_row().add("duplicates dropped").add(rel.dedup_dropped);
+  t.new_row().add("out of order").add(rel.out_of_order);
+  if (backend == runtime::transport_backend::socket) {
+    const auto& so = r.socket;
+    t.new_row().add("socket connects").add(so.connects);
+    t.new_row().add("socket reconnects").add(so.reconnects);
+    t.new_row().add("frames sent").add(so.frames_sent);
+    t.new_row().add("frames received").add(so.frames_received);
+    t.new_row().add("heartbeats sent").add(so.heartbeats_sent);
+    t.new_row().add("frames rejected").add(so.frames_rejected);
+    t.new_row().add("stale epoch dropped").add(so.stale_epoch_dropped);
+    t.new_row().add("stream faults injected").add(so.injected_stream_faults);
+    t.new_row().add("send failures").add(so.send_failures);
+  }
+  std::printf("lost ranks: %s\n%s", lost.empty() ? "none" : lost.c_str(),
+              t.str().c_str());
+}
+
 }  // namespace
 
 int cmd_faults(const cli_args& args) {
@@ -371,7 +415,7 @@ int cmd_faults(const cli_args& args) {
     return 2;
   }
 
-  seam::resilience_options ropts;
+  runtime::resilience_options ropts;
   if (const auto plan_path = args.get("plan")) {
     ropts.faults = runtime::load_fault_plan(*plan_path);
     for (const auto& k : ropts.faults.kills) {
@@ -432,69 +476,25 @@ int cmd_faults(const cli_args& args) {
     max_diff = std::max(max_diff, std::abs(recovered[i] - reference[i]));
 
   table t({"metric", "value"});
-  t.new_row().add("attempts").add(report.attempts);
-  t.new_row().add("failed rank").add(report.failed_rank);
   t.new_row().add("restart step").add(report.restart_step);
   t.new_row().add("survivor ranks").add(report.final_partition.num_parts);
   t.new_row().add("moved elements").add(report.migration.moved_elements);
   t.new_row().add("moved fraction").add(report.migration.moved_fraction, 4);
   t.new_row().add("1/nproc").add(1.0 / nproc, 4);
   t.new_row().add("max |recovered - fault-free|").add(max_diff, 16);
-  std::printf("%s", t.str().c_str());
-
-  const auto& c = report.counters;
-  table rt({"counter", "value"});
-  rt.new_row().add("messages sent").add(c.messages_sent);
-  rt.new_row().add("doubles sent").add(c.doubles_sent);
-  rt.new_row().add("aborts observed").add(c.aborts_observed);
-  rt.new_row().add("injected kills").add(c.injected_kills);
-  rt.new_row().add("injected drops").add(c.injected_drops);
-  rt.new_row().add("injected delays").add(c.injected_delays);
-  rt.new_row().add("injected duplicates").add(c.injected_duplicates);
-  rt.new_row().add("injected corruptions").add(c.injected_corruptions);
-  rt.new_row().add("injected truncations").add(c.injected_truncations);
-  rt.new_row().add("injected reorders").add(c.injected_reorders);
-  std::printf("\nrobustness counters (all ranks, all attempts):\n%s",
-              rt.str().c_str());
-
-  const auto& rel = report.reliable;
-  table lt({"reliable-channel counter", "value"});
-  lt.new_row().add("data sent").add(rel.data_sent);
-  lt.new_row().add("data received").add(rel.data_received);
-  lt.new_row().add("retransmits").add(rel.retransmits);
-  lt.new_row().add("corruption detected").add(rel.corruption_detected);
-  lt.new_row().add("duplicates dropped").add(rel.dedup_dropped);
-  lt.new_row().add("out of order").add(rel.out_of_order);
-  std::printf("\n%s", lt.str().c_str());
-  if (ropts.backend == runtime::transport_backend::socket) {
-    const auto& s = report.socket;
-    table st({"socket counter", "value"});
-    st.new_row().add("connects").add(s.connects);
-    st.new_row().add("reconnects").add(s.reconnects);
-    st.new_row().add("frames sent").add(s.frames_sent);
-    st.new_row().add("frames received").add(s.frames_received);
-    st.new_row().add("heartbeats sent").add(s.heartbeats_sent);
-    st.new_row().add("frames rejected").add(s.frames_rejected);
-    st.new_row().add("stale epoch dropped").add(s.stale_epoch_dropped);
-    st.new_row().add("stream faults injected").add(s.injected_stream_faults);
-    st.new_row().add("send failures").add(s.send_failures);
-    std::printf("\n%s", st.str().c_str());
-  }
+  std::printf("%s\n", t.str().c_str());
+  print_accounting(report, ropts.backend);
   return max_diff < 1e-12 ? 0 : 1;
 }
 
-static void print_trial(const seam::chaos_trial& trial) {
+static void print_trial(const seam::chaos_trial& trial,
+                        runtime::transport_backend backend) {
   table t({"metric", "value"});
   t.new_row().add("passed").add(trial.passed ? 1 : 0);
-  t.new_row().add("attempts").add(trial.attempts);
   t.new_row().add("max |chaos - baseline|").add(trial.max_abs_diff, 16);
   t.new_row().add("aborted").add(trial.aborted ? 1 : 0);
-  t.new_row().add("recoveries").add(trial.recoveries);
-  t.new_row().add("lost ranks").add(
-      static_cast<std::int64_t>(trial.lost_ranks.size()));
-  t.new_row().add("injected kills").add(trial.counters.injected_kills);
-  t.new_row().add("retransmits").add(trial.reliable.retransmits);
-  std::printf("%s", t.str().c_str());
+  std::printf("%s\n", t.str().c_str());
+  print_accounting(trial, backend);
   if (!trial.passed) std::printf("FAIL: %s\n", trial.failure.c_str());
 }
 
@@ -560,7 +560,7 @@ int cmd_chaos(const cli_args& args) {
                 schedule.stream_faults.size(),
                 static_cast<unsigned long long>(schedule.seed));
     const seam::chaos_trial trial = harness->run(schedule);
-    print_trial(trial);
+    print_trial(trial, backend);
     return trial.passed ? 0 : 1;
   }
 
@@ -584,7 +584,7 @@ int cmd_chaos(const cli_args& args) {
                 ne, popts.nparts, nranks, runtime::to_string(backend),
                 kill.rank, static_cast<long long>(kill.at_op));
     const seam::chaos_trial trial = harness->run(schedule);
-    print_trial(trial);
+    print_trial(trial, backend);
     return trial.passed ? 0 : 1;
   }
 
