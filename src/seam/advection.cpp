@@ -112,17 +112,17 @@ void advection_model::set_field(const std::function<double(mesh::vec3)>& f) {
 
 void advection_model::tendency_element(std::span<const double> q,
                                        std::span<double> out, int elem) const {
-  SFP_REQUIRE(q.size() == field_.size() && out.size() == field_.size(),
-              "field size mismatch");
   const int np = np_;
-  const double* D = rule_.diff.data();
   const std::size_t per_elem =
       static_cast<std::size_t>(np) * static_cast<std::size_t>(np);
+  SFP_REQUIRE(q.size() == per_elem && out.size() == per_elem,
+              "element slice size mismatch");
+  const double* D = rule_.diff.data();
   const std::size_t e = static_cast<std::size_t>(elem);
-  const double* qe = q.data() + e * per_elem;
+  const double* qe = q.data();
   const double* vx = geometry_.v_xi.data() + e * per_elem;
   const double* vy = geometry_.v_eta.data() + e * per_elem;
-  double* oe = out.data() + e * per_elem;
+  double* oe = out.data();
   for (int j = 0; j < np; ++j) {
     for (int i = 0; i < np; ++i) {
       double dqdxi = 0.0, dqdeta = 0.0;
@@ -138,10 +138,15 @@ void advection_model::tendency_element(std::span<const double> q,
 
 void advection_model::tendency(std::span<const double> q,
                                std::span<double> out) const {
+  SFP_REQUIRE(q.size() == field_.size() && out.size() == field_.size(),
+              "field size mismatch");
   const std::size_t per_elem =
       static_cast<std::size_t>(np_) * static_cast<std::size_t>(np_);
   const int nelem = static_cast<int>(field_.size() / per_elem);
-  for (int e = 0; e < nelem; ++e) tendency_element(q, out, e);
+  for (int e = 0; e < nelem; ++e) {
+    const std::size_t at = static_cast<std::size_t>(e) * per_elem;
+    tendency_element(q.subspan(at, per_elem), out.subspan(at, per_elem), e);
+  }
 }
 
 void advection_model::step(double dt) {

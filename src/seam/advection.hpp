@@ -69,8 +69,8 @@ class advection_model {
   void tendency(std::span<const double> q, std::span<double> out) const;
 
   /// Per-element tendency kernel (the distributed runner computes only its
-  /// owned elements). Thread-safe: touches only element `elem`'s slice of
-  /// `out`.
+  /// owned elements). `q` and `out` are element `elem`'s np² nodes, in
+  /// any field layout; `elem` only selects the geometry. Thread-safe.
   void tendency_element(std::span<const double> q, std::span<double> out,
                         int elem) const;
 

@@ -4,6 +4,7 @@
 #include <exception>
 #include <limits>
 #include <mutex>
+#include <ranges>
 #include <set>
 #include <span>
 #include <utility>
@@ -43,35 +44,55 @@ void require_run_args(double dt, int nsteps) {
   SFP_REQUIRE(dt > 0, "timestep must be positive");
 }
 
-/// Rank-local copies of a run's prognostic fields, in the global field
-/// layout; only a rank's owned slice is meaningful.
+/// One vector per prognostic field: in the rank-local layout inside a rank
+/// body, in the global layout in the buffers a run shares between ranks
+/// (see seam/distributed.hpp).
 using field_list = std::vector<std::vector<double>>;
+
+/// Nodes per owned slot of `rp`'s rank-local layout (np²).
+std::size_t slot_size(const rank_exchange_plan& rp) {
+  return rp.node_dof_local.size() / rp.owned.size();
+}
+
+/// Calls fn(global, local) for every owned node of `rp`, in slot order:
+/// its flat index in the global field layout and in the rank-local one.
+template <typename Fn>
+void for_each_owned_node(const rank_exchange_plan& rp, Fn&& fn) {
+  const std::size_t n = slot_size(rp);
+  std::size_t local = 0;
+  for (const int e : rp.owned)
+    for (std::size_t k = 0; k < n; ++k, ++local)
+      fn(static_cast<std::size_t>(e) * n + k, local);
+}
 
 /// One rank's two passes per RK stage — the element kernel over its owned
 /// elements, then the DSS exchange with its peers — driven by the shared
-/// ssp_rk3_step, with the timing, trace spans and traffic counts that feed
-/// dist_stats.
+/// ssp_rk3_step over the rank-local layout, with the timing, trace spans
+/// and traffic counts that feed dist_stats.
 class rank_stepper {
  public:
   rank_stepper(const rank_exchange_plan& rp, halo_exchanger& halo)
       : rp_(rp), halo_(halo) {}
 
-  const std::vector<std::size_t>& owned_nodes() const {
-    return rp_.owned_nodes;
-  }
+  const rank_exchange_plan& plan() const { return rp_; }
 
-  /// One SSP-RK3 step of size `h` over the owned nodes of `q`.
-  /// `kernel(src, dst, elem)` evaluates one owned element's tendency;
-  /// `project(fields)` runs on the owned nodes before each DSS.
+  /// One SSP-RK3 step of size `h` over the rank-local fields `q`.
+  /// `kernel(src, dst, elem)` evaluates one owned element's tendency from
+  /// its slot of `src` into its slot of `dst`; `project(fields)` runs
+  /// before each DSS.
   template <std::size_t N, typename Kernel, typename Project>
   void step(const rk3_fields<N>& q, rk3_stages<N>& stages, double h,
             Kernel&& kernel, Project&& project) {
+    const std::size_t n = slot_size(rp_);
     ssp_rk3_step(
-        q, stages, rp_.owned_nodes, h,
+        q, stages, std::views::iota(std::size_t{0}, rp_.node_dof_local.size()),
+        h,
         [&](const rk3_fields<N>& src, const rk3_fields<N>& dst) {
           SFP_TRACE_SCOPE_CAT("seam.compute", "seam");
           clock_.reset();
-          for (const int e : rp_.owned) kernel(src, dst, e);
+          for (std::size_t l = 0; l < rp_.owned.size(); ++l)
+            kernel(slice_fields(src, l * n, n), slice_fields(dst, l * n, n),
+                   rp_.owned[l]);
           compute_s_ += clock_.seconds();
         },
         [&](const rk3_fields<N>& fields) {
@@ -101,29 +122,33 @@ class rank_stepper {
 
 constexpr auto no_projection = [](const auto&) {};
 
-/// The per-rank program of every distributed runner. Copies `init` into
-/// rank-local fields, runs steps [first, last) — each `step(stepper, q,
-/// stages)` under a seam.step span, then `after_step(step, q)` — writes the
-/// owned slices into `out`, and adds the rank's totals to `collector`.
-/// `step` is taken by value, so each rank owns what it captured by value
-/// (such as kernel scratch).
+/// The per-rank program of every distributed runner. Gathers the owned
+/// slices of `init` into rank-local fields, runs steps [first, last) —
+/// each `step(stepper, q, stages)` under a seam.step span, then
+/// `after_step(step, q)` — scatters the final fields into `out`, and adds
+/// the rank's totals to `collector`. `step` is taken by value, so each
+/// rank owns what it captured by value (such as kernel scratch).
 template <std::size_t N, typename Step, typename AfterStep>
 void rank_body(const rank_exchange_plan& rp, halo_exchanger& halo,
                const std::vector<std::span<const double>>& init, int first,
                int last, Step step, AfterStep&& after_step, field_list& out,
                stats_collector& collector) {
   rank_stepper stepper(rp, halo);
-  field_list q;
-  for (const std::span<const double> f : init)
-    q.emplace_back(f.begin(), f.end());
-  rk3_stages<N> stages(q.front().size());
+  const std::size_t n_local = rp.node_dof_local.size();
+  field_list q(init.size());
+  for (std::vector<double>& f : q) f.resize(n_local);
+  for_each_owned_node(rp, [&](std::size_t node, std::size_t k) {
+    for (std::size_t f = 0; f < q.size(); ++f) q[f][k] = init[f][node];
+  });
+  rk3_stages<N> stages(n_local);
   for (int s = first; s < last; ++s) {
     SFP_TRACE_SCOPE_CAT("seam.step", "seam");
     step(stepper, q, stages);
     after_step(s, q);
   }
-  for (std::size_t f = 0; f < q.size(); ++f)
-    for (const std::size_t n : rp.owned_nodes) out[f][n] = q[f][n];
+  for_each_owned_node(rp, [&](std::size_t node, std::size_t k) {
+    for (std::size_t f = 0; f < q.size(); ++f) out[f][node] = q[f][k];
+  });
   stepper.report_to(collector);
 }
 
@@ -241,7 +266,9 @@ std::vector<double> run_distributed_resilient(
         halo_exchanger halo(rp, rank, channel);
         const auto checkpoint_step = [&](int step, const field_list& q) {
           auto& checkpoint = snap[static_cast<std::size_t>((step - done) & 1)];
-          for (const std::size_t n : rp.owned_nodes) checkpoint[n] = q[0][n];
+          for_each_owned_node(rp, [&](std::size_t node, std::size_t k) {
+            checkpoint[node] = q[0][k];
+          });
           // Seal the checkpoint: once the fence returns, every rank has
           // written its slice of this step.
           channel.fence();
@@ -291,8 +318,10 @@ swe_state run_distributed_swe(const shallow_water_model& model,
                             scratch);
         },
         [&](const rk3_fields<4>& f) {
-          for (const std::size_t n : stepper.owned_nodes())
-            model.project_node(n, f[1], f[2], f[3]);
+          for_each_owned_node(
+              stepper.plan(), [&](std::size_t node, std::size_t k) {
+                model.project_node(node, f[1][k], f[2][k], f[3][k]);
+              });
         });
   };
   field_list out = run_plain<4>(

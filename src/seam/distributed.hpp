@@ -7,6 +7,14 @@
 // runtime::reliable_channel over the transport runtime::run_fabric hands it;
 // the resilient runner's attempts come from runtime::run_resilient, the one
 // attempt loop it shares with the distributed partitioner.
+//
+// A rank holds only its own elements: its fields and RK stages are in the
+// rank-local layout of its exchange plan (seam/exchange.hpp — owned slot l
+// holds element owned[l]'s np² nodes), O(K/P) doubles each. The global
+// layout is where a run meets its caller: each rank gathers its owned
+// slices of the initial fields at the start and scatters its final slices
+// into the returned fields at the end, and the resilient runner's
+// checkpoints scatter into shared snapshot buffers.
 
 #include <cstdint>
 #include <vector>
@@ -64,9 +72,10 @@ struct recovery_report : runtime::resilience_report {
 /// Fault-tolerant variant of run_distributed, on the attempt loop it shares
 /// with the distributed partitioner (runtime::run_resilient; faults across
 /// attempts and the lost-rank rule are documented there). Every completed
-/// step is checkpointed (owned slices into a shared double buffer, sealed
-/// by the channel's fence). When ranks are lost, the survivors roll back to
-/// the newest sealed checkpoint and re-slice the same cube curve with
+/// step is checkpointed (each rank scatters its owned slices into a shared
+/// global-layout double buffer, sealed by the channel's fence). When ranks
+/// are lost, the survivors roll back to the newest sealed checkpoint and
+/// re-slice the same cube curve with
 /// plan_recovery once per lost rank — only the lost segments' elements
 /// migrate — reproducing the fault-free tracer field. When the ladder
 /// refuses, the root-cause exception is rethrown. Requires `part` to label

@@ -76,17 +76,11 @@ exchange_plan exchange_plan::build(const assembly& dofs,
     for (std::size_t k = 0; k < rp.touched_dofs.size(); ++k)
       rp.inv_multiplicity[k] = 1.0 / dofs.multiplicity(rp.touched_dofs[k]);
 
-    for (const int e : rp.owned) {
+    for (const int e : rp.owned)
       for (int j = 0; j < np; ++j)
-        for (int i = 0; i < np; ++i) {
-          rp.owned_nodes.push_back(
-              (static_cast<std::size_t>(e) * np + static_cast<std::size_t>(j)) *
-                  np +
-              static_cast<std::size_t>(i));
+        for (int i = 0; i < np; ++i)
           rp.node_dof_local.push_back(
               local_of[static_cast<std::size_t>(dofs.dof_of(e, i, j))]);
-        }
-    }
 
     // Peer lists in ascending global-dof order (both sides build the same
     // order, so packed vectors line up).
@@ -137,13 +131,14 @@ halo_exchanger::halo_exchanger(const rank_exchange_plan& plan, int rank,
 std::pair<std::int64_t, std::int64_t> halo_exchanger::dss_average(
     std::span<double> field) {
   const rank_exchange_plan& plan = *plan_;
+  SFP_REQUIRE(field.size() == plan.node_dof_local.size(),
+              "field is not in the rank-local layout");
   std::int64_t messages = 0, doubles_sent = 0;
   {
     SFP_TRACE_SCOPE_CAT("halo.pack", "seam");
     std::fill(acc_.begin(), acc_.end(), 0.0);
-    for (std::size_t k = 0; k < plan.owned_nodes.size(); ++k)
-      acc_[static_cast<std::size_t>(plan.node_dof_local[k])] +=
-          field[plan.owned_nodes[k]];
+    for (std::size_t k = 0; k < field.size(); ++k)
+      acc_[static_cast<std::size_t>(plan.node_dof_local[k])] += field[k];
 
     for (std::size_t p = 0; p < plan.peers.size(); ++p) {
       const auto& peer = plan.peers[p];
@@ -179,9 +174,9 @@ std::pair<std::int64_t, std::int64_t> halo_exchanger::dss_average(
   }
   {
     SFP_TRACE_SCOPE_CAT("halo.unpack", "seam");
-    for (std::size_t k = 0; k < plan.owned_nodes.size(); ++k) {
+    for (std::size_t k = 0; k < field.size(); ++k) {
       const auto d = static_cast<std::size_t>(plan.node_dof_local[k]);
-      field[plan.owned_nodes[k]] = acc_[d] * plan.inv_multiplicity[d];
+      field[k] = acc_[d] * plan.inv_multiplicity[d];
     }
   }
   return {messages, doubles_sent};

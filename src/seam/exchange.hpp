@@ -9,6 +9,12 @@
 // object a production SEAM-like model would build once at startup; the
 // partitioners in this library are competing precisely over how cheap these
 // schedules are.
+//
+// A rank holds its fields in the rank-local layout the plan defines: owned
+// slot l (0 <= l < owned.size()) holds element owned[l]'s np² nodes,
+// contiguously, in the element's own (j, i) order — so local node
+// k = l·np² + j·np + i is global node owned[l]·np² + j·np + i. A rank
+// field is owned.size()·np² doubles, and nothing else of the global field.
 
 #include <cstdint>
 #include <span>
@@ -22,10 +28,9 @@
 namespace sfp::seam {
 
 struct rank_exchange_plan {
-  std::vector<int> owned;  ///< element ids, ascending
-  /// Flat node index (into the global field layout) of every owned node.
-  std::vector<std::size_t> owned_nodes;
-  /// For each owned node: index into `touched_dofs` (local dof numbering).
+  std::vector<int> owned;  ///< element ids, ascending; slot l is owned[l]
+  /// For each node of the rank-local layout: index into `touched_dofs`
+  /// (local dof numbering).
   std::vector<std::int32_t> node_dof_local;
   /// Global dofs touched by this rank's elements, ascending.
   std::vector<std::int64_t> touched_dofs;
@@ -52,7 +57,7 @@ struct exchange_plan {
 
 /// Per-rank distributed DSS executor: accumulates the rank's own partial
 /// sums, exchanges boundary partials with every peer, and writes averaged
-/// values back into the owned slice of `field`. Remote partials are added
+/// values back into the rank-local `field`. Remote partials are added
 /// in ascending peer order whatever order they arrive in, so the result is
 /// bitwise reproducible under any delivery timing.
 ///
@@ -69,7 +74,9 @@ class halo_exchanger {
                  runtime::reliable_channel& channel);
 
   /// Distributed equivalent of assembly::dss_average restricted to owned
-  /// elements. Returns (messages sent, doubles sent) for accounting.
+  /// elements; `field` is in the rank-local layout (one entry per
+  /// node_dof_local entry). Returns (messages sent, doubles sent) for
+  /// accounting.
   std::pair<std::int64_t, std::int64_t> dss_average(std::span<double> field);
 
  private:

@@ -3,9 +3,11 @@
 // shared by the serial models and the distributed runners. Every stage is an
 // element-kernel pass followed by the DSS boundary exchange — the per-step
 // structure whose communication cost the partitioners compete over. Callers
-// supply the node range the stage updates touch (every node when serial, a
-// rank's owned nodes when distributed), the tendency and the DSS, as inlined
-// callables.
+// supply the node range the stage updates touch, the tendency and the DSS,
+// as inlined callables. The serial models step every node of the global
+// field layout; a distributed rank steps every node of its rank-local
+// layout (seam/exchange.hpp: owned slot l holds element owned[l]'s np²
+// nodes), so its fields and stages are O(K/P).
 
 #include <array>
 #include <cstddef>
@@ -14,10 +16,20 @@
 
 namespace sfp::seam {
 
-/// The N prognostic fields one step advances together, in the global field
-/// layout.
+/// The N prognostic fields one step advances together, all in one layout
+/// (global for the serial models, rank-local for a distributed rank).
 template <std::size_t N>
 using rk3_fields = std::array<std::span<double>, N>;
+
+/// Nodes [at, at + n) of every field: one element's slot, as the
+/// per-element kernels take it.
+template <std::size_t N>
+rk3_fields<N> slice_fields(const rk3_fields<N>& fields, std::size_t at,
+                           std::size_t n) {
+  rk3_fields<N> out;
+  for (std::size_t f = 0; f < N; ++f) out[f] = fields[f].subspan(at, n);
+  return out;
+}
 
 /// Tendency and intermediate-stage storage for ssp_rk3_step over N fields
 /// of `field_size` nodes each.

@@ -140,37 +140,41 @@ void shallow_water_model::rhs_element(
   const int np = np_;
   const std::size_t per_elem =
       static_cast<std::size_t>(np) * static_cast<std::size_t>(np);
-  const std::size_t base = static_cast<std::size_t>(elem) * per_elem;
+  for (const std::size_t size : {h.size(), ux.size(), uy.size(), uz.size(),
+                                 rh.size(), rx.size(), ry.size(), rz.size()})
+    SFP_REQUIRE(size == per_elem, "element slice size mismatch");
+  const node_data* nodes =
+      nodes_.data() + static_cast<std::size_t>(elem) * per_elem;
   const double* D = rule_.diff.data();
   const double g = params_.gravity;
 
   // Contravariant velocity and mass fluxes at each node.
   for (std::size_t k = 0; k < per_elem; ++k) {
-    const node_data& nd = nodes_[base + k];
-    const mesh::vec3 u{ux[base + k], uy[base + k], uz[base + k]};
+    const node_data& nd = nodes[k];
+    const mesh::vec3 u{ux[k], uy[k], uz[k]};
     const double c1 = mesh::dot(u, nd.t_xi);
     const double c2 = mesh::dot(u, nd.t_eta);
     s.uxi[k] = nd.gi11 * c1 + nd.gi12 * c2;
     s.ueta[k] = nd.gi12 * c1 + nd.gi22 * c2;
-    s.fxi[k] = nd.jac * h[base + k] * s.uxi[k];
-    s.feta[k] = nd.jac * h[base + k] * s.ueta[k];
+    s.fxi[k] = nd.jac * h[k] * s.uxi[k];
+    s.feta[k] = nd.jac * h[k] * s.ueta[k];
   }
   // Directional derivatives.
   deriv_xi(D, s.fxi.data(), s.dq1.data(), np);
   deriv_eta(D, s.feta.data(), s.dq2.data(), np);
-  deriv_xi(D, h.data() + base, s.dhx.data(), np);
-  deriv_eta(D, h.data() + base, s.dhe.data(), np);
-  deriv_xi(D, ux.data() + base, s.dux1.data(), np);
-  deriv_eta(D, ux.data() + base, s.dux2.data(), np);
-  deriv_xi(D, uy.data() + base, s.duy1.data(), np);
-  deriv_eta(D, uy.data() + base, s.duy2.data(), np);
-  deriv_xi(D, uz.data() + base, s.duz1.data(), np);
-  deriv_eta(D, uz.data() + base, s.duz2.data(), np);
+  deriv_xi(D, h.data(), s.dhx.data(), np);
+  deriv_eta(D, h.data(), s.dhe.data(), np);
+  deriv_xi(D, ux.data(), s.dux1.data(), np);
+  deriv_eta(D, ux.data(), s.dux2.data(), np);
+  deriv_xi(D, uy.data(), s.duy1.data(), np);
+  deriv_eta(D, uy.data(), s.duy2.data(), np);
+  deriv_xi(D, uz.data(), s.duz1.data(), np);
+  deriv_eta(D, uz.data(), s.duz2.data(), np);
 
   for (std::size_t k = 0; k < per_elem; ++k) {
-    const node_data& nd = nodes_[base + k];
+    const node_data& nd = nodes[k];
     // Continuity: dh/dt = -(1/J) [∂(J h u^ξ)/∂ξ + ∂(J h u^η)/∂η].
-    rh[base + k] = -(s.dq1[k] + s.dq2[k]) / nd.jac;
+    rh[k] = -(s.dq1[k] + s.dq2[k]) / nd.jac;
     // Momentum advection (per Cartesian component).
     const double ax = s.uxi[k] * s.dux1[k] + s.ueta[k] * s.dux2[k];
     const double ay = s.uxi[k] * s.duy1[k] + s.ueta[k] * s.duy2[k];
@@ -180,40 +184,45 @@ void shallow_water_model::rhs_element(
     const mesh::vec3 teta_up = nd.gi12 * nd.t_xi + nd.gi22 * nd.t_eta;
     const mesh::vec3 grad_h = s.dhx[k] * txi_up + s.dhe[k] * teta_up;
     // Coriolis: f (p̂ × u).
-    const mesh::vec3 u{ux[base + k], uy[base + k], uz[base + k]};
+    const mesh::vec3 u{ux[k], uy[k], uz[k]};
     const mesh::vec3 cor = nd.coriolis * mesh::cross(nd.pos, u);
-    rx[base + k] = -ax - cor.x - g * grad_h.x;
-    ry[base + k] = -ay - cor.y - g * grad_h.y;
-    rz[base + k] = -az - cor.z - g * grad_h.z;
+    rx[k] = -ax - cor.x - g * grad_h.x;
+    ry[k] = -ay - cor.y - g * grad_h.y;
+    rz[k] = -az - cor.z - g * grad_h.z;
   }
 }
 
-void shallow_water_model::project_node(std::size_t k, std::span<double> ux,
-                                       std::span<double> uy,
-                                       std::span<double> uz) const {
+void shallow_water_model::project_node(std::size_t k, double& ux, double& uy,
+                                       double& uz) const {
   const mesh::vec3 p = nodes_[k].pos;
-  const double un = ux[k] * p.x + uy[k] * p.y + uz[k] * p.z;
-  ux[k] -= un * p.x;
-  uy[k] -= un * p.y;
-  uz[k] -= un * p.z;
+  const double un = ux * p.x + uy * p.y + uz * p.z;
+  ux -= un * p.x;
+  uy -= un * p.y;
+  uz -= un * p.z;
 }
 
 void shallow_water_model::project_and_dss(const rk3_fields<4>& f) const {
   for (std::size_t k = 0; k < nodes_.size(); ++k)
-    project_node(k, f[1], f[2], f[3]);
+    project_node(k, f[1][k], f[2][k], f[3][k]);
   for (const std::span<double> field : f) assembly_.dss_average(field);
 }
 
 void shallow_water_model::step(double dt) {
   SFP_REQUIRE(dt > 0, "timestep must be positive");
   element_scratch scratch = make_scratch();
+  const std::size_t per_elem =
+      static_cast<std::size_t>(np_) * static_cast<std::size_t>(np_);
   ssp_rk3_step(
       rk3_fields<4>{h_, ux_, uy_, uz_}, stages_,
       std::views::iota(std::size_t{0}, h_.size()), dt,
       [&](const rk3_fields<4>& s, const rk3_fields<4>& r) {
-        for (int e = 0; e < assembly_.num_elements(); ++e)
-          rhs_element(s[0], s[1], s[2], s[3], r[0], r[1], r[2], r[3], e,
-                      scratch);
+        for (int e = 0; e < assembly_.num_elements(); ++e) {
+          const std::size_t at = static_cast<std::size_t>(e) * per_elem;
+          const rk3_fields<4> se = slice_fields(s, at, per_elem);
+          const rk3_fields<4> re = slice_fields(r, at, per_elem);
+          rhs_element(se[0], se[1], se[2], se[3], re[0], re[1], re[2], re[3],
+                      e, scratch);
+        }
       },
       [&](const rk3_fields<4>& f) { project_and_dss(f); });
 }

@@ -73,18 +73,19 @@ class shallow_water_model {
   };
   element_scratch make_scratch() const;
 
-  /// Evaluate the SWE tendency of element `elem` from the given state into
-  /// the element's slice of the tendency arrays. Thread-safe: reads only
-  /// precomputed geometry, writes only `elem`'s slice, uses caller scratch.
+  /// Evaluate the SWE tendency of element `elem`. Every span is the
+  /// element's np² nodes of one field, in any field layout; `elem` only
+  /// selects the geometry. Thread-safe: reads only precomputed geometry,
+  /// writes only the tendency slices, uses caller scratch.
   void rhs_element(std::span<const double> h, std::span<const double> ux,
                    std::span<const double> uy, std::span<const double> uz,
                    std::span<double> rh, std::span<double> rx,
                    std::span<double> ry, std::span<double> rz, int elem,
                    element_scratch& scratch) const;
 
-  /// Tangent-project the velocity at one node (by flat node index).
-  void project_node(std::size_t k, std::span<double> ux,
-                    std::span<double> uy, std::span<double> uz) const;
+  /// Tangent-project the velocity (ux, uy, uz) held at global node `k`
+  /// (flat index in the global field layout; selects the geometry only).
+  void project_node(std::size_t k, double& ux, double& uy, double& uz) const;
 
   // ---- diagnostics -------------------------------------------------------
   double mass() const;          ///< ∫ h dA (exactly conserved by flux form up

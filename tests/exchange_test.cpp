@@ -6,7 +6,10 @@
 #include <chrono>
 #include <cmath>
 #include <set>
+#include <span>
+#include <vector>
 
+#include "core/cube_curve.hpp"
 #include "core/sfc_partition.hpp"
 #include "mesh/cubed_sphere.hpp"
 #include "mgp/partitioner.hpp"
@@ -228,6 +231,90 @@ TEST(Distributed, DssBitwiseIdenticalUnderInjectedDelays) {
   const std::vector<double> again =
       run_distributed(model, part, dt, nsteps, nullptr, chaos);
   EXPECT_EQ(delayed, again);
+}
+
+// Owned slots and element ids disagree on every rank: with part_of[e] =
+// e % P every rank owns elements on every face, and slot l of a rank-local
+// field holds element r + l·P. Every runner gathers its initial slices,
+// calls the element kernels per slot, scatters its final slices and — in
+// the resilient runner — scatters checkpoints and re-gathers after a
+// restart; each must reproduce the serial run.
+double max_abs_diff(std::span<const double> a, std::span<const double> b) {
+  EXPECT_EQ(a.size(), b.size());
+  double worst = 0;
+  for (std::size_t i = 0; i < std::min(a.size(), b.size()); ++i)
+    worst = std::max(worst, std::abs(a[i] - b[i]));
+  return worst;
+}
+
+TEST(Distributed, ScatteredLabelsMatchSerial) {
+  const mesh::cubed_sphere m(3);
+  const int nranks = 4, nsteps = 5;
+  partition::partition scattered;
+  scattered.num_parts = nranks;
+  for (int e = 0; e < m.num_elements(); ++e)
+    scattered.part_of.push_back(e % nranks);
+  const auto blob = [](mesh::vec3 p) {
+    return std::exp(-4.0 * ((p.x - 1) * (p.x - 1) + p.y * p.y + p.z * p.z)) +
+           0.3 * p.z;
+  };
+
+  {
+    advection_model model(m, 4);
+    model.set_field(blob);
+    const double dt = model.cfl_dt(0.3);
+    const auto dist = run_distributed(model, scattered, dt, nsteps);
+    for (int s = 0; s < nsteps; ++s) model.step(dt);
+    EXPECT_LT(max_abs_diff(dist, model.field()), 1e-12) << "advection";
+  }
+  {
+    shallow_water_model model(m, 4);
+    model.set_state(
+        [&](mesh::vec3 p) { return 10.0 - 0.105 * p.z * p.z + 0.01 * blob(p); },
+        [](mesh::vec3 p) { return mesh::vec3{-0.1 * p.y, 0.1 * p.x, 0}; });
+    const double dt = model.cfl_dt(0.25);
+    const swe_state dist = run_distributed_swe(model, scattered, dt, nsteps);
+    for (int s = 0; s < nsteps; ++s) model.step(dt);
+    EXPECT_LT(max_abs_diff(dist.h, model.depth()), 1e-12) << "swe h";
+    EXPECT_LT(max_abs_diff(dist.ux, model.velocity_x()), 1e-12) << "swe ux";
+    EXPECT_LT(max_abs_diff(dist.uy, model.velocity_y()), 1e-12) << "swe uy";
+    EXPECT_LT(max_abs_diff(dist.uz, model.velocity_z()), 1e-12) << "swe uz";
+  }
+  {
+    const int nlev = 3;
+    layered_advection model(m, 4, nlev, 1.0, 0.6);
+    model.set_field(
+        [&](mesh::vec3 p, int l) { return blob(p) * (1 + l) - 0.1 * l * p.x; });
+    const double dt = model.cfl_dt(0.3);
+    const auto dist = run_distributed_layered(model, scattered, dt, nsteps);
+    for (int s = 0; s < nsteps; ++s) model.step(dt);
+    ASSERT_EQ(dist.size(), static_cast<std::size_t>(nlev));
+    for (int l = 0; l < nlev; ++l)
+      EXPECT_LT(max_abs_diff(dist[static_cast<std::size_t>(l)], model.layer(l)),
+                1e-12)
+          << "layer " << l;
+  }
+  {
+    // Recovery re-slices curve segments (core::plan_recovery, whose audit
+    // checks segment contiguity), so the resilient run starts from the SFC
+    // plan. Its slots disagree with element ids too: every segment of this
+    // curve crosses cube faces.
+    advection_model model(m, 4);
+    model.set_field(blob);
+    const double dt = model.cfl_dt(0.3);
+    const auto curve = core::build_cube_curve(m);
+    const auto sfc = core::sfc_partition(curve, nranks);
+    runtime::resilience_options ropts;
+    ropts.faults.kills.push_back({/*rank=*/1, /*at_op=*/30});
+    ropts.max_recoveries = 1;
+    recovery_report report;
+    const auto dist = run_distributed_resilient(model, curve, sfc, dt, nsteps,
+                                                ropts, &report);
+    EXPECT_EQ(report.recoveries, 1);
+    EXPECT_EQ(report.lost_ranks, std::vector<int>{1});
+    for (int s = 0; s < nsteps; ++s) model.step(dt);
+    EXPECT_LT(max_abs_diff(dist, model.field()), 1e-12) << "resilient";
+  }
 }
 
 TEST(DistributedSwe, Preconditions) {

@@ -270,14 +270,8 @@ inline seam::exchange_plan legacy_exchange_plan(
 
     for (const int e : rp.owned)
       for (int j = 0; j < np; ++j)
-        for (int i = 0; i < np; ++i) {
-          rp.owned_nodes.push_back(
-              (static_cast<std::size_t>(e) * static_cast<std::size_t>(np) +
-               static_cast<std::size_t>(j)) *
-                  static_cast<std::size_t>(np) +
-              static_cast<std::size_t>(i));
+        for (int i = 0; i < np; ++i)
           rp.node_dof_local.push_back(local_of.at(dofs.dof_of(e, i, j)));
-        }
 
     std::map<int, std::vector<std::int32_t>> by_peer;
     for (std::size_t k = 0; k < rp.touched_dofs.size(); ++k)

@@ -36,7 +36,6 @@ void expect_same_plan(const seam::exchange_plan& got,
     const seam::rank_exchange_plan& g = got.ranks[r];
     const seam::rank_exchange_plan& w = want.ranks[r];
     EXPECT_EQ(g.owned, w.owned) << "rank " << r;
-    EXPECT_EQ(g.owned_nodes, w.owned_nodes) << "rank " << r;
     EXPECT_EQ(g.node_dof_local, w.node_dof_local) << "rank " << r;
     EXPECT_EQ(g.touched_dofs, w.touched_dofs) << "rank " << r;
     EXPECT_EQ(g.inv_multiplicity, w.inv_multiplicity) << "rank " << r;

@@ -35,7 +35,10 @@
 #      and must heal every one in place; rank-kill soaks on both backends
 #      must keep serial parity; bare schedule files replay through
 #      `sfcpart chaos --replay`: message faults on each harness, and a
-#      rank kill on the partition harness; and a two-kill fault plan
+#      rank kill on the partition harness — a replay also fails when a
+#      scheduled fault kind injected nothing, and a negative leg replays a
+#      drop on a frame a 2-part plan never sends (2 -> 0, frame 1), which
+#      must exit non-zero; and a two-kill fault plan
 #      replays through `sfcpart faults --plan` on both wires, recovering
 #      the SEAM tracer field to 1e-12
 #   7. distributed-partition bench smoke: bench_partition_scaling at a tiny
@@ -160,6 +163,18 @@ printf '%s\n' '{"seed": "7", "faults": [], "kills": [{"rank": 1, "at_op": 3}]}' 
   > "$chaos_dir/replay_kill.json"
 build/tools/sfcpart chaos --partition --nproc=4 \
   --replay="$chaos_dir/replay_kill.json"
+# Negative replay leg: with 2 parts on 4 ranks, leaf 2 owns no cut, so its
+# cut frame to the root is header-only and no data frame 1 exists on
+# 2 -> 0. The drop never fires, and a replay that injected nothing of a
+# scheduled kind must fail rather than pass vacuously.
+printf '%s\n' '{"seed": "7", "faults": [
+  {"kind": "drop", "src": 2, "dst": 0, "nth": 1}]}' \
+  > "$chaos_dir/replay_vacuous.json"
+if build/tools/sfcpart chaos --partition --nproc=4 --nparts=2 \
+  --replay="$chaos_dir/replay_vacuous.json"; then
+  echo "ci: a replay whose scheduled drop never fired passed" >&2
+  exit 1
+fi
 # SEAM rank-kill leg: a two-kill fault plan through `sfcpart faults` on
 # each wire. Rank 2 dies in the first step; rank 0's kill lies past its
 # first attempt, stays armed and fires after the restart. Two restarts,

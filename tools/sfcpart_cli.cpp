@@ -17,6 +17,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <map>
@@ -498,14 +499,68 @@ static void print_trial(const seam::chaos_trial& trial,
   if (!trial.passed) std::printf("FAIL: %s\n", trial.failure.c_str());
 }
 
+// Scheduled vs injected per fault kind, after a replay. The schedule is
+// counted as the fabric sees it (to_fault_plan: on the in-process wire a
+// stream fault is lowered to a message fault), so each row pairs a plan
+// entry kind with its injected_* counter. A scheduled kind that injected
+// nothing means the schedule no longer hits the frames it names and the
+// replay proved nothing: returns false. Fewer injections than entries is
+// not a failure on its own — faults that land on one message count once.
+static bool print_replay_coverage(const seam::chaos_schedule& schedule,
+                                  const seam::chaos_trial& trial,
+                                  runtime::transport_backend backend) {
+  using fault = runtime::fault_plan::message_fault;
+  const runtime::fault_plan plan = seam::to_fault_plan(schedule, backend);
+  const auto scheduled = [&](double fault::*probability) {
+    return static_cast<std::int64_t>(
+        std::ranges::count_if(plan.message_faults, [&](const fault& f) {
+          return f.*probability > 0;
+        }));
+  };
+  const runtime::rank_counters& c = trial.counters;
+  struct row {
+    const char* kind;
+    std::int64_t scheduled, injected;
+  };
+  std::vector<row> rows = {
+      {"drop", scheduled(&fault::drop_probability), c.injected_drops},
+      {"delay", scheduled(&fault::delay_probability), c.injected_delays},
+      {"duplicate", scheduled(&fault::duplicate_probability),
+       c.injected_duplicates},
+      {"corrupt", scheduled(&fault::corrupt_probability),
+       c.injected_corruptions},
+      {"truncate", scheduled(&fault::truncate_probability),
+       c.injected_truncations},
+      {"reorder", scheduled(&fault::reorder_probability),
+       c.injected_reorders},
+      {"kill", static_cast<std::int64_t>(plan.kills.size()),
+       c.injected_kills}};
+  if (backend == runtime::transport_backend::socket)
+    rows.push_back({"stream",
+                    static_cast<std::int64_t>(schedule.stream_faults.size()),
+                    trial.socket.injected_stream_faults});
+  table t({"fault kind", "scheduled", "injected"});
+  std::string missed;
+  for (const row& r : rows) {
+    t.new_row().add(r.kind).add(r.scheduled).add(r.injected);
+    if (r.scheduled > 0 && r.injected == 0)
+      missed += (missed.empty() ? "" : ", ") + std::string(r.kind);
+  }
+  std::printf("%s", t.str().c_str());
+  if (!missed.empty())
+    std::printf("FAIL: scheduled but never injected: %s\n", missed.c_str());
+  return missed.empty();
+}
+
 // Chaos from the command line. The advection harness checks that every
 // fault heals in place against the fault-free run; `--partition`,
 // `--kills` or `--kill-rank` select the partition harness instead, since a
 // rank kill cannot heal in place and is checked against its contract
 // (survivor parity or clean abort). Either harness then runs one of three
-// paths: --replay reruns a schedule or reproducer, --kill-rank runs one
-// directed kill, and otherwise a seeded soak runs and writes each failure's
-// ddmin-shrunk reproducer for a later `sfcpart chaos --replay=FILE`.
+// paths: --replay reruns a schedule or reproducer (and also fails when a
+// scheduled fault kind never fired), --kill-rank runs one directed kill,
+// and otherwise a seeded soak runs and writes each failure's ddmin-shrunk
+// reproducer for a later `sfcpart chaos --replay=FILE`.
 int cmd_chaos(const cli_args& args) {
   const bool partition =
       args.has("partition") || args.has("kills") || args.has("kill-rank");
@@ -561,7 +616,8 @@ int cmd_chaos(const cli_args& args) {
                 static_cast<unsigned long long>(schedule.seed));
     const seam::chaos_trial trial = harness->run(schedule);
     print_trial(trial, backend);
-    return trial.passed ? 0 : 1;
+    const bool covered = print_replay_coverage(schedule, trial, backend);
+    return trial.passed && covered ? 0 : 1;
   }
 
   if (const auto text = args.get("kill-rank")) {
