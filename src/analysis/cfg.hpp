@@ -14,8 +14,8 @@
 // lambda or local class inside a statement is swallowed as one opaque
 // node (its internal control flow is invisible), goto is not modelled,
 // and short-circuit/ternary expressions are single nodes. The dataflow
-// passes riding on the CFG (overflow-arith, resource-leak, use-after-move,
-// the path-sensitive unchecked-status) inherit this envelope and
+// passes riding on the CFG (overflow-arith, use-after-move, the
+// path-sensitive unchecked-status) inherit this envelope and
 // over-approximate toward reporting, with `lint: <rule>-ok` as the
 // reviewed escape hatch.
 

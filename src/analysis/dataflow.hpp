@@ -7,10 +7,9 @@
 // iteration to a fixpoint: `may` problems join with union (a fact holds
 // if it reaches on SOME path) from an all-zero start, `must` problems
 // join with intersection (the fact holds on EVERY path) from an all-one
-// start, in either direction. Edge kills refine branch conditions: the
-// resource-leak pass kills the "fd is open" fact along the error edge of
-// `if (fd < 0) return;` so the guard's early return is not blamed as a
-// leak path.
+// start, in either direction. Edge kills refine branch conditions: a pass
+// can kill a fact along one edge of a guard such as `if (fd < 0) return;`
+// so the guard's early return does not carry it.
 
 #include <cstddef>
 #include <map>

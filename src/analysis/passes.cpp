@@ -335,29 +335,6 @@ std::string_view assigned_lhs(std::string_view stmt, std::size_t rhs_pos) {
   return stmt.substr(s, e - s);
 }
 
-/// Whole-token search in a whitespace-insensitive pattern match: true when
-/// `cond` (with all whitespace removed) contains `var` followed by `op`
-/// or `op` followed by `var`, with identifier boundaries around `var`.
-bool cond_matches(std::string_view cond, std::string_view var,
-                  std::string_view op, bool var_first) {
-  std::string flat;
-  flat.reserve(cond.size());
-  for (const char c : cond)
-    if (c != ' ' && c != '\t' && c != '\n') flat.push_back(c);
-  const std::string pat = var_first ? std::string(var) + std::string(op)
-                                    : std::string(op) + std::string(var);
-  std::size_t pos = 0;
-  while ((pos = flat.find(pat, pos)) != std::string::npos) {
-    const std::size_t var_begin = var_first ? pos : pos + op.size();
-    const std::size_t var_end = var_begin + var.size();
-    const bool left_ok = var_begin == 0 || !ident_char(flat[var_begin - 1]);
-    const bool right_ok = var_end >= flat.size() || !ident_char(flat[var_end]);
-    if (left_ok && right_ok) return true;
-    pos += 1;
-  }
-  return false;
-}
-
 /// Per-function context shared by the flow passes: the blanked file text
 /// is cached per file (functions are ordered by file).
 struct flow_ctx {
@@ -874,10 +851,6 @@ const std::vector<rule_info>& rule_catalogue() {
       {"overflow-arith",
        "unchecked product of two K/Ne-scaled 64-bit values, or a scaled "
        "value narrowed to 32 bits without a cast",
-       true},
-      {"resource-leak",
-       "descriptor acquired in src/runtime can reach function exit "
-       "unclosed on an early-return/exception path",
        true},
       {"use-after-move",
        "moved-from local read on a path before it is reassigned", true},
@@ -1414,175 +1387,6 @@ std::vector<finding> check_overflow_arith(
   return out;
 }
 
-std::vector<finding> check_resource_leak(
-    const source_tree& tree, const call_graph& graph,
-    const std::vector<function_cfg>& cfgs, const pass_options& opts) {
-  std::vector<finding> out;
-  flow_ctx ctx{tree, graph, -1, {}};
-  for (std::size_t fi = 0; fi < graph.functions.size(); ++fi) {
-    const function_def& fn = graph.functions[fi];
-    const source_file& f = ctx.file_of(fn);
-    if (!path_under(f.path, opts.leak_trees)) continue;
-    const std::string_view text = ctx.text_of(fn);
-    const function_cfg& cfg = cfgs[fi];
-    const std::vector<local_decl> locals = collect_locals(f, text, fn);
-
-    // Acquire sites: `fd = socket(...)` / `int fd = ::accept(...)` with
-    // fd a plain int local. RAII wrappers never bind a raw int, so they
-    // are exempt by construction.
-    struct tracked {
-      int local = -1;
-      int line = 0;
-      std::string what;
-    };
-    std::vector<tracked> fds;
-    const auto tracked_index = [&fds](std::string_view name,
-                                      const std::vector<local_decl>& ls) {
-      for (std::size_t t = 0; t < fds.size(); ++t)
-        if (ls[static_cast<std::size_t>(fds[t].local)].name == name)
-          return static_cast<int>(t);
-      return -1;
-    };
-
-    for (std::size_t n = 0; n < cfg.nodes.size(); ++n) {
-      const std::string_view stmt = flow_ctx::node_text(text, cfg.nodes[n]);
-      for (const auto& call : opts.leak_acquire_calls) {
-        const std::size_t pos = find_free_call(stmt, call);
-        if (pos == std::string_view::npos) continue;
-        const std::string_view lhs = assigned_lhs(stmt, pos);
-        if (lhs.empty()) continue;
-        int li = -1;
-        for (std::size_t v = 0; v < locals.size(); ++v)
-          if (locals[v].name == lhs && !locals[v].pointer &&
-              !locals[v].reference)
-            li = static_cast<int>(v);
-        if (li < 0) continue;
-        if (tracked_index(lhs, locals) >= 0) continue;
-        tracked t;
-        t.local = li;
-        t.line = f.line_of(cfg.nodes[n].begin + pos);
-        t.what = call;
-        fds.push_back(std::move(t));
-      }
-    }
-    if (fds.empty()) continue;
-
-    dataflow_problem p;
-    p.num_facts = static_cast<int>(fds.size());
-    p.forward = true;
-    p.may = true;
-    p.gen = make_fact_sets(cfg, p.num_facts);
-    p.kill = make_fact_sets(cfg, p.num_facts);
-
-    for (std::size_t n = 0; n < cfg.nodes.size(); ++n) {
-      const cfg_node& nd = cfg.nodes[n];
-      const std::string_view stmt = flow_ctx::node_text(text, nd);
-      if (stmt.empty()) continue;
-      for (std::size_t t = 0; t < fds.size(); ++t) {
-        const std::string& name =
-            locals[static_cast<std::size_t>(fds[t].local)].name;
-        const bool mentions =
-            find_token(stmt, name) != std::string_view::npos;
-        if (!mentions) continue;
-        bool acquired = false;
-        for (const auto& call : opts.leak_acquire_calls) {
-          const std::size_t pos = find_free_call(stmt, call);
-          if (pos != std::string_view::npos &&
-              assigned_lhs(stmt, pos) == name)
-            acquired = true;
-        }
-        if (acquired) {
-          p.gen[n][t] = 1;
-          continue;
-        }
-        // Release: close(fd) (any release call mentioning the fd).
-        bool released = false;
-        for (const auto& call : opts.leak_release_calls)
-          if (find_free_call(stmt, call) != std::string_view::npos)
-            released = true;
-        // Ownership transfer: `return fd;`, `other = fd`, or fd handed to
-        // a member/constructor (heuristic: `(fd)` / `(fd,` / `{fd` /
-        // `, fd)` as a call argument when the statement is not a
-        // condition). Reassignment (`fd = -1`) also ends this fd's life.
-        const bool returned = nd.k == cfg_node::kind::ret;
-        bool stored = false;
-        {
-          std::size_t q = 0;
-          while ((q = find_token(stmt, name, q)) !=
-                 std::string_view::npos) {
-            std::size_t b = q;
-            while (b > 0 && (stmt[b - 1] == ' ' || stmt[b - 1] == '\t'))
-              --b;
-            if (b > 0 && stmt[b - 1] == '=' &&
-                (b < 2 || stmt[b - 2] != '=') &&
-                (b < 2 || (stmt[b - 2] != '<' && stmt[b - 2] != '>' &&
-                           stmt[b - 2] != '!')))
-              stored = true;  // rhs of an assignment: someone else owns it
-            q += name.size();
-          }
-        }
-        const bool reassigned = assigns_var(stmt, name);
-        if (released || returned || stored || reassigned)
-          p.kill[n][t] = 1;
-      }
-    }
-
-    // Error-branch refinement: `if (fd < 0) ...` — the fd is not open on
-    // the then-edge; `if (fd >= 0) ...` — not open on the else-edge.
-    for (std::size_t n = 0; n < cfg.nodes.size(); ++n) {
-      const cfg_node& nd = cfg.nodes[n];
-      if (nd.k != cfg_node::kind::branch && nd.k != cfg_node::kind::loop)
-        continue;
-      const std::string_view cond = flow_ctx::node_text(text, nd);
-      for (std::size_t t = 0; t < fds.size(); ++t) {
-        const std::string& name =
-            locals[static_cast<std::size_t>(fds[t].local)].name;
-        const bool invalid_then =
-            cond_matches(cond, name, "<0", true) ||
-            cond_matches(cond, name, "==-1", true) ||
-            cond_matches(cond, name, "<=-1", true) ||
-            cond_matches(cond, name, "0>", false) ||
-            cond_matches(cond, name, "-1==", false);
-        const bool valid_then =
-            cond_matches(cond, name, ">=0", true) ||
-            cond_matches(cond, name, "!=-1", true) ||
-            cond_matches(cond, name, ">-1", true) ||
-            cond_matches(cond, name, "0<=", false);
-        if (invalid_then && nd.then_succ >= 0) {
-          auto& kills = p.edge_kill[{static_cast<int>(n), nd.then_succ}];
-          kills.resize(fds.size(), 0);
-          kills[t] = 1;
-        } else if (valid_then) {
-          for (const int s : nd.succ) {
-            if (s == nd.then_succ) continue;
-            auto& kills = p.edge_kill[{static_cast<int>(n), s}];
-            kills.resize(fds.size(), 0);
-            kills[t] = 1;
-          }
-        }
-      }
-    }
-
-    const dataflow_result states = solve_dataflow(cfg, p);
-    const auto& at_exit = states.in[static_cast<std::size_t>(cfg.exit)];
-    for (std::size_t t = 0; t < fds.size(); ++t) {
-      if (at_exit[t] == 0) continue;
-      const std::string& name =
-          locals[static_cast<std::size_t>(fds[t].local)].name;
-      finding v;
-      v.rule = "resource-leak";
-      v.file = f.path;
-      v.line = fds[t].line;
-      v.message = "descriptor '" + name + "' from " + fds[t].what +
-                  "() may reach the end of '" + fn.name +
-                  "' unclosed on some early-return/exception path; close "
-                  "it on every edge or hand it to an RAII owner";
-      out.push_back(std::move(v));
-    }
-  }
-  return out;
-}
-
 std::vector<finding> check_use_after_move(
     const source_tree& tree, const call_graph& graph,
     const std::vector<function_cfg>& cfgs) {
@@ -1899,7 +1703,6 @@ analysis_result run_all(const source_tree& tree,
       check_blocking_while_locked(tree, r.calls, r.concurrency, opts));
   append(check_unchecked_status(tree, opts));
   append(check_overflow_arith(tree, r.calls, r.cfgs, opts));
-  append(check_resource_leak(tree, r.calls, r.cfgs, opts));
   append(check_use_after_move(tree, r.calls, r.cfgs));
   append(check_status_paths(tree, r.calls, r.cfgs, opts));
   append(check_suppression_format(tree));

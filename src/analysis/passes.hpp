@@ -71,11 +71,6 @@
 //                     64-bit values (splitter dichotomy S(x)*nparts), or
 //                     a K-scaled value narrowed into a 32-bit local
 //                     without an explicit cast
-//   resource-leak     an fd acquired in src/runtime (socket/accept/...)
-//                     misses its close() on some early-return or
-//                     exception edge; error-branch guards (`if (fd < 0)`)
-//                     are understood via edge kills, RAII wrappers are
-//                     exempt by construction (no raw int local)
 //   use-after-move    a moved-from local is read on some path before it
 //                     is reassigned / reset / rebound
 //   suppression-format
@@ -139,14 +134,12 @@ struct pass_options {
   /// Designated failure-path implementations allowed to throw in runtime.
   std::vector<std::string> throw_allowed_files = {
       "src/runtime/world.cpp", "src/runtime/fault.cpp",
-      "src/runtime/reliable.cpp", "src/runtime/transport.cpp",
-      "src/runtime/socket_transport.cpp"};
+      "src/runtime/reliable.cpp", "src/runtime/transport.cpp"};
   /// Trees the retry-backoff rule scans.
   std::vector<std::string> retry_trees = {"src/runtime", "src/seam"};
   /// Designated wait sites: files where blocking while holding a mutex is
   /// the implementation technique (cv waits in the fabric internals).
-  std::vector<std::string> wait_allowed_files = {
-      "src/runtime/world.cpp", "src/runtime/socket_transport.cpp"};
+  std::vector<std::string> wait_allowed_files = {"src/runtime/world.cpp"};
   /// Trees the unchecked-status rule scans.
   std::vector<std::string> status_trees = {"src/runtime", "src/seam"};
   /// Status-returning calls whose result must not be dropped.
@@ -157,15 +150,6 @@ struct pass_options {
   /// Identifiers treated as K/Ne-scaled regardless of declared type (the
   /// part count multiplies element-weight sums in the splitter dichotomy).
   std::vector<std::string> overflow_seed_names = {"nparts"};
-  /// Trees the resource-leak pass scans.
-  std::vector<std::string> leak_trees = {"src/runtime"};
-  /// Calls whose int result is an owned descriptor.
-  std::vector<std::string> leak_acquire_calls = {
-      "socket", "accept", "accept4", "open",
-      "epoll_create1", "eventfd", "dup", "timerfd_create"};
-  /// Calls that release a descriptor (close_fd is the runtime module's
-  /// EINTR-safe wrapper around ::close).
-  std::vector<std::string> leak_release_calls = {"close", "close_fd"};
 };
 
 std::vector<finding> check_layering(const module_graph& g,
@@ -218,9 +202,6 @@ std::vector<finding> check_unchecked_status(const source_tree& tree,
 // --- v3 flow-sensitive passes (statement CFGs + gen/kill dataflow) ------
 
 std::vector<finding> check_overflow_arith(
-    const source_tree& tree, const call_graph& graph,
-    const std::vector<function_cfg>& cfgs, const pass_options& opts = {});
-std::vector<finding> check_resource_leak(
     const source_tree& tree, const call_graph& graph,
     const std::vector<function_cfg>& cfgs, const pass_options& opts = {});
 std::vector<finding> check_use_after_move(

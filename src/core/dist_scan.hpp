@@ -5,14 +5,13 @@
 // Layering: core sits below runtime, so the distributed algorithms cannot
 // see runtime::transport. Instead core defines this minimal peer interface
 // (dependency inversion) and runtime provides the adapter that carries it
-// over a reliable channel on either wire of the one fabric — in process
-// or loopback TCP — without the algorithm changing a line
-// (runtime/partition_fabric.hpp).
+// over a reliable channel on the virtual-rank fabric without the algorithm
+// changing a line (runtime/partition_fabric.hpp).
 //
 // All collectives are deterministic and integer-exact: payloads are int64
 // words, reductions are rank-ordered sums gathered at rank 0 and broadcast
 // back, so every rank computes bit-identical results regardless of thread
-// scheduling or backend. That determinism is what lets the parallel slicer
+// scheduling. That determinism is what lets the parallel slicer
 // promise bit-identical plans to the serial one.
 
 #include <cstdint>

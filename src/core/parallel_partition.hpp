@@ -20,8 +20,8 @@
 //     every rank replays identically in O(Nproc).
 //
 // All communication goes through core::peer_comm (dist_scan.hpp), so the
-// same code runs serially (solo_comm), over the in-process world, and over
-// the socket backend; runtime/partition_fabric.hpp provides the drivers.
+// same code runs serially (solo_comm) and over the virtual-rank fabric;
+// runtime/partition_fabric.hpp provides the drivers.
 
 #include <cstdint>
 #include <span>

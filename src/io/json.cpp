@@ -1,5 +1,6 @@
 #include "io/json.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <charconv>
 #include <cmath>
@@ -30,6 +31,15 @@ const json_value& json_value::at(const std::string& key) const {
 
 bool json_value::has(const std::string& key) const {
   return type == kind::object && object.count(key) > 0;
+}
+
+void json_require_known_keys(const json_value& v,
+                             std::initializer_list<std::string_view> known,
+                             std::string_view what) {
+  for (const auto& member : v.object)
+    SFP_REQUIRE(std::find(known.begin(), known.end(), member.first) !=
+                    known.end(),
+                std::string(what) + ": unknown key '" + member.first + "'");
 }
 
 namespace {

@@ -12,6 +12,7 @@
 #include <cmath>
 #include <concepts>
 #include <cstdint>
+#include <initializer_list>
 #include <limits>
 #include <map>
 #include <memory>
@@ -69,6 +70,13 @@ Int json_integer(const json_value& v, std::string_view key,
     detail::throw_bad_integer(key, std::to_string(lo), std::to_string(hi));
   return static_cast<Int>(x);
 }
+
+/// Require every member of object `v` to be one of `known`. Throws
+/// sfp::contract_error naming `what` and the first other key, so a
+/// misspelt or retired key is an error rather than silently ignored.
+void json_require_known_keys(const json_value& v,
+                             std::initializer_list<std::string_view> known,
+                             std::string_view what);
 
 /// Parse a complete JSON document; throws sfp::contract_error with a byte
 /// offset on malformed input or trailing garbage.

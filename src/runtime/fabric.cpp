@@ -33,10 +33,10 @@ fault_plan attempt_faults(const fault_plan& plan, const std::vector<int>& alive,
 
 }  // namespace
 
-void run_fabric(int num_ranks, const fabric_options& opts,
+void run_fabric(int num_ranks, const fault_plan& faults,
                 const std::function<void(transport&)>& rank_main,
                 fabric_report* report) {
-  world w(num_ranks, opts);
+  world w(num_ranks, faults);
   std::exception_ptr failure;
   try {
     w.run(rank_main);
@@ -44,10 +44,8 @@ void run_fabric(int num_ranks, const fabric_options& opts,
     failure = std::current_exception();
   }
   if (report) {
-    report->per_rank.clear();
-    for (int r = 0; r < num_ranks; ++r)
-      report->per_rank.push_back(w.counters(r));
-    report->socket = w.socket_totals();
+    report->clear();
+    for (int r = 0; r < num_ranks; ++r) report->push_back(w.counters(r));
   }
   if (failure) std::rethrow_exception(failure);
 }
@@ -66,10 +64,7 @@ std::exception_ptr run_resilient(int num_ranks,
   for (int attempt = 0;; ++attempt) {
     SFP_TRACE_SCOPE_CAT("runtime.attempt", "runtime");
     const int n = static_cast<int>(alive.size());
-    fabric_options fopts;
-    fopts.backend = opts.backend;
-    fopts.faults = attempt_faults(opts.faults, alive, attempt);
-    if (attempt == 0) fopts.stream_faults = opts.stream_faults;
+    const fault_plan faults = attempt_faults(opts.faults, alive, attempt);
     reliable_options ropts = opts.reliable;
     ropts.epoch = static_cast<std::uint64_t>(attempt);
     std::vector<reliable_stats> reliable(static_cast<std::size_t>(n));
@@ -82,7 +77,7 @@ std::exception_ptr run_resilient(int num_ranks,
     // cascading world_aborted.
     try {
       run_fabric(
-          n, fopts,
+          n, faults,
           [&](transport& t) {
             const auto r = static_cast<std::size_t>(t.rank());
             reliable_channel channel(t, ropts);
@@ -107,7 +102,6 @@ std::exception_ptr run_resilient(int num_ranks,
       peer = e.peer();
       error = std::current_exception();
     }
-    report.socket += frep.socket;
     for (const reliable_stats& s : reliable) report.reliable += s;
 
     // Every rank whose kill fired is lost — also one that fired in its
@@ -115,7 +109,7 @@ std::exception_ptr run_resilient(int num_ranks,
     // kill always costs a restart.
     std::set<int> lost;
     for (int r = 0; r < n; ++r) {
-      const rank_counters& c = frep.per_rank[static_cast<std::size_t>(r)];
+      const rank_counters& c = frep[static_cast<std::size_t>(r)];
       report.counters += c;
       report.per_rank_counters[static_cast<std::size_t>(
           alive[static_cast<std::size_t>(r)])] += c;
@@ -131,7 +125,7 @@ std::exception_ptr run_resilient(int num_ranks,
       // Only teardown kills fired: the lowest such rank stands as thrower.
       thrower = *lost.begin();
       const auto k = std::find_if(
-          fopts.faults.kills.begin(), fopts.faults.kills.end(),
+          faults.kills.begin(), faults.kills.end(),
           [&](const fault_plan::kill_spec& s) { return s.rank == thrower; });
       error = std::make_exception_ptr(rank_killed(thrower, k->at_op));
     }

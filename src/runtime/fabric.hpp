@@ -1,10 +1,8 @@
 #pragma once
 // The one place that builds fabrics: run a rank program on a
-// runtime::world whose wire is picked by fabric_options::backend (a direct
-// in-process push or loopback TCP). Every rank program in the library (the
-// SEAM runners, the distributed partitioner) comes through here and speaks
-// a reliable_channel over the transport it is handed, so the wire is a
-// value, not a code path.
+// runtime::world under a fault_plan. Every rank program in the library
+// (the SEAM runners, the distributed partitioner) comes through here and
+// speaks a reliable_channel over the transport it is handed.
 //
 // run_resilient is the one attempt loop of both resilient runners
 // (seam::run_distributed_resilient and run_parallel_partition). It turns
@@ -13,14 +11,13 @@
 // surviving world ranks, renumbered densely, until an attempt completes or
 // the ladder refuses.
 //
-// Faults across attempts, for both runners: message and stream faults
-// apply to attempt 0 only. A kill that has not fired stays armed on its
-// world rank while that rank survives, and its `at_op` counts the rank's
-// ops within each attempt. Every rank whose kill fired is lost — also one
-// whose kill fired in its channel's teardown, after its body returned —
-// plus the escalation victim.
+// Faults across attempts, for both runners: message faults apply to
+// attempt 0 only. A kill that has not fired stays armed on its world rank
+// while that rank survives, and its `at_op` counts the rank's ops within
+// each attempt. Every rank whose kill fired is lost — also one whose kill
+// fired in its channel's teardown, after its body returned — plus the
+// escalation victim.
 
-#include <chrono>
 #include <exception>
 #include <functional>
 #include <set>
@@ -28,54 +25,26 @@
 
 #include "runtime/fault.hpp"
 #include "runtime/reliable.hpp"
-#include "runtime/socket_transport.hpp"
 #include "runtime/transport.hpp"
 
 namespace sfp::runtime {
 
-/// Everything a fabric run can be configured with: the wire, the chaos to
-/// inject, and the socket wire's link timing.
-struct fabric_options {
-  transport_backend backend = transport_backend::inproc;
-  /// Message-level chaos, applied by the fabric above either wire, so one
-  /// plan has identical semantics on both.
-  fault_plan faults;
-  /// Byte-stream chaos (socket wire only), pinned to reliable *data*
-  /// frames: acks and fence tokens are too short to match (see
-  /// stream_fault).
-  stream_fault_plan stream_faults;
-  /// Socket wire: idle links carry a heartbeat this often.
-  std::chrono::milliseconds heartbeat_interval{20};
-  /// Socket wire: a link silent for this long is declared dead by its
-  /// receiver.
-  std::chrono::milliseconds heartbeat_timeout{2000};
-  /// Socket wire: bound on dial + HELLO/HELLO_ACK handshake.
-  std::chrono::milliseconds connect_timeout{2000};
-  /// Socket wire: how long a stall fault sits on its frame.
-  std::chrono::microseconds stall_duration{2000};
-};
-
-/// What a fabric run left behind. Filled in whether or not the run threw.
-struct fabric_report {
-  std::vector<rank_counters> per_rank;  ///< indexed by rank
-  socket_stats socket;                  ///< socket wire only
-};
+/// What a fabric run left behind: each rank's counters, indexed by rank.
+/// Filled in whether or not the run threw.
+using fabric_report = std::vector<rank_counters>;
 
 /// Run `rank_main` once per rank on `num_ranks` virtual ranks with the
 /// world::run failure semantics: the first escaping exception aborts the
 /// peers and is rethrown here, after `report` (when non-null) has been
 /// filled.
-void run_fabric(int num_ranks, const fabric_options& opts,
+void run_fabric(int num_ranks, const fault_plan& faults,
                 const std::function<void(transport&)>& rank_main,
                 fabric_report* report = nullptr);
 
 /// Everything a resilient run can be configured with.
 struct resilience_options {
-  transport_backend backend = transport_backend::inproc;
   /// Message faults and kills (see "faults across attempts" above).
   fault_plan faults;
-  /// Byte-stream chaos (socket wire only), on attempt 0 only.
-  stream_fault_plan stream_faults;
   /// Channel tuning (retransmit budget, timeouts). The epoch is
   /// overwritten with the attempt number.
   reliable_options reliable;
@@ -88,7 +57,6 @@ struct resilience_report {
   rank_counters counters;                        ///< fabric totals
   std::vector<rank_counters> per_rank_counters;  ///< by world rank
   reliable_stats reliable;  ///< reliable-channel totals over ranks
-  socket_stats socket;      ///< all zero on the in-process wire
   /// Restarts before the attempt that completed (0 = fault-free).
   int recoveries = 0;
   /// World ranks outside the attempt that completed, ascending; every

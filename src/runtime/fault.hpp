@@ -31,7 +31,8 @@ class rank_killed : public std::runtime_error {
   std::int64_t op_;
 };
 
-/// Declarative, seeded fault schedule threaded through fabric_options.
+/// Declarative, seeded fault schedule a fabric run injects
+/// (runtime::run_fabric, runtime::world).
 struct fault_plan {
   std::uint64_t seed = 0;  ///< base seed for all probabilistic decisions
 

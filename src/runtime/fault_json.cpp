@@ -59,6 +59,8 @@ io::json_value fault_plan_to_json(const fault_plan& plan) {
 
 fault_plan fault_plan_from_json(const io::json_value& doc) {
   SFP_REQUIRE(doc.is_object(), "fault plan: top level must be an object");
+  io::json_require_known_keys(doc, {"seed", "kills", "message_faults"},
+                              "fault plan");
   fault_plan plan;
   if (doc.has("seed")) {
     const io::json_value& seed = doc.at("seed");
@@ -77,6 +79,7 @@ fault_plan fault_plan_from_json(const io::json_value& doc) {
     SFP_REQUIRE(kills.is_array(), "fault plan: kills must be an array");
     for (const io::json_value& entry : kills.array) {
       SFP_REQUIRE(entry.is_object(), "fault plan: kill must be an object");
+      io::json_require_known_keys(entry, {"rank", "at_op"}, "fault plan: kill");
       fault_plan::kill_spec k;
       k.rank = io::json_integer<int>(entry.at("rank"), "fault plan: kill rank",
                                      0);
@@ -92,6 +95,12 @@ fault_plan fault_plan_from_json(const io::json_value& doc) {
     for (const io::json_value& entry : faults.array) {
       SFP_REQUIRE(entry.is_object(),
                   "fault plan: message fault must be an object");
+      io::json_require_known_keys(
+          entry,
+          {"src", "dst", "tag", "drop", "delay", "duplicate", "corrupt",
+           "truncate", "reorder", "delay_us", "fire_from", "fire_count",
+           "min_payload"},
+          "fault plan: message fault");
       fault_plan::message_fault mf;
       // -1 is the wildcard rank.
       if (entry.has("src"))

@@ -18,7 +18,8 @@
 // The seed also parses from a plain number for hand-written plans. Every
 // integer field must be integral and in range (io::json_integer). A "tag"
 // key, left by plans saved while datagrams were tagged, is accepted only as
-// the -1 wildcard every writer emitted.
+// the -1 wildcard every writer emitted. Any other key is an error, so a
+// misspelt key cannot pass vacuously.
 
 #include <string>
 
@@ -32,7 +33,7 @@ namespace sfp::runtime {
 io::json_value fault_plan_to_json(const fault_plan& plan);
 
 /// Parse a plan document; throws sfp::contract_error on malformed input
-/// (unknown structure, out-of-range probabilities, non-integral or
+/// (unknown structure or keys, out-of-range probabilities, non-integral or
 /// out-of-range integers, a tag other than -1).
 fault_plan fault_plan_from_json(const io::json_value& doc);
 

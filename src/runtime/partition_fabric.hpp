@@ -1,9 +1,8 @@
 #pragma once
 // Runtime drivers for the distributed SFC partitioner: the adapter that
-// carries core::peer_comm over a reliable channel, and the fabric runners
-// that execute core::parallel_partition_rank once per virtual rank — over
-// the in-process world or the loopback-TCP socket backend — and assemble
-// the global plan.
+// carries core::peer_comm over a reliable channel, and the fabric runner
+// that executes core::parallel_partition_rank once per virtual rank and
+// assembles the global plan.
 //
 // Recovery is a restart. The plan is a pure function of the curve, the
 // weights and the part count — not of the rank count — so when a rank dies
@@ -12,11 +11,11 @@
 // shares (faults across attempts and the lost-rank rule: fabric.hpp).
 //
 // This closes the dependency inversion described in core/dist_scan.hpp:
-// core owns the algorithm and the comm interface, runtime owns the wires.
+// core owns the algorithm and the comm interface, runtime owns the fabric.
 // The payloads are int64 words carried as doubles by bit image (the same
 // convention the reliable envelope header uses), so the arithmetic stays
 // integer-exact end to end and the assembled plan is bit-identical to the
-// serial sfc_partition — whatever the backend, and under message chaos,
+// serial sfc_partition — also under message chaos,
 // because the reliable layer heals drops/corruption/reorder underneath.
 
 #include <span>
@@ -67,8 +66,8 @@ struct parallel_partition_report : resilience_report {
   bool aborted = false;
 };
 
-/// Run the distributed partitioner on `num_ranks` virtual ranks over the
-/// configured backend and assemble the global plan. `weights` is the global
+/// Run the distributed partitioner on `num_ranks` virtual ranks and
+/// assemble the global plan. `weights` is the global
 /// per-element weight vector (empty = unit weights); each rank only ever
 /// reads the weights of the elements in its own curve range, mirroring the
 /// O(K/P) memory claim.

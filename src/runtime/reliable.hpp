@@ -1,12 +1,10 @@
 #pragma once
-// Reliable-delivery layer over any runtime::transport backend.
+// Reliable-delivery layer over a runtime::transport.
 //
 // A transport gives asynchronous, unreliable datagram sends: under fault
-// injection (or over a real byte stream) a message can be dropped,
-// duplicated, bit-flipped, truncated, or reordered. reliable_channel heals
-// those transient faults in place, identically over the in-process world
-// (runtime/world.hpp) and the socket wire (runtime/socket_transport.hpp).
-// Every rank program in the library — the SEAM runners and the distributed
+// injection a message can be dropped, duplicated, bit-flipped, truncated,
+// or reordered. reliable_channel heals those transient faults in place
+// over the virtual-rank fabric (runtime/world.hpp). Every rank program in the library — the SEAM runners and the distributed
 // partitioner — talks through one.
 //
 // Each (sender, receiver) rank pair carries one ordered stream of data
@@ -146,11 +144,11 @@ struct reliable_stats {
 
 /// Exactly-once, in-order, checksummed delivery for one rank: one ordered
 /// stream to and from each peer. Owned and driven by a single rank thread;
-/// all cross-thread traffic goes through the transport backend underneath.
+/// all cross-thread traffic goes through the transport underneath.
 class reliable_channel {
  public:
-  /// Over any backend: the caller keeps ownership of the transport, which
-  /// must outlive the channel.
+  /// The caller keeps ownership of the transport, which must outlive the
+  /// channel.
   explicit reliable_channel(transport& fabric, reliable_options opts = {});
   ~reliable_channel();
   reliable_channel(const reliable_channel&) = delete;

@@ -56,14 +56,6 @@ void publish_counters(const rank_counters& t) {
   reg.get_counter("runtime.injected.reorders").add(t.injected_reorders);
 }
 
-const char* to_string(transport_backend backend) {
-  switch (backend) {
-    case transport_backend::inproc: return "inproc";
-    case transport_backend::socket: return "socket";
-  }
-  return "unknown";
-}
-
 transport::~transport() = default;
 
 injection_pipeline::injection_pipeline(const fault_plan& plan, int rank,

@@ -1,28 +1,24 @@
 #pragma once
-// Backend-agnostic transport: the narrow fabric surface the reliable
-// delivery layer (runtime/reliable.hpp) consumes, so the same
-// seq/ack/retransmit machinery, escalation ladder, and chaos harness run
-// unchanged over an in-process wire and over real byte streams.
+// The transport interface: the narrow fabric surface the reliable delivery
+// layer (runtime/reliable.hpp) consumes, so the seq/ack/retransmit
+// machinery, escalation ladder and chaos harness speak to a rank endpoint,
+// not to the fabric behind it.
 //
 // A transport is an unreliable datagram fabric: send() is asynchronous,
 // fire-and-forget, and may drop / duplicate / mangle payloads (by fault
-// injection or by a genuinely lossy backend); try_recv_any() is the bounded
-// polling primitive the reliable layer pumps. Everything stronger — ordering,
-// dedup, delivery guarantees — is the reliable layer's job, which is exactly
-// what makes the backends interchangeable under one chaos contract.
+// injection); try_recv_any() is the bounded polling primitive the reliable
+// layer pumps. Everything stronger — ordering, dedup, delivery guarantees —
+// is the reliable layer's job.
 //
 // The one fabric behind it is runtime::world (world.hpp): rank threads,
-// inboxes, abort and counters. transport_backend picks only the wire that
-// carries a sent image to the destination's inbox: a direct push in
-// process, or loopback TCP with framing, heartbeats, and a
-// reconnect-with-epoch handshake (socket_transport.hpp). fabric.hpp runs a
-// rank program on it.
+// inboxes, abort and counters, with every sent image pushed straight into
+// the destination's inbox. fabric.hpp runs a rank program on it.
 //
 // Datagrams are untagged: a fabric carries (src, dst) streams only, and the
 // reliable envelope orders data and fence tokens on one stream per pair.
 //
 // The shared fabric vocabulary (rank_counters, any_message, world_aborted)
-// lives here because the fabric, both wires and the reliable layer speak it.
+// lives here because the fabric and the reliable layer both speak it.
 
 #include <chrono>
 #include <cstdint>
@@ -65,7 +61,7 @@ struct rank_counters {
 };
 
 /// Add one run's totals to the global obs registry as the runtime.*
-/// counters every backend publishes.
+/// counters.
 void publish_counters(const rank_counters& totals);
 
 /// One message pulled off the wire by try_recv_any: its provenance plus the
@@ -74,14 +70,6 @@ struct any_message {
   int src = -1;
   std::vector<double> payload;
 };
-
-/// Which wire carries a run's traffic from sender to destination inbox.
-enum class transport_backend {
-  inproc,  ///< direct push into the destination's inbox (runtime/world.hpp)
-  socket,  ///< loopback TCP (runtime/socket_transport.hpp)
-};
-
-const char* to_string(transport_backend backend);
 
 /// The per-rank datagram surface. One instance per rank, valid only for the
 /// duration of the owning fabric's run; all methods are called from that
@@ -112,10 +100,9 @@ class transport {
   transport() = default;
 };
 
-/// One rank's message-level fault machinery, run by the fabric above either
-/// wire so both mangle outgoing messages identically: the same
-/// plan, the same rng streams, the same counter accounting — which is what
-/// keeps one chaos schedule bit-for-bit reproducible across backends.
+/// One rank's message-level fault machinery, run by the fabric on every
+/// send: the plan's rng streams and counter accounting are what keep one
+/// chaos schedule bit-for-bit reproducible.
 ///
 /// Owned by one rank thread; not thread-safe.
 class injection_pipeline {
@@ -123,7 +110,7 @@ class injection_pipeline {
   injection_pipeline(const fault_plan& plan, int rank,
                      rank_counters* counters);
 
-  /// Count one communication op (every backend calls this once per send);
+  /// Count one communication op (the fabric calls this once per send);
   /// throws rank_killed (and accounts it) when a planned kill is due.
   void count_op();
 

@@ -47,9 +47,9 @@ class world::endpoint final : public transport {
   int rank_;
 };
 
-world::world(int num_ranks, fabric_options opts)
+world::world(int num_ranks, fault_plan faults)
     : num_ranks_(validated_rank_count(num_ranks)),
-      opts_(std::move(opts)),
+      faults_(std::move(faults)),
       inboxes_(static_cast<std::size_t>(num_ranks)),
       counters_(static_cast<std::size_t>(num_ranks)) {}
 
@@ -75,12 +75,7 @@ void world::send(int src, int dst, std::span<const double> data) {
   for (int c = 0; c < out.accounted_copies; ++c)
     send_bytes_hist().observe(
         static_cast<std::int64_t>(out.copy_doubles * sizeof(double)));
-  for (auto& image : out.wire) {
-    if (socket_)
-      socket_->write(src, dst, image);
-    else
-      deliver(dst, src, std::move(image));
-  }
+  for (auto& image : out.wire) deliver(dst, src, std::move(image));
 }
 
 void world::deliver(int dst, int src, std::vector<double> image) {
@@ -144,26 +139,18 @@ void world::reset_run_state() {
   for (auto& box : inboxes_)
     box.from.assign(static_cast<std::size_t>(num_ranks_), {});
   counters_.assign(static_cast<std::size_t>(num_ranks_), rank_counters{});
-  socket_totals_ = socket_stats{};
   // counters_ is at its final size here, so the pipelines' pointers into it
   // stay valid for the whole run.
   pipelines_.clear();
   pipelines_.reserve(static_cast<std::size_t>(num_ranks_));
   for (int p = 0; p < num_ranks_; ++p)
-    pipelines_.emplace_back(opts_.faults, p,
+    pipelines_.emplace_back(faults_, p,
                             &counters_[static_cast<std::size_t>(p)]);
 }
 
 void world::run(const std::function<void(transport&)>& rank_main) {
   SFP_REQUIRE(static_cast<bool>(rank_main), "rank_main must be callable");
   reset_run_state();
-  if (opts_.backend == transport_backend::socket)
-    socket_ = std::make_unique<socket_wire>(
-        num_ranks_, opts_,
-        [this](int dst, int src, std::vector<double> image) {
-          deliver(dst, src, std::move(image));
-        },
-        &socket_totals_);
   std::vector<std::thread> threads;
   std::vector<std::exception_ptr> errors(static_cast<std::size_t>(num_ranks_));
   threads.reserve(static_cast<std::size_t>(num_ranks_));
@@ -181,12 +168,7 @@ void world::run(const std::function<void(transport&)>& rank_main) {
     });
   }
   for (auto& t : threads) t.join();
-  // Closing the wire joins its reader, acceptor and heartbeat threads, so
-  // socket_totals_ is final from here on.
-  socket_.reset();
   publish_counters(total_counters());
-  if (opts_.backend == transport_backend::socket)
-    publish_counters(socket_totals_);
   const int failed = failed_rank();
   if (failed >= 0) {
     // failed_rank_ is the first rank whose exception escaped — the root

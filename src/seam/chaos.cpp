@@ -38,18 +38,6 @@ chaos_fault::kind kind_from_string(const std::string& name) {
   std::abort();  // unreachable: SFP_REQUIRE throws
 }
 
-runtime::stream_fault::kind stream_kind_from_string(const std::string& name) {
-  for (const auto k :
-       {runtime::stream_fault::kind::truncate,
-        runtime::stream_fault::kind::split, runtime::stream_fault::kind::reset,
-        runtime::stream_fault::kind::stall}) {
-    if (name == runtime::to_string(k)) return k;
-  }
-  SFP_REQUIRE(false,
-              "chaos schedule: unknown stream fault kind '" + name + "'");
-  std::abort();  // unreachable: SFP_REQUIRE throws
-}
-
 }  // namespace
 
 runtime::reliable_options chaos_reliable_defaults() {
@@ -92,8 +80,7 @@ void add_kills(chaos_schedule& schedule, int nranks, int nkills,
   SFP_REQUIRE(nranks >= 2, "chaos schedules need at least two ranks");
   SFP_REQUIRE(nkills >= 0, "kill count must be non-negative");
   SFP_REQUIRE(max_op >= 1, "max_op must be >= 1");
-  // A fourth rng stream, decorrelated from the shape, positional and
-  // stream-fault streams.
+  // Its own rng stream, decorrelated from the shape and positional streams.
   rng r(schedule.seed ^ 0x6b111ed6b111ed00ull);
   schedule.kills.reserve(schedule.kills.size() +
                          static_cast<std::size_t>(nkills));
@@ -106,49 +93,24 @@ void add_kills(chaos_schedule& schedule, int nranks, int nkills,
   }
 }
 
-void add_stream_faults(chaos_schedule& schedule, int nranks, int nstream,
-                       std::int64_t max_nth) {
-  SFP_REQUIRE(nranks >= 2, "chaos schedules need at least two ranks");
-  SFP_REQUIRE(nstream >= 0, "stream fault count must be non-negative");
-  SFP_REQUIRE(max_nth >= 1, "max_nth must be >= 1");
-  // A third rng stream, decorrelated from both the shape rng above and the
-  // injector's positional stream.
-  rng r(schedule.seed ^ 0x57f4ea151157f4eaull);
-  schedule.stream_faults.reserve(schedule.stream_faults.size() +
-                                 static_cast<std::size_t>(nstream));
-  for (int i = 0; i < nstream; ++i) {
-    runtime::stream_fault f;
-    f.what = static_cast<runtime::stream_fault::kind>(r.below(4));
-    f.src = static_cast<int>(r.below(static_cast<std::uint64_t>(nranks)));
-    f.dst = static_cast<int>(r.below(static_cast<std::uint64_t>(nranks - 1)));
-    if (f.dst >= f.src) ++f.dst;  // never self-addressed
-    f.nth = static_cast<std::int64_t>(
-        r.below(static_cast<std::uint64_t>(max_nth)));
-    schedule.stream_faults.push_back(f);
-  }
-}
-
-runtime::fault_plan to_fault_plan(const chaos_schedule& schedule,
-                                  runtime::transport_backend backend) {
+runtime::fault_plan to_fault_plan(const chaos_schedule& schedule) {
   runtime::fault_plan plan;
   plan.seed = schedule.seed;
-  // Kills lower one-to-one on every backend: the per-rank op counter the
-  // injector fires on counts the rank's own sends, independent of the wire
-  // format underneath.
+  // The per-rank op counter the injector fires kills on counts the rank's
+  // own sends.
   for (const chaos_kill& k : schedule.kills)
     plan.kills.push_back({k.rank, k.at_op});
-  const auto push = [&](chaos_fault::kind what, int src, int dst,
-                        std::int64_t nth) {
+  for (const chaos_fault& f : schedule.faults) {
     runtime::fault_plan::message_fault mf;
-    mf.src = src;
-    mf.dst = dst;
-    mf.fire_from = nth;
+    mf.src = f.src;
+    mf.dst = f.dst;
+    mf.fire_from = f.nth;
     mf.fire_count = 1;
     // Data frames only: a reliable wire message is a 5-double header plus
     // payload, so >= 6 doubles excludes the header-only ack/fence frames
     // whose send order depends on timing.
     mf.min_payload = runtime::wire::header_doubles + 1;
-    switch (what) {
+    switch (f.what) {
       case chaos_fault::kind::drop: mf.drop_probability = 1.0; break;
       case chaos_fault::kind::duplicate: mf.duplicate_probability = 1.0; break;
       case chaos_fault::kind::corrupt: mf.corrupt_probability = 1.0; break;
@@ -156,44 +118,7 @@ runtime::fault_plan to_fault_plan(const chaos_schedule& schedule,
       case chaos_fault::kind::reorder: mf.reorder_probability = 1.0; break;
     }
     plan.message_faults.push_back(mf);
-  };
-  for (const chaos_fault& f : schedule.faults)
-    push(f.what, f.src, f.dst, f.nth);
-  if (backend == runtime::transport_backend::inproc) {
-    // The in-process fabric has no byte stream, so lower each stream fault
-    // to the message-level fault with the same delivery outcome: a
-    // truncated frame arrives short (CRC rejects it), a reset loses the
-    // frame outright, a split or stalled frame arrives whole but late.
-    // The reliable layer must heal the same way on either backend.
-    for (const runtime::stream_fault& f : schedule.stream_faults) {
-      switch (f.what) {
-        case runtime::stream_fault::kind::truncate:
-          push(chaos_fault::kind::truncate, f.src, f.dst, f.nth);
-          break;
-        case runtime::stream_fault::kind::reset:
-          push(chaos_fault::kind::drop, f.src, f.dst, f.nth);
-          break;
-        case runtime::stream_fault::kind::split:
-        case runtime::stream_fault::kind::stall: {
-          runtime::fault_plan::message_fault mf;
-          mf.src = f.src;
-          mf.dst = f.dst;
-          mf.fire_from = f.nth;
-          mf.fire_count = 1;
-          mf.min_payload = runtime::wire::header_doubles + 1;
-          mf.delay_probability = 1.0;
-          plan.message_faults.push_back(mf);
-          break;
-        }
-      }
-    }
   }
-  return plan;
-}
-
-runtime::stream_fault_plan to_stream_plan(const chaos_schedule& schedule) {
-  runtime::stream_fault_plan plan;
-  plan.faults = schedule.stream_faults;
   return plan;
 }
 
@@ -220,23 +145,13 @@ io::json_value chaos_schedule_to_json(const chaos_schedule& schedule) {
     }
     doc.object["kills"] = std::move(kills);
   }
-  if (!schedule.stream_faults.empty()) {
-    io::json_value stream = io::json_array();
-    for (const runtime::stream_fault& f : schedule.stream_faults) {
-      io::json_value entry = io::json_object();
-      entry.object["kind"] = io::json_string(runtime::to_string(f.what));
-      entry.object["src"] = io::json_number(f.src);
-      entry.object["dst"] = io::json_number(f.dst);
-      entry.object["nth"] = io::json_number(static_cast<double>(f.nth));
-      stream.array.push_back(std::move(entry));
-    }
-    doc.object["stream"] = std::move(stream);
-  }
   return doc;
 }
 
 chaos_schedule chaos_schedule_from_json(const io::json_value& doc) {
   SFP_REQUIRE(doc.is_object(), "chaos schedule: top level must be an object");
+  io::json_require_known_keys(doc, {"seed", "faults", "kills"},
+                              "chaos schedule");
   chaos_schedule schedule;
   if (doc.has("seed")) {
     const io::json_value& seed = doc.at("seed");
@@ -251,25 +166,21 @@ chaos_schedule chaos_schedule_from_json(const io::json_value& doc) {
           io::json_integer<std::uint64_t>(seed, "chaos schedule: seed");
     }
   }
-  // One fault's (src, dst, nth) triple: two distinct ranks and a frame
-  // index.
-  const auto read_link = [](const io::json_value& entry, int* src, int* dst,
-                            std::int64_t* nth) {
-    *src = io::json_integer<int>(entry.at("src"), "chaos schedule: src", 0);
-    *dst = io::json_integer<int>(entry.at("dst"), "chaos schedule: dst", 0);
-    SFP_REQUIRE(*src != *dst, "chaos schedule: src and dst must differ");
-    *nth = io::json_integer<std::int64_t>(entry.at("nth"),
-                                          "chaos schedule: nth", 0);
-  };
   SFP_REQUIRE(doc.has("faults") && doc.at("faults").is_array(),
               "chaos schedule: faults must be an array");
   for (const io::json_value& entry : doc.at("faults").array) {
     SFP_REQUIRE(entry.is_object(), "chaos schedule: fault must be an object");
+    io::json_require_known_keys(entry, {"kind", "src", "dst", "nth"},
+                                "chaos schedule: fault");
     chaos_fault f;
     SFP_REQUIRE(entry.has("kind") && entry.at("kind").is_string(),
                 "chaos schedule: fault kind must be a string");
     f.what = kind_from_string(entry.at("kind").string);
-    read_link(entry, &f.src, &f.dst, &f.nth);
+    f.src = io::json_integer<int>(entry.at("src"), "chaos schedule: src", 0);
+    f.dst = io::json_integer<int>(entry.at("dst"), "chaos schedule: dst", 0);
+    SFP_REQUIRE(f.src != f.dst, "chaos schedule: src and dst must differ");
+    f.nth = io::json_integer<std::int64_t>(entry.at("nth"),
+                                           "chaos schedule: nth", 0);
     schedule.faults.push_back(f);
   }
   if (doc.has("kills")) {
@@ -277,26 +188,14 @@ chaos_schedule chaos_schedule_from_json(const io::json_value& doc) {
                 "chaos schedule: kills must be an array");
     for (const io::json_value& entry : doc.at("kills").array) {
       SFP_REQUIRE(entry.is_object(), "chaos schedule: kill must be an object");
+      io::json_require_known_keys(entry, {"rank", "at_op"},
+                                  "chaos schedule: kill");
       chaos_kill k;
       k.rank = io::json_integer<int>(entry.at("rank"),
                                      "chaos schedule: kill rank", 0);
       k.at_op = io::json_integer<std::int64_t>(
           entry.at("at_op"), "chaos schedule: kill at_op", 1);
       schedule.kills.push_back(k);
-    }
-  }
-  if (doc.has("stream")) {
-    SFP_REQUIRE(doc.at("stream").is_array(),
-                "chaos schedule: stream must be an array");
-    for (const io::json_value& entry : doc.at("stream").array) {
-      SFP_REQUIRE(entry.is_object(),
-                  "chaos schedule: stream fault must be an object");
-      runtime::stream_fault f;
-      SFP_REQUIRE(entry.has("kind") && entry.at("kind").is_string(),
-                  "chaos schedule: stream fault kind must be a string");
-      f.what = stream_kind_from_string(entry.at("kind").string);
-      read_link(entry, &f.src, &f.dst, &f.nth);
-      schedule.stream_faults.push_back(f);
     }
   }
   return schedule;
@@ -321,12 +220,9 @@ chaos_harness::chaos_harness(const chaos_options& opts)
 chaos_trial chaos_harness::run(const chaos_schedule& schedule) const {
   chaos_trial t;
   runtime::resilience_options ropts;
-  ropts.faults = to_fault_plan(schedule, opts_.backend);
+  ropts.faults = to_fault_plan(schedule);
   ropts.max_recoveries = 1;
   ropts.reliable = opts_.reliable;
-  ropts.backend = opts_.backend;
-  if (opts_.backend == runtime::transport_backend::socket)
-    ropts.stream_faults = to_stream_plan(schedule);
   recovery_report rep;
   std::vector<double> result;
   try {
@@ -410,10 +306,7 @@ chaos_trial partition_chaos_harness::run(
     const chaos_schedule& schedule) const {
   chaos_trial t;
   runtime::resilience_options opts;
-  opts.backend = opts_.backend;
-  opts.faults = to_fault_plan(schedule, opts_.backend);
-  if (opts_.backend == runtime::transport_backend::socket)
-    opts.stream_faults = to_stream_plan(schedule);
+  opts.faults = to_fault_plan(schedule);
   opts.reliable = opts_.reliable;
   opts.max_recoveries = opts_.max_recoveries;
 
@@ -510,30 +403,26 @@ chaos_trial partition_chaos_harness::run(
 chaos_schedule shrink_failure(
     const chaos_schedule& failing,
     const std::function<bool(const chaos_schedule&)>& fails) {
-  // ddmin over the *combined* fault + kill + stream-fault list: entries of
-  // all three kinds compete for removal, so the reproducer is 1-minimal
-  // across the whole schedule (a kill that only fails in concert with a
-  // message fault keeps exactly that pair).
+  // ddmin over the *combined* fault + kill list: entries of both kinds
+  // compete for removal, so the reproducer is 1-minimal across the whole
+  // schedule (a kill that only fails in concert with a message fault keeps
+  // exactly that pair).
   const std::size_t nf = failing.faults.size();
   const std::size_t nk = failing.kills.size();
-  const std::size_t ns = failing.stream_faults.size();
   const auto rebuild = [&](const std::vector<std::size_t>& keep) {
     chaos_schedule s;
     s.seed = failing.seed;
     for (const std::size_t i : keep) {
-      if (i < nf) {
+      if (i < nf)
         s.faults.push_back(failing.faults[i]);
-      } else if (i < nf + nk) {
+      else
         s.kills.push_back(failing.kills[i - nf]);
-      } else {
-        s.stream_faults.push_back(failing.stream_faults[i - nf - nk]);
-      }
     }
     return s;
   };
   if (!fails(failing)) return failing;  // not reproducible: keep all
 
-  std::vector<std::size_t> items(nf + nk + ns);
+  std::vector<std::size_t> items(nf + nk);
   std::iota(items.begin(), items.end(), std::size_t{0});
 
   // Classic ddmin: try dropping ever-finer chunks, keeping any reduction
@@ -580,7 +469,7 @@ io::json_value soak_failure_to_json(const soak_failure& f) {
 
 soak_report run_chaos_soak(const chaos_target& harness,
                            std::uint64_t base_seed, int trials, int nfaults,
-                           int nstream, int nkills, bool shrink) {
+                           int nkills, bool shrink) {
   SFP_REQUIRE(trials >= 1, "soak needs at least one trial");
   const auto fails = [&](const chaos_schedule& s) {
     return !harness.run(s).passed;
@@ -590,11 +479,9 @@ soak_report run_chaos_soak(const chaos_target& harness,
   for (int i = 0; i < trials; ++i) {
     chaos_schedule schedule = harness.make_schedule(
         base_seed + static_cast<std::uint64_t>(i), nfaults);
-    add_stream_faults(schedule, harness.nranks(), nstream);
     add_kills(schedule, harness.nranks(), nkills);
     const chaos_trial trial = harness.run(schedule);
     report.reliable += trial.reliable;
-    report.socket += trial.socket;
     if (trial.recoveries > 0) ++report.recovered_trials;
     if (trial.aborted) ++report.aborted_trials;
     if (trial.passed) continue;

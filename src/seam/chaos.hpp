@@ -6,8 +6,8 @@
 // fault lowers to a probability-1 runtime::fault_plan entry with a one-shot
 // fire window, so a schedule is reproducible from its seed and, crucially,
 // shrinkable: when a soak finds a failing schedule, ddmin-style delta
-// debugging (shrink_failure) removes faults, kills and stream faults while
-// the failure persists, leaving a minimal reproducer that can be
+// debugging (shrink_failure) removes faults and kills while the failure
+// persists, leaving a minimal reproducer that can be
 // serialized as JSON and replayed.
 //
 // Two harnesses run schedules under one contract (chaos_target): the
@@ -28,7 +28,6 @@
 #include "runtime/fault.hpp"
 #include "runtime/partition_fabric.hpp"
 #include "runtime/reliable.hpp"
-#include "runtime/socket_transport.hpp"
 #include "seam/advection.hpp"
 #include "seam/distributed.hpp"
 
@@ -47,8 +46,8 @@ const char* to_string(chaos_fault::kind k);
 
 /// One simulated process death: world rank `rank` throws rank_killed at its
 /// `at_op`-th communication op (counted from 1; on the partition fabric
-/// every op is a transport send, acks and retransmits included, on either
-/// backend). Ack interleaving is timing-dependent, so the exact message the
+/// every op is a transport send, acks and retransmits included). Ack
+/// interleaving is timing-dependent, so the exact message the
 /// kill lands after may shift between runs — which is fine, because unlike
 /// a message fault a kill is not checked against a pinned delivery outcome:
 /// *every* landing point must satisfy the same contract (survivor parity or
@@ -61,14 +60,10 @@ struct chaos_kill {
 
 /// A seeded discrete schedule. `seed` drives only positional randomness
 /// (which bit a corruption flips, where a truncation cuts); the fault list
-/// pins which messages are hit. `stream_faults` pins byte-stream faults to
-/// data frames on (src, dst) links — native on the socket backend, lowered
-/// to message-level equivalents on the in-process one (see to_fault_plan),
-/// so one schedule soaks every backend.
+/// pins which messages are hit and which ranks die.
 struct chaos_schedule {
   std::uint64_t seed = 0;
   std::vector<chaos_fault> faults;
-  std::vector<runtime::stream_fault> stream_faults;
   std::vector<chaos_kill> kills;
 };
 
@@ -80,17 +75,10 @@ struct chaos_schedule {
 chaos_schedule make_chaos_schedule(std::uint64_t seed, int nranks,
                                    int nfaults, std::int64_t max_nth = 9);
 
-/// Append `nstream` seeded byte-stream faults (kinds, (src, dst) pairs and
-/// frame indices in [0, max_nth)) to the schedule. Pure function of the
-/// schedule's seed and its arguments; drawn from a stream decorrelated from
-/// both the shape and positional rngs.
-void add_stream_faults(chaos_schedule& schedule, int nranks, int nstream,
-                       std::int64_t max_nth = 9);
-
 /// Append `nkills` seeded rank-kill faults (ranks in [0, nranks), op
 /// indices in [1, max_op]) to the schedule. Pure function of the
-/// schedule's seed and its arguments, drawn from a fourth rng stream
-/// decorrelated from the shape, positional and stream-fault rngs. Repeated
+/// schedule's seed and its arguments, drawn from an rng stream
+/// decorrelated from the shape and positional rngs. Repeated
 /// ranks are allowed — a second kill of an already-dead rank never fires.
 void add_kills(chaos_schedule& schedule, int nranks, int nkills,
                std::int64_t max_op = 12);
@@ -99,34 +87,24 @@ void add_kills(chaos_schedule& schedule, int nranks, int nkills,
 /// fault, scoped by (src, dst) with a [nth, nth+1) fire window and a
 /// min_payload filter that restricts matching to reliable data frames —
 /// header-only ack/fence frames interleave with timing, so counting them
-/// would make `nth` name a different message on every run.
-///
-/// On the in-process backend the schedule's stream faults are lowered to
-/// their closest message-level equivalent (truncate -> truncate, reset ->
-/// drop, split/stall -> delay): the byte stream does not exist there, but
-/// the delivery outcome the reliable layer must heal is the same, which is
-/// what keeps one schedule comparable across backends. On the socket
-/// backend they are NOT lowered — to_stream_plan injects them natively at
-/// the framing layer instead.
-runtime::fault_plan to_fault_plan(
-    const chaos_schedule& schedule,
-    runtime::transport_backend backend = runtime::transport_backend::inproc);
-
-/// The schedule's byte-stream faults as a socket-fabric injection plan.
-runtime::stream_fault_plan to_stream_plan(const chaos_schedule& schedule);
+/// would make `nth` name a different message on every run. Kills lower
+/// one-to-one.
+runtime::fault_plan to_fault_plan(const chaos_schedule& schedule);
 
 /// Reliable-channel tuning for chaos trials: a retransmit timeout well
 /// above scheduler noise, so the only retransmits are the ones the
 /// schedule causes and match indices stay stable run to run.
 runtime::reliable_options chaos_reliable_defaults();
 
+/// JSON form: {"seed": "7", "faults": [{"kind", "src", "dst", "nth"}...],
+/// "kills": [{"rank", "at_op"}...]}; "kills" is optional. The loader
+/// throws sfp::contract_error on any other key, at the top level or in an
+/// entry.
 io::json_value chaos_schedule_to_json(const chaos_schedule& schedule);
 chaos_schedule chaos_schedule_from_json(const io::json_value& doc);
 
 /// Outcome of one schedule on either harness: the resilient run's
-/// accounting (the cross-backend soak asserts its schedule-determined
-/// subset, the injected_* counters, matches per schedule on every backend)
-/// plus the verdict. Each harness fills the fields its system reports and
+/// accounting plus the verdict. Each harness fills the fields its system reports and
 /// leaves the others at their zero value.
 struct chaos_trial : runtime::resilience_report {
   bool passed = false;
@@ -156,7 +134,7 @@ class chaos_target {
                                        int nfaults) const = 0;
 };
 
-/// Problem + transport configuration for the advection harness.
+/// Problem + channel configuration for the advection harness.
 struct chaos_options {
   int ne = 2;       ///< cubed-sphere elements per edge
   int np = 4;       ///< GLL points per element edge
@@ -166,10 +144,6 @@ struct chaos_options {
   double tolerance = 1e-12;  ///< max |chaos - baseline| to pass
   /// Channel tuning, incl. the verify_checksums test hook.
   runtime::reliable_options reliable = chaos_reliable_defaults();
-  /// Fabric under test. Both backends run the identical schedule through
-  /// the identical escalation ladder; soak both to prove the reliable
-  /// layer's guarantees are backend-independent.
-  runtime::transport_backend backend = runtime::transport_backend::inproc;
 };
 
 /// Advection harness: runs seam::run_distributed_resilient and passes a
@@ -198,12 +172,11 @@ class chaos_harness final : public chaos_target {
   std::vector<double> baseline_;
 };
 
-/// Problem + transport configuration for the partition harness.
+/// Problem + channel configuration for the partition harness.
 struct partition_chaos_options {
   int ne = 3;       ///< cubed-sphere elements per edge (K = 6 ne^2)
   int nparts = 5;   ///< parts in the plan (decoupled from nranks on purpose)
   int nranks = 4;   ///< virtual ranks
-  runtime::transport_backend backend = runtime::transport_backend::inproc;
   runtime::reliable_options reliable = chaos_reliable_defaults();
   int max_recoveries = 3;
 };
@@ -237,8 +210,8 @@ class partition_chaos_harness final : public chaos_target {
   partition::partition serial_;  ///< the baseline plan every trial must hit
 };
 
-/// Delta-debug a failing schedule (ddmin over its combined fault + kill +
-/// stream-fault list) down to a 1-minimal reproducer: `fails` still holds
+/// Delta-debug a failing schedule (ddmin over its combined fault + kill
+/// list) down to a 1-minimal reproducer: `fails` still holds
 /// for the result, and removing any single remaining entry makes it false.
 /// Pure function of its arguments; returns `failing` unchanged when
 /// `fails(failing)` does not hold (an unreproducible failure).
@@ -262,18 +235,14 @@ struct soak_report {
   int aborted_trials = 0;    ///< trials that (acceptably) gave up
   std::vector<soak_failure> failures;
   runtime::reliable_stats reliable;  ///< totals over every trial
-  runtime::socket_stats socket;  ///< totals; zero on the in-process backend
 };
 
 /// Run `trials` schedules seeded base_seed, base_seed+1, ..., each with
-/// `nfaults` message faults drawn by the harness's make_schedule, `nstream`
-/// byte-stream faults (native on the socket backend, lowered to
-/// message-level equivalents on the in-process one) and `nkills` rank
-/// kills; shrink each failure against the harness when `shrink` is set
+/// `nfaults` message faults drawn by the harness's make_schedule and
+/// `nkills` rank kills; shrink each failure against the harness when `shrink` is set
 /// (soaks that expect failures may skip it to bound wall-clock).
 soak_report run_chaos_soak(const chaos_target& harness,
                            std::uint64_t base_seed, int trials, int nfaults,
-                           int nstream = 0, int nkills = 0,
-                           bool shrink = true);
+                           int nkills = 0, bool shrink = true);
 
 }  // namespace sfp::seam

@@ -170,13 +170,13 @@ template <std::size_t N, typename Step>
 field_list run_plain(const assembly& dofs, const partition::partition& part,
                      const std::vector<std::span<const double>>& init,
                      int nsteps, dist_stats* stats,
-                     const runtime::fabric_options& fopts, const Step& step) {
+                     const runtime::fault_plan& faults, const Step& step) {
   const exchange_plan plan = exchange_plan::build(dofs, part);
   field_list out(init.size(), std::vector<double>(init.front().size(), 0.0));
   stats_collector collector;
   runtime::fabric_report frep;
   runtime::run_fabric(
-      part.num_parts, fopts,
+      part.num_parts, faults,
       [&](runtime::transport& t) {
         const rank_exchange_plan& rp =
             plan.ranks[static_cast<std::size_t>(t.rank())];
@@ -188,7 +188,7 @@ field_list run_plain(const assembly& dofs, const partition::partition& part,
       &frep);
   if (stats) {
     *stats = collector.total;
-    stats->per_rank = std::move(frep.per_rank);
+    stats->per_rank = std::move(frep);
   }
   return out;
 }
@@ -212,10 +212,10 @@ auto advection_step(const advection_model& model, double dt) {
 std::vector<double> run_distributed(const advection_model& model,
                                     const partition::partition& part,
                                     double dt, int nsteps, dist_stats* stats,
-                                    const runtime::fabric_options& fopts) {
+                                    const runtime::fault_plan& faults) {
   require_run_args(dt, nsteps);
   return std::move(run_plain<1>(model.dofs(), part, {model.field()}, nsteps,
-                                stats, fopts, advection_step(model, dt))
+                                stats, faults, advection_step(model, dt))
                        .front());
 }
 

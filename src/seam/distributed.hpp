@@ -50,15 +50,15 @@ struct dist_stats {
 /// layout (the model itself is left untouched). Fills `stats` if non-null.
 ///
 /// Requires part.num_parts >= 1 and one label per mesh element; every part
-/// must own at least one element. `fopts` configures the fabric (wire and
-/// fault injection) — the default is a fault-free in-process run. The rank channels never
-/// give up on a live peer: no receive deadline and no retransmit budget, so
+/// must own at least one element. `faults` is injected by the fabric — the
+/// default is a fault-free run. The rank channels never give up on a live
+/// peer: no receive deadline and no retransmit budget, so
 /// only a rank failure (which aborts the run) ends a wait.
 std::vector<double> run_distributed(const advection_model& model,
                                     const partition::partition& part,
                                     double dt, int nsteps,
                                     dist_stats* stats = nullptr,
-                                    const runtime::fabric_options& fopts = {});
+                                    const runtime::fault_plan& faults = {});
 
 /// What happened across the attempts of a resilient run: the shared
 /// accounting (recoveries, lost_ranks in pre-failure rank numbering, fabric

@@ -62,8 +62,8 @@ struct exchange_plan {
 /// bitwise reproducible under any delivery timing.
 ///
 /// Halo traffic travels through `channel` (checksummed, acked,
-/// retransmitted — see runtime/reliable.hpp) on whatever backend carries
-/// it, healing injected drop/corrupt/duplicate/reorder faults in place.
+/// retransmitted — see runtime/reliable.hpp), healing injected
+/// drop/corrupt/duplicate/reorder faults in place.
 /// Each dss_average ends with channel.flush() and channel.fence(): no rank
 /// leaves the exchange until every rank's halo traffic is delivered and
 /// acknowledged. `channel` must outlive the exchanger; `rank` is this

@@ -28,6 +28,13 @@ cli_args::cli_args(int argc, const char* const* argv) {
   }
 }
 
+std::vector<std::string> cli_args::flag_names() const {
+  std::vector<std::string> names;
+  names.reserve(flags_.size());
+  for (const auto& flag : flags_) names.push_back(flag.first);
+  return names;
+}
+
 bool cli_args::has(const std::string& name) const {
   return flags_.count(name) != 0;
 }

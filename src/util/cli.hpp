@@ -25,6 +25,10 @@ class cli_args {
   double get_double_or(const std::string& name, double fallback) const;
   bool get_bool_or(const std::string& name, bool fallback) const;
 
+  /// Names of every --flag given, sorted, so a command can reject the ones
+  /// it does not read.
+  std::vector<std::string> flag_names() const;
+
   const std::vector<std::string>& positional() const { return positional_; }
   const std::string& program() const { return program_; }
 

@@ -567,7 +567,7 @@ layering_manifest transport_manifest() {
                ["mgp", "partition"], ["seam"], ["runtime"]],
     "sinks": {"obs": ["util"], "io": ["util", "obs"]},
     "transport": {"fabric_module": "runtime",
-                  "fabric_types": ["world", "socket_fabric"]}
+                  "fabric_types": ["world", "shm_fabric"]}
   })"));
 }
 
@@ -578,7 +578,7 @@ TEST(TransportDisciplinePass, FlagsConstructionOutsideTheFabricModule) {
       {"src/seam/bad.cpp",
        "void f(int n) {\n"                                // 1
        "  runtime::world w(n);\n"                         // 2
-       "  runtime::socket_fabric fab{n};\n"               // 3
+       "  runtime::shm_fabric fab{n};\n"                  // 3
        "  use(runtime::world(n));\n"                      // 4 (temporary)
        "}\n"},
   });
@@ -1342,13 +1342,6 @@ TEST(RuleRegistry, EveryRuleRunAllEmitsAppearsInTheCatalogueExactlyOnce) {
        "bool above(std::int64_t s, int nparts, std::int64_t total) {\n"
        "  return s * nparts >= total;\n"
        "}\n"},
-      // resource-leak (v3 flow pass): early return skips the close
-      {"src/runtime/leaky.cpp",
-       "int dial() {\n"
-       "  const int fd = socket(2, 1, 0);\n"
-       "  if (handshake(fd) != 0) return -1;\n"
-       "  return fd;\n"
-       "}\n"},
       // use-after-move (v3 flow pass)
       {"src/core/uam.cpp",
        "void f(std::string name) {\n"
@@ -1807,71 +1800,6 @@ TEST(OverflowArithPass, SuppressibleInline) {
 }
 
 // ---------------------------------------------------------------------------
-// resource-leak pass
-// ---------------------------------------------------------------------------
-
-TEST(ResourceLeakPass, FlagsDescriptorsLostOnEarlyReturnPaths) {
-  const source_tree t = make_tree({
-      {"src/runtime/leaky.cpp",
-       "int dial() {\n"
-       "  const int fd = socket(2, 1, 0);\n"                        // 2
-       "  if (handshake(fd) != 0) return -1;\n"  // leaks fd
-       "  return fd;\n"                          // ownership transfer
-       "}\n"},
-  });
-  const analysis_result r = run_all(t, fixture_manifest());
-  const auto findings = with_rule(r.findings, "resource-leak");
-  ASSERT_EQ(findings.size(), 1u);
-  EXPECT_EQ(findings[0].file, "src/runtime/leaky.cpp");
-  EXPECT_EQ(findings[0].line, 2);  // anchored at the acquire
-  EXPECT_NE(findings[0].message.find("'fd'"), std::string::npos);
-}
-
-TEST(ResourceLeakPass, SilentWhenEveryPathClosesStoresOrChecksFirst) {
-  const source_tree t = make_tree({
-      {"src/runtime/tidy.cpp",
-       // The error-branch refinement: fd < 0 means nothing to close.
-       "int dial() {\n"
-       "  const int fd = socket(2, 1, 0);\n"
-       "  if (fd < 0) return -1;\n"
-       "  if (handshake(fd) != 0) {\n"
-       "    close_fd(fd);\n"
-       "    return -1;\n"
-       "  }\n"
-       "  return fd;\n"
-       "}\n"
-       // Storing the descriptor hands ownership to someone else.
-       "void adopt(conn& c) {\n"
-       "  const int fd = accept(c.lfd, nullptr, nullptr);\n"
-       "  c.fd = fd;\n"
-       "}\n"},
-      // RAII wrappers never bind a raw int: out of scope by construction.
-      {"src/runtime/raii.cpp",
-       "void wrapped() {\n"
-       "  unique_fd fd(socket(2, 1, 0));\n"
-       "  use(fd);\n"
-       "}\n"},
-  });
-  const analysis_result r = run_all(t, fixture_manifest());
-  EXPECT_TRUE(with_rule(r.findings, "resource-leak").empty())
-      << render_text(r, {});
-}
-
-TEST(ResourceLeakPass, SuppressibleInline) {
-  const source_tree t = make_tree({
-      {"src/runtime/handoff.cpp",
-       "void serve() {\n"
-       "  const int fd = accept(3, nullptr, nullptr);  "
-       "// lint: resource-leak-ok — reader thread owns it\n"
-       "  spawn_reader(fd);\n"
-       "}\n"},
-  });
-  const analysis_result r = run_all(t, fixture_manifest());
-  EXPECT_TRUE(with_rule(r.findings, "resource-leak").empty());
-  EXPECT_EQ(with_rule(r.suppressed, "resource-leak").size(), 1u);
-}
-
-// ---------------------------------------------------------------------------
 // use-after-move pass
 // ---------------------------------------------------------------------------
 
@@ -2033,11 +1961,9 @@ TEST(Baseline, FlowRuleFindingsAreBaselineable) {
        "  sink(std::move(name));\n"
        "  log(name);\n"
        "}\n"},
-      {"src/runtime/leaky.cpp",
-       "int dial() {\n"
-       "  const int fd = socket(2, 1, 0);\n"
-       "  if (handshake(fd) != 0) return -1;\n"
-       "  return fd;\n"
+      {"src/core/ovf.cpp",
+       "bool above(std::int64_t s, int nparts, std::int64_t total) {\n"
+       "  return s * nparts >= total;\n"
        "}\n"},
   });
   analysis_result first = run_all(t, fixture_manifest());

@@ -212,9 +212,9 @@ TEST(Distributed, DssBitwiseIdenticalUnderInjectedDelays) {
 
   const std::vector<double> clean = run_distributed(model, part, dt, nsteps);
 
-  runtime::fabric_options chaos;
-  chaos.faults.seed = 42;
-  auto& mf = chaos.faults.message_faults.emplace_back();
+  runtime::fault_plan chaos;
+  chaos.seed = 42;
+  auto& mf = chaos.message_faults.emplace_back();
   mf.delay_probability = 0.4;
   mf.delay = std::chrono::microseconds(300);
   mf.duplicate_probability = 0.3;

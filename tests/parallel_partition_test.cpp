@@ -2,8 +2,7 @@
 // slicer (core/parallel_partition.hpp over runtime/partition_fabric.hpp)
 // must produce *bit-identical* plans to the serial core::sfc_partition for
 // every (Ne, schedule, Nproc, weights) combination — element for element —
-// across rank counts, over both transport backends, and through message
-// chaos. Every parallel plan is also piped through core::validate_plan, so
+// across rank counts and through message chaos. Every parallel plan is also piped through core::validate_plan, so
 // the structural invariants (ownership, contiguity, balance) are audited
 // independently of the serial comparison.
 
@@ -32,7 +31,6 @@ using namespace sfp;
 using runtime::parallel_partition_report;
 using runtime::resilience_options;
 using runtime::run_parallel_partition;
-using runtime::transport_backend;
 
 std::vector<graph::weight> heavy_tail_weights(int k, std::uint64_t seed) {
   sfp::rng r(seed);
@@ -66,10 +64,7 @@ void expect_matches_serial(const parallel_partition_report& report,
 }
 
 // ---------------------------------------------------------------------------
-// The wall: Ne sweep x {uniform, heavy-tail} x Nproc sweep x rank counts,
-// all over the in-process backend (the socket backend gets its own
-// parameterized smoke below — running the full sweep over TCP would take
-// minutes for no additional algorithmic coverage).
+// The wall: Ne sweep x {uniform, heavy-tail} x Nproc sweep x rank counts.
 
 TEST(ParallelPartitionParity, SweepMatchesSerialElementForElement) {
   const int kNe[] = {2, 3, 4, 6, 9};           // 2^n * 3^m small sizes
@@ -164,33 +159,27 @@ TEST(ParallelPartitionParity, StatsAccountForEveryElement) {
 }
 
 // ---------------------------------------------------------------------------
-// Backend-parameterized smoke: the identical run over the in-process wire
-// and loopback TCP, plus a chaos schedule that drops data frames and must
-// heal through retransmission without perturbing the plan.
+// Fabric smoke: a small run through the resilient runner, plus a chaos
+// schedule that drops data frames and must heal through retransmission
+// without perturbing the plan.
 
-class ParallelPartitionOverBackend
-    : public ::testing::TestWithParam<transport_backend> {};
-
-TEST_P(ParallelPartitionOverBackend, SmallSweepMatchesSerial) {
-  const mesh::cubed_sphere mesh(3);  // K = 54: small on purpose (TCP)
+TEST(ParallelPartitionOverFabric, SmallSweepMatchesSerial) {
+  const mesh::cubed_sphere mesh(3);
   const core::cube_curve curve = core::build_cube_curve(mesh);
   const core::cube_curve_spec spec = core::spec_of(curve);
   const std::vector<graph::weight> weights = heavy_tail_weights(54, 42);
   for (const int nparts : {2, 7}) {
     const partition::partition serial =
         core::sfc_partition(curve, nparts, weights);
-    resilience_options opts;
-    opts.backend = GetParam();
     const parallel_partition_report report =
-        run_parallel_partition(mesh, spec, nparts, weights, 3, opts);
+        run_parallel_partition(mesh, spec, nparts, weights, 3);
     expect_matches_serial(report, serial, curve, weights,
-                          std::string(to_string(GetParam())) + " nparts=" +
-                              std::to_string(nparts));
+                          "nparts=" + std::to_string(nparts));
     EXPECT_GT(report.reliable.data_received, 0);
   }
 }
 
-TEST_P(ParallelPartitionOverBackend, HealsThroughMessageDropsAndMatchesSerial) {
+TEST(ParallelPartitionOverFabric, HealsThroughMessageDropsAndMatchesSerial) {
   const mesh::cubed_sphere mesh(3);
   const core::cube_curve curve = core::build_cube_curve(mesh);
   const core::cube_curve_spec spec = core::spec_of(curve);
@@ -199,7 +188,6 @@ TEST_P(ParallelPartitionOverBackend, HealsThroughMessageDropsAndMatchesSerial) {
       core::sfc_partition(curve, 5, weights);
 
   resilience_options opts;
-  opts.backend = GetParam();
   opts.faults.seed = 99;
   runtime::fault_plan::message_fault drop;
   drop.drop_probability = 0.2;
@@ -210,19 +198,11 @@ TEST_P(ParallelPartitionOverBackend, HealsThroughMessageDropsAndMatchesSerial) {
 
   const parallel_partition_report report =
       run_parallel_partition(mesh, spec, 5, weights, 4, opts);
-  expect_matches_serial(report, serial, curve, weights,
-                        std::string(to_string(GetParam())) + " under drops");
+  expect_matches_serial(report, serial, curve, weights, "under drops");
   // The chaos actually bit, and the reliable layer healed it.
   EXPECT_GT(report.counters.injected_drops, 0);
   EXPECT_GT(report.reliable.retransmits, 0);
 }
-
-INSTANTIATE_TEST_SUITE_P(Backends, ParallelPartitionOverBackend,
-                         ::testing::Values(transport_backend::inproc,
-                                           transport_backend::socket),
-                         [](const auto& param_info) {
-                           return std::string(to_string(param_info.param));
-                         });
 
 // ---------------------------------------------------------------------------
 // Rank kills: fail-stop deaths mid-run. A death aborts the attempt, and the
@@ -232,10 +212,8 @@ INSTANTIATE_TEST_SUITE_P(Backends, ParallelPartitionOverBackend,
 // gives up on must abort cleanly instead of hanging (the fabric abort ends
 // every wait, so completion of these tests is itself the hang check).
 
-resilience_options kill_run_options(transport_backend backend,
-                                                runtime::fault_plan faults) {
+resilience_options kill_run_options(runtime::fault_plan faults) {
   resilience_options opts;
-  opts.backend = backend;
   // A retransmit timeout well above scheduler noise keeps spurious
   // retransmits — extra ops that shift where a kill lands — rare.
   opts.reliable = seam::chaos_reliable_defaults();
@@ -250,7 +228,7 @@ runtime::fault_plan kills(
   return plan;
 }
 
-TEST_P(ParallelPartitionOverBackend, SurvivesRankZeroKillAndMatchesSerial) {
+TEST(ParallelPartitionOverFabric, SurvivesRankZeroKillAndMatchesSerial) {
   const mesh::cubed_sphere mesh(3);
   const core::cube_curve curve = core::build_cube_curve(mesh);
   const core::cube_curve_spec spec = core::spec_of(curve);
@@ -259,23 +237,20 @@ TEST_P(ParallelPartitionOverBackend, SurvivesRankZeroKillAndMatchesSerial) {
 
   // The root dies mid-collective; rank 1 is the root of the restart.
   const parallel_partition_report report = run_parallel_partition(
-      mesh, spec, 5, weights, 4, kill_run_options(GetParam(), kills({{0, 2}})));
+      mesh, spec, 5, weights, 4, kill_run_options(kills({{0, 2}})));
   ASSERT_FALSE(report.aborted);
   EXPECT_EQ(report.counters.injected_kills, 1);
   EXPECT_EQ(report.recoveries, 1);
   EXPECT_EQ(report.lost_ranks, (std::vector<int>{0}));
-  expect_matches_serial(report, serial, curve, weights,
-                        std::string(to_string(GetParam())) +
-                            " rank-0 kill restart");
+  expect_matches_serial(report, serial, curve, weights, "rank-0 kill restart");
 }
 
-TEST_P(ParallelPartitionOverBackend, SubQuorumKillsAbortCleanlyWithoutHang) {
+TEST(ParallelPartitionOverFabric, SubQuorumKillsAbortCleanlyWithoutHang) {
   const mesh::cubed_sphere mesh(3);
   const core::cube_curve_spec spec = core::build_cube_curve_spec(mesh);
 
   // No restart budget: the first death ends the run.
-  resilience_options opts =
-      kill_run_options(GetParam(), kills({{1, 1}}));
+  resilience_options opts = kill_run_options(kills({{1, 1}}));
   opts.max_recoveries = 0;
   parallel_partition_report report =
       run_parallel_partition(mesh, spec, 5, {}, 3, opts);
@@ -290,7 +265,7 @@ TEST_P(ParallelPartitionOverBackend, SubQuorumKillsAbortCleanlyWithoutHang) {
   // second op only as the root of attempt 1 — unless a retransmit of its
   // first frame counts as that op, which a retransmit timeout far above
   // any scheduler stall rules out (the wire drops nothing here).
-  opts = kill_run_options(GetParam(), kills({{0, 1}, {1, 2}}));
+  opts = kill_run_options(kills({{0, 1}, {1, 2}}));
   opts.reliable.retransmit_timeout = std::chrono::seconds(10);
   opts.reliable.max_backoff = std::chrono::seconds(10);
   opts.max_recoveries = 1;
@@ -301,7 +276,7 @@ TEST_P(ParallelPartitionOverBackend, SubQuorumKillsAbortCleanlyWithoutHang) {
   EXPECT_EQ(report.lost_ranks, (std::vector<int>{0, 1, 2}));
 }
 
-TEST_P(ParallelPartitionOverBackend, TwoOfThreeRanksKilledRecoverAlone) {
+TEST(ParallelPartitionOverFabric, TwoOfThreeRanksKilledRecoverAlone) {
   // Two staggered deaths — the root at its first ack, then rank 1 as the
   // root of the restart, or already in attempt 0 when a retransmit is its
   // second op — leave rank 2, which finishes the partition alone on the
@@ -311,19 +286,16 @@ TEST_P(ParallelPartitionOverBackend, TwoOfThreeRanksKilledRecoverAlone) {
   const core::cube_curve_spec spec = core::spec_of(curve);
   const partition::partition serial = core::sfc_partition(curve, 5);
 
-  const parallel_partition_report report =
-      run_parallel_partition(mesh, spec, 5, {}, 3,
-                             kill_run_options(GetParam(), kills({{0, 1}, {1, 2}})));
+  const parallel_partition_report report = run_parallel_partition(
+      mesh, spec, 5, {}, 3, kill_run_options(kills({{0, 1}, {1, 2}})));
   ASSERT_FALSE(report.aborted);
   EXPECT_EQ(report.counters.injected_kills, 2);
   EXPECT_GE(report.recoveries, 1);
   EXPECT_EQ(report.lost_ranks, (std::vector<int>{0, 1}));
-  expect_matches_serial(report, serial, curve, {},
-                        std::string(to_string(GetParam())) +
-                            " two of three killed");
+  expect_matches_serial(report, serial, curve, {}, "two of three killed");
 }
 
-TEST_P(ParallelPartitionOverBackend, EveryRankKilledAtItsFirstOpLeavesTheRoot) {
+TEST(ParallelPartitionOverFabric, EveryRankKilledAtItsFirstOpLeavesTheRoot) {
   // Every rank is armed to die on its first send. The leaves send first
   // and die; the root only receives before their deaths end the attempt,
   // so it survives, and a lone survivor sends nothing: its kill never
@@ -334,20 +306,16 @@ TEST_P(ParallelPartitionOverBackend, EveryRankKilledAtItsFirstOpLeavesTheRoot) {
   const partition::partition serial = core::sfc_partition(curve, 5);
 
   const parallel_partition_report report = run_parallel_partition(
-      mesh, spec, 5, {}, 3,
-      kill_run_options(GetParam(), kills({{0, 1}, {1, 1}, {2, 1}})));
+      mesh, spec, 5, {}, 3, kill_run_options(kills({{0, 1}, {1, 1}, {2, 1}})));
   ASSERT_FALSE(report.aborted);
   EXPECT_EQ(report.counters.injected_kills, 2);
   EXPECT_EQ(report.recoveries, 1);
   EXPECT_EQ(report.lost_ranks, (std::vector<int>{1, 2}));
-  expect_matches_serial(report, serial, curve, {},
-                        std::string(to_string(GetParam())) +
-                            " every rank killed at op 1");
+  expect_matches_serial(report, serial, curve, {}, "every rank killed at op 1");
 }
 
 TEST(ParallelPartitionKills, OneKillAtEachEarlyOpKeepsSerialParity) {
-  // One kill at ops 1..8 on the root and on a leaf of 4 ranks, on both
-  // backends. A leaf sends 8 frames per attempt and the root 16 (data and
+  // One kill at ops 1..8 on the root and on a leaf of 4 ranks. A leaf sends 8 frames per attempt and the root 16 (data and
   // acks of the range-weight allgather, the cut allgather and the closing
   // fence), so every kill fires, mid-collective on both sides of the star.
   const mesh::cubed_sphere mesh(3);
@@ -355,22 +323,17 @@ TEST(ParallelPartitionKills, OneKillAtEachEarlyOpKeepsSerialParity) {
   const core::cube_curve_spec spec = core::spec_of(curve);
   const std::vector<graph::weight> weights = heavy_tail_weights(54, 5);
   const partition::partition serial = core::sfc_partition(curve, 5, weights);
-  for (const transport_backend backend :
-       {transport_backend::inproc, transport_backend::socket}) {
-    for (const int rank : {0, 2}) {
-      for (std::int64_t op = 1; op <= 8; ++op) {
-        const std::string what = std::string(to_string(backend)) + " rank " +
-                                 std::to_string(rank) + " killed at op " +
-                                 std::to_string(op);
-        const parallel_partition_report report = run_parallel_partition(
-            mesh, spec, 5, weights, 4,
-            kill_run_options(backend, kills({{rank, op}})));
-        ASSERT_FALSE(report.aborted) << what;
-        EXPECT_EQ(report.counters.injected_kills, 1) << what;
-        EXPECT_EQ(report.recoveries, 1) << what;
-        EXPECT_EQ(report.lost_ranks, (std::vector<int>{rank})) << what;
-        expect_matches_serial(report, serial, curve, weights, what);
-      }
+  for (const int rank : {0, 2}) {
+    for (std::int64_t op = 1; op <= 8; ++op) {
+      const std::string what = "rank " + std::to_string(rank) +
+                               " killed at op " + std::to_string(op);
+      const parallel_partition_report report = run_parallel_partition(
+          mesh, spec, 5, weights, 4, kill_run_options(kills({{rank, op}})));
+      ASSERT_FALSE(report.aborted) << what;
+      EXPECT_EQ(report.counters.injected_kills, 1) << what;
+      EXPECT_EQ(report.recoveries, 1) << what;
+      EXPECT_EQ(report.lost_ranks, (std::vector<int>{rank})) << what;
+      expect_matches_serial(report, serial, curve, weights, what);
     }
   }
 }
@@ -386,7 +349,7 @@ TEST(ParallelPartitionKills, TwoDeathsAtExactQuorumStillMatchSerial) {
 
   const parallel_partition_report report = run_parallel_partition(
       mesh, spec, 5, {}, 4,
-      kill_run_options(transport_backend::inproc, kills({{0, 6}, {2, 3}})));
+      kill_run_options(kills({{0, 6}, {2, 3}})));
   ASSERT_FALSE(report.aborted);
   EXPECT_EQ(report.counters.injected_kills, 2);
   EXPECT_GE(report.recoveries, 1);
@@ -405,7 +368,7 @@ TEST(ParallelPartitionKills, TwoKillsAtTheFirstOpLoseBothRanks) {
 
   const parallel_partition_report report = run_parallel_partition(
       mesh, spec, 5, {}, 4,
-      kill_run_options(transport_backend::inproc, kills({{1, 1}, {2, 1}})));
+      kill_run_options(kills({{1, 1}, {2, 1}})));
   ASSERT_FALSE(report.aborted);
   EXPECT_EQ(report.counters.injected_kills, 2);
   EXPECT_EQ(report.recoveries, 1);
@@ -442,7 +405,7 @@ TEST(ParallelPartitionKills, RecoveriesCounterCountsOncePerRestart) {
   const std::int64_t before = counter.value();
   const parallel_partition_report report = run_parallel_partition(
       mesh, spec, 5, {}, 4,
-      kill_run_options(transport_backend::inproc, kills({{2, 1}})));
+      kill_run_options(kills({{2, 1}})));
   ASSERT_FALSE(report.aborted);
   EXPECT_EQ(report.recoveries, 1);
   EXPECT_EQ(counter.value() - before, report.recoveries);

@@ -7,6 +7,7 @@
 #include <chrono>
 #include <cstdint>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -102,8 +103,7 @@ TEST(WorldAbort, WorldIsReusableAfterAbort) {
 TEST(WorldOptions, ConstructorValidatesBeforeBuildingMembers) {
   EXPECT_THROW(world(0), sfp::contract_error);
   EXPECT_THROW(world(-5), sfp::contract_error);
-  fabric_options opts;
-  EXPECT_THROW(world(-1, opts), sfp::contract_error);
+  EXPECT_THROW(world(-1, fault_plan{}), sfp::contract_error);
 }
 
 // ---- timeouts ---------------------------------------------------------------
@@ -153,9 +153,9 @@ TEST(WorldTimeout, GenerousTimeoutDoesNotPerturbCleanRuns) {
 // ---- fault injection --------------------------------------------------------
 
 TEST(FaultInjection, KillFiresAtExactOp) {
-  fabric_options opts;
-  opts.faults.kills.push_back({/*rank=*/1, /*at_op=*/3});
-  world w(2, opts);
+  fault_plan faults;
+  faults.kills.push_back({/*rank=*/1, /*at_op=*/3});
+  world w(2, faults);
   try {
     w.run([](transport& t) {
       if (t.rank() == 1) {
@@ -187,9 +187,9 @@ TEST(FaultInjection, ReceivesAreNotOps) {
   // Only sends advance the op counter the kills fire on, on every backend:
   // a rank that polls its inbox any number of times is never killed by
   // polling.
-  fabric_options opts;
-  opts.faults.kills.push_back({/*rank=*/0, /*at_op=*/2});
-  world w(2, opts);
+  fault_plan faults;
+  faults.kills.push_back({/*rank=*/0, /*at_op=*/2});
+  world w(2, faults);
   w.run([](transport& t) {
     if (t.rank() == 0) {
       any_message m;
@@ -203,12 +203,12 @@ TEST(FaultInjection, ReceivesAreNotOps) {
 }
 
 TEST(FaultInjection, DropPlusTimeoutAbortsCleanly) {
-  fabric_options opts;
-  auto& mf = opts.faults.message_faults.emplace_back();
+  fault_plan faults;
+  auto& mf = faults.message_faults.emplace_back();
   mf.src = 0;
   mf.dst = 1;
   mf.drop_probability = 1.0;  // every 0->1 message vanishes
-  world w(2, opts);
+  world w(2, faults);
   EXPECT_THROW(w.run([](transport& t) {
                  reliable_channel channel(t, {.recv_timeout = 50ms});
                  if (t.rank() == 0) {
@@ -224,10 +224,10 @@ TEST(FaultInjection, DropPlusTimeoutAbortsCleanly) {
 }
 
 TEST(FaultInjection, DuplicatesPreserveOrderedDelivery) {
-  fabric_options opts;
-  auto& mf = opts.faults.message_faults.emplace_back();
+  fault_plan faults;
+  auto& mf = faults.message_faults.emplace_back();
   mf.duplicate_probability = 1.0;
-  world w(2, opts);
+  world w(2, faults);
   w.run([](transport& t) {
     constexpr int kCount = 20;
     if (t.rank() == 0) {
@@ -246,12 +246,12 @@ TEST(FaultInjection, DuplicatesPreserveOrderedDelivery) {
 }
 
 TEST(FaultInjection, DelayedMessagesStillArrive) {
-  fabric_options opts;
-  auto& mf = opts.faults.message_faults.emplace_back();
+  fault_plan faults;
+  auto& mf = faults.message_faults.emplace_back();
   mf.delay_probability = 0.5;
   mf.delay = std::chrono::microseconds(300);
-  opts.faults.seed = 7;
-  world w(3, opts);
+  faults.seed = 7;
+  world w(3, faults);
   w.run([](transport& t) {
     const int next = (t.rank() + 1) % 3;
     const int prev = (t.rank() + 2) % 3;
@@ -270,14 +270,14 @@ TEST(FaultInjection, ChaosScheduleIsDeterministicAcrossRuns) {
   // Same seed, same program -> identical injected-fault counts and
   // identical per-rank traffic, independent of thread scheduling.
   const auto run_once = [](std::uint64_t seed) {
-    fabric_options opts;
-    opts.faults.seed = seed;
-    auto& mf = opts.faults.message_faults.emplace_back();
+    fault_plan faults;
+    faults.seed = seed;
+    auto& mf = faults.message_faults.emplace_back();
     mf.drop_probability = 0.0;
     mf.delay_probability = 0.3;
     mf.duplicate_probability = 0.4;
     mf.delay = std::chrono::microseconds(100);
-    world w(4, opts);
+    world w(4, faults);
     w.run([](transport& t) {
       for (int round = 0; round < 10; ++round) {
         for (int dst = 0; dst < 4; ++dst) {
@@ -308,13 +308,13 @@ TEST(FaultInjection, ScheduleIsInvariantUnderThreadInterleaving) {
   // per-rank fault decisions and traffic.
   constexpr int kRanks = 4;
   const auto run_once = [](bool reverse_stagger) {
-    fabric_options opts;
-    opts.faults.seed = 42;
-    auto& mf = opts.faults.message_faults.emplace_back();
+    fault_plan faults;
+    faults.seed = 42;
+    auto& mf = faults.message_faults.emplace_back();
     mf.delay_probability = 0.25;
     mf.duplicate_probability = 0.25;
     mf.delay = std::chrono::microseconds(50);
-    world w(kRanks, opts);
+    world w(kRanks, faults);
     w.run([reverse_stagger](transport& t) {
       const int slot = reverse_stagger ? kRanks - 1 - t.rank() : t.rank();
       std::this_thread::sleep_for(std::chrono::microseconds(200 * slot));
@@ -533,6 +533,31 @@ TEST(FaultPlanJson, RejectsNonIntegralAndOutOfRangeIntegers) {
   EXPECT_EQ(plan.message_faults[0].dst, 2);
   EXPECT_EQ(plan.message_faults[0].fire_count, -1);
   EXPECT_EQ(plan.message_faults[0].delay, std::chrono::microseconds{1000});
+}
+
+TEST(FaultPlanJson, UnknownKeysAreRejected) {
+  // A misspelt key used to be skipped, so `{"kils": [...]}` replayed as a
+  // fault-free plan. The error names the key.
+  using sfp::io::parse_json;
+  const auto error_of = [](const char* text) -> std::string {
+    try {
+      (void)fault_plan_from_json(parse_json(text));
+    } catch (const sfp::contract_error& e) {
+      return e.what();
+    }
+    return "";
+  };
+  EXPECT_NE(error_of(R"({"kils": [{"rank": 1, "at_op": 3}]})").find("'kils'"),
+            std::string::npos);
+  EXPECT_NE(error_of(R"({"kills": [{"rank": 1, "at_op": 3, "op": 4}]})")
+                .find("'op'"),
+            std::string::npos);
+  EXPECT_NE(error_of(R"({"message_faults": [{"drop": 0.5, "dorp": 1}]})")
+                .find("'dorp'"),
+            std::string::npos);
+  // The legacy wildcard tag is still read.
+  EXPECT_EQ(error_of(R"({"message_faults": [{"tag": -1, "drop": 0.5}]})"),
+            "");
 }
 
 TEST(FaultPlanJson, FileRoundTripAndReplayIsDeterministic) {

@@ -33,13 +33,6 @@ any_message recv_any(transport& t) {
   return m;
 }
 
-/// An in-process fabric options block injecting `plan`.
-fabric_options with_faults(fault_plan plan) {
-  fabric_options opts;
-  opts.faults = std::move(plan);
-  return opts;
-}
-
 // ---- crc32c -----------------------------------------------------------------
 
 TEST(Crc32c, MatchesKnownVector) {
@@ -213,7 +206,7 @@ TEST(FaultInjection, RawRecvSeesCorruptedPayloadAndCountersTrack) {
   mf.corrupt_probability = 1.0;
   plan.message_faults.push_back(mf);
 
-  world w(2, with_faults(plan));
+  world w(2, plan);
   w.run([](transport& c) {
     const std::vector<double> payload(8, 1.0);
     if (c.rank() == 0) {
@@ -234,7 +227,7 @@ TEST(FaultInjection, TruncationShortensRawPayload) {
   mf.truncate_probability = 1.0;
   plan.message_faults.push_back(mf);
 
-  world w(2, with_faults(plan));
+  world w(2, plan);
   w.run([](transport& c) {
     if (c.rank() == 0) {
       c.send(1, std::vector<double>(10, 2.0));
@@ -252,7 +245,7 @@ TEST(FaultInjection, ReorderSwapsAdjacentSends) {
   mf.reorder_probability = 1.0;  // every send swaps with its successor
   plan.message_faults.push_back(mf);
 
-  world w(2, with_faults(plan));
+  world w(2, plan);
   w.run([](transport& c) {
     if (c.rank() == 0) {
       c.send(1, std::vector<double>{1.0});
@@ -276,7 +269,7 @@ TEST(FaultInjection, ReorderIsReleasedOnlyByAMatchingSend) {
   mf.min_payload = 2;
   plan.message_faults.push_back(mf);
 
-  world w(2, with_faults(plan));
+  world w(2, plan);
   w.run([](transport& c) {
     if (c.rank() == 0) {
       c.send(1, std::vector<double>{1.0, 1.0});  // stashed
@@ -351,7 +344,7 @@ TEST(ReliableChannel, RecvMeetingAFenceTokenIsAContractError) {
 void exchange_under(const fault_plan& plan, reliable_stats* out_stats) {
   constexpr int kMessages = 20;
   constexpr int kDoubles = 6;
-  world w(4, with_faults(plan));
+  world w(4, plan);
   std::atomic<long> healed_checks{0};
   reliable_stats stats_sum;
   std::mutex stats_mutex;
@@ -451,7 +444,7 @@ TEST(ReliableChannel, ChecksumHookLetsCorruptionThrough) {
   mf.fire_count = 1;
   plan.message_faults.push_back(mf);
 
-  world w(2, with_faults(plan));
+  world w(2, plan);
   w.run([](transport& c) {
     reliable_options opts;
     opts.verify_checksums = false;
@@ -481,7 +474,7 @@ TEST(ReliableChannel, TotalLossExhaustsRetransmitsAndNamesThePeer) {
   mf.drop_probability = 1.0;  // the 0→1 link is severed
   plan.message_faults.push_back(mf);
 
-  world w(2, with_faults(plan));
+  world w(2, plan);
   std::atomic<int> unreachable_peer{-2};
   EXPECT_THROW(
       w.run([&](transport& c) {
@@ -519,7 +512,7 @@ TEST(MultiPeerDrops, RawRecvTimesOutWhenEveryInboundLinkIsSevered) {
   mf.drop_probability = 1.0;
   plan.message_faults.push_back(mf);
 
-  world w(4, with_faults(plan));
+  world w(4, plan);
   std::atomic<bool> timed_out{false};
   w.run([&](transport& c) {
     if (c.rank() == 0) {
@@ -555,7 +548,7 @@ TEST(MultiPeerDrops, ReliableChannelHealsSimultaneousFirstFrameLoss) {
     plan.message_faults.push_back(mf);
   }
 
-  world w(4, with_faults(plan));
+  world w(4, plan);
   std::atomic<long> received{0};
   std::atomic<long> retransmits{0};
   w.run([&](transport& c) {
@@ -596,7 +589,7 @@ TEST(MultiPeerDrops, ReliableRecvTimeoutNamesTheSilentPeer) {
     plan.message_faults.push_back(mf);
   }
 
-  world w(3, with_faults(plan));
+  world w(3, plan);
   std::atomic<int> named_peer{-2};
   EXPECT_THROW(
       w.run([&](transport& c) {

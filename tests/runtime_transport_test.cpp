@@ -1,10 +1,8 @@
-// Tests for the transport surface (runtime/transport.hpp), the one fabric
-// (runtime/world.hpp) over both wires, and the socket wire
-// (runtime/socket_transport.hpp): the shared abort / drain / counter
-// contract, loopback TCP with framing / heartbeats / reconnect, byte-stream
-// fault injection, and the reliable-delivery edge cases that must behave
-// identically over every backend (sequence wraparound, stale-epoch
-// filtering, duplicate re-acks during reorder healing, retransmit jitter).
+// Tests for the transport surface (runtime/transport.hpp) and the one
+// fabric (runtime/world.hpp): the abort / drain / counter contract, and
+// the reliable-delivery edge cases over it (sequence wraparound,
+// stale-epoch filtering, duplicate re-acks during reorder healing,
+// retransmit jitter).
 //
 // Registered under the "transport-runtime" label so `ctest -L runtime`
 // (and the tsan preset) picks it up alongside the other fabric tests.
@@ -24,7 +22,6 @@
 
 #include "runtime/fabric.hpp"
 #include "runtime/reliable.hpp"
-#include "runtime/socket_transport.hpp"
 #include "runtime/transport.hpp"
 #include "runtime/world.hpp"
 
@@ -46,54 +43,14 @@ bool recv_within(transport& t, std::chrono::milliseconds deadline,
   return false;
 }
 
-// ---- shared vocabulary ------------------------------------------------------
-
-TEST(TransportVocabulary, BackendNamesRoundTrip) {
-  EXPECT_STREQ(to_string(transport_backend::inproc), "inproc");
-  EXPECT_STREQ(to_string(transport_backend::socket), "socket");
-}
-
-TEST(TransportVocabulary, StreamFaultKindNames) {
-  EXPECT_STREQ(to_string(stream_fault::kind::truncate), "truncate");
-  EXPECT_STREQ(to_string(stream_fault::kind::split), "split");
-  EXPECT_STREQ(to_string(stream_fault::kind::reset), "reset");
-  EXPECT_STREQ(to_string(stream_fault::kind::stall), "stall");
-}
-
-// ---- the one fabric, over both wires ----------------------------------------
+// ---- the one fabric ---------------------------------------------------------
 //
-// Rank threads, inboxes, abort and counters are written once in world.cpp;
-// the backend picks only the wire. This suite pins that shared core's
-// contract on both wires.
+// Rank threads, inboxes, abort and counters: world.cpp's contract.
 
-class FabricContract : public ::testing::TestWithParam<transport_backend> {
- protected:
-  fabric_options options(fault_plan faults = {}) const {
-    fabric_options opts;
-    opts.backend = GetParam();
-    opts.faults = std::move(faults);
-    return opts;
-  }
-};
-
-// Every rank_counters field, for whole-struct comparison.
-std::vector<std::int64_t> fields(const rank_counters& c) {
-  return {c.messages_sent,        c.messages_received,
-          c.doubles_sent,         c.doubles_received,
-          c.aborts_observed,      c.injected_kills,
-          c.injected_drops,       c.injected_delays,
-          c.injected_duplicates,  c.injected_corruptions,
-          c.injected_truncations, c.injected_reorders};
-}
-
-// How long a receiver waits before polling when a test needs messages
-// already sitting in its inbox: the socket wire delivers asynchronously.
-constexpr auto kSettle = 200ms;
-
-TEST_P(FabricContract, AbortWakesBlockedReceivers) {
+TEST(FabricContract, AbortWakesBlockedReceivers) {
   fault_plan plan;
   plan.kills.push_back({.rank = 0, .at_op = 1});
-  world w(2, options(plan));
+  world w(2, plan);
   std::atomic<int> aborts_seen{0};
   EXPECT_THROW(
       w.run([&](transport& t) {
@@ -120,8 +77,8 @@ TEST_P(FabricContract, AbortWakesBlockedReceivers) {
   EXPECT_EQ(w.total_counters().aborts_observed, 1);
 }
 
-TEST_P(FabricContract, QueuedMessageIsDeliveredBeforeTheAbort) {
-  world w(2, options());
+TEST(FabricContract, QueuedMessageIsDeliveredBeforeTheAbort) {
+  world w(2);
   std::atomic<bool> sent{false};
   std::atomic<bool> drained{false};
   EXPECT_THROW(
@@ -132,7 +89,8 @@ TEST_P(FabricContract, QueuedMessageIsDeliveredBeforeTheAbort) {
           throw std::runtime_error("rank 0 died after sending");
         }
         while (!sent.load()) std::this_thread::yield();
-        std::this_thread::sleep_for(kSettle);
+        // Give rank 0's throw time to raise the abort.
+        std::this_thread::sleep_for(200ms);
         // The abort is already raised, but the message that arrived first
         // still comes out; only the empty inbox reports the abort.
         any_message m;
@@ -149,9 +107,9 @@ TEST_P(FabricContract, QueuedMessageIsDeliveredBeforeTheAbort) {
   EXPECT_EQ(w.counters(1).aborts_observed, 1);
 }
 
-TEST_P(FabricContract, LowestSourceDrainsFirst) {
+TEST(FabricContract, LowestSourceDrainsFirst) {
   constexpr int kRanks = 4;
-  world w(kRanks, options());
+  world w(kRanks);
   std::atomic<int> senders_done{0};
   w.run([&](transport& t) {
     if (t.rank() != 0) {
@@ -163,8 +121,9 @@ TEST_P(FabricContract, LowestSourceDrainsFirst) {
       ++senders_done;
       return;
     }
+    // A send lands in the inbox before it returns, so every message is
+    // queued once the last sender is done.
     while (senders_done.load() != kRanks - 1) std::this_thread::yield();
-    std::this_thread::sleep_for(kSettle);
     // Per source FIFO, sources ascending.
     for (int src = 1; src < kRanks; ++src) {
       for (int i = 0; i < 2; ++i) {
@@ -178,8 +137,8 @@ TEST_P(FabricContract, LowestSourceDrainsFirst) {
   EXPECT_EQ(w.counters(0).messages_received, 2 * (kRanks - 1));
 }
 
-TEST_P(FabricContract, ReusableAcrossRuns) {
-  world w(2, options());
+TEST(FabricContract, ReusableAcrossRuns) {
+  world w(2);
   EXPECT_THROW(w.run([](transport& t) {
                  if (t.rank() == 0) throw std::runtime_error("once");
                  any_message m;
@@ -206,10 +165,10 @@ TEST_P(FabricContract, ReusableAcrossRuns) {
   }
 }
 
-TEST_P(FabricContract, RawDatagramSurfaceFeedsTheCounters) {
+TEST(FabricContract, RawDatagramSurfaceFeedsTheCounters) {
   // A fault-free raw program: every rank sends r + 1 two-double messages to
   // every peer, then drains its inbox. Counters are a function of the
-  // program alone, so both wires must report identical ones.
+  // program alone.
   static constexpr int kRanks = 3;
   const auto program = [](transport& t) {
     ASSERT_EQ(t.size(), kRanks);
@@ -230,236 +189,29 @@ TEST_P(FabricContract, RawDatagramSurfaceFeedsTheCounters) {
       ++i;
     }
   };
-  world w(kRanks, options());
+  world w(kRanks);
   w.run(program);
-  world reference(kRanks);  // the in-process wire
-  reference.run(program);
   for (int r = 0; r < kRanks; ++r) {
-    EXPECT_EQ(fields(w.counters(r)), fields(reference.counters(r)))
+    const rank_counters& c = w.counters(r);
+    EXPECT_EQ(c.messages_sent, (kRanks - 1) * (r + 1)) << "rank " << r;
+    EXPECT_EQ(c.doubles_sent, 2 * (kRanks - 1) * (r + 1)) << "rank " << r;
+    EXPECT_EQ(c.messages_received, kRanks * (kRanks + 1) / 2 - (r + 1))
         << "rank " << r;
-    EXPECT_EQ(w.counters(r).messages_sent, (kRanks - 1) * (r + 1));
-    EXPECT_EQ(w.counters(r).doubles_sent, 2 * (kRanks - 1) * (r + 1));
+    EXPECT_EQ(c.aborts_observed, 0);
   }
   EXPECT_EQ(w.total_counters().messages_received,
             w.total_counters().messages_sent);
 }
 
-INSTANTIATE_TEST_SUITE_P(Backends, FabricContract,
-                         ::testing::Values(transport_backend::inproc,
-                                           transport_backend::socket),
-                         [](const auto& param_info) {
-                           return std::string(to_string(param_info.param));
-                         });
+// ---- reliable edge cases -----------------------------------------------------
 
-// ---- socket wire: basics ----------------------------------------------------
-
-fabric_options socket_options() {
-  fabric_options opts;
-  opts.backend = transport_backend::socket;
-  return opts;
+// Run `body` once per rank on a two-rank fabric under `faults`.
+void run_pair(const fault_plan& faults,
+              const std::function<void(transport&, int)>& body) {
+  run_fabric(2, faults, [&](transport& t) { body(t, t.rank()); });
 }
 
-TEST(SocketFabric, EchoAcrossTwoRanks) {
-  world fab(2, socket_options());
-  ASSERT_EQ(fab.size(), 2);
-  fab.run([](transport& t) {
-    ASSERT_EQ(t.size(), 2);
-    if (t.rank() == 0) {
-      t.send(1, std::vector<double>{3.25, -1.5, 0.0});
-      any_message m;
-      ASSERT_TRUE(recv_within(t, 5000ms, &m));
-      EXPECT_EQ(m.src, 1);
-      EXPECT_EQ(m.payload, (std::vector<double>{3.25, -1.5, 0.0}));
-    } else {
-      any_message m;
-      ASSERT_TRUE(recv_within(t, 5000ms, &m));
-      EXPECT_EQ(m.src, 0);
-      t.send(0, m.payload);
-    }
-  });
-  EXPECT_FALSE(fab.aborted());
-  EXPECT_EQ(fab.total_counters().messages_sent, 2);
-  EXPECT_EQ(fab.total_counters().messages_received, 2);
-  const socket_stats stats = fab.socket_totals();
-  EXPECT_GE(stats.connects, 2);  // one link per direction
-  EXPECT_EQ(stats.reconnects, 0);
-  EXPECT_GE(stats.frames_sent, 2);
-  EXPECT_GE(stats.frames_received, 2);
-  EXPECT_EQ(stats.frames_rejected, 0);
-  EXPECT_EQ(stats.send_failures, 0);
-}
-
-TEST(SocketFabric, LargePayloadSurvivesPartialReadsAndWrites) {
-  // 512 KiB of payload does not fit a socket buffer: the framed writer and
-  // reader must handle short writes and short reads without tearing.
-  static constexpr std::size_t kDoubles = std::size_t{1} << 16;
-  world fab(2, socket_options());
-  fab.run([](transport& t) {
-    if (t.rank() == 0) {
-      std::vector<double> payload(kDoubles);
-      for (std::size_t i = 0; i < kDoubles; ++i)
-        payload[i] = 0.5 * static_cast<double>(i) - 7.0;
-      t.send(1, payload);
-      // Wait for the ack-ish reply so the fabric is not torn down while the
-      // big frame is still in flight.
-      any_message m;
-      ASSERT_TRUE(recv_within(t, 10000ms, &m));
-    } else {
-      any_message m;
-      ASSERT_TRUE(recv_within(t, 10000ms, &m));
-      ASSERT_EQ(m.payload.size(), kDoubles);
-      bool intact = true;
-      for (std::size_t i = 0; i < kDoubles; ++i) {
-        if (m.payload[i] != 0.5 * static_cast<double>(i) - 7.0) {
-          intact = false;
-          break;
-        }
-      }
-      EXPECT_TRUE(intact);
-      t.send(0, std::vector<double>{1.0});
-    }
-  });
-  EXPECT_FALSE(fab.aborted());
-  EXPECT_EQ(fab.socket_totals().frames_rejected, 0);
-}
-
-// ---- socket wire: health checking -----------------------------------------
-
-TEST(SocketFabric, HeartbeatsKeepIdleLinksAlive) {
-  fabric_options opts = socket_options();
-  opts.heartbeat_interval = 5ms;
-  opts.heartbeat_timeout = 150ms;
-  world fab(2, opts);
-  fab.run([](transport& t) {
-    if (t.rank() == 0) {
-      t.send(1, std::vector<double>{1.0});
-      // Idle for twice the death deadline: only heartbeats keep the link up.
-      std::this_thread::sleep_for(400ms);
-      t.send(1, std::vector<double>{2.0});
-    } else {
-      any_message m;
-      ASSERT_TRUE(recv_within(t, 5000ms, &m));
-      EXPECT_EQ(m.payload.at(0), 1.0);
-      ASSERT_TRUE(recv_within(t, 5000ms, &m));
-      EXPECT_EQ(m.payload.at(0), 2.0);
-    }
-  });
-  EXPECT_FALSE(fab.aborted());
-  const socket_stats stats = fab.socket_totals();
-  EXPECT_GT(stats.heartbeats_sent, 0);
-  EXPECT_EQ(stats.reconnects, 0);
-  EXPECT_EQ(stats.send_failures, 0);
-}
-
-TEST(SocketFabric, SilentLinkDiesAndReconnectsWithEpochHandshake) {
-  // Heartbeats effectively disabled: after the idle gap the receiver
-  // declares the link dead and closes it. The sender's next write fails,
-  // the reliable layer retransmits, and the redial runs the epoch
-  // handshake — the message still arrives exactly once.
-  fabric_options opts = socket_options();
-  opts.heartbeat_interval = 10000ms;  // never fires inside this test
-  opts.heartbeat_timeout = 100ms;
-  world fab(2, opts);
-  std::mutex stats_mutex;
-  reliable_stats reliable_sum;
-  fab.run([&](transport& t) {
-    reliable_options ropts;
-    ropts.retransmit_timeout = 5000us;
-    ropts.max_backoff = 20000us;
-    ropts.recv_timeout = 8000ms;
-    reliable_channel ch(t, ropts);
-    if (t.rank() == 0) {
-      ch.send(1, std::vector<double>{1.0});
-      ch.flush();
-      std::this_thread::sleep_for(400ms);  // both links go silent and die
-      ch.send(1, std::vector<double>{2.0});
-      ch.flush();
-      ch.fence();
-    } else {
-      EXPECT_EQ(ch.recv(0).at(0), 1.0);
-      EXPECT_EQ(ch.recv(0).at(0), 2.0);
-      ch.flush();
-      ch.fence();
-    }
-    std::lock_guard<std::mutex> lock(stats_mutex);
-    reliable_sum += ch.stats();
-  });
-  EXPECT_FALSE(fab.aborted());
-  const socket_stats stats = fab.socket_totals();
-  EXPECT_GE(stats.reconnects, 1);
-  EXPECT_GE(stats.send_failures, 1);
-  EXPECT_EQ(reliable_sum.data_received, 2 + /* fence rounds */ 2);
-}
-
-// ---- socket wire: byte-stream fault injection -----------------------------
-
-TEST(SocketFabric, StreamFaultsHealUnderReliableDelivery) {
-  // One fault of every kind, pinned to specific data frames on specific
-  // links. Truncate and reset poison a connection; split and stall only
-  // delay bytes. Under the reliable layer all of it heals in order.
-  constexpr int kMessages = 12;
-  fabric_options opts = socket_options();
-  opts.stall_duration = 2000us;
-  opts.stream_faults.faults = {
-      {.what = stream_fault::kind::truncate, .src = 0, .dst = 1, .nth = 0},
-      {.what = stream_fault::kind::reset, .src = 0, .dst = 1, .nth = 3},
-      {.what = stream_fault::kind::split, .src = 1, .dst = 0, .nth = 1},
-      {.what = stream_fault::kind::stall, .src = 1, .dst = 0, .nth = 4},
-  };
-  world fab(2, opts);
-  std::mutex stats_mutex;
-  reliable_stats reliable_sum;
-  fab.run([&](transport& t) {
-    reliable_options ropts;
-    ropts.retransmit_timeout = 5000us;
-    ropts.max_backoff = 20000us;
-    ropts.recv_timeout = 8000ms;
-    reliable_channel ch(t, ropts);
-    const int peer = 1 - t.rank();
-    for (int i = 0; i < kMessages; ++i) {
-      std::vector<double> payload(8);
-      for (std::size_t j = 0; j < payload.size(); ++j)
-        payload[j] = 10.0 * t.rank() + i + 0.125 * static_cast<double>(j);
-      ch.send(peer, payload);
-    }
-    for (int i = 0; i < kMessages; ++i) {
-      const std::vector<double> got = ch.recv(peer);
-      ASSERT_EQ(got.size(), 8u);
-      for (std::size_t j = 0; j < got.size(); ++j)
-        ASSERT_EQ(got[j], 10.0 * peer + i + 0.125 * static_cast<double>(j));
-    }
-    ch.flush();
-    ch.fence();
-    std::lock_guard<std::mutex> lock(stats_mutex);
-    reliable_sum += ch.stats();
-  });
-  EXPECT_FALSE(fab.aborted());
-  const socket_stats stats = fab.socket_totals();
-  EXPECT_EQ(stats.injected_stream_faults, 4);
-  EXPECT_GE(stats.frames_rejected, 1);  // the truncated frame
-  EXPECT_GE(stats.reconnects, 1);       // poisoned links redialed
-  EXPECT_GT(reliable_sum.retransmits, 0);
-  EXPECT_EQ(reliable_sum.data_received,
-            2 * kMessages + /* fence rounds */ 2);
-}
-
-// ---- reliable edge cases, identical over every backend ----------------------
-
-class ReliableOverBackend
-    : public ::testing::TestWithParam<transport_backend> {
- protected:
-  // Run `body` once per rank on a two-rank fabric of the parameterized
-  // backend, with the same message-level fault plan either way.
-  void run_pair(const fault_plan& faults,
-                const std::function<void(transport&, int)>& body) {
-    fabric_options opts;
-    opts.backend = GetParam();
-    opts.faults = faults;
-    run_fabric(2, opts, [&](transport& t) { body(t, t.rank()); });
-  }
-};
-
-TEST_P(ReliableOverBackend, SequenceNumbersWrapAroundCleanly) {
+TEST(ReliableOverFabric, SequenceNumbersWrapAroundCleanly) {
   // Start every stream three short of UINT64_MAX and push eight messages
   // through the wrap, with every data frame duplicated so the dedup path is
   // exercised across the boundary too.
@@ -499,7 +251,7 @@ TEST_P(ReliableOverBackend, SequenceNumbersWrapAroundCleanly) {
   EXPECT_GE(receiver_stats.dedup_dropped, kMessages);
 }
 
-TEST_P(ReliableOverBackend, StaleEpochRetransmitIsRejected) {
+TEST(ReliableOverFabric, StaleEpochRetransmitIsRejected) {
   // A crafted frame from epoch 3 — a retransmit straggling in from a dead
   // recovery attempt — arrives before the real epoch-4 message with the
   // same sequence number. The epoch filter must drop it; if it leaked
@@ -533,7 +285,7 @@ TEST_P(ReliableOverBackend, StaleEpochRetransmitIsRejected) {
   });
 }
 
-TEST_P(ReliableOverBackend, DuplicatesAreReAckedDuringReorderHealing) {
+TEST(ReliableOverFabric, DuplicatesAreReAckedDuringReorderHealing) {
   // Frame 0 is held back past frame 1 (reorder), and frame 1 is delivered
   // twice (duplicate). While the receiver is parked waiting for seq 0 it
   // must re-ack the duplicate of seq 1 instead of staying silent — a
@@ -586,13 +338,6 @@ TEST_P(ReliableOverBackend, DuplicatesAreReAckedDuringReorderHealing) {
   EXPECT_GE(receiver_stats.acks_sent,
             receiver_stats.data_received + receiver_stats.dedup_dropped);
 }
-
-INSTANTIATE_TEST_SUITE_P(Backends, ReliableOverBackend,
-                         ::testing::Values(transport_backend::inproc,
-                                           transport_backend::socket),
-                         [](const auto& param_info) {
-                           return std::string(to_string(param_info.param));
-                         });
 
 // ---- retransmit backoff: capped exponential with deterministic jitter -------
 

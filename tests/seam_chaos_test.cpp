@@ -85,8 +85,8 @@ TEST(ChaosSchedule, JsonRejectsNonIntegralAndOutOfRangeNumbers) {
   EXPECT_THROW(parse(R"({"faults": [], "kills": [{"rank": 1,
                          "at_op": 2.5}]})"),
                contract_error);
-  EXPECT_THROW(parse(R"({"faults": [], "stream": [{"kind": "reset",
-                         "src": 0, "dst": 1, "nth": 1e300}]})"),
+  EXPECT_THROW(parse(R"({"faults": [{"kind": "drop", "src": 0, "dst": 1,
+                         "nth": 1e300}]})"),
                contract_error);
   // A numeric seed must fit a uint64: 2^64 does not.
   EXPECT_THROW(parse(R"({"seed": 18446744073709551616, "faults": []})"),
@@ -101,6 +101,41 @@ TEST(ChaosSchedule, JsonRejectsNonIntegralAndOutOfRangeNumbers) {
   ASSERT_EQ(ok.faults.size(), 1u);
   EXPECT_EQ(ok.faults[0].src, 2);
   EXPECT_EQ(ok.faults[0].nth, 1000);
+}
+
+TEST(ChaosSchedule, UnknownKeysAreRejected) {
+  // A misspelt key used to be skipped, so its faults or kills silently
+  // never ran and a replay passed vacuously. The error names the key.
+  const auto error_of = [](const char* text) -> std::string {
+    try {
+      (void)chaos_schedule_from_json(io::parse_json(text));
+    } catch (const contract_error& e) {
+      return e.what();
+    }
+    return "";
+  };
+  EXPECT_NE(error_of(R"({"seed": "7", "faults": [],
+                         "kils": [{"rank": 1, "at_op": 3}]})")
+                .find("'kils'"),
+            std::string::npos);
+  // The retired byte-stream fault list is an unknown key like any other.
+  EXPECT_NE(error_of(R"({"faults": [], "stream": [{"kind": "reset",
+                         "src": 0, "dst": 1, "nth": 1}]})")
+                .find("'stream'"),
+            std::string::npos);
+  EXPECT_NE(error_of(R"({"faults": [{"kind": "drop", "src": 0, "dst": 1,
+                         "nth": 0, "nht": 4}]})")
+                .find("'nht'"),
+            std::string::npos);
+  EXPECT_NE(error_of(R"({"faults": [], "kills": [{"rank": 1, "at_op": 3,
+                         "at": 9}]})")
+                .find("'at'"),
+            std::string::npos);
+  // Every key the loader reads still parses.
+  EXPECT_EQ(error_of(R"({"seed": "7", "faults": [{"kind": "drop", "src": 0,
+                         "dst": 1, "nth": 0}],
+                         "kills": [{"rank": 1, "at_op": 3}]})"),
+            "");
 }
 
 TEST(ChaosSchedule, LowersToOneShotFaultPlanEntries) {
@@ -285,7 +320,7 @@ TEST(ChaosKills, PartitionSoakKeepsSerialParityThroughKills) {
   const partition_chaos_harness harness;
   const soak_report report =
       run_chaos_soak(harness, /*base_seed=*/1000, /*trials=*/10,
-                     /*nfaults=*/0, /*nstream=*/0, /*nkills=*/1);
+                     /*nfaults=*/0, /*nkills=*/1);
   EXPECT_EQ(report.trials, 10);
   for (const auto& f : report.failures)
     ADD_FAILURE() << "seed " << f.schedule.seed << ": " << f.trial.failure;
@@ -294,32 +329,26 @@ TEST(ChaosKills, PartitionSoakKeepsSerialParityThroughKills) {
 
 TEST(ChaosShrink, UnreproducibleFailureIsReturnedUnchanged) {
   // A schedule that passes cannot be shrunk; shrink_failure hands it back
-  // whole — faults, kills and stream faults alike. The kill lies past the
-  // last op, so it never fires and the trial still heals in place.
+  // whole — faults and kills alike. The kill lies past the last op, so it
+  // never fires and the trial still heals in place.
   const chaos_harness harness(small_problem());
   chaos_schedule benign = make_chaos_schedule(1000, 4, 2);
-  add_stream_faults(benign, 4, 2);
   benign.kills.push_back({1, 1'000'000});
   ASSERT_TRUE(harness.run(benign).passed);
   const chaos_schedule kept = shrink_failure(
       benign, [&](const chaos_schedule& s) { return !harness.run(s).passed; });
   EXPECT_EQ(kept.faults.size(), benign.faults.size());
   EXPECT_EQ(kept.kills.size(), benign.kills.size());
-  EXPECT_EQ(kept.stream_faults.size(), benign.stream_faults.size());
 }
 
 // A schedule whose entries are told apart by their indices: faults carry
-// nth 0..11, kills at_op 100..102, stream faults nth 200..203.
+// nth 0..11, kills at_op 100..102.
 chaos_schedule labelled_schedule() {
   chaos_schedule s;
   s.seed = 31;
   for (int i = 0; i < 12; ++i)
     s.faults.push_back({chaos_fault::kind::drop, 0, 1, i});
   for (int i = 0; i < 3; ++i) s.kills.push_back({2, 100 + i});
-  for (int i = 0; i < 4; ++i)
-    s.stream_faults.push_back(
-        {.what = runtime::stream_fault::kind::reset, .src = 1, .dst = 0,
-         .nth = 200 + i});
   return s;
 }
 
@@ -331,11 +360,6 @@ bool has_fault(const chaos_schedule& s, std::int64_t nth) {
 bool has_kill(const chaos_schedule& s, std::int64_t at_op) {
   for (const auto& k : s.kills)
     if (k.at_op == at_op) return true;
-  return false;
-}
-bool has_stream_fault(const chaos_schedule& s, std::int64_t nth) {
-  for (const auto& f : s.stream_faults)
-    if (f.nth == nth) return true;
   return false;
 }
 
@@ -354,16 +378,10 @@ void expect_one_minimal(
     c.kills.erase(c.kills.begin() + static_cast<std::ptrdiff_t>(i));
     EXPECT_FALSE(fails(c)) << "kill " << i << " is not needed";
   }
-  for (std::size_t i = 0; i < s.stream_faults.size(); ++i) {
-    chaos_schedule c = s;
-    c.stream_faults.erase(c.stream_faults.begin() +
-                          static_cast<std::ptrdiff_t>(i));
-    EXPECT_FALSE(fails(c)) << "stream fault " << i << " is not needed";
-  }
 }
 
-TEST(ChaosShrink, DdminIsOneMinimalAcrossFaultsKillsAndStreamFaults) {
-  // 12 faults + 3 kills + 4 stream faults in; the synthetic failure needs
+TEST(ChaosShrink, DdminIsOneMinimalAcrossFaultsAndKills) {
+  // 12 faults + 3 kills in; the synthetic failure needs
   // exactly one fault and one kill, and ddmin keeps exactly those two.
   const chaos_schedule failing = labelled_schedule();
   const auto fails = [](const chaos_schedule& s) {
@@ -375,35 +393,7 @@ TEST(ChaosShrink, DdminIsOneMinimalAcrossFaultsKillsAndStreamFaults) {
   EXPECT_EQ(shrunk.faults[0].nth, 7);
   ASSERT_EQ(shrunk.kills.size(), 1u);
   EXPECT_EQ(shrunk.kills[0].at_op, 101);
-  EXPECT_TRUE(shrunk.stream_faults.empty());
   expect_one_minimal(shrunk, fails);
-}
-
-TEST(ChaosShrink, FailureThatNeedsAStreamFaultIsShrunk) {
-  // A failure that needs a stream fault shrinks like any other: ddmin
-  // candidates carry stream faults, so the pair survives and the 17 other
-  // entries go.
-  const chaos_schedule failing = labelled_schedule();
-  const auto fails = [](const chaos_schedule& s) {
-    return has_fault(s, 3) && has_stream_fault(s, 202);
-  };
-  const chaos_schedule shrunk = shrink_failure(failing, fails);
-  ASSERT_EQ(shrunk.faults.size(), 1u);
-  EXPECT_EQ(shrunk.faults[0].nth, 3);
-  EXPECT_TRUE(shrunk.kills.empty());
-  ASSERT_EQ(shrunk.stream_faults.size(), 1u);
-  EXPECT_EQ(shrunk.stream_faults[0].nth, 202);
-  expect_one_minimal(shrunk, fails);
-
-  // A stream fault alone is shrunk to itself.
-  const auto stream_only = [](const chaos_schedule& s) {
-    return has_stream_fault(s, 201);
-  };
-  const chaos_schedule single = shrink_failure(failing, stream_only);
-  EXPECT_TRUE(single.faults.empty());
-  EXPECT_TRUE(single.kills.empty());
-  ASSERT_EQ(single.stream_faults.size(), 1u);
-  EXPECT_EQ(single.stream_faults[0].nth, 201);
 }
 
 TEST(ChaosShrink, ChecksumDisabledPartitionFailureIsCaughtAndShrunk) {
@@ -419,7 +409,7 @@ TEST(ChaosShrink, ChecksumDisabledPartitionFailureIsCaughtAndShrunk) {
   const partition_chaos_harness harness(opts);
   const soak_report report =
       run_chaos_soak(harness, /*base_seed=*/5000, /*trials=*/100,
-                     /*nfaults=*/6, /*nstream=*/0, /*nkills=*/0);
+                     /*nfaults=*/6, /*nkills=*/0);
   ASSERT_FALSE(report.failures.empty())
       << "a checksum-less partition survived 100 corrupting schedules";
   const soak_failure& f = report.failures.front();

@@ -9,7 +9,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
-#include <ostream>
 #include <string>
 #include <vector>
 
@@ -225,30 +224,19 @@ runtime::resilience_options reliable_ropts(std::uint64_t seed) {
   return ropts;
 }
 
-// ---- clean runs: the resilient runner's arithmetic on every fabric ---------
+// ---- clean runs: the resilient runner's arithmetic ------------------------
 
-struct clean_fabric {
-  const char* name;
-  runtime::transport_backend backend;
-};
-
-void PrintTo(const clean_fabric& f, std::ostream* os) { *os << f.name; }
-
-class ResilienceCleanRun : public ::testing::TestWithParam<clean_fabric> {};
-
-TEST_P(ResilienceCleanRun, MatchesPlainDistributedBitwise) {
+TEST(ResilienceCleanRun, MatchesPlainDistributedBitwise) {
   // With no faults the resilient runner does the same arithmetic as
-  // run_distributed on every fabric: checkpoints, fences and the reliable
-  // channel change no math.
-  const clean_fabric& fabric = GetParam();
+  // run_distributed: checkpoints, fences and the reliable channel change
+  // no math.
   const mesh::cubed_sphere m(2);
   const auto model = make_model(m);
   const auto curve = core::build_cube_curve(m);
   const auto part = core::sfc_partition(curve, 4);
   const double dt = model.cfl_dt(0.3);
 
-  runtime::resilience_options ropts = reliable_ropts(0);
-  ropts.backend = fabric.backend;
+  const runtime::resilience_options ropts = reliable_ropts(0);
 
   const auto plain = run_distributed(model, part, dt, 6);
   recovery_report report;
@@ -259,13 +247,6 @@ TEST_P(ResilienceCleanRun, MatchesPlainDistributedBitwise) {
   EXPECT_TRUE(report.lost_ranks.empty());
   EXPECT_EQ(report.final_partition.num_parts, 4);
 }
-
-INSTANTIATE_TEST_SUITE_P(
-    Fabrics, ResilienceCleanRun,
-    ::testing::Values(
-        clean_fabric{"inproc_reliable", runtime::transport_backend::inproc},
-        clean_fabric{"socket_reliable", runtime::transport_backend::socket}),
-    [](const auto& param_info) { return std::string(param_info.param.name); });
 
 TEST(ReliableResilience, TransientChaosHealsInPlaceWithZeroRecoveries) {
   // The tentpole acceptance scenario: a seeded schedule of drop + corrupt +

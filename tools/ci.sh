@@ -4,8 +4,9 @@
 #   tools/ci.sh
 #
 # Exits non-zero on the first failing stage. Stages:
-#   1. sfplint, built in a tiny bootstrap configure
-#      (-DSFCPART_LINT_TOOL_ONLY=ON), gates the run before the main build;
+#   1. sfplint (its rules: docs/static_analysis.md), built in a tiny
+#      bootstrap configure (-DSFCPART_LINT_TOOL_ONLY=ON), gates the run
+#      before the main build;
 #      the machine-readable reports land in build/lint-report.json and
 #      build/lint.sarif (SARIF 2.1.0, the artifact code-review UIs ingest).
 #      A second pass gates on --fix-dry-run: if sfplint could mechanically
@@ -30,17 +31,16 @@
 #   6. seeded short chaos soak: the 'chaos'-labelled ctest binaries rerun
 #      standalone with a hard per-test timeout, then the shipped CLI soaks
 #      a bounded batch of randomized schedules (seed fixed by
-#      SFCPART_CHAOS_SEED, default 1000) across the transport backend
-#      matrix — in-process, and loopback-TCP with byte-stream faults —
-#      and must heal every one in place; rank-kill soaks on both backends
-#      must keep serial parity; bare schedule files replay through
-#      `sfcpart chaos --replay`: message faults on each harness, and a
-#      rank kill on the partition harness — a replay also fails when a
-#      scheduled fault kind injected nothing, and a negative leg replays a
-#      drop on a frame a 2-part plan never sends (2 -> 0, frame 1), which
-#      must exit non-zero; and a two-kill fault plan
-#      replays through `sfcpart faults --plan` on both wires, recovering
-#      the SEAM tracer field to 1e-12
+#      SFCPART_CHAOS_SEED, default 1000) and must heal every one in
+#      place; a rank-kill soak must keep serial parity; bare schedule
+#      files replay through `sfcpart chaos --replay`: message faults on
+#      each harness, and a rank kill on the partition harness — a replay
+#      also fails when a scheduled fault kind injected nothing. Three
+#      negative legs must exit non-zero: a replay of a drop on a frame a
+#      2-part plan never sends (2 -> 0, frame 1), a replay of a schedule
+#      with an unknown key, and `sfcpart chaos` with a flag it does not
+#      read. A two-kill fault plan replays through `sfcpart faults --plan`,
+#      recovering the SEAM tracer field to 1e-12
 #   7. distributed-partition bench smoke: bench_partition_scaling at a tiny
 #      K, and again at ~8 elements per part (Ne = 12, 108 parts), must run
 #      all rank counts, match the serial slicer (the bench aborts on
@@ -124,25 +124,15 @@ echo "==> [6/9] chaos soak: seeded randomized fault schedules must heal in place
 # the batch without touching the repo.
 ctest --test-dir build -L chaos --timeout 240 --output-on-failure
 chaos_dir="$(mktemp -d)"
-# Backend matrix: one soak per transport, same seed batch. The socket leg
-# adds byte-stream faults (truncated frames, resets, split writes, stalls)
-# underneath the message-level schedule.
-build/tools/sfcpart chaos --trials=20 --faults=6 --transport=inproc \
-  --seed="${SFCPART_CHAOS_SEED:-1000}" --out="$chaos_dir/chaos_inproc"
-build/tools/sfcpart chaos --trials=20 --faults=6 --transport=socket \
-  --stream=2 --seed="${SFCPART_CHAOS_SEED:-1000}" \
-  --out="$chaos_dir/chaos_socket"
-# Rank-kill legs: fail-stop deaths mid-run. A death aborts the attempt and
+build/tools/sfcpart chaos --trials=20 --faults=6 \
+  --seed="${SFCPART_CHAOS_SEED:-1000}" --out="$chaos_dir/chaos"
+# Rank-kill leg: fail-stop deaths mid-run. A death aborts the attempt and
 # the partition restarts on the surviving ranks, which must reproduce the
 # exact serial plan; only schedules that can exhaust the restart ladder
 # may abort. The partition-mode trial/shrink machinery enforces both
 # (exit 1 otherwise).
 build/tools/sfcpart chaos --partition --trials=20 --kills=1 \
-  --transport=inproc --seed="${SFCPART_CHAOS_SEED:-1000}" \
-  --out="$chaos_dir/chaos_kill_inproc"
-build/tools/sfcpart chaos --partition --trials=20 --kills=1 \
-  --transport=socket --seed="${SFCPART_CHAOS_SEED:-1000}" \
-  --out="$chaos_dir/chaos_kill_socket"
+  --seed="${SFCPART_CHAOS_SEED:-1000}" --out="$chaos_dir/chaos_kill"
 # Replay legs: bare schedule files through --replay — two message faults
 # that heal in place on each harness (on the partition harness a corrupt
 # and a drop on leaf -> root data frames, which must still yield the
@@ -175,16 +165,28 @@ if build/tools/sfcpart chaos --partition --nproc=4 --nparts=2 \
   echo "ci: a replay whose scheduled drop never fired passed" >&2
   exit 1
 fi
-# SEAM rank-kill leg: a two-kill fault plan through `sfcpart faults` on
-# each wire. Rank 2 dies in the first step; rank 0's kill lies past its
-# first attempt, stays armed and fires after the restart. Two restarts,
-# and the recovered tracer must match the fault-free run to 1e-12.
+# Negative input legs: a misspelt schedule key ("kils") and a flag the
+# command does not read must each be refused, not run as a fault-free
+# trial that passes vacuously.
+printf '%s\n' '{"seed": "7", "faults": [], "kils": [{"rank": 1, "at_op": 3}]}' \
+  > "$chaos_dir/replay_unknown_key.json"
+if build/tools/sfcpart chaos --partition --nproc=4 \
+  --replay="$chaos_dir/replay_unknown_key.json"; then
+  echo "ci: a replay with an unknown schedule key passed" >&2
+  exit 1
+fi
+if build/tools/sfcpart chaos --trials=1 --faults=1 --transport=inproc; then
+  echo "ci: sfcpart chaos ran with a flag it does not read" >&2
+  exit 1
+fi
+# SEAM rank-kill leg: a two-kill fault plan through `sfcpart faults`.
+# Rank 2 dies in the first step; rank 0's kill lies past its first
+# attempt, stays armed and fires after the restart. Two restarts, and the
+# recovered tracer must match the fault-free run to 1e-12.
 printf '%s\n' '{"seed": "7", "kills": [{"rank": 2, "at_op": 40},
   {"rank": 0, "at_op": 120}]}' > "$chaos_dir/seam_two_kills.json"
-for transport in inproc socket; do
-  build/tools/sfcpart faults --ne=2 --nproc=4 --steps=8 \
-    --plan="$chaos_dir/seam_two_kills.json" --transport="$transport"
-done
+build/tools/sfcpart faults --ne=2 --nproc=4 --steps=8 \
+  --plan="$chaos_dir/seam_two_kills.json"
 rm -rf "$chaos_dir"
 
 echo "==> [7/9] distributed-partition bench smoke (tiny K)"

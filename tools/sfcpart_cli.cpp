@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
+#include <initializer_list>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -73,22 +74,18 @@ int usage() {
                "partition)\n"
                "  faults    --ne=N --nproc=P [--kill-rank=R|R@ROUND] "
                "[--kill-op=K] [--steps=S] [--seed=X]\n"
-               "            [--plan=FILE] [--transport=inproc|socket]\n"
+               "            [--plan=FILE]\n"
                "            (kill a rank mid-run, recover by curve "
                "re-slicing, report counters;\n"
                "            --plan replays a saved fault-plan JSON instead "
-               "of the synthetic kill;\n"
-               "            --transport=socket runs over loopback TCP)\n"
+               "of the synthetic kill)\n"
                "  chaos     [--trials=T] [--seed=X] [--faults=F] "
-               "[--stream=S] [--ne=N] [--nproc=P] [--steps=S]\n"
-               "            [--out=BASE] [--no-shrink] "
-               "[--transport=inproc|socket]\n"
-               "            (soak the reliable transport under T randomized "
+               "[--ne=N] [--nproc=P] [--steps=S]\n"
+               "            [--out=BASE] [--no-shrink] [--replay=FILE]\n"
+               "            (soak the reliable channel under T randomized "
                "fault schedules;\n"
-               "            --stream adds byte-stream faults per schedule; "
-               "failures are\n"
-               "            ddmin-shrunk and written as BASE.failK.json "
-               "reproducers)\n"
+               "            failures are ddmin-shrunk and written as "
+               "BASE.failK.json reproducers)\n"
                "            [--partition] [--kills=K] [--nparts=P] "
                "[--kill-rank=R@ROUND]\n"
                "            (partition mode: soak the distributed SFC "
@@ -105,20 +102,17 @@ int usage() {
   return 2;
 }
 
-bool parse_transport(const cli_args& args,
-                     runtime::transport_backend* backend) {
-  const std::string name = args.get_or("transport", "inproc");
-  if (name == "inproc") {
-    *backend = runtime::transport_backend::inproc;
-    return true;
+// False (after naming it on stderr) when a flag outside `known` was given:
+// a misspelt or retired flag must not run silently with its default.
+bool only_known_flags(const cli_args& args,
+                      std::initializer_list<std::string_view> known) {
+  for (const std::string& name : args.flag_names()) {
+    if (std::find(known.begin(), known.end(), name) == known.end()) {
+      std::fprintf(stderr, "unknown flag --%s\n", name.c_str());
+      return false;
+    }
   }
-  if (name == "socket") {
-    *backend = runtime::transport_backend::socket;
-    return true;
-  }
-  std::fprintf(stderr, "unknown --transport=%s (want inproc or socket)\n",
-               name.c_str());
-  return false;
+  return true;
 }
 
 sfc::nesting_order order_from(const std::string& name) {
@@ -361,10 +355,9 @@ bool parse_kill_at(const std::string& text, int* rank, std::int64_t* at_op) {
 }
 
 // The accounting every resilient run reports, summed over ranks and
-// attempts: restarts, lost ranks, and the fabric, reliable-channel and
-// (socket wire only) socket counters.
-void print_accounting(const runtime::resilience_report& r,
-                      runtime::transport_backend backend) {
+// attempts: restarts, lost ranks, and the fabric and reliable-channel
+// counters.
+void print_accounting(const runtime::resilience_report& r) {
   std::string lost;
   for (const int rank : r.lost_ranks)
     lost += (lost.empty() ? "" : " ") + std::to_string(rank);
@@ -388,18 +381,6 @@ void print_accounting(const runtime::resilience_report& r,
   t.new_row().add("corruption detected").add(rel.corruption_detected);
   t.new_row().add("duplicates dropped").add(rel.dedup_dropped);
   t.new_row().add("out of order").add(rel.out_of_order);
-  if (backend == runtime::transport_backend::socket) {
-    const auto& so = r.socket;
-    t.new_row().add("socket connects").add(so.connects);
-    t.new_row().add("socket reconnects").add(so.reconnects);
-    t.new_row().add("frames sent").add(so.frames_sent);
-    t.new_row().add("frames received").add(so.frames_received);
-    t.new_row().add("heartbeats sent").add(so.heartbeats_sent);
-    t.new_row().add("frames rejected").add(so.frames_rejected);
-    t.new_row().add("stale epoch dropped").add(so.stale_epoch_dropped);
-    t.new_row().add("stream faults injected").add(so.injected_stream_faults);
-    t.new_row().add("send failures").add(so.send_failures);
-  }
   std::printf("lost ranks: %s\n%s", lost.empty() ? "none" : lost.c_str(),
               t.str().c_str());
 }
@@ -407,6 +388,9 @@ void print_accounting(const runtime::resilience_report& r,
 }  // namespace
 
 int cmd_faults(const cli_args& args) {
+  if (!only_known_flags(args, {"ne", "nproc", "steps", "plan", "kill-rank",
+                               "kill-op", "seed"}))
+    return 2;
   const int ne = static_cast<int>(args.get_int_or("ne", 4));
   const int nproc = static_cast<int>(args.get_int_or("nproc", 4));
   const int nsteps = static_cast<int>(args.get_int_or("steps", 8));
@@ -449,7 +433,6 @@ int cmd_faults(const cli_args& args) {
     ropts.faults.seed = static_cast<std::uint64_t>(args.get_int_or("seed", 0));
     ropts.faults.kills.push_back({kill_rank, kill_op});
   }
-  if (!parse_transport(args, &ropts.backend)) return 2;
   ropts.reliable = seam::chaos_reliable_defaults();
 
   const auto curve = core::build_cube_curve(mesh);
@@ -461,10 +444,9 @@ int cmd_faults(const cli_args& args) {
   const double dt = model.cfl_dt(0.3);
 
   std::printf("running %d steps of advection on %d ranks under %zu kill(s) "
-              "and %zu message fault(s) over the %s backend...\n",
+              "and %zu message fault(s)...\n",
               nsteps, nproc, ropts.faults.kills.size(),
-              ropts.faults.message_faults.size(),
-              runtime::to_string(ropts.backend));
+              ropts.faults.message_faults.size());
   const auto reference = seam::run_distributed(model, part, dt, nsteps);
 
   seam::recovery_report report;
@@ -484,33 +466,30 @@ int cmd_faults(const cli_args& args) {
   t.new_row().add("1/nproc").add(1.0 / nproc, 4);
   t.new_row().add("max |recovered - fault-free|").add(max_diff, 16);
   std::printf("%s\n", t.str().c_str());
-  print_accounting(report, ropts.backend);
+  print_accounting(report);
   return max_diff < 1e-12 ? 0 : 1;
 }
 
-static void print_trial(const seam::chaos_trial& trial,
-                        runtime::transport_backend backend) {
+static void print_trial(const seam::chaos_trial& trial) {
   table t({"metric", "value"});
   t.new_row().add("passed").add(trial.passed ? 1 : 0);
   t.new_row().add("max |chaos - baseline|").add(trial.max_abs_diff, 16);
   t.new_row().add("aborted").add(trial.aborted ? 1 : 0);
   std::printf("%s\n", t.str().c_str());
-  print_accounting(trial, backend);
+  print_accounting(trial);
   if (!trial.passed) std::printf("FAIL: %s\n", trial.failure.c_str());
 }
 
 // Scheduled vs injected per fault kind, after a replay. The schedule is
-// counted as the fabric sees it (to_fault_plan: on the in-process wire a
-// stream fault is lowered to a message fault), so each row pairs a plan
+// counted as the fabric sees it (to_fault_plan), so each row pairs a plan
 // entry kind with its injected_* counter. A scheduled kind that injected
 // nothing means the schedule no longer hits the frames it names and the
 // replay proved nothing: returns false. Fewer injections than entries is
 // not a failure on its own — faults that land on one message count once.
 static bool print_replay_coverage(const seam::chaos_schedule& schedule,
-                                  const seam::chaos_trial& trial,
-                                  runtime::transport_backend backend) {
+                                  const seam::chaos_trial& trial) {
   using fault = runtime::fault_plan::message_fault;
-  const runtime::fault_plan plan = seam::to_fault_plan(schedule, backend);
+  const runtime::fault_plan plan = seam::to_fault_plan(schedule);
   const auto scheduled = [&](double fault::*probability) {
     return static_cast<std::int64_t>(
         std::ranges::count_if(plan.message_faults, [&](const fault& f) {
@@ -522,9 +501,8 @@ static bool print_replay_coverage(const seam::chaos_schedule& schedule,
     const char* kind;
     std::int64_t scheduled, injected;
   };
-  std::vector<row> rows = {
+  const row rows[] = {
       {"drop", scheduled(&fault::drop_probability), c.injected_drops},
-      {"delay", scheduled(&fault::delay_probability), c.injected_delays},
       {"duplicate", scheduled(&fault::duplicate_probability),
        c.injected_duplicates},
       {"corrupt", scheduled(&fault::corrupt_probability),
@@ -535,10 +513,6 @@ static bool print_replay_coverage(const seam::chaos_schedule& schedule,
        c.injected_reorders},
       {"kill", static_cast<std::int64_t>(plan.kills.size()),
        c.injected_kills}};
-  if (backend == runtime::transport_backend::socket)
-    rows.push_back({"stream",
-                    static_cast<std::int64_t>(schedule.stream_faults.size()),
-                    trial.socket.injected_stream_faults});
   table t({"fault kind", "scheduled", "injected"});
   std::string missed;
   for (const row& r : rows) {
@@ -562,12 +536,14 @@ static bool print_replay_coverage(const seam::chaos_schedule& schedule,
 // and otherwise a seeded soak runs and writes each failure's ddmin-shrunk
 // reproducer for a later `sfcpart chaos --replay=FILE`.
 int cmd_chaos(const cli_args& args) {
+  if (!only_known_flags(args, {"partition", "kills", "kill-rank", "ne",
+                               "nproc", "nparts", "steps", "seed", "faults",
+                               "replay", "trials", "no-shrink", "out"}))
+    return 2;
   const bool partition =
       args.has("partition") || args.has("kills") || args.has("kill-rank");
   seam::chaos_options aopts;
   seam::partition_chaos_options popts;
-  runtime::transport_backend backend = runtime::transport_backend::inproc;
-  if (!parse_transport(args, &backend)) return 2;
   const int ne =
       static_cast<int>(args.get_int_or("ne", partition ? popts.ne : aopts.ne));
   const int nranks = static_cast<int>(
@@ -582,19 +558,16 @@ int cmd_chaos(const cli_args& args) {
     popts.ne = ne;
     popts.nranks = nranks;
     popts.nparts = static_cast<int>(args.get_int_or("nparts", popts.nparts));
-    popts.backend = backend;
     harness = std::make_unique<seam::partition_chaos_harness>(popts);
   } else {
     aopts.ne = ne;
     aopts.nranks = nranks;
     aopts.nsteps = static_cast<int>(args.get_int_or("steps", aopts.nsteps));
-    aopts.backend = backend;
     harness = std::make_unique<seam::chaos_harness>(aopts);
   }
   const auto seed = static_cast<std::uint64_t>(args.get_int_or("seed", 1000));
   const int nfaults =
       static_cast<int>(args.get_int_or("faults", partition ? 0 : 6));
-  const int nstream = static_cast<int>(args.get_int_or("stream", 0));
 
   if (const auto replay = args.get("replay")) {
     std::ifstream is(*replay, std::ios::binary);
@@ -609,14 +582,12 @@ int cmd_chaos(const cli_args& args) {
     // schedule when present).
     const seam::chaos_schedule schedule = seam::chaos_schedule_from_json(
         doc.is_object() && doc.has("shrunk") ? doc.at("shrunk") : doc);
-    std::printf("replaying %zu fault(s) + %zu kill(s) + %zu stream fault(s), "
-                "seed %llu:\n",
+    std::printf("replaying %zu fault(s) + %zu kill(s), seed %llu:\n",
                 schedule.faults.size(), schedule.kills.size(),
-                schedule.stream_faults.size(),
                 static_cast<unsigned long long>(schedule.seed));
     const seam::chaos_trial trial = harness->run(schedule);
-    print_trial(trial, backend);
-    const bool covered = print_replay_coverage(schedule, trial, backend);
+    print_trial(trial);
+    const bool covered = print_replay_coverage(schedule, trial);
     return trial.passed && covered ? 0 : 1;
   }
 
@@ -635,12 +606,12 @@ int cmd_chaos(const cli_args& args) {
     }
     seam::chaos_schedule schedule = harness->make_schedule(seed, nfaults);
     schedule.kills.push_back(kill);
-    std::printf("partitioning Ne=%d into %d parts on %d ranks (%s backend), "
+    std::printf("partitioning Ne=%d into %d parts on %d ranks, "
                 "killing rank %d at op %lld...\n",
-                ne, popts.nparts, nranks, runtime::to_string(backend),
-                kill.rank, static_cast<long long>(kill.at_op));
+                ne, popts.nparts, nranks, kill.rank,
+                static_cast<long long>(kill.at_op));
     const seam::chaos_trial trial = harness->run(schedule);
-    print_trial(trial, backend);
+    print_trial(trial);
     return trial.passed ? 0 : 1;
   }
 
@@ -651,14 +622,12 @@ int cmd_chaos(const cli_args& args) {
   const std::string out =
       args.get_or("out", partition ? "chaos_partition" : "chaos");
 
-  std::printf("soaking %d %s schedules of %d fault(s) + %d kill(s) + %d "
-              "stream fault(s) (seed %llu) over Ne=%d, %d ranks on the %s "
-              "backend...\n",
+  std::printf("soaking %d %s schedules of %d fault(s) + %d kill(s) "
+              "(seed %llu) over Ne=%d, %d ranks...\n",
               trials, partition ? "partition" : "advection", nfaults, nkills,
-              nstream, static_cast<unsigned long long>(seed), ne, nranks,
-              runtime::to_string(backend));
+              static_cast<unsigned long long>(seed), ne, nranks);
   const seam::soak_report report = seam::run_chaos_soak(
-      *harness, seed, trials, nfaults, nstream, nkills, shrink);
+      *harness, seed, trials, nfaults, nkills, shrink);
 
   table t({"metric", "value"});
   t.new_row().add("trials").add(report.trials);
@@ -672,17 +641,10 @@ int cmd_chaos(const cli_args& args) {
       report.reliable.corruption_detected);
   t.new_row().add("duplicates dropped").add(report.reliable.dedup_dropped);
   t.new_row().add("out of order").add(report.reliable.out_of_order);
-  if (backend == runtime::transport_backend::socket) {
-    t.new_row().add("socket reconnects").add(report.socket.reconnects);
-    t.new_row().add("frames rejected").add(report.socket.frames_rejected);
-    t.new_row().add("stream faults injected").add(
-        report.socket.injected_stream_faults);
-    t.new_row().add("send failures").add(report.socket.send_failures);
-  }
   std::printf("%s", t.str().c_str());
 
   const auto entries = [](const seam::chaos_schedule& s) {
-    return s.faults.size() + s.kills.size() + s.stream_faults.size();
+    return s.faults.size() + s.kills.size();
   };
   for (std::size_t i = 0; i < report.failures.size(); ++i) {
     const seam::soak_failure& f = report.failures[i];

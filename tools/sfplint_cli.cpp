@@ -12,7 +12,7 @@
 // discipline from the concurrency model, contract-tier discipline, header
 // hygiene, the blocking-call / raw-assert rules folded in from the old
 // grep lints, and the v3 flow-sensitive rules (overflow-arith,
-// resource-leak, use-after-move, path-sensitive unchecked-status) riding
+// use-after-move, path-sensitive unchecked-status) riding
 // the per-function statement CFGs. See docs/static_analysis.md.
 //
 // Exit codes: 0 clean, 1 findings, 2 usage or I/O error. With
