@@ -5,7 +5,7 @@
 #include <sstream>
 
 #include "obs/obs.hpp"
-#include "util/require.hpp"
+#include "util/contract.hpp"
 
 namespace sfp::core {
 

@@ -4,7 +4,7 @@
 #include <numeric>
 #include <string>
 
-#include "util/require.hpp"
+#include "util/contract.hpp"
 
 namespace sfp::graph {
 

@@ -1,6 +1,6 @@
 #include "graph/generators.hpp"
 
-#include "util/require.hpp"
+#include "util/contract.hpp"
 
 namespace sfp::graph {
 

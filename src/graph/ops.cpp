@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <unordered_map>
 
-#include "util/require.hpp"
+#include "util/contract.hpp"
 
 namespace sfp::graph {
 

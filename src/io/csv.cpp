@@ -8,7 +8,7 @@
 #include <sstream>
 #include <string_view>
 
-#include "util/require.hpp"
+#include "util/contract.hpp"
 
 namespace sfp::io {
 

@@ -2,7 +2,7 @@
 
 #include <fstream>
 
-#include "util/require.hpp"
+#include "util/contract.hpp"
 
 namespace sfp::io {
 

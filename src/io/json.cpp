@@ -7,7 +7,7 @@
 #include <cstdio>
 #include <fstream>
 
-#include "util/require.hpp"
+#include "util/contract.hpp"
 
 namespace sfp::io {
 

@@ -4,7 +4,7 @@
 #include <ostream>
 
 #include "io/json.hpp"
-#include "util/require.hpp"
+#include "util/contract.hpp"
 
 namespace sfp::io {
 

@@ -3,7 +3,7 @@
 #include <fstream>
 #include <ostream>
 
-#include "util/require.hpp"
+#include "util/contract.hpp"
 
 namespace sfp::io {
 

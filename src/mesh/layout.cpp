@@ -3,7 +3,7 @@
 #include <cstdio>
 #include <sstream>
 
-#include "util/require.hpp"
+#include "util/contract.hpp"
 
 namespace sfp::mesh {
 

@@ -8,7 +8,7 @@
 #include "graph/ops.hpp"
 #include "mgp/coarsen.hpp"
 #include "obs/trace.hpp"
-#include "util/require.hpp"
+#include "util/contract.hpp"
 
 namespace sfp::mgp {
 

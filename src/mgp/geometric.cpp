@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <numeric>
 
-#include "util/require.hpp"
+#include "util/contract.hpp"
 
 namespace sfp::mgp {
 

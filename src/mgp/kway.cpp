@@ -7,7 +7,7 @@
 #include "mgp/bisect.hpp"
 #include "mgp/coarsen.hpp"
 #include "obs/trace.hpp"
-#include "util/require.hpp"
+#include "util/contract.hpp"
 
 namespace sfp::mgp {
 

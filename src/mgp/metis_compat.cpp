@@ -6,7 +6,7 @@
 #include "mgp/options.hpp"
 #include "mgp/partitioner.hpp"
 #include "partition/metrics.hpp"
-#include "util/require.hpp"
+#include "util/contract.hpp"
 
 namespace sfp::mgp::compat {
 

@@ -4,7 +4,7 @@
 #include <span>
 
 #include "graph/validate.hpp"
-#include "util/require.hpp"
+#include "util/contract.hpp"
 #include "util/stats.hpp"
 
 namespace sfp::partition {

@@ -1,6 +1,6 @@
 #include "partition/partition.hpp"
 
-#include "util/require.hpp"
+#include "util/contract.hpp"
 
 namespace sfp::partition {
 

@@ -4,7 +4,7 @@
 #include <vector>
 
 #include "partition/metrics.hpp"
-#include "util/require.hpp"
+#include "util/contract.hpp"
 
 namespace sfp::perf {
 

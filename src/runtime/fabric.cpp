@@ -8,7 +8,7 @@
 #include "core/escalation.hpp"
 #include "obs/trace.hpp"
 #include "runtime/world.hpp"
-#include "util/require.hpp"
+#include "util/contract.hpp"
 
 namespace sfp::runtime {
 
@@ -33,23 +33,6 @@ fault_plan attempt_faults(const fault_plan& plan, const std::vector<int>& alive,
 
 }  // namespace
 
-void run_fabric(int num_ranks, const fault_plan& faults,
-                const std::function<void(transport&)>& rank_main,
-                fabric_report* report) {
-  world w(num_ranks, faults);
-  std::exception_ptr failure;
-  try {
-    w.run(rank_main);
-  } catch (...) {
-    failure = std::current_exception();
-  }
-  if (report) {
-    report->clear();
-    for (int r = 0; r < num_ranks; ++r) report->push_back(w.counters(r));
-  }
-  if (failure) std::rethrow_exception(failure);
-}
-
 std::exception_ptr run_resilient(int num_ranks,
                                  const resilience_options& opts,
                                  const resilient_rank_fn& rank_main,
@@ -68,7 +51,7 @@ std::exception_ptr run_resilient(int num_ranks,
     reliable_options ropts = opts.reliable;
     ropts.epoch = static_cast<std::uint64_t>(attempt);
     std::vector<reliable_stats> reliable(static_cast<std::size_t>(n));
-    fabric_report frep;
+    world w(n, faults);
     core::failure_kind kind = core::failure_kind::rank_killed;
     int thrower = -1;
     int peer = -1;
@@ -76,23 +59,20 @@ std::exception_ptr run_resilient(int num_ranks,
     // Only the root-cause exception reaches here; every other rank holds a
     // cascading world_aborted.
     try {
-      run_fabric(
-          n, faults,
-          [&](transport& t) {
-            const auto r = static_cast<std::size_t>(t.rank());
-            reliable_channel channel(t, ropts);
-            std::exception_ptr failure;  // a failed attempt's traffic counts
-            try {
-              rank_main(channel, alive[r]);
-              channel.flush();
-              channel.fence();
-            } catch (...) {
-              failure = std::current_exception();
-            }
-            reliable[r] = channel.stats();
-            if (failure) std::rethrow_exception(failure);
-          },
-          &frep);
+      w.run([&](transport& t) {
+        const auto r = static_cast<std::size_t>(t.rank());
+        reliable_channel channel(t, ropts);
+        std::exception_ptr failure;  // a failed attempt's traffic counts
+        try {
+          rank_main(channel, alive[r]);
+          channel.flush();
+          channel.fence();
+        } catch (...) {
+          failure = std::current_exception();
+        }
+        reliable[r] = channel.stats();
+        if (failure) std::rethrow_exception(failure);
+      });
     } catch (const rank_killed& e) {
       thrower = e.rank();
       error = std::current_exception();
@@ -109,7 +89,7 @@ std::exception_ptr run_resilient(int num_ranks,
     // kill always costs a restart.
     std::set<int> lost;
     for (int r = 0; r < n; ++r) {
-      const rank_counters& c = frep[static_cast<std::size_t>(r)];
+      const rank_counters& c = w.counters(r);
       report.counters += c;
       report.per_rank_counters[static_cast<std::size_t>(
           alive[static_cast<std::size_t>(r)])] += c;

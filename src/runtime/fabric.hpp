@@ -1,17 +1,17 @@
 #pragma once
-// The one place that builds fabrics: run a rank program on a
-// runtime::world under a fault_plan. Every rank program in the library
-// (the SEAM runners, the distributed partitioner) comes through here and
-// speaks a reliable_channel over the transport it is handed.
+// The one place that builds fabrics: run_resilient runs a rank program on
+// a runtime::world under a fault_plan, one world per attempt. Every rank
+// program in the library (the SEAM runners, the distributed partitioner)
+// comes through here and speaks the reliable_channel it is handed.
 //
-// run_resilient is the one attempt loop of both resilient runners
-// (seam::run_distributed_resilient and run_parallel_partition). It turns
+// run_resilient is the one attempt loop of every runner (the SEAM
+// runners in seam/distributed.hpp and run_parallel_partition). It turns
 // the two fabric failures — a rank death and an unreachable peer — into
 // the plain data core::decide_escalation climbs, and restarts on the
 // surviving world ranks, renumbered densely, until an attempt completes or
 // the ladder refuses.
 //
-// Faults across attempts, for both runners: message faults apply to
+// Faults across attempts, for every runner: message faults apply to
 // attempt 0 only. A kill that has not fired stays armed on its world rank
 // while that rank survives, and its `at_op` counts the rank's ops within
 // each attempt. Every rank whose kill fired is lost — also one whose kill
@@ -28,18 +28,6 @@
 #include "runtime/transport.hpp"
 
 namespace sfp::runtime {
-
-/// What a fabric run left behind: each rank's counters, indexed by rank.
-/// Filled in whether or not the run threw.
-using fabric_report = std::vector<rank_counters>;
-
-/// Run `rank_main` once per rank on `num_ranks` virtual ranks with the
-/// world::run failure semantics: the first escaping exception aborts the
-/// peers and is rethrown here, after `report` (when non-null) has been
-/// filled.
-void run_fabric(int num_ranks, const fault_plan& faults,
-                const std::function<void(transport&)>& rank_main,
-                fabric_report* report = nullptr);
 
 /// Everything a resilient run can be configured with.
 struct resilience_options {

@@ -32,7 +32,7 @@ class rank_killed : public std::runtime_error {
 };
 
 /// Declarative, seeded fault schedule a fabric run injects
-/// (runtime::run_fabric, runtime::world).
+/// (runtime::world, built per attempt by runtime::run_resilient).
 struct fault_plan {
   std::uint64_t seed = 0;  ///< base seed for all probabilistic decisions
 

@@ -4,7 +4,7 @@
 #include <sstream>
 #include <string>
 
-#include "util/require.hpp"
+#include "util/contract.hpp"
 
 namespace sfp::runtime {
 

@@ -9,7 +9,7 @@
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "util/require.hpp"
+#include "util/contract.hpp"
 
 namespace sfp::runtime {
 

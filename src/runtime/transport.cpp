@@ -5,7 +5,7 @@
 #include <thread>
 
 #include "obs/metrics.hpp"
-#include "util/require.hpp"
+#include "util/contract.hpp"
 
 namespace sfp::runtime {
 
@@ -55,8 +55,6 @@ void publish_counters(const rank_counters& t) {
   reg.get_counter("runtime.injected.truncations").add(t.injected_truncations);
   reg.get_counter("runtime.injected.reorders").add(t.injected_reorders);
 }
-
-transport::~transport() = default;
 
 injection_pipeline::injection_pipeline(const fault_plan& plan, int rank,
                                        rank_counters* counters)

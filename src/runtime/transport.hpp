@@ -1,8 +1,8 @@
 #pragma once
-// The transport interface: the narrow fabric surface the reliable delivery
-// layer (runtime/reliable.hpp) consumes, so the seq/ack/retransmit
-// machinery, escalation ladder and chaos harness speak to a rank endpoint,
-// not to the fabric behind it.
+// The transport: one rank's endpoint on the fabric, the narrow surface the
+// reliable delivery layer (runtime/reliable.hpp) consumes, so the
+// seq/ack/retransmit machinery, escalation ladder and chaos harness speak
+// to a rank endpoint, not to the fabric behind it.
 //
 // A transport is an unreliable datagram fabric: send() is asynchronous,
 // fire-and-forget, and may drop / duplicate / mangle payloads (by fault
@@ -12,7 +12,8 @@
 //
 // The one fabric behind it is runtime::world (world.hpp): rank threads,
 // inboxes, abort and counters, with every sent image pushed straight into
-// the destination's inbox. fabric.hpp runs a rank program on it.
+// the destination's inbox. world::run hands each rank thread its transport;
+// runtime::run_resilient (fabric.hpp) is the one place that builds a world.
 //
 // Datagrams are untagged: a fabric carries (src, dst) streams only, and the
 // reliable envelope orders data and fence tokens on one stream per pair.
@@ -71,33 +72,37 @@ struct any_message {
   std::vector<double> payload;
 };
 
-/// The per-rank datagram surface. One instance per rank, valid only for the
-/// duration of the owning fabric's run; all methods are called from that
-/// rank's own thread.
+class world;
+
+/// One rank's datagram surface on a world. world::run builds one per rank
+/// thread, valid only for the duration of that run; all methods are called
+/// from that rank's own thread.
 class transport {
  public:
-  virtual ~transport();
   transport(const transport&) = delete;
   transport& operator=(const transport&) = delete;
 
-  virtual int rank() const = 0;
-  virtual int size() const = 0;
+  int rank() const { return rank_; }
+  int size() const;
 
   /// Asynchronously hand `data` to the fabric for delivery to `dst`.
   /// Unreliable: the message may be dropped, duplicated, corrupted,
   /// truncated, or reordered before it reaches the peer.
-  virtual void send(int dst, std::span<const double> data) = 0;
+  void send(int dst, std::span<const double> data);
 
   /// Wait up to `wait` for a message from *any* source and dequeue it
   /// (lowest source rank first). Returns false when nothing arrived in
   /// time. Not a communication op for fault accounting — deadline policy
   /// belongs to the caller pumping it. A fabric abort wakes it with
   /// world_aborted once the inbox is drained.
-  virtual bool try_recv_any(std::chrono::microseconds wait,
-                            any_message* out) = 0;
+  bool try_recv_any(std::chrono::microseconds wait, any_message* out);
 
- protected:
-  transport() = default;
+ private:
+  friend class world;
+  transport(world& w, int rank) : world_(&w), rank_(rank) {}
+
+  world* world_;
+  int rank_;
 };
 
 /// One rank's message-level fault machinery, run by the fabric on every

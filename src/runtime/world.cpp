@@ -6,7 +6,7 @@
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "util/require.hpp"
+#include "util/contract.hpp"
 
 namespace sfp::runtime {
 
@@ -25,27 +25,19 @@ int validated_rank_count(int n) {
 
 }  // namespace
 
-class world::endpoint final : public transport {
- public:
-  endpoint(world& w, int rank) : world_(&w), rank_(rank) {}
+// A rank's transport forwards into the world it was built on.
 
-  int rank() const override { return rank_; }
-  int size() const override { return world_->size(); }
+int transport::size() const { return world_->size(); }
 
-  void send(int dst, std::span<const double> data) override {
-    world_->send(rank_, dst, data);
-  }
+void transport::send(int dst, std::span<const double> data) {
+  world_->send(rank_, dst, data);
+}
 
-  bool try_recv_any(std::chrono::microseconds wait,
-                    any_message* out) override {
-    SFP_REQUIRE(out != nullptr, "try_recv_any needs an output slot");
-    return world_->take_any(rank_, wait, out);
-  }
-
- private:
-  world* world_;
-  int rank_;
-};
+bool transport::try_recv_any(std::chrono::microseconds wait,
+                             any_message* out) {
+  SFP_REQUIRE(out != nullptr, "try_recv_any needs an output slot");
+  return world_->take_any(rank_, wait, out);
+}
 
 world::world(int num_ranks, fault_plan faults)
     : num_ranks_(validated_rank_count(num_ranks)),
@@ -158,7 +150,7 @@ void world::run(const std::function<void(transport&)>& rank_main) {
     threads.emplace_back([this, p, &rank_main, &errors] {
       if (obs::trace::enabled())
         obs::trace::set_thread_name("rank " + std::to_string(p));
-      endpoint self(*this, p);
+      transport self(*this, p);
       try {
         rank_main(self);
       } catch (...) {

@@ -1,11 +1,13 @@
 #pragma once
 // Virtual-rank runtime: the one rank fabric. Each rank runs on its own
-// thread with its own transport endpoint; send() runs the payload through
-// the rank's injection_pipeline and pushes the resulting images straight
-// into the destination's inbox; try_recv_any() dequeues from
-// the rank's own inbox. It is the stand-in for MPI point-to-point on the
-// paper's cluster: unreliable datagrams, with the reliable channel
-// (runtime/reliable.hpp) on top for ordering, dedup and delivery.
+// thread with its own transport (runtime/transport.hpp), whose send()
+// runs the payload through the rank's injection_pipeline and pushes the
+// resulting images straight into the destination's inbox, and whose
+// try_recv_any() dequeues from the rank's own inbox. It is the stand-in for
+// MPI point-to-point on the paper's cluster: unreliable datagrams, with the
+// reliable channel (runtime/reliable.hpp) on top for ordering, dedup and
+// delivery. In the library, runtime::run_resilient (fabric.hpp) builds the
+// world of every attempt; tests build worlds directly.
 //
 // Semantics: send() is asynchronous and copies its payload; messages on a
 // fixed (source, destination) stream are delivered in send order unless
@@ -66,7 +68,7 @@ class world {
   rank_counters total_counters() const;
 
  private:
-  class endpoint;  ///< one rank's transport (world.cpp)
+  friend class transport;  ///< a rank's endpoint: send and take_any
 
   /// Per-source FIFO queues of one rank's delivered images.
   struct inbox {

@@ -4,7 +4,7 @@
 #include <limits>
 #include <utility>
 
-#include "util/require.hpp"
+#include "util/contract.hpp"
 
 namespace sfp::seam {
 

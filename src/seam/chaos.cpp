@@ -9,7 +9,7 @@
 
 #include "core/parallel_partition.hpp"
 #include "core/sfc_partition.hpp"
-#include "util/require.hpp"
+#include "util/contract.hpp"
 #include "util/rng.hpp"
 
 namespace sfp::seam {

@@ -1,6 +1,8 @@
 #include "seam/distributed.hpp"
 
 #include <algorithm>
+#include <array>
+#include <chrono>
 #include <exception>
 #include <limits>
 #include <mutex>
@@ -15,7 +17,7 @@
 #include "runtime/reliable.hpp"
 #include "seam/exchange.hpp"
 #include "seam/rk3.hpp"
-#include "util/require.hpp"
+#include "util/contract.hpp"
 #include "util/stopwatch.hpp"
 
 namespace sfp::seam {
@@ -152,45 +154,127 @@ void rank_body(const rank_exchange_plan& rp, halo_exchanger& halo,
   stepper.report_to(collector);
 }
 
-/// The plain runners' channel: no receive deadline and no retransmit
-/// budget. A plain run has no recovery path, so giving up on a live but
-/// descheduled peer would only turn a slow fault-free run into a failed
-/// one; a rank failure still ends every wait by aborting the fabric.
-runtime::reliable_options patient_channel() {
-  runtime::reliable_options opts;
-  opts.recv_timeout = std::chrono::milliseconds(0);
-  opts.max_retransmits = std::numeric_limits<int>::max();
-  return opts;
-}
-
-/// The plain runners: one exchange plan, one fabric,
-/// rank_body for `nsteps` steps on every rank. Returns the final fields and
-/// fills `stats`, per-rank counters included, if non-null.
+/// The one SEAM driver behind every runner: `nsteps` steps of `step` from
+/// the global fields `init`, on part.num_parts ranks of
+/// runtime::run_resilient, with rank_body on every rank. Returns the final
+/// global fields and fills `report` and `stats`, per-rank counters
+/// included, when non-null.
+///
+/// With ropts.max_recoveries > 0 the run is resilient: it copies `init`,
+/// checkpoints every step, and after a failed attempt rolls back to the
+/// newest sealed checkpoint and re-slices `curve` (then non-null) around
+/// each lost rank. With 0 it gathers straight from `init` and holds no
+/// global buffer but the returned fields.
 template <std::size_t N, typename Step>
-field_list run_plain(const assembly& dofs, const partition::partition& part,
-                     const std::vector<std::span<const double>>& init,
-                     int nsteps, dist_stats* stats,
-                     const runtime::fault_plan& faults, const Step& step) {
-  const exchange_plan plan = exchange_plan::build(dofs, part);
-  field_list out(init.size(), std::vector<double>(init.front().size(), 0.0));
+field_list run_seam(const assembly& dofs, const partition::partition& part,
+                    const std::vector<std::span<const double>>& init,
+                    int nsteps, const Step& step,
+                    const runtime::resilience_options& ropts,
+                    const core::cube_curve* curve, recovery_report* report,
+                    dist_stats* stats) {
+  const bool resilient = ropts.max_recoveries > 0;
+  recovery_report rep;
   stats_collector collector;
-  runtime::fabric_report frep;
-  runtime::run_fabric(
-      part.num_parts, faults,
-      [&](runtime::transport& t) {
+  partition::partition cur = part;
+
+  // The returned fields, which the ranks scatter their final slices into.
+  // A resilient run also commits its state here — the fields after `done`
+  // completed steps — so they start as a copy of `init`.
+  field_list state;
+  for (const std::span<const double> f : init) {
+    if (resilient)
+      state.emplace_back(f.begin(), f.end());
+    else
+      state.emplace_back(f.size(), 0.0);
+  }
+  int done = 0;
+
+  // One attempt's setup over `cur`. A resilient attempt gathers from
+  // `start`, its own copy of `state`, since the ranks write their final
+  // slices into `state`. Its per-step checkpoints are double-buffered: a
+  // buffer for step s is sealed by the end-of-step fence and can only be
+  // overwritten at step s+2, which requires the step s+1 fence — so the
+  // newest fully-fenced buffer is never torn, even with ranks one step
+  // apart mid-abort. `sealed` counts the attempt's steps whose checkpoint
+  // every rank wrote.
+  exchange_plan plan;
+  field_list start;
+  std::vector<std::span<const double>> from = init;
+  std::array<field_list, 2> snap;
+  int sealed = 0;
+  std::mutex sealed_mutex;
+  const auto begin_attempt = [&] {
+    plan = exchange_plan::build(dofs, cur);
+    if (!resilient) return;
+    start = state;
+    from.assign(start.begin(), start.end());
+    snap.fill(state);
+    sealed = 0;
+  };
+  begin_attempt();
+
+  const std::exception_ptr error = runtime::run_resilient(
+      part.num_parts, ropts,
+      [&](runtime::reliable_channel& channel, int) {
+        const int rank = channel.rank();
         const rank_exchange_plan& rp =
-            plan.ranks[static_cast<std::size_t>(t.rank())];
-        runtime::reliable_channel channel(t, patient_channel());
-        halo_exchanger halo(rp, t.rank(), channel);
-        rank_body<N>(rp, halo, init, 0, nsteps, step,
-                     [](int, field_list&) {}, out, collector);
+            plan.ranks[static_cast<std::size_t>(rank)];
+        halo_exchanger halo(rp, rank, channel);
+        const auto checkpoint_step = [&](int s, const field_list& q) {
+          if (!resilient) return;
+          field_list& buffer = snap[static_cast<std::size_t>((s - done) & 1)];
+          for_each_owned_node(rp, [&](std::size_t node, std::size_t k) {
+            for (std::size_t f = 0; f < q.size(); ++f)
+              buffer[f][node] = q[f][k];
+          });
+          // Seal the checkpoint: once the fence returns, every rank has
+          // written its slices of this step.
+          channel.fence();
+          std::lock_guard<std::mutex> lock(sealed_mutex);
+          sealed = std::max(sealed, s - done + 1);
+        };
+        rank_body<N>(rp, halo, from, done, nsteps, step, checkpoint_step,
+                     state, collector);
       },
-      &frep);
+      [&](const std::set<int>& lost) {
+        // Roll back to the newest checkpoint every rank sealed, then
+        // re-slice the curve around each lost rank, highest first so the
+        // lower dense ranks keep their labels.
+        if (sealed > 0)
+          state = snap[static_cast<std::size_t>((sealed - 1) & 1)];
+        done += sealed;
+        rep.restart_step = done;
+        for (auto it = lost.rbegin(); it != lost.rend(); ++it) {
+          core::recovery_plan rplan = core::plan_recovery(*curve, cur, *it);
+          if (rep.recoveries == 0 && it == lost.rbegin())
+            rep.migration = rplan.migration;
+          cur = std::move(rplan.part);
+        }
+        begin_attempt();
+      },
+      rep);
+  if (error) std::rethrow_exception(error);
+
+  rep.final_partition = std::move(cur);
   if (stats) {
     *stats = collector.total;
-    stats->per_rank = std::move(frep);
+    stats->per_rank = rep.per_rank_counters;
   }
-  return out;
+  if (report) *report = std::move(rep);
+  return state;
+}
+
+/// The plain runners' options: no faults, no restarts, and a channel with
+/// no receive deadline and no retransmit budget. A plain run has no
+/// recovery path, so giving up on a live but descheduled peer would only
+/// turn a slow fault-free run into a failed one; a rank failure still ends
+/// every wait by aborting the fabric.
+runtime::resilience_options plain_run() {
+  runtime::resilience_options opts;
+  opts.reliable.recv_timeout = std::chrono::milliseconds(0);
+  opts.reliable.max_retransmits = std::numeric_limits<int>::max();
+  opts.max_recoveries = 0;
+  return opts;
 }
 
 /// The advection model's per-rank step, shared by run_distributed and the
@@ -211,11 +295,11 @@ auto advection_step(const advection_model& model, double dt) {
 
 std::vector<double> run_distributed(const advection_model& model,
                                     const partition::partition& part,
-                                    double dt, int nsteps, dist_stats* stats,
-                                    const runtime::fault_plan& faults) {
+                                    double dt, int nsteps, dist_stats* stats) {
   require_run_args(dt, nsteps);
-  return std::move(run_plain<1>(model.dofs(), part, {model.field()}, nsteps,
-                                stats, faults, advection_step(model, dt))
+  return std::move(run_seam<1>(model.dofs(), part, {model.field()}, nsteps,
+                               advection_step(model, dt), plain_run(),
+                               nullptr, nullptr, stats)
                        .front());
 }
 
@@ -227,81 +311,10 @@ std::vector<double> run_distributed_resilient(
   require_run_args(dt, nsteps);
   SFP_REQUIRE(part.part_of.size() == curve.order.size(),
               "partition must cover the curve's mesh");
-
-  recovery_report rep;
-  stats_collector collector;
-
-  // Committed global state: the tracer field after `done` completed steps.
-  field_list state(
-      1, std::vector<double>(model.field().begin(), model.field().end()));
-  partition::partition cur = part;
-  int done = 0;
-
-  // One attempt's setup over `cur`, resuming from `state`. Per-step
-  // checkpoints are double-buffered: a buffer for step s is sealed by the
-  // end-of-step fence and can only be overwritten at step s+2, which
-  // requires the step s+1 fence — so the newest fully-fenced buffer is
-  // never torn, even with ranks one step apart mid-abort. `start` is the
-  // attempt's own copy of the initial field, since the ranks write their
-  // final slices into `state`.
-  // `sealed` counts the attempt's steps whose checkpoint every rank wrote.
-  exchange_plan plan;
-  field_list start, snap;
-  int sealed = 0;
-  std::mutex sealed_mutex;
-  const auto begin_attempt = [&] {
-    plan = exchange_plan::build(model.dofs(), cur);
-    start = state;
-    snap.assign(2, state.front());
-    sealed = 0;
-  };
-  begin_attempt();
-
-  const std::exception_ptr error = runtime::run_resilient(
-      part.num_parts, ropts,
-      [&](runtime::reliable_channel& channel, int) {
-        const int rank = channel.rank();
-        const rank_exchange_plan& rp =
-            plan.ranks[static_cast<std::size_t>(rank)];
-        halo_exchanger halo(rp, rank, channel);
-        const auto checkpoint_step = [&](int step, const field_list& q) {
-          auto& checkpoint = snap[static_cast<std::size_t>((step - done) & 1)];
-          for_each_owned_node(rp, [&](std::size_t node, std::size_t k) {
-            checkpoint[node] = q[0][k];
-          });
-          // Seal the checkpoint: once the fence returns, every rank has
-          // written its slice of this step.
-          channel.fence();
-          std::lock_guard<std::mutex> lock(sealed_mutex);
-          sealed = std::max(sealed, step - done + 1);
-        };
-        rank_body<1>(rp, halo, {start.front()}, done, nsteps,
-                     advection_step(model, dt), checkpoint_step, state,
-                     collector);
-      },
-      [&](const std::set<int>& lost) {
-        // Roll back to the newest checkpoint every rank sealed, then
-        // re-slice the curve around each lost rank, highest first so the
-        // lower dense ranks keep their labels.
-        if (sealed > 0)
-          state.front() = snap[static_cast<std::size_t>((sealed - 1) & 1)];
-        done += sealed;
-        rep.restart_step = done;
-        for (auto it = lost.rbegin(); it != lost.rend(); ++it) {
-          core::recovery_plan rplan = core::plan_recovery(curve, cur, *it);
-          if (rep.recoveries == 0 && it == lost.rbegin())
-            rep.migration = rplan.migration;
-          cur = std::move(rplan.part);
-        }
-        begin_attempt();
-      },
-      rep);
-  if (error) std::rethrow_exception(error);
-
-  rep.final_partition = std::move(cur);
-  if (report) *report = std::move(rep);
-  if (stats) *stats = collector.total;
-  return std::move(state.front());
+  return std::move(run_seam<1>(model.dofs(), part, {model.field()}, nsteps,
+                               advection_step(model, dt), ropts, &curve,
+                               report, stats)
+                       .front());
 }
 
 swe_state run_distributed_swe(const shallow_water_model& model,
@@ -324,11 +337,11 @@ swe_state run_distributed_swe(const shallow_water_model& model,
               });
         });
   };
-  field_list out = run_plain<4>(
+  field_list out = run_seam<4>(
       model.dofs(), part,
       {model.depth(), model.velocity_x(), model.velocity_y(),
        model.velocity_z()},
-      nsteps, stats, {}, swe_step);
+      nsteps, swe_step, plain_run(), nullptr, nullptr, stats);
   return {std::move(out[0]), std::move(out[1]), std::move(out[2]),
           std::move(out[3])};
 }
@@ -354,8 +367,8 @@ std::vector<std::vector<double>> run_distributed_layered(
   };
   std::vector<std::span<const double>> init;
   for (int l = 0; l < model.nlev(); ++l) init.push_back(model.layer(l));
-  return run_plain<1>(base.dofs(), part, init, nsteps, stats, {},
-                      layered_step);
+  return run_seam<1>(base.dofs(), part, init, nsteps, layered_step,
+                     plain_run(), nullptr, nullptr, stats);
 }
 
 }  // namespace sfp::seam

@@ -3,18 +3,20 @@
 // runtime: each rank computes its partition's elements and exchanges element
 // boundary contributions with neighbouring ranks at every RK stage — the
 // same halo-exchange pattern that determines SEAM's parallel performance on
-// the paper's cluster. Every runner's rank program speaks a
-// runtime::reliable_channel over the transport runtime::run_fabric hands it;
-// the resilient runner's attempts come from runtime::run_resilient, the one
-// attempt loop it shares with the distributed partitioner.
+// the paper's cluster. Every runner is one driver on
+// runtime::run_resilient, the attempt loop it shares with the distributed
+// partitioner: each rank program speaks the runtime::reliable_channel that
+// loop hands it. A plain runner is a run with no faults and no recovery
+// budget; only run_distributed_resilient takes faults and restarts.
 //
 // A rank holds only its own elements: its fields and RK stages are in the
 // rank-local layout of its exchange plan (seam/exchange.hpp — owned slot l
 // holds element owned[l]'s np² nodes), O(K/P) doubles each. The global
 // layout is where a run meets its caller: each rank gathers its owned
 // slices of the initial fields at the start and scatters its final slices
-// into the returned fields at the end, and the resilient runner's
-// checkpoints scatter into shared snapshot buffers.
+// into the returned fields at the end, and a resilient run's checkpoints
+// scatter into shared snapshot buffers. A plain run holds no global buffer
+// but the fields it returns.
 
 #include <cstdint>
 #include <vector>
@@ -37,10 +39,10 @@ struct dist_stats {
   std::int64_t messages = 0;    ///< point-to-point messages sent
   std::int64_t doubles_sent = 0;  ///< total payload volume
   double max_rank_seconds = 0;  ///< slowest rank's total time
-  /// Per-rank fabric counters (indexed by rank). Filled by the plain
-  /// runners (run_distributed, run_distributed_swe,
-  /// run_distributed_layered), not by run_distributed_resilient; the trace
-  /// tooling joins these with the span timeline.
+  /// Per-rank fabric counters, indexed by world rank and summed over a
+  /// resilient run's attempts (resilience_report::per_rank_counters). Every
+  /// runner fills them; the trace tooling joins them with the span
+  /// timeline.
   std::vector<runtime::rank_counters> per_rank;
 };
 
@@ -50,15 +52,14 @@ struct dist_stats {
 /// layout (the model itself is left untouched). Fills `stats` if non-null.
 ///
 /// Requires part.num_parts >= 1 and one label per mesh element; every part
-/// must own at least one element. `faults` is injected by the fabric — the
-/// default is a fault-free run. The rank channels never give up on a live
-/// peer: no receive deadline and no retransmit budget, so
-/// only a rank failure (which aborts the run) ends a wait.
+/// must own at least one element. The run is fault-free with no recovery
+/// budget, and the rank channels never give up on a live peer: no receive
+/// deadline and no retransmit budget, so only a rank failure (which aborts
+/// the run) ends a wait.
 std::vector<double> run_distributed(const advection_model& model,
                                     const partition::partition& part,
                                     double dt, int nsteps,
-                                    dist_stats* stats = nullptr,
-                                    const runtime::fault_plan& faults = {});
+                                    dist_stats* stats = nullptr);
 
 /// What happened across the attempts of a resilient run: the shared
 /// accounting (recoveries, lost_ranks in pre-failure rank numbering, fabric
@@ -69,17 +70,18 @@ struct recovery_report : runtime::resilience_report {
   partition::partition final_partition;
 };
 
-/// Fault-tolerant variant of run_distributed, on the attempt loop it shares
-/// with the distributed partitioner (runtime::run_resilient; faults across
-/// attempts and the lost-rank rule are documented there). Every completed
-/// step is checkpointed (each rank scatters its owned slices into a shared
-/// global-layout double buffer, sealed by the channel's fence). When ranks
-/// are lost, the survivors roll back to the newest sealed checkpoint and
-/// re-slice the same cube curve with
-/// plan_recovery once per lost rank — only the lost segments' elements
-/// migrate — reproducing the fault-free tracer field. When the ladder
-/// refuses, the root-cause exception is rethrown. Requires `part` to label
-/// the elements of `curve`'s mesh.
+/// run_distributed under `ropts`: its faults, its channel tuning and its
+/// recovery budget (runtime::run_resilient documents faults across
+/// attempts and the lost-rank rule). With max_recoveries > 0 every
+/// completed step is checkpointed (each rank scatters its owned slices into
+/// a shared global-layout double buffer, sealed by the channel's fence).
+/// When ranks are lost, the survivors roll back to the newest sealed
+/// checkpoint and re-slice the same cube curve with plan_recovery once per
+/// lost rank — only the lost segments' elements migrate — reproducing the
+/// fault-free tracer field. With max_recoveries = 0 there are no
+/// checkpoints and the first failure surfaces. When the ladder refuses,
+/// the root-cause exception is rethrown. Requires `part` to label the
+/// elements of `curve`'s mesh.
 std::vector<double> run_distributed_resilient(
     const advection_model& model, const core::cube_curve& curve,
     const partition::partition& part, double dt, int nsteps,

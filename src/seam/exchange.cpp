@@ -6,7 +6,7 @@
 #include <string>
 
 #include "obs/trace.hpp"
-#include "util/require.hpp"
+#include "util/contract.hpp"
 
 namespace sfp::seam {
 

@@ -3,7 +3,7 @@
 #include <cmath>
 #include <numbers>
 
-#include "util/require.hpp"
+#include "util/contract.hpp"
 
 namespace sfp::seam {
 

@@ -4,7 +4,7 @@
 #include <cmath>
 #include <ranges>
 
-#include "util/require.hpp"
+#include "util/contract.hpp"
 
 namespace sfp::seam {
 

@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "sfc/generator.hpp"
-#include "util/require.hpp"
+#include "util/contract.hpp"
 
 namespace sfp::sfc {
 

@@ -5,7 +5,7 @@
 #include <mutex>
 #include <queue>
 
-#include "util/require.hpp"
+#include "util/contract.hpp"
 
 namespace sfp::sfc {
 

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "util/require.hpp"
+#include "util/contract.hpp"
 
 namespace sfp::sfc {
 

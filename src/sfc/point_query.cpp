@@ -7,7 +7,7 @@
 #include <vector>
 
 #include "sfc/generator.hpp"
-#include "util/require.hpp"
+#include "util/contract.hpp"
 
 namespace sfp::sfc {
 

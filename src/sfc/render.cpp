@@ -5,7 +5,7 @@
 #include <sstream>
 #include <vector>
 
-#include "util/require.hpp"
+#include "util/contract.hpp"
 
 namespace sfp::sfc {
 

@@ -1,6 +1,6 @@
 #include "sfc/transform.hpp"
 
-#include "util/require.hpp"
+#include "util/contract.hpp"
 
 namespace sfp::sfc {
 

@@ -3,7 +3,7 @@
 #include <cstdlib>
 #include <stdexcept>
 
-#include "util/require.hpp"
+#include "util/contract.hpp"
 
 namespace sfp {
 

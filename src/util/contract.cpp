@@ -54,7 +54,7 @@ namespace detail {
     // below already carries the full report to whoever cares.
     log_debug("contract: ", what);
   }
-  throw contract_error(what);
+  throw contract_error(what, std::move(v.message));
 }
 
 }  // namespace detail

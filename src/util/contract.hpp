@@ -35,11 +35,18 @@
 
 namespace sfp {
 
-/// Thrown when a precondition or internal invariant is violated.
+/// Thrown when a precondition or internal invariant is violated. what() is
+/// the full report (kind, expression, file:line, message); message() is the
+/// check site's own message alone, the part fit for a user.
 class contract_error : public std::logic_error {
  public:
-  explicit contract_error(const std::string& what_arg)
-      : std::logic_error(what_arg) {}
+  contract_error(const std::string& what_arg, std::string message)
+      : std::logic_error(what_arg), message_(std::move(message)) {}
+
+  const std::string& message() const { return message_; }
+
+ private:
+  std::string message_;
 };
 
 /// Everything known about one contract violation, as captured at the

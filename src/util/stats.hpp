@@ -8,7 +8,7 @@
 #include <numeric>
 #include <span>
 
-#include "util/require.hpp"
+#include "util/contract.hpp"
 
 namespace sfp {
 

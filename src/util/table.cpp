@@ -7,7 +7,7 @@
 #include <ostream>
 #include <sstream>
 
-#include "util/require.hpp"
+#include "util/contract.hpp"
 
 namespace sfp {
 

@@ -283,7 +283,7 @@ TEST(LayeringPass, ReportsCycleOnceWithModulePath) {
 TEST(LayeringPass, ReportsUnknownModuleOnce) {
   const source_tree t = make_tree({
       {"src/mystery/a.cpp",
-       "#include \"util/contract.hpp\"\n#include \"util/require.hpp\"\n"},
+       "#include \"util/contract.hpp\"\n#include \"util/log.hpp\"\n"},
       {"src/util/contract.hpp", "#pragma once\n"},
   });
   const auto findings =

@@ -44,6 +44,21 @@ TEST(ContractTiers, RequireThrowsWithCapturedSite) {
   }
 }
 
+TEST(ContractError, CarriesCheckSiteMessage) {
+  // message() is the check site's text alone: no kind, expression or
+  // source location, which what() still carries.
+  try {
+    const int answer = 42;
+    SFP_REQUIRE(answer == 0, "answer must be zero");
+    FAIL() << "SFP_REQUIRE did not throw";
+  } catch (const sfp::contract_error& e) {
+    EXPECT_EQ(e.message(), "answer must be zero");
+    const std::string what = e.what();
+    EXPECT_NE(what.find("answer == 0"), std::string::npos) << what;
+    EXPECT_NE(what.find("contract_test.cpp"), std::string::npos) << what;
+  }
+}
+
 sfp::contract_violation g_seen;  // written by the test handler below
 
 TEST(ContractTiers, CustomHandlerSeesViolationThenThrowProceeds) {

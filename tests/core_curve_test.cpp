@@ -8,7 +8,7 @@
 
 #include "core/cube_curve.hpp"
 #include "mesh/cubed_sphere.hpp"
-#include "util/require.hpp"
+#include "util/contract.hpp"
 
 namespace {
 

@@ -11,7 +11,7 @@
 #include "core/sfc_partition.hpp"
 #include "graph/ops.hpp"
 #include "partition/metrics.hpp"
-#include "util/require.hpp"
+#include "util/contract.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 

@@ -15,7 +15,7 @@
 #include "sfc/curve.hpp"
 #include "sfc/point_query.hpp"
 #include "sfc/transform.hpp"
-#include "util/require.hpp"
+#include "util/contract.hpp"
 
 namespace {
 

@@ -21,7 +21,7 @@
 #include "core/sfc_partition.hpp"
 #include "runtime/partition_fabric.hpp"
 #include "runtime/world.hpp"
-#include "util/require.hpp"
+#include "util/contract.hpp"
 #include "util/rng.hpp"
 
 namespace {

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <limits>
 #include <set>
 #include <span>
 #include <vector>
@@ -19,7 +20,7 @@
 #include "seam/exchange.hpp"
 #include "seam/layered.hpp"
 #include "seam/shallow_water.hpp"
-#include "util/require.hpp"
+#include "util/contract.hpp"
 
 namespace {
 
@@ -162,7 +163,8 @@ TEST(Distributed, MeasuredVolumeMatchesPlanExactly) {
   // exchange plan: one DSS per field per RK stage — 3 per step for
   // advection, 4 fields × 3 stages for shallow water, nlev × 3 for the
   // layered model — each DSS moving exactly total_exchange_volume()
-  // doubles. Every plain runner also reports one counter set per rank.
+  // doubles. Every runner, the resilient one included, also reports one
+  // counter set per rank.
   const mesh::cubed_sphere m(2);
   const int nranks = 5, nsteps = 3;
   const auto part = core::sfc_partition(m, nranks);
@@ -171,10 +173,16 @@ TEST(Distributed, MeasuredVolumeMatchesPlanExactly) {
     advection_model model(m, 4);
     model.set_field([](mesh::vec3 p) { return p.x; });
     const auto plan = exchange_plan::build(model.dofs(), part);
-    dist_stats stats;
-    run_distributed(model, part, model.cfl_dt(0.3), nsteps, &stats);
-    EXPECT_EQ(stats.doubles_sent, 3 * nsteps * plan.total_exchange_volume());
-    EXPECT_EQ(stats.per_rank.size(), static_cast<std::size_t>(nranks));
+    const double dt = model.cfl_dt(0.3);
+    dist_stats plain, resilient;
+    run_distributed(model, part, dt, nsteps, &plain);
+    run_distributed_resilient(model, core::build_cube_curve(m), part, dt,
+                              nsteps, {}, nullptr, &resilient);
+    for (const dist_stats* stats : {&plain, &resilient}) {
+      EXPECT_EQ(stats->doubles_sent,
+                3 * nsteps * plan.total_exchange_volume());
+      EXPECT_EQ(stats->per_rank.size(), static_cast<std::size_t>(nranks));
+    }
   }
   {
     shallow_water_model model(m, 4);
@@ -202,25 +210,31 @@ TEST(Distributed, MeasuredVolumeMatchesPlanExactly) {
 TEST(Distributed, DssBitwiseIdenticalUnderInjectedDelays) {
   // Message delays and duplicates reorder *delivery*, but each rank adds
   // its peers' partials in ascending peer order, so the accumulation order —
-  // and therefore every bit of the result — must not change.
+  // and therefore every bit of the result — must not change. The faulted
+  // runs have no recovery budget and the plain runners' patient channel:
+  // the faults must heal in place.
   const mesh::cubed_sphere m(2);
   advection_model model(m, 4);
   model.set_field([](mesh::vec3 p) { return p.x * p.y + 0.5 * p.z; });
+  const auto curve = core::build_cube_curve(m);
   const auto part = core::sfc_partition(m, 6);
   const double dt = model.cfl_dt(0.3);
   const int nsteps = 4;
 
   const std::vector<double> clean = run_distributed(model, part, dt, nsteps);
 
-  runtime::fault_plan chaos;
-  chaos.seed = 42;
-  auto& mf = chaos.message_faults.emplace_back();
+  runtime::resilience_options chaos;
+  chaos.max_recoveries = 0;
+  chaos.reliable.recv_timeout = std::chrono::milliseconds(0);
+  chaos.reliable.max_retransmits = std::numeric_limits<int>::max();
+  chaos.faults.seed = 42;
+  auto& mf = chaos.faults.message_faults.emplace_back();
   mf.delay_probability = 0.4;
   mf.delay = std::chrono::microseconds(300);
   mf.duplicate_probability = 0.3;
   dist_stats stats;
-  const std::vector<double> delayed =
-      run_distributed(model, part, dt, nsteps, &stats, chaos);
+  const std::vector<double> delayed = run_distributed_resilient(
+      model, curve, part, dt, nsteps, chaos, nullptr, &stats);
 
   ASSERT_EQ(clean.size(), delayed.size());
   for (std::size_t i = 0; i < clean.size(); ++i)
@@ -229,7 +243,7 @@ TEST(Distributed, DssBitwiseIdenticalUnderInjectedDelays) {
   // And the chaos schedule itself is reproducible: a second run under the
   // same seed produces the same bits again.
   const std::vector<double> again =
-      run_distributed(model, part, dt, nsteps, nullptr, chaos);
+      run_distributed_resilient(model, curve, part, dt, nsteps, chaos);
   EXPECT_EQ(delayed, again);
 }
 

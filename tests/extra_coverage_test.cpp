@@ -14,8 +14,8 @@
 #include "perf/simulate.hpp"
 #include "seam/assembly.hpp"
 #include "seam/exchange.hpp"
+#include "util/contract.hpp"
 #include "util/log.hpp"
-#include "util/require.hpp"
 #include "util/stopwatch.hpp"
 
 namespace {

@@ -8,7 +8,7 @@
 #include "graph/csr.hpp"
 #include "graph/generators.hpp"
 #include "graph/ops.hpp"
-#include "util/require.hpp"
+#include "util/contract.hpp"
 #include "util/rng.hpp"
 
 namespace {

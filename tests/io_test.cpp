@@ -20,7 +20,7 @@
 #include "io/json.hpp"
 #include "io/partition_io.hpp"
 #include "mesh/cubed_sphere.hpp"
-#include "util/require.hpp"
+#include "util/contract.hpp"
 
 namespace {
 

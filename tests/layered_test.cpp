@@ -10,7 +10,7 @@
 #include "seam/distributed.hpp"
 #include "seam/exchange.hpp"
 #include "seam/layered.hpp"
-#include "util/require.hpp"
+#include "util/contract.hpp"
 
 namespace {
 

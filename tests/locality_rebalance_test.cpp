@@ -10,7 +10,7 @@
 #include "mesh/cubed_sphere.hpp"
 #include "partition/metrics.hpp"
 #include "sfc/locality.hpp"
-#include "util/require.hpp"
+#include "util/contract.hpp"
 #include "util/stats.hpp"
 
 namespace {

@@ -11,7 +11,7 @@
 #include "mesh/cubed_sphere.hpp"
 #include "mesh/quality.hpp"
 #include "seam/shallow_water.hpp"
-#include "util/require.hpp"
+#include "util/contract.hpp"
 
 namespace {
 

@@ -11,7 +11,7 @@
 #include "graph/ops.hpp"
 #include "mesh/cubed_sphere.hpp"
 #include "mesh/layout.hpp"
-#include "util/require.hpp"
+#include "util/contract.hpp"
 
 namespace {
 

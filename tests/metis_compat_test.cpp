@@ -7,7 +7,7 @@
 #include "graph/generators.hpp"
 #include "mesh/cubed_sphere.hpp"
 #include "mgp/metis_compat.hpp"
-#include "util/require.hpp"
+#include "util/contract.hpp"
 
 namespace {
 

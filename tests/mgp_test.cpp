@@ -18,7 +18,7 @@
 #include "mgp/match.hpp"
 #include "mgp/partitioner.hpp"
 #include "partition/metrics.hpp"
-#include "util/require.hpp"
+#include "util/contract.hpp"
 #include "util/rng.hpp"
 
 namespace {

@@ -32,7 +32,7 @@
 #include "runtime/world.hpp"
 #include "seam/advection.hpp"
 #include "seam/distributed.hpp"
-#include "util/require.hpp"
+#include "util/contract.hpp"
 
 namespace {
 

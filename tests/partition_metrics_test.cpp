@@ -14,7 +14,7 @@
 #include "mgp/partitioner.hpp"
 #include "partition/metrics.hpp"
 #include "partition/partition.hpp"
-#include "util/require.hpp"
+#include "util/contract.hpp"
 #include "util/stats.hpp"
 
 namespace {

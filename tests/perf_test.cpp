@@ -8,7 +8,7 @@
 #include "partition/metrics.hpp"
 #include "perf/machine.hpp"
 #include "perf/simulate.hpp"
-#include "util/require.hpp"
+#include "util/contract.hpp"
 
 namespace {
 

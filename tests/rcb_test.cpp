@@ -8,7 +8,7 @@
 #include "mesh/cubed_sphere.hpp"
 #include "mgp/geometric.hpp"
 #include "partition/metrics.hpp"
-#include "util/require.hpp"
+#include "util/contract.hpp"
 #include "util/rng.hpp"
 
 namespace {

@@ -16,7 +16,7 @@
 #include "runtime/fault_json.hpp"
 #include "runtime/reliable.hpp"
 #include "runtime/world.hpp"
-#include "util/require.hpp"
+#include "util/contract.hpp"
 
 namespace {
 

@@ -12,7 +12,7 @@
 
 #include "runtime/reliable.hpp"
 #include "runtime/world.hpp"
-#include "util/require.hpp"
+#include "util/contract.hpp"
 
 namespace {
 

@@ -20,7 +20,6 @@
 #include <thread>
 #include <vector>
 
-#include "runtime/fabric.hpp"
 #include "runtime/reliable.hpp"
 #include "runtime/transport.hpp"
 #include "runtime/world.hpp"
@@ -205,10 +204,11 @@ TEST(FabricContract, RawDatagramSurfaceFeedsTheCounters) {
 
 // ---- reliable edge cases -----------------------------------------------------
 
-// Run `body` once per rank on a two-rank fabric under `faults`.
+// Run `body` once per rank on a two-rank world under `faults`.
 void run_pair(const fault_plan& faults,
               const std::function<void(transport&, int)>& body) {
-  run_fabric(2, faults, [&](transport& t) { body(t, t.rank()); });
+  world w(2, faults);
+  w.run([&](transport& t) { body(t, t.rank()); });
 }
 
 TEST(ReliableOverFabric, SequenceNumbersWrapAroundCleanly) {

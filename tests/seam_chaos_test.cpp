@@ -13,7 +13,7 @@
 
 #include "io/json.hpp"
 #include "seam/chaos.hpp"
-#include "util/require.hpp"
+#include "util/contract.hpp"
 
 namespace {
 

@@ -2,9 +2,11 @@
 // gives every rank thread its owned elements' nodes and nothing of the
 // global field — its tracer, its three RK stages and its DSS accumulator
 // are all in the rank-local layout, and only the run's caller-facing
-// buffers (built outside the rank threads) are global. This file replaces
-// the global operator new to count each thread's allocated bytes and its
-// largest single allocation.
+// buffers (built outside the rank threads) are global. A plain run's only
+// global buffer is the field it returns: the calling thread allocates that,
+// the exchange plan and a fixed term, and no checkpoint or state copy.
+// This file replaces the global operator new to count each thread's
+// allocated bytes and its largest single allocation.
 
 #include <gtest/gtest.h>
 
@@ -22,6 +24,7 @@
 #include "mesh/cubed_sphere.hpp"
 #include "seam/advection.hpp"
 #include "seam/distributed.hpp"
+#include "seam/exchange.hpp"
 
 namespace {
 
@@ -93,10 +96,26 @@ TEST_P(SeamRankAlloc, RankThreadsAllocateOrderKOverP) {
   ASSERT_EQ(m.num_elements() % nranks, 0);
   const std::int64_t owned_bytes = global_bytes / nranks;
 
+  // The exchange plan's own bytes, as the run's driver builds it.
+  std::int64_t plan_bytes = t_bytes;
+  (void)seam::exchange_plan::build(model.dofs(), part);
+  plan_bytes = t_bytes - plan_bytes;
+
   g_threads = 0;
+  const std::int64_t caller_before = t_bytes;
   const std::vector<double> out =
       seam::run_distributed(model, part, dt, kSteps);
+  const std::int64_t caller_bytes = t_bytes - caller_before;
   ASSERT_EQ(out.size(), model.field().size());
+  // The calling thread: the returned field, the plan and the fabric's
+  // bookkeeping (a deque per rank pair in the inboxes, counters, the rank
+  // threads' launch state: ~57 KiB at 8 ranks). A second global-size
+  // buffer — a copy of the initial field or a checkpoint — exceeds the
+  // bound.
+  constexpr std::int64_t kCallerFixed = 128 * 1024;
+  EXPECT_LE(caller_bytes, global_bytes + plan_bytes + kCallerFixed);
+  EXPECT_LT(kCallerFixed, global_bytes);
+  RecordProperty("caller_bytes", std::to_string(caller_bytes));
 
   const int threads = g_threads.load();
   ASSERT_EQ(threads, nranks) << "one tally per rank thread";

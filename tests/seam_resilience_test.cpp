@@ -20,7 +20,7 @@
 #include "runtime/reliable.hpp"
 #include "seam/advection.hpp"
 #include "seam/distributed.hpp"
-#include "util/require.hpp"
+#include "util/contract.hpp"
 
 namespace {
 

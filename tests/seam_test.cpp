@@ -16,7 +16,7 @@
 #include "seam/assembly.hpp"
 #include "seam/distributed.hpp"
 #include "seam/gll.hpp"
-#include "util/require.hpp"
+#include "util/contract.hpp"
 
 namespace {
 

@@ -13,7 +13,7 @@
 #include "sfc/curve.hpp"
 #include "sfc/generator.hpp"
 #include "sfc/validate.hpp"
-#include "util/require.hpp"
+#include "util/contract.hpp"
 
 namespace {
 

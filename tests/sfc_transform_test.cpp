@@ -7,7 +7,7 @@
 #include "sfc/curve.hpp"
 #include "sfc/transform.hpp"
 #include "sfc/validate.hpp"
-#include "util/require.hpp"
+#include "util/contract.hpp"
 
 namespace {
 

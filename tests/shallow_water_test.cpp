@@ -9,7 +9,7 @@
 
 #include "mesh/cubed_sphere.hpp"
 #include "seam/shallow_water.hpp"
-#include "util/require.hpp"
+#include "util/contract.hpp"
 
 namespace {
 

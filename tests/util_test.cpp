@@ -8,7 +8,7 @@
 #include <vector>
 
 #include "util/cli.hpp"
-#include "util/require.hpp"
+#include "util/contract.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"

@@ -14,8 +14,8 @@
 #      separators), the run fails — apply `sfplint --root=. --fix` and
 #      commit. A grep then fails the stage if a `lint: layering-ok` or
 #      `lint: transport-discipline-ok` suppression reappears under src/:
-#      the manifest matches the real include graph and run_fabric is the
-#      one fabric construction site, so neither needs an excuse. Then
+#      the manifest matches the real include graph and run_resilient is
+#      the one fabric construction site, so neither needs an excuse. Then
 #      clang-tidy via tools/lint.sh when installed.
 #   2. configure + build the default preset with the escalated warnings
 #      wall as errors (SFCPART_STRICT_WARNINGS + SFCPART_WERROR) and the
@@ -38,8 +38,9 @@
 #      also fails when a scheduled fault kind injected nothing. Three
 #      negative legs must exit non-zero: a replay of a drop on a frame a
 #      2-part plan never sends (2 -> 0, frame 1), a replay of a schedule
-#      with an unknown key, and `sfcpart chaos` with a flag it does not
-#      read. A two-kill fault plan replays through `sfcpart faults --plan`,
+#      with an unknown key — whose stderr must name the key and show no
+#      `precondition failed` or `/src/` path — and `sfcpart chaos` with a
+#      flag it does not read. A two-kill fault plan replays through `sfcpart faults --plan`,
 #      recovering the SEAM tracer field to 1e-12
 #   7. distributed-partition bench smoke: bench_partition_scaling at a tiny
 #      K, and again at ~8 elements per part (Ne = 12, 108 parts), must run
@@ -167,12 +168,20 @@ if build/tools/sfcpart chaos --partition --nproc=4 --nparts=2 \
 fi
 # Negative input legs: a misspelt schedule key ("kils") and a flag the
 # command does not read must each be refused, not run as a fault-free
-# trial that passes vacuously.
+# trial that passes vacuously. The refusal must name the key and show the
+# user no contract internals (the failed expression, a source path).
 printf '%s\n' '{"seed": "7", "faults": [], "kils": [{"rank": 1, "at_op": 3}]}' \
   > "$chaos_dir/replay_unknown_key.json"
 if build/tools/sfcpart chaos --partition --nproc=4 \
-  --replay="$chaos_dir/replay_unknown_key.json"; then
+  --replay="$chaos_dir/replay_unknown_key.json" \
+  2> "$chaos_dir/unknown_key.err"; then
   echo "ci: a replay with an unknown schedule key passed" >&2
+  exit 1
+fi
+if ! grep -q "unknown key 'kils'" "$chaos_dir/unknown_key.err" ||
+  grep -qE 'precondition failed|/src/' "$chaos_dir/unknown_key.err"; then
+  echo "ci: the unknown-key refusal does not read as a user error:" >&2
+  cat "$chaos_dir/unknown_key.err" >&2
   exit 1
 fi
 if build/tools/sfcpart chaos --trials=1 --faults=1 --transport=inproc; then

@@ -52,6 +52,7 @@
 #include "sfc/parse.hpp"
 #include "sfc/render.hpp"
 #include "util/cli.hpp"
+#include "util/contract.hpp"
 #include "util/table.hpp"
 
 namespace {
@@ -784,6 +785,11 @@ int main(int argc, char** argv) {
     if (cmd == "faults") return cmd_faults(args);
     if (cmd == "chaos") return cmd_chaos(args);
     if (cmd == "trace") return cmd_trace(args);
+  } catch (const contract_error& e) {
+    // The check site's message names the bad input; the expression and
+    // source location in what() are for developers.
+    std::fprintf(stderr, "error: %s\n", e.message().c_str());
+    return 1;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
