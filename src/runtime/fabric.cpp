@@ -5,7 +5,6 @@
 #include <numeric>
 #include <set>
 
-#include "core/escalation.hpp"
 #include "obs/trace.hpp"
 #include "runtime/world.hpp"
 #include "util/contract.hpp"
@@ -52,9 +51,10 @@ std::exception_ptr run_resilient(int num_ranks,
     ropts.epoch = static_cast<std::uint64_t>(attempt);
     std::vector<reliable_stats> reliable(static_cast<std::size_t>(n));
     world w(n, faults);
-    core::failure_kind kind = core::failure_kind::rank_killed;
-    int thrower = -1;
-    int peer = -1;
+    // The rank the next attempt drops: a killed rank is its own victim,
+    // while an unreachable peer is presumed dead in place of the healthy
+    // rank that exhausted its retransmit budget on it.
+    int victim = -1;
     std::exception_ptr error;
     // Only the root-cause exception reaches here; every other rank holds a
     // cascading world_aborted.
@@ -74,12 +74,10 @@ std::exception_ptr run_resilient(int num_ranks,
         if (failure) std::rethrow_exception(failure);
       });
     } catch (const rank_killed& e) {
-      thrower = e.rank();
+      victim = e.rank();
       error = std::current_exception();
     } catch (const peer_unreachable_error& e) {
-      kind = core::failure_kind::peer_unreachable;
-      thrower = e.rank();
-      peer = e.peer();
+      victim = e.peer();
       error = std::current_exception();
     }
     for (const reliable_stats& s : reliable) report.reliable += s;
@@ -103,16 +101,18 @@ std::exception_ptr run_resilient(int num_ranks,
     }
     if (!error) {
       // Only teardown kills fired: the lowest such rank stands as thrower.
-      thrower = *lost.begin();
+      victim = *lost.begin();
       const auto k = std::find_if(
           faults.kills.begin(), faults.kills.end(),
-          [&](const fault_plan::kill_spec& s) { return s.rank == thrower; });
-      error = std::make_exception_ptr(rank_killed(thrower, k->at_op));
+          [&](const fault_plan::kill_spec& s) { return s.rank == victim; });
+      error = std::make_exception_ptr(rank_killed(victim, k->at_op));
     }
-    const core::escalation_decision d = core::decide_escalation(
-        kind, thrower, peer, attempt, opts.max_recoveries, n);
-    if (d.recover) lost.insert(d.victim);
-    if (!d.recover || static_cast<int>(lost.size()) == n) {
+    // A lone rank sends nothing, so it is neither killed nor names an
+    // unreachable peer: every failure here has a victim among n >= 2 ranks,
+    // and a run with no survivor ends on the size check.
+    lost.insert(victim);
+    if (attempt >= opts.max_recoveries ||
+        static_cast<int>(lost.size()) == n) {
       report.lost_ranks.resize(static_cast<std::size_t>(num_ranks));
       std::iota(report.lost_ranks.begin(), report.lost_ranks.end(), 0);
       return error;

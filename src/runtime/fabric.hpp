@@ -5,11 +5,12 @@
 // comes through here and speaks the reliable_channel it is handed.
 //
 // run_resilient is the one attempt loop of every runner (the SEAM
-// runners in seam/distributed.hpp and run_parallel_partition). It turns
-// the two fabric failures — a rank death and an unreachable peer — into
-// the plain data core::decide_escalation climbs, and restarts on the
-// surviving world ranks, renumbered densely, until an attempt completes or
-// the ladder refuses.
+// runners in seam/distributed.hpp and run_parallel_partition), and holds
+// the escalation ladder. Of the two fabric failures, a rank death drops
+// the killed rank and an unreachable peer drops the peer (the thrower is
+// the healthy side); the loop restarts on the surviving world ranks,
+// renumbered densely, until an attempt completes, the recovery budget is
+// spent or no rank survives.
 //
 // Faults across attempts, for every runner: message faults apply to
 // attempt 0 only. A kill that has not fired stays armed on its world rank
@@ -36,7 +37,7 @@ struct resilience_options {
   /// Channel tuning (retransmit budget, timeouts). The epoch is
   /// overwritten with the attempt number.
   reliable_options reliable;
-  /// Restarts a run absorbs before core::decide_escalation gives up.
+  /// Restarts a run absorbs before the ladder gives up.
   int max_recoveries = 3;
 };
 
@@ -62,8 +63,8 @@ using resilient_rank_fn =
 using restart_fn = std::function<void(const std::set<int>& lost)>;
 
 /// Run `rank_main` on `num_ranks` world ranks, restarting on the survivors
-/// after every rank death or unreachable peer the escalation ladder
-/// absorbs. Each rank gets a fresh reliable_channel per attempt, which the
+/// after every rank death or unreachable peer while
+/// attempt < max_recoveries. Each rank gets a fresh reliable_channel per attempt, which the
 /// loop settles with flush() and fence() after `rank_main` returns.
 /// `on_restart` (may be empty) runs before each restart. Accumulates into
 /// `report` and returns null when an attempt completed, else the root

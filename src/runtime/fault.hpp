@@ -6,7 +6,9 @@
 // (src, dst) streams with given probabilities. All randomness comes
 // from a per-rank splitmix-derived rng, and every decision is a function of
 // (seed, rank, that rank's deterministic op sequence) only — never of thread
-// scheduling — so a chaos test reproduces bit-for-bit across runs.
+// scheduling — so a chaos test reproduces bit-for-bit across runs. Plans
+// are built in code or lowered from a seam::chaos_schedule
+// (seam/chaos.hpp), the one fault file format.
 
 #include <chrono>
 #include <cstddef>

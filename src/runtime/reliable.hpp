@@ -13,9 +13,10 @@
 // deduplicate, park out-of-order arrivals and ack every accepted or
 // re-seen frame, and senders retransmit unacked frames with capped
 // exponential backoff. A frame that exhausts max_retransmits raises
-// peer_unreachable_error, which both resilient runners escalate through
-// core::decide_escalation. Acks ride the same untagged (src, dst)
-// datagrams, so one try_recv_any pump drains everything.
+// peer_unreachable_error, which runtime::run_resilient (fabric.hpp), the
+// attempt loop of both resilient runners, escalates. Acks ride the same
+// untagged (src, dst) datagrams, so one try_recv_any pump drains
+// everything.
 //
 // Deadlock-freedom: every blocking reliable op (recv, flush, fence) runs the
 // progress pump, so a rank waiting on its own traffic keeps servicing its

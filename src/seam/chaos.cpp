@@ -4,11 +4,15 @@
 #include <cmath>
 #include <cstdlib>
 #include <numeric>
+#include <set>
 #include <sstream>
 #include <string>
+#include <tuple>
+#include <utility>
 
 #include "core/parallel_partition.hpp"
 #include "core/sfc_partition.hpp"
+#include "seam/exchange.hpp"
 #include "util/contract.hpp"
 #include "util/rng.hpp"
 
@@ -36,6 +40,44 @@ chaos_fault::kind kind_from_string(const std::string& name) {
   }
   SFP_REQUIRE(false, "chaos schedule: unknown fault kind '" + name + "'");
   std::abort();  // unreachable: SFP_REQUIRE throws
+}
+
+/// Judges `t` by the kill contract both harnesses share. An aborted run
+/// passes only when the schedule can starve the ladder: more distinct
+/// killable ranks than the budget, or every rank killable (kills of
+/// out-of-range ranks never fire, repeated kills of one rank never stack).
+/// A completed run must have spent a recovery on any fired kill and lost
+/// exactly the ranks whose kill fired. Returns true when this settles the
+/// verdict (the run aborted, or broke the contract); false for a completed
+/// run that kept it, whose result the harness checks next.
+bool settled_by_kill_contract(const chaos_schedule& schedule, int nranks,
+                              chaos_trial& t) {
+  std::ostringstream os;
+  if (t.aborted) {
+    std::set<int> killable;
+    for (const chaos_kill& k : schedule.kills)
+      if (k.rank >= 0 && k.rank < nranks) killable.insert(k.rank);
+    const auto max_deaths = static_cast<int>(killable.size());
+    if (max_deaths <= chaos_max_recoveries && max_deaths < nranks)
+      os << "aborted though the schedule cannot exhaust the ladder";
+  } else {
+    std::vector<int> fired;
+    for (std::size_t r = 0; r < t.per_rank_counters.size(); ++r)
+      if (t.per_rank_counters[r].injected_kills > 0)
+        fired.push_back(static_cast<int>(r));
+    if (!fired.empty() && t.recoveries == 0) {
+      os << "kills fired (" << t.counters.injected_kills
+         << ") yet the run records no recovery";
+    } else if (t.lost_ranks != fired) {
+      os << "lost " << t.lost_ranks.size() << " rank(s) but " << fired.size()
+         << " kill(s) fired on distinct ranks (recoveries=" << t.recoveries
+         << ")";
+    }
+  }
+  t.failure = os.str();
+  if (!t.aborted && t.failure.empty()) return false;
+  t.passed = t.failure.empty();
+  return true;
 }
 
 }  // namespace
@@ -166,9 +208,15 @@ chaos_schedule chaos_schedule_from_json(const io::json_value& doc) {
           io::json_integer<std::uint64_t>(seed, "chaos schedule: seed");
     }
   }
-  SFP_REQUIRE(doc.has("faults") && doc.at("faults").is_array(),
-              "chaos schedule: faults must be an array");
-  for (const io::json_value& entry : doc.at("faults").array) {
+  // Both lists are optional: a kills-only or faults-only file loads.
+  const io::json_value none = io::json_array();
+  const auto list = [&](const std::string& key) -> const io::json_value& {
+    if (!doc.has(key)) return none;
+    SFP_REQUIRE(doc.at(key).is_array(),
+                "chaos schedule: " + key + " must be an array");
+    return doc.at(key);
+  };
+  for (const io::json_value& entry : list("faults").array) {
     SFP_REQUIRE(entry.is_object(), "chaos schedule: fault must be an object");
     io::json_require_known_keys(entry, {"kind", "src", "dst", "nth"},
                                 "chaos schedule: fault");
@@ -183,20 +231,16 @@ chaos_schedule chaos_schedule_from_json(const io::json_value& doc) {
                                            "chaos schedule: nth", 0);
     schedule.faults.push_back(f);
   }
-  if (doc.has("kills")) {
-    SFP_REQUIRE(doc.at("kills").is_array(),
-                "chaos schedule: kills must be an array");
-    for (const io::json_value& entry : doc.at("kills").array) {
-      SFP_REQUIRE(entry.is_object(), "chaos schedule: kill must be an object");
-      io::json_require_known_keys(entry, {"rank", "at_op"},
-                                  "chaos schedule: kill");
-      chaos_kill k;
-      k.rank = io::json_integer<int>(entry.at("rank"),
-                                     "chaos schedule: kill rank", 0);
-      k.at_op = io::json_integer<std::int64_t>(
-          entry.at("at_op"), "chaos schedule: kill at_op", 1);
-      schedule.kills.push_back(k);
-    }
+  for (const io::json_value& entry : list("kills").array) {
+    SFP_REQUIRE(entry.is_object(), "chaos schedule: kill must be an object");
+    io::json_require_known_keys(entry, {"rank", "at_op"},
+                                "chaos schedule: kill");
+    chaos_kill k;
+    k.rank = io::json_integer<int>(entry.at("rank"),
+                                   "chaos schedule: kill rank", 0);
+    k.at_op = io::json_integer<std::int64_t>(
+        entry.at("at_op"), "chaos schedule: kill at_op", 1);
+    schedule.kills.push_back(k);
   }
   return schedule;
 }
@@ -215,33 +259,53 @@ chaos_harness::chaos_harness(const chaos_options& opts)
   });
   dt_ = model_.cfl_dt(opts.cfl);
   baseline_ = run_distributed(model_, part_, dt_, opts.nsteps);
+  const exchange_plan plan = exchange_plan::build(model_.dofs(), part_);
+  for (int r = 0; r < opts.nranks; ++r)
+    for (const auto& peer : plan.ranks[static_cast<std::size_t>(r)].peers)
+      links_.emplace_back(r, peer.rank);
+}
+
+chaos_schedule chaos_harness::make_schedule(std::uint64_t seed,
+                                            int nfaults) const {
+  // Only a rank pair with a halo link carries data frames. Drawing over
+  // every pair keeps the default problem's schedules (where every pair is
+  // linked) those of make_chaos_schedule; a fault on an unlinked pair
+  // moves to a link drawn from the harness's own stream.
+  chaos_schedule schedule = make_chaos_schedule(
+      seed, opts_.nranks, nfaults, 3 * std::int64_t{opts_.nsteps});
+  rng r(seed ^ 0x11ec11ec11ec11ecull);
+  for (chaos_fault& f : schedule.faults) {
+    if (!std::ranges::binary_search(links_, std::pair{f.src, f.dst}))
+      std::tie(f.src, f.dst) = links_[r.below(links_.size())];
+  }
+  return schedule;
 }
 
 chaos_trial chaos_harness::run(const chaos_schedule& schedule) const {
   chaos_trial t;
   runtime::resilience_options ropts;
   ropts.faults = to_fault_plan(schedule);
-  ropts.max_recoveries = 1;
+  ropts.max_recoveries = chaos_max_recoveries;
   ropts.reliable = opts_.reliable;
-  recovery_report rep;
   std::vector<double> result;
+  // A fabric failure the ladder gave up on is an abort; the report is
+  // filled either way.
   try {
     result = run_distributed_resilient(model_, curve_, part_, dt_,
-                                       opts_.nsteps, ropts, &rep);
+                                       opts_.nsteps, ropts, &t);
+  } catch (const runtime::rank_killed&) {
+    t.aborted = true;
+  } catch (const runtime::peer_unreachable_error&) {
+    t.aborted = true;
   } catch (const std::exception& e) {
     t.failure = std::string("resilient run threw: ") + e.what();
     return t;
   }
-  static_cast<runtime::resilience_report&>(t) = rep;
+  if (settled_by_kill_contract(schedule, opts_.nranks, t)) return t;
   for (std::size_t i = 0; i < baseline_.size(); ++i)
     t.max_abs_diff =
         std::max(t.max_abs_diff, std::abs(result[i] - baseline_[i]));
-  if (rep.recoveries != 0) {
-    std::ostringstream os;
-    os << "transient faults escalated to a re-slice: recoveries="
-       << rep.recoveries << " lost ranks=" << rep.lost_ranks.size();
-    t.failure = os.str();
-  } else if (t.max_abs_diff > opts_.tolerance) {
+  if (t.max_abs_diff > opts_.tolerance) {
     std::ostringstream os;
     os << "result diverged from the fault-free baseline: max|diff|="
        << t.max_abs_diff << " tolerance=" << opts_.tolerance;
@@ -308,7 +372,7 @@ chaos_trial partition_chaos_harness::run(
   runtime::resilience_options opts;
   opts.faults = to_fault_plan(schedule);
   opts.reliable = opts_.reliable;
-  opts.max_recoveries = opts_.max_recoveries;
+  opts.max_recoveries = chaos_max_recoveries;
 
   runtime::parallel_partition_report report;
   try {
@@ -320,27 +384,7 @@ chaos_trial partition_chaos_harness::run(
   }
   static_cast<runtime::resilience_report&>(t) = report;
   t.aborted = report.aborted;
-
-  // The most ranks this schedule could take down: kills of out-of-range
-  // ranks never fire, repeated kills of one rank never stack.
-  std::vector<int> killable;
-  for (const chaos_kill& k : schedule.kills)
-    if (k.rank >= 0 && k.rank < opts_.nranks) killable.push_back(k.rank);
-  std::sort(killable.begin(), killable.end());
-  killable.erase(std::unique(killable.begin(), killable.end()),
-                 killable.end());
-  const int max_deaths = static_cast<int>(killable.size());
-  const bool can_starve =
-      max_deaths > opts_.max_recoveries || max_deaths >= opts_.nranks;
-
-  if (report.aborted) {
-    if (can_starve) {
-      t.passed = true;  // a clean give-up when the ladder can run dry
-    } else {
-      t.failure = "aborted though the schedule cannot exhaust the ladder";
-    }
-    return t;
-  }
+  if (settled_by_kill_contract(schedule, opts_.nranks, t)) return t;
 
   if (report.plan.num_parts != serial_.num_parts ||
       report.plan.part_of.size() != serial_.part_of.size()) {
@@ -372,26 +416,6 @@ chaos_trial partition_chaos_harness::run(
       t.failure = "boundaries are not strictly increasing";
       return t;
     }
-  }
-  // Every fired kill costs a restart, and exactly the ranks whose kill
-  // fired are lost.
-  std::vector<int> fired;
-  for (std::size_t r = 0; r < report.per_rank_counters.size(); ++r)
-    if (report.per_rank_counters[r].injected_kills > 0)
-      fired.push_back(static_cast<int>(r));
-  if (!fired.empty() && t.recoveries == 0) {
-    std::ostringstream os;
-    os << "kills fired (" << t.counters.injected_kills
-       << ") yet the plan records no recovery";
-    t.failure = os.str();
-    return t;
-  }
-  if (t.lost_ranks != fired) {
-    std::ostringstream os;
-    os << "lost " << t.lost_ranks.size() << " rank(s) but "
-       << fired.size() << " kill(s) fired on distinct ranks";
-    t.failure = os.str();
-    return t;
   }
   t.passed = true;
   return t;

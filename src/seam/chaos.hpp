@@ -8,17 +8,21 @@
 // shrinkable: when a soak finds a failing schedule, ddmin-style delta
 // debugging (shrink_failure) removes faults and kills while the failure
 // persists, leaving a minimal reproducer that can be
-// serialized as JSON and replayed.
+// serialized as JSON and replayed. A schedule's JSON form is the one fault
+// file format, and `sfcpart chaos` the one command that replays it.
 //
-// Two harnesses run schedules under one contract (chaos_target): the
-// advection harness checks that SEAM advection heals every fault in place
+// Two harnesses run schedules under one interface (chaos_target) and one
+// kill contract: a fired kill costs a restart and loses exactly its rank,
+// and a run aborts only when its kills can exhaust the restart budget.
+// The advection harness checks SEAM advection against the fault-free run
 // to 1e-12, and the partition harness checks serial parity of the
-// distributed SFC partitioner through message faults and rank kills.
-// run_chaos_soak and shrink_failure serve both alike.
+// distributed SFC partitioner. run_chaos_soak and shrink_failure serve
+// both alike.
 
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/cube_curve.hpp"
@@ -50,9 +54,10 @@ const char* to_string(chaos_fault::kind k);
 /// interleaving is timing-dependent, so the exact message the
 /// kill lands after may shift between runs — which is fine, because unlike
 /// a message fault a kill is not checked against a pinned delivery outcome:
-/// *every* landing point must satisfy the same contract (survivor parity or
-/// clean abort). A kill whose `at_op` lies past the rank's last op never
-/// fires (and shrinks away), exactly like an over-indexed message fault.
+/// *every* landing point must satisfy the same contract (the fault-free
+/// result on the survivors, or a clean abort). A kill whose `at_op` lies
+/// past the rank's last op never fires (and shrinks away), exactly like an
+/// over-indexed message fault.
 struct chaos_kill {
   int rank = 0;
   std::int64_t at_op = 1;
@@ -97,20 +102,24 @@ runtime::fault_plan to_fault_plan(const chaos_schedule& schedule);
 runtime::reliable_options chaos_reliable_defaults();
 
 /// JSON form: {"seed": "7", "faults": [{"kind", "src", "dst", "nth"}...],
-/// "kills": [{"rank", "at_op"}...]}; "kills" is optional. The loader
+/// "kills": [{"rank", "at_op"}...]}; every key is optional. The loader
 /// throws sfp::contract_error on any other key, at the top level or in an
 /// entry.
 io::json_value chaos_schedule_to_json(const chaos_schedule& schedule);
 chaos_schedule chaos_schedule_from_json(const io::json_value& doc);
 
+/// Restart budget of every chaos trial, on either harness.
+inline constexpr int chaos_max_recoveries = 3;
+
 /// Outcome of one schedule on either harness: the resilient run's
-/// accounting plus the verdict. Each harness fills the fields its system reports and
-/// leaves the others at their zero value.
-struct chaos_trial : runtime::resilience_report {
+/// accounting plus the verdict. Each harness fills the fields its system
+/// reports and leaves the others at their zero value; the restart step,
+/// migration and final partition are the advection harness's.
+struct chaos_trial : recovery_report {
   bool passed = false;
   std::string failure;       ///< empty when passed; mismatch or exception
   double max_abs_diff = 0;   ///< vs the fault-free advection baseline
-  bool aborted = false;      ///< partition run gave up (budget or no survivor)
+  bool aborted = false;      ///< the run gave up (budget or no survivor)
 };
 
 /// The contract the shrinker, the soak and `sfcpart chaos` rely on: a
@@ -146,20 +155,22 @@ struct chaos_options {
   runtime::reliable_options reliable = chaos_reliable_defaults();
 };
 
-/// Advection harness: runs seam::run_distributed_resilient and passes a
-/// trial when every fault healed in place — one attempt, no re-slices, and
-/// a final tracer field within `tolerance` of the fault-free baseline.
+/// Advection harness: runs seam::run_distributed_resilient. Message faults
+/// must heal in place; a rank kill re-slices the curve around the dead
+/// rank. Pass/fail: the kill contract (partition_chaos_harness), and a
+/// completed run's final tracer field within `tolerance` of the fault-free
+/// baseline.
 class chaos_harness final : public chaos_target {
  public:
   explicit chaos_harness(const chaos_options& opts = {});
 
   chaos_trial run(const chaos_schedule& schedule) const override;
   int nranks() const override { return opts_.nranks; }
-  /// make_chaos_schedule: any rank pair, frame indices below 9.
+  /// make_chaos_schedule with frame indices below 3 * nsteps (one data
+  /// frame per RK stage on each halo link), and every fault on a rank pair
+  /// without a halo link moved onto one that has it.
   chaos_schedule make_schedule(std::uint64_t seed,
-                               int nfaults) const override {
-    return make_chaos_schedule(seed, opts_.nranks, nfaults);
-  }
+                               int nfaults) const override;
   const chaos_options& options() const { return opts_; }
 
  private:
@@ -170,6 +181,8 @@ class chaos_harness final : public chaos_target {
   partition::partition part_;
   double dt_ = 0;
   std::vector<double> baseline_;
+  /// (src, dst) of every halo link of the fault-free run, ascending.
+  std::vector<std::pair<int, int>> links_;
 };
 
 /// Problem + channel configuration for the partition harness.
@@ -178,20 +191,21 @@ struct partition_chaos_options {
   int nparts = 5;   ///< parts in the plan (decoupled from nranks on purpose)
   int nranks = 4;   ///< virtual ranks
   runtime::reliable_options reliable = chaos_reliable_defaults();
-  int max_recoveries = 3;
 };
 
 /// Partition harness: the same schedules pointed at the distributed SFC
 /// partitioner (runtime::run_parallel_partition). Message faults, drawn
 /// onto the frames an attempt sends, must heal in place; rank kills
-/// exercise the restart ladder. Pass/fail:
-///   completed -> plan and boundaries must match the serial slicer
-///                element for element; a fired kill implies at least one
-///                recovery, and lost_ranks is exactly the set of ranks
-///                whose kill fired.
+/// exercise the restart ladder. The kill contract, shared with the
+/// advection harness:
+///   completed -> a fired kill implies at least one recovery, and
+///                lost_ranks is exactly the set of ranks whose kill fired
+///                (so a message fault that escalated to a restart fails);
 ///   aborted   -> acceptable only when the schedule could actually have
 ///                starved the run: more distinct killable ranks than
-///                max_recoveries, or every rank killable.
+///                chaos_max_recoveries, or every rank killable.
+/// A completed run's plan and boundaries must then match the serial slicer
+/// element for element.
 class partition_chaos_harness final : public chaos_target {
  public:
   explicit partition_chaos_harness(const partition_chaos_options& opts = {});

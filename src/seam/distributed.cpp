@@ -158,7 +158,8 @@ void rank_body(const rank_exchange_plan& rp, halo_exchanger& halo,
 /// the global fields `init`, on part.num_parts ranks of
 /// runtime::run_resilient, with rank_body on every rank. Returns the final
 /// global fields and fills `report` and `stats`, per-rank counters
-/// included, when non-null.
+/// included, when non-null — also when the ladder gave up, before the
+/// root cause is rethrown.
 ///
 /// With ropts.max_recoveries > 0 the run is resilient: it copies `init`,
 /// checkpoints every step, and after a failed attempt rolls back to the
@@ -253,14 +254,14 @@ field_list run_seam(const assembly& dofs, const partition::partition& part,
         begin_attempt();
       },
       rep);
-  if (error) std::rethrow_exception(error);
 
-  rep.final_partition = std::move(cur);
+  if (!error) rep.final_partition = std::move(cur);
   if (stats) {
     *stats = collector.total;
     stats->per_rank = rep.per_rank_counters;
   }
   if (report) *report = std::move(rep);
+  if (error) std::rethrow_exception(error);
   return state;
 }
 

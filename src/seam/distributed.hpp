@@ -67,6 +67,7 @@ std::vector<double> run_distributed(const advection_model& model,
 struct recovery_report : runtime::resilience_report {
   int restart_step = 0;  ///< checkpoint step the last restart resumed from
   core::migration_stats migration;  ///< cost of the first re-slice
+  /// The completed attempt's partition; empty when the run gave up.
   partition::partition final_partition;
 };
 
@@ -80,6 +81,7 @@ struct recovery_report : runtime::resilience_report {
 /// lost rank — only the lost segments' elements migrate — reproducing the
 /// fault-free tracer field. With max_recoveries = 0 there are no
 /// checkpoints and the first failure surfaces. When the ladder refuses,
+/// `report` and `stats` are filled (lost_ranks lists every world rank) and
 /// the root-cause exception is rethrown. Requires `part` to label the
 /// elements of `curve`'s mesh.
 std::vector<double> run_distributed_resilient(

@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "core/cube_curve.hpp"
-#include "core/escalation.hpp"
 #include "core/rebalance.hpp"
 #include "core/sfc_partition.hpp"
 #include "mesh/cubed_sphere.hpp"
@@ -188,46 +187,6 @@ TEST(PlanRecovery, EveryRankFailureYieldsValidPlan) {
     const auto plan = core::plan_recovery(curve, p0, failed);
     expect_valid_plan(curve, p0, failed, plan);
   }
-}
-
-// ---- escalation policy ------------------------------------------------------
-
-TEST(Escalation, KilledRankIsTheVictim) {
-  const auto d = core::decide_escalation(core::failure_kind::rank_killed,
-                                         /*thrower=*/2, /*peer=*/-1,
-                                         /*attempt=*/0, /*max_recoveries=*/1,
-                                         /*nranks=*/4);
-  EXPECT_TRUE(d.recover);
-  EXPECT_EQ(d.victim, 2);
-}
-
-TEST(Escalation, UnreachablePeerIsTheVictimNotTheThrower) {
-  // The thrower is the healthy side that gave up retransmitting; recovery
-  // must drop the silent peer.
-  const auto d = core::decide_escalation(core::failure_kind::peer_unreachable,
-                                         /*thrower=*/0, /*peer=*/3, 0, 1, 4);
-  EXPECT_TRUE(d.recover);
-  EXPECT_EQ(d.victim, 3);
-}
-
-TEST(Escalation, NeverRecoversPastTheBudgetOrBelowTwoRanks) {
-  EXPECT_FALSE(core::decide_escalation(core::failure_kind::rank_killed, 0, -1,
-                                       /*attempt=*/1, /*max_recoveries=*/1, 4)
-                   .recover);
-  EXPECT_FALSE(core::decide_escalation(core::failure_kind::rank_killed, 0, -1,
-                                       0, 1, /*nranks=*/1)
-                   .recover);
-}
-
-TEST(Escalation, UnknownFailuresAndInvalidVictimsRethrow) {
-  EXPECT_FALSE(
-      core::decide_escalation(core::failure_kind::unknown, 2, 3, 0, 5, 4)
-          .recover);
-  // A peer id outside the world (or never set) cannot be recovered around.
-  const auto d = core::decide_escalation(core::failure_kind::peer_unreachable,
-                                         0, /*peer=*/-1, 0, 5, 4);
-  EXPECT_FALSE(d.recover);
-  EXPECT_EQ(d.victim, -1);
 }
 
 }  // namespace

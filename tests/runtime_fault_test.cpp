@@ -7,13 +7,10 @@
 #include <chrono>
 #include <cstdint>
 #include <stdexcept>
-#include <string>
 #include <thread>
 #include <vector>
 
-#include "io/json.hpp"
 #include "runtime/fault.hpp"
-#include "runtime/fault_json.hpp"
 #include "runtime/reliable.hpp"
 #include "runtime/world.hpp"
 #include "util/contract.hpp"
@@ -358,50 +355,6 @@ TEST(Counters, AccountForCleanTraffic) {
   EXPECT_THROW(w.counters(2), sfp::contract_error);
 }
 
-// ---- fault_plan JSON persistence -------------------------------------------
-
-TEST(FaultPlanJson, RoundTripsEveryField) {
-  fault_plan plan;
-  plan.seed = 0xfedcba9876543210ull;  // above 2^53: must not round
-  plan.kills.push_back({2, 17});
-  plan.kills.push_back({0, 1});
-  fault_plan::message_fault mf;
-  mf.src = 1;
-  mf.dst = -1;
-  mf.drop_probability = 0.125;
-  mf.delay_probability = 0.25;
-  mf.duplicate_probability = 0.5;
-  mf.corrupt_probability = 0.0625;
-  mf.truncate_probability = 0.03125;
-  mf.reorder_probability = 0.015625;
-  mf.delay = std::chrono::microseconds{450};
-  mf.fire_from = 3;
-  mf.fire_count = 2;
-  mf.min_payload = 7;
-  plan.message_faults.push_back(mf);
-
-  const std::string text = sfp::io::write_json(fault_plan_to_json(plan), 2);
-  const fault_plan back = fault_plan_from_json(sfp::io::parse_json(text));
-  EXPECT_EQ(back.seed, plan.seed);
-  ASSERT_EQ(back.kills.size(), 2u);
-  EXPECT_EQ(back.kills[0].rank, 2);
-  EXPECT_EQ(back.kills[0].at_op, 17);
-  ASSERT_EQ(back.message_faults.size(), 1u);
-  const auto& b = back.message_faults[0];
-  EXPECT_EQ(b.src, 1);
-  EXPECT_EQ(b.dst, -1);
-  EXPECT_EQ(b.drop_probability, mf.drop_probability);
-  EXPECT_EQ(b.delay_probability, mf.delay_probability);
-  EXPECT_EQ(b.duplicate_probability, mf.duplicate_probability);
-  EXPECT_EQ(b.corrupt_probability, mf.corrupt_probability);
-  EXPECT_EQ(b.truncate_probability, mf.truncate_probability);
-  EXPECT_EQ(b.reorder_probability, mf.reorder_probability);
-  EXPECT_EQ(b.delay, mf.delay);
-  EXPECT_EQ(b.fire_from, mf.fire_from);
-  EXPECT_EQ(b.fire_count, mf.fire_count);
-  EXPECT_EQ(b.min_payload, mf.min_payload);
-}
-
 TEST(FaultInjection, MinPayloadSkipsHeaderOnlyFrames) {
   // A min_payload filter makes header-only frames (acks, fence tokens)
   // invisible to the entry: they neither fire nor advance its match index.
@@ -481,110 +434,6 @@ TEST(FaultInjection, CorruptPositionsDoNotDependOnOtherEntries) {
     EXPECT_EQ(aa.corrupt_element, bb.corrupt_element);
     EXPECT_EQ(aa.corrupt_bit, bb.corrupt_bit);
   }
-}
-
-TEST(FaultPlanJson, AcceptsSparseHandWrittenPlans) {
-  const fault_plan plan = fault_plan_from_json(sfp::io::parse_json(
-      R"({"seed": 7, "message_faults": [{"drop": 0.5}]})"));
-  EXPECT_EQ(plan.seed, 7u);
-  ASSERT_EQ(plan.message_faults.size(), 1u);
-  EXPECT_EQ(plan.message_faults[0].src, -1);
-  EXPECT_EQ(plan.message_faults[0].drop_probability, 0.5);
-  EXPECT_TRUE(plan.kills.empty());
-}
-
-TEST(FaultPlanJson, RejectsMalformedPlans) {
-  using sfp::io::parse_json;
-  EXPECT_THROW(fault_plan_from_json(parse_json("[1,2]")), sfp::contract_error);
-  EXPECT_THROW(fault_plan_from_json(parse_json(
-                   R"({"message_faults": [{"drop": 1.5}]})")),
-               sfp::contract_error);
-  EXPECT_THROW(fault_plan_from_json(parse_json(
-                   R"({"kills": [{"rank": -3, "at_op": 1}]})")),
-               sfp::contract_error);
-  EXPECT_THROW(fault_plan_from_json(parse_json(R"({"seed": "12x"})")),
-               sfp::contract_error);
-}
-
-TEST(FaultPlanJson, RejectsNonIntegralAndOutOfRangeIntegers) {
-  using sfp::io::parse_json;
-  const auto rejects = [](const char* text) {
-    EXPECT_THROW(fault_plan_from_json(parse_json(text)), sfp::contract_error)
-        << text;
-  };
-  rejects(R"({"message_faults": [{"src": 0, "dst": 1e20}]})");
-  rejects(R"({"message_faults": [{"src": 0.7, "dst": 1.9}]})");
-  rejects(R"({"message_faults": [{"src": -2}]})");
-  rejects(R"({"kills": [{"rank": 0.5, "at_op": 1}]})");
-  rejects(R"({"kills": [{"rank": 1, "at_op": 1e300}]})");
-  rejects(R"({"message_faults": [{"fire_from": 0.25}]})");
-  rejects(R"({"message_faults": [{"fire_count": -2}]})");
-  rejects(R"({"message_faults": [{"min_payload": 6.5}]})");
-  rejects(R"({"message_faults": [{"delay_us": 1e20}]})");
-  rejects(R"({"seed": 18446744073709551616})");
-  rejects(R"({"seed": 2.5})");
-  // Datagrams are untagged: only the wildcard every writer emitted loads.
-  rejects(R"({"message_faults": [{"tag": 7}]})");
-  const fault_plan plan = fault_plan_from_json(parse_json(
-      R"({"seed": 12, "message_faults": [{"src": -1, "dst": 2, "tag": -1,
-          "fire_count": -1, "delay_us": 1e3}]})"));
-  EXPECT_EQ(plan.seed, 12u);
-  ASSERT_EQ(plan.message_faults.size(), 1u);
-  EXPECT_EQ(plan.message_faults[0].dst, 2);
-  EXPECT_EQ(plan.message_faults[0].fire_count, -1);
-  EXPECT_EQ(plan.message_faults[0].delay, std::chrono::microseconds{1000});
-}
-
-TEST(FaultPlanJson, UnknownKeysAreRejected) {
-  // A misspelt key used to be skipped, so `{"kils": [...]}` replayed as a
-  // fault-free plan. The error names the key.
-  using sfp::io::parse_json;
-  const auto error_of = [](const char* text) -> std::string {
-    try {
-      (void)fault_plan_from_json(parse_json(text));
-    } catch (const sfp::contract_error& e) {
-      return e.what();
-    }
-    return "";
-  };
-  EXPECT_NE(error_of(R"({"kils": [{"rank": 1, "at_op": 3}]})").find("'kils'"),
-            std::string::npos);
-  EXPECT_NE(error_of(R"({"kills": [{"rank": 1, "at_op": 3, "op": 4}]})")
-                .find("'op'"),
-            std::string::npos);
-  EXPECT_NE(error_of(R"({"message_faults": [{"drop": 0.5, "dorp": 1}]})")
-                .find("'dorp'"),
-            std::string::npos);
-  // The legacy wildcard tag is still read.
-  EXPECT_EQ(error_of(R"({"message_faults": [{"tag": -1, "drop": 0.5}]})"),
-            "");
-}
-
-TEST(FaultPlanJson, FileRoundTripAndReplayIsDeterministic) {
-  fault_plan plan;
-  plan.seed = 424242;
-  fault_plan::message_fault mf;
-  mf.drop_probability = 0.3;
-  mf.corrupt_probability = 0.2;
-  plan.message_faults.push_back(mf);
-  const std::string path =
-      ::testing::TempDir() + "/sfcpart_fault_plan_test.json";
-  save_fault_plan(plan, path);
-  const fault_plan loaded = load_fault_plan(path);
-
-  // The loaded plan must drive the injector through the identical decision
-  // sequence — the property that makes committed reproducers replayable.
-  fault_injector a(plan, 1);
-  fault_injector b(loaded, 1);
-  for (int i = 0; i < 32; ++i) {
-    const auto x = a.on_send(0, 12);
-    const auto y = b.on_send(0, 12);
-    EXPECT_EQ(x.drop, y.drop);
-    EXPECT_EQ(x.corrupt, y.corrupt);
-    EXPECT_EQ(x.corrupt_element, y.corrupt_element);
-  }
-  EXPECT_THROW(load_fault_plan(path + ".does-not-exist"),
-               sfp::contract_error);
 }
 
 }  // namespace

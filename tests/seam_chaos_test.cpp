@@ -1,8 +1,9 @@
 // The chaos-soak harness end to end: randomized discrete fault schedules
 // heal in place under the reliable transport (agreeing with the fault-free
-// run to 1e-12), a deliberately broken transport (checksum verification
-// off) is caught by the soak, and ddmin shrinks the failing schedule to a
-// minimal reproducer that survives a JSON round trip.
+// run to 1e-12), rank kills on either harness keep the one kill contract,
+// a deliberately broken transport (checksum verification off) is caught
+// by the soak, and ddmin shrinks the failing schedule to a minimal
+// reproducer that survives a JSON round trip.
 
 #include <gtest/gtest.h>
 
@@ -10,6 +11,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <vector>
 
 #include "io/json.hpp"
 #include "seam/chaos.hpp"
@@ -170,6 +172,29 @@ TEST(ChaosSchedule, AdvectionHarnessDrawsOverEveryRankPair) {
   }
 }
 
+TEST(ChaosSchedule, AdvectionHarnessDrawsOnlyFramesARunSends) {
+  // One step sends 3 data frames per halo link, and at 8 ranks on Ne = 2
+  // some rank pairs share no element edge or corner. Every drawn fault
+  // must land on a frame the run sends, and fire.
+  chaos_options opts = small_problem();
+  opts.nranks = 8;
+  opts.nsteps = 1;
+  const chaos_harness harness(opts);
+  for (std::uint64_t seed = 1000; seed < 1020; ++seed) {
+    const chaos_schedule schedule = harness.make_schedule(seed, 1);
+    const chaos_trial t = harness.run(schedule);
+    const runtime::rank_counters& c = t.counters;
+    EXPECT_TRUE(t.passed) << "seed " << seed << ": " << t.failure;
+    EXPECT_EQ(c.injected_drops + c.injected_duplicates +
+                  c.injected_corruptions + c.injected_truncations +
+                  c.injected_reorders,
+              1)
+        << "seed " << seed << ": fault on " << schedule.faults[0].src
+        << " -> " << schedule.faults[0].dst << " frame "
+        << schedule.faults[0].nth << " never fired";
+  }
+}
+
 TEST(ChaosSchedule, PartitionHarnessDrawsOntoRootLeafDataFrames) {
   // A partition attempt sends data frames only between the root and each
   // leaf, two per link and direction; the harness draws every fault onto
@@ -300,6 +325,14 @@ TEST(ChaosKills, JsonRoundTripPreservesKillsAndRejectsBadOnes) {
   EXPECT_THROW(chaos_schedule_from_json(io::parse_json(
                    R"({"kills": [{"rank": 0, "at_op": 0}]})")),
                std::exception);
+  // A kills-only file loads: "faults" is optional like "kills".
+  const chaos_schedule kills_only = chaos_schedule_from_json(io::parse_json(
+      R"({"seed": "7", "kills": [{"rank": 2, "at_op": 40}]})"));
+  EXPECT_EQ(kills_only.seed, 7u);
+  EXPECT_TRUE(kills_only.faults.empty());
+  ASSERT_EQ(kills_only.kills.size(), 1u);
+  EXPECT_EQ(kills_only.kills[0].rank, 2);
+  EXPECT_EQ(kills_only.kills[0].at_op, 40);
 }
 
 TEST(ChaosKills, LowersToFaultPlanKillSpecs) {
@@ -325,6 +358,52 @@ TEST(ChaosKills, PartitionSoakKeepsSerialParityThroughKills) {
   for (const auto& f : report.failures)
     ADD_FAILURE() << "seed " << f.schedule.seed << ": " << f.trial.failure;
   EXPECT_GT(report.recovered_trials, 0);
+}
+
+TEST(ChaosKills, AdvectionDirectedKillReslicesAroundTheDeadRank) {
+  // A kill cannot heal in place: the run restarts on the survivors, which
+  // re-slice the curve around the dead rank — only its segment moves —
+  // and still match the fault-free tracer field.
+  const chaos_harness harness(small_problem());
+  chaos_schedule schedule;
+  schedule.seed = 7;
+  schedule.kills.push_back({2, 12});
+  const chaos_trial t = harness.run(schedule);
+  EXPECT_TRUE(t.passed) << t.failure;
+  EXPECT_FALSE(t.aborted);
+  EXPECT_EQ(t.lost_ranks, std::vector<int>{2});
+  EXPECT_EQ(t.recoveries, 1);
+  EXPECT_GT(t.migration.moved_elements, 0);
+  EXPECT_EQ(t.final_partition.num_parts, harness.nranks() - 1);
+  EXPECT_LE(t.max_abs_diff, harness.options().tolerance);
+}
+
+TEST(ChaosKills, AdvectionSoakKeepsTheKillContract) {
+  // Message faults and a kill per schedule: every run recovers to the
+  // fault-free field, losing exactly the ranks whose kill fired.
+  const chaos_harness harness(small_problem());
+  const soak_report report =
+      run_chaos_soak(harness, /*base_seed=*/1000, /*trials=*/10,
+                     /*nfaults=*/2, /*nkills=*/1);
+  EXPECT_EQ(report.trials, 10);
+  for (const auto& f : report.failures)
+    ADD_FAILURE() << "seed " << f.schedule.seed << ": " << f.trial.failure;
+  EXPECT_GT(report.recovered_trials, 0);
+}
+
+TEST(ChaosKills, AdvectionRunThatLosesEveryRankIsACleanAbort) {
+  // Every rank dies at its first op: the ladder runs dry, and the harness
+  // accepts the abort because the schedule can starve it. The aborted
+  // trial keeps its accounting.
+  const chaos_harness harness(small_problem());
+  chaos_schedule schedule;
+  for (int r = 0; r < harness.nranks(); ++r) schedule.kills.push_back({r, 1});
+  const chaos_trial t = harness.run(schedule);
+  EXPECT_TRUE(t.passed) << t.failure;
+  EXPECT_TRUE(t.aborted);
+  EXPECT_EQ(t.lost_ranks.size(), static_cast<std::size_t>(harness.nranks()));
+  EXPECT_GT(t.counters.injected_kills, 0);
+  EXPECT_EQ(t.final_partition.num_parts, 0);
 }
 
 TEST(ChaosShrink, UnreproducibleFailureIsReturnedUnchanged) {

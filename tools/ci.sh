@@ -30,18 +30,20 @@
 #   5. sfcpart trace produces both artifacts and they are non-empty JSON
 #   6. seeded short chaos soak: the 'chaos'-labelled ctest binaries rerun
 #      standalone with a hard per-test timeout, then the shipped CLI soaks
-#      a bounded batch of randomized schedules (seed fixed by
-#      SFCPART_CHAOS_SEED, default 1000) and must heal every one in
-#      place; a rank-kill soak must keep serial parity; bare schedule
-#      files replay through `sfcpart chaos --replay`: message faults on
-#      each harness, and a rank kill on the partition harness — a replay
-#      also fails when a scheduled fault kind injected nothing. Three
-#      negative legs must exit non-zero: a replay of a drop on a frame a
-#      2-part plan never sends (2 -> 0, frame 1), a replay of a schedule
-#      with an unknown key — whose stderr must name the key and show no
-#      `precondition failed` or `/src/` path — and `sfcpart chaos` with a
-#      flag it does not read. A two-kill fault plan replays through `sfcpart faults --plan`,
-#      recovering the SEAM tracer field to 1e-12
+#      bounded batches of randomized schedules (seed fixed by
+#      SFCPART_CHAOS_SEED, default 1000): SEAM advection must heal every
+#      message fault in place, and rank-kill soaks of both harnesses must
+#      keep the kill contract (the fault-free result on the survivors,
+#      which lost exactly the killed ranks) — the partition one also serial
+#      parity. Bare schedule files replay through `sfcpart chaos --replay`:
+#      message faults on each harness, a rank kill on the partition
+#      harness, and two kills on SEAM advection, which must recover the
+#      tracer field to 1e-12; a replay also fails when a scheduled fault
+#      kind injected nothing. Three negative legs must exit non-zero: a
+#      replay of a drop on a frame a 2-part plan never sends (2 -> 0,
+#      frame 1), a replay of a schedule with an unknown key — whose stderr
+#      must name the key and show no `precondition failed` or `/src/` path
+#      — and `sfcpart chaos` with a flag it does not read
 #   7. distributed-partition bench smoke: bench_partition_scaling at a tiny
 #      K, and again at ~8 elements per part (Ne = 12, 108 parts), must run
 #      all rank counts, match the serial slicer (the bench aborts on
@@ -134,6 +136,10 @@ build/tools/sfcpart chaos --trials=20 --faults=6 \
 # (exit 1 otherwise).
 build/tools/sfcpart chaos --partition --trials=20 --kills=1 \
   --seed="${SFCPART_CHAOS_SEED:-1000}" --out="$chaos_dir/chaos_kill"
+# The same on SEAM advection: a kill re-slices the curve around the dead
+# rank, and the survivors must still match the fault-free tracer field.
+build/tools/sfcpart chaos --trials=10 --kills=1 \
+  --seed="${SFCPART_CHAOS_SEED:-1000}" --out="$chaos_dir/chaos_seam_kill"
 # Replay legs: bare schedule files through --replay — two message faults
 # that heal in place on each harness (on the partition harness a corrupt
 # and a drop on leaf -> root data frames, which must still yield the
@@ -188,14 +194,14 @@ if build/tools/sfcpart chaos --trials=1 --faults=1 --transport=inproc; then
   echo "ci: sfcpart chaos ran with a flag it does not read" >&2
   exit 1
 fi
-# SEAM rank-kill leg: a two-kill fault plan through `sfcpart faults`.
+# SEAM rank-kill replay: a kills-only schedule on the advection harness.
 # Rank 2 dies in the first step; rank 0's kill lies past its first
 # attempt, stays armed and fires after the restart. Two restarts, and the
 # recovered tracer must match the fault-free run to 1e-12.
 printf '%s\n' '{"seed": "7", "kills": [{"rank": 2, "at_op": 40},
   {"rank": 0, "at_op": 120}]}' > "$chaos_dir/seam_two_kills.json"
-build/tools/sfcpart faults --ne=2 --nproc=4 --steps=8 \
-  --plan="$chaos_dir/seam_two_kills.json"
+build/tools/sfcpart chaos --ne=2 --nproc=4 --steps=8 \
+  --replay="$chaos_dir/seam_two_kills.json"
 rm -rf "$chaos_dir"
 
 echo "==> [7/9] distributed-partition bench smoke (tiny K)"

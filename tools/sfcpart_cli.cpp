@@ -43,7 +43,6 @@
 #include "partition/metrics.hpp"
 #include "perf/machine.hpp"
 #include "perf/simulate.hpp"
-#include "runtime/fault_json.hpp"
 #include "runtime/transport.hpp"
 #include "seam/advection.hpp"
 #include "seam/chaos.hpp"
@@ -62,7 +61,7 @@ using namespace sfp;
 int usage() {
   std::fprintf(stderr,
                "usage: sfcpart "
-               "<info|partition|curve|figure|validate|faults|chaos|trace> "
+               "<info|partition|curve|figure|validate|chaos|trace> "
                "[--flags]\n"
                "  info      --ne=N\n"
                "  partition --ne=N --nproc=P [--method=sfc|rb|kway|tv|rcb] "
@@ -73,30 +72,25 @@ int usage() {
                "  figure    --ne=N [--metric=speedup|gflops] [--out=BASE]\n"
                "  validate  --ne=N --in=FILE   (metrics of a saved "
                "partition)\n"
-               "  faults    --ne=N --nproc=P [--kill-rank=R|R@ROUND] "
-               "[--kill-op=K] [--steps=S] [--seed=X]\n"
-               "            [--plan=FILE]\n"
-               "            (kill a rank mid-run, recover by curve "
-               "re-slicing, report counters;\n"
-               "            --plan replays a saved fault-plan JSON instead "
-               "of the synthetic kill)\n"
-               "  chaos     [--trials=T] [--seed=X] [--faults=F] "
-               "[--ne=N] [--nproc=P] [--steps=S]\n"
-               "            [--out=BASE] [--no-shrink] [--replay=FILE]\n"
-               "            (soak the reliable channel under T randomized "
-               "fault schedules;\n"
-               "            failures are ddmin-shrunk and written as "
-               "BASE.failK.json reproducers)\n"
-               "            [--partition] [--kills=K] [--nparts=P] "
-               "[--kill-rank=R@ROUND]\n"
-               "            (partition mode: soak the distributed SFC "
-               "partitioner with K rank\n"
-               "            kills per schedule — survivors must match the "
-               "serial plan exactly,\n"
-               "            schedules that can exhaust the ladder may abort; "
-               "--kill-rank runs one\n"
+               "  chaos     [--trials=T] [--seed=X] [--faults=F] [--kills=K] "
+               "[--ne=N] [--nproc=P]\n"
+               "            [--steps=S] [--out=BASE] [--no-shrink] "
+               "[--replay=FILE] [--kill-rank=R@ROUND]\n"
+               "            (soak SEAM advection under T randomized "
+               "schedules of F message faults\n"
+               "            and K rank kills; failures are ddmin-shrunk "
+               "and written as\n"
+               "            BASE.failK.json reproducers; --replay reruns "
+               "one, --kill-rank runs one\n"
                "            directed trial killing rank R at its ROUND-th "
                "op)\n"
+               "            [--partition] [--nparts=P]\n"
+               "            (the same on the distributed SFC partitioner, "
+               "which must match the\n"
+               "            serial plan exactly; on either harness a "
+               "fired kill loses its rank,\n"
+               "            and only schedules that can exhaust the ladder "
+               "may abort)\n"
                "  trace     --ne=N --nproc=P [--steps=S] [--out=BASE]\n"
                "            (observed advection run; writes "
                "BASE.trace.json + BASE.metrics.json)\n");
@@ -388,94 +382,21 @@ void print_accounting(const runtime::resilience_report& r) {
 
 }  // namespace
 
-int cmd_faults(const cli_args& args) {
-  if (!only_known_flags(args, {"ne", "nproc", "steps", "plan", "kill-rank",
-                               "kill-op", "seed"}))
-    return 2;
-  const int ne = static_cast<int>(args.get_int_or("ne", 4));
-  const int nproc = static_cast<int>(args.get_int_or("nproc", 4));
-  const int nsteps = static_cast<int>(args.get_int_or("steps", 8));
-  const mesh::cubed_sphere mesh(ne);
-  if (nproc < 2 || nproc > mesh.num_elements()) {
-    std::fprintf(stderr, "nproc must be in [2, %d]\n", mesh.num_elements());
-    return 2;
-  }
-
-  runtime::resilience_options ropts;
-  if (const auto plan_path = args.get("plan")) {
-    ropts.faults = runtime::load_fault_plan(*plan_path);
-    for (const auto& k : ropts.faults.kills) {
-      if (k.rank >= nproc) {
-        std::fprintf(stderr, "plan kills rank %d but the run has %d ranks\n",
-                     k.rank, nproc);
-        return 2;
-      }
-    }
-  } else {
-    // --kill-rank takes either a bare rank (op from --kill-op) or the
-    // combined R@ROUND form shared with `sfcpart chaos`.
-    int kill_rank = nproc / 2;
-    std::int64_t kill_op = args.get_int_or("kill-op", 40);
-    if (const auto text = args.get("kill-rank")) {
-      if (text->find('@') != std::string::npos) {
-        if (!parse_kill_at(*text, &kill_rank, &kill_op)) {
-          std::fprintf(stderr, "--kill-rank=%s: want R@ROUND with ROUND >= 1\n",
-                       text->c_str());
-          return 2;
-        }
-      } else {
-        kill_rank = static_cast<int>(args.get_int_or("kill-rank", kill_rank));
-      }
-    }
-    if (kill_rank < 0 || kill_rank >= nproc) {
-      std::fprintf(stderr, "kill-rank must be in [0, %d)\n", nproc);
-      return 2;
-    }
-    ropts.faults.seed = static_cast<std::uint64_t>(args.get_int_or("seed", 0));
-    ropts.faults.kills.push_back({kill_rank, kill_op});
-  }
-  ropts.reliable = seam::chaos_reliable_defaults();
-
-  const auto curve = core::build_cube_curve(mesh);
-  const auto part = core::sfc_partition(curve, nproc);
-  seam::advection_model model(mesh, 4);
-  model.set_field([](mesh::vec3 p) {
-    return std::exp(-6.0 * ((p.x - 1) * (p.x - 1) + p.y * p.y + p.z * p.z));
-  });
-  const double dt = model.cfl_dt(0.3);
-
-  std::printf("running %d steps of advection on %d ranks under %zu kill(s) "
-              "and %zu message fault(s)...\n",
-              nsteps, nproc, ropts.faults.kills.size(),
-              ropts.faults.message_faults.size());
-  const auto reference = seam::run_distributed(model, part, dt, nsteps);
-
-  seam::recovery_report report;
-  seam::dist_stats stats;
-  const auto recovered = seam::run_distributed_resilient(
-      model, curve, part, dt, nsteps, ropts, &report, &stats);
-
-  double max_diff = 0;
-  for (std::size_t i = 0; i < reference.size(); ++i)
-    max_diff = std::max(max_diff, std::abs(recovered[i] - reference[i]));
-
-  table t({"metric", "value"});
-  t.new_row().add("restart step").add(report.restart_step);
-  t.new_row().add("survivor ranks").add(report.final_partition.num_parts);
-  t.new_row().add("moved elements").add(report.migration.moved_elements);
-  t.new_row().add("moved fraction").add(report.migration.moved_fraction, 4);
-  t.new_row().add("1/nproc").add(1.0 / nproc, 4);
-  t.new_row().add("max |recovered - fault-free|").add(max_diff, 16);
-  std::printf("%s\n", t.str().c_str());
-  print_accounting(report);
-  return max_diff < 1e-12 ? 0 : 1;
-}
-
 static void print_trial(const seam::chaos_trial& trial) {
   table t({"metric", "value"});
   t.new_row().add("passed").add(trial.passed ? 1 : 0);
   t.new_row().add("max |chaos - baseline|").add(trial.max_abs_diff, 16);
   t.new_row().add("aborted").add(trial.aborted ? 1 : 0);
+  // A SEAM restart re-slices the curve around the lost ranks: only their
+  // segments move, 1/nproc of the elements per rank.
+  if (trial.recoveries > 0 && trial.final_partition.num_parts > 0) {
+    t.new_row().add("restart step").add(trial.restart_step);
+    t.new_row().add("survivor ranks").add(trial.final_partition.num_parts);
+    t.new_row().add("moved elements").add(trial.migration.moved_elements);
+    t.new_row().add("moved fraction").add(trial.migration.moved_fraction, 4);
+    t.new_row().add("1/nproc").add(
+        1.0 / static_cast<double>(trial.per_rank_counters.size()), 4);
+  }
   std::printf("%s\n", t.str().c_str());
   print_accounting(trial);
   if (!trial.passed) std::printf("FAIL: %s\n", trial.failure.c_str());
@@ -527,11 +448,12 @@ static bool print_replay_coverage(const seam::chaos_schedule& schedule,
   return missed.empty();
 }
 
-// Chaos from the command line. The advection harness checks that every
-// fault heals in place against the fault-free run; `--partition`,
-// `--kills` or `--kill-rank` select the partition harness instead, since a
-// rank kill cannot heal in place and is checked against its contract
-// (survivor parity or clean abort). Either harness then runs one of three
+// Chaos from the command line. The advection harness checks SEAM
+// advection against the fault-free run; `--partition` selects the
+// partition harness, which checks the distributed partitioner against the
+// serial plan. Both take message faults and rank kills under one kill
+// contract (a fired kill loses its rank, and only a schedule that can
+// exhaust the ladder may abort). Either harness then runs one of three
 // paths: --replay reruns a schedule or reproducer (and also fails when a
 // scheduled fault kind never fired), --kill-rank runs one directed kill,
 // and otherwise a seeded soak runs and writes each failure's ddmin-shrunk
@@ -541,8 +463,8 @@ int cmd_chaos(const cli_args& args) {
                                "nproc", "nparts", "steps", "seed", "faults",
                                "replay", "trials", "no-shrink", "out"}))
     return 2;
-  const bool partition =
-      args.has("partition") || args.has("kills") || args.has("kill-rank");
+  const bool partition = args.has("partition");
+  const char* mode = partition ? "partition" : "advection";
   seam::chaos_options aopts;
   seam::partition_chaos_options popts;
   const int ne =
@@ -607,9 +529,9 @@ int cmd_chaos(const cli_args& args) {
     }
     seam::chaos_schedule schedule = harness->make_schedule(seed, nfaults);
     schedule.kills.push_back(kill);
-    std::printf("partitioning Ne=%d into %d parts on %d ranks, "
-                "killing rank %d at op %lld...\n",
-                ne, popts.nparts, nranks, kill.rank,
+    std::printf("%s harness, Ne=%d on %d ranks: killing rank %d at op "
+                "%lld...\n",
+                mode, ne, nranks, kill.rank,
                 static_cast<long long>(kill.at_op));
     const seam::chaos_trial trial = harness->run(schedule);
     print_trial(trial);
@@ -625,7 +547,7 @@ int cmd_chaos(const cli_args& args) {
 
   std::printf("soaking %d %s schedules of %d fault(s) + %d kill(s) "
               "(seed %llu) over Ne=%d, %d ranks...\n",
-              trials, partition ? "partition" : "advection", nfaults, nkills,
+              trials, mode, nfaults, nkills,
               static_cast<unsigned long long>(seed), ne, nranks);
   const seam::soak_report report = seam::run_chaos_soak(
       *harness, seed, trials, nfaults, nkills, shrink);
@@ -782,7 +704,6 @@ int main(int argc, char** argv) {
     if (cmd == "curve") return cmd_curve(args);
     if (cmd == "figure") return cmd_figure(args);
     if (cmd == "validate") return cmd_validate(args);
-    if (cmd == "faults") return cmd_faults(args);
     if (cmd == "chaos") return cmd_chaos(args);
     if (cmd == "trace") return cmd_trace(args);
   } catch (const contract_error& e) {
