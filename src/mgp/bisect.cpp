@@ -7,6 +7,7 @@
 
 #include "graph/ops.hpp"
 #include "mgp/coarsen.hpp"
+#include "mgp/options.hpp"
 #include "obs/trace.hpp"
 #include "util/contract.hpp"
 
@@ -212,16 +213,14 @@ graph::weight fm_refine(const graph::csr& g, std::vector<graph::vid>& side,
 }
 
 std::vector<graph::vid> bisect(const graph::csr& g, graph::weight target0,
-                               double tol, const options& opt, rng& r) {
+                               double tol, rng& r) {
   SFP_REQUIRE(target0 > 0 && target0 < g.total_vertex_weight(),
               "bisection target must be strictly between 0 and total weight");
   // Cap coarse vertex weight so the coarsest graph remains splittable near
   // the target (METIS-style 1.5 * total / coarsen_to).
-  const graph::vid coarse_target =
-      std::max<graph::vid>(opt.coarsen_to, 24);
   const graph::weight max_vwgt = std::max<graph::weight>(
-      1, (3 * g.total_vertex_weight()) / (2 * coarse_target));
-  hierarchy h = coarsen(g, coarse_target, max_vwgt, r);
+      1, (3 * g.total_vertex_weight()) / (2 * coarsen_to));
+  hierarchy h = coarsen(g, coarsen_to, max_vwgt, r);
 
   // Initial bisection at the coarsest level: several greedy growings, keep
   // the best after refinement.
@@ -231,12 +230,12 @@ std::vector<graph::vid> bisect(const graph::csr& g, graph::weight target0,
     SFP_OBS_TIMED_SCOPE("mgp.initial");
     graph::weight best_cut = 0;
     bool have_best = false;
-    for (int trial = 0; trial < std::max(1, opt.init_trials); ++trial) {
+    for (int trial = 0; trial < init_trials; ++trial) {
       const auto seed = static_cast<graph::vid>(
           r.below(static_cast<std::uint64_t>(cg.num_vertices())));
       std::vector<graph::vid> side = grow_initial(cg, seed, target0);
       const graph::weight cut =
-          fm_refine(cg, side, target0, tol, opt.refine_passes, r);
+          fm_refine(cg, side, target0, tol, refine_passes, r);
       if (!have_best || cut < best_cut) {
         best_side = std::move(side);
         best_cut = cut;
@@ -251,7 +250,7 @@ std::vector<graph::vid> bisect(const graph::csr& g, graph::weight target0,
     SFP_OBS_TIMED_SCOPE("mgp.refine");
     for (std::size_t lvl = h.levels.size(); lvl-- > 1;) {
       side = project(h.levels[lvl], side);
-      fm_refine(h.levels[lvl - 1].g, side, target0, tol, opt.refine_passes, r);
+      fm_refine(h.levels[lvl - 1].g, side, target0, tol, refine_passes, r);
     }
   }
   return side;
@@ -260,7 +259,7 @@ std::vector<graph::vid> bisect(const graph::csr& g, graph::weight target0,
 namespace {
 
 void rb_recurse(const graph::csr& g, const std::vector<graph::vid>& global_ids,
-                int nparts, int first_label, const options& opt, rng& r,
+                int nparts, int first_label, rng& r,
                 std::vector<graph::vid>& out) {
   if (nparts == 1) {
     for (const graph::vid id : global_ids)
@@ -275,7 +274,7 @@ void rb_recurse(const graph::csr& g, const std::vector<graph::vid>& global_ids,
   // first, cut second); the floor-based allowance makes 1.001 a hard split.
   const double tol = 1.001;
   std::vector<graph::vid> side =
-      bisect(g, std::max<graph::weight>(1, target0), tol, opt, r);
+      bisect(g, std::max<graph::weight>(1, target0), tol, r);
 
   std::vector<graph::vid> keep0, keep1;
   for (graph::vid v = 0; v < g.num_vertices(); ++v)
@@ -298,14 +297,14 @@ void rb_recurse(const graph::csr& g, const std::vector<graph::vid>& global_ids,
     ids0[i] = global_ids[static_cast<std::size_t>(old0[i])];
   for (std::size_t i = 0; i < old1.size(); ++i)
     ids1[i] = global_ids[static_cast<std::size_t>(old1[i])];
-  rb_recurse(g0, ids0, k0, first_label, opt, r, out);
-  rb_recurse(g1, ids1, k1, first_label + k0, opt, r, out);
+  rb_recurse(g0, ids0, k0, first_label, r, out);
+  rb_recurse(g1, ids1, k1, first_label + k0, r, out);
 }
 
 }  // namespace
 
 partition::partition recursive_bisection(const graph::csr& g, int nparts,
-                                         const options& opt, rng& r) {
+                                         rng& r) {
   SFP_OBS_TIMED_SCOPE("mgp.bisect");
   SFP_REQUIRE(nparts >= 1, "need at least one part");
   SFP_REQUIRE(nparts <= g.num_vertices(), "more parts than vertices");
@@ -314,7 +313,7 @@ partition::partition recursive_bisection(const graph::csr& g, int nparts,
   p.part_of.assign(static_cast<std::size_t>(g.num_vertices()), 0);
   std::vector<graph::vid> ids(static_cast<std::size_t>(g.num_vertices()));
   std::iota(ids.begin(), ids.end(), 0);
-  rb_recurse(g, ids, nparts, 0, opt, r, p.part_of);
+  rb_recurse(g, ids, nparts, 0, r, p.part_of);
   return p;
 }
 

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "graph/csr.hpp"
-#include "mgp/options.hpp"
 #include "partition/partition.hpp"
 #include "util/rng.hpp"
 
@@ -16,7 +15,7 @@ namespace sfp::mgp {
 /// weight (side 1 gets the rest). Returns one 0/1 label per vertex.
 /// `tol` bounds each side at ceil(tol * target).
 std::vector<graph::vid> bisect(const graph::csr& g, graph::weight target0,
-                               double tol, const options& opt, rng& r);
+                               double tol, rng& r);
 
 /// FM refinement of an existing 2-way labelling (exposed for tests and for
 /// the k-way initial partitioner). Mutates `side` in place; returns the
@@ -28,6 +27,6 @@ graph::weight fm_refine(const graph::csr& g, std::vector<graph::vid>& side,
 /// Recursive multilevel bisection into `nparts` near-equal parts
 /// (the METIS "RB" algorithm of paper Section 2).
 partition::partition recursive_bisection(const graph::csr& g, int nparts,
-                                         const options& opt, rng& r);
+                                         rng& r);
 
 }  // namespace sfp::mgp

@@ -6,6 +6,7 @@
 
 #include "mgp/bisect.hpp"
 #include "mgp/coarsen.hpp"
+#include "mgp/options.hpp"
 #include "obs/trace.hpp"
 #include "util/contract.hpp"
 
@@ -239,8 +240,7 @@ int kway_refine(const graph::csr& g, std::vector<graph::vid>& labels,
 }
 
 partition::partition kway_partition(const graph::csr& g, int nparts,
-                                    kway_objective objective,
-                                    const options& opt, rng& r) {
+                                    kway_objective objective, rng& r) {
   SFP_OBS_TIMED_SCOPE("mgp.kway");
   SFP_REQUIRE(nparts >= 1, "need at least one part");
   SFP_REQUIRE(nparts <= g.num_vertices(), "more parts than vertices");
@@ -250,9 +250,8 @@ partition::partition kway_partition(const graph::csr& g, int nparts,
   }
 
   // Coarsen to ~4 vertices per part (kmetis-style); never below nparts.
-  const graph::vid coarse_target = std::max<graph::vid>(
-      static_cast<graph::vid>(nparts) * 4,
-      static_cast<graph::vid>(opt.coarsen_to));
+  const graph::vid coarse_target =
+      std::max<graph::vid>(static_cast<graph::vid>(nparts) * 4, coarsen_to);
   const graph::weight max_vwgt = std::max<graph::weight>(
       1, (3 * g.total_vertex_weight()) /
              (2 * std::max<graph::weight>(1, coarse_target)));
@@ -264,11 +263,9 @@ partition::partition kway_partition(const graph::csr& g, int nparts,
   std::vector<graph::vid> labels;
   {
     SFP_OBS_TIMED_SCOPE("mgp.initial");
-    options rb_opt = opt;
-    rb_opt.algo = method::recursive_bisection;
-    labels = recursive_bisection(h.coarsest(), nparts, rb_opt, r).part_of;
-    kway_refine(h.coarsest(), labels, nparts, objective, opt.imbalance_tol,
-                opt.refine_passes, r);
+    labels = recursive_bisection(h.coarsest(), nparts, r).part_of;
+    kway_refine(h.coarsest(), labels, nparts, objective, imbalance_tol,
+                refine_passes, r);
   }
 
   {
@@ -276,7 +273,7 @@ partition::partition kway_partition(const graph::csr& g, int nparts,
     for (std::size_t lvl = h.levels.size(); lvl-- > 1;) {
       labels = project(h.levels[lvl], labels);
       kway_refine(h.levels[lvl - 1].g, labels, nparts, objective,
-                  opt.imbalance_tol, opt.refine_passes, r);
+                  imbalance_tol, refine_passes, r);
     }
   }
   return partition::partition(nparts, std::move(labels));

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "graph/csr.hpp"
-#include "mgp/options.hpp"
 #include "partition/partition.hpp"
 #include "util/rng.hpp"
 
@@ -20,8 +19,7 @@ enum class kway_objective { edgecut, total_volume };
 /// exactly the trade the paper observes costing METIS at O(1) elements per
 /// processor.
 partition::partition kway_partition(const graph::csr& g, int nparts,
-                                    kway_objective objective,
-                                    const options& opt, rng& r);
+                                    kway_objective objective, rng& r);
 
 /// One greedy k-way refinement sweep set (exposed for tests): mutates
 /// `labels`, returns the number of vertex moves performed.

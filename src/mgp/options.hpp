@@ -19,22 +19,22 @@ enum class method : std::uint8_t {
   kway_volume,
 };
 
+/// Allowed imbalance for kway-style refinement: a part may grow to
+/// ceil(imbalance_tol * ideal_weight). (RB enforces near-exact splits.)
+inline constexpr double imbalance_tol = 1.03;
+
+/// Coarsening stops once the graph has at most this many vertices (RB) or
+/// max(coarsen_to, 4*k) vertices (k-way).
+inline constexpr int coarsen_to = 48;
+
+/// Maximum refinement passes per uncoarsening level.
+inline constexpr int refine_passes = 8;
+
+/// Number of random initial-bisection attempts at the coarsest level.
+inline constexpr int init_trials = 4;
+
 struct options {
   method algo = method::kway;
-
-  /// Allowed imbalance for kway-style refinement: a part may grow to
-  /// ceil(imbalance_tol * ideal_weight). (RB enforces near-exact splits.)
-  double imbalance_tol = 1.03;
-
-  /// Coarsening stops once the graph has at most this many vertices (RB) or
-  /// max(coarsen_to, 4*k) vertices (k-way).
-  int coarsen_to = 48;
-
-  /// Maximum refinement passes per uncoarsening level.
-  int refine_passes = 8;
-
-  /// Number of random initial-bisection attempts at the coarsest level.
-  int init_trials = 4;
 
   /// Seed for all randomized tie-breaking; runs are fully deterministic.
   std::uint64_t seed = 20030422;  // IPDPS'03 nod

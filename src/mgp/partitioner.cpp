@@ -32,13 +32,13 @@ partition::partition partition_graph(const graph::csr& g, int nparts,
   };
   switch (opt.algo) {
     case method::recursive_bisection:
-      return finish(recursive_bisection(g, nparts, opt, r));
+      return finish(recursive_bisection(g, nparts, r));
     case method::kway:
       return finish(
-          kway_partition(g, nparts, kway_objective::edgecut, opt, r));
+          kway_partition(g, nparts, kway_objective::edgecut, r));
     case method::kway_volume:
       return finish(
-          kway_partition(g, nparts, kway_objective::total_volume, opt, r));
+          kway_partition(g, nparts, kway_objective::total_volume, r));
   }
   SFP_REQUIRE(false, "invalid method");
   return {};

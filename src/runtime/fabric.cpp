@@ -65,8 +65,7 @@ std::exception_ptr run_resilient(int num_ranks,
         std::exception_ptr failure;  // a failed attempt's traffic counts
         try {
           rank_main(channel, alive[r]);
-          channel.flush();
-          channel.fence();
+          channel.fence();  // the attempt's one closing settle
         } catch (...) {
           failure = std::current_exception();
         }

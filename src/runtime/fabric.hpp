@@ -12,6 +12,12 @@
 // renumbered densely, until an attempt completes, the recovery budget is
 // spent or no rank survives.
 //
+// Settling: a rank program sends and receives without settling between
+// its own exchanges; run_resilient closes every rank body with one
+// reliable_channel::fence(), so an attempt completes only when every
+// frame any of its ranks sent is acked. A program that needs a global
+// point mid-run (the SEAM runners' checkpoint seal) fences there itself.
+//
 // Faults across attempts, for every runner: message faults apply to
 // attempt 0 only. A kill that has not fired stays armed on its world rank
 // while that rank survives, and its `at_op` counts the rank's ops within
@@ -64,8 +70,9 @@ using restart_fn = std::function<void(const std::set<int>& lost)>;
 
 /// Run `rank_main` on `num_ranks` world ranks, restarting on the survivors
 /// after every rank death or unreachable peer while
-/// attempt < max_recoveries. Each rank gets a fresh reliable_channel per attempt, which the
-/// loop settles with flush() and fence() after `rank_main` returns.
+/// attempt < max_recoveries. Each rank gets a fresh reliable_channel per
+/// attempt, which the loop settles with one fence() after `rank_main`
+/// returns.
 /// `on_restart` (may be empty) runs before each restart. Accumulates into
 /// `report` and returns null when an attempt completed, else the root
 /// cause of the attempt the ladder refused. Any other exception (a

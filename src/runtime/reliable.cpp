@@ -305,9 +305,16 @@ void reliable_channel::handle_wire(any_message&& msg) {
 }
 
 void reliable_channel::pump() {
+  // A delivered message may be the ack that settles a frame, so no
+  // deadline is judged while one is waiting: acks that queued up while the
+  // rank computed are read before anything is resent.
   any_message msg;
-  if (fabric_->try_recv_any(pump_slice, &msg)) handle_wire(std::move(msg));
-  // Retransmit every unacked frame whose deadline passed.
+  if (fabric_->try_recv_any(pump_slice, &msg)) {
+    handle_wire(std::move(msg));
+    return;
+  }
+  // A whole slice went quiet: retransmit every unacked frame whose
+  // deadline passed.
   const clock::time_point now = clock::now();
   for (auto& [rank, p] : peers_) {
     for (auto& [seq, entry] : p.unacked) {
@@ -360,16 +367,12 @@ std::vector<double> reliable_channel::take(int src, envelope::kind want) {
   }
 }
 
-void reliable_channel::flush() {
-  SFP_TRACE_SCOPE_CAT("reliable.flush", "runtime");
-  // Pump until every send is acked; pump() enforces the per-message
-  // retransmit budget, so this terminates either clean or with
-  // peer_unreachable_error.
-  while (!all_acked()) pump();
-}
-
 void reliable_channel::fence() {
   SFP_TRACE_SCOPE_CAT("reliable.fence", "runtime");
+  // Own sends first: pump until every one is acked. pump() enforces the
+  // per-message retransmit budget, so this ends either clean or with
+  // peer_unreachable_error.
+  while (!all_acked()) pump();
   const int n = fabric_->size();
   const int self = fabric_->rank();
   // Dissemination barrier: each round sends a token to rank self + hop and

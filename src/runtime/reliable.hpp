@@ -18,13 +18,17 @@
 // untagged (src, dst) datagrams, so one try_recv_any pump drains
 // everything.
 //
-// Deadlock-freedom: every blocking reliable op (recv, flush, fence) runs the
+// Deadlock-freedom: every blocking reliable op (recv, fence) runs the
 // progress pump, so a rank waiting on its own traffic keeps servicing its
-// peers' retransmissions. An exchange that must be settled before ranks
-// move on ends with flush() (all own sends acked) followed by fence() — a
-// pumping dissemination barrier: while any rank is still flushing, every
-// other rank is provably inside a pumping call, so the missing re-ack always
-// arrives. The destructor absorbs the final unacknowledgeable acks (the
+// peers' retransmissions. The pump reads every message that has arrived
+// before it judges a retransmit deadline, so an ack that queued up while
+// the rank computed never costs a resend. Ranks settle with fence() only:
+// it waits until the rank's own sends are acked, then runs a pumping
+// dissemination barrier. While any rank still waits on an ack, every other
+// rank is inside a pumping call or on its way to one, so the missing
+// re-ack always arrives. A rank program needs no settle between its own
+// exchanges — run_resilient (fabric.hpp) fences once when the body
+// returns. The destructor absorbs the final unacknowledgeable acks (the
 // two-generals tail) by pumping for a bounded linger, then discarding.
 //
 // See docs/runtime_faults.md for the wire format and the full ack/retransmit
@@ -164,15 +168,12 @@ class reliable_channel {
   /// token at the head of the stream is a contract error.
   std::vector<double> recv(int src);
 
-  /// Pump until every send has been acknowledged (retransmitting as
-  /// deadlines expire). Call before leaving an exchange phase.
-  void flush();
-
-  /// Pumping dissemination barrier over the channel itself: returns when
-  /// every rank has entered (and therefore passed its flush()). Its tokens
-  /// ride the data streams, so everything sent to this rank before its
-  /// peers fenced must be received first: data ahead of a token is a
-  /// contract error.
+  /// Settle: pump until every own send is acknowledged (retransmitting as
+  /// deadlines expire), then run a pumping dissemination barrier over the
+  /// channel itself. Returns when every rank has entered, so every frame
+  /// any rank sent before its fence is acked. The barrier's tokens ride the
+  /// data streams, so everything sent to this rank before its peers fenced
+  /// must be received first: data ahead of a token is a contract error.
   void fence();
 
   int rank() const { return fabric_->rank(); }
@@ -214,8 +215,9 @@ class reliable_channel {
   /// The peer's state; every cursor starts at opts_.first_seq.
   peer_state& peer(int rank);
   bool all_acked() const;
-  /// One pump iteration: wait briefly for one wire message and handle it,
-  /// then retransmit every unacked frame whose deadline passed.
+  /// One pump iteration: wait briefly for one wire message and handle it;
+  /// only when none arrives, retransmit every unacked frame whose deadline
+  /// passed.
   void pump();
   void handle_wire(any_message&& msg);
   void send_ack(int src, std::uint64_t seq);

@@ -111,6 +111,10 @@ chaos_schedule chaos_schedule_from_json(const io::json_value& doc);
 /// Restart budget of every chaos trial, on either harness.
 inline constexpr int chaos_max_recoveries = 3;
 
+/// The advection harness's pass bound: max |chaos - baseline| over the
+/// final tracer field.
+inline constexpr double chaos_tolerance = 1e-12;
+
 /// Outcome of one schedule on either harness: the resilient run's
 /// accounting plus the verdict. Each harness fills the fields its system
 /// reports and leaves the others at their zero value; the restart step,
@@ -148,9 +152,7 @@ struct chaos_options {
   int ne = 2;       ///< cubed-sphere elements per edge
   int np = 4;       ///< GLL points per element edge
   int nranks = 4;   ///< virtual ranks
-  int nsteps = 3;   ///< RK3 steps per trial
-  double cfl = 0.3; ///< dt = model.cfl_dt(cfl)
-  double tolerance = 1e-12;  ///< max |chaos - baseline| to pass
+  int nsteps = 3;   ///< RK3 steps per trial; dt = model.cfl_dt(0.3)
   /// Channel tuning, incl. the verify_checksums test hook.
   runtime::reliable_options reliable = chaos_reliable_defaults();
 };
@@ -158,8 +160,8 @@ struct chaos_options {
 /// Advection harness: runs seam::run_distributed_resilient. Message faults
 /// must heal in place; a rank kill re-slices the curve around the dead
 /// rank. Pass/fail: the kill contract (partition_chaos_harness), and a
-/// completed run's final tracer field within `tolerance` of the fault-free
-/// baseline.
+/// completed run's final tracer field within chaos_tolerance of the
+/// fault-free baseline.
 class chaos_harness final : public chaos_target {
  public:
   explicit chaos_harness(const chaos_options& opts = {});

@@ -165,14 +165,6 @@ std::pair<std::int64_t, std::int64_t> halo_exchanger::dss_average(
     }
   }
   {
-    // Settle the fabric before anyone moves on: every send acked, then a
-    // pumping barrier proving every rank got that far (see
-    // reliable_channel::fence).
-    SFP_TRACE_SCOPE_CAT("halo.settle", "seam");
-    channel_->flush();
-    channel_->fence();
-  }
-  {
     SFP_TRACE_SCOPE_CAT("halo.unpack", "seam");
     for (std::size_t k = 0; k < field.size(); ++k) {
       const auto d = static_cast<std::size_t>(plan.node_dof_local[k]);

@@ -63,11 +63,13 @@ struct exchange_plan {
 ///
 /// Halo traffic travels through `channel` (checksummed, acked,
 /// retransmitted — see runtime/reliable.hpp), healing injected
-/// drop/corrupt/duplicate/reorder faults in place.
-/// Each dss_average ends with channel.flush() and channel.fence(): no rank
-/// leaves the exchange until every rank's halo traffic is delivered and
-/// acknowledged. `channel` must outlive the exchanger; `rank` is this
-/// rank's id, used only for the per-peer obs counter names.
+/// drop/corrupt/duplicate/reorder faults in place. A dss_average packs,
+/// sends, receives and unpacks, and talks to its peers only: it does not
+/// settle the channel, since each (sender, receiver) stream is ordered and
+/// the next DSS's frames queue behind this one's; the fence that closes
+/// the rank body settles it (runtime/fabric.hpp). `channel` must outlive
+/// the exchanger; `rank` is this rank's id, used only for the per-peer obs
+/// counter names.
 class halo_exchanger {
  public:
   halo_exchanger(const rank_exchange_plan& plan, int rank,

@@ -57,7 +57,6 @@ void run_peer_group(int nranks, Body&& body) {
     runtime::reliable_channel channel(t);
     runtime::reliable_peer_comm peers(channel);
     body(peers);
-    channel.flush();
     channel.fence();
   });
 }

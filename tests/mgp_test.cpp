@@ -163,9 +163,8 @@ TEST(FmRefine, RespectsTargetWeights) {
 
 TEST(Bisect, GridSplitsCleanly) {
   const auto g = graph::grid_graph(8, 8);
-  options opt;
-  rng r(opt.seed);
-  const auto side = bisect(g, 32, 1.03, opt, r);
+  rng r(options{}.seed);
+  const auto side = bisect(g, 32, 1.03, r);
   graph::weight w0 = 0;
   for (const auto s : side) w0 += (s == 0);
   EXPECT_GE(w0, 30);

@@ -6,12 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstring>
 #include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -299,7 +301,6 @@ TEST(ReliableChannel, DeliversInOrderOnCleanFabric) {
       ASSERT_EQ(got.size(), 1u);
       EXPECT_EQ(got[0], static_cast<double>(i));
     }
-    ch.flush();
     ch.fence();
   });
   EXPECT_FALSE(w.aborted());
@@ -368,7 +369,6 @@ void exchange_under(const fault_plan& plan, reliable_stats* out_stats) {
                   100.0 * left + i + 0.25 * j);
       ++healed_checks;
     }
-    ch.flush();
     ch.fence();
     std::lock_guard<std::mutex> lock(stats_mutex);
     stats_sum += ch.stats();
@@ -452,17 +452,50 @@ TEST(ReliableChannel, ChecksumHookLetsCorruptionThrough) {
     const std::vector<double> payload(8, 1.0);
     if (c.rank() == 0) {
       ch.send(1, payload);
-      ch.flush();
       ch.fence();
     } else {
       const std::vector<double> got = ch.recv(0);
       ASSERT_EQ(got.size(), payload.size());
       EXPECT_NE(got, payload);
-      ch.flush();
       ch.fence();
     }
   });
   EXPECT_FALSE(w.aborted());
+}
+
+// A rank that computes while its acks arrive must read them before it
+// judges a retransmit deadline: rank 0 sends one frame to each of ranks 1
+// and 2, both of which receive it, reply and raise a flag. Rank 0 waits
+// on the flags without pumping and sleeps past the retransmit timeout, so
+// both acks sit queued behind expired deadlines. Handling one delivered
+// message and then scanning the deadlines resends the other frame.
+TEST(ReliableChannel, AcksQueuedDuringComputeAreReadBeforeAnyRetransmit) {
+  world w(3);
+  std::array<std::atomic<bool>, 3> replied{};
+  std::atomic<std::int64_t> retransmits{-1};
+  w.run([&](transport& c) {
+    reliable_options opts;
+    opts.retransmit_timeout = 1ms;
+    opts.max_backoff = 4ms;
+    reliable_channel ch(c, opts);
+    if (c.rank() == 0) {
+      ch.send(1, std::vector<double>{1.0});
+      ch.send(2, std::vector<double>{2.0});
+      while (!replied[1].load() || !replied[2].load())
+        std::this_thread::sleep_for(100us);
+      std::this_thread::sleep_for(3 * opts.retransmit_timeout);
+      EXPECT_EQ(ch.recv(1).at(0), 10.0);
+      EXPECT_EQ(ch.recv(2).at(0), 20.0);
+      retransmits = ch.stats().retransmits;
+    } else {
+      const double got = ch.recv(0).at(0);
+      ch.send(0, std::vector<double>{10.0 * got});
+      replied[static_cast<std::size_t>(c.rank())] = true;
+    }
+    ch.fence();
+  });
+  EXPECT_FALSE(w.aborted());
+  EXPECT_EQ(retransmits.load(), 0);
 }
 
 TEST(ReliableChannel, TotalLossExhaustsRetransmitsAndNamesThePeer) {
@@ -486,7 +519,7 @@ TEST(ReliableChannel, TotalLossExhaustsRetransmitsAndNamesThePeer) {
         if (c.rank() == 0) {
           ch.send(1, std::vector<double>{1.0});
           try {
-            ch.flush();
+            ch.fence();
           } catch (const peer_unreachable_error& e) {
             unreachable_peer = e.peer();
             throw;
@@ -565,10 +598,9 @@ TEST(MultiPeerDrops, ReliableChannelHealsSimultaneousFirstFrameLoss) {
       }
     } else {
       ch.send(0, std::vector<double>{10.0 * c.rank(), 0.5});
-      ch.flush();
-      retransmits += ch.stats().retransmits;
     }
     ch.fence();
+    retransmits += ch.stats().retransmits;
   });
   EXPECT_FALSE(w.aborted());
   EXPECT_EQ(received.load(), 3);
@@ -608,7 +640,7 @@ TEST(MultiPeerDrops, ReliableRecvTimeoutNamesTheSilentPeer) {
           }
         } else {
           ch.send(0, std::vector<double>{1.0});
-          // No flush: retransmit exhaustion on the senders would race the
+          // No fence: retransmit exhaustion on the senders would race the
           // receiver's recv_timeout for which exception wins.
         }
       }),
@@ -625,18 +657,19 @@ TEST(ReliableChannel, StaleEpochTrafficIsDropped) {
       old_epoch.epoch = 3;
       reliable_channel stale(c, old_epoch);
       stale.send(1, std::vector<double>{1.0});
-      // No flush: the peer will never ack a stale-epoch message.
+      // No fence: the peer will never ack a stale-epoch message.
       reliable_options cur;
       cur.epoch = 4;
       reliable_channel ch(c, cur);
       ch.send(1, std::vector<double>{2.0});
-      ch.flush();
+      ch.fence();
     } else {
       reliable_options cur;
       cur.epoch = 4;
       reliable_channel ch(c, cur);
       EXPECT_EQ(ch.recv(0).at(0), 2.0);
       EXPECT_GE(ch.stats().stale_dropped, 1);
+      ch.fence();
     }
   });
   EXPECT_FALSE(w.aborted());

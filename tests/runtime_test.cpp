@@ -94,7 +94,6 @@ TEST(World, SourcesAreIndependentStreams) {
       EXPECT_DOUBLE_EQ(channel.recv(0).at(0), 1.0);
       EXPECT_DOUBLE_EQ(channel.recv(0).at(0), 2.0);
     }
-    channel.flush();
     channel.fence();
   });
 }
@@ -116,7 +115,6 @@ TEST(World, BarrierSynchronizes) {
           << "rank " << t.rank() << " round " << round;
       channel.fence();
     }
-    channel.flush();
   });
 }
 

@@ -233,7 +233,6 @@ TEST(ReliableOverFabric, SequenceNumbersWrapAroundCleanly) {
     if (rank == 0) {
       for (int i = 0; i < kMessages; ++i)
         ch.send(1, std::vector<double>{static_cast<double>(i)});
-      ch.flush();
       ch.fence();
     } else {
       for (int i = 0; i < kMessages; ++i) {
@@ -241,7 +240,6 @@ TEST(ReliableOverFabric, SequenceNumbersWrapAroundCleanly) {
         ASSERT_EQ(got.size(), 1u);
         ASSERT_EQ(got[0], static_cast<double>(i));
       }
-      ch.flush();
       ch.fence();
       std::lock_guard<std::mutex> lock(stats_mutex);
       receiver_stats = ch.stats();
@@ -271,7 +269,6 @@ TEST(ReliableOverFabric, StaleEpochRetransmitIsRejected) {
 
       reliable_channel ch(t, ropts);
       ch.send(1, std::vector<double>{42.0});
-      ch.flush();
       ch.fence();
     } else {
       reliable_channel ch(t, ropts);
@@ -279,7 +276,6 @@ TEST(ReliableOverFabric, StaleEpochRetransmitIsRejected) {
       ASSERT_EQ(got.size(), 1u);
       EXPECT_EQ(got[0], 42.0);  // the stale payload never surfaces
       EXPECT_GE(ch.stats().stale_dropped, 1);
-      ch.flush();
       ch.fence();
     }
   });
@@ -317,7 +313,6 @@ TEST(ReliableOverFabric, DuplicatesAreReAckedDuringReorderHealing) {
     if (rank == 0) {
       for (int i = 0; i < kMessages; ++i)
         ch.send(1, std::vector<double>{static_cast<double>(i)});
-      ch.flush();
       ch.fence();
     } else {
       for (int i = 0; i < kMessages; ++i) {
@@ -325,7 +320,6 @@ TEST(ReliableOverFabric, DuplicatesAreReAckedDuringReorderHealing) {
         ASSERT_EQ(got.size(), 1u);
         ASSERT_EQ(got[0], static_cast<double>(i));
       }
-      ch.flush();
       ch.fence();
       std::lock_guard<std::mutex> lock(stats_mutex);
       receiver_stats = ch.stats();

@@ -375,7 +375,7 @@ TEST(ChaosKills, AdvectionDirectedKillReslicesAroundTheDeadRank) {
   EXPECT_EQ(t.recoveries, 1);
   EXPECT_GT(t.migration.moved_elements, 0);
   EXPECT_EQ(t.final_partition.num_parts, harness.nranks() - 1);
-  EXPECT_LE(t.max_abs_diff, harness.options().tolerance);
+  EXPECT_LE(t.max_abs_diff, chaos_tolerance);
 }
 
 TEST(ChaosKills, AdvectionSoakKeepsTheKillContract) {

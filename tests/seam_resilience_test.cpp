@@ -20,6 +20,7 @@
 #include "runtime/reliable.hpp"
 #include "seam/advection.hpp"
 #include "seam/distributed.hpp"
+#include "seam/exchange.hpp"
 #include "util/contract.hpp"
 
 namespace {
@@ -91,8 +92,11 @@ TEST(Resilience, RecoveryIsDeterministicAcrossRuns) {
   const auto part = core::sfc_partition(curve, 4);
   const double dt = model.cfl_dt(0.3);
 
+  // Rank 1 dies in the third halo exchange of step 0 (ops 13-18 of its
+  // 22-op step), before any checkpoint is sealed. A retransmit only moves
+  // the kill earlier, so every run restarts from step 0.
   runtime::resilience_options ropts;
-  ropts.faults.kills.push_back({/*rank=*/1, /*at_op=*/25});
+  ropts.faults.kills.push_back({/*rank=*/1, /*at_op=*/15});
   ropts.max_recoveries = 1;
   recovery_report r1, r2;
   const auto a = run_distributed_resilient(model, curve, part, dt, 6, ropts, &r1);
@@ -105,10 +109,12 @@ TEST(Resilience, RecoveryIsDeterministicAcrossRuns) {
 }
 
 TEST(Resilience, UnfiredKillStaysArmedAcrossTheRestart) {
-  // Faults across attempts: rank 2 dies at its 40th op, in the first step;
-  // rank 0's kill at op 120 lies past anything rank 0 sends before that
-  // abort, so it stays armed and fires in the restarted attempt. Both
-  // deaths cost a restart, both ranks are lost, and the field survives.
+  // Faults across attempts: rank 2 dies at its 40th op, in the second step
+  // (a step is 22 ops on 4 ranks: three halo exchanges with 3 peers and the
+  // checkpoint fence). Rank 0's kill at op 72 lies past the 44 ops rank 0
+  // can send before that abort, so it stays armed and fires in the fifth
+  // step of the restarted attempt (16 ops a step on 3 ranks). Both deaths
+  // cost a restart, both ranks are lost, and the field survives.
   const mesh::cubed_sphere m(2);
   const auto model = make_model(m);
   const auto curve = core::build_cube_curve(m);
@@ -120,7 +126,7 @@ TEST(Resilience, UnfiredKillStaysArmedAcrossTheRestart) {
 
   runtime::resilience_options ropts;
   ropts.faults.kills.push_back({/*rank=*/2, /*at_op=*/40});
-  ropts.faults.kills.push_back({/*rank=*/0, /*at_op=*/120});
+  ropts.faults.kills.push_back({/*rank=*/0, /*at_op=*/72});
   ropts.max_recoveries = 2;
   // A retransmit timeout well above scheduler noise: a spurious retransmit
   // is an op, and rank 0 must not reach its kill in the first attempt.
@@ -246,6 +252,34 @@ TEST(ResilienceCleanRun, MatchesPlainDistributedBitwise) {
   EXPECT_EQ(report.recoveries, 0);
   EXPECT_TRUE(report.lost_ranks.empty());
   EXPECT_EQ(report.final_partition.num_parts, 4);
+}
+
+TEST(ResilienceCleanRun, SettlesOnceAtTheEndOfTheAttempt) {
+  // With no recovery budget there is no checkpoint to seal, so a fault-free
+  // rank sends one halo frame per peer per RK stage and then the
+  // ceil(log2 n) tokens of the fence that closes its body. data_sent
+  // counts originals, not retransmits, so the count is exact.
+  const mesh::cubed_sphere m(2);
+  const auto model = make_model(m);
+  const auto curve = core::build_cube_curve(m);
+  constexpr int kRanks = 3;
+  constexpr int kSteps = 4;
+  const auto part = core::sfc_partition(curve, kRanks);
+
+  runtime::resilience_options ropts = reliable_ropts(0);
+  ropts.max_recoveries = 0;
+  recovery_report report;
+  (void)run_distributed_resilient(model, curve, part, model.cfl_dt(0.3),
+                                  kSteps, ropts, &report);
+  ASSERT_EQ(report.recoveries, 0);
+
+  std::int64_t links = 0;
+  for (const auto& rp : exchange_plan::build(model.dofs(), part).ranks)
+    links += static_cast<std::int64_t>(rp.peers.size());
+  std::int64_t fence_rounds = 0;
+  for (int hop = 1; hop < kRanks; hop *= 2) ++fence_rounds;
+  EXPECT_EQ(report.reliable.data_sent,
+            3 * kSteps * links + kRanks * fence_rounds);
 }
 
 TEST(ReliableResilience, TransientChaosHealsInPlaceWithZeroRecoveries) {

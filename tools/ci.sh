@@ -190,18 +190,30 @@ if ! grep -q "unknown key 'kils'" "$chaos_dir/unknown_key.err" ||
   cat "$chaos_dir/unknown_key.err" >&2
   exit 1
 fi
-if build/tools/sfcpart chaos --trials=1 --faults=1 --transport=inproc; then
-  echo "ci: sfcpart chaos ran with a flag it does not read" >&2
-  exit 1
-fi
+# A flag is known per harness: --nparts belongs to the partition harness,
+# --steps to the advection one. Each refusal is a usage error (exit 2).
+for flags in "--trials=1 --faults=1 --transport=inproc" \
+  "--trials=1 --nparts=3" "--partition --trials=1 --steps=9"; do
+  rc=0
+  build/tools/sfcpart chaos $flags || rc=$?  # $flags splits into words
+  if [ "$rc" -ne 2 ]; then
+    echo "ci: 'sfcpart chaos $flags' exited $rc, not 2 (unread flag)" >&2
+    exit 1
+  fi
+done
 # SEAM rank-kill replay: a kills-only schedule on the advection harness.
-# Rank 2 dies in the first step; rank 0's kill lies past its first
+# Rank 2 dies in the second step; rank 0's kill lies past its first
 # attempt, stays armed and fires after the restart. Two restarts, and the
 # recovered tracer must match the fault-free run to 1e-12.
 printf '%s\n' '{"seed": "7", "kills": [{"rank": 2, "at_op": 40},
-  {"rank": 0, "at_op": 120}]}' > "$chaos_dir/seam_two_kills.json"
-build/tools/sfcpart chaos --ne=2 --nproc=4 --steps=8 \
-  --replay="$chaos_dir/seam_two_kills.json"
+  {"rank": 0, "at_op": 72}]}' > "$chaos_dir/seam_two_kills.json"
+if ! build/tools/sfcpart chaos --ne=2 --nproc=4 --steps=8 \
+  --replay="$chaos_dir/seam_two_kills.json" > "$chaos_dir/two_kills.out" ||
+  ! grep -Eq '^recoveries +2$' "$chaos_dir/two_kills.out"; then
+  echo "ci: the two-kill replay failed or did not restart twice:" >&2
+  cat "$chaos_dir/two_kills.out" >&2
+  exit 1
+fi
 rm -rf "$chaos_dir"
 
 echo "==> [7/9] distributed-partition bench smoke (tiny K)"

@@ -459,11 +459,14 @@ static bool print_replay_coverage(const seam::chaos_schedule& schedule,
 // and otherwise a seeded soak runs and writes each failure's ddmin-shrunk
 // reproducer for a later `sfcpart chaos --replay=FILE`.
 int cmd_chaos(const cli_args& args) {
-  if (!only_known_flags(args, {"partition", "kills", "kill-rank", "ne",
-                               "nproc", "nparts", "steps", "seed", "faults",
-                               "replay", "trials", "no-shrink", "out"}))
-    return 2;
   const bool partition = args.has("partition");
+  // --steps sizes the advection run and --nparts the partition plan; each
+  // harness refuses the other's.
+  if (!only_known_flags(args, {"partition", "kills", "kill-rank", "ne",
+                               "nproc", partition ? "nparts" : "steps",
+                               "seed", "faults", "replay", "trials",
+                               "no-shrink", "out"}))
+    return 2;
   const char* mode = partition ? "partition" : "advection";
   seam::chaos_options aopts;
   seam::partition_chaos_options popts;
@@ -489,8 +492,10 @@ int cmd_chaos(const cli_args& args) {
     harness = std::make_unique<seam::chaos_harness>(aopts);
   }
   const auto seed = static_cast<std::uint64_t>(args.get_int_or("seed", 1000));
-  const int nfaults =
-      static_cast<int>(args.get_int_or("faults", partition ? 0 : 6));
+  // Only an advection soak draws message faults by default: a directed
+  // kill runs alone unless --faults asks for more.
+  const int nfaults = static_cast<int>(args.get_int_or(
+      "faults", partition || args.has("kill-rank") ? 0 : 6));
 
   if (const auto replay = args.get("replay")) {
     std::ifstream is(*replay, std::ios::binary);
@@ -515,8 +520,8 @@ int cmd_chaos(const cli_args& args) {
   }
 
   if (const auto text = args.get("kill-rank")) {
-    // Directed single trial: one pinned kill (plus any --faults message
-    // chaos) instead of a randomized soak.
+    // Directed single trial: one pinned kill (plus --faults message
+    // faults, if given) instead of a randomized soak.
     seam::chaos_kill kill;
     if (!parse_kill_at(*text, &kill.rank, &kill.at_op)) {
       std::fprintf(stderr, "--kill-rank=%s: want R@ROUND with ROUND >= 1\n",
@@ -630,11 +635,10 @@ int cmd_trace(const cli_args& args) {
 
   // Per-rank timeline: sum span durations by name for each "rank N" thread
   // and join with the fabric's per-rank counters. The halo spans split each
-  // DSS into packing + sending, waiting on peers' partials, and settling
-  // (flush + fence).
+  // DSS into packing + sending and waiting on peers' partials.
   struct rank_row {
     double step_ms = 0, compute_ms = 0, exchange_ms = 0;
-    double pack_ms = 0, recv_ms = 0, settle_ms = 0;
+    double pack_ms = 0, recv_ms = 0;
   };
   std::map<int, rank_row> rows;
   for (const auto& th : dump.threads) {
@@ -649,11 +653,10 @@ int cmd_trace(const cli_args& args) {
       else if (n == "seam.exchange") row.exchange_ms += ms;
       else if (n == "halo.pack") row.pack_ms += ms;
       else if (n == "halo.recv") row.recv_ms += ms;
-      else if (n == "halo.settle") row.settle_ms += ms;
     }
   }
   table t({"rank", "step ms", "compute ms", "exchange ms", "pack ms",
-           "recv ms", "settle ms", "msgs", "doubles"});
+           "recv ms", "msgs", "doubles"});
   for (const auto& [r, row] : rows) {
     auto& tr = t.new_row();
     tr.add(r)
@@ -661,8 +664,7 @@ int cmd_trace(const cli_args& args) {
         .add(row.compute_ms, 2)
         .add(row.exchange_ms, 2)
         .add(row.pack_ms, 2)
-        .add(row.recv_ms, 2)
-        .add(row.settle_ms, 2);
+        .add(row.recv_ms, 2);
     if (r < static_cast<int>(stats.per_rank.size())) {
       const auto& c = stats.per_rank[static_cast<std::size_t>(r)];
       tr.add(c.messages_sent).add(c.doubles_sent);
