@@ -27,6 +27,7 @@
 #include "partition/metrics.hpp"
 #include "seam/advection.hpp"
 #include "seam/assembly.hpp"
+#include "seam/shallow_water.hpp"
 #include "sfc/curve.hpp"
 #include "util/rng.hpp"
 
@@ -261,6 +262,40 @@ void BM_SeamStep(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * m.num_elements());
 }
 BENCHMARK(BM_SeamStep)->Arg(4)->Arg(8);
+
+// The element kernels alone: one tendency pass over every element of an
+// Ne x Ne cube at np GLL points, so 1e9 / items_per_second is ns/element.
+void BM_AdvectionTendency(benchmark::State& state) {
+  const mesh::cubed_sphere m(static_cast<int>(state.range(0)));
+  seam::advection_model model(m, static_cast<int>(state.range(1)));
+  model.set_field([](mesh::vec3 p) { return p.x * p.y + p.z; });
+  std::vector<double> out(model.field().size());
+  for (auto _ : state) {
+    model.tendency(model.field(), out);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * m.num_elements());
+}
+BENCHMARK(BM_AdvectionTendency)->Args({32, 4})->Args({32, 8});
+
+void BM_SweRhs(benchmark::State& state) {
+  const mesh::cubed_sphere m(static_cast<int>(state.range(0)));
+  seam::shallow_water_model model(m, static_cast<int>(state.range(1)));
+  model.set_williamson2(0.5, 2.0);
+  std::vector<int> elems(static_cast<std::size_t>(m.num_elements()));
+  std::iota(elems.begin(), elems.end(), 0);
+  const std::size_t n = model.depth().size();
+  std::vector<double> rh(n), rx(n), ry(n), rz(n);
+  for (auto _ : state) {
+    model.rhs_elements(model.depth(), model.velocity_x(), model.velocity_y(),
+                       model.velocity_z(), rh, rx, ry, rz, elems);
+    benchmark::DoNotOptimize(rh.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * m.num_elements());
+}
+BENCHMARK(BM_SweRhs)->Args({32, 4})->Args({32, 8});
 
 // Console output as usual, plus one JSON row per finished run.
 class json_tee_reporter : public benchmark::ConsoleReporter {

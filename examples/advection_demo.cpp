@@ -4,6 +4,8 @@
 // reports the communication the partition induced.
 //
 //   ./advection_demo [--ne=4] [--np=6] [--ranks=8] [--steps=20]
+//
+// --np is the GLL point count per element edge, in [2, 16].
 
 #include <cmath>
 #include <cstdio>

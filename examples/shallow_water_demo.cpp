@@ -5,6 +5,8 @@
 // plus mass/energy conservation.
 //
 //   ./shallow_water_demo [--ne=4] [--np=6] [--steps=100]
+//
+// --np is the GLL point count per element edge, in [2, 16].
 
 #include <cstdio>
 

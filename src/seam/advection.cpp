@@ -95,7 +95,7 @@ node_geometry make_rotation_geometry(const mesh::cubed_sphere& mesh,
 
 advection_model::advection_model(const mesh::cubed_sphere& mesh, int np,
                                  double omega, mesh::vec3 axis)
-    : np_(np),
+    : np_(checked_np(np)),
       rule_(make_gll(np)),
       assembly_(mesh, np),
       geometry_(make_rotation_geometry(mesh, rule_, omega, axis)),
@@ -110,30 +110,39 @@ void advection_model::set_field(const std::function<double(mesh::vec3)>& f) {
   assembly_.dss_average(field_);
 }
 
-void advection_model::tendency_element(std::span<const double> q,
-                                       std::span<double> out, int elem) const {
-  const int np = np_;
-  const std::size_t per_elem =
-      static_cast<std::size_t>(np) * static_cast<std::size_t>(np);
-  SFP_REQUIRE(q.size() == per_elem && out.size() == per_elem,
-              "element slice size mismatch");
-  const double* D = rule_.diff.data();
-  const std::size_t e = static_cast<std::size_t>(elem);
-  const double* qe = q.data();
-  const double* vx = geometry_.v_xi.data() + e * per_elem;
-  const double* vy = geometry_.v_eta.data() + e * per_elem;
-  double* oe = out.data();
-  for (int j = 0; j < np; ++j) {
-    for (int i = 0; i < np; ++i) {
-      double dqdxi = 0.0, dqdeta = 0.0;
-      for (int m = 0; m < np; ++m) {
-        dqdxi += D[i * np + m] * qe[j * np + m];
-        dqdeta += D[j * np + m] * qe[m * np + i];
-      }
-      const std::size_t idx = static_cast<std::size_t>(j * np + i);
-      oe[idx] = -(vx[idx] * dqdxi + vy[idx] * dqdeta);
+namespace {
+
+/// The advective tendency -(v_xi dq/dxi + v_eta dq/deta) of `nslots`
+/// element slots of np² nodes: slot l of `q` and `out` holds element
+/// elem_of(l), whose velocity sits at elem_of(l)·np² in `g`.
+template <typename ElemOf>
+void advect_slots(const gll_rule& rule, const node_geometry& g,
+                  const double* q, double* out, std::size_t nslots,
+                  ElemOf elem_of) {
+  with_np(rule.np(), [&]<int NP>(std::integral_constant<int, NP>) {
+    constexpr std::size_t per_elem = NP * NP;
+    for (std::size_t l = 0; l < nslots; ++l) {
+      const std::size_t at = elem_of(l) * per_elem;
+      gll_advection<NP>(rule, q + l * per_elem, g.v_xi.data() + at,
+                        g.v_eta.data() + at, out + l * per_elem);
     }
-  }
+  });
+}
+
+}  // namespace
+
+void advection_model::tendency_elements(std::span<const double> q,
+                                        std::span<double> out,
+                                        std::span<const int> elems) const {
+  const std::size_t per_elem =
+      static_cast<std::size_t>(np_) * static_cast<std::size_t>(np_);
+  SFP_REQUIRE(q.size() == elems.size() * per_elem &&
+                  out.size() == elems.size() * per_elem,
+              "element slice size mismatch");
+  advect_slots(rule_, geometry_, q.data(), out.data(), elems.size(),
+               [&](std::size_t l) {
+                 return static_cast<std::size_t>(elems[l]);
+               });
 }
 
 void advection_model::tendency(std::span<const double> q,
@@ -142,11 +151,8 @@ void advection_model::tendency(std::span<const double> q,
               "field size mismatch");
   const std::size_t per_elem =
       static_cast<std::size_t>(np_) * static_cast<std::size_t>(np_);
-  const int nelem = static_cast<int>(field_.size() / per_elem);
-  for (int e = 0; e < nelem; ++e) {
-    const std::size_t at = static_cast<std::size_t>(e) * per_elem;
-    tendency_element(q.subspan(at, per_elem), out.subspan(at, per_elem), e);
-  }
+  advect_slots(rule_, geometry_, q.data(), out.data(),
+               field_.size() / per_elem, [](std::size_t l) { return l; });
 }
 
 void advection_model::step(double dt) {

@@ -37,6 +37,7 @@ node_geometry make_rotation_geometry(const mesh::cubed_sphere& mesh,
 /// every stage to maintain C0 continuity.
 class advection_model {
  public:
+  /// `np` GLL points per element edge, in [2, max_np].
   advection_model(const mesh::cubed_sphere& mesh, int np, double omega = 1.0,
                   mesh::vec3 axis = {0, 0, 1});
 
@@ -64,15 +65,15 @@ class advection_model {
   mesh::vec3 centroid() const;
 
   /// Evaluate the advective tendency -v·∇q of `q` into `out`
-  /// (no DSS applied). Public so the distributed runner reuses the exact
-  /// same kernel.
+  /// (no DSS applied).
   void tendency(std::span<const double> q, std::span<double> out) const;
 
-  /// Per-element tendency kernel (the distributed runner computes only its
-  /// owned elements). `q` and `out` are element `elem`'s np² nodes, in
-  /// any field layout; `elem` only selects the geometry. Thread-safe.
-  void tendency_element(std::span<const double> q, std::span<double> out,
-                        int elem) const;
+  /// Tendency of a run of element slots (the distributed runner computes
+  /// only its owned elements): slot l — nodes [l·np², (l+1)·np²) of `q`
+  /// and `out` — holds element elems[l], in any field layout; the ids only
+  /// select the geometry. Thread-safe.
+  void tendency_elements(std::span<const double> q, std::span<double> out,
+                         std::span<const int> elems) const;
 
  private:
   int np_;

@@ -79,22 +79,19 @@ class rank_stepper {
   const rank_exchange_plan& plan() const { return rp_; }
 
   /// One SSP-RK3 step of size `h` over the rank-local fields `q`.
-  /// `kernel(src, dst, elem)` evaluates one owned element's tendency from
-  /// its slot of `src` into its slot of `dst`; `project(fields)` runs
-  /// before each DSS.
+  /// `kernel(src, dst, elems)` evaluates every owned element's tendency
+  /// from its slot of `src` into its slot of `dst` (slot l holds element
+  /// elems[l]); `project(fields)` runs before each DSS.
   template <std::size_t N, typename Kernel, typename Project>
   void step(const rk3_fields<N>& q, rk3_stages<N>& stages, double h,
             Kernel&& kernel, Project&& project) {
-    const std::size_t n = slot_size(rp_);
     ssp_rk3_step(
         q, stages, std::views::iota(std::size_t{0}, rp_.node_dof_local.size()),
         h,
         [&](const rk3_fields<N>& src, const rk3_fields<N>& dst) {
           SFP_TRACE_SCOPE_CAT("seam.compute", "seam");
           clock_.reset();
-          for (std::size_t l = 0; l < rp_.owned.size(); ++l)
-            kernel(slice_fields(src, l * n, n), slice_fields(dst, l * n, n),
-                   rp_.owned[l]);
+          kernel(src, dst, std::span<const int>(rp_.owned));
           compute_s_ += clock_.seconds();
         },
         [&](const rk3_fields<N>& fields) {
@@ -285,8 +282,9 @@ auto advection_step(const advection_model& model, double dt) {
                       rk3_stages<1>& stages) {
     stepper.step(
         rk3_fields<1>{q[0]}, stages, dt,
-        [&](const rk3_fields<1>& src, const rk3_fields<1>& dst, int e) {
-          model.tendency_element(src[0], dst[0], e);
+        [&](const rk3_fields<1>& src, const rk3_fields<1>& dst,
+            std::span<const int> elems) {
+          model.tendency_elements(src[0], dst[0], elems);
         },
         no_projection);
   };
@@ -322,14 +320,14 @@ swe_state run_distributed_swe(const shallow_water_model& model,
                               const partition::partition& part, double dt,
                               int nsteps, dist_stats* stats) {
   require_run_args(dt, nsteps);
-  const auto swe_step = [&model, dt, scratch = model.make_scratch()](
-                            rank_stepper& stepper, field_list& q,
-                            rk3_stages<4>& stages) mutable {
+  const auto swe_step = [&model, dt](rank_stepper& stepper, field_list& q,
+                                     rk3_stages<4>& stages) {
     stepper.step(
         rk3_fields<4>{q[0], q[1], q[2], q[3]}, stages, dt,
-        [&](const rk3_fields<4>& s, const rk3_fields<4>& r, int e) {
-          model.rhs_element(s[0], s[1], s[2], s[3], r[0], r[1], r[2], r[3], e,
-                            scratch);
+        [&](const rk3_fields<4>& s, const rk3_fields<4>& r,
+            std::span<const int> elems) {
+          model.rhs_elements(s[0], s[1], s[2], s[3], r[0], r[1], r[2], r[3],
+                             elems);
         },
         [&](const rk3_fields<4>& f) {
           for_each_owned_node(
@@ -361,8 +359,9 @@ std::vector<std::vector<double>> run_distributed_layered(
       stepper.step(
           rk3_fields<1>{q[static_cast<std::size_t>(l)]}, stages,
           dt * model.omega_at(l),
-          [&](const rk3_fields<1>& src, const rk3_fields<1>& dst, int e) {
-            base.tendency_element(src[0], dst[0], e);
+          [&](const rk3_fields<1>& src, const rk3_fields<1>& dst,
+              std::span<const int> elems) {
+            base.tendency_elements(src[0], dst[0], elems);
           },
           no_projection);
   };

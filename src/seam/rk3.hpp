@@ -21,16 +21,6 @@ namespace sfp::seam {
 template <std::size_t N>
 using rk3_fields = std::array<std::span<double>, N>;
 
-/// Nodes [at, at + n) of every field: one element's slot, as the
-/// per-element kernels take it.
-template <std::size_t N>
-rk3_fields<N> slice_fields(const rk3_fields<N>& fields, std::size_t at,
-                           std::size_t n) {
-  rk3_fields<N> out;
-  for (std::size_t f = 0; f < N; ++f) out[f] = fields[f].subspan(at, n);
-  return out;
-}
-
 /// Tendency and intermediate-stage storage for ssp_rk3_step over N fields
 /// of `field_size` nodes each.
 template <std::size_t N>

@@ -1,6 +1,7 @@
 #include "seam/shallow_water.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <ranges>
 
@@ -10,33 +11,82 @@ namespace sfp::seam {
 
 namespace {
 
-/// Differentiate along xi (rows) within one element's np×np slab.
-void deriv_xi(const double* D, const double* q, double* dq, int np) {
-  for (int j = 0; j < np; ++j) {
-    for (int i = 0; i < np; ++i) {
-      double acc = 0;
-      for (int m = 0; m < np; ++m) acc += D[i * np + m] * q[j * np + m];
-      dq[j * np + i] = acc;
-    }
+/// Four per-node fields of one slot run: h, ux, uy, uz or their tendencies.
+template <typename T>
+using four = std::array<T*, 4>;
+
+/// The SWE tendency of one element of NP² nodes (see rhs_elements).
+template <int NP>
+void rhs_one(const gll_rule& rule, const shallow_water_model::node_data* nodes,
+             double g, four<const double> in, four<double> out) {
+  constexpr std::size_t per_elem = NP * NP;
+  const double* h = in[0];
+  const double* ux = in[1];
+  const double* uy = in[2];
+  const double* uz = in[3];
+
+  // Contravariant velocity and mass fluxes at each node.
+  double uxi[per_elem], ueta[per_elem], fxi[per_elem], feta[per_elem];
+  for (std::size_t k = 0; k < per_elem; ++k) {
+    const shallow_water_model::node_data& nd = nodes[k];
+    const mesh::vec3 u{ux[k], uy[k], uz[k]};
+    const double c1 = mesh::dot(u, nd.t_xi);
+    const double c2 = mesh::dot(u, nd.t_eta);
+    uxi[k] = nd.gi11 * c1 + nd.gi12 * c2;
+    ueta[k] = nd.gi12 * c1 + nd.gi22 * c2;
+    fxi[k] = nd.jac * h[k] * uxi[k];
+    feta[k] = nd.jac * h[k] * ueta[k];
+  }
+  // Directional derivatives, and the momentum advection -(u·∇)u per
+  // Cartesian component.
+  double dq1[per_elem], dq2[per_elem], dhx[per_elem], dhe[per_elem],
+      adv_x[per_elem], adv_y[per_elem], adv_z[per_elem];
+  gll_derivatives<NP>(rule, fxi, feta, dq1, dq2);
+  gll_derivatives<NP>(rule, h, h, dhx, dhe);
+  gll_advection<NP>(rule, ux, uxi, ueta, adv_x);
+  gll_advection<NP>(rule, uy, uxi, ueta, adv_y);
+  gll_advection<NP>(rule, uz, uxi, ueta, adv_z);
+
+  for (std::size_t k = 0; k < per_elem; ++k) {
+    const shallow_water_model::node_data& nd = nodes[k];
+    // Continuity: dh/dt = -(1/J) [∂(J h u^ξ)/∂ξ + ∂(J h u^η)/∂η].
+    out[0][k] = -(dq1[k] + dq2[k]) / nd.jac;
+    // Pressure gradient: g ∇h via the contravariant basis.
+    const mesh::vec3 txi_up = nd.gi11 * nd.t_xi + nd.gi12 * nd.t_eta;
+    const mesh::vec3 teta_up = nd.gi12 * nd.t_xi + nd.gi22 * nd.t_eta;
+    const mesh::vec3 grad_h = dhx[k] * txi_up + dhe[k] * teta_up;
+    // Coriolis: f (p̂ × u).
+    const mesh::vec3 u{ux[k], uy[k], uz[k]};
+    const mesh::vec3 cor = nd.coriolis * mesh::cross(nd.pos, u);
+    out[1][k] = adv_x[k] - cor.x - g * grad_h.x;
+    out[2][k] = adv_y[k] - cor.y - g * grad_h.y;
+    out[3][k] = adv_z[k] - cor.z - g * grad_h.z;
   }
 }
 
-/// Differentiate along eta (columns).
-void deriv_eta(const double* D, const double* q, double* dq, int np) {
-  for (int j = 0; j < np; ++j) {
-    for (int i = 0; i < np; ++i) {
-      double acc = 0;
-      for (int m = 0; m < np; ++m) acc += D[j * np + m] * q[m * np + i];
-      dq[j * np + i] = acc;
+/// rhs_one over `nslots` element slots of np² nodes: slot l of every field
+/// holds element elem_of(l).
+template <typename ElemOf>
+void rhs_slots(const gll_rule& rule,
+               std::span<const shallow_water_model::node_data> nodes,
+               double g, four<const double> in, four<double> out,
+               std::size_t nslots, ElemOf elem_of) {
+  with_np(rule.np(), [&]<int NP>(std::integral_constant<int, NP>) {
+    constexpr std::size_t per_elem = NP * NP;
+    for (std::size_t l = 0; l < nslots; ++l) {
+      const std::size_t at = l * per_elem;
+      rhs_one<NP>(rule, nodes.data() + elem_of(l) * per_elem, g,
+                  {in[0] + at, in[1] + at, in[2] + at, in[3] + at},
+                  {out[0] + at, out[1] + at, out[2] + at, out[3] + at});
     }
-  }
+  });
 }
 
 }  // namespace
 
 shallow_water_model::shallow_water_model(const mesh::cubed_sphere& mesh,
                                          int np, swe_params params)
-    : np_(np),
+    : np_(checked_np(np)),
       params_(params),
       rule_(make_gll(np)),
       assembly_(mesh, np),
@@ -121,75 +171,20 @@ void shallow_water_model::set_williamson2(double u0, double h0) {
       });
 }
 
-shallow_water_model::element_scratch shallow_water_model::make_scratch() const {
-  const std::size_t per_elem =
-      static_cast<std::size_t>(np_) * static_cast<std::size_t>(np_);
-  element_scratch s;
-  for (auto* v : {&s.uxi, &s.ueta, &s.fxi, &s.feta, &s.dq1, &s.dq2, &s.dhx,
-                  &s.dhe, &s.dux1, &s.dux2, &s.duy1, &s.duy2, &s.duz1,
-                  &s.duz2})
-    v->assign(per_elem, 0.0);
-  return s;
-}
-
-void shallow_water_model::rhs_element(
+void shallow_water_model::rhs_elements(
     std::span<const double> h, std::span<const double> ux,
     std::span<const double> uy, std::span<const double> uz,
     std::span<double> rh, std::span<double> rx, std::span<double> ry,
-    std::span<double> rz, int elem, element_scratch& s) const {
-  const int np = np_;
-  const std::size_t per_elem =
-      static_cast<std::size_t>(np) * static_cast<std::size_t>(np);
-  for (const std::size_t size : {h.size(), ux.size(), uy.size(), uz.size(),
-                                 rh.size(), rx.size(), ry.size(), rz.size()})
-    SFP_REQUIRE(size == per_elem, "element slice size mismatch");
-  const node_data* nodes =
-      nodes_.data() + static_cast<std::size_t>(elem) * per_elem;
-  const double* D = rule_.diff.data();
-  const double g = params_.gravity;
-
-  // Contravariant velocity and mass fluxes at each node.
-  for (std::size_t k = 0; k < per_elem; ++k) {
-    const node_data& nd = nodes[k];
-    const mesh::vec3 u{ux[k], uy[k], uz[k]};
-    const double c1 = mesh::dot(u, nd.t_xi);
-    const double c2 = mesh::dot(u, nd.t_eta);
-    s.uxi[k] = nd.gi11 * c1 + nd.gi12 * c2;
-    s.ueta[k] = nd.gi12 * c1 + nd.gi22 * c2;
-    s.fxi[k] = nd.jac * h[k] * s.uxi[k];
-    s.feta[k] = nd.jac * h[k] * s.ueta[k];
-  }
-  // Directional derivatives.
-  deriv_xi(D, s.fxi.data(), s.dq1.data(), np);
-  deriv_eta(D, s.feta.data(), s.dq2.data(), np);
-  deriv_xi(D, h.data(), s.dhx.data(), np);
-  deriv_eta(D, h.data(), s.dhe.data(), np);
-  deriv_xi(D, ux.data(), s.dux1.data(), np);
-  deriv_eta(D, ux.data(), s.dux2.data(), np);
-  deriv_xi(D, uy.data(), s.duy1.data(), np);
-  deriv_eta(D, uy.data(), s.duy2.data(), np);
-  deriv_xi(D, uz.data(), s.duz1.data(), np);
-  deriv_eta(D, uz.data(), s.duz2.data(), np);
-
-  for (std::size_t k = 0; k < per_elem; ++k) {
-    const node_data& nd = nodes[k];
-    // Continuity: dh/dt = -(1/J) [∂(J h u^ξ)/∂ξ + ∂(J h u^η)/∂η].
-    rh[k] = -(s.dq1[k] + s.dq2[k]) / nd.jac;
-    // Momentum advection (per Cartesian component).
-    const double ax = s.uxi[k] * s.dux1[k] + s.ueta[k] * s.dux2[k];
-    const double ay = s.uxi[k] * s.duy1[k] + s.ueta[k] * s.duy2[k];
-    const double az = s.uxi[k] * s.duz1[k] + s.ueta[k] * s.duz2[k];
-    // Pressure gradient: g ∇h via the contravariant basis.
-    const mesh::vec3 txi_up = nd.gi11 * nd.t_xi + nd.gi12 * nd.t_eta;
-    const mesh::vec3 teta_up = nd.gi12 * nd.t_xi + nd.gi22 * nd.t_eta;
-    const mesh::vec3 grad_h = s.dhx[k] * txi_up + s.dhe[k] * teta_up;
-    // Coriolis: f (p̂ × u).
-    const mesh::vec3 u{ux[k], uy[k], uz[k]};
-    const mesh::vec3 cor = nd.coriolis * mesh::cross(nd.pos, u);
-    rx[k] = -ax - cor.x - g * grad_h.x;
-    ry[k] = -ay - cor.y - g * grad_h.y;
-    rz[k] = -az - cor.z - g * grad_h.z;
-  }
+    std::span<double> rz, std::span<const int> elems) const {
+  const std::size_t size = elems.size() * static_cast<std::size_t>(np_) *
+                           static_cast<std::size_t>(np_);
+  for (const std::size_t field : {h.size(), ux.size(), uy.size(), uz.size(),
+                                  rh.size(), rx.size(), ry.size(), rz.size()})
+    SFP_REQUIRE(field == size, "element slice size mismatch");
+  rhs_slots(rule_, nodes_, params_.gravity,
+            {h.data(), ux.data(), uy.data(), uz.data()},
+            {rh.data(), rx.data(), ry.data(), rz.data()}, elems.size(),
+            [&](std::size_t l) { return static_cast<std::size_t>(elems[l]); });
 }
 
 void shallow_water_model::project_node(std::size_t k, double& ux, double& uy,
@@ -209,20 +204,15 @@ void shallow_water_model::project_and_dss(const rk3_fields<4>& f) const {
 
 void shallow_water_model::step(double dt) {
   SFP_REQUIRE(dt > 0, "timestep must be positive");
-  element_scratch scratch = make_scratch();
-  const std::size_t per_elem =
-      static_cast<std::size_t>(np_) * static_cast<std::size_t>(np_);
   ssp_rk3_step(
       rk3_fields<4>{h_, ux_, uy_, uz_}, stages_,
       std::views::iota(std::size_t{0}, h_.size()), dt,
       [&](const rk3_fields<4>& s, const rk3_fields<4>& r) {
-        for (int e = 0; e < assembly_.num_elements(); ++e) {
-          const std::size_t at = static_cast<std::size_t>(e) * per_elem;
-          const rk3_fields<4> se = slice_fields(s, at, per_elem);
-          const rk3_fields<4> re = slice_fields(r, at, per_elem);
-          rhs_element(se[0], se[1], se[2], se[3], re[0], re[1], re[2], re[3],
-                      e, scratch);
-        }
+        rhs_slots(rule_, nodes_, params_.gravity,
+                  {s[0].data(), s[1].data(), s[2].data(), s[3].data()},
+                  {r[0].data(), r[1].data(), r[2].data(), r[3].data()},
+                  static_cast<std::size_t>(assembly_.num_elements()),
+                  [](std::size_t l) { return l; });
       },
       [&](const rk3_fields<4>& f) { project_and_dss(f); });
 }

@@ -34,6 +34,7 @@ struct swe_params {
 
 class shallow_water_model {
  public:
+  /// `np` GLL points per element edge, in [2, max_np].
   shallow_water_model(const mesh::cubed_sphere& mesh, int np,
                       swe_params params = {});
 
@@ -56,9 +57,6 @@ class shallow_water_model {
   std::span<const double> velocity_y() const { return uy_; }
   std::span<const double> velocity_z() const { return uz_; }
 
-  /// Unit-sphere position of global node index k (field layout order).
-  mesh::vec3 node_position(std::size_t k) const { return nodes_[k].pos; }
-
   /// Advance one SSP-RK3 step.
   void step(double dt);
 
@@ -66,22 +64,15 @@ class shallow_water_model {
   double cfl_dt(double cfl = 0.3) const;
 
   // ---- per-element kernel (for the distributed runner) -------------------
-  /// Scratch buffers sized for one element; one per thread.
-  struct element_scratch {
-    std::vector<double> uxi, ueta, fxi, feta, dq1, dq2, dhx, dhe, dux1, dux2,
-        duy1, duy2, duz1, duz2;
-  };
-  element_scratch make_scratch() const;
-
-  /// Evaluate the SWE tendency of element `elem`. Every span is the
-  /// element's np² nodes of one field, in any field layout; `elem` only
-  /// selects the geometry. Thread-safe: reads only precomputed geometry,
-  /// writes only the tendency slices, uses caller scratch.
-  void rhs_element(std::span<const double> h, std::span<const double> ux,
-                   std::span<const double> uy, std::span<const double> uz,
-                   std::span<double> rh, std::span<double> rx,
-                   std::span<double> ry, std::span<double> rz, int elem,
-                   element_scratch& scratch) const;
+  /// Evaluate the SWE tendency of a run of element slots: slot l — nodes
+  /// [l·np², (l+1)·np²) of every span — holds element elems[l], in any
+  /// field layout; the ids only select the geometry. Thread-safe: reads
+  /// only precomputed geometry, writes only the tendency slices.
+  void rhs_elements(std::span<const double> h, std::span<const double> ux,
+                    std::span<const double> uy, std::span<const double> uz,
+                    std::span<double> rh, std::span<double> rx,
+                    std::span<double> ry, std::span<double> rz,
+                    std::span<const int> elems) const;
 
   /// Tangent-project the velocity (ux, uy, uz) held at global node `k`
   /// (flat index in the global field layout; selects the geometry only).
@@ -98,16 +89,20 @@ class shallow_water_model {
   /// Largest continuity gap across the four prognostic fields.
   double continuity_gap() const;
 
- private:
+  /// Per-node geometry, precomputed once.
   struct node_data {
-    mesh::vec3 pos;      // unit sphere position
-    mesh::vec3 t_xi;     // tangent basis
+    mesh::vec3 pos;      ///< unit sphere position
+    mesh::vec3 t_xi;     ///< tangent basis
     mesh::vec3 t_eta;
-    double gi11, gi12, gi22;  // inverse metric
-    double jac;               // |t_xi × t_eta|
-    double coriolis;          // 2 Ω p_z
+    double gi11, gi12, gi22;  ///< inverse metric
+    double jac;               ///< |t_xi × t_eta|
+    double coriolis;          ///< 2 Ω p_z
   };
 
+  /// Every node's geometry, in the global field layout.
+  std::span<const node_data> nodes() const { return nodes_; }
+
+ private:
   /// Tangent-project the velocity at every node, then DSS all four fields.
   void project_and_dss(const rk3_fields<4>& fields) const;
 

@@ -319,6 +319,13 @@ TEST(Distributed, MgpPartitionAlsoWorks) {
   EXPECT_LT(max_diff, 1e-12);
 }
 
+TEST(Advection, RejectsNpAboveMaxNp) {
+  const mesh::cubed_sphere m(2);
+  EXPECT_THROW(advection_model(m, max_np + 1), contract_error);
+  EXPECT_THROW(advection_model(m, 1), contract_error);
+  EXPECT_NO_THROW(advection_model(m, max_np));
+}
+
 TEST(Distributed, Preconditions) {
   const mesh::cubed_sphere m(2);
   advection_model model(m, 3);

@@ -163,7 +163,7 @@ TEST(ShallowWater, CoriolisDeflectsFlow) {
     // the initial meridional jet.
     double proxy = 0;
     for (std::size_t k = 0; k < ux.size(); ++k) {
-      const mesh::vec3 p = model.node_position(k);
+      const mesh::vec3 p = model.nodes()[k].pos;
       proxy += std::abs(p.x * uy[k] - p.y * ux[k]);
     }
     return proxy / static_cast<double>(ux.size());
@@ -179,6 +179,13 @@ TEST(ShallowWater, Preconditions) {
   shallow_water_model model(mesh, 4);
   EXPECT_THROW(model.step(-0.1), contract_error);
   EXPECT_THROW(model.cfl_dt(0.0), contract_error);
+}
+
+TEST(ShallowWater, RejectsNpAboveMaxNp) {
+  const mesh::cubed_sphere mesh(2);
+  EXPECT_THROW(shallow_water_model(mesh, max_np + 1), contract_error);
+  EXPECT_THROW(shallow_water_model(mesh, 1), contract_error);
+  EXPECT_NO_THROW(shallow_water_model(mesh, max_np));
 }
 
 }  // namespace

@@ -47,7 +47,9 @@
 #   7. distributed-partition bench smoke: bench_partition_scaling at a tiny
 #      K, and again at ~8 elements per part (Ne = 12, 108 parts), must run
 #      all rank counts, match the serial slicer (the bench aborts on
-#      divergence), and emit a well-formed BENCH_partition_scaling.json
+#      divergence), and emit a well-formed BENCH_partition_scaling.json;
+#      then bench_micro's SEAM kernel rows (BM_AdvectionTendency,
+#      BM_SweRhs) run once, ungated
 #   8. perf guard: bench_baselines reruns in a scratch dir and its fresh
 #      BENCH_baselines.json must stay within a generous tolerance of the
 #      committed tools/bench_reference.json (wall-clock columns ignored);
@@ -230,6 +232,13 @@ grep -q '"elements_per_sec"' "$bench_dir/BENCH_partition_scaling.json"
 # 107 cuts, parity-checked on every rank count the same way.
 build/bench/bench_partition_scaling --ne=12 --nparts=108 --repeat=1 \
   --out="$bench_dir/BENCH_partition_scaling.json"
+# The SEAM element-kernel ledger rows run once, briefly and ungated (wall
+# clock is machine noise here, as time_usec is in stage 8), so they cannot
+# rot; bench_micro writes its BENCH_micro.json into the scratch dir.
+repo_root="$(pwd)"
+(cd "$bench_dir" && "$repo_root/build/bench/bench_micro" \
+  --benchmark_filter='BM_AdvectionTendency|BM_SweRhs' \
+  --benchmark_min_time=0.01 > /dev/null)
 rm -rf "$bench_dir"
 
 echo "==> [8/9] perf guard: fresh BENCH_baselines.json vs committed reference"
@@ -239,7 +248,6 @@ echo "==> [8/9] perf guard: fresh BENCH_baselines.json vs committed reference"
 # (bench_guard --update; ignored wall-clock columns carry over unchanged).
 # Wall-clock columns (time_usec) are ignored by default.
 guard_dir="$(mktemp -d)"
-repo_root="$(pwd)"
 (cd "$guard_dir" && "$repo_root/build/bench/bench_baselines" > /dev/null)
 build/tools/bench_guard --fresh="$guard_dir/BENCH_baselines.json" \
   --reference=tools/bench_reference.json --tolerance=0.25
