@@ -27,6 +27,8 @@
 #include "partition/metrics.hpp"
 #include "seam/advection.hpp"
 #include "seam/assembly.hpp"
+#include "seam/distributed.hpp"
+#include "seam/exchange.hpp"
 #include "seam/shallow_water.hpp"
 #include "sfc/curve.hpp"
 #include "util/rng.hpp"
@@ -296,6 +298,43 @@ void BM_SweRhs(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * m.num_elements());
 }
 BENCHMARK(BM_SweRhs)->Args({32, 4})->Args({32, 8});
+
+// One rank's halo plan, as its rank body builds it: rank 0 of a 3-part SFC
+// plan of an Ne x Ne cube at np GLL points. Items are the rank's owned
+// elements, so 1e9 / items_per_second is ns per owned element.
+void BM_RankExchangePlan(benchmark::State& state) {
+  const mesh::cubed_sphere m(static_cast<int>(state.range(0)));
+  const seam::assembly dofs(m, static_cast<int>(state.range(1)));
+  const partition::partition part = core::sfc_partition(m, 3);
+  std::int64_t owned = 0;
+  for (auto _ : state) {
+    const seam::rank_exchange_plan rp =
+        seam::rank_exchange_plan::build(dofs, part, 0);
+    owned = static_cast<std::int64_t>(rp.owned.size());
+    benchmark::DoNotOptimize(rp.boundary_dof.data());
+  }
+  state.SetItemsProcessed(state.iterations() * owned);
+}
+BENCHMARK(BM_RankExchangePlan)->Args({32, 8});
+
+// What a distributed SEAM call costs before its first step: run_distributed
+// with no steps on a 3-part SFC plan (rank threads, halo plans, the
+// gather and scatter of the field, the closing fence).
+void BM_SeamDriverFixedCost(benchmark::State& state) {
+  const mesh::cubed_sphere m(static_cast<int>(state.range(0)));
+  seam::advection_model model(m, static_cast<int>(state.range(1)));
+  model.set_field([](mesh::vec3 p) { return p.x; });
+  const partition::partition part = core::sfc_partition(m, 3);
+  const double dt = model.cfl_dt(0.3);
+  for (auto _ : state) {
+    std::vector<double> out = seam::run_distributed(model, part, dt, 0);
+    benchmark::DoNotOptimize(out.data());
+  }
+}
+BENCHMARK(BM_SeamDriverFixedCost)
+    ->Args({32, 8})
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 // Console output as usual, plus one JSON row per finished run.
 class json_tee_reporter : public benchmark::ConsoleReporter {

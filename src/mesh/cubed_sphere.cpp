@@ -140,16 +140,17 @@ edge_link cubed_sphere::edge_link_of(int id, int edge) const {
   SFP_REQUIRE(edge >= 0 && edge < 4, "edge index out of range");
   const element_ref a = element_of(id);
   const element_ref b = step(a, edge);
-  int neighbor_edge = (edge + 2) % 4;
-  if (b.face != a.face) {
-    // The shared edge lies from b's centre along a's normal.
-    const iframe& fa = kFrames[a.face];
-    const iframe& fb = kFrames[b.face];
-    const int du = dot(fa.c, fb.u);
-    const int dv = dot(fa.c, fb.v);
-    neighbor_edge = du > 0 ? 1 : du < 0 ? 3 : dv > 0 ? 2 : 0;
-  }
-  // Local edge e runs from corner e to corner e+1 on both sides.
+  // Within a face the neighbour's opposite edge faces ours, and since
+  // local edge e runs from corner e to corner e+1 on both sides, it runs
+  // the other way.
+  if (b.face == a.face) return {element_id(b), (edge + 2) % 4, true};
+  // Across a cube edge the shared edge lies from b's centre along a's
+  // normal.
+  const iframe& fa = kFrames[a.face];
+  const iframe& fb = kFrames[b.face];
+  const int du = dot(fa.c, fb.u);
+  const int dv = dot(fa.c, fb.v);
+  const int neighbor_edge = du > 0 ? 1 : du < 0 ? 3 : dv > 0 ? 2 : 0;
   const bool reversed =
       !(corner_point(a, edge) == corner_point(b, neighbor_edge));
   return {element_id(b), neighbor_edge, reversed};

@@ -8,13 +8,8 @@
 
 namespace sfp::seam {
 
-namespace {
-
-/// Local (i, j) of the k-th node along local edge e, traversing from corner
-/// e to corner (e+1)%4. Corner order is SW, SE, NE, NW (matching
-/// mesh::cubed_sphere::corner_points).
-std::pair<int, int> edge_node(int e, int k, int np) {
-  switch (e) {
+std::pair<int, int> edge_node(int edge, int k, int np) {
+  switch (edge) {
     case 0: return {k, 0};                // S: SW -> SE
     case 1: return {np - 1, k};           // E: SE -> NE
     case 2: return {np - 1 - k, np - 1};  // N: NE -> NW
@@ -22,10 +17,8 @@ std::pair<int, int> edge_node(int e, int k, int np) {
   }
 }
 
-}  // namespace
-
 assembly::assembly(const mesh::cubed_sphere& mesh, int np)
-    : np_(np), num_elements_(mesh.num_elements()) {
+    : mesh_(mesh), np_(np), num_elements_(mesh.num_elements()) {
   SFP_REQUIRE(np >= 2, "spectral elements need at least 2 nodes per edge");
   dof_.assign(static_cast<std::size_t>(field_size()), -1);
 

@@ -12,11 +12,18 @@
 
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "mesh/cubed_sphere.hpp"
 
 namespace sfp::seam {
+
+/// Local (i, j) of the k-th node along local edge `edge` of an element
+/// with np×np nodes, traversing from corner `edge` to corner (edge+1)%4.
+/// Corner order is SW, SE, NE, NW (matching
+/// mesh::cubed_sphere::corner_points).
+std::pair<int, int> edge_node(int edge, int k, int np);
 
 class assembly {
  public:
@@ -24,6 +31,9 @@ class assembly {
   assembly(const mesh::cubed_sphere& mesh, int np);
 
   int np() const { return np_; }
+  /// The mesh the numbering was built on (an O(1) copy: its topology is
+  /// closed-form).
+  const mesh::cubed_sphere& mesh() const { return mesh_; }
   int num_elements() const { return num_elements_; }
   std::int64_t num_dofs() const { return num_dofs_; }
   std::int64_t nodes_per_element() const {
@@ -65,6 +75,7 @@ class assembly {
            static_cast<std::size_t>(i);
   }
 
+  mesh::cubed_sphere mesh_;
   int np_;
   int num_elements_;
   std::int64_t num_dofs_ = 0;

@@ -46,21 +46,30 @@ void require_run_args(double dt, int nsteps) {
   SFP_REQUIRE(dt > 0, "timestep must be positive");
 }
 
+/// The partition a run is handed, checked once on the calling thread
+/// before any rank starts (each rank then plans its own halo from it):
+/// one label per element, every label in range, every part non-empty.
+void require_runnable(const partition::partition& part, int num_elements) {
+  SFP_REQUIRE(part.num_parts >= 1, "partition needs at least one part");
+  SFP_REQUIRE(part.part_of.size() == static_cast<std::size_t>(num_elements),
+              "partition must label every mesh element");
+  for (const graph::vid p : part.part_of)
+    SFP_REQUIRE(p >= 0 && p < part.num_parts,
+                "partition has a part label out of range");
+  SFP_REQUIRE(partition::all_parts_nonempty(part),
+              "partition has an empty part: every rank must own an element");
+}
+
 /// One vector per prognostic field: in the rank-local layout inside a rank
 /// body, in the global layout in the buffers a run shares between ranks
 /// (see seam/distributed.hpp).
 using field_list = std::vector<std::vector<double>>;
 
-/// Nodes per owned slot of `rp`'s rank-local layout (np²).
-std::size_t slot_size(const rank_exchange_plan& rp) {
-  return rp.node_dof_local.size() / rp.owned.size();
-}
-
 /// Calls fn(global, local) for every owned node of `rp`, in slot order:
 /// its flat index in the global field layout and in the rank-local one.
 template <typename Fn>
 void for_each_owned_node(const rank_exchange_plan& rp, Fn&& fn) {
-  const std::size_t n = slot_size(rp);
+  const std::size_t n = rp.slot_size();
   std::size_t local = 0;
   for (const int e : rp.owned)
     for (std::size_t k = 0; k < n; ++k, ++local)
@@ -86,8 +95,7 @@ class rank_stepper {
   void step(const rk3_fields<N>& q, rk3_stages<N>& stages, double h,
             Kernel&& kernel, Project&& project) {
     ssp_rk3_step(
-        q, stages, std::views::iota(std::size_t{0}, rp_.node_dof_local.size()),
-        h,
+        q, stages, std::views::iota(std::size_t{0}, rp_.local_size()), h,
         [&](const rk3_fields<N>& src, const rk3_fields<N>& dst) {
           SFP_TRACE_SCOPE_CAT("seam.compute", "seam");
           clock_.reset();
@@ -133,7 +141,7 @@ void rank_body(const rank_exchange_plan& rp, halo_exchanger& halo,
                int last, Step step, AfterStep&& after_step, field_list& out,
                stats_collector& collector) {
   rank_stepper stepper(rp, halo);
-  const std::size_t n_local = rp.node_dof_local.size();
+  const std::size_t n_local = rp.local_size();
   field_list q(init.size());
   for (std::vector<double>& f : q) f.resize(n_local);
   for_each_owned_node(rp, [&](std::size_t node, std::size_t k) {
@@ -170,6 +178,7 @@ field_list run_seam(const assembly& dofs, const partition::partition& part,
                     const runtime::resilience_options& ropts,
                     const core::cube_curve* curve, recovery_report* report,
                     dist_stats* stats) {
+  require_runnable(part, dofs.num_elements());
   const bool resilient = ropts.max_recoveries > 0;
   recovery_report rep;
   stats_collector collector;
@@ -187,7 +196,8 @@ field_list run_seam(const assembly& dofs, const partition::partition& part,
   }
   int done = 0;
 
-  // One attempt's setup over `cur`. A resilient attempt gathers from
+  // One attempt's setup. Each rank of an attempt plans its own halo over
+  // `cur` in its rank body. A resilient attempt gathers from
   // `start`, its own copy of `state`, since the ranks write their final
   // slices into `state`. Its per-step checkpoints are double-buffered: a
   // buffer for step s is sealed by the end-of-step fence and can only be
@@ -195,14 +205,12 @@ field_list run_seam(const assembly& dofs, const partition::partition& part,
   // newest fully-fenced buffer is never torn, even with ranks one step
   // apart mid-abort. `sealed` counts the attempt's steps whose checkpoint
   // every rank wrote.
-  exchange_plan plan;
   field_list start;
   std::vector<std::span<const double>> from = init;
   std::array<field_list, 2> snap;
   int sealed = 0;
   std::mutex sealed_mutex;
   const auto begin_attempt = [&] {
-    plan = exchange_plan::build(dofs, cur);
     if (!resilient) return;
     start = state;
     from.assign(start.begin(), start.end());
@@ -215,8 +223,10 @@ field_list run_seam(const assembly& dofs, const partition::partition& part,
       part.num_parts, ropts,
       [&](runtime::reliable_channel& channel, int) {
         const int rank = channel.rank();
-        const rank_exchange_plan& rp =
-            plan.ranks[static_cast<std::size_t>(rank)];
+        const rank_exchange_plan rp = [&] {
+          SFP_TRACE_SCOPE_CAT("seam.rank_plan", "seam");
+          return rank_exchange_plan::build(dofs, cur, rank);
+        }();
         halo_exchanger halo(rp, rank, channel);
         const auto checkpoint_step = [&](int s, const field_list& q) {
           if (!resilient) return;

@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <set>
 #include <span>
@@ -20,7 +22,9 @@
 #include "seam/exchange.hpp"
 #include "seam/layered.hpp"
 #include "seam/shallow_water.hpp"
+#include "topology_oracle.hpp"
 #include "util/contract.hpp"
+#include "util/rng.hpp"
 
 namespace {
 
@@ -59,11 +63,11 @@ TEST(ExchangePlan, PeerListsAreSymmetric) {
       // And the *global* dofs behind the local indices must match in order.
       for (std::size_t k = 0; k < peer.dof_local.size(); ++k) {
         const std::int64_t mine =
-            plan.ranks[p].touched_dofs[static_cast<std::size_t>(
+            plan.ranks[p].global_dof[static_cast<std::size_t>(
                 peer.dof_local[k])];
         const std::int64_t theirs =
             plan.ranks[static_cast<std::size_t>(peer.rank)]
-                .touched_dofs[static_cast<std::size_t>(it->dof_local[k])];
+                .global_dof[static_cast<std::size_t>(it->dof_local[k])];
         ASSERT_EQ(mine, theirs);
       }
     }
@@ -97,6 +101,133 @@ TEST(ExchangePlan, RejectsEmptyRank) {
                                   static_cast<std::size_t>(m.num_elements()), 0));
   bad.part_of[0] = 1;  // part 2 stays empty
   EXPECT_THROW(exchange_plan::build(dofs, bad), contract_error);
+}
+
+// ---- the boundary-only DSS ---------------------------------------------------
+
+TEST(HaloExchanger, InteriorNodesUntouchedBoundaryNodesMatchAFullNodeDss) {
+  // The exchanger reads and writes boundary nodes only. Interior nodes (one
+  // copy each) come back bit for bit as they went in, −0.0 included — a
+  // full-node DSS turned it into 0.0 + (−0.0) = +0.0. Boundary nodes equal
+  // the full-node DSS the exchanger replaced, computed here from the legacy
+  // plan: every node of the rank summed from 0.0 in ascending rank-local
+  // order, then the peers' partials in ascending peer order, times
+  // 1 / multiplicity.
+  const mesh::cubed_sphere m(3);
+  const int np = 5, nranks = 4;
+  const assembly dofs(m, np);
+  partition::partition strided(
+      nranks, std::vector<graph::vid>(static_cast<std::size_t>(m.num_elements())));
+  for (std::size_t e = 0; e < strided.part_of.size(); ++e)
+    strided.part_of[e] = static_cast<graph::vid>((e * 7919) % nranks);
+  for (const partition::partition& part :
+       {core::sfc_partition(m, nranks), strided}) {
+    const std::vector<oracle::legacy_rank_plan> legacy =
+        oracle::legacy_exchange_plan(dofs, part);
+    // Seeded rank-local fields; interior node (1, 1) of every slot and a
+    // few boundary nodes hold −0.0.
+    rng gen(7);
+    std::vector<std::vector<double>> in(nranks);
+    for (std::size_t r = 0; r < in.size(); ++r) {
+      in[r].resize(legacy[r].node_dof_local.size());
+      for (std::size_t k = 0; k < in[r].size(); ++k)
+        in[r][k] = k % static_cast<std::size_t>(np * np) ==
+                               static_cast<std::size_t>(np + 1) ||
+                           k % 97 == 0
+                       ? -0.0
+                       : gen.uniform(-1.0, 1.0);
+    }
+
+    // The full-node reference: each rank's partial per touched dof, then
+    // the remote partials of the same global dof in ascending peer order.
+    std::vector<std::vector<double>> partial(nranks);
+    for (std::size_t r = 0; r < partial.size(); ++r) {
+      partial[r].assign(legacy[r].touched_dofs.size(), 0.0);
+      for (std::size_t k = 0; k < in[r].size(); ++k)
+        partial[r][static_cast<std::size_t>(legacy[r].node_dof_local[k])] +=
+            in[r][k];
+    }
+    std::vector<std::vector<double>> want(nranks);
+    for (std::size_t r = 0; r < want.size(); ++r) {
+      std::vector<double> acc = partial[r];
+      for (const auto& peer : legacy[r].peers) {
+        const oracle::legacy_rank_plan& q =
+            legacy[static_cast<std::size_t>(peer.rank)];
+        for (const std::int32_t d : peer.dof_local) {
+          const std::int64_t g = legacy[r].touched_dofs[static_cast<std::size_t>(d)];
+          const auto at = std::ranges::lower_bound(q.touched_dofs, g) -
+                          q.touched_dofs.begin();
+          acc[static_cast<std::size_t>(d)] +=
+              partial[static_cast<std::size_t>(peer.rank)]
+                     [static_cast<std::size_t>(at)];
+        }
+      }
+      for (const std::int32_t d : legacy[r].node_dof_local) {
+        const auto du = static_cast<std::size_t>(d);
+        want[r].push_back(acc[du] * legacy[r].inv_multiplicity[du]);
+      }
+    }
+
+    std::vector<std::vector<double>> out = in;
+    runtime::resilience_options opts;
+    opts.max_recoveries = 0;
+    runtime::resilience_report report;
+    const std::exception_ptr error = runtime::run_resilient(
+        nranks, opts,
+        [&](runtime::reliable_channel& channel, int) {
+          const int rank = channel.rank();
+          const rank_exchange_plan rp =
+              rank_exchange_plan::build(dofs, part, rank);
+          halo_exchanger halo(rp, rank, channel);
+          halo.dss_average(out[static_cast<std::size_t>(rank)]);
+        },
+        {}, report);
+    ASSERT_FALSE(error);
+
+    int negative_zeros = 0;
+    for (std::size_t r = 0; r < out.size(); ++r)
+      for (std::size_t k = 0; k < out[r].size(); ++k) {
+        const auto d = static_cast<std::size_t>(legacy[r].node_dof_local[k]);
+        const bool interior = legacy[r].inv_multiplicity[d] == 1.0;
+        const double expected = interior ? in[r][k] : want[r][k];
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(out[r][k]),
+                  std::bit_cast<std::uint64_t>(expected))
+            << "rank " << r << " node " << k
+            << (interior ? " (interior)" : " (boundary)");
+        negative_zeros += interior && std::signbit(out[r][k]) ? 1 : 0;
+      }
+    EXPECT_GT(negative_zeros, 0);
+  }
+}
+
+TEST(Distributed, RejectsABadPartitionOnTheCallingThread) {
+  // Each rank plans its own halo, so the runner checks the partition it is
+  // handed once, before any rank starts: the error names the partition,
+  // not a rank body's plan.
+  const mesh::cubed_sphere m(2);
+  advection_model model(m, 3);
+  const double dt = model.cfl_dt(0.3);
+  const auto message_of = [&](const partition::partition& part) {
+    try {
+      (void)run_distributed(model, part, dt, 1);
+    } catch (const contract_error& e) {
+      return e.message();
+    }
+    return std::string("no error");
+  };
+  partition::partition empty_part(
+      3, std::vector<graph::vid>(static_cast<std::size_t>(m.num_elements()), 0));
+  empty_part.part_of[0] = 1;  // part 2 stays empty
+  EXPECT_EQ(message_of(empty_part),
+            "partition has an empty part: every rank must own an element");
+  partition::partition out_of_range = core::sfc_partition(m, 3);
+  out_of_range.part_of[5] = 3;
+  EXPECT_EQ(message_of(out_of_range),
+            "partition has a part label out of range");
+  partition::partition short_labels = core::sfc_partition(m, 3);
+  short_labels.part_of.pop_back();
+  EXPECT_EQ(message_of(short_labels),
+            "partition must label every mesh element");
 }
 
 // ---- distributed shallow water ----------------------------------------------

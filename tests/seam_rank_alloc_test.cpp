@@ -1,12 +1,12 @@
 // A distributed SEAM rank in O(K/P) memory: run_distributed at np = 8
 // gives every rank thread its owned elements' nodes and nothing of the
-// global field — its tracer, its three RK stages and its DSS accumulator
-// are all in the rank-local layout, and only the run's caller-facing
-// buffers (built outside the rank threads) are global. A plain run's only
-// global buffer is the field it returns: the calling thread allocates that,
-// the exchange plan and a fixed term, and no checkpoint or state copy.
-// This file replaces the global operator new to count each thread's
-// allocated bytes and its largest single allocation.
+// global field — its tracer, its three RK stages, its halo plan and its
+// DSS accumulator are all in the rank-local layout, and only the run's
+// caller-facing buffers (built outside the rank threads) are global. A
+// plain run's only global buffer is the field it returns: the calling
+// thread allocates that and a fixed term, and no exchange plan, checkpoint
+// or state copy. This file replaces the global operator new to count each
+// thread's allocated bytes and its largest single allocation.
 
 #include <gtest/gtest.h>
 
@@ -96,10 +96,19 @@ TEST_P(SeamRankAlloc, RankThreadsAllocateOrderKOverP) {
   ASSERT_EQ(m.num_elements() % nranks, 0);
   const std::int64_t owned_bytes = global_bytes / nranks;
 
-  // The exchange plan's own bytes, as the run's driver builds it.
-  std::int64_t plan_bytes = t_bytes;
-  (void)seam::exchange_plan::build(model.dofs(), part);
-  plan_bytes = t_bytes - plan_bytes;
+  // Each rank's halo plan, as its rank body builds it: at most one double
+  // per owned node, all of it boundary-sized (the plan lists the 4(np−1)
+  // boundary nodes of a slot and the rank's shared dofs, never an interior
+  // node or a global array).
+  for (int r = 0; r < nranks; ++r) {
+    const std::int64_t before = t_bytes;
+    const seam::rank_exchange_plan rp =
+        seam::rank_exchange_plan::build(model.dofs(), part, r);
+    const std::int64_t plan_bytes = t_bytes - before;
+    EXPECT_LE(plan_bytes, owned_bytes) << "rank " << r;
+    RecordProperty("plan" + std::to_string(r) + "_bytes",
+                   std::to_string(plan_bytes));
+  }
 
   g_threads = 0;
   const std::int64_t caller_before = t_bytes;
@@ -107,23 +116,23 @@ TEST_P(SeamRankAlloc, RankThreadsAllocateOrderKOverP) {
       seam::run_distributed(model, part, dt, kSteps);
   const std::int64_t caller_bytes = t_bytes - caller_before;
   ASSERT_EQ(out.size(), model.field().size());
-  // The calling thread: the returned field, the plan and the fabric's
-  // bookkeeping (a deque per rank pair in the inboxes, counters, the rank
-  // threads' launch state: ~57 KiB at 8 ranks). A second global-size
-  // buffer — a copy of the initial field or a checkpoint — exceeds the
-  // bound.
+  // The calling thread: the returned field and the fabric's bookkeeping
+  // (a deque per rank pair in the inboxes, counters, the rank threads'
+  // launch state: ~57 KiB at 8 ranks). It plans no halo. A second
+  // global-size buffer — a copy of the initial field or a checkpoint —
+  // exceeds the bound.
   constexpr std::int64_t kCallerFixed = 128 * 1024;
-  EXPECT_LE(caller_bytes, global_bytes + plan_bytes + kCallerFixed);
+  EXPECT_LE(caller_bytes, global_bytes + kCallerFixed);
   EXPECT_LT(kCallerFixed, global_bytes);
   RecordProperty("caller_bytes", std::to_string(caller_bytes));
 
   const int threads = g_threads.load();
   ASSERT_EQ(threads, nranks) << "one tally per rank thread";
-  // Per owned node: the tracer, three RK stages and at most one DSS
-  // accumulator entry — 5 doubles; the bound allows 6. The sixth and the
-  // fixed term cover the channel's per-peer state and the halo traffic of
-  // kSteps steps (retransmit copies included), which scales with a
-  // segment's boundary, not its area.
+  // Per owned node: the tracer, three RK stages, and the halo plan plus the
+  // DSS accumulator, which hold only boundary dofs — 5 doubles; the bound
+  // allows 6. The sixth and the fixed term cover the channel's per-peer
+  // state and the halo traffic of kSteps steps (retransmit copies
+  // included), which scales with a segment's boundary, not its area.
   constexpr std::int64_t kFixed = 128 * 1024;
   const std::int64_t bound = 6 * owned_bytes + kFixed;
   for (int t = 0; t < threads; ++t) {

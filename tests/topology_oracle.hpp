@@ -4,7 +4,7 @@
 // from the mesh's integer lattice corner points alone — corner identity by
 // packed key, edge identity by the packed key pair — so they are an
 // independent check on the arithmetic in mesh::cubed_sphere, seam::assembly
-// and seam::exchange_plan. Test-only; nothing here is fast.
+// and seam::rank_exchange_plan. Test-only; nothing here is fast.
 
 #include <algorithm>
 #include <array>
@@ -18,7 +18,6 @@
 #include "mesh/cubed_sphere.hpp"
 #include "partition/partition.hpp"
 #include "seam/assembly.hpp"
-#include "seam/exchange.hpp"
 
 namespace sfp::oracle {
 
@@ -226,16 +225,32 @@ struct legacy_dofs {
   }
 };
 
-/// seam::exchange_plan::build as it was, with a hash map of rank lists per
-/// dof and a hash map from global to local dof per rank.
-inline seam::exchange_plan legacy_exchange_plan(
+/// One rank's exchange plan in the full-node layout the library planned
+/// with before its plans became rank-built and boundary-only: every node
+/// of the rank-local layout maps to a local dof, interior ones included,
+/// and local dofs ascend in global order.
+struct legacy_rank_plan {
+  std::vector<int> owned;  ///< element ids, ascending; slot l is owned[l]
+  std::vector<std::int32_t> node_dof_local;  ///< per rank-local node
+  std::vector<std::int64_t> touched_dofs;    ///< global, ascending
+  std::vector<double> inv_multiplicity;      ///< per touched dof
+  struct peer_exchange {
+    int rank;
+    std::vector<std::int32_t> dof_local;  ///< ascending global order
+  };
+  std::vector<peer_exchange> peers;  ///< ascending by rank
+};
+
+/// The global exchange-plan build the library used before each rank
+/// planned its own halo, with a hash map of rank lists per dof and a hash
+/// map from global to local dof per rank. One plan per part.
+inline std::vector<legacy_rank_plan> legacy_exchange_plan(
     const seam::assembly& dofs, const partition::partition& part) {
   const int np = dofs.np();
   const int nelem = dofs.num_elements();
-  seam::exchange_plan plan;
-  plan.ranks.resize(static_cast<std::size_t>(part.num_parts));
+  std::vector<legacy_rank_plan> plan(static_cast<std::size_t>(part.num_parts));
   for (int e = 0; e < nelem; ++e)
-    plan.ranks[static_cast<std::size_t>(part.part_of[static_cast<std::size_t>(e)])]
+    plan[static_cast<std::size_t>(part.part_of[static_cast<std::size_t>(e)])]
         .owned.push_back(e);
 
   std::unordered_map<std::int64_t, std::vector<int>> dof_ranks;
@@ -249,8 +264,8 @@ inline seam::exchange_plan legacy_exchange_plan(
       }
   }
 
-  for (std::size_t self = 0; self < plan.ranks.size(); ++self) {
-    seam::rank_exchange_plan& rp = plan.ranks[self];
+  for (std::size_t self = 0; self < plan.size(); ++self) {
+    legacy_rank_plan& rp = plan[self];
     for (const int e : rp.owned)
       for (int j = 0; j < np; ++j)
         for (int i = 0; i < np; ++i)

@@ -1,17 +1,23 @@
 // The closed-form cubed-sphere topology, the map-free dof numbering and the
-// flat exchange-plan build, checked against the hash-map builders they
-// replaced (tests/topology_oracle.hpp): every query, every array, exactly.
+// rank-built exchange plans, checked against the hash-map builders they
+// replaced (tests/topology_oracle.hpp): every query and every array
+// exactly, and every plan canonically (by global dof).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <set>
 #include <string>
 #include <tuple>
 #include <utility>
 #include <vector>
 
+#include "core/cube_curve.hpp"
+#include "core/rebalance.hpp"
 #include "core/sfc_partition.hpp"
 #include "mesh/cubed_sphere.hpp"
+#include "mgp/partitioner.hpp"
 #include "seam/assembly.hpp"
 #include "seam/exchange.hpp"
 #include "topology_oracle.hpp"
@@ -29,21 +35,69 @@ void expect_same_csr(const graph::csr& got, const graph::csr& want) {
   EXPECT_TRUE(std::ranges::equal(got.adjwgt(), want.adjwgt()));
 }
 
-void expect_same_plan(const seam::exchange_plan& got,
-                      const seam::exchange_plan& want) {
-  ASSERT_EQ(got.ranks.size(), want.ranks.size());
-  for (std::size_t r = 0; r < got.ranks.size(); ++r) {
-    const seam::rank_exchange_plan& g = got.ranks[r];
-    const seam::rank_exchange_plan& w = want.ranks[r];
-    EXPECT_EQ(g.owned, w.owned) << "rank " << r;
-    EXPECT_EQ(g.node_dof_local, w.node_dof_local) << "rank " << r;
-    EXPECT_EQ(g.touched_dofs, w.touched_dofs) << "rank " << r;
-    EXPECT_EQ(g.inv_multiplicity, w.inv_multiplicity) << "rank " << r;
-    ASSERT_EQ(g.peers.size(), w.peers.size()) << "rank " << r;
-    for (std::size_t p = 0; p < g.peers.size(); ++p) {
-      EXPECT_EQ(g.peers[p].rank, w.peers[p].rank);
-      EXPECT_EQ(g.peers[p].dof_local, w.peers[p].dof_local);
+/// A rank-built plan against the legacy full-node plan of the same rank,
+/// canonically: local dofs are numbered in first-touch order, not in
+/// ascending global order, so every entry is compared by its global dof.
+/// Every shared node (multiplicity > 1) must be listed with its global dof
+/// and inverse multiplicity, every interior node must be absent, and each
+/// peer must carry the same global-dof sequence.
+void expect_same_plan(const seam::rank_exchange_plan& got,
+                      const oracle::legacy_rank_plan& want, int np) {
+  ASSERT_EQ(got.owned, want.owned);
+  ASSERT_EQ(got.np, np);
+  ASSERT_EQ(got.local_size(), want.node_dof_local.size());
+  const std::size_t slot = got.slot_size(), nb = got.slot_boundary.size();
+  ASSERT_EQ(got.boundary_dof.size(), got.owned.size() * nb);
+  ASSERT_EQ(got.inv_multiplicity.size(), got.global_dof.size());
+  // Local dofs name distinct global dofs, one per shared dof of the rank.
+  const std::set<std::int64_t> distinct(got.global_dof.begin(),
+                                        got.global_dof.end());
+  ASSERT_EQ(distinct.size(), got.global_dof.size());
+  std::set<std::int64_t> shared;
+  for (std::size_t l = 0; l < got.owned.size(); ++l) {
+    std::size_t b = 0;
+    for (std::size_t n = 0; n < slot; ++n) {
+      const auto w =
+          static_cast<std::size_t>(want.node_dof_local[l * slot + n]);
+      const bool is_shared = want.inv_multiplicity[w] != 1.0;
+      const bool listed =
+          b < nb && static_cast<std::size_t>(got.slot_boundary[b]) == n;
+      ASSERT_EQ(listed, is_shared) << "slot " << l << " node " << n;
+      if (!listed) continue;
+      const auto k = static_cast<std::size_t>(got.boundary_dof[l * nb + b++]);
+      ASSERT_LT(k, got.global_dof.size());
+      ASSERT_EQ(got.global_dof[k], want.touched_dofs[w])
+          << "slot " << l << " node " << n;
+      ASSERT_EQ(got.inv_multiplicity[k], want.inv_multiplicity[w]);
+      shared.insert(want.touched_dofs[w]);
     }
+    ASSERT_EQ(b, nb);
+  }
+  ASSERT_EQ(shared, distinct);
+  ASSERT_EQ(got.peers.size(), want.peers.size());
+  for (std::size_t p = 0; p < got.peers.size(); ++p) {
+    ASSERT_EQ(got.peers[p].rank, want.peers[p].rank);
+    std::vector<std::int64_t> g, w;
+    for (const std::int32_t k : got.peers[p].dof_local)
+      g.push_back(got.global_dof[static_cast<std::size_t>(k)]);
+    for (const std::int32_t k : want.peers[p].dof_local)
+      w.push_back(want.touched_dofs[static_cast<std::size_t>(k)]);
+    ASSERT_EQ(g, w) << "peer " << want.peers[p].rank;
+  }
+}
+
+/// Every rank's rank-built plan against the legacy build of `part`.
+void expect_same_plans(const seam::assembly& dofs,
+                       const partition::partition& part) {
+  const std::vector<oracle::legacy_rank_plan> want =
+      oracle::legacy_exchange_plan(dofs, part);
+  const seam::exchange_plan got = seam::exchange_plan::build(dofs, part);
+  ASSERT_EQ(got.ranks.size(), want.size());
+  for (int r = 0; r < part.num_parts; ++r) {
+    SCOPED_TRACE("rank " + std::to_string(r));
+    expect_same_plan(got.ranks[static_cast<std::size_t>(r)],
+                     want[static_cast<std::size_t>(r)], dofs.np());
+    if (::testing::Test::HasFatalFailure()) return;
   }
 }
 
@@ -135,16 +189,57 @@ TEST(TopologyOracleExchange, PlanMatchesTheHashMapBuild) {
   for (const auto& [ne, np] : {std::pair{12, 4}, std::pair{32, 8}}) {
     const cubed_sphere m(ne);
     const seam::assembly dofs(m, np);
-    const partition::partition sfc = core::sfc_partition(m, 3);
-    expect_same_plan(seam::exchange_plan::build(dofs, sfc),
-                     oracle::legacy_exchange_plan(dofs, sfc));
+    expect_same_plans(dofs, core::sfc_partition(m, 3));
     partition::partition strided(3, std::vector<graph::vid>(
                                         static_cast<std::size_t>(m.num_elements())));
     for (std::size_t e = 0; e < strided.part_of.size(); ++e)
       strided.part_of[e] = static_cast<graph::vid>(e % 3);
-    expect_same_plan(seam::exchange_plan::build(dofs, strided),
-                     oracle::legacy_exchange_plan(dofs, strided));
+    expect_same_plans(dofs, strided);
   }
 }
+
+/// Rank-built plans of every kind of plan a run is handed — an SFC slice,
+/// a kway graph partition, the strided e % P labelling and a plan_recovery
+/// re-slice — at P ∈ {1, 2, 3, 5, 8} and np ∈ {2, 3, 4, 8}, for one Ne.
+class RankPlanOracle : public ::testing::TestWithParam<int> {};
+
+TEST_P(RankPlanOracle, EveryRankMatchesTheLegacyPlanCanonically) {
+  const int ne = GetParam();
+  const cubed_sphere m(ne);
+  const core::cube_curve curve = core::build_cube_curve(m);
+  const graph::csr dual = m.dual_graph();
+  for (const int nparts : {1, 2, 3, 5, 8}) {
+    if (nparts > m.num_elements()) continue;
+    std::vector<std::pair<std::string, partition::partition>> plans;
+    const partition::partition sfc = core::sfc_partition(curve, nparts);
+    plans.emplace_back("sfc", sfc);
+    mgp::options opt;
+    opt.algo = mgp::method::kway;
+    plans.emplace_back("kway", mgp::partition_graph(dual, nparts, opt));
+    partition::partition strided(
+        nparts,
+        std::vector<graph::vid>(static_cast<std::size_t>(m.num_elements())));
+    for (std::size_t e = 0; e < strided.part_of.size(); ++e)
+      strided.part_of[e] = static_cast<graph::vid>((e * 7919) % static_cast<std::size_t>(nparts));
+    plans.emplace_back("strided", strided);
+    if (nparts > 1)
+      plans.emplace_back("recovery",
+                         core::plan_recovery(curve, sfc, nparts / 2).part);
+    for (const auto& [kind, part] : plans) {
+      // A kway plan of a tiny mesh may leave a part empty; no run takes it.
+      if (!partition::all_parts_nonempty(part)) continue;
+      for (const int np : {2, 3, 4, 8}) {
+        SCOPED_TRACE(kind + " P=" + std::to_string(nparts) +
+                     " np=" + std::to_string(np));
+        expect_same_plans(seam::assembly(m, np), part);
+        if (HasFatalFailure()) return;
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Ne, RankPlanOracle,
+                         ::testing::Values(1, 2, 3, 4, 6, 12),
+                         ::testing::PrintToStringParamName());
 
 }  // namespace

@@ -232,12 +232,13 @@ grep -q '"elements_per_sec"' "$bench_dir/BENCH_partition_scaling.json"
 # 107 cuts, parity-checked on every rank count the same way.
 build/bench/bench_partition_scaling --ne=12 --nparts=108 --repeat=1 \
   --out="$bench_dir/BENCH_partition_scaling.json"
-# The SEAM element-kernel ledger rows run once, briefly and ungated (wall
-# clock is machine noise here, as time_usec is in stage 8), so they cannot
-# rot; bench_micro writes its BENCH_micro.json into the scratch dir.
+# The SEAM ledger rows (element kernels, one rank's halo plan, the
+# driver's fixed cost per call) run once, briefly and ungated (wall clock
+# is machine noise here, as time_usec is in stage 8), so they cannot rot;
+# bench_micro writes its BENCH_micro.json into the scratch dir.
 repo_root="$(pwd)"
 (cd "$bench_dir" && "$repo_root/build/bench/bench_micro" \
-  --benchmark_filter='BM_AdvectionTendency|BM_SweRhs' \
+  --benchmark_filter='BM_AdvectionTendency|BM_SweRhs|BM_RankExchangePlan|BM_SeamDriverFixedCost' \
   --benchmark_min_time=0.01 > /dev/null)
 rm -rf "$bench_dir"
 
