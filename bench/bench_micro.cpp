@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <numeric>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -29,6 +30,7 @@
 #include "seam/assembly.hpp"
 #include "seam/distributed.hpp"
 #include "seam/exchange.hpp"
+#include "seam/gll.hpp"
 #include "seam/shallow_water.hpp"
 #include "sfc/curve.hpp"
 #include "util/rng.hpp"
@@ -298,6 +300,91 @@ void BM_SweRhs(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * m.num_elements());
 }
 BENCHMARK(BM_SweRhs)->Args({32, 4})->Args({32, 8});
+
+// The kernel rows above run at the CPU's native lane width. These run the
+// same element passes' kernel calls at each width named by the last
+// argument (2 = SSE2 pairs, 4 = AVX2 quads; skipped on a CPU without AVX2),
+// so both widths stay on the ledger on any host: per element, one
+// gll_advection (the advection pass), or the two gll_derivatives and three
+// gll_advection calls of one shallow-water element.
+template <typename Pass>
+void run_kernel_rows(benchmark::State& state, int ne, int np,
+                     const double* written, Pass&& pass) {
+  const auto width = static_cast<seam::gll_width>(state.range(2));
+  if (width == seam::gll_width::avx2 &&
+      seam::native_gll_width() != seam::gll_width::avx2) {
+    state.SkipWithError("this CPU does not run AVX2");
+    return;
+  }
+  const std::size_t nelem = static_cast<std::size_t>(6 * ne * ne);
+  seam::with_np(np, [&]<int NP>(std::integral_constant<int, NP>) {
+    constexpr std::size_t n = NP * NP;
+    for (auto _ : state) {
+      for (std::size_t e = 0; e < nelem; ++e)
+        pass.template operator()<NP>(width, e * n);
+      benchmark::DoNotOptimize(written);
+      benchmark::ClobberMemory();
+    }
+  });
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(nelem));
+}
+
+void BM_AdvectionKernelAtWidth(benchmark::State& state) {
+  const int ne = static_cast<int>(state.range(0));
+  const mesh::cubed_sphere m(ne);
+  seam::advection_model model(m, static_cast<int>(state.range(1)));
+  model.set_field([](mesh::vec3 p) { return p.x * p.y + p.z; });
+  const seam::node_geometry& g = model.geometry();
+  const double* q = model.field().data();
+  std::vector<double> out(model.field().size());
+  run_kernel_rows(state, ne, model.rule().np(), out.data(),
+                  [&]<int NP>(seam::gll_width w, std::size_t at) {
+                    seam::gll_advection_at<NP>(w, model.rule(), q + at,
+                                               g.v_xi.data() + at,
+                                               g.v_eta.data() + at,
+                                               out.data() + at);
+                  });
+}
+BENCHMARK(BM_AdvectionKernelAtWidth)
+    ->Args({32, 4, 2})
+    ->Args({32, 4, 4})
+    ->Args({32, 8, 2})
+    ->Args({32, 8, 4});
+
+void BM_SweKernelsAtWidth(benchmark::State& state) {
+  const int ne = static_cast<int>(state.range(0));
+  const mesh::cubed_sphere m(ne);
+  seam::shallow_water_model model(m, static_cast<int>(state.range(1)));
+  model.set_williamson2(0.5, 2.0);
+  const double* h = model.depth().data();
+  const double* ux = model.velocity_x().data();
+  const double* uy = model.velocity_y().data();
+  const double* uz = model.velocity_z().data();
+  const std::size_t n = model.depth().size();
+  std::vector<double> d1(n), d2(n), d3(n), d4(n), ax(n), ay(n), az(n);
+  run_kernel_rows(state, ne, model.rule().np(), d1.data(),
+                  [&]<int NP>(seam::gll_width w, std::size_t at) {
+                    const seam::gll_rule& r = model.rule();
+                    seam::gll_derivatives_at<NP>(w, r, ux + at, uy + at,
+                                                 d1.data() + at,
+                                                 d2.data() + at);
+                    seam::gll_derivatives_at<NP>(w, r, h + at, h + at,
+                                                 d3.data() + at,
+                                                 d4.data() + at);
+                    seam::gll_advection_at<NP>(w, r, ux + at, uy + at,
+                                               uz + at, ax.data() + at);
+                    seam::gll_advection_at<NP>(w, r, uy + at, uy + at,
+                                               uz + at, ay.data() + at);
+                    seam::gll_advection_at<NP>(w, r, uz + at, uy + at,
+                                               uz + at, az.data() + at);
+                  });
+}
+BENCHMARK(BM_SweKernelsAtWidth)
+    ->Args({32, 4, 2})
+    ->Args({32, 4, 4})
+    ->Args({32, 8, 2})
+    ->Args({32, 8, 4});
 
 // One rank's halo plan, as its rank body builds it: rank 0 of a 3-part SFC
 // plan of an Ne x Ne cube at np GLL points. Items are the rank's owned

@@ -79,7 +79,9 @@ void for_each_owned_node(const rank_exchange_plan& rp, Fn&& fn) {
 /// One rank's two passes per RK stage — the element kernel over its owned
 /// elements, then the DSS exchange with its peers — driven by the shared
 /// ssp_rk3_step over the rank-local layout, with the timing, trace spans
-/// and traffic counts that feed dist_stats.
+/// and traffic counts that feed dist_stats. The compute clock runs from the
+/// kernel pass through the stage update that follows it and stops when the
+/// DSS starts, so compute plus exchange is the whole step.
 class rank_stepper {
  public:
   rank_stepper(const rank_exchange_plan& rp, halo_exchanger& halo)
@@ -97,12 +99,12 @@ class rank_stepper {
     ssp_rk3_step(
         q, stages, std::views::iota(std::size_t{0}, rp_.local_size()), h,
         [&](const rk3_fields<N>& src, const rk3_fields<N>& dst) {
-          SFP_TRACE_SCOPE_CAT("seam.compute", "seam");
           clock_.reset();
+          SFP_TRACE_SCOPE_CAT("seam.compute", "seam");
           kernel(src, dst, std::span<const int>(rp_.owned));
-          compute_s_ += clock_.seconds();
         },
         [&](const rk3_fields<N>& fields) {
+          compute_s_ += clock_.seconds();
           SFP_TRACE_SCOPE_CAT("seam.exchange", "seam");
           clock_.reset();
           project(fields);

@@ -34,7 +34,9 @@ namespace sfp::seam {
 
 /// Aggregate runtime statistics, summed over ranks.
 struct dist_stats {
-  double compute_seconds = 0;   ///< element kernel time
+  /// Element kernel time plus the RK stage update that follows each
+  /// kernel pass: everything a step spends outside the exchange.
+  double compute_seconds = 0;
   double exchange_seconds = 0;  ///< boundary exchange (pack/send/recv/unpack)
   std::int64_t messages = 0;    ///< point-to-point messages sent
   std::int64_t doubles_sent = 0;  ///< total payload volume

@@ -1,8 +1,10 @@
 #include "seam/gll.hpp"
 
+#include <array>
 #include <cmath>
 #include <cstring>
 #include <numbers>
+#include <type_traits>
 
 #include "util/contract.hpp"
 
@@ -91,105 +93,198 @@ gll_rule make_gll(int np) {
 
 namespace {
 
-// Two doubles in one 16-byte GCC vector: an SSE2 register, which every
-// x86-64 target has, so the kernel vectorises at the baseline -O2 with no
-// target flags. It must stay a plain typedef: vector_size on an alias that
-// depends on a template parameter is silently ignored.
+// The lane vectors: two doubles in one 16-byte GCC vector, an SSE2 register,
+// which every x86-64 target has, so the baseline -O2 runs them with no
+// target flags; and, on x86-64 only, four doubles in one 32-byte vector, an
+// AVX2 register, touched only by code compiled under target("avx2"). Both
+// must stay plain typedefs: vector_size on an alias that depends on a
+// template parameter is silently ignored.
 typedef double pair __attribute__((vector_size(16)));
+#if defined(__x86_64__)
+typedef double quad __attribute__((vector_size(32)));
+#endif
 
-pair load(const double* p) {
-  pair v;
-  std::memcpy(&v, p, sizeof v);  // unaligned: slabs sit at any offset
-  return v;
+// Unaligned (slabs sit at any offset) load and store of one lane vector or,
+// for V = double, of one node. A vector goes by reference, never by value:
+// these helpers are compiled for the baseline target, where a quad by value
+// would take a different calling convention than in AVX code (-Wpsabi).
+template <typename V>
+[[gnu::always_inline]] inline void load(V& v, const double* p) {
+  std::memcpy(&v, p, sizeof v);
 }
 
-void store(double* p, pair v) { std::memcpy(p, &v, sizeof v); }
+template <typename V>
+[[gnu::always_inline]] inline void store(double* p, const V& v) {
+  std::memcpy(p, &v, sizeof v);
+}
 
-// The one derivative kernel. Row j of both derivatives runs NP/2 pair
-// accumulators across i, plus a scalar tail lane when NP is odd. Only lanes
-// across i run together: each output still sums its NP products one at a
-// time, in ascending m, from 0.0 — the scalar loop's order, so the result
-// is bitwise the same. `out(k, dxi, deta)` then consumes the derivatives
-// at nodes k, k+1 (pairs) or at node k (the tail lane). The pair loops are
-// unrolled by pragma because -O2 fully unrolls only loops that do not grow
-// the code, and the accumulators stay in registers only when unrolled.
-template <int NP, typename Out>
-void derivative_rows(const gll_rule& rule, const double* a, const double* b,
-                     const Out& out) {
-  constexpr int pairs = NP / 2;
-  constexpr int tail = NP - 1;  // the scalar lane's i when NP is odd
+// The one derivative kernel, at lane vector V. Row j of both derivatives
+// runs NP / W accumulators of W doubles across i, plus a scalar tail lane
+// for each of the NP mod W last i. Only lanes across i run together: each
+// output still sums its NP products one at a time, in ascending m, from
+// 0.0 — the scalar loop's order, so every width is bitwise the same.
+// `out(k, dxi, deta)` then consumes the derivatives at nodes k..k+W-1 (a
+// vector) or at node k (a tail lane). Always inlined into its caller, so
+// it compiles for the caller's target. The vector loops are unrolled by
+// pragma because -O2 fully unrolls only loops that do not grow the code,
+// and the accumulators stay in registers only when unrolled.
+template <typename V, int NP, typename Out>
+[[gnu::always_inline]] inline void derivative_rows(const gll_rule& rule,
+                                                   const double* a,
+                                                   const double* b,
+                                                   const Out& out) {
+  constexpr int W = static_cast<int>(sizeof(V) / sizeof(double));
+  constexpr int vecs = NP / W;
+  constexpr int tail = vecs * W;  // the first scalar lane's i
   const double* D = rule.diff.data();
   const double* Dt = rule.diff_t.data();
   for (int j = 0; j < NP; ++j) {
-    pair dxi[pairs], deta[pairs];
+    std::array<V, vecs> dxi, deta;
+    std::array<double, NP - tail> dxi_tail, deta_tail;
 #pragma GCC unroll 8
-    for (int p = 0; p < pairs; ++p) dxi[p] = deta[p] = pair{0.0, 0.0};
-    double dxi_tail = 0.0, deta_tail = 0.0;
+    for (int p = 0; p < vecs; ++p) dxi[p] = deta[p] = V{};
+    dxi_tail.fill(0.0);
+    deta_tail.fill(0.0);
     for (int m = 0; m < NP; ++m) {
       const double a_jm = a[j * NP + m];
       const double d_jm = D[j * NP + m];
-      const pair a_jm2 = {a_jm, a_jm};
-      const pair d_jm2 = {d_jm, d_jm};
       const double* dt_m = Dt + m * NP;  // D[i*NP+m] for every i
       const double* b_m = b + m * NP;
 #pragma GCC unroll 8
-      for (int p = 0; p < pairs; ++p) {
-        dxi[p] += load(dt_m + 2 * p) * a_jm2;
-        deta[p] += d_jm2 * load(b_m + 2 * p);
+      for (int p = 0; p < vecs; ++p) {
+        V dt_mp, b_mp;
+        load(dt_mp, dt_m + W * p);
+        load(b_mp, b_m + W * p);
+        dxi[p] += dt_mp * a_jm;
+        deta[p] += d_jm * b_mp;
       }
-      if constexpr (NP % 2 != 0) {
-        dxi_tail += dt_m[tail] * a_jm;
-        deta_tail += d_jm * b_m[tail];
+#pragma GCC unroll 4
+      for (int t = 0; t < NP - tail; ++t) {
+        dxi_tail[t] += dt_m[tail + t] * a_jm;
+        deta_tail[t] += d_jm * b_m[tail + t];
       }
     }
 #pragma GCC unroll 8
-    for (int p = 0; p < pairs; ++p) out(j * NP + 2 * p, dxi[p], deta[p]);
-    if constexpr (NP % 2 != 0) out(j * NP + tail, dxi_tail, deta_tail);
+    for (int p = 0; p < vecs; ++p) out(j * NP + W * p, dxi[p], deta[p]);
+#pragma GCC unroll 4
+    for (int t = 0; t < NP - tail; ++t)
+      out(j * NP + tail + t, dxi_tail[t], deta_tail[t]);
   }
+}
+
+#if defined(__x86_64__)
+// The 4-wide kernel. The target is "avx2" alone, never "fma": under the
+// C++ default -ffp-contract=fast GCC would fuse `acc += D * q` into one
+// rounding and break the bitwise agreement with the other widths. Below
+// NP = 4 a row holds no whole quad, so it runs pairs.
+template <int NP, typename Out>
+__attribute__((target("avx2"))) void derivative_rows_avx2(
+    const gll_rule& rule, const double* a, const double* b, const Out& out) {
+  derivative_rows<std::conditional_t<(NP >= 4), quad, pair>, NP>(rule, a, b,
+                                                                  out);
+}
+#endif
+
+// derivative_rows at `width`: the one width dispatch every kernel call
+// takes.
+template <int NP, typename Out>
+[[gnu::always_inline]] inline void derivative_rows_at(gll_width width,
+                                                      const gll_rule& rule,
+                                                      const double* a,
+                                                      const double* b,
+                                                      const Out& out) {
+#if defined(__x86_64__)
+  if (width == gll_width::avx2) {
+    derivative_rows_avx2<NP>(rule, a, b, out);
+    return;
+  }
+#else
+  (void)width;  // the only width off x86-64 is sse2
+#endif
+  derivative_rows<pair, NP>(rule, a, b, out);
+}
+
+// The two entry points' bodies at `width`: the row loop with the store
+// (or the advective combine) fused into its row output.
+template <int NP>
+void derivatives(gll_width width, const gll_rule& rule, const double* a,
+                 const double* b, double* da_dxi, double* db_deta) {
+  const auto out = [=](int k, const auto& dxi, const auto& deta)
+                       __attribute__((always_inline)) {
+    store(da_dxi + k, dxi);
+    store(db_deta + k, deta);
+  };
+  derivative_rows_at<NP>(width, rule, a, b, out);
+}
+
+template <int NP>
+void advection(gll_width width, const gll_rule& rule, const double* q,
+               const double* v_xi, const double* v_eta, double* out) {
+  const auto advect = [=](int k, const auto& dxi, const auto& deta)
+                          __attribute__((always_inline)) {
+    std::remove_cvref_t<decltype(dxi)> vx, ve;
+    load(vx, v_xi + k);
+    load(ve, v_eta + k);
+    store(out + k, -(vx * dxi + ve * deta));
+  };
+  derivative_rows_at<NP>(width, rule, q, q, advect);
+}
+
+void require_runs(gll_width width) {
+  SFP_REQUIRE(width == gll_width::sse2 || width == native_gll_width(),
+              "this CPU does not run the requested GLL kernel width");
 }
 
 }  // namespace
 
+gll_width native_gll_width() {
+#if defined(__x86_64__)
+  // libgcc runs CPUID once, in a start-up constructor that runs before the
+  // program's own, and this reads its cached feature bits: the choice costs
+  // each kernel call one load and one branch.
+  if (__builtin_cpu_supports("avx2")) return gll_width::avx2;
+#endif
+  return gll_width::sse2;
+}
+
 template <int NP>
 void gll_derivatives(const gll_rule& rule, const double* a, const double* b,
                      double* da_dxi, double* db_deta) {
-  struct {
-    double* dxi;
-    double* deta;
-    void operator()(int k, pair x, pair e) const {
-      store(dxi + k, x);
-      store(deta + k, e);
-    }
-    void operator()(int k, double x, double e) const {
-      dxi[k] = x;
-      deta[k] = e;
-    }
-  } const out{da_dxi, db_deta};
-  derivative_rows<NP>(rule, a, b, out);
+  derivatives<NP>(native_gll_width(), rule, a, b, da_dxi, db_deta);
 }
 
 template <int NP>
 void gll_advection(const gll_rule& rule, const double* q, const double* v_xi,
                    const double* v_eta, double* out) {
-  struct {
-    const double* v_xi;
-    const double* v_eta;
-    double* adv;
-    void operator()(int k, pair x, pair e) const {
-      store(adv + k, -(load(v_xi + k) * x + load(v_eta + k) * e));
-    }
-    void operator()(int k, double x, double e) const {
-      adv[k] = -(v_xi[k] * x + v_eta[k] * e);
-    }
-  } const advect{v_xi, v_eta, out};
-  derivative_rows<NP>(rule, q, q, advect);
+  advection<NP>(native_gll_width(), rule, q, v_xi, v_eta, out);
+}
+
+template <int NP>
+void gll_derivatives_at(gll_width width, const gll_rule& rule,
+                        const double* a, const double* b, double* da_dxi,
+                        double* db_deta) {
+  require_runs(width);
+  derivatives<NP>(width, rule, a, b, da_dxi, db_deta);
+}
+
+template <int NP>
+void gll_advection_at(gll_width width, const gll_rule& rule, const double* q,
+                      const double* v_xi, const double* v_eta, double* out) {
+  require_runs(width);
+  advection<NP>(width, rule, q, v_xi, v_eta, out);
 }
 
 #define SFP_INSTANTIATE_GLL_KERNELS(NP)                                  \
   template void gll_derivatives<NP>(const gll_rule&, const double*,     \
                                     const double*, double*, double*);   \
   template void gll_advection<NP>(const gll_rule&, const double*,       \
-                                  const double*, const double*, double*);
+                                  const double*, const double*, double*); \
+  template void gll_derivatives_at<NP>(gll_width, const gll_rule&,      \
+                                       const double*, const double*,    \
+                                       double*, double*);               \
+  template void gll_advection_at<NP>(gll_width, const gll_rule&,        \
+                                     const double*, const double*,      \
+                                     const double*, double*);
 SFP_INSTANTIATE_GLL_KERNELS(2)
 SFP_INSTANTIATE_GLL_KERNELS(3)
 SFP_INSTANTIATE_GLL_KERNELS(4)

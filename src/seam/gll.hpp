@@ -2,7 +2,10 @@
 // Gauss–Lobatto–Legendre quadrature and spectral differentiation on [-1,1] —
 // the per-element numerics of the spectral element method (paper Section 1:
 // "model fields are approximated by high order polynomials") — and the one
-// tensor-product derivative kernel every SEAM model runs per element.
+// tensor-product derivative kernel every SEAM model runs per element, in
+// lanes of two doubles (SSE2) or, on x86-64 CPUs with AVX2, four. The width
+// is read from CPUID once per process; every width rounds each output
+// exactly as the scalar loop, so results do not depend on the CPU.
 
 #include <type_traits>
 #include <utility>
@@ -44,9 +47,19 @@ inline int checked_np(int np) {
   return np;
 }
 
+/// The lane widths of the derivative kernel, in doubles per vector: two
+/// (SSE2, which every x86-64 CPU has; the only width elsewhere) or four
+/// (AVX2, x86-64 only). Every width gives bitwise the same outputs.
+enum class gll_width { sse2 = 2, avx2 = 4 };
+
+/// The width this CPU runs the kernel at: avx2 where CPUID reports AVX2,
+/// else sse2. Read once per process; it depends on the CPU only.
+gll_width native_gll_width();
+
 /// The tensor-product derivatives of one element, in one pass over its
-/// nodes. `a`, `b` and both outputs are NP×NP slabs (node (i, j) at
-/// j*NP + i, i along xi), anywhere in memory; with D = rule.diff,
+/// nodes, at native_gll_width(). `a`, `b` and both outputs are NP×NP slabs
+/// (node (i, j) at j*NP + i, i along xi), anywhere in memory; with
+/// D = rule.diff,
 ///
 ///   da_dxi[j*NP+i]  = sum_m D[i*NP+m] * a[j*NP+m]
 ///   db_deta[j*NP+i] = sum_m D[j*NP+m] * b[m*NP+i]
@@ -68,6 +81,17 @@ void gll_derivatives(const gll_rule& rule, const double* a, const double* b,
 template <int NP>
 void gll_advection(const gll_rule& rule, const double* q, const double* v_xi,
                    const double* v_eta, double* out);
+
+/// gll_derivatives and gll_advection at a named `width`, which must be
+/// sse2 or native_gll_width(): the entries that keep every width under the
+/// bitwise oracle tests and the micro benchmarks on any host.
+template <int NP>
+void gll_derivatives_at(gll_width width, const gll_rule& rule,
+                        const double* a, const double* b, double* da_dxi,
+                        double* db_deta);
+template <int NP>
+void gll_advection_at(gll_width width, const gll_rule& rule, const double* q,
+                      const double* v_xi, const double* v_eta, double* out);
 
 /// Calls fn(std::integral_constant<int, NP>{}) with NP == np: the one
 /// runtime-to-compile-time np switch, taken once per element pass.

@@ -1,8 +1,9 @@
 // Bitwise oracle for the one GLL tensor-product derivative kernel. The
 // oracle is the plain scalar triple loop every SEAM model used to run; the
 // np-specialised kernel must reproduce it bit for bit, for every np it is
-// instantiated for, on seeded random data, including slabs at odd double
-// offsets inside a larger buffer (as rank-local slots are).
+// instantiated for and at every lane width (SSE2 pairs, AVX2 quads), on
+// seeded random data, including slabs at odd double offsets inside a
+// larger buffer (as rank-local slots are).
 //
 // This is the wall that catches a wrong kernel: the distributed-vs-serial
 // checks (DistributedRanks.MatchesSerialExecution, perfbench's per-op
@@ -12,7 +13,10 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <optional>
 #include <span>
+#include <string>
+#include <tuple>
 #include <type_traits>
 #include <vector>
 
@@ -148,15 +152,9 @@ std::span<T> slab(std::vector<std::remove_const_t<T>>& buf, std::size_t s,
   return std::span<T>(buf).subspan(1 + s * per_elem, per_elem);
 }
 
-class GllKernel : public ::testing::TestWithParam<int> {};
-
-INSTANTIATE_TEST_SUITE_P(EveryNp, GllKernel,
-                         ::testing::Range(2, max_np + 1));
-
-// ---- the kernel itself ------------------------------------------------------
-
-TEST_P(GllKernel, DerivativesMatchScalarLoopsBitwise) {
-  const int np = GetParam();
+/// gll_derivatives<np> on seeded random slabs at an odd offset, at `width`
+/// or, without one, at the native width, against the scalar loops.
+void expect_derivatives_match(int np, std::optional<gll_width> width) {
   const gll_rule rule = make_gll(np);
   const std::size_t n = static_cast<std::size_t>(np * np);
   // Three slabs back to back from an odd offset: a, b, then outputs.
@@ -168,7 +166,10 @@ TEST_P(GllKernel, DerivativesMatchScalarLoopsBitwise) {
   double* dxi = slab<double>(got, 0, n).data();
   double* deta = slab<double>(got, 1, n).data();
   with_np(np, [&]<int NP>(std::integral_constant<int, NP>) {
-    gll_derivatives<NP>(rule, a, b, dxi, deta);
+    if (width)
+      gll_derivatives_at<NP>(*width, rule, a, b, dxi, deta);
+    else
+      gll_derivatives<NP>(rule, a, b, dxi, deta);
   });
   std::vector<double> want_xi(n), want_eta(n);
   oracle_deriv_xi(rule.diff.data(), a, want_xi.data(), np);
@@ -177,8 +178,8 @@ TEST_P(GllKernel, DerivativesMatchScalarLoopsBitwise) {
   EXPECT_TRUE(bitwise_equal({deta, n}, want_eta));
 }
 
-TEST_P(GllKernel, AdvectionMatchesScalarLoopBitwise) {
-  const int np = GetParam();
+/// The same for gll_advection<np>.
+void expect_advection_matches(int np, std::optional<gll_width> width) {
   const gll_rule rule = make_gll(np);
   const std::size_t n = static_cast<std::size_t>(np * np);
   std::vector<double> in =
@@ -189,11 +190,61 @@ TEST_P(GllKernel, AdvectionMatchesScalarLoopBitwise) {
   const double* vy = slab<const double>(in, 2, n).data();
   double* out = slab<double>(got, 0, n).data();
   with_np(np, [&]<int NP>(std::integral_constant<int, NP>) {
-    gll_advection<NP>(rule, q, vx, vy, out);
+    if (width)
+      gll_advection_at<NP>(*width, rule, q, vx, vy, out);
+    else
+      gll_advection<NP>(rule, q, vx, vy, out);
   });
   std::vector<double> want(n);
   oracle_advection(rule.diff.data(), q, vx, vy, want.data(), np);
   EXPECT_TRUE(bitwise_equal({out, n}, want));
+}
+
+// ---- the kernel at the native width, and through the models --------------
+
+class GllKernel : public ::testing::TestWithParam<int> {};
+
+INSTANTIATE_TEST_SUITE_P(EveryNp, GllKernel,
+                         ::testing::Range(2, max_np + 1));
+
+TEST_P(GllKernel, DerivativesMatchScalarLoopsBitwise) {
+  expect_derivatives_match(GetParam(), std::nullopt);
+}
+
+TEST_P(GllKernel, AdvectionMatchesScalarLoopBitwise) {
+  expect_advection_matches(GetParam(), std::nullopt);
+}
+
+// ---- the kernel at every width --------------------------------------------
+
+/// (np, width): every width runs on every host that has it, so the SSE2
+/// lanes stay under the oracle on AVX2 hosts as well.
+class GllKernelWidth
+    : public ::testing::TestWithParam<std::tuple<int, gll_width>> {
+ protected:
+  void SetUp() override {
+    if (width() == gll_width::avx2 && native_gll_width() != gll_width::avx2)
+      GTEST_SKIP() << "this CPU does not run AVX2";
+  }
+  int np() const { return std::get<0>(GetParam()); }
+  gll_width width() const { return std::get<1>(GetParam()); }
+};
+
+INSTANTIATE_TEST_SUITE_P(
+    EveryNpAndWidth, GllKernelWidth,
+    ::testing::Combine(::testing::Range(2, max_np + 1),
+                       ::testing::Values(gll_width::sse2, gll_width::avx2)),
+    [](const ::testing::TestParamInfo<std::tuple<int, gll_width>>& p) {
+      return "np" + std::to_string(std::get<0>(p.param)) +
+             (std::get<1>(p.param) == gll_width::avx2 ? "_avx2" : "_sse2");
+    });
+
+TEST_P(GllKernelWidth, DerivativesMatchScalarLoopsBitwise) {
+  expect_derivatives_match(np(), width());
+}
+
+TEST_P(GllKernelWidth, AdvectionMatchesScalarLoopBitwise) {
+  expect_advection_matches(np(), width());
 }
 
 TEST(GllKernelDispatch, RejectsNpOutsideTheInstantiatedRange) {
@@ -201,7 +252,7 @@ TEST(GllKernelDispatch, RejectsNpOutsideTheInstantiatedRange) {
   EXPECT_THROW(with_np(max_np + 1, [](auto) {}), contract_error);
 }
 
-// ---- the model entry points -----------------------------------------------
+// ---- the model entry points (native width) --------------------------------
 
 TEST_P(GllKernel, AdvectionTendencyMatchesOracleBitwise) {
   const int np = GetParam();

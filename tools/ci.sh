@@ -19,9 +19,11 @@
 #      clang-tidy via tools/lint.sh when installed.
 #   2. configure + build the default preset with the escalated warnings
 #      wall as errors (SFCPART_STRICT_WARNINGS + SFCPART_WERROR) and the
-#      compile-each-header-standalone check (SFCPART_CHECK_HEADERS), then
-#      ctest --preset ci (all tests, including the 'lint'-labelled repo
-#      scan and the fuzz-corpus regression replays)
+#      compile-each-header-standalone check (SFCPART_CHECK_HEADERS); fail
+#      if objdump finds a fused multiply-add in the GLL kernel's object
+#      (it would change the kernel's rounding); then ctest --preset ci (all
+#      tests, including the 'lint'-labelled repo scan and the fuzz-corpus
+#      regression replays)
 #   3. configure + build the tsan preset, ctest --preset tsan (label
 #      'runtime')
 #   4. configure + build the asan-ubsan preset (which also turns on
@@ -49,7 +51,8 @@
 #      all rank counts, match the serial slicer (the bench aborts on
 #      divergence), and emit a well-formed BENCH_partition_scaling.json;
 #      then bench_micro's SEAM kernel rows (BM_AdvectionTendency,
-#      BM_SweRhs) run once, ungated
+#      BM_SweRhs at the native lane width, BM_AdvectionKernelAtWidth and
+#      BM_SweKernelsAtWidth at each width) run once, ungated
 #   8. perf guard: bench_baselines reruns in a scratch dir and its fresh
 #      BENCH_baselines.json must stay within a generous tolerance of the
 #      committed tools/bench_reference.json (wall-clock columns ignored);
@@ -87,6 +90,18 @@ echo "==> [2/9] tier-1: configure + build (strict warnings as errors, header che
 cmake --preset default -DSFCPART_STRICT_WARNINGS=ON -DSFCPART_WERROR=ON \
   -DSFCPART_CHECK_HEADERS=ON
 cmake --build --preset default -j "$(nproc 2>/dev/null || echo 4)"
+# No fused multiply-add in the GLL kernel: a fused a*b+c rounds once where
+# the scalar loop rounds twice, which breaks the kernel's bitwise oracle,
+# the 1e-12 distributed-vs-serial SEAM agreement and the bitwise fault-free
+# resilient run. Its AVX2 lanes are built for target("avx2") without "fma"
+# for this reason; the grep catches a target string or flag that lets GCC
+# contract `acc += D * q`.
+gll_obj=build/src/seam/CMakeFiles/sfcpart_seam.dir/gll.cpp.o
+test -s "$gll_obj" || { echo "ci: missing $gll_obj" >&2; exit 1; }
+if objdump -d "$gll_obj" | grep -qE 'vfmadd|vfmsub|vfnmadd|vfnmsub'; then
+  echo "ci: $gll_obj contains fused multiply-add instructions" >&2
+  exit 1
+fi
 ctest --preset ci
 
 echo "==> [3/9] tsan: runtime-labelled tests under ThreadSanitizer"
@@ -232,13 +247,14 @@ grep -q '"elements_per_sec"' "$bench_dir/BENCH_partition_scaling.json"
 # 107 cuts, parity-checked on every rank count the same way.
 build/bench/bench_partition_scaling --ne=12 --nparts=108 --repeat=1 \
   --out="$bench_dir/BENCH_partition_scaling.json"
-# The SEAM ledger rows (element kernels, one rank's halo plan, the
-# driver's fixed cost per call) run once, briefly and ungated (wall clock
-# is machine noise here, as time_usec is in stage 8), so they cannot rot;
-# bench_micro writes its BENCH_micro.json into the scratch dir.
+# The SEAM ledger rows (element kernels, natively and at each lane width;
+# one rank's halo plan; the driver's fixed cost per call) run once, briefly
+# and ungated (wall clock is machine noise here, as time_usec is in stage
+# 8), so they cannot rot; bench_micro writes its BENCH_micro.json into the
+# scratch dir.
 repo_root="$(pwd)"
 (cd "$bench_dir" && "$repo_root/build/bench/bench_micro" \
-  --benchmark_filter='BM_AdvectionTendency|BM_SweRhs|BM_RankExchangePlan|BM_SeamDriverFixedCost' \
+  --benchmark_filter='BM_AdvectionTendency|BM_SweRhs|AtWidth|BM_RankExchangePlan|BM_SeamDriverFixedCost' \
   --benchmark_min_time=0.01 > /dev/null)
 rm -rf "$bench_dir"
 
