@@ -95,12 +95,6 @@ void transient_fault_section() {
   const auto base = [&] {
     runtime::resilience_options r;
     r.max_recoveries = 1;
-    r.reliable.recv_timeout = std::chrono::milliseconds(15000);
-    // 24 rank threads share whatever cores the machine has; a retransmit
-    // timeout below the scheduling jitter would count descheduled peers as
-    // lost messages and drown the fault-driven retransmits being measured.
-    r.reliable.retransmit_timeout = std::chrono::microseconds(20000);
-    r.reliable.max_backoff = std::chrono::microseconds(80000);
     return r;
   };
 

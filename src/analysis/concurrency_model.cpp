@@ -57,7 +57,7 @@ bool guard_token(std::string_view w) {
 bool blocking_token(std::string_view w) {
   static const std::set<std::string_view> exact = {
       "wait",      "wait_for",    "wait_until", "recv",  "barrier",
-      "sleep_for", "sleep_until", "accept",     "try_recv_any"};
+      "sleep_for", "sleep_until", "accept",     "recv_or_quiescent"};
   if (exact.count(w) > 0) return true;
   for (const std::string_view prefix : {"allreduce", "allgather", "exscan"})
     if (w.size() >= prefix.size() && w.substr(0, prefix.size()) == prefix)

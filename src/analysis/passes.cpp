@@ -687,77 +687,6 @@ std::vector<finding> check_raw_assert(const source_tree& tree) {
   return out;
 }
 
-std::vector<finding> check_retry_backoff(const source_tree& tree,
-                                         const pass_options& opts) {
-  std::vector<finding> out;
-  static const char* const kRetryTokens[] = {"retransmit", "retry", "resend"};
-  for (const auto& f : tree.files) {
-    if (!path_under(f.path, opts.retry_trees)) continue;
-    const std::string_view text = f.stripped;
-    std::size_t pos = 0;
-    while (pos < text.size()) {
-      // Find the next loop keyword.
-      std::size_t best = std::string_view::npos;
-      for (const char* kw : {"while", "for", "do"}) {
-        const std::size_t p = find_token(text, kw, pos);
-        if (p < best) best = p;
-      }
-      if (best == std::string_view::npos) break;
-      std::size_t cursor = best;
-      // Skip past the keyword and any parenthesized header (for/while).
-      while (cursor < text.size() && ident_char(text[cursor])) ++cursor;
-      while (cursor < text.size() &&
-             (text[cursor] == ' ' || text[cursor] == '\t' ||
-              text[cursor] == '\n'))
-        ++cursor;
-      std::size_t header_end = cursor;
-      if (cursor < text.size() && text[cursor] == '(') {
-        int depth = 0;
-        for (; cursor < text.size(); ++cursor) {
-          if (text[cursor] == '(') ++depth;
-          else if (text[cursor] == ')' && --depth == 0) { ++cursor; break; }
-        }
-        header_end = cursor;
-        while (cursor < text.size() &&
-               (text[cursor] == ' ' || text[cursor] == '\t' ||
-                text[cursor] == '\n'))
-          ++cursor;
-      }
-      // Capture the loop body: braced block or single statement.
-      std::size_t body_end = cursor;
-      if (cursor < text.size() && text[cursor] == '{') {
-        int depth = 0;
-        for (; body_end < text.size(); ++body_end) {
-          if (text[body_end] == '{') ++depth;
-          else if (text[body_end] == '}' && --depth == 0) { ++body_end; break; }
-        }
-      } else {
-        while (body_end < text.size() && text[body_end] != ';') ++body_end;
-      }
-      const std::string_view region =
-          text.substr(best, body_end - best);
-      bool retries = false;
-      for (const char* tok : kRetryTokens)
-        if (region.find(tok) != std::string_view::npos) retries = true;
-      if (retries && region.find("backoff") == std::string_view::npos) {
-        finding v;
-        v.rule = "retry-backoff";
-        v.file = f.path;
-        v.line = f.line_of(best);
-        v.message =
-            "retry loop without backoff: a tight retransmit loop hammers a "
-            "fabric that is already degraded; scale the delay per attempt "
-            "(see reliable_options::max_backoff)";
-        out.push_back(std::move(v));
-      }
-      // Recurse into the region by resuming just past the keyword, so
-      // nested loops are inspected independently.
-      pos = header_end;
-    }
-  }
-  return out;
-}
-
 std::vector<finding> check_transport_discipline(
     const source_tree& tree, const layering_manifest& manifest) {
   std::vector<finding> out;
@@ -844,7 +773,6 @@ const std::vector<rule_info>& rule_catalogue() {
        "bool/status return of a transport call dropped as a bare statement",
        true},
       {"raw-assert", "raw assert()/<cassert> in library code", true},
-      {"retry-backoff", "retry/retransmit loop without backoff", true},
       {"transport-discipline",
        "fabric type constructed outside the designated runner entry points",
        true},
@@ -1695,7 +1623,6 @@ analysis_result run_all(const source_tree& tree,
   append(check_header_hygiene(tree));
   append(check_blocking_calls(tree, opts));
   append(check_raw_assert(tree));
-  append(check_retry_backoff(tree, opts));
   append(check_transport_discipline(tree, manifest));
   append(check_determinism_transitive(tree, r.calls, r.concurrency, opts));
   append(check_lock_order(r.lock_order));

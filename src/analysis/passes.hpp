@@ -28,9 +28,6 @@
 //                     wrappers (folded in from tools/lint.sh)
 //   raw-assert        raw assert()/<cassert> in library code (folded in
 //                     from tools/lint.sh)
-//   retry-backoff     retry/retransmit loop in src/runtime or src/seam with
-//                     no backoff in sight (tight retransmit loops melt the
-//                     fabric exactly when it is already degraded)
 //   transport-discipline
 //                     direct construction of a fabric type (the manifest's
 //                     "transport" section, e.g. runtime::world) outside the
@@ -54,7 +51,7 @@
 //                     collective) is made or transitively reachable while
 //                     a mutex is held, outside the designated wait sites
 //   unchecked-status  a bool/status-returning transport call
-//                     (try_recv/try_recv_any) used as a bare statement in
+//                     (try_recv/recv_or_quiescent) used as a bare statement in
 //                     src/runtime / src/seam — dropped delivery statuses
 //                     turn lost messages into silent hangs. v3 upgrade:
 //                     a captured status (`bool ok = t.try_recv(...)`)
@@ -128,22 +125,22 @@ struct pass_options {
   std::vector<std::string> blocking_trees = {"src/runtime", "src/seam"};
   /// Individual files outside those trees the blocking rule also scans.
   /// dist_scan.cpp lives in core but hosts the collectives' receives, whose
-  /// bound is a world abort on rank death or the channel's recv_timeout,
-  /// so every blocking call there must carry a bounded-wait justification.
+  /// bound is a world abort on rank death, the channel's max_retransmits
+  /// quiescent rounds or the world's deadlock error, so every blocking
+  /// call there must carry a bounded-wait justification.
   std::vector<std::string> blocking_extra_files = {"src/core/dist_scan.cpp"};
   /// Designated failure-path implementations allowed to throw in runtime.
   std::vector<std::string> throw_allowed_files = {
       "src/runtime/world.cpp", "src/runtime/fault.cpp",
       "src/runtime/reliable.cpp", "src/runtime/transport.cpp"};
-  /// Trees the retry-backoff rule scans.
-  std::vector<std::string> retry_trees = {"src/runtime", "src/seam"};
   /// Designated wait sites: files where blocking while holding a mutex is
   /// the implementation technique (cv waits in the fabric internals).
   std::vector<std::string> wait_allowed_files = {"src/runtime/world.cpp"};
   /// Trees the unchecked-status rule scans.
   std::vector<std::string> status_trees = {"src/runtime", "src/seam"};
   /// Status-returning calls whose result must not be dropped.
-  std::vector<std::string> status_call_names = {"try_recv", "try_recv_any"};
+  std::vector<std::string> status_call_names = {"try_recv",
+                                                 "recv_or_quiescent"};
   /// Modules the overflow-arith value-range pass scans (the SFC
   /// key/threshold math whose int64 products gate the serial-parity wall).
   std::vector<std::string> overflow_modules = {"core", "sfc"};
@@ -162,8 +159,6 @@ std::vector<finding> check_header_hygiene(const source_tree& tree);
 std::vector<finding> check_blocking_calls(const source_tree& tree,
                                           const pass_options& opts = {});
 std::vector<finding> check_raw_assert(const source_tree& tree);
-std::vector<finding> check_retry_backoff(const source_tree& tree,
-                                         const pass_options& opts = {});
 std::vector<finding> check_transport_discipline(
     const source_tree& tree, const layering_manifest& manifest);
 

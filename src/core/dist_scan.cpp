@@ -30,7 +30,7 @@ void reduce_bcast(peer_comm& comm, std::span<std::int64_t> inout) {
   if (p == 1) return;
   if (comm.rank() == 0) {
     for (int src = 1; src < p; ++src) {
-      const std::vector<std::int64_t> part = comm.recv(src);  // lint: blocking-ok — peer_comm::recv ends in a world abort when a rank dies, or in the channel's recv_timeout, never an unbounded wait
+      const std::vector<std::int64_t> part = comm.recv(src);  // lint: blocking-ok — peer_comm::recv ends in a world abort when a rank dies, in peer_unreachable after max_retransmits quiescent rounds, or in the world's deadlock error, never an unbounded wait
       SFP_REQUIRE(part.size() == inout.size(),
                   "allreduce contributions must have equal length");
       for (std::size_t i = 0; i < inout.size(); ++i) inout[i] += part[i];
@@ -38,7 +38,7 @@ void reduce_bcast(peer_comm& comm, std::span<std::int64_t> inout) {
     for (int dst = 1; dst < p; ++dst) comm.send(dst, inout);
   } else {
     comm.send(0, inout);
-    const std::vector<std::int64_t> total = comm.recv(0);  // lint: blocking-ok — peer_comm::recv ends in a world abort when a rank dies, or in the channel's recv_timeout, never an unbounded wait
+    const std::vector<std::int64_t> total = comm.recv(0);  // lint: blocking-ok — peer_comm::recv ends in a world abort when a rank dies, in peer_unreachable after max_retransmits quiescent rounds, or in the world's deadlock error, never an unbounded wait
     SFP_ASSERT(total.size() == inout.size(),
                "allreduce result length mismatch");
     for (std::size_t i = 0; i < inout.size(); ++i) inout[i] = total[i];
@@ -66,7 +66,7 @@ std::int64_t exscan_sum(peer_comm& comm, std::int64_t value) {
     std::int64_t running = value;
     std::vector<std::int64_t> offsets(static_cast<std::size_t>(p), 0);
     for (int src = 1; src < p; ++src) {
-      const std::vector<std::int64_t> part = comm.recv(src);  // lint: blocking-ok — peer_comm::recv ends in a world abort when a rank dies, or in the channel's recv_timeout, never an unbounded wait
+      const std::vector<std::int64_t> part = comm.recv(src);  // lint: blocking-ok — peer_comm::recv ends in a world abort when a rank dies, in peer_unreachable after max_retransmits quiescent rounds, or in the world's deadlock error, never an unbounded wait
       SFP_REQUIRE(part.size() == 1, "exscan contribution must be one word");
       offsets[static_cast<std::size_t>(src)] = running;
       running += part[0];
@@ -79,7 +79,7 @@ std::int64_t exscan_sum(peer_comm& comm, std::int64_t value) {
   }
   const std::int64_t one[1] = {value};
   comm.send(0, one);
-  const std::vector<std::int64_t> offset = comm.recv(0);  // lint: blocking-ok — peer_comm::recv ends in a world abort when a rank dies, or in the channel's recv_timeout, never an unbounded wait
+  const std::vector<std::int64_t> offset = comm.recv(0);  // lint: blocking-ok — peer_comm::recv ends in a world abort when a rank dies, in peer_unreachable after max_retransmits quiescent rounds, or in the world's deadlock error, never an unbounded wait
   SFP_ASSERT(offset.size() == 1, "exscan result must be one word");
   return offset[0];
 }
@@ -91,14 +91,14 @@ std::vector<std::int64_t> allgather_concat(
   if (p == 1) return all;
   if (comm.rank() == 0) {
     for (int src = 1; src < p; ++src) {
-      const std::vector<std::int64_t> part = comm.recv(src);  // lint: blocking-ok — peer_comm::recv ends in a world abort when a rank dies, or in the channel's recv_timeout, never an unbounded wait
+      const std::vector<std::int64_t> part = comm.recv(src);  // lint: blocking-ok — peer_comm::recv ends in a world abort when a rank dies, in peer_unreachable after max_retransmits quiescent rounds, or in the world's deadlock error, never an unbounded wait
       all.insert(all.end(), part.begin(), part.end());
     }
     for (int dst = 1; dst < p; ++dst) comm.send(dst, all);
     return all;
   }
   comm.send(0, words);
-  return comm.recv(0);  // lint: blocking-ok — peer_comm::recv ends in a world abort when a rank dies, or in the channel's recv_timeout, never an unbounded wait
+  return comm.recv(0);  // lint: blocking-ok — peer_comm::recv ends in a world abort when a rank dies, in peer_unreachable after max_retransmits quiescent rounds, or in the world's deadlock error, never an unbounded wait
 }
 
 }  // namespace sfp::core

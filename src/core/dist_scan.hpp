@@ -38,8 +38,9 @@ class peer_comm {
   virtual void send(int dst, std::span<const std::int64_t> words) = 0;
 
   /// Block until the next message from `src` arrives and return it.
-  /// Implementations bound the wait (a fabric abort or a receive timeout)
-  /// and throw rather than hang; the caller restarts the whole collective.
+  /// Implementations bound the wait (a fabric abort, a spent retransmit
+  /// budget or a deadlock error) and throw rather than hang; the caller
+  /// restarts the whole collective.
   virtual std::vector<std::int64_t> recv(int src) = 0;
 
  protected:

@@ -18,6 +18,10 @@
 // frame any of its ranks sent is acked. A program that needs a global
 // point mid-run (the SEAM runners' checkpoint seal) fences there itself.
 //
+// No wait has a deadline (runtime/reliable.hpp): a busy rank is waited
+// for, and a program that waits for a message nobody sends ends in
+// world_deadlock, which the ladder does not absorb.
+//
 // Faults across attempts, for every runner: message faults apply to
 // attempt 0 only. A kill that has not fired stays armed on its world rank
 // while that rank survives, and its `at_op` counts the rank's ops within
@@ -40,7 +44,7 @@ namespace sfp::runtime {
 struct resilience_options {
   /// Message faults and kills (see "faults across attempts" above).
   fault_plan faults;
-  /// Channel tuning (retransmit budget, timeouts). The epoch is
+  /// Channel options (retransmit budget, test hooks). The epoch is
   /// overwritten with the attempt number.
   reliable_options reliable;
   /// Restarts a run absorbs before the ladder gives up.

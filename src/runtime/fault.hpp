@@ -57,7 +57,7 @@ struct fault_plan {
   /// corrupted message is delivered with one random bit flipped, a
   /// truncated one with a random number of trailing doubles removed, and a
   /// reordered one swaps delivery order with the *next* matching send on
-  /// the same (src, dst) stream. Raw try_recv_any users see the mangled
+  /// the same (src, dst) stream. Raw recv_or_quiescent users see the mangled
   /// payloads verbatim; the reliable transport (runtime/reliable.hpp) is
   /// what detects and heals them.
   struct message_fault {

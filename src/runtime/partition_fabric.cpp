@@ -53,7 +53,7 @@ void reliable_peer_comm::send(int dst, std::span<const std::int64_t> words) {
 std::vector<std::int64_t> reliable_peer_comm::recv(int src) {
   SFP_REQUIRE(src >= 0 && src < size() && src != rank(),
               "recv source must be another rank in the group");
-  return from_wire(channel_->recv(src));  // lint: blocking-ok — reliable recv pumps the progress engine and fails over to peer_unreachable after recv_timeout
+  return from_wire(channel_->recv(src));  // lint: blocking-ok — reliable recv pumps the progress engine; it ends in a world abort, in peer_unreachable after max_retransmits quiescent rounds, or in the world's deadlock error
 }
 
 parallel_partition_report run_parallel_partition(

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <bit>
+#include <chrono>
 #include <exception>
 #include <string>
 #include <utility>
@@ -32,14 +33,6 @@ constexpr std::pair<const char*, std::int64_t reliable_stats::*>
         {"reliable.stale_dropped", &reliable_stats::stale_dropped},
         {"reliable.shutdown_discarded", &reliable_stats::shutdown_discarded},
 };
-
-/// Retransmit deadlines are stretched by up to this fraction (see
-/// compute_backoff).
-constexpr double jitter_stretch = 0.1;
-/// How long one pump iteration parks in try_recv_any.
-constexpr std::chrono::microseconds pump_slice{50};
-/// Destructor pump budget for the two-generals ack tail.
-constexpr std::chrono::milliseconds teardown_linger{50};
 
 /// Slicing-by-8 tables: t[0] is the bytewise table; t[s][b] is the CRC of
 /// byte b followed by s zero bytes, so eight table lookups fold one 8-byte
@@ -98,11 +91,6 @@ bool seq_before(std::uint64_t a, std::uint64_t b) {
   return static_cast<std::int64_t>(a - b) < 0;
 }
 
-std::uint64_t jitter_seed(const reliable_options& opts, int rank) {
-  return (opts.epoch + 1) * 0x9e3779b97f4a7c15ull ^
-         static_cast<std::uint64_t>(rank + 1) * 0xd1b54a32d192ed03ull;
-}
-
 }  // namespace
 
 std::uint32_t crc32c(const void* data, std::size_t bytes, std::uint32_t crc) {
@@ -126,8 +114,7 @@ peer_unreachable_error::peer_unreachable_error(int self, int peer,
                          std::to_string(peer) + " unreachable after " +
                          std::to_string(attempts) + " delivery attempts"),
       rank_(self),
-      peer_(peer),
-      attempts_(attempts) {}
+      peer_(peer) {}
 
 namespace wire {
 
@@ -177,37 +164,22 @@ reliable_stats& reliable_stats::operator+=(const reliable_stats& o) {
   return *this;
 }
 
-std::chrono::microseconds compute_backoff(const reliable_options& opts,
-                                          int attempts, rng& r) {
-  // Capped exponential backoff: timeout * 2^attempts, clamped.
-  auto backoff = opts.retransmit_timeout * (1ll << std::min(attempts, 20));
-  if (backoff > opts.max_backoff) backoff = opts.max_backoff;
-  // Jitter after the cap, so deadlines decorrelate even at max_backoff.
-  const auto stretch = static_cast<std::int64_t>(
-      static_cast<double>(backoff.count()) * jitter_stretch * r.uniform());
-  return backoff + std::chrono::microseconds(stretch);
-}
-
 reliable_channel::reliable_channel(transport& fabric, reliable_options opts)
-    : fabric_(&fabric), opts_(opts), jitter_rng_(jitter_seed(opts, fabric.rank())) {
+    : fabric_(&fabric), opts_(opts) {
   SFP_REQUIRE(opts_.max_retransmits >= 1, "need at least one retransmit");
-  SFP_REQUIRE(opts_.retransmit_timeout.count() > 0,
-              "retransmit timeout must be positive");
 }
 
 reliable_channel::~reliable_channel() {
-  // Two-generals tail: our sends may be delivered-but-unacked (the ack was
-  // lost and the peer has exited). Pump for a bounded linger to service any
-  // peer still retransmitting at us, then discard what is left — a peer
-  // that still needed one of these messages would itself be parked in a
-  // pumping call, consuming our retransmits. Skipped mid-unwind: after a
-  // kill or abort the fabric is going down anyway.
-  if (std::uncaught_exceptions() == 0 && !all_acked()) {
+  // Two-generals tail: the barrier's last tokens may still be unacked. Pump
+  // until they are: a peer still in its fence needs a lost token resent,
+  // and a quiescent round discards the frames of a peer that has exited,
+  // which took them and can never ack. Skipped mid-unwind: after a kill or
+  // abort the fabric is going down anyway.
+  if (std::uncaught_exceptions() == 0) {
     try {
-      const clock::time_point give_up = clock::now() + teardown_linger;
-      while (!all_acked() && clock::now() < give_up) pump();
+      while (!all_acked()) pump({wait_reason::kind::fence});
     } catch (...) {  // teardown is best-effort by design
-      // world_aborted (or a late kill) during teardown: nothing to heal.
+      // world_aborted, a spent budget or a late kill: nothing to heal.
     }
   }
   for (const auto& [rank, p] : peers_)
@@ -248,7 +220,6 @@ void reliable_channel::send_frame(int dst, envelope::kind type,
   h.seq = p.next_seq++;
   unacked_entry entry;
   entry.image = wire::encode(h, payload);
-  entry.deadline = clock::now() + opts_.retransmit_timeout;
   fabric_->send(dst, entry.image);
   p.unacked[h.seq] = std::move(entry);
   ++stats_.data_sent;
@@ -274,7 +245,7 @@ void reliable_channel::handle_wire(any_message&& msg) {
   envelope h;
   delivery d;
   if (!wire::decode(msg.payload, opts_.verify_checksums, &h, &d.payload)) {
-    // Corrupt or truncated: drop silently; the sender's retransmit timer
+    // Corrupt or truncated: drop silently; the next quiescent round
     // re-delivers an intact copy. No ack — we cannot trust the header.
     ++stats_.corruption_detected;
     return;
@@ -304,30 +275,27 @@ void reliable_channel::handle_wire(any_message&& msg) {
   send_ack(msg.src, h.seq);
 }
 
-void reliable_channel::pump() {
-  // A delivered message may be the ack that settles a frame, so no
-  // deadline is judged while one is waiting: acks that queued up while the
-  // rank computed are read before anything is resent.
+void reliable_channel::pump(wait_reason why) {
   any_message msg;
-  if (fabric_->try_recv_any(pump_slice, &msg)) {
+  if (fabric_->recv_or_quiescent(&msg, why) == recv_status::message) {
     handle_wire(std::move(msg));
     return;
   }
-  // A whole slice went quiet: retransmit every unacked frame whose
-  // deadline passed.
-  const clock::time_point now = clock::now();
+  // Quiescent: every live rank is blocked and every inbox is empty, so each
+  // ack that was sent has been read. A frame still unacked was lost, or its
+  // ack was, or it sits in a reorder stash: resend it once. A peer that
+  // exited took every frame it needed before its fence completed.
   for (auto& [rank, p] : peers_) {
+    if (!p.unacked.empty() && fabric_->peer_exited(rank)) {
+      stats_.shutdown_discarded += static_cast<std::int64_t>(p.unacked.size());
+      p.unacked.clear();
+    }
     for (auto& [seq, entry] : p.unacked) {
-      if (entry.deadline > now) continue;
       if (entry.attempts >= opts_.max_retransmits)
         throw peer_unreachable_error(fabric_->rank(), rank,
                                      entry.attempts + 1);
       ++entry.attempts;
       ++stats_.retransmits;
-      // Capped exponential backoff with deterministic jitter (see
-      // compute_backoff): timeout * 2^attempts, clamped, stretched.
-      entry.deadline =
-          now + compute_backoff(opts_, entry.attempts, jitter_rng_);
       fabric_->send(rank, entry.image);
     }
   }
@@ -340,9 +308,11 @@ std::vector<double> reliable_channel::recv(int src) {
 
 std::vector<double> reliable_channel::take(int src, envelope::kind want) {
   peer_state& p = peer(src);
-  const bool bounded = opts_.recv_timeout.count() > 0;
-  const clock::time_point start = clock::now();
-  const clock::time_point give_up = start + opts_.recv_timeout;
+  const wait_reason why{want == envelope::kind::data
+                            ? wait_reason::kind::recv
+                            : wait_reason::kind::fence,
+                        src};
+  const auto start = std::chrono::steady_clock::now();
   for (;;) {
     // An arrived next_take is in order: `expected` has moved past it.
     if (const auto it = p.inbox.find(p.next_take); it != p.inbox.end()) {
@@ -356,23 +326,21 @@ std::vector<double> reliable_channel::take(int src, envelope::kind want) {
       p.inbox.erase(it);
       ++p.next_take;
       recv_wait_hist().observe(
-          std::chrono::duration_cast<std::chrono::microseconds>(clock::now() -
-                                                                start)
+          std::chrono::duration_cast<std::chrono::microseconds>(
+              std::chrono::steady_clock::now() - start)
               .count());
       return out;
     }
-    if (bounded && clock::now() >= give_up)
-      throw peer_unreachable_error(fabric_->rank(), src, 0);
-    pump();
+    pump(why);
   }
 }
 
 void reliable_channel::fence() {
   SFP_TRACE_SCOPE_CAT("reliable.fence", "runtime");
   // Own sends first: pump until every one is acked. pump() enforces the
-  // per-message retransmit budget, so this ends either clean or with
+  // per-frame retransmit budget, so this ends either clean or with
   // peer_unreachable_error.
-  while (!all_acked()) pump();
+  while (!all_acked()) pump({wait_reason::kind::fence});
   const int n = fabric_->size();
   const int self = fabric_->rank();
   // Dissemination barrier: each round sends a token to rank self + hop and

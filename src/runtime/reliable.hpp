@@ -4,37 +4,35 @@
 // A transport gives asynchronous, unreliable datagram sends: under fault
 // injection a message can be dropped, duplicated, bit-flipped, truncated,
 // or reordered. reliable_channel heals those transient faults in place
-// over the virtual-rank fabric (runtime/world.hpp). Every rank program in the library — the SEAM runners and the distributed
-// partitioner — talks through one.
+// over the virtual-rank fabric (runtime/world.hpp). Every rank program in
+// the library — the SEAM runners and the distributed partitioner — talks
+// through one.
 //
 // Each (sender, receiver) rank pair carries one ordered stream of data
 // frames and fence tokens. Every frame travels in a checksummed envelope
 // with the stream's sequence number; receivers drop corrupt frames,
 // deduplicate, park out-of-order arrivals and ack every accepted or
-// re-seen frame, and senders retransmit unacked frames with capped
-// exponential backoff. A frame that exhausts max_retransmits raises
-// peer_unreachable_error, which runtime::run_resilient (fabric.hpp), the
-// attempt loop of both resilient runners, escalates. Acks ride the same
-// untagged (src, dst) datagrams, so one try_recv_any pump drains
-// everything.
+// re-seen frame. Acks ride the same untagged (src, dst) datagrams, so one
+// recv_or_quiescent pump drains everything.
+//
+// Loss is found by quiescence, not by a clock: in a quiescent round (every
+// live rank blocked in its receive, nothing in flight) every frame still
+// unacked was lost, or its ack was, and the pump resends it once. A
+// fault-free run never goes quiescent, so it never retransmits. A frame
+// still unacked after max_retransmits rounds raises
+// peer_unreachable_error, which runtime::run_resilient (fabric.hpp)
+// escalates; a round with nothing to resend anywhere is a world_deadlock.
 //
 // Deadlock-freedom: every blocking reliable op (recv, fence) runs the
-// progress pump, so a rank waiting on its own traffic keeps servicing its
-// peers' retransmissions. The pump reads every message that has arrived
-// before it judges a retransmit deadline, so an ack that queued up while
-// the rank computed never costs a resend. Ranks settle with fence() only:
-// it waits until the rank's own sends are acked, then runs a pumping
-// dissemination barrier. While any rank still waits on an ack, every other
-// rank is inside a pumping call or on its way to one, so the missing
-// re-ack always arrives. A rank program needs no settle between its own
-// exchanges — run_resilient (fabric.hpp) fences once when the body
-// returns. The destructor absorbs the final unacknowledgeable acks (the
-// two-generals tail) by pumping for a bounded linger, then discarding.
+// pump, so a waiting rank keeps acking its peers' frames. Ranks settle
+// with fence() only: own sends acked, then a pumping dissemination
+// barrier; run_resilient fences once when the body returns. The
+// destructor pumps until the barrier's last tokens are acked, discarding
+// those addressed to a rank that has exited.
 //
 // See docs/runtime_faults.md for the wire format and the full ack/retransmit
 // state machine.
 
-#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <map>
@@ -43,7 +41,6 @@
 #include <vector>
 
 #include "runtime/transport.hpp"
-#include "util/rng.hpp"
 
 namespace sfp::runtime {
 
@@ -52,22 +49,19 @@ namespace sfp::runtime {
 std::uint32_t crc32c(const void* data, std::size_t bytes,
                      std::uint32_t crc = 0);
 
-/// Thrown when a message to `peer` exhausted its retransmit budget (or a
-/// reliable recv waited out recv_timeout): the transient-fault machinery
-/// gives up and the caller should escalate to rank recovery.
+/// Thrown when a frame to `peer` is still unacked after max_retransmits
+/// quiescent rounds: the transient-fault machinery gives up and the caller
+/// should escalate to rank recovery.
 class peer_unreachable_error : public std::runtime_error {
  public:
+  /// `attempts` counts the original send plus every retransmit.
   peer_unreachable_error(int self, int peer, int attempts);
   int rank() const { return rank_; }
   int peer() const { return peer_; }
-  /// Retransmit attempts behind the failure: > 0 means a full retransmit
-  /// budget burned against silence, 0 a bare recv timeout.
-  int attempts() const { return attempts_; }
 
  private:
   int rank_;
   int peer_;
-  int attempts_;
 };
 
 /// Envelope header prepended to every wire message, one uint64 bit-image per
@@ -100,16 +94,12 @@ bool decode(std::span<const double> message, bool verify_checksum,
 
 }  // namespace wire
 
-/// Tuning knobs and test hooks for a reliable_channel.
+/// The retransmit budget and test hooks of a reliable_channel. There is
+/// no timing knob: loss is found by quiescence.
 struct reliable_options {
-  /// First retransmit fires this long after the original send; each further
-  /// attempt doubles the wait up to max_backoff (capped exponential).
-  std::chrono::microseconds retransmit_timeout{200};
-  std::chrono::microseconds max_backoff{2000};
-  /// Retransmit attempts before declaring the peer unreachable.
+  /// Quiescent rounds a frame may be resent in before its peer is declared
+  /// unreachable.
   int max_retransmits = 40;
-  /// Per recv()/fence-round deadline; zero = wait forever.
-  std::chrono::milliseconds recv_timeout{2000};
   /// Stale-epoch filter: messages from another epoch (a previous recovery
   /// attempt) are dropped on receipt.
   std::uint64_t epoch = 0;
@@ -123,14 +113,6 @@ struct reliable_options {
   std::uint64_t first_seq = 0;
 };
 
-/// The retransmit deadline for a message on its `attempts`-th resend:
-/// retransmit_timeout * 2^attempts, clamped to max_backoff, then stretched
-/// by a factor drawn uniformly from [1, 1.1) on `r`, so peers that lost
-/// the same message do not retransmit in lockstep even at max_backoff.
-/// Exposed for the jitter unit tests.
-std::chrono::microseconds compute_backoff(const reliable_options& opts,
-                                          int attempts, rng& r);
-
 /// Per-channel robustness accounting (one channel per rank per attempt).
 struct reliable_stats {
   std::int64_t data_sent = 0;       ///< data frames and fence tokens
@@ -142,7 +124,8 @@ struct reliable_stats {
   std::int64_t acks_sent = 0;
   std::int64_t acks_received = 0;
   std::int64_t stale_dropped = 0;        ///< wrong-epoch messages
-  std::int64_t shutdown_discarded = 0;   ///< unacked entries dropped at exit
+  /// Unacked entries dropped because their peer exited, or at teardown.
+  std::int64_t shutdown_discarded = 0;
 
   reliable_stats& operator+=(const reliable_stats& o);
 };
@@ -163,17 +146,18 @@ class reliable_channel {
   void send(int dst, std::span<const double> data);
 
   /// Blocking: pump until the next in-order message from `src` is
-  /// available. Throws peer_unreachable_error after recv_timeout. The time
+  /// available, or until peer_unreachable_error or world_aborted. The time
   /// spent waiting feeds the runtime.recv.queue_wait.us histogram. A fence
   /// token at the head of the stream is a contract error.
   std::vector<double> recv(int src);
 
-  /// Settle: pump until every own send is acknowledged (retransmitting as
-  /// deadlines expire), then run a pumping dissemination barrier over the
-  /// channel itself. Returns when every rank has entered, so every frame
-  /// any rank sent before its fence is acked. The barrier's tokens ride the
-  /// data streams, so everything sent to this rank before its peers fenced
-  /// must be received first: data ahead of a token is a contract error.
+  /// Settle: pump until every own send is acknowledged (resending lost
+  /// frames in quiescent rounds), then run a pumping dissemination barrier
+  /// over the channel itself. Returns when every rank has entered, so every
+  /// frame any rank sent before its fence is acked. The barrier's tokens
+  /// ride the data streams, so everything sent to this rank before its
+  /// peers fenced must be received first: data ahead of a token is a
+  /// contract error.
   void fence();
 
   int rank() const { return fabric_->rank(); }
@@ -186,11 +170,8 @@ class reliable_channel {
   void publish_metrics();
 
  private:
-  using clock = std::chrono::steady_clock;
-
   struct unacked_entry {
     std::vector<double> image;  ///< full wire image, replayed verbatim
-    clock::time_point deadline;
     int attempts = 0;  ///< retransmissions so far
   };
 
@@ -215,10 +196,10 @@ class reliable_channel {
   /// The peer's state; every cursor starts at opts_.first_seq.
   peer_state& peer(int rank);
   bool all_acked() const;
-  /// One pump iteration: wait briefly for one wire message and handle it;
-  /// only when none arrives, retransmit every unacked frame whose deadline
-  /// passed.
-  void pump();
+  /// One pump iteration: block for one wire message and handle it, or, in
+  /// a quiescent round, drop the unacked frames of exited peers and resend
+  /// the rest once. `why` is what the caller waits for.
+  void pump(wait_reason why);
   void handle_wire(any_message&& msg);
   void send_ack(int src, std::uint64_t seq);
   void send_frame(int dst, envelope::kind type,
@@ -231,7 +212,6 @@ class reliable_channel {
   reliable_options opts_;
   reliable_stats stats_;
   reliable_stats published_;
-  rng jitter_rng_;  ///< retransmit-jitter draws, seeded from (epoch, rank)
   std::map<int, peer_state> peers_;  ///< by peer rank
 };
 

@@ -6,9 +6,10 @@
 //
 // A transport is an unreliable datagram fabric: send() is asynchronous,
 // fire-and-forget, and may drop / duplicate / mangle payloads (by fault
-// injection); try_recv_any() is the bounded polling primitive the reliable
-// layer pumps. Everything stronger — ordering, dedup, delivery guarantees —
-// is the reliable layer's job.
+// injection). recv_or_quiescent() is its one receive and has no timeout:
+// it returns a message, or reports that the fabric went quiescent, so any
+// frame still unacknowledged was lost. Everything stronger — ordering,
+// dedup, delivery guarantees — is the reliable layer's job.
 //
 // The one fabric behind it is runtime::world (world.hpp): rank threads,
 // inboxes, abort and counters, with every sent image pushed straight into
@@ -18,10 +19,10 @@
 // Datagrams are untagged: a fabric carries (src, dst) streams only, and the
 // reliable envelope orders data and fence tokens on one stream per pair.
 //
-// The shared fabric vocabulary (rank_counters, any_message, world_aborted)
-// lives here because the fabric and the reliable layer both speak it.
+// The shared fabric vocabulary (rank_counters, any_message, world_aborted,
+// world_deadlock) lives here because the fabric and the reliable layer
+// both speak it.
 
-#include <chrono>
 #include <cstdint>
 #include <map>
 #include <span>
@@ -41,6 +42,14 @@ class world_aborted : public std::runtime_error {
 
  private:
   int failed_rank_;
+};
+
+/// Thrown out of world::run when two quiescent rounds pass with no send in
+/// between: no rank had a lost frame to resend. Names what each waiting
+/// rank was waiting for.
+class world_deadlock : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
 };
 
 /// Per-rank robustness accounting, exposed after a fabric run returns.
@@ -65,11 +74,23 @@ struct rank_counters {
 /// counters.
 void publish_counters(const rank_counters& totals);
 
-/// One message pulled off the wire by try_recv_any: its provenance plus the
-/// payload exactly as delivered (possibly corrupted/truncated in transit).
+/// One message pulled off the wire by recv_or_quiescent: its provenance
+/// plus the payload exactly as delivered (possibly corrupted/truncated in
+/// transit).
 struct any_message {
   int src = -1;
   std::vector<double> payload;
+};
+
+/// What recv_or_quiescent produced.
+enum class recv_status { message, quiescent };
+
+/// What a rank blocked in recv_or_quiescent waits for, as world_deadlock
+/// names it.
+struct wait_reason {
+  enum class kind : std::uint8_t { any, recv, fence };
+  kind what = kind::any;
+  int src = -1;  ///< the stream a recv waits on
 };
 
 class world;
@@ -90,12 +111,17 @@ class transport {
   /// truncated, or reordered before it reaches the peer.
   void send(int dst, std::span<const double> data);
 
-  /// Wait up to `wait` for a message from *any* source and dequeue it
-  /// (lowest source rank first). Returns false when nothing arrived in
-  /// time. Not a communication op for fault accounting — deadline policy
-  /// belongs to the caller pumping it. A fabric abort wakes it with
-  /// world_aborted once the inbox is drained.
-  bool try_recv_any(std::chrono::microseconds wait, any_message* out);
+  /// Block until a message from *any* source arrives and dequeue it into
+  /// `out` (lowest source rank first), or return `quiescent` once per
+  /// quiescent round: every live rank blocked here, every live inbox empty.
+  /// Not a communication op for fault accounting. A fabric abort (also a
+  /// deadlock) wakes it with world_aborted once the inbox is drained.
+  [[nodiscard]] recv_status recv_or_quiescent(any_message* out,
+                                              wait_reason why = {});
+
+  /// True once `peer`'s rank body has returned: it is no longer live, and
+  /// what is sent to it is discarded.
+  bool peer_exited(int peer) const;
 
  private:
   friend class world;

@@ -1,5 +1,6 @@
 #include "runtime/world.hpp"
 
+#include <algorithm>
 #include <exception>
 #include <string>
 #include <thread>
@@ -23,6 +24,13 @@ int validated_rank_count(int n) {
   return n;
 }
 
+std::string describe(wait_reason why) {
+  if (why.what == wait_reason::kind::fence) return "fence";
+  if (why.what == wait_reason::kind::recv)
+    return "recv(" + std::to_string(why.src) + ")";
+  return "recv_or_quiescent";
+}
+
 }  // namespace
 
 // A rank's transport forwards into the world it was built on.
@@ -33,16 +41,21 @@ void transport::send(int dst, std::span<const double> data) {
   world_->send(rank_, dst, data);
 }
 
-bool transport::try_recv_any(std::chrono::microseconds wait,
-                             any_message* out) {
-  SFP_REQUIRE(out != nullptr, "try_recv_any needs an output slot");
-  return world_->take_any(rank_, wait, out);
+recv_status transport::recv_or_quiescent(any_message* out, wait_reason why) {
+  SFP_REQUIRE(out != nullptr, "recv_or_quiescent needs an output slot");
+  return world_->take_any(rank_, why, out);
+}
+
+bool transport::peer_exited(int peer) const {
+  SFP_REQUIRE(peer >= 0 && peer < world_->size(), "peer out of range");
+  std::lock_guard<std::mutex> lock(world_->mutex_);
+  return world_->slots_[static_cast<std::size_t>(peer)].exited;
 }
 
 world::world(int num_ranks, fault_plan faults)
     : num_ranks_(validated_rank_count(num_ranks)),
       faults_(std::move(faults)),
-      inboxes_(static_cast<std::size_t>(num_ranks)),
+      slots_(static_cast<std::size_t>(num_ranks)),
       counters_(static_cast<std::size_t>(num_ranks)) {}
 
 world::~world() = default;
@@ -63,6 +76,7 @@ void world::send(int src, int dst, std::span<const double> data) {
   SFP_TRACE_SCOPE_CAT("world.send", "runtime");
   injection_pipeline& pipeline = pipelines_[static_cast<std::size_t>(src)];
   pipeline.count_op();
+  sends_.fetch_add(1, std::memory_order_relaxed);
   injection_pipeline::outcome out = pipeline.on_send(dst, data);
   for (int c = 0; c < out.accounted_copies; ++c)
     send_bytes_hist().observe(
@@ -71,65 +85,116 @@ void world::send(int src, int dst, std::span<const double> data) {
 }
 
 void world::deliver(int dst, int src, std::vector<double> image) {
-  inbox& box = inboxes_[static_cast<std::size_t>(dst)];
+  rank_slot& slot = slots_[static_cast<std::size_t>(dst)];
   {
-    std::lock_guard<std::mutex> lock(box.mutex);
-    box.from[static_cast<std::size_t>(src)].push_back(std::move(image));
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (slot.exited) return;  // nobody will ever read it
+    slot.from[static_cast<std::size_t>(src)].push_back(std::move(image));
+    slot.blocked = false;  // quiescence now waits for this read
   }
-  box.ready.notify_all();
+  slot.ready.notify_one();
 }
 
-bool world::take_any(int dst, std::chrono::microseconds wait,
-                     any_message* out) {
-  inbox& box = inboxes_[static_cast<std::size_t>(dst)];
-  std::unique_lock<std::mutex> lock(box.mutex);
+recv_status world::take_any(int dst, wait_reason why, any_message* out) {
+  rank_slot& slot = slots_[static_cast<std::size_t>(dst)];
+  std::unique_lock<std::mutex> lock(mutex_);
   // Lowest source rank first: a deterministic drain order given identical
-  // inbox contents (arrival interleaving still varies, but the reliable
-  // layer is insensitive to it).
-  const auto find_match = [&]() {
-    for (auto it = box.from.begin(); it != box.from.end(); ++it)
-      if (!it->empty()) return it;
-    return box.from.end();
+  // inbox contents.
+  const auto first_queued = [&] {
+    return std::find_if(slot.from.begin(), slot.from.end(),
+                        [](const auto& q) { return !q.empty(); });
   };
-  const auto ready = [&] {
-    return abort_requested() || find_match() != box.from.end();
-  };
-  if (!box.ready.wait_for(lock, wait, ready)) return false;
-  // Drain-then-abort: a message that already arrived is still delivered so
-  // a rank about to make progress is not failed spuriously; the abort is
-  // observed once the inbox is empty.
-  const auto it = find_match();
+  auto it = first_queued();
+  for (; it == slot.from.end() && !abort_requested() && !slot.quiet;
+       it = first_queued()) {
+    if (slot.blocked) {
+      slot.ready.wait(lock);
+    } else {
+      slot.why = why;
+      slot.blocked = true;
+      detect_quiescence();  // may start the round, or abort, itself
+    }
+  }
+  slot.blocked = false;
   rank_counters& counters = counters_[static_cast<std::size_t>(dst)];
-  if (it == box.from.end()) {
+  // Drain-then-abort: a message that already arrived is still delivered,
+  // so a rank about to make progress is not failed spuriously. A message
+  // also supersedes a pending quiescent round: its sender was not blocked.
+  if (it != slot.from.end()) {
+    slot.quiet = false;
+    out->src = static_cast<int>(it - slot.from.begin());
+    out->payload = std::move(it->front());
+    it->pop_front();
+    ++counters.messages_received;
+    counters.doubles_received += static_cast<std::int64_t>(out->payload.size());
+    return recv_status::message;
+  }
+  if (abort_requested()) {
     ++counters.aborts_observed;
     throw world_aborted(dst, failed_rank());
   }
-  out->src = static_cast<int>(it - box.from.begin());
-  out->payload = std::move(it->front());
-  it->pop_front();
-  ++counters.messages_received;
-  counters.doubles_received += static_cast<std::int64_t>(out->payload.size());
-  return true;
+  slot.quiet = false;
+  return recv_status::quiescent;
 }
 
-void world::trigger_abort(int rank) {
-  int expected = -1;
-  failed_rank_.compare_exchange_strong(expected, rank,
-                                       std::memory_order_acq_rel);
-  abort_flag_.store(true, std::memory_order_release);
-  // Wake every potential waiter. Taking each lock before notifying closes
-  // the race against a rank that checked the flag but has not yet parked.
-  for (auto& box : inboxes_) {
-    std::lock_guard<std::mutex> lock(box.mutex);
-    box.ready.notify_all();
+void world::retire(int rank) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  rank_slot& slot = slots_[static_cast<std::size_t>(rank)];
+  slot.exited = true;
+  slot.from.clear();
+  detect_quiescence();
+}
+
+void world::detect_quiescence() {
+  bool any_blocked = false;
+  for (const rank_slot& s : slots_) {
+    if (!s.exited && !s.blocked) return;  // a live rank is still running
+    any_blocked = any_blocked || s.blocked;
   }
+  if (!any_blocked || abort_requested()) return;
+  const std::int64_t sends = sends_.load(std::memory_order_relaxed);
+  if (sends != sends_at_round_) {
+    sends_at_round_ = sends;
+    for (rank_slot& s : slots_) {
+      if (!s.blocked) continue;
+      s.blocked = false;
+      s.quiet = true;
+      s.ready.notify_one();
+    }
+    return;
+  }
+  // The last round resent nothing, so no frame anywhere is unacked: every
+  // waiting rank waits for a message that was never sent.
+  std::string what = "world deadlocked: no rank has a lost frame to resend";
+  int first = -1;
+  for (int r = 0; r < num_ranks_; ++r) {
+    const rank_slot& s = slots_[static_cast<std::size_t>(r)];
+    if (!s.blocked) continue;
+    if (first < 0) first = r;
+    what += "; rank " + std::to_string(r) + ": " + describe(s.why);
+  }
+  abort_locked(first, std::make_exception_ptr(world_deadlock(what)));
+}
+
+void world::abort_locked(int rank, std::exception_ptr cause) {
+  int expected = -1;
+  if (failed_rank_.compare_exchange_strong(expected, rank,
+                                           std::memory_order_acq_rel))
+    root_cause_ = std::move(cause);
+  // Wake every potential waiter. Holding the lock closes the race against
+  // a rank that checked the flag but has not yet parked.
+  for (rank_slot& s : slots_) s.ready.notify_all();
 }
 
 void world::reset_run_state() {
-  abort_flag_.store(false, std::memory_order_release);
   failed_rank_.store(-1, std::memory_order_release);
-  for (auto& box : inboxes_)
-    box.from.assign(static_cast<std::size_t>(num_ranks_), {});
+  root_cause_ = nullptr;
+  for (rank_slot& s : slots_) {
+    s.from.assign(static_cast<std::size_t>(num_ranks_), {});
+    s.blocked = s.quiet = s.exited = false;
+  }
+  sends_at_round_ = -1;
+  sends_.store(0, std::memory_order_relaxed);
   counters_.assign(static_cast<std::size_t>(num_ranks_), rank_counters{});
   // counters_ is at its final size here, so the pipelines' pointers into it
   // stay valid for the whole run.
@@ -144,29 +209,26 @@ void world::run(const std::function<void(transport&)>& rank_main) {
   SFP_REQUIRE(static_cast<bool>(rank_main), "rank_main must be callable");
   reset_run_state();
   std::vector<std::thread> threads;
-  std::vector<std::exception_ptr> errors(static_cast<std::size_t>(num_ranks_));
   threads.reserve(static_cast<std::size_t>(num_ranks_));
   for (int p = 0; p < num_ranks_; ++p) {
-    threads.emplace_back([this, p, &rank_main, &errors] {
+    threads.emplace_back([this, p, &rank_main] {
       if (obs::trace::enabled())
         obs::trace::set_thread_name("rank " + std::to_string(p));
       transport self(*this, p);
       try {
         rank_main(self);
       } catch (...) {
-        errors[static_cast<std::size_t>(p)] = std::current_exception();
-        trigger_abort(p);
+        std::lock_guard<std::mutex> lock(mutex_);
+        abort_locked(p, std::current_exception());
       }
+      retire(p);
     });
   }
   for (auto& t : threads) t.join();
   publish_counters(total_counters());
-  const int failed = failed_rank();
-  if (failed >= 0) {
-    // failed_rank_ is the first rank whose exception escaped — the root
-    // cause; everyone else holds a cascading world_aborted.
-    std::rethrow_exception(errors[static_cast<std::size_t>(failed)]);
-  }
+  // The root cause is the first failure, a rank's exception or a deadlock;
+  // every other rank holds a cascading world_aborted.
+  if (failed_rank() >= 0) std::rethrow_exception(root_cause_);
 }
 
 }  // namespace sfp::runtime

@@ -3,23 +3,32 @@
 // thread with its own transport (runtime/transport.hpp), whose send()
 // runs the payload through the rank's injection_pipeline and pushes the
 // resulting images straight into the destination's inbox, and whose
-// try_recv_any() dequeues from the rank's own inbox. It is the stand-in for
-// MPI point-to-point on the paper's cluster: unreliable datagrams, with the
-// reliable channel (runtime/reliable.hpp) on top for ordering, dedup and
-// delivery. In the library, runtime::run_resilient (fabric.hpp) builds the
-// world of every attempt; tests build worlds directly.
+// recv_or_quiescent() dequeues from the rank's own inbox. It is the
+// stand-in for MPI point-to-point on the paper's cluster: unreliable
+// datagrams, with the reliable channel (runtime/reliable.hpp) on top for
+// ordering, dedup and delivery. In the library, runtime::run_resilient
+// (fabric.hpp) builds the world of every attempt; tests build worlds
+// directly.
 //
-// Semantics: send() is asynchronous and copies its payload; messages on a
-// fixed (source, destination) stream are delivered in send order unless
-// fault injection says otherwise.
+// Semantics: send() copies its payload and has delivered it (or dropped
+// it, by injection) before it returns; messages on a fixed (source,
+// destination) stream are delivered in send order unless fault injection
+// says otherwise.
 //
-// Fault tolerance: when any rank throws, a shared abort flag wakes every
-// rank parked in try_recv_any with world_aborted (after its inbox drains)
-// instead of hanging the join loop. A seeded fault_plan injects
-// deterministic kills and message drop/delay/duplication/corruption/
-// truncation/reorder; an op is counted on every send, so one chaos schedule
-// replays bit for bit. Per-rank robustness counters account for
-// everything that happened.
+// Quiescence: since a send lands before it returns and the receive is a
+// rank body's only blocking point, every live rank blocked with an empty
+// inbox means nothing is in flight (termination detection in one process;
+// Dijkstra–Scholten, Mattern 1987): a blocked mark per rank under the
+// inboxes' one lock, no clock. A rank computing or sleeping in an injected delay is not
+// blocked; a rank whose body returned is not live.
+//
+// Fault tolerance: when any rank throws, or the world deadlocks, a shared
+// abort flag wakes every rank parked in recv_or_quiescent with
+// world_aborted (after its inbox drains) instead of hanging the join loop.
+// A seeded fault_plan injects deterministic kills and message drop/delay/
+// duplication/corruption/truncation/reorder; an op is counted on every
+// send, so one chaos schedule replays bit for bit. Per-rank robustness
+// counters account for everything that happened.
 //
 // Observability: every send is a trace span when an obs session is active
 // (rank threads are named "rank N" in the dump), and run() publishes the
@@ -27,9 +36,10 @@
 // docs/observability.md.
 
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
+#include <cstdint>
 #include <deque>
+#include <exception>
 #include <functional>
 #include <mutex>
 #include <span>
@@ -43,9 +53,10 @@ namespace sfp::runtime {
 /// A fixed-size group of virtual ranks. run() executes the given function
 /// once per rank, each on its own thread with its own transport endpoint,
 /// and returns when all complete. Exceptions thrown by any rank abort the
-/// peers (they throw world_aborted out of try_recv_any) and the root-cause
-/// exception is rethrown from run(). A world may be reused: run() resets all
-/// fabric and failure state.
+/// peers (they throw world_aborted out of recv_or_quiescent) and the
+/// root-cause exception is rethrown from run(); a deadlock is rethrown as
+/// world_deadlock. A world may be reused: run() resets all fabric and
+/// failure state.
 class world {
  public:
   explicit world(int num_ranks, fault_plan faults = {});
@@ -58,8 +69,9 @@ class world {
 
   void run(const std::function<void(transport&)>& rank_main);
 
-  /// Rank whose exception triggered the abort of the last run, or -1 if the
-  /// last run completed cleanly.
+  /// Rank whose exception triggered the abort of the last run (for a
+  /// deadlock, the lowest waiting rank), or -1 if the last run completed
+  /// cleanly.
   int failed_rank() const { return failed_rank_.load(std::memory_order_acquire); }
   bool aborted() const { return failed_rank() >= 0; }
 
@@ -70,30 +82,44 @@ class world {
  private:
   friend class transport;  ///< a rank's endpoint: send and take_any
 
-  /// Per-source FIFO queues of one rank's delivered images.
-  struct inbox {
-    std::mutex mutex;
+  /// One rank's inbox and wait state, guarded by mutex_.
+  struct rank_slot {
     std::condition_variable ready;
-    std::vector<std::deque<std::vector<double>>> from;
+    std::vector<std::deque<std::vector<double>>> from;  ///< per-source FIFO
+    bool blocked = false;  ///< parked in take_any with an empty inbox
+    bool quiet = false;    ///< a quiescent round is due to this rank
+    bool exited = false;   ///< the rank body returned: not live
+    wait_reason why;       ///< what a blocked rank waits for
   };
 
   void send(int src, int dst, std::span<const double> data);
   void deliver(int dst, int src, std::vector<double> image);
-  /// Bounded-wait dequeue from any source; false on timeout.
-  bool take_any(int dst, std::chrono::microseconds wait, any_message* out);
-  void trigger_abort(int rank);
-  bool abort_requested() const {
-    return abort_flag_.load(std::memory_order_acquire);
-  }
+  recv_status take_any(int dst, wait_reason why, any_message* out);
+  /// Mark `rank`'s body as returned; the rest may now be quiescent.
+  void retire(int rank);
+  /// With mutex_ held: once every live rank is blocked, start a quiescent
+  /// round, or abort with world_deadlock if nothing was sent since the
+  /// last one.
+  void detect_quiescence();
+  /// With mutex_ held: record `cause` if it is the first failure, and wake
+  /// every rank.
+  void abort_locked(int rank, std::exception_ptr cause);
+  bool abort_requested() const { return failed_rank() >= 0; }
   void reset_run_state();
 
   int num_ranks_;
   fault_plan faults_;
-  std::vector<inbox> inboxes_;
+  std::mutex mutex_;  ///< guards slots_ and sends_at_round_
+  std::vector<rank_slot> slots_;
+  std::int64_t sends_at_round_ = -1;  ///< sends_ at the last round; -1: none
+  /// Every send, counted before injection (a dropped resend is progress
+  /// too). Relaxed: a sender takes mutex_ (to block or retire) before the
+  /// detector can count it as blocked.
+  std::atomic<std::int64_t> sends_{0};
 
-  // Failure state (set once per run by the first failing rank).
-  std::atomic<bool> abort_flag_{false};
+  // Failure state (set once per run by the first failure).
   std::atomic<int> failed_rank_{-1};
+  std::exception_ptr root_cause_;
 
   // Per-rank accounting and fault state; each entry is written only by its
   // own rank thread during run() and read after the join. The pipeline owns

@@ -82,17 +82,6 @@ bool settled_by_kill_contract(const chaos_schedule& schedule, int nranks,
 
 }  // namespace
 
-runtime::reliable_options chaos_reliable_defaults() {
-  runtime::reliable_options r;
-  // Retransmits must come from the schedule, not from scheduler jitter on
-  // a loaded machine: a spurious retransmit is an extra matching send that
-  // would shift which message a fault's `nth` lands on between runs.
-  r.retransmit_timeout = std::chrono::microseconds(5000);
-  r.max_backoff = std::chrono::microseconds(20000);
-  r.recv_timeout = std::chrono::milliseconds(8000);
-  return r;
-}
-
 chaos_schedule make_chaos_schedule(std::uint64_t seed, int nranks,
                                    int nfaults, std::int64_t max_nth) {
   SFP_REQUIRE(nranks >= 2, "chaos schedules need at least two ranks");

@@ -96,11 +96,6 @@ void add_kills(chaos_schedule& schedule, int nranks, int nkills,
 /// one-to-one.
 runtime::fault_plan to_fault_plan(const chaos_schedule& schedule);
 
-/// Reliable-channel tuning for chaos trials: a retransmit timeout well
-/// above scheduler noise, so the only retransmits are the ones the
-/// schedule causes and match indices stay stable run to run.
-runtime::reliable_options chaos_reliable_defaults();
-
 /// JSON form: {"seed": "7", "faults": [{"kind", "src", "dst", "nth"}...],
 /// "kills": [{"rank", "at_op"}...]}; every key is optional. The loader
 /// throws sfp::contract_error on any other key, at the top level or in an
@@ -153,8 +148,8 @@ struct chaos_options {
   int np = 4;       ///< GLL points per element edge
   int nranks = 4;   ///< virtual ranks
   int nsteps = 3;   ///< RK3 steps per trial; dt = model.cfl_dt(0.3)
-  /// Channel tuning, incl. the verify_checksums test hook.
-  runtime::reliable_options reliable = chaos_reliable_defaults();
+  /// Channel options, incl. the verify_checksums test hook.
+  runtime::reliable_options reliable;
 };
 
 /// Advection harness: runs seam::run_distributed_resilient. Message faults
@@ -192,7 +187,7 @@ struct partition_chaos_options {
   int ne = 3;       ///< cubed-sphere elements per edge (K = 6 ne^2)
   int nparts = 5;   ///< parts in the plan (decoupled from nranks on purpose)
   int nranks = 4;   ///< virtual ranks
-  runtime::reliable_options reliable = chaos_reliable_defaults();
+  runtime::reliable_options reliable;
 };
 
 /// Partition harness: the same schedules pointed at the distributed SFC

@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <array>
-#include <chrono>
 #include <exception>
-#include <limits>
 #include <mutex>
 #include <ranges>
 #include <set>
@@ -274,15 +272,10 @@ field_list run_seam(const assembly& dofs, const partition::partition& part,
   return state;
 }
 
-/// The plain runners' options: no faults, no restarts, and a channel with
-/// no receive deadline and no retransmit budget. A plain run has no
-/// recovery path, so giving up on a live but descheduled peer would only
-/// turn a slow fault-free run into a failed one; a rank failure still ends
-/// every wait by aborting the fabric.
-runtime::resilience_options plain_run() {
+/// The plain runners' options: no faults and no restarts, so the first
+/// failure surfaces.
+runtime::resilience_options no_recovery() {
   runtime::resilience_options opts;
-  opts.reliable.recv_timeout = std::chrono::milliseconds(0);
-  opts.reliable.max_retransmits = std::numeric_limits<int>::max();
   opts.max_recoveries = 0;
   return opts;
 }
@@ -309,7 +302,7 @@ std::vector<double> run_distributed(const advection_model& model,
                                     double dt, int nsteps, dist_stats* stats) {
   require_run_args(dt, nsteps);
   return std::move(run_seam<1>(model.dofs(), part, {model.field()}, nsteps,
-                               advection_step(model, dt), plain_run(),
+                               advection_step(model, dt), no_recovery(),
                                nullptr, nullptr, stats)
                        .front());
 }
@@ -352,7 +345,7 @@ swe_state run_distributed_swe(const shallow_water_model& model,
       model.dofs(), part,
       {model.depth(), model.velocity_x(), model.velocity_y(),
        model.velocity_z()},
-      nsteps, swe_step, plain_run(), nullptr, nullptr, stats);
+      nsteps, swe_step, no_recovery(), nullptr, nullptr, stats);
   return {std::move(out[0]), std::move(out[1]), std::move(out[2]),
           std::move(out[3])};
 }
@@ -380,7 +373,7 @@ std::vector<std::vector<double>> run_distributed_layered(
   std::vector<std::span<const double>> init;
   for (int l = 0; l < model.nlev(); ++l) init.push_back(model.layer(l));
   return run_seam<1>(base.dofs(), part, init, nsteps, layered_step,
-                     plain_run(), nullptr, nullptr, stats);
+                     no_recovery(), nullptr, nullptr, stats);
 }
 
 }  // namespace sfp::seam

@@ -55,9 +55,8 @@ struct dist_stats {
 ///
 /// Requires part.num_parts >= 1 and one label per mesh element; every part
 /// must own at least one element. The run is fault-free with no recovery
-/// budget, and the rank channels never give up on a live peer: no receive
-/// deadline and no retransmit budget, so only a rank failure (which aborts
-/// the run) ends a wait.
+/// budget. No wait has a deadline (runtime/reliable.hpp): a rank that is
+/// busy computing is simply waited for.
 std::vector<double> run_distributed(const advection_model& model,
                                     const partition::partition& part,
                                     double dt, int nsteps,
@@ -73,7 +72,7 @@ struct recovery_report : runtime::resilience_report {
   partition::partition final_partition;
 };
 
-/// run_distributed under `ropts`: its faults, its channel tuning and its
+/// run_distributed under `ropts`: its faults, its channel options and its
 /// recovery budget (runtime::run_resilient documents faults across
 /// attempts and the lost-rank rule). With max_recoveries > 0 every
 /// completed step is checkpointed (each rank scatters its owned slices into

@@ -494,68 +494,6 @@ TEST(RawAssertPass, FlagsAssertCallsAndIncludesButNotStaticAssert) {
 }
 
 // ---------------------------------------------------------------------------
-// Pass: retry-backoff
-// ---------------------------------------------------------------------------
-
-TEST(RetryBackoffPass, FlagsRetransmitLoopWithoutBackoff) {
-  const source_tree t = make_tree({
-      {"src/runtime/bad.cpp",
-       "void f(channel& c) {\n"                          // 1
-       "  while (c.has_unacked()) {\n"                   // 2
-       "    c.retransmit_all();\n"                       // 3
-       "  }\n"                                           // 4
-       "}\n"},
-  });
-  const auto findings = check_retry_backoff(t);
-  ASSERT_EQ(findings.size(), 1u);
-  EXPECT_EQ(findings[0].rule, "retry-backoff");
-  EXPECT_EQ(findings[0].file, "src/runtime/bad.cpp");
-  EXPECT_EQ(findings[0].line, 2);
-  EXPECT_NE(findings[0].message.find("backoff"), std::string::npos);
-}
-
-TEST(RetryBackoffPass, SilentWhenTheLoopScalesABackoff) {
-  const source_tree t = make_tree({
-      {"src/runtime/good.cpp",
-       "void f(channel& c) {\n"
-       "  for (auto& e : c.unacked()) {\n"
-       "    auto backoff = base * (1 << e.attempts);\n"
-       "    c.retransmit(e, backoff);\n"
-       "  }\n"
-       "}\n"},
-      // Retry loops outside src/runtime and src/seam are out of scope.
-      {"tools/poll.cpp",
-       "void g() { while (true) retry(); }\n"},
-      // Loops with no retry vocabulary at all are out of scope.
-      {"src/seam/calc.cpp",
-       "int h(int n) { int s = 0; for (int i = 0; i < n; ++i) s += i; "
-       "return s; }\n"},
-  });
-  EXPECT_TRUE(check_retry_backoff(t).empty());
-}
-
-TEST(RetryBackoffPass, FlagsStatementFormAndNestedLoops) {
-  const source_tree t = make_tree({
-      {"src/seam/nested.cpp",
-       "void f(channel& c) {\n"                          // 1
-       "  for (auto& e : c.unacked())\n"                 // 2
-       "    c.retry(e);\n"                               // 3
-       "  while (c.pending()) {\n"                       // 4
-       "    auto backoff = c.next_backoff();\n"          // 5
-       "    while (c.stuck()) c.resend_now();\n"         // 6
-       "  }\n"                                           // 7
-       "}\n"},
-  });
-  const auto findings = check_retry_backoff(t);
-  // Line 2: statement-form retry loop, no backoff. Line 6: the inner loop
-  // resends with no backoff in its own region; the outer loop's backoff at
-  // line 5 keeps the outer loop silent but does not excuse the inner one.
-  ASSERT_EQ(findings.size(), 2u);
-  EXPECT_EQ(findings[0].line, 2);
-  EXPECT_EQ(findings[1].line, 6);
-}
-
-// ---------------------------------------------------------------------------
 // transport-discipline pass
 // ---------------------------------------------------------------------------
 
@@ -1219,17 +1157,17 @@ TEST(UncheckedStatusPass, FlagsOnlyStatementPositionDrops) {
   const source_tree t = make_tree({
       {"src/runtime/drop.cpp",
        "void pump(transport& t) {\n"                        // 1
-       "  t.try_recv_any(5);\n"                             // 2: dropped
-       "  bool ok = t.try_recv_any(5);\n"                   // 3: captured
-       "  if (t.try_recv_any(5)) { use(); }\n"              // 4: branched
-       "  (void)t.try_recv_any(5);\n"                       // 5: explicit
+       "  t.recv_or_quiescent(5);\n"                        // 2: dropped
+       "  bool ok = t.recv_or_quiescent(5);\n"              // 3: captured
+       "  if (t.recv_or_quiescent(5)) { use(); }\n"         // 4: branched
+       "  (void)t.recv_or_quiescent(5);\n"                  // 5: explicit
        "  while (ch.try_recv(msg)) { use(); }\n"            // 6: branched
        "  ch.try_recv(msg);\n"                              // 7: dropped
        "}\n"},
       // Out-of-scope tree: statement drops in src/core are fine.
       {"src/core/elsewhere.cpp",
        "void f(transport& t) {\n"
-       "  t.try_recv_any(5);\n"
+       "  t.recv_or_quiescent(5);\n"
        "}\n"},
   });
   // The pass scans per status-call name, so sort before asserting lines.
@@ -1240,7 +1178,7 @@ TEST(UncheckedStatusPass, FlagsOnlyStatementPositionDrops) {
   EXPECT_EQ(findings[0].file, "src/runtime/drop.cpp");
   EXPECT_EQ(findings[0].line, 2);
   EXPECT_EQ(findings[1].line, 7);
-  EXPECT_NE(findings[0].message.find("try_recv_any"), std::string::npos);
+  EXPECT_NE(findings[0].message.find("recv_or_quiescent"), std::string::npos);
 }
 
 // ---------------------------------------------------------------------------
@@ -1302,11 +1240,6 @@ TEST(RuleRegistry, EveryRuleRunAllEmitsAppearsInTheCatalogueExactlyOnce) {
       {"src/seam/foo.cpp", "void f(world& w) {\n  w.barrier();\n}\n"},
       // raw-assert
       {"src/util/a.cpp", "#include <cassert>\n"},
-      // retry-backoff
-      {"src/runtime/retry.cpp",
-       "void f(channel& c) {\n"
-       "  while (c.pending()) { c.retransmit_all(); }\n"
-       "}\n"},
       // transport-discipline
       {"src/seam/fab.cpp", "void f(int n) {\n  runtime::world w(n);\n}\n"},
       // determinism-transitive (chain core -> io -> rand)
@@ -1336,7 +1269,7 @@ TEST(RuleRegistry, EveryRuleRunAllEmitsAppearsInTheCatalogueExactlyOnce) {
        "}\n"},
       // unchecked-status
       {"src/runtime/drop.cpp",
-       "void pump(transport& t) {\n  t.try_recv_any(5);\n}\n"},
+       "void pump(transport& t) {\n  t.recv_or_quiescent(5);\n}\n"},
       // overflow-arith (v3 flow pass)
       {"src/core/ovf.cpp",
        "bool above(std::int64_t s, int nparts, std::int64_t total) {\n"

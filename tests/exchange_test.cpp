@@ -7,7 +7,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
-#include <limits>
 #include <set>
 #include <span>
 #include <vector>
@@ -342,8 +341,7 @@ TEST(Distributed, DssBitwiseIdenticalUnderInjectedDelays) {
   // Message delays and duplicates reorder *delivery*, but each rank adds
   // its peers' partials in ascending peer order, so the accumulation order —
   // and therefore every bit of the result — must not change. The faulted
-  // runs have no recovery budget and the plain runners' patient channel:
-  // the faults must heal in place.
+  // runs have no recovery budget: the faults must heal in place.
   const mesh::cubed_sphere m(2);
   advection_model model(m, 4);
   model.set_field([](mesh::vec3 p) { return p.x * p.y + 0.5 * p.z; });
@@ -356,8 +354,6 @@ TEST(Distributed, DssBitwiseIdenticalUnderInjectedDelays) {
 
   runtime::resilience_options chaos;
   chaos.max_recoveries = 0;
-  chaos.reliable.recv_timeout = std::chrono::milliseconds(0);
-  chaos.reliable.max_retransmits = std::numeric_limits<int>::max();
   chaos.faults.seed = 42;
   auto& mf = chaos.faults.message_faults.emplace_back();
   mf.delay_probability = 0.4;

@@ -350,7 +350,6 @@ TEST(TraceExport, CounterEventsCarryPerKindInjectedFaultMetrics) {
   runtime::resilience_options ropts;
   ropts.max_recoveries = 1;
   ropts.faults.seed = 11;
-  ropts.reliable.recv_timeout = std::chrono::milliseconds(8000);
   auto& mf = ropts.faults.message_faults.emplace_back();
   mf.drop_probability = 0.2;
   mf.corrupt_probability = 0.2;

@@ -9,7 +9,6 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <new>
@@ -73,20 +72,8 @@ TEST(ParallelPartitionAlloc, Ne1024RankThreadsAllocateOrderKOverP) {
   ASSERT_EQ(k, 6'291'456);
   g_threads = 0;
 
-  // 64 rank threads share the host's cores with whatever else runs, and a
-  // rank busy enumerating its range does not pump its channel. In process
-  // and without injected faults no message is ever lost, so a retransmit
-  // could only answer a busy peer's silence — and its copies would count
-  // here — while the default budget (~80 ms of silence) could even declare
-  // that peer dead. A one-second first retransmit and a 30 s silence
-  // budget keep host load out of the measured run.
-  runtime::resilience_options opts;
-  opts.reliable.retransmit_timeout = std::chrono::seconds(1);
-  opts.reliable.max_backoff = std::chrono::seconds(1);
-  opts.reliable.max_retransmits = 30;
-  opts.reliable.recv_timeout = std::chrono::seconds(30);
   const runtime::parallel_partition_report report =
-      runtime::run_parallel_partition(m, spec, kParts, {}, kRanks, opts);
+      runtime::run_parallel_partition(m, spec, kParts, {}, kRanks);
   ASSERT_FALSE(report.aborted);
   ASSERT_EQ(report.recoveries, 0);
   ASSERT_EQ(report.plan.part_of.size(), static_cast<std::size_t>(k));

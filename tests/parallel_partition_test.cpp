@@ -8,7 +8,6 @@
 
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <cstdint>
 #include <initializer_list>
 #include <string>
@@ -22,7 +21,6 @@
 #include "mesh/cubed_sphere.hpp"
 #include "obs/metrics.hpp"
 #include "runtime/partition_fabric.hpp"
-#include "seam/chaos.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -214,9 +212,6 @@ TEST(ParallelPartitionOverFabric, HealsThroughMessageDropsAndMatchesSerial) {
 
 resilience_options kill_run_options(runtime::fault_plan faults) {
   resilience_options opts;
-  // A retransmit timeout well above scheduler noise keeps spurious
-  // retransmits — extra ops that shift where a kill lands — rare.
-  opts.reliable = seam::chaos_reliable_defaults();
   opts.faults = std::move(faults);
   return opts;
 }
@@ -262,12 +257,9 @@ TEST(ParallelPartitionOverFabric, SubQuorumKillsAbortCleanlyWithoutHang) {
 
   // A budget of one restart, and a second death in the restart: the root
   // dies on its first ack, before any broadcast, so rank 1 reaches its
-  // second op only as the root of attempt 1 — unless a retransmit of its
-  // first frame counts as that op, which a retransmit timeout far above
-  // any scheduler stall rules out (the wire drops nothing here).
+  // second op only as the root of attempt 1 (the wire drops nothing here,
+  // so nothing is ever retransmitted).
   opts = kill_run_options(kills({{0, 1}, {1, 2}}));
-  opts.reliable.retransmit_timeout = std::chrono::seconds(10);
-  opts.reliable.max_backoff = std::chrono::seconds(10);
   opts.max_recoveries = 1;
   report = run_parallel_partition(mesh, spec, 5, {}, 3, opts);
   EXPECT_TRUE(report.aborted);
@@ -278,9 +270,8 @@ TEST(ParallelPartitionOverFabric, SubQuorumKillsAbortCleanlyWithoutHang) {
 
 TEST(ParallelPartitionOverFabric, TwoOfThreeRanksKilledRecoverAlone) {
   // Two staggered deaths — the root at its first ack, then rank 1 as the
-  // root of the restart, or already in attempt 0 when a retransmit is its
-  // second op — leave rank 2, which finishes the partition alone on the
-  // solo path.
+  // root of the restart — leave rank 2, which finishes the partition alone
+  // on the solo path.
   const mesh::cubed_sphere mesh(3);
   const core::cube_curve curve = core::build_cube_curve(mesh);
   const core::cube_curve_spec spec = core::spec_of(curve);

@@ -1,12 +1,14 @@
 // Tests for the fault-tolerant runtime layer: deadlock-free abort when a
-// rank fails, receive deadlines, deterministic fault injection, and the
-// per-rank robustness counters.
+// rank fails, the deadlock error that replaces a hang, deterministic fault
+// injection, and the per-rank robustness counters.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -24,7 +26,7 @@ using namespace std::chrono_literals;
 /// fabric abort wakes it with world_aborted.
 any_message recv_any(transport& t) {
   any_message m;
-  while (!t.try_recv_any(1ms, &m)) {
+  while (t.recv_or_quiescent(&m) == recv_status::quiescent) {
   }
   return m;
 }
@@ -39,7 +41,7 @@ TEST(WorldAbort, RankThrowMidBarrierWakesPeers) {
   world w(4);
   EXPECT_THROW(w.run([](transport& t) {
                  if (t.rank() == 2) throw std::runtime_error("rank 2 died");
-                 reliable_channel channel(t, {.recv_timeout = 0ms});
+                 reliable_channel channel(t);
                  channel.fence();  // must not hang
                }),
                std::runtime_error);
@@ -103,47 +105,60 @@ TEST(WorldOptions, ConstructorValidatesBeforeBuildingMembers) {
   EXPECT_THROW(world(-1, fault_plan{}), sfp::contract_error);
 }
 
-// ---- timeouts ---------------------------------------------------------------
+// ---- no timeouts: quiescence ends every wait -------------------------------
 //
-// The world itself never times out; deadlines belong to the reliable channel
-// pumping it, which turns a silent peer into peer_unreachable_error.
+// Nothing in the runtime has a deadline. A wait for a message nobody sends
+// ends when the world is quiescent twice with nothing resent in between:
+// world::run throws world_deadlock naming what each rank waited for.
 
 TEST(WorldTimeout, RecvTimesOutInsteadOfHanging) {
   world w(2);
   try {
     w.run([](transport& t) {
-      reliable_channel channel(t, {.recv_timeout = 50ms});
+      reliable_channel channel(t);
       if (t.rank() == 1) channel.recv(0);  // never sent
     });
-    FAIL() << "run should rethrow the timeout";
-  } catch (const peer_unreachable_error& e) {
-    EXPECT_EQ(e.rank(), 1);
-    EXPECT_EQ(e.peer(), 0);
-    EXPECT_EQ(e.attempts(), 0);  // a bare receive deadline, not exhaustion
+    FAIL() << "run should rethrow the deadlock";
+  } catch (const world_deadlock& e) {
+    EXPECT_NE(std::string(e.what()).find("rank 1: recv(0)"),
+              std::string::npos)
+        << e.what();
   }
   EXPECT_EQ(w.failed_rank(), 1);
 }
 
 TEST(WorldTimeout, BarrierTimesOutWhenRankStaysAway) {
   world w(3);
-  EXPECT_THROW(w.run([](transport& t) {
-                 reliable_channel channel(t, {.recv_timeout = 50ms});
-                 if (t.rank() != 0) channel.fence();  // rank 0 never arrives
-               }),
-               peer_unreachable_error);
+  try {
+    w.run([](transport& t) {
+      reliable_channel channel(t);
+      if (t.rank() != 0) channel.fence();  // rank 0 never arrives
+    });
+    FAIL() << "run should rethrow the deadlock";
+  } catch (const world_deadlock& e) {
+    // Rank 0 has exited, so it is not named; both fencing ranks are.
+    const std::string what = e.what();
+    EXPECT_EQ(what.find("rank 0"), std::string::npos) << what;
+    EXPECT_NE(what.find("rank 1: fence"), std::string::npos) << what;
+    EXPECT_NE(what.find("rank 2: fence"), std::string::npos) << what;
+  }
   EXPECT_TRUE(w.aborted());
 }
 
 TEST(WorldTimeout, GenerousTimeoutDoesNotPerturbCleanRuns) {
+  // A clean ring never goes quiescent, so it never resends a frame.
   world w(4);
-  w.run([](transport& t) {
-    reliable_channel channel(t, {.recv_timeout = 30000ms});
+  std::atomic<std::int64_t> retransmits{0};
+  w.run([&](transport& t) {
+    reliable_channel channel(t);
     channel.send((t.rank() + 1) % 4, std::vector<double>{1.0});
     EXPECT_EQ(channel.recv((t.rank() + 3) % 4).size(), 1u);
     channel.fence();
+    retransmits += channel.stats().retransmits;
   });
   EXPECT_FALSE(w.aborted());
   EXPECT_EQ(w.total_counters().aborts_observed, 0);
+  EXPECT_EQ(retransmits.load(), 0);
 }
 
 // ---- fault injection --------------------------------------------------------
@@ -180,25 +195,27 @@ TEST(FaultInjection, KillFiresAtExactOp) {
 }
 
 TEST(FaultInjection, ReceivesAreNotOps) {
-  // Only sends advance the op counter the kills fire on, on every backend:
-  // a rank that polls its inbox any number of times is never killed by
-  // polling.
+  // Only sends advance the op counter the kills fire on: a rank that
+  // receives any number of messages is never killed by receiving.
   fault_plan faults;
   faults.kills.push_back({/*rank=*/0, /*at_op=*/2});
   world w(2, faults);
   w.run([](transport& t) {
     if (t.rank() == 0) {
-      any_message m;
-      for (int i = 0; i < 10; ++i) t.try_recv_any(0us, &m);
+      for (int i = 0; i < 10; ++i) recv_any(t);
       t.send(1, std::vector<double>{1.0});  // op 1
     } else {
+      for (int i = 0; i < 10; ++i) t.send(0, std::vector<double>{1.0 * i});
       recv_any(t);
     }
   });
   EXPECT_EQ(w.counters(0).injected_kills, 0);
+  EXPECT_EQ(w.counters(0).messages_received, 10);
 }
 
 TEST(FaultInjection, DropPlusTimeoutAbortsCleanly) {
+  // A severed link: every quiescent round resends into it, until the
+  // budget is spent and the sender names its receiver.
   fault_plan faults;
   auto& mf = faults.message_faults.emplace_back();
   mf.src = 0;
@@ -206,11 +223,12 @@ TEST(FaultInjection, DropPlusTimeoutAbortsCleanly) {
   mf.drop_probability = 1.0;  // every 0->1 message vanishes
   world w(2, faults);
   EXPECT_THROW(w.run([](transport& t) {
-                 reliable_channel channel(t, {.recv_timeout = 50ms});
+                 reliable_channel channel(t);
                  if (t.rank() == 0) {
                    channel.send(1, std::vector<double>{42.0});
+                   channel.fence();
                  } else {
-                   channel.recv(0);  // dropped — times out, no hang
+                   channel.recv(0);  // dropped — the sender gives up, no hang
                  }
                }),
                peer_unreachable_error);

@@ -1,8 +1,8 @@
 // Tests for the reliable-delivery transport: CRC32C, the wire envelope,
 // exactly-once in-order delivery under drop/duplicate/corrupt/truncate/
 // reorder injection, the fence precondition on the shared per-pair stream,
-// retransmit exhaustion, and the fault-injection extensions (payload
-// corruption, truncation, reordering) it heals.
+// quiescent-round resends and their exhaustion, and the fault-injection
+// extensions (payload corruption, truncation, reordering) it heals.
 
 #include <gtest/gtest.h>
 
@@ -11,12 +11,14 @@
 #include <chrono>
 #include <cstdint>
 #include <cstring>
+#include <exception>
 #include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "obs/metrics.hpp"
+#include "runtime/fabric.hpp"
 #include "runtime/fault.hpp"
 #include "runtime/reliable.hpp"
 #include "runtime/world.hpp"
@@ -30,7 +32,7 @@ using namespace std::chrono_literals;
 /// Blocking raw receive of the next message, from any source.
 any_message recv_any(transport& t) {
   any_message m;
-  while (!t.try_recv_any(1ms, &m)) {
+  while (t.recv_or_quiescent(&m) == recv_status::quiescent) {
   }
   return m;
 }
@@ -350,9 +352,7 @@ void exchange_under(const fault_plan& plan, reliable_stats* out_stats) {
   reliable_stats stats_sum;
   std::mutex stats_mutex;
   w.run([&](transport& c) {
-    reliable_options opts;
-    opts.recv_timeout = 8000ms;
-    reliable_channel ch(c, opts);
+    reliable_channel ch(c);
     const int right = (c.rank() + 1) % c.size();
     const int left = (c.rank() + c.size() - 1) % c.size();
     for (int i = 0; i < kMessages; ++i) {
@@ -464,26 +464,24 @@ TEST(ReliableChannel, ChecksumHookLetsCorruptionThrough) {
 }
 
 // A rank that computes while its acks arrive must read them before it
-// judges a retransmit deadline: rank 0 sends one frame to each of ranks 1
-// and 2, both of which receive it, reply and raise a flag. Rank 0 waits
-// on the flags without pumping and sleeps past the retransmit timeout, so
-// both acks sit queued behind expired deadlines. Handling one delivered
-// message and then scanning the deadlines resends the other frame.
+// resends anything: rank 0 sends one frame to each of ranks 1 and 2, both
+// of which receive it, reply and raise a flag. Rank 0 waits on the flags
+// without pumping and then keeps computing, while both acks sit queued in
+// its inbox and ranks 1 and 2 wait in their fences. A busy rank is not
+// blocked, so the world is not quiescent and nothing is resent, however
+// long the compute takes.
 TEST(ReliableChannel, AcksQueuedDuringComputeAreReadBeforeAnyRetransmit) {
   world w(3);
   std::array<std::atomic<bool>, 3> replied{};
   std::atomic<std::int64_t> retransmits{-1};
   w.run([&](transport& c) {
-    reliable_options opts;
-    opts.retransmit_timeout = 1ms;
-    opts.max_backoff = 4ms;
-    reliable_channel ch(c, opts);
+    reliable_channel ch(c);
     if (c.rank() == 0) {
       ch.send(1, std::vector<double>{1.0});
       ch.send(2, std::vector<double>{2.0});
       while (!replied[1].load() || !replied[2].load())
         std::this_thread::sleep_for(100us);
-      std::this_thread::sleep_for(3 * opts.retransmit_timeout);
+      std::this_thread::sleep_for(5ms);
       EXPECT_EQ(ch.recv(1).at(0), 10.0);
       EXPECT_EQ(ch.recv(2).at(0), 20.0);
       retransmits = ch.stats().retransmits;
@@ -513,8 +511,6 @@ TEST(ReliableChannel, TotalLossExhaustsRetransmitsAndNamesThePeer) {
       w.run([&](transport& c) {
         reliable_options opts;
         opts.max_retransmits = 4;
-        opts.retransmit_timeout = std::chrono::microseconds{100};
-        opts.max_backoff = std::chrono::microseconds{400};
         reliable_channel ch(c, opts);
         if (c.rank() == 0) {
           ch.send(1, std::vector<double>{1.0});
@@ -532,11 +528,11 @@ TEST(ReliableChannel, TotalLossExhaustsRetransmitsAndNamesThePeer) {
   EXPECT_EQ(unreachable_peer.load(), 1);
 }
 
-// ---- recv-side timeouts under simultaneous multi-peer drops -----------------
+// ---- simultaneous multi-peer drops ------------------------------------------
 
 // Every inbound link of rank 0 severed at once. The raw transport has no
-// recourse: a receive can only be a poll bounded by the caller's own
-// deadline, and nothing ever lands in rank 0's inbox.
+// recourse: nothing ever lands in rank 0's inbox, and once the senders
+// have exited its receive reports the world quiescent.
 TEST(MultiPeerDrops, RawRecvTimesOutWhenEveryInboundLinkIsSevered) {
   fault_plan plan;
   plan.seed = 5;
@@ -550,11 +546,7 @@ TEST(MultiPeerDrops, RawRecvTimesOutWhenEveryInboundLinkIsSevered) {
   w.run([&](transport& c) {
     if (c.rank() == 0) {
       any_message m;
-      const auto give_up = std::chrono::steady_clock::now() + 300ms;
-      bool got = false;
-      while (!got && std::chrono::steady_clock::now() < give_up)
-        got = c.try_recv_any(1ms, &m);
-      timed_out = !got;
+      timed_out = c.recv_or_quiescent(&m) == recv_status::quiescent;
     } else {
       c.send(0, std::vector<double>{1.0 * c.rank()});
     }
@@ -564,9 +556,9 @@ TEST(MultiPeerDrops, RawRecvTimesOutWhenEveryInboundLinkIsSevered) {
   EXPECT_EQ(w.counters(0).messages_received, 0);
 }
 
-// Same severed links, but only the *first* data frame on each: the reliable
-// channel retransmits on every link concurrently and rank 0 sees all three
-// payloads in order — no recv timeout, no escalation.
+// Same severed links, but only the *first* data frame on each: one
+// quiescent round resends on every link at once and rank 0 sees all three
+// payloads in order — no escalation.
 TEST(MultiPeerDrops, ReliableChannelHealsSimultaneousFirstFrameLoss) {
   fault_plan plan;
   plan.seed = 5;
@@ -585,10 +577,7 @@ TEST(MultiPeerDrops, ReliableChannelHealsSimultaneousFirstFrameLoss) {
   std::atomic<long> received{0};
   std::atomic<long> retransmits{0};
   w.run([&](transport& c) {
-    reliable_options opts;
-    opts.retransmit_timeout = std::chrono::microseconds{500};
-    opts.recv_timeout = 8000ms;
-    reliable_channel ch(c, opts);
+    reliable_channel ch(c);
     if (c.rank() == 0) {
       for (int peer = 1; peer < c.size(); ++peer) {
         const std::vector<double> got = ch.recv(peer);
@@ -604,12 +593,42 @@ TEST(MultiPeerDrops, ReliableChannelHealsSimultaneousFirstFrameLoss) {
   });
   EXPECT_FALSE(w.aborted());
   EXPECT_EQ(received.load(), 3);
-  EXPECT_GE(retransmits.load(), 3);  // every peer healed its own link
+  EXPECT_EQ(retransmits.load(), 3);  // every peer healed its own link once
 }
 
-// Permanently severed links: the receiver's recv_timeout converts the wait
-// into peer_unreachable_error naming the silent peer, even while a second
-// peer's link is down at the same time.
+// One data frame dropped once: the world goes quiescent while rank 1 waits
+// for it, rank 0 resends it in that round, and the run completes with
+// exactly one retransmit and no restart.
+TEST(MultiPeerDrops, FrameDroppedOnceHealsWithExactlyOneRetransmit) {
+  resilience_options opts;
+  fault_plan::message_fault& mf = opts.faults.message_faults.emplace_back();
+  mf.src = 0;
+  mf.dst = 1;
+  mf.drop_probability = 1.0;
+  mf.fire_count = 1;
+  mf.min_payload = wire::header_doubles + 1;  // the data frame, not an ack
+  std::atomic<double> got{0};
+  resilience_report report;
+  const std::exception_ptr error = run_resilient(
+      2, opts,
+      [&](reliable_channel& ch, int) {
+        if (ch.rank() == 0) {
+          ch.send(1, std::vector<double>{7.0});
+        } else {
+          got = ch.recv(0).at(0);
+        }
+      },
+      nullptr, report);
+  EXPECT_FALSE(error);
+  EXPECT_EQ(got.load(), 7.0);
+  EXPECT_EQ(report.counters.injected_drops, 1);
+  EXPECT_EQ(report.reliable.retransmits, 1);
+  EXPECT_EQ(report.recoveries, 0);
+}
+
+// Permanently severed links: the senders resend in every quiescent round
+// until their budget is spent, then name the receiver, which never acked;
+// two links down at once change nothing.
 TEST(MultiPeerDrops, ReliableRecvTimeoutNamesTheSilentPeer) {
   fault_plan plan;
   plan.seed = 5;
@@ -625,27 +644,21 @@ TEST(MultiPeerDrops, ReliableRecvTimeoutNamesTheSilentPeer) {
   std::atomic<int> named_peer{-2};
   EXPECT_THROW(
       w.run([&](transport& c) {
-        reliable_options opts;
-        opts.retransmit_timeout = std::chrono::microseconds{200};
-        opts.max_backoff = std::chrono::microseconds{800};
-        opts.max_retransmits = 100;  // senders outlive the receiver's patience
-        opts.recv_timeout = 300ms;
-        reliable_channel ch(c, opts);
+        reliable_channel ch(c);
         if (c.rank() == 0) {
+          (void)ch.recv(1);
+        } else {
+          ch.send(0, std::vector<double>{1.0});
           try {
-            (void)ch.recv(1);
+            ch.fence();
           } catch (const peer_unreachable_error& e) {
             named_peer = e.peer();
             throw;
           }
-        } else {
-          ch.send(0, std::vector<double>{1.0});
-          // No fence: retransmit exhaustion on the senders would race the
-          // receiver's recv_timeout for which exception wins.
         }
       }),
       peer_unreachable_error);
-  EXPECT_EQ(named_peer.load(), 1);
+  EXPECT_EQ(named_peer.load(), 0);
 }
 
 TEST(ReliableChannel, StaleEpochTrafficIsDropped) {

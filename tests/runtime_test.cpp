@@ -21,7 +21,7 @@ using namespace sfp::runtime;
 /// Blocking receive of the next message, from any source.
 any_message recv_any(transport& t) {
   any_message m;
-  while (!t.try_recv_any(std::chrono::milliseconds(1), &m)) {
+  while (t.recv_or_quiescent(&m) == recv_status::quiescent) {
   }
   return m;
 }
