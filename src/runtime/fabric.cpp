@@ -81,9 +81,8 @@ std::exception_ptr run_resilient(int num_ranks,
     }
     for (const reliable_stats& s : reliable) report.reliable += s;
 
-    // Every rank whose kill fired is lost — also one that fired in its
-    // channel's teardown after the fence, which ends no rank body: a fired
-    // kill always costs a restart.
+    // A fired kill aborts the world (world.hpp), so only a failed attempt
+    // has one; more than one kill can fire before the abort lands.
     std::set<int> lost;
     for (int r = 0; r < n; ++r) {
       const rank_counters& c = w.counters(r);
@@ -92,19 +91,11 @@ std::exception_ptr run_resilient(int num_ranks,
           alive[static_cast<std::size_t>(r)])] += c;
       if (c.injected_kills > 0) lost.insert(r);
     }
-    if (!error && lost.empty()) {
+    if (!error) {
       for (int r = 0; r < num_ranks; ++r)
         if (!std::binary_search(alive.begin(), alive.end(), r))
           report.lost_ranks.push_back(r);
       return nullptr;
-    }
-    if (!error) {
-      // Only teardown kills fired: the lowest such rank stands as thrower.
-      victim = *lost.begin();
-      const auto k = std::find_if(
-          faults.kills.begin(), faults.kills.end(),
-          [&](const fault_plan::kill_spec& s) { return s.rank == victim; });
-      error = std::make_exception_ptr(rank_killed(victim, k->at_op));
     }
     // A lone rank sends nothing, so it is neither killed nor names an
     // unreachable peer: every failure here has a victim among n >= 2 ranks,

@@ -25,9 +25,10 @@
 // Faults across attempts, for every runner: message faults apply to
 // attempt 0 only. A kill that has not fired stays armed on its world rank
 // while that rank survives, and its `at_op` counts the rank's ops within
-// each attempt. Every rank whose kill fired is lost — also one whose kill
-// fired in its channel's teardown, after its body returned — plus the
-// escalation victim.
+// each attempt. A fired kill aborts the world on the spot (world.hpp), so
+// it always costs a restart; every rank whose kill fired is lost, plus the
+// escalation victim. Nothing runs after the closing fence, so no fault can
+// land where the ladder does not see it.
 
 #include <exception>
 #include <functional>

@@ -4,7 +4,6 @@
 #include <array>
 #include <bit>
 #include <chrono>
-#include <exception>
 #include <string>
 #include <utility>
 
@@ -170,18 +169,7 @@ reliable_channel::reliable_channel(transport& fabric, reliable_options opts)
 }
 
 reliable_channel::~reliable_channel() {
-  // Two-generals tail: the barrier's last tokens may still be unacked. Pump
-  // until they are: a peer still in its fence needs a lost token resent,
-  // and a quiescent round discards the frames of a peer that has exited,
-  // which took them and can never ack. Skipped mid-unwind: after a kill or
-  // abort the fabric is going down anyway.
-  if (std::uncaught_exceptions() == 0) {
-    try {
-      while (!all_acked()) pump({wait_reason::kind::fence});
-    } catch (...) {  // teardown is best-effort by design
-      // world_aborted, a spent budget or a late kill: nothing to heal.
-    }
-  }
+  // No pumping: a fault here would reach no caller. fence() settles.
   for (const auto& [rank, p] : peers_)
     stats_.shutdown_discarded += static_cast<std::int64_t>(p.unacked.size());
   try {
@@ -206,9 +194,10 @@ reliable_channel::peer_state& reliable_channel::peer(int rank) {
   return it->second;
 }
 
-bool reliable_channel::all_acked() const {
-  return std::all_of(peers_.begin(), peers_.end(),
-                     [](const auto& kv) { return kv.second.unacked.empty(); });
+void reliable_channel::settle() {
+  while (std::any_of(peers_.begin(), peers_.end(),
+                     [](const auto& kv) { return !kv.second.unacked.empty(); }))
+    pump({wait_reason::kind::fence});
 }
 
 void reliable_channel::send_frame(int dst, envelope::kind type,
@@ -337,21 +326,26 @@ std::vector<double> reliable_channel::take(int src, envelope::kind want) {
 
 void reliable_channel::fence() {
   SFP_TRACE_SCOPE_CAT("reliable.fence", "runtime");
-  // Own sends first: pump until every one is acked. pump() enforces the
-  // per-frame retransmit budget, so this ends either clean or with
-  // peer_unreachable_error.
-  while (!all_acked()) pump({wait_reason::kind::fence});
+  // Own sends first. pump() enforces the per-frame retransmit budget, so
+  // each settle ends either clean or with peer_unreachable_error.
+  settle();
   const int n = fabric_->size();
   const int self = fabric_->rank();
   // Dissemination barrier: each round sends a token to rank self + hop and
   // takes one from self - hop, hop = 1, 2, 4, ... Completion of any rank
-  // transitively requires every rank to have entered, which is what makes
-  // it safe to stop pumping afterwards. Every hop is below n, so no two
-  // rounds share a peer, and a stream carries at most one token per fence.
+  // transitively requires every rank to have entered. Every hop is below
+  // n, so no two rounds share a peer, and a stream carries at most one
+  // token per fence.
   for (int hop = 1; hop < n; hop *= 2) {
     send_frame((self + hop) % n, envelope::kind::fence, {});
     take((self - hop + n) % n, envelope::kind::fence);
   }
+  // Two-generals tail: a token's receiver takes it inside its own fence,
+  // so a peer may still wait for a lost one. Settle again, in the caller,
+  // where a spent budget or a kill on a resend fails the rank like any
+  // other op; a quiescent round discards tokens to a peer that has exited,
+  // which took them and can never ack.
+  settle();
 }
 
 }  // namespace sfp::runtime

@@ -25,10 +25,10 @@
 //
 // Deadlock-freedom: every blocking reliable op (recv, fence) runs the
 // pump, so a waiting rank keeps acking its peers' frames. Ranks settle
-// with fence() only: own sends acked, then a pumping dissemination
-// barrier; run_resilient fences once when the body returns. The
-// destructor pumps until the barrier's last tokens are acked, discarding
-// those addressed to a rank that has exited.
+// with fence() only: own sends acked, a pumping dissemination barrier,
+// then the barrier's own tokens acked (those to a rank that has exited
+// are discarded); run_resilient fences once when the body returns. The
+// destructor never pumps, so no fault can be swallowed in teardown.
 //
 // See docs/runtime_faults.md for the wire format and the full ack/retransmit
 // state machine.
@@ -138,6 +138,8 @@ class reliable_channel {
   /// The caller keeps ownership of the transport, which must outlive the
   /// channel.
   explicit reliable_channel(transport& fabric, reliable_options opts = {});
+  /// Never pumps: frames still unacked (no closing fence, or mid-unwind)
+  /// are counted as shutdown_discarded.
   ~reliable_channel();
   reliable_channel(const reliable_channel&) = delete;
   reliable_channel& operator=(const reliable_channel&) = delete;
@@ -152,11 +154,13 @@ class reliable_channel {
   std::vector<double> recv(int src);
 
   /// Settle: pump until every own send is acknowledged (resending lost
-  /// frames in quiescent rounds), then run a pumping dissemination barrier
-  /// over the channel itself. Returns when every rank has entered, so every
-  /// frame any rank sent before its fence is acked. The barrier's tokens
-  /// ride the data streams, so everything sent to this rank before its
-  /// peers fenced must be received first: data ahead of a token is a
+  /// frames in quiescent rounds), run a pumping dissemination barrier over
+  /// the channel itself, then pump until the barrier's own tokens are
+  /// acknowledged too, or discarded because their peer exited. Returns
+  /// once every rank has entered, with nothing this rank sent left unacked,
+  /// so every frame any rank sent before its fence is acked. The barrier's
+  /// tokens ride the data streams, so everything sent to this rank before
+  /// its peers fenced must be received first: data ahead of a token is a
   /// contract error.
   void fence();
 
@@ -195,7 +199,8 @@ class reliable_channel {
 
   /// The peer's state; every cursor starts at opts_.first_seq.
   peer_state& peer(int rank);
-  bool all_acked() const;
+  /// Pump until no own frame is unacked.
+  void settle();
   /// One pump iteration: block for one wire message and handle it, or, in
   /// a quiescent round, drop the unacked frames of exited peers and resend
   /// the rest once. `why` is what the caller waits for.

@@ -88,9 +88,9 @@ enum class recv_status { message, quiescent };
 /// What a rank blocked in recv_or_quiescent waits for, as world_deadlock
 /// names it.
 struct wait_reason {
-  enum class kind : std::uint8_t { any, recv, fence };
-  kind what = kind::any;
-  int src = -1;  ///< the stream a recv waits on
+  enum class kind : std::uint8_t { recv, fence };
+  kind what;
+  int src = -1;  ///< the stream a recv waits on; -1 for any
 };
 
 class world;
@@ -117,7 +117,7 @@ class transport {
   /// Not a communication op for fault accounting. A fabric abort (also a
   /// deadlock) wakes it with world_aborted once the inbox is drained.
   [[nodiscard]] recv_status recv_or_quiescent(any_message* out,
-                                              wait_reason why = {});
+                                              wait_reason why);
 
   /// True once `peer`'s rank body has returned: it is no longer live, and
   /// what is sent to it is discarded.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <exception>
+#include <optional>
 #include <string>
 #include <thread>
 
@@ -26,9 +27,7 @@ int validated_rank_count(int n) {
 
 std::string describe(wait_reason why) {
   if (why.what == wait_reason::kind::fence) return "fence";
-  if (why.what == wait_reason::kind::recv)
-    return "recv(" + std::to_string(why.src) + ")";
-  return "recv_or_quiescent";
+  return "recv(" + std::to_string(why.src) + ")";
 }
 
 }  // namespace
@@ -48,8 +47,9 @@ recv_status transport::recv_or_quiescent(any_message* out, wait_reason why) {
 
 bool transport::peer_exited(int peer) const {
   SFP_REQUIRE(peer >= 0 && peer < world_->size(), "peer out of range");
-  std::lock_guard<std::mutex> lock(world_->mutex_);
-  return world_->slots_[static_cast<std::size_t>(peer)].exited;
+  world::rank_slot& slot = world_->slots_[static_cast<std::size_t>(peer)];
+  std::lock_guard<std::mutex> lock(slot.mutex);
+  return slot.exited;
 }
 
 world::world(int num_ranks, fault_plan faults)
@@ -75,7 +75,15 @@ void world::send(int src, int dst, std::span<const double> data) {
   SFP_REQUIRE(dst >= 0 && dst < num_ranks_, "destination out of range");
   SFP_TRACE_SCOPE_CAT("world.send", "runtime");
   injection_pipeline& pipeline = pipelines_[static_cast<std::size_t>(src)];
-  pipeline.count_op();
+  try {
+    pipeline.count_op();
+  } catch (const rank_killed&) {
+    // A killed rank is dead whatever its caller does with the exception:
+    // the kill is the run's failure from this op on.
+    std::lock_guard<std::mutex> lock(mutex_);
+    abort_locked(src, std::current_exception());
+    throw;
+  }
   sends_.fetch_add(1, std::memory_order_relaxed);
   injection_pipeline::outcome out = pipeline.on_send(dst, data);
   for (int c = 0; c < out.accounted_copies; ++c)
@@ -87,61 +95,89 @@ void world::send(int src, int dst, std::span<const double> data) {
 void world::deliver(int dst, int src, std::vector<double> image) {
   rank_slot& slot = slots_[static_cast<std::size_t>(dst)];
   {
-    std::lock_guard<std::mutex> lock(mutex_);
+    std::lock_guard<std::mutex> lock(slot.mutex);
     if (slot.exited) return;  // nobody will ever read it
     slot.from[static_cast<std::size_t>(src)].push_back(std::move(image));
-    slot.blocked = false;  // quiescence now waits for this read
   }
+  // A blocked receiver stays marked until it wakes: the sender is running,
+  // so the world is not quiescent, and the detector checks inboxes too.
   slot.ready.notify_one();
 }
 
 recv_status world::take_any(int dst, wait_reason why, any_message* out) {
   rank_slot& slot = slots_[static_cast<std::size_t>(dst)];
-  std::unique_lock<std::mutex> lock(mutex_);
-  // Lowest source rank first: a deterministic drain order given identical
-  // inbox contents.
+  rank_counters& counters = counters_[static_cast<std::size_t>(dst)];
   const auto first_queued = [&] {
     return std::find_if(slot.from.begin(), slot.from.end(),
                         [](const auto& q) { return !q.empty(); });
   };
-  auto it = first_queued();
-  for (; it == slot.from.end() && !abort_requested() && !slot.quiet;
-       it = first_queued()) {
-    if (slot.blocked) {
-      slot.ready.wait(lock);
-    } else {
+  // With slot.mutex held and the rank unmarked: what is due now, if any.
+  const auto take_due = [&]() -> std::optional<recv_status> {
+    // Lowest source rank first: a deterministic drain order given
+    // identical inbox contents. Drain-then-abort: a message that already
+    // arrived is still delivered, so a rank about to make progress is not
+    // failed spuriously. A message also supersedes a pending quiescent
+    // round: its sender was not blocked.
+    if (const auto it = first_queued(); it != slot.from.end()) {
+      slot.quiet = false;
+      out->src = static_cast<int>(it - slot.from.begin());
+      out->payload = std::move(it->front());
+      it->pop_front();
+      ++counters.messages_received;
+      counters.doubles_received +=
+          static_cast<std::int64_t>(out->payload.size());
+      return recv_status::message;
+    }
+    if (abort_requested()) {
+      ++counters.aborts_observed;
+      throw world_aborted(dst, failed_rank());
+    }
+    if (slot.quiet) {
+      slot.quiet = false;
+      return recv_status::quiescent;
+    }
+    return std::nullopt;
+  };
+  {
+    std::lock_guard<std::mutex> lock(slot.mutex);
+    if (const auto due = take_due()) return *due;
+  }
+  {
+    // Mark the rank blocked, rechecking its inbox under both locks.
+    std::lock_guard<std::mutex> world_lock(mutex_);
+    {
+      std::lock_guard<std::mutex> lock(slot.mutex);
+      if (const auto due = take_due()) return *due;
       slot.why = why;
       slot.blocked = true;
-      detect_quiescence();  // may start the round, or abort, itself
     }
+    detect_quiescence();  // may start the round, or abort, itself
   }
+  {
+    std::unique_lock<std::mutex> lock(slot.mutex);
+    slot.ready.wait(lock, [&] {
+      return !slot.blocked || first_queued() != slot.from.end() ||
+             abort_requested();
+    });
+    if (!slot.blocked) return *take_due();  // a quiescent round unmarked it
+  }
+  // Woken by a message or an abort: unmark under the world lock, so a rank
+  // the detector counts as blocked never reads (and then sends) while it
+  // checks the inboxes.
+  std::lock_guard<std::mutex> world_lock(mutex_);
+  std::lock_guard<std::mutex> lock(slot.mutex);
   slot.blocked = false;
-  rank_counters& counters = counters_[static_cast<std::size_t>(dst)];
-  // Drain-then-abort: a message that already arrived is still delivered,
-  // so a rank about to make progress is not failed spuriously. A message
-  // also supersedes a pending quiescent round: its sender was not blocked.
-  if (it != slot.from.end()) {
-    slot.quiet = false;
-    out->src = static_cast<int>(it - slot.from.begin());
-    out->payload = std::move(it->front());
-    it->pop_front();
-    ++counters.messages_received;
-    counters.doubles_received += static_cast<std::int64_t>(out->payload.size());
-    return recv_status::message;
-  }
-  if (abort_requested()) {
-    ++counters.aborts_observed;
-    throw world_aborted(dst, failed_rank());
-  }
-  slot.quiet = false;
-  return recv_status::quiescent;
+  return *take_due();
 }
 
 void world::retire(int rank) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  rank_slot& slot = slots_[static_cast<std::size_t>(rank)];
-  slot.exited = true;
-  slot.from.clear();
+  std::lock_guard<std::mutex> world_lock(mutex_);
+  {
+    rank_slot& slot = slots_[static_cast<std::size_t>(rank)];
+    std::lock_guard<std::mutex> lock(slot.mutex);
+    slot.exited = true;
+    slot.from.clear();
+  }
   detect_quiescence();
 }
 
@@ -152,13 +188,26 @@ void world::detect_quiescence() {
     any_blocked = any_blocked || s.blocked;
   }
   if (!any_blocked || abort_requested()) return;
+  // Every live rank is marked blocked, and none can unmark while this holds
+  // mutex_, so none can send: an inbox that is empty now stays empty. One
+  // that is not belongs to a rank about to wake; it re-runs the detector
+  // when it blocks again.
+  for (rank_slot& s : slots_) {
+    if (!s.blocked) continue;
+    std::lock_guard<std::mutex> lock(s.mutex);
+    for (const auto& q : s.from)
+      if (!q.empty()) return;
+  }
   const std::int64_t sends = sends_.load(std::memory_order_relaxed);
   if (sends != sends_at_round_) {
     sends_at_round_ = sends;
     for (rank_slot& s : slots_) {
       if (!s.blocked) continue;
-      s.blocked = false;
-      s.quiet = true;
+      {
+        std::lock_guard<std::mutex> lock(s.mutex);
+        s.blocked = false;
+        s.quiet = true;
+      }
       s.ready.notify_one();
     }
     return;
@@ -181,9 +230,12 @@ void world::abort_locked(int rank, std::exception_ptr cause) {
   if (failed_rank_.compare_exchange_strong(expected, rank,
                                            std::memory_order_acq_rel))
     root_cause_ = std::move(cause);
-  // Wake every potential waiter. Holding the lock closes the race against
+  // Wake every potential waiter. Taking its lock closes the race against
   // a rank that checked the flag but has not yet parked.
-  for (rank_slot& s : slots_) s.ready.notify_all();
+  for (rank_slot& s : slots_) {
+    { std::lock_guard<std::mutex> lock(s.mutex); }
+    s.ready.notify_all();
+  }
 }
 
 void world::reset_run_state() {

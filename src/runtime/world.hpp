@@ -18,12 +18,15 @@
 // Quiescence: since a send lands before it returns and the receive is a
 // rank body's only blocking point, every live rank blocked with an empty
 // inbox means nothing is in flight (termination detection in one process;
-// Dijkstra–Scholten, Mattern 1987): a blocked mark per rank under the
-// inboxes' one lock, no clock. A rank computing or sleeping in an injected delay is not
-// blocked; a rank whose body returned is not live.
+// Dijkstra–Scholten, Mattern 1987): a blocked mark per rank under one
+// world lock, checked against every inbox, no clock. Sends and reads of a
+// waiting inbox take only that inbox's lock. A rank computing or sleeping
+// in an injected delay is not blocked; a rank whose body returned is not
+// live.
 //
-// Fault tolerance: when any rank throws, or the world deadlocks, a shared
-// abort flag wakes every rank parked in recv_or_quiescent with
+// Fault tolerance: when any rank throws, a planned kill fires (even if the
+// killed rank's code swallows rank_killed), or the world deadlocks, a
+// shared abort flag wakes every rank parked in recv_or_quiescent with
 // world_aborted (after its inbox drains) instead of hanging the join loop.
 // A seeded fault_plan injects deterministic kills and message drop/delay/
 // duplication/corruption/truncation/reorder; an op is counted on every
@@ -82,14 +85,19 @@ class world {
  private:
   friend class transport;  ///< a rank's endpoint: send and take_any
 
-  /// One rank's inbox and wait state, guarded by mutex_.
+  /// One rank's inbox and wait state. `mutex` guards the inbox and
+  /// `quiet`; the flags the detector reads (`blocked`, `exited`, `why`) are
+  /// written under both it and the world's mutex_, so either lock reads
+  /// them. Lock order: mutex_ before any slot's mutex.
   struct rank_slot {
+    std::mutex mutex;
     std::condition_variable ready;
     std::vector<std::deque<std::vector<double>>> from;  ///< per-source FIFO
-    bool blocked = false;  ///< parked in take_any with an empty inbox
+    bool blocked = false;  ///< parked in take_any, found its inbox empty
     bool quiet = false;    ///< a quiescent round is due to this rank
     bool exited = false;   ///< the rank body returned: not live
-    wait_reason why;       ///< what a blocked rank waits for
+    /// What a blocked rank waits for.
+    wait_reason why{wait_reason::kind::recv};
   };
 
   void send(int src, int dst, std::span<const double> data);
@@ -97,19 +105,21 @@ class world {
   recv_status take_any(int dst, wait_reason why, any_message* out);
   /// Mark `rank`'s body as returned; the rest may now be quiescent.
   void retire(int rank);
-  /// With mutex_ held: once every live rank is blocked, start a quiescent
-  /// round, or abort with world_deadlock if nothing was sent since the
-  /// last one.
+  /// With mutex_ held and no slot's: once every live rank is blocked with
+  /// an empty inbox, start a quiescent round, or abort with world_deadlock
+  /// if nothing was sent since the last one.
   void detect_quiescence();
-  /// With mutex_ held: record `cause` if it is the first failure, and wake
-  /// every rank.
+  /// With mutex_ held and no slot's: record `cause` if it is the first
+  /// failure, and wake every rank.
   void abort_locked(int rank, std::exception_ptr cause);
   bool abort_requested() const { return failed_rank() >= 0; }
   void reset_run_state();
 
   int num_ranks_;
   fault_plan faults_;
-  std::mutex mutex_;  ///< guards slots_ and sends_at_round_
+  /// Guards the wait bookkeeping: every slot's blocked/exited/why and
+  /// sends_at_round_. Sends and reads of a waiting inbox never take it.
+  std::mutex mutex_;
   std::vector<rank_slot> slots_;
   std::int64_t sends_at_round_ = -1;  ///< sends_ at the last round; -1: none
   /// Every send, counted before injection (a dropped resend is progress

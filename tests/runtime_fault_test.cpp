@@ -22,11 +22,14 @@ namespace {
 using namespace sfp::runtime;
 using namespace std::chrono_literals;
 
+/// What a raw any-source receive waits for.
+constexpr wait_reason any_source{wait_reason::kind::recv};
+
 /// Blocking receive of the next message, from any source; a
 /// fabric abort wakes it with world_aborted.
 any_message recv_any(transport& t) {
   any_message m;
-  while (t.recv_or_quiescent(&m) == recv_status::quiescent) {
+  while (t.recv_or_quiescent(&m, any_source) == recv_status::quiescent) {
   }
   return m;
 }

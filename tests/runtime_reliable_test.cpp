@@ -29,10 +29,13 @@ namespace {
 using namespace sfp::runtime;
 using namespace std::chrono_literals;
 
+/// What a raw any-source receive waits for.
+constexpr wait_reason any_source{wait_reason::kind::recv};
+
 /// Blocking raw receive of the next message, from any source.
 any_message recv_any(transport& t) {
   any_message m;
-  while (t.recv_or_quiescent(&m) == recv_status::quiescent) {
+  while (t.recv_or_quiescent(&m, any_source) == recv_status::quiescent) {
   }
   return m;
 }
@@ -546,7 +549,7 @@ TEST(MultiPeerDrops, RawRecvTimesOutWhenEveryInboundLinkIsSevered) {
   w.run([&](transport& c) {
     if (c.rank() == 0) {
       any_message m;
-      timed_out = c.recv_or_quiescent(&m) == recv_status::quiescent;
+      timed_out = c.recv_or_quiescent(&m, any_source) == recv_status::quiescent;
     } else {
       c.send(0, std::vector<double>{1.0 * c.rank()});
     }
@@ -624,6 +627,62 @@ TEST(MultiPeerDrops, FrameDroppedOnceHealsWithExactlyOneRetransmit) {
   EXPECT_EQ(report.counters.injected_drops, 1);
   EXPECT_EQ(report.reliable.retransmits, 1);
   EXPECT_EQ(report.recoveries, 0);
+}
+
+// ---- faults in the closing fence -------------------------------------------
+//
+// The barrier's last token can be lost after its sender's barrier is done.
+// fence() resends it before returning, so a fault on that resend fails the
+// rank inside its body, where run_resilient sees it: one restart, never a
+// world_deadlock left behind by a rank that swallowed it and exited.
+
+/// Drop rank 0's fence token to rank 1, its first send to rank 1. With
+/// `resends_too`, also drop every send to rank 1 after the second (the ack
+/// of rank 1's token), so every resend of the token is lost as well.
+fault_plan lost_token_plan(bool resends_too) {
+  fault_plan plan;
+  fault_plan::message_fault mf;
+  mf.src = 0;
+  mf.dst = 1;
+  mf.drop_probability = 1.0;
+  mf.fire_count = 1;
+  plan.message_faults.push_back(mf);
+  if (resends_too) {
+    mf.fire_from = 2;
+    mf.fire_count = -1;
+    plan.message_faults.push_back(mf);
+  }
+  return plan;
+}
+
+TEST(ClosingFenceFaults, KillOnALostTokenResendCostsOneRestart) {
+  resilience_options opts;
+  opts.faults = lost_token_plan(false);
+  // Rank 0's ops: 1 its token (dropped), 2 the ack of rank 1's token, 3 the
+  // token's resend in the quiescent round while rank 1 still waits for it.
+  opts.faults.kills.push_back({.rank = 0, .at_op = 3});
+  resilience_report report;
+  const std::exception_ptr error = run_resilient(
+      2, opts, [](reliable_channel&, int) {}, nullptr, report);
+  EXPECT_FALSE(error);
+  EXPECT_EQ(report.counters.injected_drops, 1);
+  EXPECT_EQ(report.counters.injected_kills, 1);
+  EXPECT_EQ(report.recoveries, 1);
+  EXPECT_EQ(report.lost_ranks, std::vector<int>{0});
+}
+
+TEST(ClosingFenceFaults, SpentBudgetOnALostTokenCostsOneRestart) {
+  resilience_options opts;
+  opts.faults = lost_token_plan(true);
+  opts.reliable.max_retransmits = 2;
+  resilience_report report;
+  const std::exception_ptr error = run_resilient(
+      2, opts, [](reliable_channel&, int) {}, nullptr, report);
+  EXPECT_FALSE(error);
+  // Rank 0 names rank 1, which never acked the token: rank 1 is dropped.
+  EXPECT_EQ(report.reliable.retransmits, 2);
+  EXPECT_EQ(report.recoveries, 1);
+  EXPECT_EQ(report.lost_ranks, std::vector<int>{1});
 }
 
 // Permanently severed links: the senders resend in every quiescent round

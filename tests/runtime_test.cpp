@@ -18,10 +18,13 @@ namespace {
 
 using namespace sfp::runtime;
 
+/// What a raw any-source receive waits for.
+constexpr wait_reason any_source{wait_reason::kind::recv};
+
 /// Blocking receive of the next message, from any source.
 any_message recv_any(transport& t) {
   any_message m;
-  while (t.recv_or_quiescent(&m) == recv_status::quiescent) {
+  while (t.recv_or_quiescent(&m, any_source) == recv_status::quiescent) {
   }
   return m;
 }

@@ -27,11 +27,14 @@ namespace {
 using namespace sfp::runtime;
 using namespace std::chrono_literals;
 
+/// What a raw any-source receive waits for.
+constexpr wait_reason any_source{wait_reason::kind::recv};
+
 /// One raw receive that must produce a message: in these fault-free
 /// programs a message is always on its way, so the world never goes
 /// quiescent.
 bool recv_message(transport& t, any_message* out) {
-  return t.recv_or_quiescent(out) == recv_status::message;
+  return t.recv_or_quiescent(out, any_source) == recv_status::message;
 }
 
 // ---- the one fabric ---------------------------------------------------------
@@ -52,7 +55,7 @@ TEST(FabricContract, AbortWakesBlockedReceivers) {
           try {
             // Blocked forever on a message that will never come; the
             // fabric abort must wake this instead of letting it hang.
-            while (true) (void)t.recv_or_quiescent(&m);
+            while (true) (void)t.recv_or_quiescent(&m, any_source);
           } catch (const world_aborted& e) {
             EXPECT_EQ(e.failed_rank(), 0);
             ++aborts_seen;
@@ -66,6 +69,23 @@ TEST(FabricContract, AbortWakesBlockedReceivers) {
   EXPECT_EQ(aborts_seen.load(), 1);
   EXPECT_EQ(w.total_counters().injected_kills, 1);
   EXPECT_EQ(w.total_counters().aborts_observed, 1);
+}
+
+TEST(FabricContract, SwallowedKillStillAbortsTheRun) {
+  // A killed rank is dead whatever its code does with rank_killed: the
+  // kill aborts the world at its op, so the run cannot complete without it.
+  fault_plan plan;
+  plan.kills.push_back({.rank = 0, .at_op = 1});
+  world w(2, plan);
+  const auto swallow_the_kill = [](transport& t) {
+    if (t.rank() != 0) return;
+    try {
+      t.send(1, std::vector<double>{1.0});
+    } catch (const rank_killed&) {  // the body returns normally
+    }
+  };
+  EXPECT_THROW(w.run(swallow_the_kill), rank_killed);
+  EXPECT_EQ(w.failed_rank(), 0);
 }
 
 TEST(FabricContract, QueuedMessageIsDeliveredBeforeTheAbort) {
@@ -89,7 +109,7 @@ TEST(FabricContract, QueuedMessageIsDeliveredBeforeTheAbort) {
         EXPECT_EQ(m.src, 0);
         EXPECT_EQ(m.payload, (std::vector<double>{7.0}));
         drained = true;
-        EXPECT_THROW((void)t.recv_or_quiescent(&m), world_aborted);
+        EXPECT_THROW((void)t.recv_or_quiescent(&m, any_source), world_aborted);
       }),
       std::runtime_error);
   EXPECT_TRUE(drained.load());
@@ -133,7 +153,7 @@ TEST(FabricContract, ReusableAcrossRuns) {
   EXPECT_THROW(w.run([](transport& t) {
                  if (t.rank() == 0) throw std::runtime_error("once");
                  any_message m;
-                 while (true) (void)t.recv_or_quiescent(&m);
+                 while (true) (void)t.recv_or_quiescent(&m, any_source);
                }),
                std::runtime_error);
   EXPECT_EQ(w.failed_rank(), 0);
