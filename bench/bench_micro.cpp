@@ -283,6 +283,26 @@ void BM_AdvectionTendency(benchmark::State& state) {
 }
 BENCHMARK(BM_AdvectionTendency)->Args({32, 4})->Args({32, 8});
 
+// One fused SSP-RK3 stage pass over every element (the middle stage: it
+// reads q and the stage source, and writes a third field): the tendency
+// and the stage value in one kernel pass, as each stage of a step runs
+// it. Compare with BM_AdvectionTendency, which stores the tendency alone.
+void BM_AdvectionStage(benchmark::State& state) {
+  const mesh::cubed_sphere m(static_cast<int>(state.range(0)));
+  seam::advection_model model(m, static_cast<int>(state.range(1)));
+  model.set_field([](mesh::vec3 p) { return p.x * p.y + p.z; });
+  const double h = model.cfl_dt(0.3);
+  const std::vector<double> src(model.field().begin(), model.field().end());
+  std::vector<double> dst(model.field().size());
+  for (auto _ : state) {
+    model.stage_pass(1, h, model.field(), src, dst);
+    benchmark::DoNotOptimize(dst.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * m.num_elements());
+}
+BENCHMARK(BM_AdvectionStage)->Args({32, 4})->Args({32, 8});
+
 void BM_SweRhs(benchmark::State& state) {
   const mesh::cubed_sphere m(static_cast<int>(state.range(0)));
   seam::shallow_water_model model(m, static_cast<int>(state.range(1)));

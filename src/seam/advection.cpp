@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <ranges>
 
 #include "util/contract.hpp"
 
@@ -129,21 +128,26 @@ void advect_slots(const gll_rule& rule, const node_geometry& g,
   });
 }
 
-}  // namespace
-
-void advection_model::tendency_elements(std::span<const double> q,
-                                        std::span<double> out,
-                                        std::span<const int> elems) const {
-  const std::size_t per_elem =
-      static_cast<std::size_t>(np_) * static_cast<std::size_t>(np_);
-  SFP_REQUIRE(q.size() == elems.size() * per_elem &&
-                  out.size() == elems.size() * per_elem,
-              "element slice size mismatch");
-  advect_slots(rule_, geometry_, q.data(), out.data(), elems.size(),
-               [&](std::size_t l) {
-                 return static_cast<std::size_t>(elems[l]);
-               });
+/// Stage `stage` of `nslots` element slots, laid out as in advect_slots,
+/// each stored by the kernel's row store and then reported to after_slot.
+template <typename ElemOf>
+void stage_slots(const gll_rule& rule, const node_geometry& g, int stage,
+                 double h, const double* q, const double* src, double* dst,
+                 std::size_t nslots, ElemOf elem_of, slot_done after_slot) {
+  with_np(rule.np(), [&]<int NP>(std::integral_constant<int, NP>) {
+    constexpr std::size_t per_elem = NP * NP;
+    for (std::size_t l = 0; l < nslots; ++l) {
+      const std::size_t at = elem_of(l) * per_elem;
+      const std::size_t slot = l * per_elem;
+      gll_advection_stage<NP>(stage, rule, q + slot, src + slot,
+                              g.v_xi.data() + at, g.v_eta.data() + at, h,
+                              dst + slot);
+      after_slot(l);
+    }
+  });
 }
+
+}  // namespace
 
 void advection_model::tendency(std::span<const double> q,
                                std::span<double> out) const {
@@ -155,13 +159,42 @@ void advection_model::tendency(std::span<const double> q,
                field_.size() / per_elem, [](std::size_t l) { return l; });
 }
 
+void advection_model::stage_pass(int stage, double h,
+                                 std::span<const double> q,
+                                 std::span<const double> src,
+                                 std::span<double> dst) const {
+  SFP_REQUIRE(q.size() == field_.size() && src.size() == field_.size() &&
+                  dst.size() == field_.size(),
+              "field size mismatch");
+  const std::size_t per_elem =
+      static_cast<std::size_t>(np_) * static_cast<std::size_t>(np_);
+  stage_slots(rule_, geometry_, stage, h, q.data(), src.data(), dst.data(),
+              field_.size() / per_elem, [](std::size_t l) { return l; }, {});
+}
+
+void advection_model::stage_elements(int stage, double h,
+                                     std::span<const double> q,
+                                     std::span<const double> src,
+                                     std::span<double> dst,
+                                     std::span<const int> elems,
+                                     slot_done after_slot) const {
+  const std::size_t size = elems.size() * static_cast<std::size_t>(np_) *
+                           static_cast<std::size_t>(np_);
+  SFP_REQUIRE(q.size() == size && src.size() == size && dst.size() == size,
+              "element slice size mismatch");
+  stage_slots(rule_, geometry_, stage, h, q.data(), src.data(), dst.data(),
+              elems.size(),
+              [&](std::size_t l) { return static_cast<std::size_t>(elems[l]); },
+              after_slot);
+}
+
 void advection_model::step(double dt) {
   SFP_REQUIRE(dt > 0, "timestep must be positive");
   ssp_rk3_step(
-      rk3_fields<1>{field_}, stages_,
-      std::views::iota(std::size_t{0}, field_.size()), dt,
-      [&](const rk3_fields<1>& src, const rk3_fields<1>& dst) {
-        tendency(src[0], dst[0]);
+      rk3_fields<1>{field_}, stages_, dt,
+      [&](int stage, double h, const rk3_fields<1>& q,
+          const rk3_fields<1>& src, const rk3_fields<1>& dst) {
+        stage_pass(stage, h, q[0], src[0], dst[0]);
       },
       [&](const rk3_fields<1>& f) { assembly_.dss_average(f[0]); });
 }

@@ -68,12 +68,23 @@ class advection_model {
   /// (no DSS applied).
   void tendency(std::span<const double> q, std::span<double> out) const;
 
-  /// Tendency of a run of element slots (the distributed runner computes
-  /// only its owned elements): slot l — nodes [l·np², (l+1)·np²) of `q`
-  /// and `out` — holds element elems[l], in any field layout; the ids only
-  /// select the geometry. Thread-safe.
-  void tendency_elements(std::span<const double> q, std::span<double> out,
-                         std::span<const int> elems) const;
+  /// One element pass of ssp_rk3_step over the global field layout: for
+  /// every node, dst = rk3_stage_value<stage>(q, src, h · L(src)) with L
+  /// the tendency, evaluated and stored element by element in one kernel
+  /// pass (gll_advection_stage). `dst` may be `q`, and must not overlap
+  /// `src`. No DSS applied.
+  void stage_pass(int stage, double h, std::span<const double> q,
+                  std::span<const double> src, std::span<double> dst) const;
+
+  /// stage_pass over a run of element slots (a distributed rank steps only
+  /// its owned elements): slot l — nodes [l·np², (l+1)·np²) of `q`, `src`
+  /// and `dst` — holds element elems[l], in any field layout; the ids only
+  /// select the geometry. Calls after_slot(l) right after slot l's stage
+  /// values are stored. Thread-safe.
+  void stage_elements(int stage, double h, std::span<const double> q,
+                      std::span<const double> src, std::span<double> dst,
+                      std::span<const int> elems,
+                      slot_done after_slot = {}) const;
 
  private:
   int np_;

@@ -4,7 +4,6 @@
 #include <array>
 #include <exception>
 #include <mutex>
-#include <ranges>
 #include <set>
 #include <span>
 #include <utility>
@@ -74,40 +73,46 @@ void for_each_owned_node(const rank_exchange_plan& rp, Fn&& fn) {
       fn(static_cast<std::size_t>(e) * n + k, local);
 }
 
-/// One rank's two passes per RK stage — the element kernel over its owned
-/// elements, then the DSS exchange with its peers — driven by the shared
-/// ssp_rk3_step over the rank-local layout, with the timing, trace spans
-/// and traffic counts that feed dist_stats. The compute clock runs from the
-/// kernel pass through the stage update that follows it and stops when the
-/// DSS starts, so compute plus exchange is the whole step.
+/// One rank's two passes per RK stage — the element pass over its owned
+/// elements, which stores each slot's stage values and at once adds the
+/// slot's boundary values into the halo accumulators, then the DSS
+/// exchange with its peers — driven by the shared ssp_rk3_step over the
+/// rank-local layout, with the timing, trace spans and traffic counts that
+/// feed dist_stats. The compute clock covers the element pass (tendency,
+/// stage update, tangent projection and own-copy sums) and stops when the
+/// exchange starts, so compute plus exchange is the whole step.
 class rank_stepper {
  public:
   rank_stepper(const rank_exchange_plan& rp, halo_exchanger& halo)
       : rp_(rp), halo_(halo) {}
 
-  const rank_exchange_plan& plan() const { return rp_; }
-
   /// One SSP-RK3 step of size `h` over the rank-local fields `q`.
-  /// `kernel(src, dst, elems)` evaluates every owned element's tendency
-  /// from its slot of `src` into its slot of `dst` (slot l holds element
-  /// elems[l]); `project(fields)` runs before each DSS.
-  template <std::size_t N, typename Kernel, typename Project>
+  /// `pass(stage, h, q, src, dst, elems, after_slot)` is the model's
+  /// element pass over every owned slot (slot l holds element elems[l]),
+  /// calling after_slot(l) right after it stores slot l.
+  template <std::size_t N, typename Pass>
   void step(const rk3_fields<N>& q, rk3_stages<N>& stages, double h,
-            Kernel&& kernel, Project&& project) {
+            Pass&& pass) {
+    const std::size_t slot = rp_.slot_size();
     ssp_rk3_step(
-        q, stages, std::views::iota(std::size_t{0}, rp_.local_size()), h,
-        [&](const rk3_fields<N>& src, const rk3_fields<N>& dst) {
+        q, stages, h,
+        [&](int stage, double step_h, const rk3_fields<N>& start,
+            const rk3_fields<N>& src, const rk3_fields<N>& dst) {
           clock_.reset();
           SFP_TRACE_SCOPE_CAT("seam.compute", "seam");
-          kernel(src, dst, std::span<const int>(rp_.owned));
+          const auto own_copies = [&](std::size_t l) {
+            for (std::size_t f = 0; f < N; ++f)
+              halo_.accumulate(f, l, dst[f].subspan(l * slot, slot));
+          };
+          pass(stage, step_h, start, src, dst,
+               std::span<const int>(rp_.owned), slot_done(own_copies));
         },
         [&](const rk3_fields<N>& fields) {
           compute_s_ += clock_.seconds();
           SFP_TRACE_SCOPE_CAT("seam.exchange", "seam");
           clock_.reset();
-          project(fields);
-          for (const std::span<double> f : fields) {
-            const auto [msgs, sent] = halo_.dss_average(f);
+          for (std::size_t f = 0; f < N; ++f) {
+            const auto [msgs, sent] = halo_.exchange(f, fields[f]);
             messages_ += msgs;
             doubles_sent_ += sent;
           }
@@ -126,8 +131,6 @@ class rank_stepper {
   double compute_s_ = 0, exchange_s_ = 0;
   std::int64_t messages_ = 0, doubles_sent_ = 0;
 };
-
-constexpr auto no_projection = [](const auto&) {};
 
 /// The per-rank program of every distributed runner. Gathers the owned
 /// slices of `init` into rank-local fields, runs steps [first, last) —
@@ -227,7 +230,7 @@ field_list run_seam(const assembly& dofs, const partition::partition& part,
           SFP_TRACE_SCOPE_CAT("seam.rank_plan", "seam");
           return rank_exchange_plan::build(dofs, cur, rank);
         }();
-        halo_exchanger halo(rp, rank, channel);
+        halo_exchanger halo(rp, rank, channel, N);
         const auto checkpoint_step = [&](int s, const field_list& q) {
           if (!resilient) return;
           field_list& buffer = snap[static_cast<std::size_t>((s - done) & 1)];
@@ -285,13 +288,13 @@ runtime::resilience_options no_recovery() {
 auto advection_step(const advection_model& model, double dt) {
   return [&model, dt](rank_stepper& stepper, field_list& q,
                       rk3_stages<1>& stages) {
-    stepper.step(
-        rk3_fields<1>{q[0]}, stages, dt,
-        [&](const rk3_fields<1>& src, const rk3_fields<1>& dst,
-            std::span<const int> elems) {
-          model.tendency_elements(src[0], dst[0], elems);
-        },
-        no_projection);
+    stepper.step(rk3_fields<1>{q[0]}, stages, dt,
+                 [&](int stage, double h, const rk3_fields<1>& start,
+                     const rk3_fields<1>& src, const rk3_fields<1>& dst,
+                     std::span<const int> elems, slot_done after_slot) {
+                   model.stage_elements(stage, h, start[0], src[0], dst[0],
+                                        elems, after_slot);
+                 });
   };
 }
 
@@ -327,19 +330,13 @@ swe_state run_distributed_swe(const shallow_water_model& model,
   require_run_args(dt, nsteps);
   const auto swe_step = [&model, dt](rank_stepper& stepper, field_list& q,
                                      rk3_stages<4>& stages) {
-    stepper.step(
-        rk3_fields<4>{q[0], q[1], q[2], q[3]}, stages, dt,
-        [&](const rk3_fields<4>& s, const rk3_fields<4>& r,
-            std::span<const int> elems) {
-          model.rhs_elements(s[0], s[1], s[2], s[3], r[0], r[1], r[2], r[3],
-                             elems);
-        },
-        [&](const rk3_fields<4>& f) {
-          for_each_owned_node(
-              stepper.plan(), [&](std::size_t node, std::size_t k) {
-                model.project_node(node, f[1][k], f[2][k], f[3][k]);
-              });
-        });
+    stepper.step(rk3_fields<4>{q[0], q[1], q[2], q[3]}, stages, dt,
+                 [&](int stage, double h, const rk3_fields<4>& start,
+                     const rk3_fields<4>& src, const rk3_fields<4>& dst,
+                     std::span<const int> elems, slot_done after_slot) {
+                   model.stage_elements(stage, h, start, src, dst, elems,
+                                        after_slot);
+                 });
   };
   field_list out = run_seam<4>(
       model.dofs(), part,
@@ -361,14 +358,14 @@ std::vector<std::vector<double>> run_distributed_layered(
                                                 field_list& q,
                                                 rk3_stages<1>& stages) {
     for (int l = 0; l < model.nlev(); ++l)
-      stepper.step(
-          rk3_fields<1>{q[static_cast<std::size_t>(l)]}, stages,
-          dt * model.omega_at(l),
-          [&](const rk3_fields<1>& src, const rk3_fields<1>& dst,
-              std::span<const int> elems) {
-            base.tendency_elements(src[0], dst[0], elems);
-          },
-          no_projection);
+      stepper.step(rk3_fields<1>{q[static_cast<std::size_t>(l)]}, stages,
+                   dt * model.omega_at(l),
+                   [&](int stage, double h, const rk3_fields<1>& start,
+                       const rk3_fields<1>& src, const rk3_fields<1>& dst,
+                       std::span<const int> elems, slot_done after_slot) {
+                     base.stage_elements(stage, h, start[0], src[0], dst[0],
+                                         elems, after_slot);
+                   });
   };
   std::vector<std::span<const double>> init;
   for (int l = 0; l < model.nlev(); ++l) init.push_back(model.layer(l));

@@ -34,10 +34,12 @@ namespace sfp::seam {
 
 /// Aggregate runtime statistics, summed over ranks.
 struct dist_stats {
-  /// Element kernel time plus the RK stage update that follows each
-  /// kernel pass: everything a step spends outside the exchange.
+  /// The element passes: the kernel, the RK stage update fused into it,
+  /// SWE's tangent projection and the own-copy DSS sums of each stored
+  /// slot — everything a step spends outside the exchange.
   double compute_seconds = 0;
-  double exchange_seconds = 0;  ///< boundary exchange (pack/send/recv/unpack)
+  /// Boundary exchange (pack/send/recv/scale/unpack).
+  double exchange_seconds = 0;
   std::int64_t messages = 0;    ///< point-to-point messages sent
   std::int64_t doubles_sent = 0;  ///< total payload volume
   double max_rank_seconds = 0;  ///< slowest rank's total time
@@ -97,7 +99,8 @@ struct swe_state {
 };
 
 /// As run_distributed, for the shallow-water model: four prognostic fields,
-/// tangent projection + DSS exchange after every RK stage. The model's
+/// tangent-projected in the element pass, and four DSS exchanges after
+/// every RK stage. The model's
 /// current state is the initial condition; the model itself is untouched.
 swe_state run_distributed_swe(const shallow_water_model& model,
                               const partition::partition& part, double dt,

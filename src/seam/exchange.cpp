@@ -214,9 +214,10 @@ int exchange_plan::max_peers() const {
 }
 
 halo_exchanger::halo_exchanger(const rank_exchange_plan& plan, int rank,
-                               runtime::reliable_channel& channel)
-    : plan_(&plan), channel_(&channel) {
-  acc_.resize(plan.global_dof.size());
+                               runtime::reliable_channel& channel,
+                               std::size_t nfields)
+    : plan_(&plan), channel_(&channel), acc_(nfields) {
+  for (std::vector<double>& acc : acc_) acc.assign(plan.global_dof.size(), 0.0);
   // Per-neighbour wire-volume counters, only while a session is observing:
   // each (rank, peer) pair is one registry entry, so an unobserved run must
   // not create them.
@@ -231,34 +232,35 @@ halo_exchanger::halo_exchanger(const rank_exchange_plan& plan, int rank,
   }
 }
 
-std::pair<std::int64_t, std::int64_t> halo_exchanger::dss_average(
-    std::span<double> field) {
+void halo_exchanger::accumulate(std::size_t f, std::size_t l,
+                                std::span<const double> slot) {
   const rank_exchange_plan& plan = *plan_;
-  SFP_REQUIRE(field.size() == plan.local_size(),
+  const std::size_t nb = plan.slot_boundary.size();
+  SFP_REQUIRE(f < acc_.size() && l < plan.owned.size() &&
+                  slot.size() == plan.slot_size(),
+              "not an owned slot of an exchanged field");
+  const std::int32_t* dof = plan.boundary_dof.data() + l * nb;
+  double* acc = acc_[f].data();
+  for (std::size_t b = 0; b < nb; ++b)
+    acc[static_cast<std::size_t>(dof[b])] +=
+        slot[static_cast<std::size_t>(plan.slot_boundary[b])];
+}
+
+std::pair<std::int64_t, std::int64_t> halo_exchanger::exchange(
+    std::size_t f, std::span<double> values) {
+  const rank_exchange_plan& plan = *plan_;
+  SFP_REQUIRE(f < acc_.size(), "no such exchanged field");
+  SFP_REQUIRE(values.size() == plan.local_size(),
               "field is not in the rank-local layout");
-  const std::span<const std::int32_t> offsets(plan.slot_boundary);
-  const std::size_t slot = plan.slot_size();
-  // Calls fn(node, local dof) for every boundary node, in ascending
-  // rank-local node order.
-  const auto for_each_boundary_node = [&](auto&& fn) {
-    const std::int32_t* dof = plan.boundary_dof.data();
-    for (std::size_t base = 0; base < field.size();
-         base += slot, dof += offsets.size())
-      for (std::size_t b = 0; b < offsets.size(); ++b)
-        fn(field[base + static_cast<std::size_t>(offsets[b])],
-           acc_[static_cast<std::size_t>(dof[b])]);
-  };
+  std::vector<double>& acc = acc_[f];
   std::int64_t messages = 0, doubles_sent = 0;
   {
     SFP_TRACE_SCOPE_CAT("halo.pack", "seam");
-    std::fill(acc_.begin(), acc_.end(), 0.0);
-    for_each_boundary_node([](const double& node, double& acc) { acc += node; });
-
     for (std::size_t p = 0; p < plan.peers.size(); ++p) {
       const auto& peer = plan.peers[p];
       packed_.resize(peer.dof_local.size());
       for (std::size_t k = 0; k < peer.dof_local.size(); ++k)
-        packed_[k] = acc_[static_cast<std::size_t>(peer.dof_local[k])];
+        packed_[k] = acc[static_cast<std::size_t>(peer.dof_local[k])];
       channel_->send(peer.rank, packed_);
       ++messages;
       doubles_sent += static_cast<std::int64_t>(packed_.size());
@@ -268,21 +270,28 @@ std::pair<std::int64_t, std::int64_t> halo_exchanger::dss_average(
   }
   {
     SFP_TRACE_SCOPE_CAT("halo.recv", "seam");
-    // Every send is packed, so the remote partials add into acc_ itself,
+    // Every send is packed, so the remote partials add into acc itself,
     // in ascending peer order.
     for (const auto& peer : plan.peers) {
       const std::vector<double> incoming = channel_->recv(peer.rank);
       SFP_REQUIRE(incoming.size() == peer.dof_local.size(),
                   "halo exchange size mismatch");
       for (std::size_t k = 0; k < incoming.size(); ++k)
-        acc_[static_cast<std::size_t>(peer.dof_local[k])] += incoming[k];
+        acc[static_cast<std::size_t>(peer.dof_local[k])] += incoming[k];
     }
   }
   {
     SFP_TRACE_SCOPE_CAT("halo.unpack", "seam");
-    for (std::size_t d = 0; d < acc_.size(); ++d)
-      acc_[d] *= plan.inv_multiplicity[d];
-    for_each_boundary_node([](double& node, const double& acc) { node = acc; });
+    for (std::size_t d = 0; d < acc.size(); ++d)
+      acc[d] *= plan.inv_multiplicity[d];
+    const std::span<const std::int32_t> offsets(plan.slot_boundary);
+    const std::int32_t* dof = plan.boundary_dof.data();
+    for (std::size_t base = 0; base < values.size();
+         base += plan.slot_size(), dof += offsets.size())
+      for (std::size_t b = 0; b < offsets.size(); ++b)
+        values[base + static_cast<std::size_t>(offsets[b])] =
+            acc[static_cast<std::size_t>(dof[b])];
+    std::fill(acc.begin(), acc.end(), 0.0);
   }
   return {messages, doubles_sent};
 }

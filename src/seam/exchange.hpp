@@ -25,6 +25,13 @@
 // shared dof from 0.0 over the rank's own copies in ascending rank-local
 // node order, then over the remote partials in ascending peer order, so
 // they are bitwise those of a full-node DSS.
+//
+// The own-copy sums are not a pass of their own: the rank's element pass
+// adds each slot's boundary values into the accumulators right after it
+// stores the slot's stage values (halo_exchanger::accumulate, while the
+// slot is in cache), and the exchange only packs, sends, receives, scales
+// and unpacks. So the `halo.pack` span times packing and sending alone;
+// the sums are part of the compute time.
 
 #include <cstdint>
 #include <span>
@@ -83,37 +90,53 @@ struct exchange_plan {
   int max_peers() const;
 };
 
-/// Per-rank distributed DSS executor: accumulates the rank's own partial
-/// sums of its boundary dofs, exchanges them with every peer, and writes
-/// averaged values back into the boundary nodes of the rank-local `field`.
-/// Remote partials are added in ascending peer order whatever order they
-/// arrive in, so the result is bitwise reproducible under any delivery
-/// timing.
+/// Per-rank distributed DSS executor over `nfields` fields, in two steps.
+/// accumulate() adds one owned slot's boundary values into that field's
+/// partial sums; the rank's element pass calls it right after it stores the
+/// slot (seam/rk3.hpp), while the slot is in cache. exchange() then sends
+/// the partials to every peer, adds the remote partials, and writes the
+/// averaged values back into the boundary nodes of the rank-local field.
+/// Every field's slots must be accumulated once each, in ascending slot
+/// order, before its exchange: each shared dof is then summed from 0.0 over
+/// the rank's own copies in ascending rank-local node order, then over the
+/// remote partials in ascending peer order whatever order they arrive in,
+/// so the result is bitwise reproducible under any delivery timing.
 ///
 /// Halo traffic travels through `channel` (checksummed, acked,
 /// retransmitted — see runtime/reliable.hpp), healing injected
-/// drop/corrupt/duplicate/reorder faults in place. A dss_average packs,
+/// drop/corrupt/duplicate/reorder faults in place. An exchange packs,
 /// sends, receives and unpacks, and talks to its peers only: it does not
 /// settle the channel, since each (sender, receiver) stream is ordered and
-/// the next DSS's frames queue behind this one's; the fence that closes
-/// the rank body settles it (runtime/fabric.hpp). `channel` must outlive
-/// the exchanger; `rank` is this rank's id, used only for the per-peer obs
-/// counter names.
+/// the next exchange's frames queue behind this one's; the fence that
+/// closes the rank body settles it (runtime/fabric.hpp). `channel` must
+/// outlive the exchanger; `rank` is this rank's id, used only for the
+/// per-peer obs counter names.
 class halo_exchanger {
  public:
   halo_exchanger(const rank_exchange_plan& plan, int rank,
-                 runtime::reliable_channel& channel);
+                 runtime::reliable_channel& channel, std::size_t nfields = 1);
 
-  /// Distributed equivalent of assembly::dss_average restricted to owned
-  /// elements; `field` is in the rank-local layout (local_size() entries).
-  /// Interior nodes are left untouched. Returns (messages sent, doubles
-  /// sent) for accounting.
-  std::pair<std::int64_t, std::int64_t> dss_average(std::span<double> field);
+  /// Adds the boundary nodes of owned slot `l` of field `f` — `slot` holds
+  /// its np² values — into field f's partial sums.
+  void accumulate(std::size_t f, std::size_t l, std::span<const double> slot);
+
+  /// Completes the distributed equivalent of assembly::dss_average,
+  /// restricted to owned elements, for field `f`, whose every slot has
+  /// been accumulated: pack and send the partials, receive and add the
+  /// peers', scale by the inverse multiplicity, and write the averages into
+  /// the boundary nodes of `values` (rank-local layout, local_size()
+  /// entries). Interior nodes are left untouched, and field f's partial
+  /// sums start again from 0.0. Returns (messages sent, doubles sent) for
+  /// accounting.
+  std::pair<std::int64_t, std::int64_t> exchange(std::size_t f,
+                                                 std::span<double> values);
 
  private:
   const rank_exchange_plan* plan_;
   runtime::reliable_channel* channel_;
-  std::vector<double> acc_;     // per local dof, then incl. remote partials
+  /// Per field, per local dof: the own copies' partial sum, then incl. the
+  /// remote partials; all 0.0 between exchanges.
+  std::vector<std::vector<double>> acc_;
   std::vector<double> packed_;  // send scratch
   /// Per-peer halo-volume counters in the global obs registry
   /// ("seam.halo.doubles.rankR.peerQ"), parallel to plan.peers; empty when

@@ -6,6 +6,7 @@
 #include <numbers>
 #include <type_traits>
 
+#include "seam/rk3.hpp"
 #include "util/contract.hpp"
 
 namespace sfp::seam {
@@ -204,8 +205,9 @@ template <int NP, typename Out>
   derivative_rows<pair, NP>(rule, a, b, out);
 }
 
-// The two entry points' bodies at `width`: the row loop with the store
-// (or the advective combine) fused into its row output.
+// The entry points' bodies at `width`: the row loop with its row output
+// policy — the store, the advective combine, or the stage value — fused
+// into it.
 template <int NP>
 void derivatives(gll_width width, const gll_rule& rule, const double* a,
                  const double* b, double* da_dxi, double* db_deta) {
@@ -228,6 +230,36 @@ void advection(gll_width width, const gll_rule& rule, const double* q,
     store(out + k, -(vx * dxi + ve * deta));
   };
   derivative_rows_at<NP>(width, rule, q, q, advect);
+}
+
+// The third row store: the advective tendency of `src`, rounded as
+// `advection` stores it, scaled by h and taken straight into stage S's
+// value, so no tendency is ever written out.
+template <int NP, int S>
+void advection_stage(gll_width width, const gll_rule& rule, const double* q,
+                     const double* src, const double* v_xi,
+                     const double* v_eta, double h, double* dst) {
+  const auto stage = [=](int k, const auto& dxi, const auto& deta)
+                         __attribute__((always_inline)) {
+    std::remove_cvref_t<decltype(dxi)> vx, ve, qk, sk, out;
+    load(vx, v_xi + k);
+    load(ve, v_eta + k);
+    load(qk, q + k);
+    load(sk, src + k);
+    const decltype(out) tendency = -(vx * dxi + ve * deta);
+    rk3_stage_value<S>(out, qk, sk, h * tendency);
+    store(dst + k, out);
+  };
+  derivative_rows_at<NP>(width, rule, src, src, stage);
+}
+
+template <int NP>
+void advection_stage(gll_width width, int stage, const gll_rule& rule,
+                     const double* q, const double* src, const double* v_xi,
+                     const double* v_eta, double h, double* dst) {
+  with_rk3_stage(stage, [&]<int S>(std::integral_constant<int, S>) {
+    advection_stage<NP, S>(width, rule, q, src, v_xi, v_eta, h, dst);
+  });
 }
 
 void require_runs(gll_width width) {
@@ -260,6 +292,14 @@ void gll_advection(const gll_rule& rule, const double* q, const double* v_xi,
 }
 
 template <int NP>
+void gll_advection_stage(int stage, const gll_rule& rule, const double* q,
+                         const double* src, const double* v_xi,
+                         const double* v_eta, double h, double* dst) {
+  advection_stage<NP>(native_gll_width(), stage, rule, q, src, v_xi, v_eta, h,
+                      dst);
+}
+
+template <int NP>
 void gll_derivatives_at(gll_width width, const gll_rule& rule,
                         const double* a, const double* b, double* da_dxi,
                         double* db_deta) {
@@ -274,6 +314,15 @@ void gll_advection_at(gll_width width, const gll_rule& rule, const double* q,
   advection<NP>(width, rule, q, v_xi, v_eta, out);
 }
 
+template <int NP>
+void gll_advection_stage_at(gll_width width, int stage, const gll_rule& rule,
+                            const double* q, const double* src,
+                            const double* v_xi, const double* v_eta, double h,
+                            double* dst) {
+  require_runs(width);
+  advection_stage<NP>(width, stage, rule, q, src, v_xi, v_eta, h, dst);
+}
+
 #define SFP_INSTANTIATE_GLL_KERNELS(NP)                                  \
   template void gll_derivatives<NP>(const gll_rule&, const double*,     \
                                     const double*, double*, double*);   \
@@ -284,7 +333,14 @@ void gll_advection_at(gll_width width, const gll_rule& rule, const double* q,
                                        double*, double*);               \
   template void gll_advection_at<NP>(gll_width, const gll_rule&,        \
                                      const double*, const double*,      \
-                                     const double*, double*);
+                                     const double*, double*);           \
+  template void gll_advection_stage<NP>(int, const gll_rule&,           \
+                                        const double*, const double*,   \
+                                        const double*, const double*,   \
+                                        double, double*);               \
+  template void gll_advection_stage_at<NP>(                             \
+      gll_width, int, const gll_rule&, const double*, const double*,    \
+      const double*, const double*, double, double*);
 SFP_INSTANTIATE_GLL_KERNELS(2)
 SFP_INSTANTIATE_GLL_KERNELS(3)
 SFP_INSTANTIATE_GLL_KERNELS(4)

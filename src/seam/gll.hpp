@@ -3,7 +3,9 @@
 // the per-element numerics of the spectral element method (paper Section 1:
 // "model fields are approximated by high order polynomials") — and the one
 // tensor-product derivative kernel every SEAM model runs per element, in
-// lanes of two doubles (SSE2) or, on x86-64 CPUs with AVX2, four. The width
+// lanes of two doubles (SSE2) or, on x86-64 CPUs with AVX2, four. Its row
+// store is a policy: plain derivatives, the advective tendency, or an
+// SSP-RK3 stage value of the advection equation. The width
 // is read from CPUID once per process; every width rounds each output
 // exactly as the scalar loop, so results do not depend on the CPU.
 
@@ -82,9 +84,23 @@ template <int NP>
 void gll_advection(const gll_rule& rule, const double* q, const double* v_xi,
                    const double* v_eta, double* out);
 
-/// gll_derivatives and gll_advection at a named `width`, which must be
-/// sse2 or native_gll_width(): the entries that keep every width under the
-/// bitwise oracle tests and the micro benchmarks on any host.
+/// One SSP-RK3 stage of the advection equation on one NP×NP slab, fused
+/// into the same one pass: with L[k] the gll_advection tendency of `src`
+/// at node k (rounded exactly as gll_advection rounds it),
+///
+///   dst[k] = rk3_stage_value<stage>(q[k], src[k], h * L[k])
+///
+/// (seam/rk3.hpp), stored as the row that holds node k is done. `stage` is
+/// 0, 1 or 2. `dst` may be `q` (each node reads q[k] before it writes
+/// dst[k]) but must not overlap `src` or the velocities.
+template <int NP>
+void gll_advection_stage(int stage, const gll_rule& rule, const double* q,
+                         const double* src, const double* v_xi,
+                         const double* v_eta, double h, double* dst);
+
+/// The kernels above at a named `width`, which must be sse2 or
+/// native_gll_width(): the entries that keep every width under the bitwise
+/// oracle tests and the micro benchmarks on any host.
 template <int NP>
 void gll_derivatives_at(gll_width width, const gll_rule& rule,
                         const double* a, const double* b, double* da_dxi,
@@ -92,6 +108,11 @@ void gll_derivatives_at(gll_width width, const gll_rule& rule,
 template <int NP>
 void gll_advection_at(gll_width width, const gll_rule& rule, const double* q,
                       const double* v_xi, const double* v_eta, double* out);
+template <int NP>
+void gll_advection_stage_at(gll_width width, int stage, const gll_rule& rule,
+                            const double* q, const double* src,
+                            const double* v_xi, const double* v_eta, double h,
+                            double* dst);
 
 /// Calls fn(std::integral_constant<int, NP>{}) with NP == np: the one
 /// runtime-to-compile-time np switch, taken once per element pass.

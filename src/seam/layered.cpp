@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <ranges>
 
 #include "util/contract.hpp"
 
@@ -45,14 +44,14 @@ std::span<const double> layered_advection::layer(int level) const {
 
 void layered_advection::step(double dt) {
   SFP_REQUIRE(dt > 0, "timestep must be positive");
-  const auto nodes = std::views::iota(std::size_t{0}, base_.field().size());
   for (int l = 0; l < nlev_; ++l) {
     // omega_at scales the base (omega = 1) velocity, so it scales the step.
     ssp_rk3_step(
-        rk3_fields<1>{layers_[static_cast<std::size_t>(l)]}, stages_, nodes,
+        rk3_fields<1>{layers_[static_cast<std::size_t>(l)]}, stages_,
         dt * omega_at(l),
-        [&](const rk3_fields<1>& src, const rk3_fields<1>& dst) {
-          base_.tendency(src[0], dst[0]);
+        [&](int stage, double h, const rk3_fields<1>& q,
+            const rk3_fields<1>& src, const rk3_fields<1>& dst) {
+          base_.stage_pass(stage, h, q[0], src[0], dst[0]);
         },
         [&](const rk3_fields<1>& f) { base_.dofs().dss_average(f[0]); });
   }

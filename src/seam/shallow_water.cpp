@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <ranges>
 
 #include "util/contract.hpp"
 
@@ -15,10 +14,21 @@ namespace {
 template <typename T>
 using four = std::array<T*, 4>;
 
-/// The SWE tendency of one element of NP² nodes (see rhs_elements).
-template <int NP>
+/// Remove the normal component of the velocity (ux, uy, uz) at unit-sphere
+/// position p.
+void project_tangent(const mesh::vec3& p, double& ux, double& uy,
+                     double& uz) {
+  const double un = ux * p.x + uy * p.y + uz * p.z;
+  ux -= un * p.x;
+  uy -= un * p.y;
+  uz -= un * p.z;
+}
+
+/// The SWE tendency of one element of NP² nodes (see rhs_elements), handed
+/// node by node, in ascending k, to out(k, {dh, dux, duy, duz}/dt).
+template <int NP, typename Out>
 void rhs_one(const gll_rule& rule, const shallow_water_model::node_data* nodes,
-             double g, four<const double> in, four<double> out) {
+             double g, four<const double> in, const Out& out) {
   constexpr std::size_t per_elem = NP * NP;
   const double* h = in[0];
   const double* ux = in[1];
@@ -50,7 +60,7 @@ void rhs_one(const gll_rule& rule, const shallow_water_model::node_data* nodes,
   for (std::size_t k = 0; k < per_elem; ++k) {
     const shallow_water_model::node_data& nd = nodes[k];
     // Continuity: dh/dt = -(1/J) [∂(J h u^ξ)/∂ξ + ∂(J h u^η)/∂η].
-    out[0][k] = -(dq1[k] + dq2[k]) / nd.jac;
+    const double rh = -(dq1[k] + dq2[k]) / nd.jac;
     // Pressure gradient: g ∇h via the contravariant basis.
     const mesh::vec3 txi_up = nd.gi11 * nd.t_xi + nd.gi12 * nd.t_eta;
     const mesh::vec3 teta_up = nd.gi12 * nd.t_xi + nd.gi22 * nd.t_eta;
@@ -58,27 +68,54 @@ void rhs_one(const gll_rule& rule, const shallow_water_model::node_data* nodes,
     // Coriolis: f (p̂ × u).
     const mesh::vec3 u{ux[k], uy[k], uz[k]};
     const mesh::vec3 cor = nd.coriolis * mesh::cross(nd.pos, u);
-    out[1][k] = adv_x[k] - cor.x - g * grad_h.x;
-    out[2][k] = adv_y[k] - cor.y - g * grad_h.y;
-    out[3][k] = adv_z[k] - cor.z - g * grad_h.z;
+    out(k, {rh, adv_x[k] - cor.x - g * grad_h.x,
+            adv_y[k] - cor.y - g * grad_h.y,
+            adv_z[k] - cor.z - g * grad_h.z});
   }
 }
 
-/// rhs_one over `nslots` element slots of np² nodes: slot l of every field
-/// holds element elem_of(l).
-template <typename ElemOf>
-void rhs_slots(const gll_rule& rule,
-               std::span<const shallow_water_model::node_data> nodes,
-               double g, four<const double> in, four<double> out,
-               std::size_t nslots, ElemOf elem_of) {
-  with_np(rule.np(), [&]<int NP>(std::integral_constant<int, NP>) {
+/// Calls slot(NP, l, node geometry, offset) for each of `nslots` element
+/// slots of np² nodes, in ascending l: slot l of every field starts at the
+/// offset and holds element elem_of(l).
+template <typename ElemOf, typename Slot>
+void for_each_slot(const gll_rule& rule,
+                   std::span<const shallow_water_model::node_data> nodes,
+                   std::size_t nslots, ElemOf elem_of, const Slot& slot) {
+  with_np(rule.np(), [&]<int NP>(std::integral_constant<int, NP> np) {
     constexpr std::size_t per_elem = NP * NP;
-    for (std::size_t l = 0; l < nslots; ++l) {
-      const std::size_t at = l * per_elem;
-      rhs_one<NP>(rule, nodes.data() + elem_of(l) * per_elem, g,
-                  {in[0] + at, in[1] + at, in[2] + at, in[3] + at},
-                  {out[0] + at, out[1] + at, out[2] + at, out[3] + at});
-    }
+    for (std::size_t l = 0; l < nslots; ++l)
+      slot(np, l, nodes.data() + elem_of(l) * per_elem, l * per_elem);
+  });
+}
+
+/// Stage `stage` of `nslots` element slots, laid out as in for_each_slot:
+/// each node's stage value of all four fields is stored as soon as rhs_one
+/// hands over its tendency, and its velocity tangent-projected; then
+/// after_slot(l). `dst` may be `q` and must not overlap `src`.
+template <typename ElemOf>
+void stage_slots(const gll_rule& rule,
+                 std::span<const shallow_water_model::node_data> nodes,
+                 double g, int stage, double h, const rk3_fields<4>& q,
+                 const rk3_fields<4>& src, const rk3_fields<4>& dst,
+                 std::size_t nslots, ElemOf elem_of, slot_done after_slot) {
+  for_each_slot(rule, nodes, nslots, elem_of, [&]<int NP>(
+      std::integral_constant<int, NP>, std::size_t l,
+      const shallow_water_model::node_data* nd, std::size_t at) {
+    const auto slot = [at](const rk3_fields<4>& f) {
+      return four<double>{f[0].data() + at, f[1].data() + at,
+                          f[2].data() + at, f[3].data() + at};
+    };
+    const four<double> qs = slot(q), ss = slot(src), ds = slot(dst);
+    with_rk3_stage(stage, [&]<int S>(std::integral_constant<int, S>) {
+      rhs_one<NP>(rule, nd, g, {ss[0], ss[1], ss[2], ss[3]},
+                  [&](std::size_t k, const std::array<double, 4>& r) {
+                    for (std::size_t f = 0; f < 4; ++f)
+                      rk3_stage_value<S>(ds[f][k], qs[f][k], ss[f][k],
+                                         h * r[f]);
+                    project_tangent(nd[k].pos, ds[1][k], ds[2][k], ds[3][k]);
+                  });
+    });
+    after_slot(l);
   });
 }
 
@@ -155,8 +192,9 @@ void shallow_water_model::set_state(
     ux_[k] = u.x;
     uy_[k] = u.y;
     uz_[k] = u.z;
+    project_tangent(p, ux_[k], uy_[k], uz_[k]);  // as every stage pass does
   }
-  project_and_dss({h_, ux_, uy_, uz_});
+  for (auto* field : {&h_, &ux_, &uy_, &uz_}) assembly_.dss_average(*field);
 }
 
 void shallow_water_model::set_williamson2(double u0, double h0) {
@@ -181,40 +219,52 @@ void shallow_water_model::rhs_elements(
   for (const std::size_t field : {h.size(), ux.size(), uy.size(), uz.size(),
                                   rh.size(), rx.size(), ry.size(), rz.size()})
     SFP_REQUIRE(field == size, "element slice size mismatch");
-  rhs_slots(rule_, nodes_, params_.gravity,
-            {h.data(), ux.data(), uy.data(), uz.data()},
-            {rh.data(), rx.data(), ry.data(), rz.data()}, elems.size(),
-            [&](std::size_t l) { return static_cast<std::size_t>(elems[l]); });
+  const four<double> out{rh.data(), rx.data(), ry.data(), rz.data()};
+  for_each_slot(
+      rule_, nodes_, elems.size(),
+      [&](std::size_t l) { return static_cast<std::size_t>(elems[l]); },
+      [&]<int NP>(std::integral_constant<int, NP>, std::size_t,
+                  const node_data* nd, std::size_t at) {
+        rhs_one<NP>(rule_, nd, params_.gravity,
+                    {h.data() + at, ux.data() + at, uy.data() + at,
+                     uz.data() + at},
+                    [&](std::size_t k, const std::array<double, 4>& r) {
+                      for (std::size_t f = 0; f < 4; ++f)
+                        out[f][at + k] = r[f];
+                    });
+      });
 }
 
-void shallow_water_model::project_node(std::size_t k, double& ux, double& uy,
-                                       double& uz) const {
-  const mesh::vec3 p = nodes_[k].pos;
-  const double un = ux * p.x + uy * p.y + uz * p.z;
-  ux -= un * p.x;
-  uy -= un * p.y;
-  uz -= un * p.z;
-}
-
-void shallow_water_model::project_and_dss(const rk3_fields<4>& f) const {
-  for (std::size_t k = 0; k < nodes_.size(); ++k)
-    project_node(k, f[1][k], f[2][k], f[3][k]);
-  for (const std::span<double> field : f) assembly_.dss_average(field);
+void shallow_water_model::stage_elements(int stage, double h,
+                                         const rk3_fields<4>& q,
+                                         const rk3_fields<4>& src,
+                                         const rk3_fields<4>& dst,
+                                         std::span<const int> elems,
+                                         slot_done after_slot) const {
+  const std::size_t size = elems.size() * static_cast<std::size_t>(np_) *
+                           static_cast<std::size_t>(np_);
+  for (const rk3_fields<4>* fields : {&q, &src, &dst})
+    for (const std::span<double> field : *fields)
+      SFP_REQUIRE(field.size() == size, "element slice size mismatch");
+  stage_slots(rule_, nodes_, params_.gravity, stage, h, q, src, dst,
+              elems.size(),
+              [&](std::size_t l) { return static_cast<std::size_t>(elems[l]); },
+              after_slot);
 }
 
 void shallow_water_model::step(double dt) {
   SFP_REQUIRE(dt > 0, "timestep must be positive");
   ssp_rk3_step(
-      rk3_fields<4>{h_, ux_, uy_, uz_}, stages_,
-      std::views::iota(std::size_t{0}, h_.size()), dt,
-      [&](const rk3_fields<4>& s, const rk3_fields<4>& r) {
-        rhs_slots(rule_, nodes_, params_.gravity,
-                  {s[0].data(), s[1].data(), s[2].data(), s[3].data()},
-                  {r[0].data(), r[1].data(), r[2].data(), r[3].data()},
-                  static_cast<std::size_t>(assembly_.num_elements()),
-                  [](std::size_t l) { return l; });
+      rk3_fields<4>{h_, ux_, uy_, uz_}, stages_, dt,
+      [&](int stage, double h, const rk3_fields<4>& q,
+          const rk3_fields<4>& src, const rk3_fields<4>& dst) {
+        stage_slots(rule_, nodes_, params_.gravity, stage, h, q, src, dst,
+                    static_cast<std::size_t>(assembly_.num_elements()),
+                    [](std::size_t l) { return l; }, {});
       },
-      [&](const rk3_fields<4>& f) { project_and_dss(f); });
+      [&](const rk3_fields<4>& f) {
+        for (const std::span<double> field : f) assembly_.dss_average(field);
+      });
 }
 
 double shallow_water_model::cfl_dt(double cfl) const {

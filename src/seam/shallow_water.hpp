@@ -63,7 +63,7 @@ class shallow_water_model {
   /// Stable timestep estimate from advective + gravity-wave speeds.
   double cfl_dt(double cfl = 0.3) const;
 
-  // ---- per-element kernel (for the distributed runner) -------------------
+  // ---- per-element passes (the distributed runner's element pass) --------
   /// Evaluate the SWE tendency of a run of element slots: slot l — nodes
   /// [l·np², (l+1)·np²) of every span — holds element elems[l], in any
   /// field layout; the ids only select the geometry. Thread-safe: reads
@@ -74,9 +74,17 @@ class shallow_water_model {
                     std::span<double> ry, std::span<double> rz,
                     std::span<const int> elems) const;
 
-  /// Tangent-project the velocity (ux, uy, uz) held at global node `k`
-  /// (flat index in the global field layout; selects the geometry only).
-  void project_node(std::size_t k, double& ux, double& uy, double& uz) const;
+  /// One element pass of ssp_rk3_step over a run of element slots, laid
+  /// out as in rhs_elements, for the four fields (h, ux, uy, uz) at once:
+  /// each node's tendency L(src) goes straight into
+  /// dst = rk3_stage_value<stage>(q, src, h · L), and the node's velocity
+  /// is then tangent-projected. Calls after_slot(l) right after slot l's
+  /// stage values are stored. `dst` may be `q` and must not overlap `src`.
+  /// Thread-safe.
+  void stage_elements(int stage, double h, const rk3_fields<4>& q,
+                      const rk3_fields<4>& src, const rk3_fields<4>& dst,
+                      std::span<const int> elems,
+                      slot_done after_slot = {}) const;
 
   // ---- diagnostics -------------------------------------------------------
   double mass() const;          ///< ∫ h dA (exactly conserved by flux form up
@@ -103,9 +111,6 @@ class shallow_water_model {
   std::span<const node_data> nodes() const { return nodes_; }
 
  private:
-  /// Tangent-project the velocity at every node, then DSS all four fields.
-  void project_and_dss(const rk3_fields<4>& fields) const;
-
   int np_;
   swe_params params_;
   gll_rule rule_;

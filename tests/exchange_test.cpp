@@ -178,7 +178,12 @@ TEST(HaloExchanger, InteriorNodesUntouchedBoundaryNodesMatchAFullNodeDss) {
           const rank_exchange_plan rp =
               rank_exchange_plan::build(dofs, part, rank);
           halo_exchanger halo(rp, rank, channel);
-          halo.dss_average(out[static_cast<std::size_t>(rank)]);
+          std::vector<double>& mine = out[static_cast<std::size_t>(rank)];
+          for (std::size_t l = 0; l < rp.owned.size(); ++l)
+            halo.accumulate(0, l,
+                            std::span<const double>(mine).subspan(
+                                l * rp.slot_size(), rp.slot_size()));
+          halo.exchange(0, mine);
         },
         {}, report);
     ASSERT_FALSE(error);
@@ -196,6 +201,57 @@ TEST(HaloExchanger, InteriorNodesUntouchedBoundaryNodesMatchAFullNodeDss) {
         negative_zeros += interior && std::signbit(out[r][k]) ? 1 : 0;
       }
     EXPECT_GT(negative_zeros, 0);
+  }
+}
+
+TEST(HaloExchanger, EachFieldSumsFromZeroAtEveryExchange) {
+  // One exchanger carries several fields, each with its own partial sums,
+  // and an exchange leaves its field's sums at 0.0 for the next stage. Two
+  // rounds on one exchanger with the inputs swapped between its two
+  // fields, slots accumulated field by field as an element pass does, must
+  // give each input's first-round result bit for bit.
+  const mesh::cubed_sphere m(2);
+  const int np = 4, nranks = 3;
+  const assembly dofs(m, np);
+  const partition::partition part = core::sfc_partition(m, nranks);
+  using fields = std::vector<std::vector<double>>;
+  std::vector<fields> first(nranks), second(nranks);
+  runtime::resilience_options opts;
+  opts.max_recoveries = 0;
+  runtime::resilience_report report;
+  const std::exception_ptr error = runtime::run_resilient(
+      nranks, opts,
+      [&](runtime::reliable_channel& channel, int) {
+        const int rank = channel.rank();
+        const rank_exchange_plan rp =
+            rank_exchange_plan::build(dofs, part, rank);
+        halo_exchanger halo(rp, rank, channel, 2);
+        rng gen(100 + static_cast<std::uint64_t>(rank));
+        fields in(2, std::vector<double>(rp.local_size()));
+        for (std::vector<double>& f : in)
+          for (double& x : f) x = gen.uniform(-1.0, 1.0);
+        const auto round = [&](const fields& values) {
+          fields out = values;
+          for (std::size_t l = 0; l < rp.owned.size(); ++l)
+            for (std::size_t f = 0; f < 2; ++f)
+              halo.accumulate(f, l,
+                              std::span<const double>(out[f]).subspan(
+                                  l * rp.slot_size(), rp.slot_size()));
+          for (std::size_t f = 0; f < 2; ++f) halo.exchange(f, out[f]);
+          return out;
+        };
+        first[static_cast<std::size_t>(rank)] = round(in);
+        second[static_cast<std::size_t>(rank)] = round({in[1], in[0]});
+      },
+      {}, report);
+  ASSERT_FALSE(error);
+  for (std::size_t r = 0; r < first.size(); ++r) {
+    EXPECT_NE(first[r][0], first[r][1]);
+    for (std::size_t f = 0; f < 2; ++f)
+      for (std::size_t k = 0; k < first[r][f].size(); ++k)
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(second[r][1 - f][k]),
+                  std::bit_cast<std::uint64_t>(first[r][f][k]))
+            << "rank " << r << " field " << f << " node " << k;
   }
 }
 

@@ -5,6 +5,11 @@
 // seeded random data, including slabs at odd double offsets inside a
 // larger buffer (as rank-local slots are).
 //
+// The fused stage entries — the advection kernel storing an SSP-RK3 stage
+// value in its row store, and the shallow-water pass storing one per node —
+// are held to the scalar tendency oracle followed by the scalar stage
+// formula, written out below, for every stage (the last one in place).
+//
 // This is the wall that catches a wrong kernel: the distributed-vs-serial
 // checks (DistributedRanks.MatchesSerialExecution, perfbench's per-op
 // check) run the same kernel on both sides, so a bug shared by both paths
@@ -12,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <optional>
 #include <span>
@@ -23,6 +29,7 @@
 #include "mesh/cubed_sphere.hpp"
 #include "seam/advection.hpp"
 #include "seam/gll.hpp"
+#include "seam/rk3.hpp"
 #include "seam/shallow_water.hpp"
 #include "util/contract.hpp"
 #include "util/rng.hpp"
@@ -119,6 +126,23 @@ void oracle_swe_rhs(const double* D,
   }
 }
 
+/// The Shu–Osher stage value of one node, written out: stage 0 is
+/// q + hl, stage 1 is 3/4 q + 1/4 (src + hl), stage 2 is
+/// 1/3 q + 2/3 (src + hl), with hl = h · L(src).
+double oracle_stage(int stage, double q, double src, double hl) {
+  if (stage == 0) return q + hl;
+  if (stage == 1) return 0.75 * q + 0.25 * (src + hl);
+  return q / 3.0 + (2.0 / 3.0) * (src + hl);
+}
+
+/// Tangent projection of one node's velocity, written out.
+void oracle_project(const mesh::vec3& p, double& ux, double& uy, double& uz) {
+  const double un = ux * p.x + uy * p.y + uz * p.z;
+  ux -= un * p.x;
+  uy -= un * p.y;
+  uz -= un * p.z;
+}
+
 // ---- helpers ----------------------------------------------------------------
 
 /// Same bits, element by element; names the first differing index.
@@ -200,6 +224,42 @@ void expect_advection_matches(int np, std::optional<gll_width> width) {
   EXPECT_TRUE(bitwise_equal({out, n}, want));
 }
 
+/// gll_advection_stage<np> (at `width`, or natively without one) for one
+/// stage on seeded slabs at odd offsets, against the scalar advection loop
+/// followed by the scalar stage formula. Stage 0 reads src = q; stage 2
+/// runs in place, dst = q, as ssp_rk3_step calls it.
+void expect_advection_stage_matches(int np, std::optional<gll_width> width,
+                                    int stage) {
+  SCOPED_TRACE("stage " + std::to_string(stage));
+  const gll_rule rule = make_gll(np);
+  const std::size_t n = static_cast<std::size_t>(np * np);
+  std::vector<double> in = random_values(
+      1 + 4 * n, 53u + 3u * static_cast<unsigned>(np) +
+                     static_cast<unsigned>(stage));
+  const double h = 0.3 + 0.01 * np;
+  // q and dst share one buffer for the in-place stage.
+  std::vector<double> qbuf(1 + n, 0.0), got(1 + n, 0.0);
+  std::copy_n(in.begin() + 1, n, qbuf.begin() + 1);
+  const double* q = qbuf.data() + 1;
+  const double* src = stage == 0 ? q : slab<const double>(in, 1, n).data();
+  const double* vx = slab<const double>(in, 2, n).data();
+  const double* vy = slab<const double>(in, 3, n).data();
+  double* dst = stage == 2 ? qbuf.data() + 1 : got.data() + 1;
+
+  std::vector<double> tendency(n), want(n);
+  oracle_advection(rule.diff.data(), src, vx, vy, tendency.data(), np);
+  for (std::size_t k = 0; k < n; ++k)
+    want[k] = oracle_stage(stage, q[k], src[k], h * tendency[k]);
+
+  with_np(np, [&]<int NP>(std::integral_constant<int, NP>) {
+    if (width)
+      gll_advection_stage_at<NP>(*width, stage, rule, q, src, vx, vy, h, dst);
+    else
+      gll_advection_stage<NP>(stage, rule, q, src, vx, vy, h, dst);
+  });
+  EXPECT_TRUE(bitwise_equal({dst, n}, want));
+}
+
 // ---- the kernel at the native width, and through the models --------------
 
 class GllKernel : public ::testing::TestWithParam<int> {};
@@ -213,6 +273,11 @@ TEST_P(GllKernel, DerivativesMatchScalarLoopsBitwise) {
 
 TEST_P(GllKernel, AdvectionMatchesScalarLoopBitwise) {
   expect_advection_matches(GetParam(), std::nullopt);
+}
+
+TEST_P(GllKernel, AdvectionStageMatchesScalarLoopsBitwise) {
+  for (int stage = 0; stage < 3; ++stage)
+    expect_advection_stage_matches(GetParam(), std::nullopt, stage);
 }
 
 // ---- the kernel at every width --------------------------------------------
@@ -247,9 +312,19 @@ TEST_P(GllKernelWidth, AdvectionMatchesScalarLoopBitwise) {
   expect_advection_matches(np(), width());
 }
 
+TEST_P(GllKernelWidth, AdvectionStageMatchesScalarLoopsBitwise) {
+  for (int stage = 0; stage < 3; ++stage)
+    expect_advection_stage_matches(np(), width(), stage);
+}
+
 TEST(GllKernelDispatch, RejectsNpOutsideTheInstantiatedRange) {
   EXPECT_THROW(with_np(1, [](auto) {}), contract_error);
   EXPECT_THROW(with_np(max_np + 1, [](auto) {}), contract_error);
+}
+
+TEST(GllKernelDispatch, RejectsAStageOutsideTheThree) {
+  EXPECT_THROW(with_rk3_stage(-1, [](auto) {}), contract_error);
+  EXPECT_THROW(with_rk3_stage(3, [](auto) {}), contract_error);
 }
 
 // ---- the model entry points (native width) --------------------------------
@@ -265,35 +340,105 @@ TEST_P(GllKernel, AdvectionTendencyMatchesOracleBitwise) {
   std::vector<double> q =
       random_values(1 + nelem * n, 37u + static_cast<unsigned>(np));
 
-  // Oracle in slot order: slot l holds element nelem - 1 - l.
-  std::vector<int> elems(nelem);
-  std::vector<double> want(1 + nelem * n, 0.0);
-  for (std::size_t l = 0; l < nelem; ++l) {
-    elems[l] = static_cast<int>(nelem - 1 - l);
-    const std::size_t at = static_cast<std::size_t>(elems[l]) * n;
-    oracle_advection(D, slab<const double>(q, l, n).data(), g.v_xi.data() + at,
-                     g.v_eta.data() + at, slab<double>(want, l, n).data(), np);
-  }
-  const std::span<const double> qs = std::span<const double>(q).subspan(1);
-
-  std::vector<double> got(1 + nelem * n, 0.0);
-  model.tendency_elements(qs, std::span<double>(got).subspan(1), elems);
-  EXPECT_TRUE(bitwise_equal(got, want));
-
-  std::vector<double> one(1 + nelem * n, 0.0);
-  for (std::size_t l = 0; l < nelem; ++l)
-    model.tendency_elements(slab<const double>(q, l, n),
-                            slab<double>(one, l, n),
-                            std::span<const int>(&elems[l], 1));
-  EXPECT_TRUE(bitwise_equal(one, want));
-
   // The serial pass: slot e holds element e.
-  std::vector<double> serial_want(nelem * n), serial_got(nelem * n);
+  std::vector<double> want(nelem * n), got(nelem * n);
   for (std::size_t e = 0; e < nelem; ++e)
     oracle_advection(D, q.data() + 1 + e * n, g.v_xi.data() + e * n,
-                     g.v_eta.data() + e * n, serial_want.data() + e * n, np);
-  model.tendency(qs, serial_got);
-  EXPECT_TRUE(bitwise_equal(serial_got, serial_want));
+                     g.v_eta.data() + e * n, want.data() + e * n, np);
+  model.tendency(std::span<const double>(q).subspan(1), got);
+  EXPECT_TRUE(bitwise_equal(got, want));
+}
+
+TEST_P(GllKernel, AdvectionStagePassesMatchOracleBitwise) {
+  const int np = GetParam();
+  const mesh::cubed_sphere m(2);
+  const advection_model model(m, np);
+  const std::size_t n = static_cast<std::size_t>(np * np);
+  const std::size_t nelem = static_cast<std::size_t>(m.num_elements());
+  const double* D = model.rule().diff.data();
+  const node_geometry& g = model.geometry();
+  const std::vector<double> q0 =
+      random_values(1 + nelem * n, 61u + static_cast<unsigned>(np));
+  const std::vector<double> s0 =
+      random_values(1 + nelem * n, 67u + static_cast<unsigned>(np));
+  const double h = 0.05 * np;
+  // Slot l holds element nelem - 1 - l.
+  std::vector<int> elems(nelem);
+  for (std::size_t l = 0; l < nelem; ++l)
+    elems[l] = static_cast<int>(nelem - 1 - l);
+  const auto tail = [](std::vector<double>& v) {
+    return std::span<double>(v).subspan(1);
+  };
+
+  for (int stage = 0; stage < 3; ++stage) {
+    SCOPED_TRACE("stage " + std::to_string(stage));
+    std::vector<double> q = q0;
+    std::vector<double> src = stage == 0 ? q0 : s0;
+    // The oracle, in slot order, then in the serial (element) order.
+    // The padding double ahead of slot 0 stays as the pass found it.
+    std::vector<double> want(1 + nelem * n, 0.0);
+    want[0] = stage == 2 ? q[0] : 0.0;
+    std::vector<double> serial_want = want;
+    std::vector<double> tendency(n);
+    for (std::size_t l = 0; l < nelem; ++l) {
+      for (const bool serial : {false, true}) {
+        const std::size_t e =
+            serial ? l : static_cast<std::size_t>(elems[l]);
+        oracle_advection(D, slab<const double>(src, l, n).data(),
+                         g.v_xi.data() + e * n, g.v_eta.data() + e * n,
+                         tendency.data(), np);
+        const std::span<double> out =
+            slab<double>(serial ? serial_want : want, l, n);
+        for (std::size_t k = 0; k < n; ++k)
+          out[k] = oracle_stage(stage, q[1 + l * n + k],
+                                src[1 + l * n + k], h * tendency[k]);
+      }
+    }
+
+    // Each pass below writes into a fresh `dst`: for stage 2 a copy of q,
+    // which the pass then also reads as q (in place, as ssp_rk3_step calls
+    // it). Stage 0 reads src = q.
+    const auto fresh_dst = [&] {
+      return stage == 2 ? q : std::vector<double>(q.size(), 0.0);
+    };
+    const auto q_of = [&](std::vector<double>& dst) -> std::vector<double>& {
+      return stage == 2 ? dst : q;
+    };
+    const auto src_of = [&](std::vector<double>& dst) -> std::vector<double>& {
+      return stage == 0 ? q_of(dst) : src;
+    };
+
+    // Every slot in one pass, reporting each slot once, in order, right
+    // after its values are stored.
+    std::vector<double> got = fresh_dst();
+    std::vector<std::size_t> reported;
+    const auto after = [&](std::size_t l) {
+      EXPECT_TRUE(bitwise_equal(slab<const double>(got, l, n),
+                                slab<const double>(want, l, n)))
+          << "slot " << l;
+      reported.push_back(l);
+    };
+    model.stage_elements(stage, h, tail(q_of(got)), tail(src_of(got)),
+                         tail(got), elems, after);
+    EXPECT_TRUE(bitwise_equal(got, want));
+    ASSERT_EQ(reported.size(), nelem);
+    for (std::size_t l = 0; l < nelem; ++l) EXPECT_EQ(reported[l], l);
+
+    // One slot per call.
+    std::vector<double> one = fresh_dst();
+    for (std::size_t l = 0; l < nelem; ++l)
+      model.stage_elements(stage, h, slab<const double>(q_of(one), l, n),
+                           slab<const double>(src_of(one), l, n),
+                           slab<double>(one, l, n),
+                           std::span<const int>(&elems[l], 1));
+    EXPECT_TRUE(bitwise_equal(one, want));
+
+    // The serial pass over the global layout: slot e holds element e.
+    std::vector<double> serial = fresh_dst();
+    model.stage_pass(stage, h, tail(q_of(serial)), tail(src_of(serial)),
+                     tail(serial));
+    EXPECT_TRUE(bitwise_equal(serial, serial_want));
+  }
 }
 
 TEST_P(GllKernel, SweRhsMatchesOracleBitwise) {
@@ -345,6 +490,98 @@ TEST_P(GllKernel, SweRhsMatchesOracleBitwise) {
                        at(one, 3, l), std::span<const int>(&elems[l], 1));
   for (std::size_t f = 0; f < 4; ++f)
     EXPECT_TRUE(bitwise_equal(one[f], want[f]));
+}
+
+TEST_P(GllKernel, SweStagePassesMatchOracleBitwise) {
+  const int np = GetParam();
+  const mesh::cubed_sphere m(2);
+  const shallow_water_model model(m, np, {1.3, 0.7});
+  const std::size_t n = static_cast<std::size_t>(np * np);
+  const std::size_t nelem = static_cast<std::size_t>(m.num_elements());
+  const double* D = model.rule().diff.data();
+  const double h = 0.02 * np;
+  // Start values q and stage sources src of (h, ux, uy, uz), each from an
+  // odd offset; depth kept positive.
+  using fields = std::vector<std::vector<double>>;
+  fields q0, s0;
+  for (unsigned f = 0; f < 4; ++f) {
+    q0.push_back(random_values(
+        1 + nelem * n, 71u + 8u * static_cast<unsigned>(np) + f));
+    s0.push_back(random_values(
+        1 + nelem * n, 75u + 8u * static_cast<unsigned>(np) + f));
+  }
+  for (double& depth : q0[0]) depth += 3.0;
+  for (double& depth : s0[0]) depth += 3.0;
+  std::vector<int> elems(nelem);
+  for (std::size_t l = 0; l < nelem; ++l)
+    elems[l] = static_cast<int>((5 * l + 2) % nelem);
+  const auto at = [&](fields& v, std::size_t f, std::size_t l) {
+    return slab<double>(v[f], l, n);
+  };
+  // rk3_fields over slot l of every field (or over every slot).
+  const auto view = [&](fields& v, std::optional<std::size_t> l) {
+    rk3_fields<4> out;
+    for (std::size_t f = 0; f < 4; ++f)
+      out[f] = l ? at(v, f, *l) : std::span<double>(v[f]).subspan(1);
+    return out;
+  };
+
+  for (int stage = 0; stage < 3; ++stage) {
+    SCOPED_TRACE("stage " + std::to_string(stage));
+    fields q = q0;
+    fields src = stage == 0 ? q0 : s0;
+    fields want(4, std::vector<double>(1 + nelem * n, 0.0));
+    for (std::size_t f = 0; f < 4; ++f) want[f][0] = stage == 2 ? q[f][0] : 0.0;
+    fields r(4, std::vector<double>(n));
+    for (std::size_t l = 0; l < nelem; ++l) {
+      const shallow_water_model::node_data* nd =
+          model.nodes().data() + static_cast<std::size_t>(elems[l]) * n;
+      oracle_swe_rhs(D, nd, model.params().gravity, at(src, 0, l).data(),
+                     at(src, 1, l).data(), at(src, 2, l).data(),
+                     at(src, 3, l).data(), r[0].data(), r[1].data(),
+                     r[2].data(), r[3].data(), np);
+      for (std::size_t k = 0; k < n; ++k) {
+        for (std::size_t f = 0; f < 4; ++f)
+          at(want, f, l)[k] = oracle_stage(stage, at(q, f, l)[k],
+                                           at(src, f, l)[k], h * r[f][k]);
+        oracle_project(nd[k].pos, at(want, 1, l)[k], at(want, 2, l)[k],
+                       at(want, 3, l)[k]);
+      }
+    }
+
+    // As in the advection case: stage 2 in place, stage 0 from src = q.
+    const auto fresh_dst = [&] {
+      return stage == 2 ? q : fields(4, std::vector<double>(q[0].size()));
+    };
+    const auto q_of = [&](fields& dst) -> fields& {
+      return stage == 2 ? dst : q;
+    };
+    const auto src_of = [&](fields& dst) -> fields& {
+      return stage == 0 ? q_of(dst) : src;
+    };
+
+    fields got = fresh_dst();
+    std::size_t reported = 0;
+    const auto after = [&](std::size_t l) {
+      EXPECT_EQ(l, reported++);
+      for (std::size_t f = 0; f < 4; ++f)
+        EXPECT_TRUE(bitwise_equal(at(got, f, l), at(want, f, l)))
+            << "field " << f << " slot " << l;
+    };
+    model.stage_elements(stage, h, view(q_of(got), std::nullopt),
+                         view(src_of(got), std::nullopt),
+                         view(got, std::nullopt), elems, after);
+    EXPECT_EQ(reported, nelem);
+    for (std::size_t f = 0; f < 4; ++f)
+      EXPECT_TRUE(bitwise_equal(got[f], want[f])) << "field " << f;
+
+    fields one = fresh_dst();
+    for (std::size_t l = 0; l < nelem; ++l)
+      model.stage_elements(stage, h, view(q_of(one), l), view(src_of(one), l),
+                           view(one, l), std::span<const int>(&elems[l], 1));
+    for (std::size_t f = 0; f < 4; ++f)
+      EXPECT_TRUE(bitwise_equal(one[f], want[f])) << "field " << f;
+  }
 }
 
 }  // namespace

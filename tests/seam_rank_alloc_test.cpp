@@ -1,6 +1,6 @@
 // A distributed SEAM rank in O(K/P) memory: run_distributed at np = 8
 // gives every rank thread its owned elements' nodes and nothing of the
-// global field — its tracer, its three RK stages, its halo plan and its
+// global field — its tracer, its two RK stages, its halo plan and its
 // DSS accumulator are all in the rank-local layout, and only the run's
 // caller-facing buffers (built outside the rank threads) are global. A
 // plain run's only global buffer is the field it returns: the calling
@@ -128,13 +128,17 @@ TEST_P(SeamRankAlloc, RankThreadsAllocateOrderKOverP) {
 
   const int threads = g_threads.load();
   ASSERT_EQ(threads, nranks) << "one tally per rank thread";
-  // Per owned node: the tracer, three RK stages, and the halo plan plus the
-  // DSS accumulator, which hold only boundary dofs — 5 doubles; the bound
-  // allows 6. The sixth and the fixed term cover the channel's per-peer
-  // state and the halo traffic of kSteps steps (retransmit copies
-  // included), which scales with a segment's boundary, not its area.
+  // Per owned node: the tracer, two RK stages (the element pass stores
+  // each stage value at once, so no tendency array exists), and the halo
+  // plan plus the DSS accumulator, which hold only boundary dofs. Measured,
+  // everything a rank thread allocates over owned_bytes: 4.24 at 2 ranks
+  // and 4.77 at 8 ranks, where the part that does not scale with the
+  // owned area weighs more. The bound allows 5 plus a fixed term, which
+  // covers the channel's per-peer state and the halo traffic of kSteps
+  // steps (retransmit copies included), which scales with a segment's
+  // boundary, not its area.
   constexpr std::int64_t kFixed = 128 * 1024;
-  const std::int64_t bound = 6 * owned_bytes + kFixed;
+  const std::int64_t bound = 5 * owned_bytes + kFixed;
   for (int t = 0; t < threads; ++t) {
     const thread_total& tt = g_thread_totals[static_cast<std::size_t>(t)];
     EXPECT_LE(tt.bytes, bound) << "rank thread " << t;

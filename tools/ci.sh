@@ -52,7 +52,8 @@
 #      all rank counts, match the serial slicer (the bench aborts on
 #      divergence), and emit a well-formed BENCH_partition_scaling.json;
 #      then bench_micro's SEAM kernel rows (BM_AdvectionTendency,
-#      BM_SweRhs at the native lane width, BM_AdvectionKernelAtWidth and
+#      BM_AdvectionStage — one fused SSP-RK3 stage pass — and BM_SweRhs at
+#      the native lane width, BM_AdvectionKernelAtWidth and
 #      BM_SweKernelsAtWidth at each width) run once, ungated
 #   8. perf guard: bench_baselines reruns in a scratch dir and its fresh
 #      BENCH_baselines.json must stay within a generous tolerance of the
@@ -260,13 +261,14 @@ grep -q '"elements_per_sec"' "$bench_dir/BENCH_partition_scaling.json"
 build/bench/bench_partition_scaling --ne=12 --nparts=108 --repeat=1 \
   --out="$bench_dir/BENCH_partition_scaling.json"
 # The SEAM ledger rows (element kernels, natively and at each lane width;
-# one rank's halo plan; the driver's fixed cost per call) run once, briefly
+# the fused stage pass; one rank's halo plan; the driver's fixed cost per
+# call) run once, briefly
 # and ungated (wall clock is machine noise here, as time_usec is in stage
 # 8), so they cannot rot; bench_micro writes its BENCH_micro.json into the
 # scratch dir.
 repo_root="$(pwd)"
 (cd "$bench_dir" && "$repo_root/build/bench/bench_micro" \
-  --benchmark_filter='BM_AdvectionTendency|BM_SweRhs|AtWidth|BM_RankExchangePlan|BM_SeamDriverFixedCost' \
+  --benchmark_filter='BM_AdvectionTendency|BM_AdvectionStage|BM_SweRhs|AtWidth|BM_RankExchangePlan|BM_SeamDriverFixedCost' \
   --benchmark_min_time=0.01 > /dev/null)
 rm -rf "$bench_dir"
 

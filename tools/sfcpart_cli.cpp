@@ -98,7 +98,8 @@ int usage() {
 }
 
 // False (after naming it on stderr) when a flag outside `known` was given:
-// a misspelt or retired flag must not run silently with its default.
+// a misspelt or retired flag must not run silently with its default. Every
+// command checks its own list first and exits 2 on a refusal.
 bool only_known_flags(const cli_args& args,
                       std::initializer_list<std::string_view> known) {
   for (const std::string& name : args.flag_names()) {
@@ -117,6 +118,7 @@ sfc::nesting_order order_from(const std::string& name) {
 }
 
 int cmd_info(const cli_args& args) {
+  if (!only_known_flags(args, {"ne"})) return 2;
   const int ne = static_cast<int>(args.get_int_or("ne", 8));
   const mesh::cubed_sphere mesh(ne);
   std::printf("Ne=%d: K=%d elements, SFC-compatible: %s (extended: %s)\n", ne,
@@ -129,6 +131,9 @@ int cmd_info(const cli_args& args) {
 }
 
 int cmd_partition(const cli_args& args) {
+  if (!only_known_flags(args, {"ne", "nproc", "method", "schedule", "order",
+                               "out", "vtk"}))
+    return 2;
   const int ne = static_cast<int>(args.get_int_or("ne", 8));
   const int nproc = static_cast<int>(args.get_int_or("nproc", 24));
   const std::string method = args.get_or("method", "sfc");
@@ -220,6 +225,7 @@ int cmd_partition(const cli_args& args) {
 }
 
 int cmd_curve(const cli_args& args) {
+  if (!only_known_flags(args, {"ne", "art", "out"})) return 2;
   const int ne = static_cast<int>(args.get_int_or("ne", 8));
   const mesh::cubed_sphere mesh(ne);
   if (!core::sfc_supports_extended(ne)) {
@@ -253,6 +259,7 @@ int cmd_curve(const cli_args& args) {
 }
 
 int cmd_figure(const cli_args& args) {
+  if (!only_known_flags(args, {"ne", "metric", "out"})) return 2;
   const int ne = static_cast<int>(args.get_int_or("ne", 8));
   const std::string metric = args.get_or("metric", "speedup");
   const std::string out = args.get_or("out", "figure_ne" + std::to_string(ne));
@@ -304,6 +311,7 @@ int cmd_figure(const cli_args& args) {
 }
 
 int cmd_validate(const cli_args& args) {
+  if (!only_known_flags(args, {"ne", "in"})) return 2;
   const int ne = static_cast<int>(args.get_int_or("ne", 8));
   if (!args.has("in")) return usage();
   const std::string path = args.get_or("in", "");
@@ -593,6 +601,8 @@ int cmd_chaos(const cli_args& args) {
 // histograms land in the dump), then write the Chrome-trace timeline and
 // the metrics JSON and print per-rank summary tables joined from both.
 int cmd_trace(const cli_args& args) {
+  // The advection run is fixed at np = 4; a --np would not be read.
+  if (!only_known_flags(args, {"ne", "nproc", "steps", "out"})) return 2;
   const int ne = static_cast<int>(args.get_int_or("ne", 4));
   const int nproc = static_cast<int>(args.get_int_or("nproc", 6));
   const int nsteps = static_cast<int>(args.get_int_or("steps", 4));
@@ -634,8 +644,10 @@ int cmd_trace(const cli_args& args) {
   io::write_metrics_json_file(out + ".metrics.json", snap);
 
   // Per-rank timeline: sum span durations by name for each "rank N" thread
-  // and join with the fabric's per-rank counters. The halo spans split each
-  // DSS into packing + sending and waiting on peers' partials.
+  // and join with the fabric's per-rank counters. Compute is the element
+  // passes: the kernel, the stage update fused into it and the own-copy DSS
+  // sums. The halo spans split each exchange into packing + sending and
+  // waiting on peers' partials.
   struct rank_row {
     double step_ms = 0, compute_ms = 0, exchange_ms = 0;
     double pack_ms = 0, recv_ms = 0;
