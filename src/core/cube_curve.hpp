@@ -13,6 +13,7 @@
 // stitchings (the curve re-enters the first face at its entry cell) are
 // preferred when they exist.
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <vector>
@@ -21,6 +22,7 @@
 #include "sfc/curve.hpp"
 #include "sfc/point_query.hpp"
 #include "sfc/transform.hpp"
+#include "util/contract.hpp"
 
 namespace sfp::core {
 
@@ -74,6 +76,37 @@ std::int64_t curve_position_of(const cube_curve_spec& spec,
 ///   element_at(spec, mesh, curve_position_of(spec, mesh, e)) == e.
 int element_at(const cube_curve_spec& spec, const mesh::cubed_sphere& mesh,
                std::int64_t pos);
+
+/// Calls fn(element) for every position in [first, last) along the curve
+/// `spec` describes, in curve order: the i-th call gets
+/// element_at(spec, mesh, first + i). One sfc::curve_locator::for_each_cell
+/// walk per face block the range touches, so a position costs about one
+/// table lookup; no allocation. Throws sfp::contract_error unless
+/// 0 <= first <= last <= K and the spec's side is mesh.ne().
+template <class Fn>
+void for_each_element(const cube_curve_spec& spec,
+                      const mesh::cubed_sphere& mesh, std::int64_t first,
+                      std::int64_t last, Fn&& fn) {
+  const int ne = mesh.ne();
+  SFP_REQUIRE(spec.face_curve.side() == ne,
+              "curve spec side must equal mesh Ne");
+  SFP_REQUIRE(first >= 0 && first <= last && last <= mesh.num_elements(),
+              "curve position range out of range");
+  const std::int64_t area = std::int64_t{ne} * ne;
+  // Face block b holds positions [block_begin, block_begin + area).
+  std::int64_t block_begin = 0;
+  for (std::size_t b = 0; b < 6 && block_begin < last;
+       ++b, block_begin += area) {
+    const std::int64_t lo = std::max(first, block_begin);
+    const std::int64_t hi = std::min(last, block_begin + area);
+    if (lo >= hi) continue;
+    const int face = spec.face_order[b];
+    spec.face_curve.for_each_cell(
+        lo - block_begin, hi - lo,
+        spec.orientation[static_cast<std::size_t>(face)],
+        [&](sfc::cell c) { fn(mesh.element_id(face, c.x, c.y)); });
+  }
+}
 
 /// Build the global curve for `mesh` using `face_schedule` (whose side must
 /// equal mesh.ne()). Throws sfp::contract_error if Ne is not SFC-compatible

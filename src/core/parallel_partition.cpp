@@ -30,17 +30,18 @@ bool cut_is_at_or_before(graph::weight s_at_x, int nparts, std::int64_t p,
   return checked_mul(s_at_x, nparts) >= checked_mul(p, total);
 }
 
-/// The cuts of the range [begin, begin + weights.size()), whose first
-/// position has the exclusive prefix `s_begin`. Part p's cut belongs to
-/// the rank with S(begin)·nparts < p·total <= S(end)·nparts (rank 0 also
-/// takes every p·total <= 0): the cut then lies in [begin, end], so the
-/// rank reports its first in-range position that crosses the threshold,
-/// else end. Every part has exactly one owner and owners ascend with p, so
-/// the rank-ordered concatenation of the reports is the raw cut vector.
+/// The cuts of the range [begin, end), whose first position has the
+/// exclusive prefix `s_begin`; `walk(fn)` calls fn(w) with the weight of
+/// each position of the range in curve order. Part p's cut belongs to the
+/// rank with S(begin)·nparts < p·total <= S(end)·nparts (rank 0 also takes
+/// every p·total <= 0): the cut then lies in [begin, end], so the rank
+/// reports its first in-range position that crosses the threshold, else
+/// end. Every part has exactly one owner and owners ascend with p, so the
+/// rank-ordered concatenation of the reports is the raw cut vector.
+template <class Walk>
 std::vector<std::int64_t> walk_raw_cuts(peer_comm& comm, std::int64_t begin,
-                                        graph::weight s_begin,
-                                        std::span<const graph::weight> weights,
-                                        graph::weight total_weight,
+                                        std::int64_t end, graph::weight s_begin,
+                                        Walk&& walk, graph::weight total_weight,
                                         int nparts) {
   SFP_TRACE_SCOPE_CAT("core.parallel_partition.splitters", "core");
   std::int64_t p = 1;  // the first part this range may own
@@ -52,19 +53,22 @@ std::vector<std::int64_t> walk_raw_cuts(peer_comm& comm, std::int64_t begin,
   const graph::weight step = checked_mul(2, total_weight);
   graph::weight threshold = checked_mul(p, step);  // 2·p·total
   graph::weight running = s_begin;
-  for (std::size_t i = 0; i < weights.size(); ++i) {
-    const graph::weight mid2 = checked_mul(
-        checked_add(checked_add(running, running), weights[i]), nparts);
+  std::int64_t pos = begin;
+  walk([&](graph::weight w) {
+    const graph::weight mid2 =
+        checked_mul(checked_add(checked_add(running, running), w), nparts);
     for (; p < nparts && mid2 >= threshold; ++p) {
-      mine.push_back(begin + static_cast<std::int64_t>(i));
+      mine.push_back(pos);
       threshold = checked_add(threshold, step);
     }
-    running += weights[i];
-  }
+    running += w;
+    ++pos;
+  });
+  SFP_ASSERT(pos == end, "the walk must visit every position of the range");
   // Owned parts with no crossing inside the range: their cut is end.
   for (; p < nparts && cut_is_at_or_before(running, nparts, p, total_weight);
        ++p)
-    mine.push_back(begin + static_cast<std::int64_t>(weights.size()));
+    mine.push_back(end);
 
   std::vector<std::int64_t> raw = allgather_concat(comm, mine);
   SFP_ASSERT(raw.size() == static_cast<std::size_t>(nparts) - 1,
@@ -122,13 +126,18 @@ std::vector<std::int64_t> find_raw_splitters(
     local_total = checked_add(local_total, w);
   }
   const graph::weight s_begin = exscan_sum(comm, local_total);
-  return walk_raw_cuts(comm, begin, s_begin, weights, total_weight, nparts);
+  return walk_raw_cuts(
+      comm, begin, begin + static_cast<std::int64_t>(keys.size()), s_begin,
+      [&](auto&& fn) {
+        for (const graph::weight w : weights) fn(w);
+      },
+      total_weight, nparts);
 }
 
 local_partition parallel_partition_rank(
     const mesh::cubed_sphere& mesh, const cube_curve_spec& spec, int nparts,
     std::span<const graph::weight> weights, peer_comm& comm,
-    parallel_partition_stats* stats) {
+    std::span<graph::vid> part_of, parallel_partition_stats* stats) {
   SFP_TRACE_SCOPE_CAT("core.parallel_partition", "core");
   {
     static obs::counter& calls = obs::registry::global().get_counter(
@@ -142,34 +151,35 @@ local_partition parallel_partition_rank(
               "curve spec side must equal mesh Ne");
   SFP_REQUIRE(weights.empty() || weights.size() == static_cast<std::size_t>(k),
               "weights must be empty or one per element");
+  SFP_REQUIRE(part_of.size() == static_cast<std::size_t>(k),
+              "part_of must hold one label per element");
 
   local_partition out;
   out.begin = element_block_begin(k, comm.size(), comm.rank());
   out.end = element_block_begin(k, comm.size(), comm.rank() + 1);
-  const auto m = static_cast<std::size_t>(out.end - out.begin);
+  // The owned range's weights in curve order, straight from the shared
+  // spec and read by element id: the global traversal is never
+  // materialized, nor is this range's.
+  const auto walk_weights = [&](auto&& fn) {
+    for_each_element(spec, mesh, out.begin, out.end, [&](int e) {
+      fn(weights.empty() ? graph::weight{1}
+                         : weights[static_cast<std::size_t>(e)]);
+    });
+  };
 
-  // Phase 1: the owned range's elements in curve order, straight from the
-  // shared spec — no global traversal is ever materialized — and their
-  // weights, read by element id.
-  out.elements.resize(m);
-  std::vector<graph::weight> range_weights(m, 1);
+  // Walk 1: the range's weight.
   graph::weight local_total = 0;
   {
-    SFP_TRACE_SCOPE_CAT("core.parallel_partition.elements", "core");
-    for (std::size_t i = 0; i < m; ++i) {
-      const int e = element_at(spec, mesh,
-                               out.begin + static_cast<std::int64_t>(i));
-      out.elements[i] = e;
-      if (!weights.empty())
-        range_weights[i] = weights[static_cast<std::size_t>(e)];
-      SFP_REQUIRE(range_weights[i] > 0, "vertex weights must be positive");
-      local_total += range_weights[i];
-    }
+    SFP_TRACE_SCOPE_CAT("core.parallel_partition.weight", "core");
+    walk_weights([&](graph::weight w) {
+      SFP_REQUIRE(w > 0, "vertex weights must be positive");
+      local_total += w;
+    });
   }
 
-  // Phase 2: every range's weight in one collective — the total, and the
-  // prefix at this range's first position — then the cuts by one prefix
-  // walk and the serial repair recurrence replayed on every rank.
+  // Every range's weight in one collective — the total, and the prefix at
+  // this range's first position — then walk 2 finds the cuts, and the
+  // serial repair recurrence is replayed on every rank.
   const std::int64_t mine[1] = {local_total};
   const std::vector<std::int64_t> range_totals = allgather_concat(comm, mine);
   const auto below = range_totals.begin() + comm.rank();
@@ -177,25 +187,24 @@ local_partition parallel_partition_rank(
       std::accumulate(range_totals.begin(), below, graph::weight{0});
   const graph::weight total =
       std::accumulate(below, range_totals.end(), s_begin);
-  const std::vector<std::int64_t> raw =
-      walk_raw_cuts(comm, out.begin, s_begin, range_weights, total, nparts);
+  const std::vector<std::int64_t> raw = walk_raw_cuts(
+      comm, out.begin, out.end, s_begin, walk_weights, total, nparts);
   out.boundaries = repair_boundaries(raw, k, nparts);
 
-  // Phase 3: label the owned range by position — one merge walk against
-  // the shared boundaries. A position's label is the number of boundaries
-  // at or below it.
+  // Walk 3: label the owned range against the shared boundaries, in
+  // place. A position's label is the number of boundaries at or below it.
   {
     SFP_TRACE_SCOPE_CAT("core.parallel_partition.label", "core");
-    out.labels.resize(m);
+    std::int64_t pos = out.begin;
     std::size_t part = 0;
-    for (std::size_t i = 0; i < m; ++i) {
-      const std::int64_t pos = out.begin + static_cast<std::int64_t>(i);
+    for_each_element(spec, mesh, out.begin, out.end, [&](int e) {
       while (part < out.boundaries.size() && out.boundaries[part] <= pos)
         ++part;
-      out.labels[i] = static_cast<graph::vid>(part);
-    }
+      part_of[static_cast<std::size_t>(e)] = static_cast<graph::vid>(part);
+      ++pos;
+    });
   }
-  if (stats) stats->local_elements += static_cast<std::int64_t>(m);
+  if (stats) stats->local_elements += out.end - out.begin;
   return out;
 }
 

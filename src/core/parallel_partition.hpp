@@ -2,11 +2,14 @@
 // Distributed SFC partitioning as one prefix sum (ROADMAP item 1, following
 // Borrell et al., "Parallel SFC-based mesh partitioning and load
 // balancing"): the curve-position space is block-distributed across ranks,
-// each rank enumerates the elements of its own contiguous position range
-// directly from the shared curve spec (O(K/P) memory — no rank ever
-// materializes the global traversal), one allgather of range weights gives
-// the total and the weighted prefix at the range's first position, and one
-// local walk finds every cut that falls inside the range.
+// and each rank walks the elements of its own contiguous position range
+// straight from the shared curve spec (core::for_each_element) three
+// times — no rank ever materializes the global traversal, or even its own
+// range. The first walk sums the range's weight; one allgather of range
+// weights gives the total and the weighted prefix at the range's first
+// position; the second walk finds every cut that falls inside the range;
+// the third writes each owned element's label in place in the caller's
+// plan. A rank holds O(nparts + P) words.
 //
 // The result is *bit-identical* to the serial slicer: sfc_partition's
 // midpoint rule and its repair pass are both reproduced exactly —
@@ -80,26 +83,25 @@ std::vector<std::int64_t> find_raw_splitters(
 struct local_partition {
   std::int64_t begin = 0;  ///< first owned curve position
   std::int64_t end = 0;    ///< one past the last owned curve position
-  /// Element id at every owned position, indexed by position − begin.
-  std::vector<int> elements;
-  /// Part label of every owned position, indexed by position − begin.
-  std::vector<graph::vid> labels;
   /// First curve position of every part p >= 1, identical on all ranks
   /// (size nparts−1) — enough to label *any* element locally.
   std::vector<std::int64_t> boundaries;
 };
 
-/// The per-rank program: enumerate this rank's curve positions from
-/// `spec`, find the weighted split points collectively, and label the
-/// owned range. Collective over `comm`; the union of all ranks' labels,
-/// scattered through their element ids, is bit-identical to
-/// sfc_partition(curve, nparts, weights) for the curve `spec` describes.
-/// `weights` is the global per-element vector, read only at the owned
-/// elements (empty = unit weights); weights must be positive, as in the
-/// serial slicer. Per rank: O(K/P + Nproc + P) time and memory.
+/// The per-rank program: walk this rank's curve positions from `spec`,
+/// find the weighted split points collectively, and write the label of
+/// every owned element at its id in `part_of` (size K), which all ranks
+/// share. The ranks' ranges are disjoint, so their writes never touch the
+/// same element, and once every rank of one run has returned, `part_of`
+/// is bit-identical to sfc_partition(curve, nparts, weights).part_of for
+/// the curve `spec` describes. A rank writes only its own elements.
+/// Collective over `comm`. `weights` is the global per-element vector,
+/// read only at the owned elements (empty = unit weights); weights must be
+/// positive, as in the serial slicer. Per rank: O(K/P + Nproc + P) time
+/// and O(Nproc + P) memory.
 local_partition parallel_partition_rank(
     const mesh::cubed_sphere& mesh, const cube_curve_spec& spec, int nparts,
     std::span<const graph::weight> weights, peer_comm& comm,
-    parallel_partition_stats* stats = nullptr);
+    std::span<graph::vid> part_of, parallel_partition_stats* stats = nullptr);
 
 }  // namespace sfp::core

@@ -32,15 +32,6 @@ std::vector<std::int64_t> from_wire(std::span<const double> payload) {
   return out;
 }
 
-/// Write one range's labels into the global plan at its element ids.
-void scatter_labels(const core::local_partition& part,
-                    partition::partition& plan) {
-  SFP_ASSERT(part.elements.size() == part.labels.size(),
-             "one element id per labelled position");
-  for (std::size_t i = 0; i < part.elements.size(); ++i)
-    plan.part_of[static_cast<std::size_t>(part.elements[i])] = part.labels[i];
-}
-
 }  // namespace
 
 void reliable_peer_comm::send(int dst, std::span<const std::int64_t> words) {
@@ -75,12 +66,16 @@ parallel_partition_report run_parallel_partition(
   report.plan.num_parts = nparts;
   report.plan.part_of.assign(k, 0);
   report.rank_stats.assign(static_cast<std::size_t>(num_ranks), {});
+  // Every rank writes its own range's labels into the plan in place. An
+  // attempt's ranges tile [0, K), so the attempt that completes rewrites
+  // every label a failed one left behind.
+  const std::span<graph::vid> part_of(report.plan.part_of);
   // Each world rank's range, from the attempt that last ran it.
   std::vector<core::local_partition> parts(static_cast<std::size_t>(num_ranks));
   if (num_ranks == 1) {
     core::solo_comm solo;
     parts[0] = core::parallel_partition_rank(mesh, spec, nparts, weights, solo,
-                                             &report.rank_stats[0]);
+                                             part_of, &report.rank_stats[0]);
     report.per_rank_counters.assign(1, {});
   } else {
     const std::exception_ptr error = run_resilient(
@@ -88,8 +83,9 @@ parallel_partition_report run_parallel_partition(
         [&](reliable_channel& channel, int world_rank) {
           const auto w = static_cast<std::size_t>(world_rank);
           reliable_peer_comm comm(channel);
-          parts[w] = core::parallel_partition_rank(mesh, spec, nparts, weights,
-                                                   comm, &report.rank_stats[w]);
+          parts[w] = core::parallel_partition_rank(
+              mesh, spec, nparts, weights, comm, part_of,
+              &report.rank_stats[w]);
         },
         nullptr, report);
     recoveries_counter.add(report.recoveries);
@@ -100,18 +96,14 @@ parallel_partition_report run_parallel_partition(
     }
   }
 
-  // The completed attempt's ranges tile [0, K), and every one of its ranks
-  // holds the same boundaries.
+  // Every rank of the completed attempt holds the same boundaries.
   for (int r = 0; r < num_ranks; ++r) {
     if (std::binary_search(report.lost_ranks.begin(), report.lost_ranks.end(),
                            r))
       continue;
-    core::local_partition& part = parts[static_cast<std::size_t>(r)];
-    SFP_ASSERT(part.labels.size() ==
-                   static_cast<std::size_t>(part.end - part.begin),
-               "deposit length must match its range");
-    scatter_labels(part, report.plan);
-    report.boundaries = std::move(part.boundaries);
+    report.boundaries =
+        std::move(parts[static_cast<std::size_t>(r)].boundaries);
+    break;
   }
   return report;
 }

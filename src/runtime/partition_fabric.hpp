@@ -1,8 +1,11 @@
 #pragma once
 // Runtime drivers for the distributed SFC partitioner: the adapter that
 // carries core::peer_comm over a reliable channel, and the fabric runner
-// that executes core::parallel_partition_rank once per virtual rank and
-// assembles the global plan.
+// that executes core::parallel_partition_rank once per virtual rank. The
+// runner owns the global plan; each rank writes the labels of its own
+// curve range into it in place, at their element ids. The ranges are
+// disjoint, so no two rank threads write the same label, and nothing is
+// gathered or scattered after the join.
 //
 // Recovery is a restart. The plan is a pure function of the curve, the
 // weights and the part count — not of the rank count — so when a rank dies
@@ -66,11 +69,11 @@ struct parallel_partition_report : resilience_report {
   bool aborted = false;
 };
 
-/// Run the distributed partitioner on `num_ranks` virtual ranks and
-/// assemble the global plan. `weights` is the global
+/// Run the distributed partitioner on `num_ranks` virtual ranks, which
+/// write the global plan in place. `weights` is the global
 /// per-element weight vector (empty = unit weights); each rank only ever
-/// reads the weights of the elements in its own curve range, mirroring the
-/// O(K/P) memory claim.
+/// reads the weights, and writes the labels, of the elements in its own
+/// curve range.
 /// num_ranks == 1 short-circuits to core::solo_comm with no fabric at all.
 parallel_partition_report run_parallel_partition(
     const mesh::cubed_sphere& mesh, const core::cube_curve_spec& spec,

@@ -1,7 +1,8 @@
-// The distributed partitioner in O(K/P) memory per rank: at Ne = 1024
-// (K = 6,291,456) on 64 in-process ranks, every rank thread allocates a
-// few bytes per owned curve position plus the collectives' small payloads
-// — far below the ~25 MB one O(K) int array would take. This file
+// The distributed partitioner holds no per-position storage: at Ne = 1024
+// (K = 6,291,456) on 64 in-process ranks, every rank thread walks its
+// ~98,000 owned curve positions and writes their labels in place, and
+// allocates only the collectives' O(nparts + P) payloads — independent of
+// K, and far below the ~25 MB one O(K) int array would take. This file
 // replaces the global operator new to count each thread's allocated bytes.
 
 #include <gtest/gtest.h>
@@ -60,7 +61,7 @@ namespace {
 
 using namespace sfp;
 
-TEST(ParallelPartitionAlloc, Ne1024RankThreadsAllocateOrderKOverP) {
+TEST(ParallelPartitionAlloc, Ne1024RankThreadsAllocateOrderPartsPlusRanks) {
   if (SFP_AUDIT_ENABLED)
     GTEST_SKIP() << "audit builds validate all 6.3M elements in the mesh "
                     "constructor";
@@ -83,15 +84,15 @@ TEST(ParallelPartitionAlloc, Ne1024RankThreadsAllocateOrderKOverP) {
   std::sort(g_thread_totals.begin(), g_thread_totals.begin() + threads);
   const std::int64_t root = g_thread_totals[kRanks - 1];
   const std::int64_t leaf = g_thread_totals[kRanks - 2];
-  // Per owned position: its element id, weight and label — 16 bytes, with
-  // room to spare. Per rank, the collectives' payloads are O(nparts + P)
-  // words. The collectives are flat stars (core/dist_scan.cpp), so the
-  // root alone also sends the nparts cuts to each of the P − 1 others, and
-  // every copy of them on the way through its channel counts here.
-  const std::int64_t per_rank = 20 * (k / kRanks);
-  const std::int64_t leaf_bound = per_rank + 256 * (kParts + kRanks);
+  // Nothing per owned position: a rank walks its range three times and
+  // writes each label into the shared plan. Per rank, the collectives'
+  // payloads are O(nparts + P) words. The collectives are flat stars
+  // (core/dist_scan.cpp), so the root alone also sends the nparts cuts to
+  // each of the P − 1 others, and every copy of them on the way through
+  // its channel counts here.
+  const std::int64_t leaf_bound = 256 * (kParts + kRanks);
   const std::int64_t root_bound =
-      per_rank + 64 * std::int64_t{kRanks} * (kParts + kRanks);
+      64 * std::int64_t{kRanks} * (kParts + kRanks);
   EXPECT_LE(leaf, leaf_bound) << "every rank thread but one allocated at "
                                  "most "
                               << leaf_bound << " bytes";

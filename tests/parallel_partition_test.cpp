@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <initializer_list>
 #include <string>
@@ -21,6 +22,8 @@
 #include "mesh/cubed_sphere.hpp"
 #include "obs/metrics.hpp"
 #include "runtime/partition_fabric.hpp"
+#include "runtime/reliable.hpp"
+#include "runtime/world.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -154,6 +157,51 @@ TEST(ParallelPartitionParity, StatsAccountForEveryElement) {
   std::int64_t owned = 0;
   for (const auto& st : report.rank_stats) owned += st.local_elements;
   EXPECT_EQ(owned, mesh.num_elements());
+}
+
+TEST(ParallelPartitionRank, WritesExactlyTheLabelsOfItsOwnRange) {
+  // The contract that makes the driver's shared plan race-free: each rank,
+  // handed its own copy of part_of full of a sentinel, changes exactly the
+  // elements at the positions it owns, and writes the serial label there.
+  constexpr graph::vid kSentinel = -7;
+  for (const int ne : {1, 6}) {
+    const mesh::cubed_sphere mesh(ne);
+    const core::cube_curve curve = core::build_cube_curve(mesh);
+    const core::cube_curve_spec spec = core::spec_of(curve);
+    const int k = mesh.num_elements();
+    const std::vector<graph::weight> weights = heavy_tail_weights(k, 77);
+    const int nparts = std::min(k, 7);
+    const partition::partition serial =
+        core::sfc_partition(curve, nparts, weights);
+    for (const int nranks : {3, 4}) {
+      std::vector<std::vector<graph::vid>> part_of(
+          static_cast<std::size_t>(nranks),
+          std::vector<graph::vid>(static_cast<std::size_t>(k), kSentinel));
+      runtime::world w(nranks);
+      w.run([&](runtime::transport& t) {
+        runtime::reliable_channel channel(t);
+        runtime::reliable_peer_comm comm(channel);
+        (void)core::parallel_partition_rank(
+            mesh, spec, nparts, weights, comm,
+            part_of[static_cast<std::size_t>(t.rank())]);
+        channel.fence();
+      });
+      for (int r = 0; r < nranks; ++r) {
+        const std::int64_t begin = core::element_block_begin(k, nranks, r);
+        const std::int64_t end = core::element_block_begin(k, nranks, r + 1);
+        const std::vector<graph::vid>& mine =
+            part_of[static_cast<std::size_t>(r)];
+        for (int pos = 0; pos < k; ++pos) {
+          const auto e = static_cast<std::size_t>(
+              curve.order[static_cast<std::size_t>(pos)]);
+          const graph::vid want =
+              pos >= begin && pos < end ? serial.part_of[e] : kSentinel;
+          ASSERT_EQ(mine[e], want) << "Ne=" << ne << " ranks=" << nranks
+                                   << " rank " << r << " position " << pos;
+        }
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
