@@ -119,7 +119,7 @@ void transient_fault_section() {
 
   // (3) rank kill — transient healing cannot help; the run re-slices.
   runtime::resilience_options kill = base();
-  kill.faults.kills.push_back({nproc / 2, 40});
+  kill.faults.kills.push_back({nproc / 2, 22});
   seam::recovery_report kill_rep;
   const double kill_ms =
       timed_resilient_ms(model, curve, part, dt, nsteps, kill, &kill_rep);

@@ -9,9 +9,11 @@
 
 #include <benchmark/benchmark.h>
 
+#include <array>
 #include <cstdint>
 #include <cstdio>
 #include <numeric>
+#include <span>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -318,23 +320,41 @@ void BM_AdvectionStage(benchmark::State& state) {
 }
 BENCHMARK(BM_AdvectionStage)->Args({32, 4})->Args({32, 8});
 
-void BM_SweRhs(benchmark::State& state) {
+// One fused SSP-RK3 stage pass of the shallow-water model over every
+// element, the middle stage as in BM_AdvectionStage: the four fields'
+// tendencies, their stage values and the velocity's tangent projection in
+// one kernel pass.
+void BM_SweStage(benchmark::State& state) {
   const mesh::cubed_sphere m(static_cast<int>(state.range(0)));
   seam::shallow_water_model model(m, static_cast<int>(state.range(1)));
   model.set_williamson2(0.5, 2.0);
   std::vector<int> elems(static_cast<std::size_t>(m.num_elements()));
   std::iota(elems.begin(), elems.end(), 0);
-  const std::size_t n = model.depth().size();
-  std::vector<double> rh(n), rx(n), ry(n), rz(n);
+  const double h = model.cfl_dt(0.3);
+  std::array<std::vector<double>, 4> q, src, dst;
+  const std::array<std::span<const double>, 4> state_fields{
+      model.depth(), model.velocity_x(), model.velocity_y(),
+      model.velocity_z()};
+  for (std::size_t f = 0; f < 4; ++f) {
+    q[f].assign(state_fields[f].begin(), state_fields[f].end());
+    src[f] = q[f];
+    dst[f].resize(q[f].size());
+  }
+  const auto views = [](std::array<std::vector<double>, 4>& fields) {
+    seam::rk3_fields<4> out;
+    for (std::size_t f = 0; f < 4; ++f) out[f] = fields[f];
+    return out;
+  };
+  const seam::rk3_fields<4> qv = views(q), srcv = views(src),
+                            dstv = views(dst);
   for (auto _ : state) {
-    model.rhs_elements(model.depth(), model.velocity_x(), model.velocity_y(),
-                       model.velocity_z(), rh, rx, ry, rz, elems);
-    benchmark::DoNotOptimize(rh.data());
+    model.stage_elements(1, h, qv, srcv, dstv, elems);
+    benchmark::DoNotOptimize(dst[0].data());
     benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * m.num_elements());
 }
-BENCHMARK(BM_SweRhs)->Args({32, 4})->Args({32, 8});
+BENCHMARK(BM_SweStage)->Args({32, 4})->Args({32, 8});
 
 // The kernel rows above run at the CPU's native lane width. These run the
 // same element passes' kernel calls at each width named by the last

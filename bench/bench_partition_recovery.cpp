@@ -49,8 +49,8 @@ int main(int argc, char** argv) {
 
   const std::vector<scenario> scenarios = {
       {"fault-free", {}},
-      {"kill-root-early", {{0, 2}}},
-      {"two-kills-exact-quorum", {{0, 6}, {2, 3}}},
+      {"kill-root-early", {{0, 1}}},
+      {"two-kills-exact-quorum", {{0, 3}, {2, 2}}},
   };
 
   std::printf(

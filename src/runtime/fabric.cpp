@@ -47,8 +47,6 @@ std::exception_ptr run_resilient(int num_ranks,
     SFP_TRACE_SCOPE_CAT("runtime.attempt", "runtime");
     const int n = static_cast<int>(alive.size());
     const fault_plan faults = attempt_faults(opts.faults, alive, attempt);
-    reliable_options ropts = opts.reliable;
-    ropts.epoch = static_cast<std::uint64_t>(attempt);
     std::vector<reliable_stats> reliable(static_cast<std::size_t>(n));
     world w(n, faults);
     // The rank the next attempt drops: a killed rank is its own victim,
@@ -61,7 +59,7 @@ std::exception_ptr run_resilient(int num_ranks,
     try {
       w.run([&](transport& t) {
         const auto r = static_cast<std::size_t>(t.rank());
-        reliable_channel channel(t, ropts);
+        reliable_channel channel(t, opts.reliable);
         std::exception_ptr failure;  // a failed attempt's traffic counts
         try {
           rank_main(channel, alive[r]);

@@ -22,13 +22,16 @@
 // for, and a program that waits for a message nobody sends ends in
 // world_deadlock, which the ladder does not absorb.
 //
+// One fresh world per attempt: its inboxes start empty, so no frame of a
+// failed attempt can reach the next one.
+//
 // Faults across attempts, for every runner: message faults apply to
 // attempt 0 only. A kill that has not fired stays armed on its world rank
-// while that rank survives, and its `at_op` counts the rank's ops within
-// each attempt. A fired kill aborts the world on the spot (world.hpp), so
-// it always costs a restart; every rank whose kill fired is lost, plus the
-// escalation victim. Nothing runs after the closing fence, so no fault can
-// land where the ladder does not see it.
+// while that rank survives, and its `at_op` counts the rank's frames
+// within each attempt (fault.hpp). A fired kill aborts the world on the
+// spot (world.hpp), so it always costs a restart; every rank whose kill
+// fired is lost, plus the escalation victim. Nothing runs after the
+// closing fence, so no fault can land where the ladder does not see it.
 
 #include <exception>
 #include <functional>
@@ -45,8 +48,7 @@ namespace sfp::runtime {
 struct resilience_options {
   /// Message faults and kills (see "faults across attempts" above).
   fault_plan faults;
-  /// Channel options (retransmit budget, test hooks). The epoch is
-  /// overwritten with the attempt number.
+  /// Channel options (retransmit budget, test hooks).
   reliable_options reliable;
   /// Restarts a run absorbs before the ladder gives up.
   int max_recoveries = 3;

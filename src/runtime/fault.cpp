@@ -2,13 +2,15 @@
 
 #include <sstream>
 
+#include "runtime/reliable.hpp"
+
 namespace sfp::runtime {
 
 namespace {
 
 std::string kill_message(int rank, std::int64_t op) {
   std::ostringstream os;
-  os << "injected kill: rank " << rank << " at op " << op;
+  os << "injected kill: rank " << rank << " at frame " << op;
   return os.str();
 }
 
@@ -28,36 +30,44 @@ rank_killed::rank_killed(int rank, std::int64_t op)
 fault_injector::fault_injector(const fault_plan& plan, int rank)
     : plan_(&plan),
       rank_(rank),
-      rng_(mix(plan.seed ^ (0x517cc1b727220a95ull *
-                            static_cast<std::uint64_t>(rank + 1)))),
-      matches_(plan.message_faults.size(), 0) {}
+      key_(plan.seed ^
+           (0x517cc1b727220a95ull * static_cast<std::uint64_t>(rank + 1))),
+      rng_(mix(key_)) {}
 
-void fault_injector::on_op() {
-  ++ops_;
-  for (const auto& kill : plan_->kills)
-    if (kill.rank == rank_ && kill.at_op == ops_)
-      throw rank_killed(rank_, ops_);
-}
-
-fault_injector::send_action fault_injector::on_send(int dst,
-                                                    std::size_t payload_size) {
+fault_injector::send_action fault_injector::on_send(
+    int dst, std::span<const double> message) {
+  // The frame n of the link the message belongs to: its first
+  // transmission, or a resend, which repeats an earlier seq. An ack
+  // belongs to no frame (n is then the link's frame count).
+  link_state& link = links_[dst];
+  std::int64_t n = link.frames;
+  bool ack = false;
+  envelope h;
+  if (wire::read_header(message, &h)) {
+    ack = h.type == envelope::kind::ack;
+    if (!ack) {
+      if (link.frames == 0) link.first_seq = h.seq;
+      n = static_cast<std::int64_t>(h.seq - link.first_seq);
+    }
+  }
   send_action action;
-  for (std::size_t i = 0; i < plan_->message_faults.size(); ++i) {
-    const auto& mf = plan_->message_faults[i];
+  action.frame = !ack && n == link.frames;
+  const bool resend = !ack && !action.frame;
+  if (action.frame) {
+    ++link.frames;
+    ++frames_;
+    for (const auto& kill : plan_->kills)
+      if (kill.rank == rank_ && kill.at_op == frames_)
+        throw rank_killed(rank_, frames_);
+  }
+  for (const auto& mf : plan_->message_faults) {
     if (mf.src != -1 && mf.src != rank_) continue;
     if (mf.dst != -1 && mf.dst != dst) continue;
-    if (payload_size < mf.min_payload) continue;
-    action.matched = true;
-    // The fire window gates the *application*, never the draws: the stream
-    // advances identically whether or not this match is live, so shrinking
-    // a window cannot perturb the other entries' randomness.
-    const std::int64_t idx = matches_[i]++;
-    const bool live =
-        idx >= mf.fire_from &&
-        (mf.fire_count < 0 || idx < mf.fire_from + mf.fire_count);
+    if (mf.frame >= 0 &&
+        (n != mf.frame || !(action.frame || (mf.resends && resend))))
+      continue;
     // Draw in a fixed order so the rng stream is identical whether or not
-    // an earlier clause already triggered, and whether or not this match is
-    // inside the fire window.
+    // an earlier clause already triggered.
     const bool drop =
         mf.drop_probability > 0 && rng_.uniform() < mf.drop_probability;
     const bool delay =
@@ -70,26 +80,24 @@ fault_injector::send_action fault_injector::on_send(int dst,
                           rng_.uniform() < mf.truncate_probability;
     const bool reorder =
         mf.reorder_probability > 0 && rng_.uniform() < mf.reorder_probability;
-    action.drop = action.drop || (drop && live);
-    action.duplicate = action.duplicate || (dup && live);
-    if (delay && live && mf.delay > action.delay) action.delay = mf.delay;
+    action.drop = action.drop || drop;
+    action.duplicate = action.duplicate || dup;
+    if (delay && mf.delay > action.delay) action.delay = mf.delay;
     // Payload faults only apply to non-empty payloads. Positional
     // randomness (which bit, where to cut) comes from a stream derived from
-    // (seed, rank, the entry's dst, match index) alone — not from the shared
-    // per-rank stream or the entry's place in the plan — so deleting or
-    // narrowing one plan entry never moves another entry's bit flip.
-    // Delta-debugging a chaos schedule (seam/chaos.hpp) depends on this.
-    if ((corrupt || truncate) && payload_size > 0 && live) {
-      const auto link = static_cast<std::uint64_t>(mf.dst + 1);  // -1 -> 0
-      rng pos(mix(plan_->seed ^
-                  (0x517cc1b727220a95ull *
-                   static_cast<std::uint64_t>(rank_ + 1)) ^
-                  (0xd1b54a32d192ed03ull * (link + 1)) ^
+    // (seed, rank, dst, frame index) alone — not from the shared per-rank
+    // stream or the entry's place in the plan — so deleting one plan entry
+    // never moves another entry's bit flip. Delta-debugging a chaos
+    // schedule (seam/chaos.hpp) depends on this.
+    if ((corrupt || truncate) && !message.empty()) {
+      rng pos(mix(key_ ^
+                  (0xd1b54a32d192ed03ull *
+                   (static_cast<std::uint64_t>(dst) + 2)) ^
                   (0x2545f4914f6cdd1dull *
-                   (static_cast<std::uint64_t>(idx) + 1))));
-      const std::size_t element = pos.below(payload_size);
+                   (static_cast<std::uint64_t>(n) + 1))));
+      const std::size_t element = pos.below(message.size());
       const int bit = static_cast<int>(pos.below(64));
-      const std::size_t cut = pos.below(payload_size);
+      const std::size_t cut = pos.below(message.size());
       if (corrupt && !action.corrupt) {
         action.corrupt = true;
         action.corrupt_element = element;
@@ -100,7 +108,7 @@ fault_injector::send_action fault_injector::on_send(int dst,
         action.truncate_to = cut;
       }
     }
-    action.reorder = action.reorder || (reorder && live);
+    action.reorder = action.reorder || reorder;
   }
   return action;
 }

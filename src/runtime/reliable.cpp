@@ -29,7 +29,6 @@ constexpr std::pair<const char*, std::int64_t reliable_stats::*>
         {"reliable.out_of_order", &reliable_stats::out_of_order},
         {"reliable.acks_sent", &reliable_stats::acks_sent},
         {"reliable.acks_received", &reliable_stats::acks_received},
-        {"reliable.stale_dropped", &reliable_stats::stale_dropped},
         {"reliable.shutdown_discarded", &reliable_stats::shutdown_discarded},
 };
 
@@ -66,15 +65,15 @@ obs::histogram& recv_wait_hist() {
   return h;
 }
 
-/// The header as wire words, in order: magic | kind, epoch, seq, payload
-/// length, crc. Each travels as the bit image of one double.
+/// The header as wire words, in order: magic | kind, seq, payload length,
+/// crc. Each travels as the bit image of one double.
 std::array<std::uint64_t, wire::header_doubles> header_words(
     const envelope& h) {
-  return {wire_magic | static_cast<std::uint64_t>(h.type), h.epoch, h.seq,
+  return {wire_magic | static_cast<std::uint64_t>(h.type), h.seq,
           h.payload_doubles, h.crc};
 }
 
-/// CRC over the four semantic header words + the payload bytes. The crc
+/// CRC over the three semantic header words + the payload bytes. The crc
 /// word itself is excluded, so a flipped bit anywhere in the message —
 /// including the crc word — yields a mismatch.
 std::uint32_t envelope_crc(const envelope& h, std::span<const double> payload) {
@@ -130,8 +129,7 @@ std::vector<double> encode(const envelope& header,
   return message;
 }
 
-bool decode(std::span<const double> message, bool verify_checksum,
-            envelope* header, std::vector<double>* payload) {
+bool read_header(std::span<const double> message, envelope* header) {
   if (message.size() < header_doubles) return false;
   const auto word = [&](std::size_t i) {
     return std::bit_cast<std::uint64_t>(message[i]);
@@ -140,15 +138,19 @@ bool decode(std::span<const double> message, bool verify_checksum,
   const std::uint64_t kind_bits = word(0) & 0xffu;
   if (kind_bits > static_cast<std::uint64_t>(envelope::kind::fence))
     return false;
-  envelope h;
-  h.type = static_cast<envelope::kind>(kind_bits);
-  h.epoch = word(1);
-  h.seq = word(2);
-  h.payload_doubles = word(3);
-  h.crc = static_cast<std::uint32_t>(word(4));
+  header->type = static_cast<envelope::kind>(kind_bits);
+  header->seq = word(1);
+  header->payload_doubles = word(2);
+  header->crc = static_cast<std::uint32_t>(word(3));
   // Truncation (or a length-word flip) shows up as a size mismatch before
   // the checksum is even consulted.
-  if (h.payload_doubles != message.size() - header_doubles) return false;
+  return header->payload_doubles == message.size() - header_doubles;
+}
+
+bool decode(std::span<const double> message, bool verify_checksum,
+            envelope* header, std::vector<double>* payload) {
+  envelope h;
+  if (!read_header(message, &h)) return false;
   const std::span<const double> body = message.subspan(header_doubles);
   if (verify_checksum && envelope_crc(h, body) != h.crc) return false;
   *header = h;
@@ -205,7 +207,6 @@ void reliable_channel::send_frame(int dst, envelope::kind type,
   peer_state& p = peer(dst);
   envelope h;
   h.type = type;
-  h.epoch = opts_.epoch;
   h.seq = p.next_seq++;
   unacked_entry entry;
   entry.image = wire::encode(h, payload);
@@ -222,7 +223,6 @@ void reliable_channel::send(int dst, std::span<const double> data) {
 void reliable_channel::send_ack(int src, std::uint64_t seq) {
   envelope h;
   h.type = envelope::kind::ack;
-  h.epoch = opts_.epoch;
   h.seq = seq;
   // Fire-and-forget: a lost ack is healed by the sender's retransmit and
   // our dedup re-ack, so acks are never tracked as unacked themselves.
@@ -237,10 +237,6 @@ void reliable_channel::handle_wire(any_message&& msg) {
     // Corrupt or truncated: drop silently; the next quiescent round
     // re-delivers an intact copy. No ack — we cannot trust the header.
     ++stats_.corruption_detected;
-    return;
-  }
-  if (h.epoch != opts_.epoch) {
-    ++stats_.stale_dropped;
     return;
   }
   peer_state& p = peer(msg.src);

@@ -13,7 +13,9 @@
 // with the stream's sequence number; receivers drop corrupt frames,
 // deduplicate, park out-of-order arrivals and ack every accepted or
 // re-seen frame. Acks ride the same untagged (src, dst) datagrams, so one
-// recv_or_quiescent pump drains everything.
+// recv_or_quiescent pump drains everything. A frame's (src, dst, seq) is
+// also the address an injected fault names (runtime/fault.hpp). The
+// envelope carries no attempt number: every attempt runs on a fresh world.
 //
 // Loss is found by quiescence, not by a clock: in a quiescent round (every
 // live rank blocked in its receive, nothing in flight) every frame still
@@ -71,19 +73,23 @@ struct envelope {
   /// Data frames and fence tokens share one sequence stream per rank pair.
   enum class kind : std::uint8_t { data = 0, ack = 1, fence = 2 };
   kind type = kind::data;
-  std::uint64_t epoch = 0;
   std::uint64_t seq = 0;  ///< per-(sender,receiver) sequence number
   std::uint64_t payload_doubles = 0;
-  std::uint32_t crc = 0;  ///< CRC32C over header words 0..3 + payload bytes
+  std::uint32_t crc = 0;  ///< CRC32C over header words 0..2 + payload bytes
 };
 
 namespace wire {
 
-inline constexpr std::size_t header_doubles = 5;
+inline constexpr std::size_t header_doubles = 4;
 
-/// Build the wire image: 5 header doubles followed by the payload.
+/// Build the wire image: 4 header doubles followed by the payload.
 std::vector<double> encode(const envelope& header,
                            std::span<const double> payload);
+
+/// Parse a wire image's header without verifying its checksum or copying
+/// its payload. Returns false when the image is not an envelope: short,
+/// bad magic or kind, or a length word that disagrees with its size.
+bool read_header(std::span<const double> message, envelope* header);
 
 /// Parse and verify a wire image. Returns false on any malformation —
 /// short message, bad magic, length mismatch (truncation), or checksum
@@ -100,9 +106,6 @@ struct reliable_options {
   /// Quiescent rounds a frame may be resent in before its peer is declared
   /// unreachable.
   int max_retransmits = 40;
-  /// Stale-epoch filter: messages from another epoch (a previous recovery
-  /// attempt) are dropped on receipt.
-  std::uint64_t epoch = 0;
   /// TEST HOOK — deliberately broken transport for the chaos soak: with
   /// verification off, corrupted payloads are delivered as-is and the soak
   /// harness must catch the resulting field divergence.
@@ -123,7 +126,6 @@ struct reliable_stats {
   std::int64_t out_of_order = 0;         ///< arrived past a gap, parked
   std::int64_t acks_sent = 0;
   std::int64_t acks_received = 0;
-  std::int64_t stale_dropped = 0;        ///< wrong-epoch messages
   /// Unacked entries dropped because their peer exited, or at teardown.
   std::int64_t shutdown_discarded = 0;
 

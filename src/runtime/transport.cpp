@@ -18,6 +18,12 @@ std::string aborted_message(int self, int failed_rank) {
   return os.str();
 }
 
+obs::histogram& send_bytes_hist() {
+  static obs::histogram& h =
+      obs::registry::global().get_histogram("runtime.send.message_bytes");
+  return h;
+}
+
 }  // namespace
 
 world_aborted::world_aborted(int self, int failed_rank)
@@ -58,24 +64,22 @@ void publish_counters(const rank_counters& t) {
 
 injection_pipeline::injection_pipeline(const fault_plan& plan, int rank,
                                        rank_counters* counters)
-    : injector_(plan, rank), counters_(counters) {
+    : injector_(plan, rank), inert_(plan.empty()), counters_(counters) {
   SFP_REQUIRE(counters != nullptr, "injection_pipeline needs counters");
 }
 
-void injection_pipeline::count_op() {
-  try {
-    injector_.on_op();
-  } catch (const rank_killed&) {
-    ++counters_->injected_kills;
-    throw;
-  }
-}
-
-injection_pipeline::outcome injection_pipeline::on_send(
+std::vector<std::vector<double>> injection_pipeline::on_send(
     int dst, std::span<const double> data) {
-  outcome out;
-  const fault_injector::send_action action =
-      injector_.on_send(dst, data.size());
+  std::vector<std::vector<double>> out;
+  fault_injector::send_action action;
+  if (!inert_) {
+    try {
+      action = injector_.on_send(dst, data);
+    } catch (const rank_killed&) {
+      ++counters_->injected_kills;
+      throw;
+    }
+  }
   if (action.drop) {
     ++counters_->injected_drops;
     return out;
@@ -99,7 +103,7 @@ injection_pipeline::outcome injection_pipeline::on_send(
   }
   std::vector<double> held;
   bool flush_held = false;
-  const auto it = action.matched ? stash_.find(dst) : stash_.end();
+  const auto it = action.frame ? stash_.find(dst) : stash_.end();
   if (it != stash_.end()) {
     held = std::move(it->second);
     stash_.erase(it);
@@ -108,22 +112,23 @@ injection_pipeline::outcome injection_pipeline::on_send(
   const bool stash_this = action.reorder && !flush_held;
   if (stash_this) ++counters_->injected_reorders;
   // A reordered message is held as a single copy (duplication would be
-  // collapsed by the stash anyway); a message that never gets a successor
-  // on its stream stays stashed, i.e. degenerates to a drop.
+  // collapsed by the stash anyway); a message that no later frame on its
+  // link releases stays stashed, i.e. degenerates to a drop.
   const int copies = action.duplicate && !stash_this ? 2 : 1;
   if (action.duplicate && !stash_this) ++counters_->injected_duplicates;
-  out.accounted_copies = copies;
-  out.copy_doubles = wire.size();
   counters_->messages_sent += copies;
   counters_->doubles_sent +=
       copies * static_cast<std::int64_t>(wire.size());
+  for (int c = 0; c < copies; ++c)
+    send_bytes_hist().observe(
+        static_cast<std::int64_t>(wire.size() * sizeof(double)));
   if (stash_this) {
     stash_[dst] = std::move(wire);
   } else {
-    for (int c = 1; c < copies; ++c) out.wire.push_back(wire);
-    out.wire.push_back(std::move(wire));
+    for (int c = 1; c < copies; ++c) out.push_back(wire);
+    out.push_back(std::move(wire));
   }
-  if (flush_held) out.wire.push_back(std::move(held));
+  if (flush_held) out.push_back(std::move(held));
   return out;
 }
 

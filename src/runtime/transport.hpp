@@ -132,8 +132,10 @@ class transport {
 };
 
 /// One rank's message-level fault machinery, run by the fabric on every
-/// send: the plan's rng streams and counter accounting are what keep one
-/// chaos schedule bit-for-bit reproducible.
+/// send: its injector is the one place that reads an outgoing message's
+/// envelope header, to find the frame a fault or kill addresses, and its
+/// rng streams and counter accounting keep one chaos schedule bit-for-bit
+/// reproducible. An empty plan reads no header.
 ///
 /// Owned by one rank thread; not thread-safe.
 class injection_pipeline {
@@ -141,37 +143,23 @@ class injection_pipeline {
   injection_pipeline(const fault_plan& plan, int rank,
                      rank_counters* counters);
 
-  /// Count one communication op (the fabric calls this once per send);
-  /// throws rank_killed (and accounts it) when a planned kill is due.
-  void count_op();
-
-  /// What one logical send turns into after injection.
-  struct outcome {
-    /// Wire images to deliver now, in order. Empty when the message was
-    /// dropped or stashed for reorder; two identical images for a
-    /// duplicate; a trailing third image is a previously-stashed message
-    /// flushed by the injected swap.
-    std::vector<std::vector<double>> wire;
-    /// Copies charged to messages_sent/doubles_sent for this call (a
-    /// flushed stash image was charged when it was stashed).
-    int accounted_copies = 0;
-    /// Payload length of each accounted copy, after truncation.
-    std::size_t copy_doubles = 0;
-  };
-
-  /// Run one outgoing message through the plan: draws all randomness,
-  /// applies drop/delay/duplicate/corrupt/truncate/reorder, sleeps injected
-  /// delays in place, and updates the injected_* plus sent-side counters.
-  /// The caller only delivers the returned wire images, in order.
-  outcome on_send(int dst, std::span<const double> data);
-
-  std::int64_t ops() const { return injector_.ops(); }
+  /// Run one outgoing message through the plan: counts a frame toward the
+  /// kills (throws rank_killed, and accounts it, when one is due), draws
+  /// all randomness, applies drop/delay/duplicate/corrupt/truncate/reorder,
+  /// sleeps injected delays in place, and updates the injected_* plus
+  /// sent-side counters. Returns the wire images to deliver now, in order:
+  /// none when the message was dropped or stashed for reorder, two
+  /// identical ones for a duplicate, and a previously stashed message last
+  /// when this one releases it.
+  std::vector<std::vector<double>> on_send(int dst,
+                                           std::span<const double> data);
 
  private:
   fault_injector injector_;
+  bool inert_;  ///< the plan is empty: inject nothing, read no header
   rank_counters* counters_;
   /// Reorder stash: a reordered message waits here and is delivered right
-  /// after the next send to the same destination that the plan matches.
+  /// after the next frame to the same destination.
   std::map<int, std::vector<double>> stash_;
 };
 

@@ -6,19 +6,12 @@
 #include <string>
 #include <thread>
 
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/contract.hpp"
 
 namespace sfp::runtime {
 
 namespace {
-
-obs::histogram& send_bytes_hist() {
-  static obs::histogram& h =
-      obs::registry::global().get_histogram("runtime.send.message_bytes");
-  return h;
-}
 
 int validated_rank_count(int n) {
   SFP_REQUIRE(n >= 1, "world needs at least one rank");
@@ -74,22 +67,18 @@ rank_counters world::total_counters() const {
 void world::send(int src, int dst, std::span<const double> data) {
   SFP_REQUIRE(dst >= 0 && dst < num_ranks_, "destination out of range");
   SFP_TRACE_SCOPE_CAT("world.send", "runtime");
-  injection_pipeline& pipeline = pipelines_[static_cast<std::size_t>(src)];
+  std::vector<std::vector<double>> images;
   try {
-    pipeline.count_op();
+    images = pipelines_[static_cast<std::size_t>(src)].on_send(dst, data);
   } catch (const rank_killed&) {
     // A killed rank is dead whatever its caller does with the exception:
-    // the kill is the run's failure from this op on.
+    // the kill is the run's failure from this frame on.
     std::lock_guard<std::mutex> lock(mutex_);
     abort_locked(src, std::current_exception());
     throw;
   }
   sends_.fetch_add(1, std::memory_order_relaxed);
-  injection_pipeline::outcome out = pipeline.on_send(dst, data);
-  for (int c = 0; c < out.accounted_copies; ++c)
-    send_bytes_hist().observe(
-        static_cast<std::int64_t>(out.copy_doubles * sizeof(double)));
-  for (auto& image : out.wire) deliver(dst, src, std::move(image));
+  for (auto& image : images) deliver(dst, src, std::move(image));
 }
 
 void world::deliver(int dst, int src, std::vector<double> image) {

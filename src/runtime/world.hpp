@@ -29,9 +29,9 @@
 // shared abort flag wakes every rank parked in recv_or_quiescent with
 // world_aborted (after its inbox drains) instead of hanging the join loop.
 // A seeded fault_plan injects deterministic kills and message drop/delay/
-// duplication/corruption/truncation/reorder; an op is counted on every
-// send, so one chaos schedule replays bit for bit. Per-rank robustness
-// counters account for everything that happened.
+// duplication/corruption/truncation/reorder, each addressed to a frame of
+// its link (fault.hpp), so one chaos schedule replays bit for bit.
+// Per-rank robustness counters account for everything that happened.
 //
 // Observability: every send is a trace span when an obs session is active
 // (rank threads are named "rank N" in the dump), and run() publishes the
@@ -122,9 +122,9 @@ class world {
   std::mutex mutex_;
   std::vector<rank_slot> slots_;
   std::int64_t sends_at_round_ = -1;  ///< sends_ at the last round; -1: none
-  /// Every send, counted before injection (a dropped resend is progress
-  /// too). Relaxed: a sender takes mutex_ (to block or retire) before the
-  /// detector can count it as blocked.
+  /// Every send a kill did not stop, dropped or not (a dropped resend is
+  /// progress too). Relaxed: a sender takes mutex_ (to block or retire)
+  /// before the detector can count it as blocked.
   std::atomic<std::int64_t> sends_{0};
 
   // Failure state (set once per run by the first failure).

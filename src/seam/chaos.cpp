@@ -10,7 +10,6 @@
 #include <tuple>
 #include <utility>
 
-#include "core/parallel_partition.hpp"
 #include "core/sfc_partition.hpp"
 #include "seam/exchange.hpp"
 #include "util/contract.hpp"
@@ -40,6 +39,13 @@ chaos_fault::kind kind_from_string(const std::string& name) {
   }
   SFP_REQUIRE(false, "chaos schedule: unknown fault kind '" + name + "'");
   std::abort();  // unreachable: SFP_REQUIRE throws
+}
+
+/// Tokens one fence sends on `n` ranks: one per dissemination round.
+std::int64_t fence_tokens(int n) {
+  std::int64_t tokens = 0;
+  for (int hop = 1; hop < n; hop *= 2) ++tokens;
+  return tokens;
 }
 
 /// Judges `t` by the kill contract both harnesses share. An aborted run
@@ -106,20 +112,22 @@ chaos_schedule make_chaos_schedule(std::uint64_t seed, int nranks,
   return schedule;
 }
 
-void add_kills(chaos_schedule& schedule, int nranks, int nkills,
-               std::int64_t max_op) {
-  SFP_REQUIRE(nranks >= 2, "chaos schedules need at least two ranks");
+void add_kills(chaos_schedule& schedule,
+               std::span<const std::int64_t> frames, int nkills) {
+  SFP_REQUIRE(frames.size() >= 2, "chaos schedules need at least two ranks");
   SFP_REQUIRE(nkills >= 0, "kill count must be non-negative");
-  SFP_REQUIRE(max_op >= 1, "max_op must be >= 1");
+  SFP_REQUIRE(
+      std::ranges::all_of(frames, [](std::int64_t f) { return f >= 1; }),
+      "every rank must send a frame");
   // Its own rng stream, decorrelated from the shape and positional streams.
   rng r(schedule.seed ^ 0x6b111ed6b111ed00ull);
   schedule.kills.reserve(schedule.kills.size() +
                          static_cast<std::size_t>(nkills));
   for (int i = 0; i < nkills; ++i) {
     chaos_kill k;
-    k.rank = static_cast<int>(r.below(static_cast<std::uint64_t>(nranks)));
-    k.at_op =
-        1 + static_cast<std::int64_t>(r.below(static_cast<std::uint64_t>(max_op)));
+    k.rank = static_cast<int>(r.below(frames.size()));
+    k.at_op = 1 + static_cast<std::int64_t>(r.below(static_cast<std::uint64_t>(
+                      frames[static_cast<std::size_t>(k.rank)])));
     schedule.kills.push_back(k);
   }
 }
@@ -127,20 +135,13 @@ void add_kills(chaos_schedule& schedule, int nranks, int nkills,
 runtime::fault_plan to_fault_plan(const chaos_schedule& schedule) {
   runtime::fault_plan plan;
   plan.seed = schedule.seed;
-  // The per-rank op counter the injector fires kills on counts the rank's
-  // own sends.
   for (const chaos_kill& k : schedule.kills)
     plan.kills.push_back({k.rank, k.at_op});
   for (const chaos_fault& f : schedule.faults) {
     runtime::fault_plan::message_fault mf;
     mf.src = f.src;
     mf.dst = f.dst;
-    mf.fire_from = f.nth;
-    mf.fire_count = 1;
-    // Data frames only: a reliable wire message is a 5-double header plus
-    // payload, so >= 6 doubles excludes the header-only ack/fence frames
-    // whose send order depends on timing.
-    mf.min_payload = runtime::wire::header_doubles + 1;
+    mf.frame = f.nth;
     switch (f.what) {
       case chaos_fault::kind::drop: mf.drop_probability = 1.0; break;
       case chaos_fault::kind::duplicate: mf.duplicate_probability = 1.0; break;
@@ -248,10 +249,16 @@ chaos_harness::chaos_harness(const chaos_options& opts)
   });
   dt_ = model_.cfl_dt(0.3);
   baseline_ = run_distributed(model_, part_, dt_, opts.nsteps);
-  const exchange_plan plan = exchange_plan::build(model_.dofs(), part_);
-  for (int r = 0; r < opts.nranks; ++r)
-    for (const auto& peer : plan.ranks[static_cast<std::size_t>(r)].peers)
-      links_.emplace_back(r, peer.rank);
+  // A rank's frames: per step one per RK stage on each halo link and the
+  // checkpoint fence's tokens, then the closing fence's.
+  const std::int64_t tokens = fence_tokens(opts.nranks);
+  for (int r = 0; r < opts.nranks; ++r) {
+    const rank_exchange_plan rp =
+        rank_exchange_plan::build(model_.dofs(), part_, r);
+    for (const auto& peer : rp.peers) links_.emplace_back(r, peer.rank);
+    const auto halo_links = static_cast<std::int64_t>(rp.peers.size());
+    frames_.push_back(opts.nsteps * (3 * halo_links + tokens) + tokens);
+  }
 }
 
 chaos_schedule chaos_harness::make_schedule(std::uint64_t seed,
@@ -321,37 +328,26 @@ partition_chaos_harness::partition_chaos_harness(
               "partition chaos harness needs at least two parts");
   SFP_REQUIRE(opts.nranks <= mesh_.num_elements(),
               "partition chaos harness: more ranks than elements");
+  // A leaf's frames: one per flat-star allgather, then the closing fence's
+  // tokens; the root sends one to every leaf per allgather.
+  const std::int64_t tokens = fence_tokens(opts.nranks);
+  frames_.assign(static_cast<std::size_t>(opts.nranks), 2 + tokens);
+  frames_[0] = 2 * std::int64_t{opts.nranks - 1} + tokens;
 }
 
 chaos_schedule partition_chaos_harness::make_schedule(std::uint64_t seed,
                                                       int nfaults) const {
   // A fault-free attempt sends data frames only between the root (rank 0)
   // and each leaf, one each way per flat-star allgather, and
-  // core::parallel_partition_rank runs two. Draw kind, direction and frame
+  // core::parallel_partition_rank runs two: frames 0 and 1 of every
+  // root-leaf link, header-only or not. Draw kind, direction and frame
   // index on a two-rank world, then a leaf for rank 1 from its own stream.
-  // A leaf's second frame carries its cuts, and a leaf that owns none sends
-  // it header-only, which no data-frame fault matches; so leaf -> root
-  // frame 1 goes to a leaf that owns a cut. With unit weights S(x) = x,
-  // and leaf r owns part p's cut iff begin_r·nparts < p·K <= end_r·nparts.
-  const std::int64_t k = mesh_.num_elements();
-  std::vector<int> leaves, cut_leaves;
-  for (int r = 1; r < opts_.nranks; ++r) {
-    leaves.push_back(r);
-    const std::int64_t begin = core::element_block_begin(k, opts_.nranks, r);
-    const std::int64_t end = core::element_block_begin(k, opts_.nranks, r + 1);
-    const std::int64_t p = begin * opts_.nparts / k + 1;  // first p·K past begin
-    if (p < opts_.nparts && p * k <= end * opts_.nparts)
-      cut_leaves.push_back(r);
-  }
   chaos_schedule schedule = make_chaos_schedule(seed, 2, nfaults, 2);
   rng r(seed ^ 0x1eaf1eaf1eaf1eafull);
-  for (chaos_fault& f : schedule.faults) {
-    if (f.src != 0 && f.nth == 1 && cut_leaves.empty()) f.nth = 0;
-    const std::vector<int>& from =
-        f.src != 0 && f.nth == 1 ? cut_leaves : leaves;
+  for (chaos_fault& f : schedule.faults)
     (f.src == 0 ? f.dst : f.src) =
-        from[static_cast<std::size_t>(r.below(from.size()))];
-  }
+        1 + static_cast<int>(
+                r.below(static_cast<std::uint64_t>(opts_.nranks - 1)));
   return schedule;
 }
 
@@ -492,7 +488,7 @@ soak_report run_chaos_soak(const chaos_target& harness,
   for (int i = 0; i < trials; ++i) {
     chaos_schedule schedule = harness.make_schedule(
         base_seed + static_cast<std::uint64_t>(i), nfaults);
-    add_kills(schedule, harness.nranks(), nkills);
+    add_kills(schedule, harness.frames(), nkills);
     const chaos_trial trial = harness.run(schedule);
     report.reliable += trial.reliable;
     if (trial.recoveries > 0) ++report.recovered_trials;

@@ -1,10 +1,13 @@
 #pragma once
 // One chaos harness for the reliable distributed runners.
 //
-// A chaos_schedule is a *discrete* fault list — "the nth message from rank
-// 1 to rank 3 is corrupted" — rather than per-message probabilities. Each
-// fault lowers to a probability-1 runtime::fault_plan entry with a one-shot
-// fire window, so a schedule is reproducible from its seed and, crucially,
+// A chaos_schedule is a *discrete* fault list — "frame n from rank 1 to
+// rank 3 is corrupted", "rank 2 dies at its nth frame" — rather than
+// per-message probabilities. A frame is the first transmission of a data
+// frame or fence token (runtime/fault.hpp), and a rank sends its frames in
+// program order, so each fault lowers to a probability-1
+// runtime::fault_plan entry addressed to one frame, and a schedule replays
+// the same under any load. It is reproducible from its seed and, crucially,
 // shrinkable: when a soak finds a failing schedule, ddmin-style delta
 // debugging (shrink_failure) removes faults and kills while the failure
 // persists, leaving a minimal reproducer that can be
@@ -21,6 +24,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -37,8 +41,9 @@
 
 namespace sfp::seam {
 
-/// One discrete injected fault: hit the `nth` wire message (0-based, in the
-/// sender's own order, acks and retransmits included) from `src` to `dst`.
+/// One discrete injected fault: hit frame `nth` (0-based: data frames and
+/// fence tokens, in the sender's own order) of the link from `src` to
+/// `dst`, on its first transmission.
 struct chaos_fault {
   enum class kind : int { drop = 0, duplicate, corrupt, truncate, reorder };
   kind what = kind::drop;
@@ -48,16 +53,11 @@ struct chaos_fault {
 
 const char* to_string(chaos_fault::kind k);
 
-/// One simulated process death: world rank `rank` throws rank_killed at its
-/// `at_op`-th communication op (counted from 1; on the partition fabric
-/// every op is a transport send, acks and retransmits included). Ack
-/// interleaving is timing-dependent, so the exact message the
-/// kill lands after may shift between runs — which is fine, because unlike
-/// a message fault a kill is not checked against a pinned delivery outcome:
-/// *every* landing point must satisfy the same contract (the fault-free
-/// result on the survivors, or a clean abort). A kill whose `at_op` lies
-/// past the rank's last op never fires (and shrinks away), exactly like an
-/// over-indexed message fault.
+/// One simulated process death: world rank `rank` throws rank_killed as it
+/// is about to send its `at_op`-th frame of an attempt (counted from 1;
+/// acks and resends never count). A kill whose `at_op` lies past the rank's
+/// last frame never fires (and shrinks away), exactly like an over-indexed
+/// message fault.
 struct chaos_kill {
   int rank = 0;
   std::int64_t at_op = 1;
@@ -73,26 +73,24 @@ struct chaos_schedule {
 };
 
 /// Randomized schedule: `nfaults` faults with kinds, (src, dst) pairs and
-/// message indices in [0, max_nth) drawn from `seed`. Pure function of its
-/// arguments. The default max_nth covers the 3 * nsteps data messages a
+/// frame indices in [0, max_nth) drawn from `seed`. Pure function of its
+/// arguments. The default max_nth covers the 3 * nsteps halo frames a
 /// default-sized trial sends per (src, dst) pair; a fault indexed past the
-/// last real message simply never fires (and shrinks away).
+/// last real frame simply never fires (and shrinks away).
 chaos_schedule make_chaos_schedule(std::uint64_t seed, int nranks,
                                    int nfaults, std::int64_t max_nth = 9);
 
-/// Append `nkills` seeded rank-kill faults (ranks in [0, nranks), op
-/// indices in [1, max_op]) to the schedule. Pure function of the
+/// Append `nkills` seeded rank kills to the schedule: a rank in
+/// [0, frames.size()) and a frame in [1, frames[rank]], where `frames` is
+/// what each rank sends in a fault-free attempt. Pure function of the
 /// schedule's seed and its arguments, drawn from an rng stream
 /// decorrelated from the shape and positional rngs. Repeated
 /// ranks are allowed — a second kill of an already-dead rank never fires.
-void add_kills(chaos_schedule& schedule, int nranks, int nkills,
-               std::int64_t max_op = 12);
+void add_kills(chaos_schedule& schedule,
+               std::span<const std::int64_t> frames, int nkills);
 
 /// Lower to the runtime's declarative plan: one probability-1 entry per
-/// fault, scoped by (src, dst) with a [nth, nth+1) fire window and a
-/// min_payload filter that restricts matching to reliable data frames —
-/// header-only ack/fence frames interleave with timing, so counting them
-/// would make `nth` name a different message on every run. Kills lower
+/// fault, scoped by (src, dst) and addressed to frame `nth`. Kills lower
 /// one-to-one.
 runtime::fault_plan to_fault_plan(const chaos_schedule& schedule);
 
@@ -135,11 +133,17 @@ class chaos_target {
 
   virtual chaos_trial run(const chaos_schedule& schedule) const = 0;
   /// Ranks the schedules' faults and kills are drawn over.
-  virtual int nranks() const = 0;
+  int nranks() const { return static_cast<int>(frames_.size()); }
+  /// Frames each world rank sends in a fault-free attempt: the range a
+  /// soak draws that rank's kills from.
+  const std::vector<std::int64_t>& frames() const { return frames_; }
   /// A soak schedule's message faults: `nfaults` faults drawn from `seed`
   /// onto the links and frame indices the harness's runs send.
   virtual chaos_schedule make_schedule(std::uint64_t seed,
                                        int nfaults) const = 0;
+
+ protected:
+  std::vector<std::int64_t> frames_;  ///< by world rank, set by the harness
 };
 
 /// Problem + channel configuration for the advection harness.
@@ -162,8 +166,7 @@ class chaos_harness final : public chaos_target {
   explicit chaos_harness(const chaos_options& opts = {});
 
   chaos_trial run(const chaos_schedule& schedule) const override;
-  int nranks() const override { return opts_.nranks; }
-  /// make_chaos_schedule with frame indices below 3 * nsteps (one data
+  /// make_chaos_schedule with frame indices below 3 * nsteps (one halo
   /// frame per RK stage on each halo link), and every fault on a rank pair
   /// without a halo link moved onto one that has it.
   chaos_schedule make_schedule(std::uint64_t seed,
@@ -208,7 +211,6 @@ class partition_chaos_harness final : public chaos_target {
   explicit partition_chaos_harness(const partition_chaos_options& opts = {});
 
   chaos_trial run(const chaos_schedule& schedule) const override;
-  int nranks() const override { return opts_.nranks; }
   chaos_schedule make_schedule(std::uint64_t seed,
                                int nfaults) const override;
   const partition_chaos_options& options() const { return opts_; }

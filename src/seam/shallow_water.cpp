@@ -24,8 +24,8 @@ void project_tangent(const mesh::vec3& p, double& ux, double& uy,
   uz -= un * p.z;
 }
 
-/// The SWE tendency of one element of NP² nodes (see rhs_elements), handed
-/// node by node, in ascending k, to out(k, {dh, dux, duy, duz}/dt).
+/// The SWE tendency of one element of NP² nodes, handed node by node, in
+/// ascending k, to out(k, {dh, dux, duy, duz}/dt).
 template <int NP, typename Out>
 void rhs_one(const gll_rule& rule, const shallow_water_model::node_data* nodes,
              double g, four<const double> in, const Out& out) {
@@ -206,32 +206,6 @@ void shallow_water_model::set_williamson2(double u0, double h0) {
       },
       [=](mesh::vec3 p) {
         return mesh::vec3{-u0 * p.y, u0 * p.x, 0.0};  // u0 (ẑ × p)
-      });
-}
-
-void shallow_water_model::rhs_elements(
-    std::span<const double> h, std::span<const double> ux,
-    std::span<const double> uy, std::span<const double> uz,
-    std::span<double> rh, std::span<double> rx, std::span<double> ry,
-    std::span<double> rz, std::span<const int> elems) const {
-  const std::size_t size = elems.size() * static_cast<std::size_t>(np_) *
-                           static_cast<std::size_t>(np_);
-  for (const std::size_t field : {h.size(), ux.size(), uy.size(), uz.size(),
-                                  rh.size(), rx.size(), ry.size(), rz.size()})
-    SFP_REQUIRE(field == size, "element slice size mismatch");
-  const four<double> out{rh.data(), rx.data(), ry.data(), rz.data()};
-  for_each_slot(
-      rule_, nodes_, elems.size(),
-      [&](std::size_t l) { return static_cast<std::size_t>(elems[l]); },
-      [&]<int NP>(std::integral_constant<int, NP>, std::size_t,
-                  const node_data* nd, std::size_t at) {
-        rhs_one<NP>(rule_, nd, params_.gravity,
-                    {h.data() + at, ux.data() + at, uy.data() + at,
-                     uz.data() + at},
-                    [&](std::size_t k, const std::array<double, 4>& r) {
-                      for (std::size_t f = 0; f < 4; ++f)
-                        out[f][at + k] = r[f];
-                    });
       });
 }
 

@@ -64,23 +64,14 @@ class shallow_water_model {
   double cfl_dt(double cfl = 0.3) const;
 
   // ---- per-element passes (the distributed runner's element pass) --------
-  /// Evaluate the SWE tendency of a run of element slots: slot l — nodes
-  /// [l·np², (l+1)·np²) of every span — holds element elems[l], in any
-  /// field layout; the ids only select the geometry. Thread-safe: reads
-  /// only precomputed geometry, writes only the tendency slices.
-  void rhs_elements(std::span<const double> h, std::span<const double> ux,
-                    std::span<const double> uy, std::span<const double> uz,
-                    std::span<double> rh, std::span<double> rx,
-                    std::span<double> ry, std::span<double> rz,
-                    std::span<const int> elems) const;
-
-  /// One element pass of ssp_rk3_step over a run of element slots, laid
-  /// out as in rhs_elements, for the four fields (h, ux, uy, uz) at once:
-  /// each node's tendency L(src) goes straight into
-  /// dst = rk3_stage_value<stage>(q, src, h · L), and the node's velocity
-  /// is then tangent-projected. Calls after_slot(l) right after slot l's
-  /// stage values are stored. `dst` may be `q` and must not overlap `src`.
-  /// Thread-safe.
+  /// One element pass of ssp_rk3_step over a run of element slots, for the
+  /// four fields (h, ux, uy, uz) at once: slot l — nodes [l·np², (l+1)·np²)
+  /// of every span — holds element elems[l], in any field layout; the ids
+  /// only select the geometry. Each node's tendency L(src) goes straight
+  /// into dst = rk3_stage_value<stage>(q, src, h · L), and the node's
+  /// velocity is then tangent-projected. Calls after_slot(l) right after
+  /// slot l's stage values are stored. `dst` may be `q` and must not
+  /// overlap `src`. Thread-safe.
   void stage_elements(int stage, double h, const rk3_fields<4>& q,
                       const rk3_fields<4>& src, const rk3_fields<4>& dst,
                       std::span<const int> elems,

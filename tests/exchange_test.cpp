@@ -502,7 +502,7 @@ TEST(Distributed, ScatteredLabelsMatchSerial) {
     const auto curve = core::build_cube_curve(m);
     const auto sfc = core::sfc_partition(curve, nranks);
     runtime::resilience_options ropts;
-    ropts.faults.kills.push_back({/*rank=*/1, /*at_op=*/30});
+    ropts.faults.kills.push_back({/*rank=*/1, /*at_op=*/15});
     ropts.max_recoveries = 1;
     recovery_report report;
     const auto dist = run_distributed_resilient(model, curve, sfc, dt, nsteps,

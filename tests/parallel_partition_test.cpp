@@ -236,10 +236,7 @@ TEST(ParallelPartitionOverFabric, HealsThroughMessageDropsAndMatchesSerial) {
   resilience_options opts;
   opts.faults.seed = 99;
   runtime::fault_plan::message_fault drop;
-  drop.drop_probability = 0.2;
-  // Pin the chaos to reliable *data* frames (header + payload): ack-frame
-  // interleaving is timing-dependent and would make the schedule unstable.
-  drop.min_payload = runtime::wire::header_doubles + 1;
+  drop.drop_probability = 0.2;  // a lossy wire: acks and resends too
   opts.faults.message_faults.push_back(drop);
 
   const parallel_partition_report report =
@@ -278,9 +275,10 @@ TEST(ParallelPartitionOverFabric, SurvivesRankZeroKillAndMatchesSerial) {
   const std::vector<graph::weight> weights = heavy_tail_weights(54, 11);
   const partition::partition serial = core::sfc_partition(curve, 5, weights);
 
-  // The root dies mid-collective; rank 1 is the root of the restart.
+  // The root dies mid-collective, at its first broadcast frame; rank 1 is
+  // the root of the restart.
   const parallel_partition_report report = run_parallel_partition(
-      mesh, spec, 5, weights, 4, kill_run_options(kills({{0, 2}})));
+      mesh, spec, 5, weights, 4, kill_run_options(kills({{0, 1}})));
   ASSERT_FALSE(report.aborted);
   EXPECT_EQ(report.counters.injected_kills, 1);
   EXPECT_EQ(report.recoveries, 1);
@@ -304,9 +302,8 @@ TEST(ParallelPartitionOverFabric, SubQuorumKillsAbortCleanlyWithoutHang) {
   EXPECT_TRUE(report.plan.part_of.empty());
 
   // A budget of one restart, and a second death in the restart: the root
-  // dies on its first ack, before any broadcast, so rank 1 reaches its
-  // second op only as the root of attempt 1 (the wire drops nothing here,
-  // so nothing is ever retransmitted).
+  // dies at its first frame, before any broadcast lands, so rank 1 reaches
+  // its second frame only as the root of attempt 1.
   opts = kill_run_options(kills({{0, 1}, {1, 2}}));
   opts.max_recoveries = 1;
   report = run_parallel_partition(mesh, spec, 5, {}, 3, opts);
@@ -317,7 +314,7 @@ TEST(ParallelPartitionOverFabric, SubQuorumKillsAbortCleanlyWithoutHang) {
 }
 
 TEST(ParallelPartitionOverFabric, TwoOfThreeRanksKilledRecoverAlone) {
-  // Two staggered deaths — the root at its first ack, then rank 1 as the
+  // Two staggered deaths — the root at its first frame, then rank 1 as the
   // root of the restart — leave rank 2, which finishes the partition alone
   // on the solo path.
   const mesh::cubed_sphere mesh(3);
@@ -335,7 +332,7 @@ TEST(ParallelPartitionOverFabric, TwoOfThreeRanksKilledRecoverAlone) {
 }
 
 TEST(ParallelPartitionOverFabric, EveryRankKilledAtItsFirstOpLeavesTheRoot) {
-  // Every rank is armed to die on its first send. The leaves send first
+  // Every rank is armed to die at its first frame. The leaves send first
   // and die; the root only receives before their deaths end the attempt,
   // so it survives, and a lone survivor sends nothing: its kill never
   // fires, and it finishes the plan alone.
@@ -350,22 +347,25 @@ TEST(ParallelPartitionOverFabric, EveryRankKilledAtItsFirstOpLeavesTheRoot) {
   EXPECT_EQ(report.counters.injected_kills, 2);
   EXPECT_EQ(report.recoveries, 1);
   EXPECT_EQ(report.lost_ranks, (std::vector<int>{1, 2}));
-  expect_matches_serial(report, serial, curve, {}, "every rank killed at op 1");
+  expect_matches_serial(report, serial, curve, {},
+                        "every rank killed at frame 1");
 }
 
 TEST(ParallelPartitionKills, OneKillAtEachEarlyOpKeepsSerialParity) {
-  // One kill at ops 1..8 on the root and on a leaf of 4 ranks. A leaf sends 8 frames per attempt and the root 16 (data and
-  // acks of the range-weight allgather, the cut allgather and the closing
-  // fence), so every kill fires, mid-collective on both sides of the star.
+  // One kill at every frame of the root and of a leaf of 4 ranks: a leaf
+  // sends 4 frames per attempt and the root 8 (its frames of the
+  // range-weight allgather and the cut allgather, and the two tokens of the
+  // closing fence), so every kill fires, mid-collective on both sides of
+  // the star.
   const mesh::cubed_sphere mesh(3);
   const core::cube_curve curve = core::build_cube_curve(mesh);
   const core::cube_curve_spec spec = core::spec_of(curve);
   const std::vector<graph::weight> weights = heavy_tail_weights(54, 5);
   const partition::partition serial = core::sfc_partition(curve, 5, weights);
   for (const int rank : {0, 2}) {
-    for (std::int64_t op = 1; op <= 8; ++op) {
+    for (std::int64_t op = 1; op <= (rank == 0 ? 8 : 4); ++op) {
       const std::string what = "rank " + std::to_string(rank) +
-                               " killed at op " + std::to_string(op);
+                               " killed at frame " + std::to_string(op);
       const parallel_partition_report report = run_parallel_partition(
           mesh, spec, 5, weights, 4, kill_run_options(kills({{rank, op}})));
       ASSERT_FALSE(report.aborted) << what;
@@ -378,7 +378,7 @@ TEST(ParallelPartitionKills, OneKillAtEachEarlyOpKeepsSerialParity) {
 }
 
 TEST(ParallelPartitionKills, TwoDeathsAtExactQuorumStillMatchSerial) {
-  // Ranks 0 and 2 die at staggered ops, in one attempt or in two, and
+  // Ranks 0 and 2 die at staggered frames, in one attempt or in two, and
   // leave {1, 3}. The plan must match the serial slicer over the two-rank
   // restart.
   const mesh::cubed_sphere mesh(3);
@@ -388,7 +388,7 @@ TEST(ParallelPartitionKills, TwoDeathsAtExactQuorumStillMatchSerial) {
 
   const parallel_partition_report report = run_parallel_partition(
       mesh, spec, 5, {}, 4,
-      kill_run_options(kills({{0, 6}, {2, 3}})));
+      kill_run_options(kills({{0, 3}, {2, 2}})));
   ASSERT_FALSE(report.aborted);
   EXPECT_EQ(report.counters.injected_kills, 2);
   EXPECT_GE(report.recoveries, 1);
@@ -398,7 +398,7 @@ TEST(ParallelPartitionKills, TwoDeathsAtExactQuorumStillMatchSerial) {
 }
 
 TEST(ParallelPartitionKills, TwoKillsAtTheFirstOpLoseBothRanks) {
-  // Two leaves die on their first send, in the same attempt; the restart
+  // Two leaves die at their first frame, in the same attempt; the restart
   // runs on ranks {0, 3}.
   const mesh::cubed_sphere mesh(3);
   const core::cube_curve curve = core::build_cube_curve(mesh);
@@ -412,7 +412,7 @@ TEST(ParallelPartitionKills, TwoKillsAtTheFirstOpLoseBothRanks) {
   EXPECT_EQ(report.counters.injected_kills, 2);
   EXPECT_EQ(report.recoveries, 1);
   EXPECT_EQ(report.lost_ranks, (std::vector<int>{1, 2}));
-  expect_matches_serial(report, serial, curve, {}, "two kills at op 1");
+  expect_matches_serial(report, serial, curve, {}, "two kills at frame 1");
 }
 
 TEST(ParallelPartitionKills, RecoversUnderDefaultReliableOptions) {
@@ -424,7 +424,7 @@ TEST(ParallelPartitionKills, RecoversUnderDefaultReliableOptions) {
   const partition::partition serial = core::sfc_partition(curve, 5);
 
   resilience_options opts;
-  opts.faults = kills({{0, 2}});
+  opts.faults = kills({{0, 1}});
   const parallel_partition_report report =
       run_parallel_partition(mesh, spec, 5, {}, 4, opts);
   ASSERT_FALSE(report.aborted);

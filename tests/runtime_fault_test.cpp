@@ -173,9 +173,9 @@ TEST(FaultInjection, KillFiresAtExactOp) {
   try {
     w.run([](transport& t) {
       if (t.rank() == 1) {
-        t.send(0, std::vector<double>{1.0});  // op 1
-        t.send(0, std::vector<double>{2.0});  // op 2
-        t.send(0, std::vector<double>{3.0});  // op 3 — killed here
+        t.send(0, std::vector<double>{1.0});  // frame 1
+        t.send(0, std::vector<double>{2.0});  // frame 2
+        t.send(0, std::vector<double>{3.0});  // frame 3 — killed here
         FAIL() << "rank 1 should be dead";
       } else {
         recv_any(t);
@@ -198,7 +198,7 @@ TEST(FaultInjection, KillFiresAtExactOp) {
 }
 
 TEST(FaultInjection, ReceivesAreNotOps) {
-  // Only sends advance the op counter the kills fire on: a rank that
+  // Only sends advance the frame counter the kills fire on: a rank that
   // receives any number of messages is never killed by receiving.
   fault_plan faults;
   faults.kills.push_back({/*rank=*/0, /*at_op=*/2});
@@ -206,7 +206,7 @@ TEST(FaultInjection, ReceivesAreNotOps) {
   w.run([](transport& t) {
     if (t.rank() == 0) {
       for (int i = 0; i < 10; ++i) recv_any(t);
-      t.send(1, std::vector<double>{1.0});  // op 1
+      t.send(1, std::vector<double>{1.0});  // frame 1
     } else {
       for (int i = 0; i < 10; ++i) t.send(0, std::vector<double>{1.0 * i});
       recv_any(t);
@@ -375,62 +375,94 @@ TEST(Counters, AccountForCleanTraffic) {
   EXPECT_THROW(w.counters(2), sfp::contract_error);
 }
 
-TEST(FaultInjection, MinPayloadSkipsHeaderOnlyFrames) {
-  // A min_payload filter makes header-only frames (acks, fence tokens)
-  // invisible to the entry: they neither fire nor advance its match index.
-  fault_plan plan;
-  plan.seed = 5;
-  fault_plan::message_fault mf;
-  mf.drop_probability = 1.0;
-  mf.min_payload = 7;
-  mf.fire_from = 1;
-  mf.fire_count = 1;
-  plan.message_faults.push_back(mf);
-
-  fault_injector inj(plan, 0);
-  EXPECT_FALSE(inj.on_send(1, 6).drop);   // header-only: no match
-  EXPECT_FALSE(inj.on_send(1, 10).drop);  // data match #0: before window
-  EXPECT_FALSE(inj.on_send(1, 6).drop);   // header-only again
-  EXPECT_TRUE(inj.on_send(1, 10).drop);   // data match #1: fires
-  EXPECT_FALSE(inj.on_send(1, 10).drop);  // data match #2: window closed
-}
-
 TEST(FaultInjection, FireWindowPinsAFaultToSpecificMatches) {
-  // drop with probability 1 but a [2, 4) window: of six matching sends,
-  // exactly the third and fourth are dropped; the rng stream still
-  // advances on every match, so a sibling entry's decisions are untouched
-  // by the window (checked by comparing against the same plan windowless).
+  // A frame address pins a fault to specific frames: drop with
+  // probability 1 addressed to frames 2 and 3, and of six frames exactly
+  // the third and fourth are dropped. An ack or a resend of an addressed
+  // frame is not the frame, unless the entry asks for resends.
   fault_plan plan;
   plan.seed = 99;
-  fault_plan::message_fault mf;
-  mf.drop_probability = 1.0;
-  mf.fire_from = 2;
-  mf.fire_count = 2;
-  plan.message_faults.push_back(mf);
+  for (const std::int64_t frame : {2, 3}) {
+    fault_plan::message_fault mf;
+    mf.drop_probability = 1.0;
+    mf.frame = frame;
+    plan.message_faults.push_back(mf);
+  }
 
+  const std::vector<double> payload(8, 1.0);  // raw datagrams: all frames
   fault_injector inj(plan, /*rank=*/0);
   std::vector<bool> dropped;
-  for (int i = 0; i < 6; ++i)
-    dropped.push_back(inj.on_send(1, 8).drop);
+  for (int i = 0; i < 6; ++i) dropped.push_back(inj.on_send(1, payload).drop);
   EXPECT_EQ(dropped, (std::vector<bool>{false, false, true, true, false,
                                         false}));
 
-  // Windowed and windowless plans draw identical corrupt positions.
+  // Reliable frames from seq 10: a resend of frame 2 (seq 12) or an ack is
+  // not frame 2, unless the entry asks for resends.
+  const auto image = [](envelope::kind type, std::uint64_t seq) {
+    envelope h;
+    h.type = type;
+    h.seq = seq;
+    return wire::encode(h, std::vector<double>{1.0});
+  };
+  fault_plan severed = plan;
+  severed.message_faults[0].resends = true;
+  fault_injector once(plan, 0), hook(severed, 0);
+  for (fault_injector* sender : {&once, &hook})
+    for (std::uint64_t seq = 10; seq <= 12; ++seq)
+      EXPECT_EQ(sender->on_send(1, image(envelope::kind::data, seq)).drop,
+                seq == 12);
+  EXPECT_FALSE(once.on_send(1, image(envelope::kind::data, 12)).drop);
+  EXPECT_TRUE(hook.on_send(1, image(envelope::kind::data, 12)).drop);
+  EXPECT_FALSE(hook.on_send(1, image(envelope::kind::data, 11)).drop);
+  EXPECT_FALSE(hook.on_send(1, image(envelope::kind::ack, 12)).drop);
+
+  // Addressed and unaddressed entries draw identical corrupt positions.
   fault_plan probed = plan;
   probed.message_faults[0].corrupt_probability = 1.0;
-  fault_plan windowless = probed;
-  windowless.message_faults[0].fire_from = 0;
-  windowless.message_faults[0].fire_count = -1;
-  fault_injector a(probed, 0), b(windowless, 0);
+  fault_plan unaddressed = probed;
+  unaddressed.message_faults[0].frame = -1;
+  fault_injector a(probed, 0), b(unaddressed, 0);
   for (int i = 0; i < 6; ++i) {
-    const auto aa = a.on_send(1, 8);
-    const auto bb = b.on_send(1, 8);
+    const auto aa = a.on_send(1, payload);
+    const auto bb = b.on_send(1, payload);
     EXPECT_TRUE(bb.corrupt);
     if (aa.corrupt) {
       EXPECT_EQ(aa.corrupt_element, bb.corrupt_element);
       EXPECT_EQ(aa.corrupt_bit, bb.corrupt_bit);
     }
   }
+}
+
+TEST(FaultInjection, KillCountsFramesNotAcks) {
+  // Rank 0 sends two data frames, takes rank 1's reply and fences. Its
+  // frames are the two data frames and its fence token; the ack of the
+  // reply in between is no frame. So a kill at frame 3 lands on the
+  // token, after the reply was taken, on every run.
+  fault_plan faults;
+  faults.kills.push_back({/*rank=*/0, /*at_op=*/3});
+  world w(2, faults);
+  std::atomic<bool> replied{false};
+  try {
+    w.run([&](transport& t) {
+      reliable_channel channel(t);
+      if (t.rank() == 0) {
+        channel.send(1, std::vector<double>{1.0});
+        channel.send(1, std::vector<double>{2.0});
+        EXPECT_EQ(channel.recv(1).at(0), 3.0);
+        replied = true;
+      } else {
+        EXPECT_EQ(channel.recv(0).at(0), 1.0);
+        EXPECT_EQ(channel.recv(0).at(0), 2.0);
+        channel.send(0, std::vector<double>{3.0});
+      }
+      channel.fence();
+    });
+    FAIL() << "run should rethrow the kill";
+  } catch (const rank_killed& e) {
+    EXPECT_EQ(e.rank(), 0);
+    EXPECT_EQ(e.op(), 3);
+  }
+  EXPECT_TRUE(replied.load());
 }
 
 TEST(FaultInjection, CorruptPositionsDoNotDependOnOtherEntries) {
@@ -447,9 +479,10 @@ TEST(FaultInjection, CorruptPositionsDoNotDependOnOtherEntries) {
   fault_plan second_only = both;
   second_only.message_faults.erase(second_only.message_faults.begin());
   fault_injector a(both, 0), b(second_only, 0);
+  const std::vector<double> payload(8, 1.0);
   for (int i = 0; i < 6; ++i) {
-    const auto aa = a.on_send(2, 8);
-    const auto bb = b.on_send(2, 8);
+    const auto aa = a.on_send(2, payload);
+    const auto bb = b.on_send(2, payload);
     ASSERT_TRUE(aa.corrupt && bb.corrupt);
     EXPECT_EQ(aa.corrupt_element, bb.corrupt_element);
     EXPECT_EQ(aa.corrupt_bit, bb.corrupt_bit);

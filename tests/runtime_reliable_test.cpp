@@ -104,7 +104,6 @@ TEST(Crc32c, SingleBitFlipChangesChecksum) {
 TEST(WireEnvelope, RoundTripsHeaderAndPayload) {
   envelope h;
   h.type = envelope::kind::data;
-  h.epoch = 7;
   h.seq = 123456;
   const std::vector<double> payload = {3.14, -2.71, 0.0, 1e300};
   const std::vector<double> image = wire::encode(h, payload);
@@ -114,7 +113,6 @@ TEST(WireEnvelope, RoundTripsHeaderAndPayload) {
   std::vector<double> body;
   ASSERT_TRUE(wire::decode(image, /*verify_checksum=*/true, &parsed, &body));
   EXPECT_EQ(parsed.type, envelope::kind::data);
-  EXPECT_EQ(parsed.epoch, 7u);
   EXPECT_EQ(parsed.seq, 123456u);
   EXPECT_EQ(body, payload);
 }
@@ -153,9 +151,9 @@ TEST(WireEnvelope, DetectsHeaderBitFlip) {
   h.seq = 9;
   std::vector<double> image = wire::encode(h, {{5.0}});
   std::uint64_t bits;
-  std::memcpy(&bits, &image[2], sizeof(bits));  // the seq word
+  std::memcpy(&bits, &image[1], sizeof(bits));  // the seq word
   bits ^= 1ull << 0;
-  std::memcpy(&image[2], &bits, sizeof(bits));
+  std::memcpy(&image[1], &bits, sizeof(bits));
   envelope parsed;
   std::vector<double> body;
   EXPECT_FALSE(wire::decode(image, true, &parsed, &body));
@@ -193,9 +191,10 @@ TEST(FaultInjection, CorruptionDrawsAreDeterministic) {
 
   fault_injector a(plan, 3);
   fault_injector b(plan, 3);
+  const std::vector<double> payload(16, 1.0);
   for (int i = 0; i < 64; ++i) {
-    const auto x = a.on_send(0, 16);
-    const auto y = b.on_send(0, 16);
+    const auto x = a.on_send(0, payload);
+    const auto y = b.on_send(0, payload);
     EXPECT_EQ(x.corrupt, y.corrupt);
     EXPECT_EQ(x.corrupt_element, y.corrupt_element);
     EXPECT_EQ(x.corrupt_bit, y.corrupt_bit);
@@ -266,26 +265,38 @@ TEST(FaultInjection, ReorderSwapsAdjacentSends) {
 }
 
 TEST(FaultInjection, ReorderIsReleasedOnlyByAMatchingSend) {
-  // A send the entry's min_payload filters out (an ack-sized frame) passes
-  // the stashed message by; the next matching send is its swap partner.
+  // An ack is no frame: it passes the stashed frame by, and the link's
+  // next frame is the swap partner.
   fault_plan plan;
   plan.seed = 2;
   fault_plan::message_fault mf;
   mf.reorder_probability = 1.0;
-  mf.fire_count = 1;
-  mf.min_payload = 2;
+  mf.frame = 0;
   plan.message_faults.push_back(mf);
 
   world w(2, plan);
   w.run([](transport& c) {
+    const auto image = [](envelope::kind type, std::uint64_t seq,
+                          std::vector<double> payload) {
+      envelope h;
+      h.type = type;
+      h.seq = seq;
+      return wire::encode(h, payload);
+    };
+    const auto payload_of = [](const any_message& m) {
+      envelope h;
+      std::vector<double> body;
+      EXPECT_TRUE(wire::decode(m.payload, true, &h, &body));
+      return body;
+    };
     if (c.rank() == 0) {
-      c.send(1, std::vector<double>{1.0, 1.0});  // stashed
-      c.send(1, std::vector<double>{9.0});       // filtered out: no release
-      c.send(1, std::vector<double>{2.0, 2.0});  // swap partner
+      c.send(1, image(envelope::kind::data, 0, {1.0, 1.0}));  // stashed
+      c.send(1, image(envelope::kind::ack, 7, {9.0}));  // no frame: no release
+      c.send(1, image(envelope::kind::data, 1, {2.0, 2.0}));  // swap partner
     } else {
-      EXPECT_EQ(recv_any(c).payload.at(0), 9.0);
-      EXPECT_EQ(recv_any(c).payload.at(0), 2.0);
-      EXPECT_EQ(recv_any(c).payload.at(0), 1.0);
+      EXPECT_EQ(payload_of(recv_any(c)).at(0), 9.0);
+      EXPECT_EQ(payload_of(recv_any(c)).at(0), 2.0);
+      EXPECT_EQ(payload_of(recv_any(c)).at(0), 1.0);
     }
   });
   EXPECT_EQ(w.total_counters().injected_reorders, 1);
@@ -443,8 +454,7 @@ TEST(ReliableChannel, ChecksumHookLetsCorruptionThrough) {
   fault_plan::message_fault mf;
   mf.src = 0;
   mf.corrupt_probability = 1.0;
-  mf.min_payload = wire::header_doubles + 1;
-  mf.fire_count = 1;
+  mf.frame = 0;
   plan.message_faults.push_back(mf);
 
   world w(2, plan);
@@ -570,9 +580,7 @@ TEST(MultiPeerDrops, ReliableChannelHealsSimultaneousFirstFrameLoss) {
     mf.src = src;
     mf.dst = 0;
     mf.drop_probability = 1.0;
-    mf.fire_from = 0;
-    mf.fire_count = 1;  // one-shot: the retransmit gets through
-    mf.min_payload = wire::header_doubles + 1;  // spare the acks
+    mf.frame = 0;  // the first transmission only: the retransmit gets through
     plan.message_faults.push_back(mf);
   }
 
@@ -608,8 +616,7 @@ TEST(MultiPeerDrops, FrameDroppedOnceHealsWithExactlyOneRetransmit) {
   mf.src = 0;
   mf.dst = 1;
   mf.drop_probability = 1.0;
-  mf.fire_count = 1;
-  mf.min_payload = wire::header_doubles + 1;  // the data frame, not an ack
+  mf.frame = 0;  // the data frame, not an ack
   std::atomic<double> got{0};
   resilience_report report;
   const std::exception_ptr error = run_resilient(
@@ -632,48 +639,21 @@ TEST(MultiPeerDrops, FrameDroppedOnceHealsWithExactlyOneRetransmit) {
 // ---- faults in the closing fence -------------------------------------------
 //
 // The barrier's last token can be lost after its sender's barrier is done.
-// fence() resends it before returning, so a fault on that resend fails the
-// rank inside its body, where run_resilient sees it: one restart, never a
-// world_deadlock left behind by a rank that swallowed it and exited.
+// fence() resends it before returning, so a spent budget on that resend
+// fails the rank inside its body, where run_resilient sees it: one
+// restart, never a world_deadlock left behind by a rank that swallowed it
+// and exited.
 
-/// Drop rank 0's fence token to rank 1, its first send to rank 1. With
-/// `resends_too`, also drop every send to rank 1 after the second (the ack
-/// of rank 1's token), so every resend of the token is lost as well.
-fault_plan lost_token_plan(bool resends_too) {
-  fault_plan plan;
-  fault_plan::message_fault mf;
+TEST(ClosingFenceFaults, SpentBudgetOnALostTokenCostsOneRestart) {
+  // Rank 0's fence token to rank 1 is frame 0 of its link, and it and
+  // every resend of it are dropped.
+  resilience_options opts;
+  fault_plan::message_fault& mf = opts.faults.message_faults.emplace_back();
   mf.src = 0;
   mf.dst = 1;
   mf.drop_probability = 1.0;
-  mf.fire_count = 1;
-  plan.message_faults.push_back(mf);
-  if (resends_too) {
-    mf.fire_from = 2;
-    mf.fire_count = -1;
-    plan.message_faults.push_back(mf);
-  }
-  return plan;
-}
-
-TEST(ClosingFenceFaults, KillOnALostTokenResendCostsOneRestart) {
-  resilience_options opts;
-  opts.faults = lost_token_plan(false);
-  // Rank 0's ops: 1 its token (dropped), 2 the ack of rank 1's token, 3 the
-  // token's resend in the quiescent round while rank 1 still waits for it.
-  opts.faults.kills.push_back({.rank = 0, .at_op = 3});
-  resilience_report report;
-  const std::exception_ptr error = run_resilient(
-      2, opts, [](reliable_channel&, int) {}, nullptr, report);
-  EXPECT_FALSE(error);
-  EXPECT_EQ(report.counters.injected_drops, 1);
-  EXPECT_EQ(report.counters.injected_kills, 1);
-  EXPECT_EQ(report.recoveries, 1);
-  EXPECT_EQ(report.lost_ranks, std::vector<int>{0});
-}
-
-TEST(ClosingFenceFaults, SpentBudgetOnALostTokenCostsOneRestart) {
-  resilience_options opts;
-  opts.faults = lost_token_plan(true);
+  mf.frame = 0;
+  mf.resends = true;
   opts.reliable.max_retransmits = 2;
   resilience_report report;
   const std::exception_ptr error = run_resilient(
@@ -718,33 +698,6 @@ TEST(MultiPeerDrops, ReliableRecvTimeoutNamesTheSilentPeer) {
       }),
       peer_unreachable_error);
   EXPECT_EQ(named_peer.load(), 0);
-}
-
-TEST(ReliableChannel, StaleEpochTrafficIsDropped) {
-  world w(2);
-  w.run([](transport& c) {
-    if (c.rank() == 0) {
-      // Epoch-3 sender: its data must be invisible to an epoch-4 receiver.
-      reliable_options old_epoch;
-      old_epoch.epoch = 3;
-      reliable_channel stale(c, old_epoch);
-      stale.send(1, std::vector<double>{1.0});
-      // No fence: the peer will never ack a stale-epoch message.
-      reliable_options cur;
-      cur.epoch = 4;
-      reliable_channel ch(c, cur);
-      ch.send(1, std::vector<double>{2.0});
-      ch.fence();
-    } else {
-      reliable_options cur;
-      cur.epoch = 4;
-      reliable_channel ch(c, cur);
-      EXPECT_EQ(ch.recv(0).at(0), 2.0);
-      EXPECT_GE(ch.stats().stale_dropped, 1);
-      ch.fence();
-    }
-  });
-  EXPECT_FALSE(w.aborted());
 }
 
 TEST(ReliableChannel, StatsPublishToObsRegistry) {

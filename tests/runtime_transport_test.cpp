@@ -1,7 +1,7 @@
 // Tests for the transport surface (runtime/transport.hpp) and the one
 // fabric (runtime/world.hpp): the abort / drain / counter contract, and
-// the reliable-delivery edge cases over it (sequence wraparound,
-// stale-epoch filtering, duplicate re-acks during reorder healing).
+// the reliable-delivery edge cases over it (sequence wraparound, one
+// fresh world per attempt, duplicate re-acks during reorder healing).
 //
 // Registered under the "transport-runtime" label so `ctest -L runtime`
 // (and the tsan preset) picks it up alongside the other fabric tests.
@@ -14,10 +14,12 @@
 #include <functional>
 #include <limits>
 #include <mutex>
+#include <set>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
+#include "runtime/fabric.hpp"
 #include "runtime/reliable.hpp"
 #include "runtime/transport.hpp"
 #include "runtime/world.hpp"
@@ -225,13 +227,12 @@ void run_pair(const fault_plan& faults,
 
 TEST(ReliableOverFabric, SequenceNumbersWrapAroundCleanly) {
   // Start every stream three short of UINT64_MAX and push eight messages
-  // through the wrap, with every data frame duplicated so the dedup path is
+  // through the wrap, with every message duplicated so the dedup path is
   // exercised across the boundary too.
   fault_plan plan;
   plan.seed = 41;
   fault_plan::message_fault mf;
   mf.duplicate_probability = 1.0;
-  mf.min_payload = wire::header_doubles + 1;  // data frames only
   plan.message_faults.push_back(mf);
 
   constexpr int kMessages = 8;
@@ -260,35 +261,37 @@ TEST(ReliableOverFabric, SequenceNumbersWrapAroundCleanly) {
   EXPECT_GE(receiver_stats.dedup_dropped, kMessages);
 }
 
-TEST(ReliableOverFabric, StaleEpochRetransmitIsRejected) {
-  // A crafted frame from epoch 3 — a retransmit straggling in from a dead
-  // recovery attempt — arrives before the real epoch-4 message with the
-  // same sequence number. The epoch filter must drop it; if it leaked
-  // through, the dedup would then discard the *real* message.
-  run_pair({}, [&](transport& t, int rank) {
-    reliable_options ropts;
-    ropts.epoch = 4;
-    if (rank == 0) {
-      envelope stale;
-      stale.type = envelope::kind::data;
-      stale.epoch = 3;
-      stale.seq = 0;  // same seq the real message will use
-      const std::vector<double> image =
-          wire::encode(stale, std::vector<double>{666.0});
-      t.send(1, image);
-
-      reliable_channel ch(t, ropts);
-      ch.send(1, std::vector<double>{42.0});
-      ch.fence();
-    } else {
-      reliable_channel ch(t, ropts);
-      const std::vector<double> got = ch.recv(0);
-      ASSERT_EQ(got.size(), 1u);
-      EXPECT_EQ(got[0], 42.0);  // the stale payload never surfaces
-      EXPECT_GE(ch.stats().stale_dropped, 1);
-      ch.fence();
-    }
-  });
+TEST(ReliableOverFabric, FrameOfAFailedAttemptNeverReachesTheNext) {
+  // Every attempt runs on a fresh world. In attempt 0, rank 0 sends rank 1
+  // a frame holding the attempt number and dies at its next frame, while
+  // rank 1 still waits on rank 2, which waits on that next frame. Rank 1's
+  // first recv(0) in attempt 1, on the two survivors, must return attempt
+  // 1's payload: attempt 0's frame is gone with its world.
+  resilience_options opts;
+  opts.faults.kills.push_back({.rank = 0, .at_op = 2});
+  std::atomic<int> attempt{0};
+  std::vector<double> got;
+  resilience_report report;
+  const std::exception_ptr error = run_resilient(
+      3, opts,
+      [&](reliable_channel& ch, int) {
+        const std::vector<double> mine{static_cast<double>(attempt.load())};
+        const bool first_attempt = ch.size() == 3;
+        if (ch.rank() == 0) {
+          ch.send(1, mine);
+          if (first_attempt) ch.send(2, mine);  // frame 2: the kill
+        } else if (ch.rank() == 1) {
+          if (first_attempt) (void)ch.recv(2);  // never arrives
+          got = ch.recv(0);
+        } else {
+          ch.send(1, ch.recv(0));
+        }
+      },
+      [&](const std::set<int>&) { ++attempt; }, report);
+  EXPECT_FALSE(error);
+  EXPECT_EQ(report.recoveries, 1);
+  EXPECT_EQ(report.lost_ranks, std::vector<int>{0});
+  EXPECT_EQ(got, std::vector<double>{1.0});
 }
 
 TEST(ReliableOverFabric, DuplicatesAreReAckedDuringReorderHealing) {
@@ -301,16 +304,12 @@ TEST(ReliableOverFabric, DuplicatesAreReAckedDuringReorderHealing) {
   fault_plan::message_fault reorder;
   reorder.src = 0;
   reorder.reorder_probability = 1.0;
-  reorder.fire_from = 0;
-  reorder.fire_count = 1;
-  reorder.min_payload = wire::header_doubles + 1;
+  reorder.frame = 0;
   plan.message_faults.push_back(reorder);
   fault_plan::message_fault duplicate;
   duplicate.src = 0;
   duplicate.duplicate_probability = 1.0;
-  duplicate.fire_from = 1;
-  duplicate.fire_count = 1;
-  duplicate.min_payload = wire::header_doubles + 1;
+  duplicate.frame = 1;
   plan.message_faults.push_back(duplicate);
 
   constexpr int kMessages = 4;

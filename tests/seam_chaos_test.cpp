@@ -8,9 +8,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <functional>
+#include <numeric>
 #include <string>
+#include <thread>
+#include <tuple>
 #include <vector>
 
 #include "io/json.hpp"
@@ -149,8 +153,7 @@ TEST(ChaosSchedule, LowersToOneShotFaultPlanEntries) {
   EXPECT_EQ(plan.message_faults[0].src, 1);
   EXPECT_EQ(plan.message_faults[0].dst, 3);
   EXPECT_EQ(plan.message_faults[0].corrupt_probability, 1.0);
-  EXPECT_EQ(plan.message_faults[0].fire_from, 5);
-  EXPECT_EQ(plan.message_faults[0].fire_count, 1);
+  EXPECT_EQ(plan.message_faults[0].frame, 5);
   EXPECT_EQ(plan.message_faults[0].drop_probability, 0.0);
 }
 
@@ -197,7 +200,7 @@ TEST(ChaosSchedule, AdvectionHarnessDrawsOnlyFramesARunSends) {
 TEST(ChaosSchedule, PartitionHarnessDrawsOntoRootLeafDataFrames) {
   // A partition attempt sends data frames only between the root and each
   // leaf, two per link and direction; the harness draws every fault onto
-  // one of them, and a drop on the last frame of every link fires.
+  // one of them, and a drop on the second frame of every link fires.
   const partition_chaos_harness harness;
   const int n = harness.nranks();
   for (std::uint64_t seed = 5000; seed < 5020; ++seed) {
@@ -218,8 +221,9 @@ TEST(ChaosSchedule, PartitionHarnessDrawsOntoRootLeafDataFrames) {
   EXPECT_EQ(t.counters.injected_drops, 2 * (n - 1));
 
   // Fewer parts than ranks: with 2 parts on 4 ranks only leaf 1 owns a
-  // cut, and leaves 2 and 3 send their second frame header-only. Every
-  // drawn fault must still land on a frame that exists, and fire.
+  // cut, and leaves 2 and 3 send their second frame header-only, which is
+  // a frame all the same. Every drawn fault must land on a frame that
+  // exists, and fire.
   partition_chaos_options few_parts;
   few_parts.nparts = 2;
   const partition_chaos_harness sparse(few_parts);
@@ -294,10 +298,11 @@ TEST(ChaosSoak, ChecksumDisabledTransportIsCaughtAndShrunk) {
 // can exhaust the restart ladder may abort — no silent wrong plans).
 
 TEST(ChaosKills, AddKillsIsDeterministicAndInRange) {
+  const std::vector<std::int64_t> frames(4, 12);  // 4 ranks, 12 frames each
   chaos_schedule a = make_chaos_schedule(77, 4, 0);
   chaos_schedule b = make_chaos_schedule(77, 4, 0);
-  add_kills(a, /*nranks=*/4, /*nkills=*/3);
-  add_kills(b, /*nranks=*/4, /*nkills=*/3);
+  add_kills(a, frames, /*nkills=*/3);
+  add_kills(b, frames, /*nkills=*/3);
   ASSERT_EQ(a.kills.size(), 3u);
   for (std::size_t i = 0; i < a.kills.size(); ++i) {
     EXPECT_EQ(a.kills[i].rank, b.kills[i].rank);
@@ -305,12 +310,13 @@ TEST(ChaosKills, AddKillsIsDeterministicAndInRange) {
     EXPECT_GE(a.kills[i].rank, 0);
     EXPECT_LT(a.kills[i].rank, 4);
     EXPECT_GE(a.kills[i].at_op, 1);
+    EXPECT_LE(a.kills[i].at_op, 12);
   }
 }
 
 TEST(ChaosKills, JsonRoundTripPreservesKillsAndRejectsBadOnes) {
   chaos_schedule s = make_chaos_schedule(5, 4, 2);
-  add_kills(s, 4, 2);
+  add_kills(s, std::vector<std::int64_t>(4, 12), 2);
   const std::string text = io::write_json(chaos_schedule_to_json(s), 2);
   const chaos_schedule back = chaos_schedule_from_json(io::parse_json(text));
   ASSERT_EQ(back.kills.size(), s.kills.size());
@@ -366,7 +372,7 @@ TEST(ChaosKills, AdvectionDirectedKillReslicesAroundTheDeadRank) {
   const chaos_harness harness(small_problem());
   chaos_schedule schedule;
   schedule.seed = 7;
-  schedule.kills.push_back({2, 12});
+  schedule.kills.push_back({2, 7});
   const chaos_trial t = harness.run(schedule);
   EXPECT_TRUE(t.passed) << t.failure;
   EXPECT_FALSE(t.aborted);
@@ -391,7 +397,7 @@ TEST(ChaosKills, AdvectionSoakKeepsTheKillContract) {
 }
 
 TEST(ChaosKills, AdvectionRunThatLosesEveryRankIsACleanAbort) {
-  // Every rank dies at its first op: the ladder runs dry, and the harness
+  // Every rank dies at its first frame: the ladder runs dry, and the harness
   // accepts the abort because the schedule can starve it. The aborted
   // trial keeps its accounting.
   const chaos_harness harness(small_problem());
@@ -405,10 +411,46 @@ TEST(ChaosKills, AdvectionRunThatLosesEveryRankIsACleanAbort) {
   EXPECT_EQ(t.final_partition.num_parts, 0);
 }
 
+TEST(ChaosKills, HarnessFramesAreWhatAFaultFreeAttemptSends) {
+  // A soak draws each rank's kills from the frames that rank sends in a
+  // fault-free attempt: together they are the attempt's data_sent, a kill
+  // at a rank's last frame fires, and one past it never does. Eight
+  // advection ranks on Ne = 2 leave some pairs unlinked, and five
+  // partition ranks fence in three rounds.
+  chaos_options eight_ranks = small_problem();
+  eight_ranks.nranks = 8;
+  eight_ranks.nsteps = 1;
+  partition_chaos_options five_ranks;
+  five_ranks.nranks = 5;
+  const chaos_harness advection(small_problem()), sparse(eight_ranks);
+  const partition_chaos_harness partition, wide(five_ranks);
+  for (const chaos_target* harness :
+       {static_cast<const chaos_target*>(&advection),
+        static_cast<const chaos_target*>(&sparse),
+        static_cast<const chaos_target*>(&partition),
+        static_cast<const chaos_target*>(&wide)}) {
+    const std::vector<std::int64_t>& frames = harness->frames();
+    ASSERT_EQ(frames.size(), static_cast<std::size_t>(harness->nranks()));
+    EXPECT_EQ(harness->run({}).reliable.data_sent,
+              std::accumulate(frames.begin(), frames.end(), std::int64_t{0}));
+    for (int r = 0; r < harness->nranks(); ++r) {
+      const std::int64_t last = frames[static_cast<std::size_t>(r)];
+      chaos_schedule at_last;
+      at_last.kills.push_back({r, last});
+      const chaos_trial t = harness->run(at_last);
+      EXPECT_TRUE(t.passed) << "rank " << r << ": " << t.failure;
+      EXPECT_EQ(t.lost_ranks, std::vector<int>{r});
+      chaos_schedule past_last;
+      past_last.kills.push_back({r, last + 1});
+      EXPECT_EQ(harness->run(past_last).recoveries, 0) << "rank " << r;
+    }
+  }
+}
+
 TEST(ChaosShrink, UnreproducibleFailureIsReturnedUnchanged) {
   // A schedule that passes cannot be shrunk; shrink_failure hands it back
-  // whole — faults and kills alike. The kill lies past the last op, so it
-  // never fires and the trial still heals in place.
+  // whole — faults and kills alike. The kill lies past the last frame, so
+  // it never fires and the trial still heals in place.
   const chaos_harness harness(small_problem());
   chaos_schedule benign = make_chaos_schedule(1000, 4, 2);
   benign.kills.push_back({1, 1'000'000});
@@ -501,6 +543,92 @@ TEST(ChaosShrink, ChecksumDisabledPartitionFailureIsCaughtAndShrunk) {
       chaos_schedule_from_json(io::parse_json(text).at("shrunk"));
   EXPECT_EQ(replay.faults.size(), f.shrunk.faults.size());
   EXPECT_FALSE(harness.run(replay).passed);
+}
+
+// ---------------------------------------------------------------------------
+// Replay determinism: a fault names a frame, and a rank sends its frames in
+// program order, so a recorded schedule lands on the same frames whatever
+// the machine's load.
+
+/// `n` threads busy-spinning until destruction.
+class busy_load {
+ public:
+  explicit busy_load(unsigned n) {
+    for (unsigned i = 0; i < n; ++i)
+      threads_.emplace_back([this] {
+        while (!stop_.load(std::memory_order_relaxed)) {
+        }
+      });
+  }
+  ~busy_load() {
+    stop_ = true;
+    for (std::thread& t : threads_) t.join();
+  }
+  busy_load(const busy_load&) = delete;
+  busy_load& operator=(const busy_load&) = delete;
+
+ private:
+  std::atomic<bool> stop_{false};
+  std::vector<std::thread> threads_;
+};
+
+TEST(ChaosReplay, RecordedSchedulesReplayIdenticallyUnderLoad) {
+  // Three recorded schedules: the shrunk reproducer of the checksum-less
+  // advection soak, the two-kill advection replay, and a partition
+  // schedule with a kill and a message fault. Each replays 10 times idle
+  // and 10 times beside one busy-spinning thread per hardware thread, and
+  // every replay gives the same verdict and recovery. The fabric's message
+  // counters are left out: after a kill, how far the survivors got before
+  // the abort depends on timing.
+  chaos_options checksum_off = small_problem();
+  checksum_off.reliable.verify_checksums = false;
+  const chaos_harness broken(checksum_off);
+  chaos_options eight_steps = small_problem();
+  eight_steps.nsteps = 8;
+  const chaos_harness advection(eight_steps);
+  const partition_chaos_harness partition;
+  const auto parse = [](const char* text) {
+    return chaos_schedule_from_json(io::parse_json(text));
+  };
+  struct replay {
+    const chaos_target* harness;
+    chaos_schedule schedule;
+    bool passed;     ///< the scenario the schedule stands for
+    int recoveries;
+  };
+  const std::vector<replay> replays{
+      {&broken, parse(R"({"seed": "5002", "faults": [
+                 {"kind": "corrupt", "src": 0, "dst": 3, "nth": 2}]})"),
+       false, 0},
+      {&advection, parse(R"({"seed": "7", "kills": [
+                    {"rank": 2, "at_op": 21}, {"rank": 0, "at_op": 37}]})"),
+       true, 2},
+      {&partition, parse(R"({"seed": "7", "faults": [
+                    {"kind": "corrupt", "src": 1, "dst": 0, "nth": 0}],
+                    "kills": [{"rank": 2, "at_op": 2}]})"),
+       true, 1}};
+  const auto outcome = [](const chaos_trial& t) {
+    return std::tuple(t.passed, t.failure, t.aborted, t.recoveries,
+                      t.lost_ranks, t.restart_step, t.migration.moved_elements,
+                      t.migration.moved_weight, t.migration.moved_fraction,
+                      t.max_abs_diff);
+  };
+  const unsigned spinners = std::max(1u, std::thread::hardware_concurrency());
+  for (std::size_t i = 0; i < replays.size(); ++i) {
+    const chaos_target& harness = *replays[i].harness;
+    const chaos_schedule& schedule = replays[i].schedule;
+    const chaos_trial first = harness.run(schedule);
+    EXPECT_EQ(first.passed, replays[i].passed) << "replay " << i;
+    EXPECT_EQ(first.recoveries, replays[i].recoveries) << "replay " << i;
+    const auto want = outcome(first);
+    for (const bool loaded : {false, true}) {
+      const busy_load load(loaded ? spinners : 0);
+      for (int run = 0; run < 10; ++run)
+        EXPECT_EQ(outcome(harness.run(schedule)), want)
+            << "replay " << i << (loaded ? ", loaded" : ", idle") << ", run "
+            << run;
+    }
+  }
 }
 
 }  // namespace

@@ -441,57 +441,6 @@ TEST_P(GllKernel, AdvectionStagePassesMatchOracleBitwise) {
   }
 }
 
-TEST_P(GllKernel, SweRhsMatchesOracleBitwise) {
-  const int np = GetParam();
-  const mesh::cubed_sphere m(2);
-  const shallow_water_model model(m, np, {1.3, 0.7});
-  const std::size_t n = static_cast<std::size_t>(np * np);
-  const std::size_t nelem = static_cast<std::size_t>(m.num_elements());
-  const double* D = model.rule().diff.data();
-  // Four random fields (h, ux, uy, uz), each from an odd offset; depth
-  // kept positive.
-  using fields = std::vector<std::vector<double>>;
-  fields in;
-  for (unsigned f = 0; f < 4; ++f)
-    in.push_back(random_values(
-        1 + nelem * n, 41u + 4u * static_cast<unsigned>(np) + f));
-  for (double& h : in[0]) h += 3.0;
-  const auto at = [&](fields& v, std::size_t f, std::size_t l) {
-    return slab<double>(v[f], l, n);
-  };
-
-  std::vector<int> elems(nelem);
-  fields want(4, std::vector<double>(1 + nelem * n, 0.0));
-  for (std::size_t l = 0; l < nelem; ++l) {
-    elems[l] = static_cast<int>((7 * l + 3) % nelem);
-    oracle_swe_rhs(
-        D, model.nodes().data() + static_cast<std::size_t>(elems[l]) * n,
-        model.params().gravity, at(in, 0, l).data(), at(in, 1, l).data(),
-        at(in, 2, l).data(), at(in, 3, l).data(), at(want, 0, l).data(),
-        at(want, 1, l).data(), at(want, 2, l).data(), at(want, 3, l).data(),
-        np);
-  }
-
-  // Every slot in one pass, then one slot per call.
-  const auto tail = [](std::vector<double>& v) {
-    return std::span<double>(v).subspan(1);
-  };
-  fields got(4, std::vector<double>(1 + nelem * n, 0.0));
-  model.rhs_elements(tail(in[0]), tail(in[1]), tail(in[2]), tail(in[3]),
-                     tail(got[0]), tail(got[1]), tail(got[2]), tail(got[3]),
-                     elems);
-  for (std::size_t f = 0; f < 4; ++f)
-    EXPECT_TRUE(bitwise_equal(got[f], want[f]));
-
-  fields one(4, std::vector<double>(1 + nelem * n, 0.0));
-  for (std::size_t l = 0; l < nelem; ++l)
-    model.rhs_elements(at(in, 0, l), at(in, 1, l), at(in, 2, l), at(in, 3, l),
-                       at(one, 0, l), at(one, 1, l), at(one, 2, l),
-                       at(one, 3, l), std::span<const int>(&elems[l], 1));
-  for (std::size_t f = 0; f < 4; ++f)
-    EXPECT_TRUE(bitwise_equal(one[f], want[f]));
-}
-
 TEST_P(GllKernel, SweStagePassesMatchOracleBitwise) {
   const int np = GetParam();
   const mesh::cubed_sphere m(2);

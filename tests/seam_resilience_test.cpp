@@ -51,7 +51,7 @@ TEST(Resilience, RecoversFromRankLossMidSimulation) {
   const auto reference = run_distributed(model, part, dt, nsteps);
 
   runtime::resilience_options ropts;
-  ropts.faults.kills.push_back({/*rank=*/2, /*at_op=*/40});
+  ropts.faults.kills.push_back({/*rank=*/2, /*at_op=*/21});
   ropts.max_recoveries = 1;
   recovery_report report;
   dist_stats stats;
@@ -91,11 +91,11 @@ TEST(Resilience, RecoveryIsDeterministicAcrossRuns) {
   const auto part = core::sfc_partition(curve, 4);
   const double dt = model.cfl_dt(0.3);
 
-  // Rank 1 dies in the third halo exchange of step 0 (ops 13-18 of its
-  // 22-op step), before any checkpoint is sealed. A retransmit only moves
-  // the kill earlier, so every run restarts from step 0.
+  // Rank 1 dies in the third halo exchange of step 0 (frames 7-9 of its
+  // 11-frame step), before any checkpoint is sealed, so every run restarts
+  // from step 0.
   runtime::resilience_options ropts;
-  ropts.faults.kills.push_back({/*rank=*/1, /*at_op=*/15});
+  ropts.faults.kills.push_back({/*rank=*/1, /*at_op=*/8});
   ropts.max_recoveries = 1;
   recovery_report r1, r2;
   const auto a = run_distributed_resilient(model, curve, part, dt, 6, ropts, &r1);
@@ -108,12 +108,13 @@ TEST(Resilience, RecoveryIsDeterministicAcrossRuns) {
 }
 
 TEST(Resilience, UnfiredKillStaysArmedAcrossTheRestart) {
-  // Faults across attempts: rank 2 dies at its 40th op, in the second step
-  // (a step is 22 ops on 4 ranks: three halo exchanges with 3 peers and the
-  // checkpoint fence). Rank 0's kill at op 72 lies past the 44 ops rank 0
-  // can send before that abort, so it stays armed and fires in the fifth
-  // step of the restarted attempt (16 ops a step on 3 ranks). Both deaths
-  // cost a restart, both ranks are lost, and the field survives.
+  // Faults across attempts: rank 2 dies at its 21st frame, the first token
+  // of the second step's checkpoint fence (a step is 11 frames on 4 ranks:
+  // three halo exchanges with 3 peers and the fence's 2 tokens). Rank 0's
+  // kill at frame 37 lies past the 22 frames rank 0 can send before that
+  // abort, so it stays armed and fires in the fifth step of the restarted
+  // attempt (8 frames a step on 3 ranks). Both deaths cost a restart, both
+  // ranks are lost, and the field survives.
   const mesh::cubed_sphere m(2);
   const auto model = make_model(m);
   const auto curve = core::build_cube_curve(m);
@@ -124,8 +125,8 @@ TEST(Resilience, UnfiredKillStaysArmedAcrossTheRestart) {
   const auto reference = run_distributed(model, part, dt, nsteps);
 
   runtime::resilience_options ropts;
-  ropts.faults.kills.push_back({/*rank=*/2, /*at_op=*/40});
-  ropts.faults.kills.push_back({/*rank=*/0, /*at_op=*/72});
+  ropts.faults.kills.push_back({/*rank=*/2, /*at_op=*/21});
+  ropts.faults.kills.push_back({/*rank=*/0, /*at_op=*/37});
   ropts.max_recoveries = 2;
   recovery_report report;
   const auto recovered = run_distributed_resilient(model, curve, part, dt,
@@ -147,7 +148,8 @@ TEST(Resilience, FaultPlanLosesTheSameRanksInBothRunners) {
   // One attempt loop, one fault rule: the same plan on the same rank count
   // loses the same world ranks whether it drives the SEAM runner or the
   // distributed partitioner. Ranks 1 and 3 die (in one attempt or two,
-  // as timing has it); rank 2's kill lies past its last op and never fires.
+  // as timing has it); rank 2's kill lies past its last frame and never
+  // fires.
   const mesh::cubed_sphere m(2);
   const auto model = make_model(m);
   const auto curve = core::build_cube_curve(m);
@@ -187,7 +189,7 @@ TEST(Resilience, SecondFailureExceedsBudgetAndRethrows) {
   const double dt = model.cfl_dt(0.3);
 
   runtime::resilience_options ropts;
-  ropts.faults.kills.push_back({/*rank=*/0, /*at_op=*/10});
+  ropts.faults.kills.push_back({/*rank=*/0, /*at_op=*/7});
   ropts.max_recoveries = 0;  // no budget: the kill must surface
   EXPECT_THROW(
       run_distributed_resilient(model, curve, part, dt, 6, ropts),
@@ -334,7 +336,7 @@ TEST(ReliableResilience, KillStillEscalatesToPlanRecovery) {
   const auto reference = run_distributed(model, part, dt, nsteps);
 
   runtime::resilience_options ropts = reliable_ropts(7);
-  ropts.faults.kills.push_back({/*rank=*/1, /*at_op=*/33});
+  ropts.faults.kills.push_back({/*rank=*/1, /*at_op=*/17});
   auto& mf = ropts.faults.message_faults.emplace_back();
   mf.drop_probability = 0.05;
   mf.corrupt_probability = 0.05;
@@ -369,13 +371,14 @@ TEST(ReliableResilience, SeveredLinkEscalatesViaPeerUnreachable) {
   // quiescent, when it is certainly lost.
   ropts.reliable.max_retransmits = 6;
   auto& mf = ropts.faults.message_faults.emplace_back();
-  mf.dst = 2;  // every data frame *to* rank 2 vanishes: rank 2 is the corpse
+  mf.dst = 2;  // the first frame *to* rank 2 on every link, and every
+  mf.frame = 0;  // resend of it, vanishes: rank 2 is the corpse
+  mf.resends = true;
   mf.drop_probability = 1.0;
-  // Data frames only. Dropping the acks to rank 2 as well would leave rank
+  // Only that frame. Dropping the acks to rank 2 as well would leave rank
   // 2's own (delivered) sends unacked, and rank 2 exhausting *its*
   // retransmit budget races the real senders for which rank gets named —
   // sometimes electing a healthy victim.
-  mf.min_payload = runtime::wire::header_doubles + 1;
 
   recovery_report report;
   const auto recovered = run_distributed_resilient(model, curve, part, dt, 4,

@@ -43,17 +43,17 @@
 #      harness, and two kills on SEAM advection, which must recover the
 #      tracer field to 1e-12; a replay also fails when a scheduled fault
 #      kind injected nothing. Three negative legs must exit non-zero: a
-#      replay of a drop on a frame a 2-part plan never sends (2 -> 0,
-#      frame 1), a replay of a schedule with an unknown key — whose stderr
+#      replay of a drop past the last frame of a link (2 -> 0, frame 3,
+#      with a 2-part plan), a replay of a schedule with an unknown key — whose stderr
 #      must name the key and show no `precondition failed` or `/src/` path
 #      — and `sfcpart chaos` with a flag it does not read
 #   7. distributed-partition bench smoke: bench_partition_scaling at a tiny
 #      K, and again at ~8 elements per part (Ne = 12, 108 parts), must run
 #      all rank counts, match the serial slicer (the bench aborts on
 #      divergence), and emit a well-formed BENCH_partition_scaling.json;
-#      then bench_micro's SEAM kernel rows (BM_AdvectionTendency,
-#      BM_AdvectionStage — one fused SSP-RK3 stage pass — and BM_SweRhs at
-#      the native lane width, BM_AdvectionKernelAtWidth and
+#      then bench_micro's SEAM kernel rows (BM_AdvectionTendency, and
+#      BM_AdvectionStage and BM_SweStage — one fused SSP-RK3 stage pass of
+#      each model — at the native lane width, BM_AdvectionKernelAtWidth and
 #      BM_SweKernelsAtWidth at each width) and its curve-enumeration rows
 #      (BM_ElementAt, one point query per position, and BM_ElementWalk,
 #      one range walk) run once, ungated
@@ -175,8 +175,10 @@ build/tools/sfcpart chaos --trials=10 --kills=1 \
 # Replay legs: bare schedule files through --replay — two message faults
 # that heal in place on each harness (on the partition harness a corrupt
 # and a drop on leaf -> root data frames, which must still yield the
-# serial plan), then one kill on 4 ranks, which must restart on the three
-# survivors and recover into the serial plan.
+# serial plan), then one kill on 4 ranks (leaf 1 at its second frame, the
+# cut allgather's), which must restart on the three survivors and recover
+# into the serial plan. A fault or kill names a frame: the first
+# transmission of a data frame or fence token, never an ack or a resend.
 printf '%s\n' '{"seed": "7", "faults": [
   {"kind": "drop", "src": 0, "dst": 1, "nth": 1},
   {"kind": "corrupt", "src": 2, "dst": 3, "nth": 0}]}' \
@@ -188,16 +190,17 @@ printf '%s\n' '{"seed": "7", "faults": [
   > "$chaos_dir/replay_partition_faults.json"
 build/tools/sfcpart chaos --partition --nproc=4 \
   --replay="$chaos_dir/replay_partition_faults.json"
-printf '%s\n' '{"seed": "7", "faults": [], "kills": [{"rank": 1, "at_op": 3}]}' \
+printf '%s\n' '{"seed": "7", "faults": [], "kills": [{"rank": 1, "at_op": 2}]}' \
   > "$chaos_dir/replay_kill.json"
 build/tools/sfcpart chaos --partition --nproc=4 \
   --replay="$chaos_dir/replay_kill.json"
-# Negative replay leg: with 2 parts on 4 ranks, leaf 2 owns no cut, so its
-# cut frame to the root is header-only and no data frame 1 exists on
-# 2 -> 0. The drop never fires, and a replay that injected nothing of a
-# scheduled kind must fail rather than pass vacuously.
+# Negative replay leg: with 2 parts on 4 ranks, leaf 2 sends the root its
+# two allgather frames (the second header-only: it owns no cut) and its
+# hop-2 fence token, frames 0-2 of 2 -> 0. No frame 3 exists, so the drop
+# never fires, and a replay that injected nothing of a scheduled kind must
+# fail rather than pass vacuously.
 printf '%s\n' '{"seed": "7", "faults": [
-  {"kind": "drop", "src": 2, "dst": 0, "nth": 1}]}' \
+  {"kind": "drop", "src": 2, "dst": 0, "nth": 3}]}' \
   > "$chaos_dir/replay_vacuous.json"
 if build/tools/sfcpart chaos --partition --nproc=4 --nparts=2 \
   --replay="$chaos_dir/replay_vacuous.json"; then
@@ -234,11 +237,13 @@ for flags in "--trials=1 --faults=1 --transport=inproc" \
   fi
 done
 # SEAM rank-kill replay: a kills-only schedule on the advection harness.
-# Rank 2 dies in the second step; rank 0's kill lies past its first
-# attempt, stays armed and fires after the restart. Two restarts, and the
-# recovered tracer must match the fault-free run to 1e-12.
-printf '%s\n' '{"seed": "7", "kills": [{"rank": 2, "at_op": 40},
-  {"rank": 0, "at_op": 72}]}' > "$chaos_dir/seam_two_kills.json"
+# Rank 2 dies in the second step, at its 21st frame (a step is 11 frames:
+# 9 halo frames and 2 checkpoint-fence tokens); rank 0's kill at frame 37
+# lies past its first attempt, stays armed and fires after the restart.
+# Two restarts, and the recovered tracer must match the fault-free run to
+# 1e-12.
+printf '%s\n' '{"seed": "7", "kills": [{"rank": 2, "at_op": 21},
+  {"rank": 0, "at_op": 37}]}' > "$chaos_dir/seam_two_kills.json"
 if ! build/tools/sfcpart chaos --ne=2 --nproc=4 --steps=8 \
   --replay="$chaos_dir/seam_two_kills.json" > "$chaos_dir/two_kills.out" ||
   ! grep -Eq '^recoveries +2$' "$chaos_dir/two_kills.out"; then
@@ -263,15 +268,15 @@ grep -q '"elements_per_sec"' "$bench_dir/BENCH_partition_scaling.json"
 build/bench/bench_partition_scaling --ne=12 --nparts=108 --repeat=1 \
   --out="$bench_dir/BENCH_partition_scaling.json"
 # The SEAM ledger rows (element kernels, natively and at each lane width;
-# the fused stage pass; one rank's halo plan; the driver's fixed cost per
-# call) and the curve-enumeration rows (point query and range walk per
+# the fused advection and SWE stage passes; one rank's halo plan; the
+# driver's fixed cost per call) and the curve-enumeration rows (point query and range walk per
 # position) run once, briefly
 # and ungated (wall clock is machine noise here, as time_usec is in stage
 # 8), so they cannot rot; bench_micro writes its BENCH_micro.json into the
 # scratch dir.
 repo_root="$(pwd)"
 (cd "$bench_dir" && "$repo_root/build/bench/bench_micro" \
-  --benchmark_filter='BM_AdvectionTendency|BM_AdvectionStage|BM_SweRhs|AtWidth|BM_RankExchangePlan|BM_SeamDriverFixedCost|BM_ElementAt|BM_ElementWalk' \
+  --benchmark_filter='BM_AdvectionTendency|BM_AdvectionStage|BM_SweStage|AtWidth|BM_RankExchangePlan|BM_SeamDriverFixedCost|BM_ElementAt|BM_ElementWalk' \
   --benchmark_min_time=0.01 > /dev/null)
 rm -rf "$bench_dir"
 

@@ -75,15 +75,17 @@ int usage() {
                "  chaos     [--trials=T] [--seed=X] [--faults=F] [--kills=K] "
                "[--ne=N] [--nproc=P]\n"
                "            [--steps=S] [--out=BASE] [--no-shrink] "
-               "[--replay=FILE] [--kill-rank=R@ROUND]\n"
+               "[--replay=FILE] [--kill-rank=R@N]\n"
                "            (soak SEAM advection under T randomized "
                "schedules of F message faults\n"
                "            and K rank kills; failures are ddmin-shrunk "
                "and written as\n"
                "            BASE.failK.json reproducers; --replay reruns "
                "one, --kill-rank runs one\n"
-               "            directed trial killing rank R at its ROUND-th "
-               "op)\n"
+               "            directed trial killing rank R at its Nth "
+               "frame: data frames\n"
+               "            and fence tokens count, acks and resends "
+               "never do)\n"
                "            [--partition] [--nparts=P]\n"
                "            (the same on the distributed SFC partitioner, "
                "which must match the\n"
@@ -341,7 +343,7 @@ int cmd_validate(const cli_args& args) {
   return 0;
 }
 
-// "R@ROUND" -> kill rank R at its ROUND-th communication op. Returns false
+// "R@N" -> kill rank R at its Nth frame (fault.hpp). Returns false
 // on anything that is not two decimal integers around a single '@'.
 bool parse_kill_at(const std::string& text, int* rank, std::int64_t* at_op) {
   const std::size_t at = text.find('@');
@@ -532,7 +534,7 @@ int cmd_chaos(const cli_args& args) {
     // faults, if given) instead of a randomized soak.
     seam::chaos_kill kill;
     if (!parse_kill_at(*text, &kill.rank, &kill.at_op)) {
-      std::fprintf(stderr, "--kill-rank=%s: want R@ROUND with ROUND >= 1\n",
+      std::fprintf(stderr, "--kill-rank=%s: want R@N with N >= 1\n",
                    text->c_str());
       return 2;
     }
@@ -542,7 +544,7 @@ int cmd_chaos(const cli_args& args) {
     }
     seam::chaos_schedule schedule = harness->make_schedule(seed, nfaults);
     schedule.kills.push_back(kill);
-    std::printf("%s harness, Ne=%d on %d ranks: killing rank %d at op "
+    std::printf("%s harness, Ne=%d on %d ranks: killing rank %d at frame "
                 "%lld...\n",
                 mode, ne, nranks, kill.rank,
                 static_cast<long long>(kill.at_op));
